@@ -26,10 +26,6 @@ class DegenerateInputError(SetContrastError, ValueError):
     where a direction is needed)."""
 
 
-class ConvergenceError(SetContrastError, RuntimeError):
-    """An iterative solver exhausted its budget before reaching tolerance."""
-
-
 class SizeGuardError(SetContrastError, ValueError):
     """A brute-force oracle was asked to enumerate beyond its size guard."""
 

@@ -240,7 +240,8 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
 
     Batches are index sets applied to both views, so the in-batch ground
     truth stays the identity. Aborts with NumericError on a non-finite
-    loss. Matching accuracy and the probe run once, after training.
+    loss or gradient. Matching accuracy and the probe run once, after
+    training.
     """
     started = time.perf_counter()
     n = dataset.view_a.shape[0]
@@ -278,6 +279,13 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
             if "degenerate-eigenvalues" in tape.flags:
                 degenerate += 1
             grad_arrays = {k: grads[t].data for k, t in leaves.items()}
+            for key, g in grad_arrays.items():
+                if not np.all(np.isfinite(g)):
+                    raise NumericError(
+                        f"non-finite gradient for parameter {key!r} at epoch "
+                        f"{epoch} step {step} (loss={config.loss.name!r}, "
+                        f"seed={config.seed})"
+                    )
             encoder.params, state = adam_step(
                 encoder.params, grad_arrays, state,
                 lr=config.learning_rate, beta1=config.beta1,

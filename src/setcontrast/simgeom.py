@@ -1,9 +1,14 @@
 """Similarity geometry: pairwise similarity triples, a symmetric
-eigensolver (cyclic Jacobi), and sorted spectrum products.
+eigendecomposition with its eigenvalue gradient, and sorted spectrum
+products.
 
-The eigensolver is deliberately self-contained so its gradient rule and
-tie behavior stay under our control; numpy is used for storage and
-vector arithmetic only.
+Eigenvalues come from LAPACK through ``np.linalg.eigh``. The gradient
+rule d lambda_i / dM = u_i u_i^T is exact for a simple eigenvalue; inside
+a degenerate eigenspace the eigenvectors are not unique, so the rule
+gives one valid subgradient whatever the solver, and ``eigvals`` flags
+that case on the tape. Results are deterministic for a given LAPACK
+build; they were never byte-identical across machines, because matrix
+products already go through BLAS.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import numpy as np
 from . import tensor as T
 from .errors import (
     ContractError,
-    ConvergenceError,
     DegenerateInputError,
+    EvaluationError,
     ShapeError,
 )
 
@@ -53,77 +58,26 @@ def _as_matrix(m) -> Array:
     a = m.data if isinstance(m, T.Tensor) else np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise EvaluationError("sym_eigen: matrix contains NaN or Inf")
     return a
 
 
-def _off_norm(a: Array) -> float:
-    # sum only the off-diagonal squares; total-minus-diagonal cancels
-    # catastrophically once the matrix is nearly diagonal
-    off = np.array(a)
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def sym_eigen(m, max_sweeps: int = 50) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix via cyclic Jacobi
-    rotations.
+def sym_eigen(m) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix via LAPACK
+    (``np.linalg.eigh``), eigenvalues sorted descending.
 
     Input asymmetry up to 1e-9 (relative) is tolerated and symmetrized
-    away; sweeps run until the off-diagonal Frobenius norm drops below
-    1e-12 * ||M||_F or the sweep budget is exhausted.
+    away; larger asymmetry raises ContractError, and NaN or Inf entries
+    raise EvaluationError. Within a repeated eigenvalue the returned
+    eigenvectors are one arbitrary basis of that eigenspace.
     """
     a = _as_matrix(m)
-    n = a.shape[0]
     scale = float(np.linalg.norm(a))
     if float(np.abs(a - a.T).max(initial=0.0)) > 1e-9 * max(1.0, scale):
         raise ContractError("sym_eigen: matrix is not symmetric within 1e-9")
-    a = (a + a.T) / 2.0
-    if n == 1:
-        return EigenDecomposition(np.array([a[0, 0]]), np.eye(1))
-
-    target = 1e-12 * scale
-    # entries below this can all be left in place without pushing the
-    # off-diagonal norm above target
-    skip = target / np.sqrt(n * (n - 1))
-    # stack A with V^T so each rotation is two column and two row updates:
-    # A <- J^T A J and V <- V J, the latter as V^T <- J^T V^T
-    h = np.hstack([a, np.eye(n)])
-    sweeps = 0
-    while _off_norm(h[:, :n]) > target:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"sym_eigen: off-diagonal norm {_off_norm(h[:, :n]):.3e} above "
-                f"{target:.3e} after {max_sweeps} sweeps"
-            )
-        for p in range(n - 1):
-            hp = h[p]
-            for q in range(p + 1, n):
-                apq = hp[q]
-                if abs(apq) <= skip and abs(h[q, p]) <= skip:
-                    continue
-                theta = (h[q, q] - hp[p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cp = h[:, p]
-                cq = h[:, q]
-                new_p = c * cp - s * cq
-                new_q = s * cp + c * cq
-                h[:, p] = new_p
-                h[:, q] = new_q
-                hq = h[q]
-                new_rp = c * hp - s * hq
-                new_rq = s * hp + c * hq
-                h[p] = new_rp
-                h[q] = new_rq
-                hp = h[p]
-                hp[q] = 0.0
-                h[q, p] = 0.0
-        sweeps += 1
-    vals = np.diag(h[:, :n]).copy()
-    order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(vals[order], h[:, n:].T[:, order].copy())
+    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    return EigenDecomposition(vals[::-1], vecs[:, ::-1])
 
 
 def min_eigengap(values: Array) -> float:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from setcontrast import cli, simgeom
+from setcontrast import cli, simgeom, tensor as T
 from setcontrast.errors import ConfigError, NumericError
 
 TINY = {
@@ -149,6 +149,28 @@ class TestTrainCommand:
         cfgp = write_config(tmp_path, TINY)
         assert cli.main(["train", "--config", cfgp,
                          "--out", str(tmp_path / "x")]) == 3
+
+    def test_non_finite_gradient_maps_to_exit_3_at_its_step(
+            self, tmp_path, monkeypatch, capsys):
+        real_backward = T.Tape.backward
+        calls = []
+
+        def poisoned(self, loss):
+            grads = real_backward(self, loss)
+            calls.append(None)
+            if len(calls) == 3:  # seed 0, epoch 1, step 0 (two steps/epoch)
+                # leaves are registered in parameter order: w1, b1, w2, b2
+                g = grads[1]
+                g.data = np.full(g.shape, np.nan)
+            return grads
+
+        monkeypatch.setattr(T.Tape, "backward", poisoned)
+        cfgp = write_config(tmp_path, TINY)
+        assert cli.main(["train", "--config", cfgp,
+                         "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "gradient" in err and "'b1'" in err
+        assert "epoch 1 step 0" in err and "seed=0" in err
 
 
 class TestSweepCommand:

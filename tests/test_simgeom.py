@@ -5,12 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setcontrast import simgeom, tensor as T
-from setcontrast.errors import ContractError, ShapeError
+from setcontrast.errors import ContractError, EvaluationError, ShapeError
 
-symmetric_matrices = st.tuples(
-    st.integers(1, 8), st.integers(0, 2 ** 31 - 1)
-).map(lambda t: (lambda m: (m + m.T) / 2.0)(
-    np.random.default_rng(t[1]).normal(size=(t[0], t[0]))))
+
+def _symmetric_matrix(n, seed, low_rank):
+    rng = np.random.default_rng(seed)
+    if low_rank and n > 1:
+        # Gram-plus-ones with rank(Z) < n, the shape of cosine-mode S_A/S_B:
+        # repeated (zero) eigenvalues whenever rank(Z) + 1 < n
+        z = rng.normal(size=(n, int(rng.integers(1, n))))
+        return z @ z.T + 1.0
+    m = rng.normal(size=(n, n))
+    return (m + m.T) / 2.0
+
+
+symmetric_matrices = st.builds(
+    _symmetric_matrix, st.integers(1, 8), st.integers(0, 2 ** 31 - 1),
+    st.booleans())
 
 
 class TestSymEigen:
@@ -44,6 +55,13 @@ class TestSymEigen:
     def test_asymmetric_input_rejected(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ContractError):
+            simgeom.sym_eigen(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(EvaluationError, match="NaN or Inf"):
             simgeom.sym_eigen(m)
 
     def test_tiny_asymmetry_tolerated(self):
