@@ -3,7 +3,8 @@ oracles with size guards, and matching accuracy.
 
 Tie-break contract: among equally optimal assignments both the solver
 and the oracles return the lexicographically smallest permutation, so
-equality tests between them can be exact.
+equality tests between them can be exact. The solver refines the
+Hungarian matching by one iterative pass of alternating-cycle rotations.
 """
 
 from __future__ import annotations
@@ -99,57 +100,53 @@ def _hungarian(a: Array):
     return perm, u[1:], v[1:]
 
 
-def _matchable(adj: Array, row_order, banned_cols: Array) -> bool:
-    """Can every row in row_order be matched into distinct allowed
-    columns of the boolean adjacency? Kuhn's augmenting paths."""
-    n = adj.shape[1]
-    col_owner = np.full(n, -1, dtype=np.intp)
-
-    def try_row(r: int, seen: Array) -> bool:
-        for j in np.flatnonzero(adj[r]):
-            if banned_cols[j] or seen[j]:
-                continue
-            seen[j] = True
-            if col_owner[j] < 0 or try_row(col_owner[j], seen):
-                col_owner[j] = r
-                return True
-        return False
-
-    for r in row_order:
-        if not try_row(r, np.zeros(n, dtype=bool)):
-            return False
-    return True
-
-
 def _lex_refine(a: Array, perm: Array, u: Array, v: Array) -> Array:
     """Among optimal assignments pick the lexicographically smallest.
 
-    Works on the tight graph (zero reduced cost edges): every optimal
-    assignment lives there, and any perfect matching of tight edges is
-    optimal. When the tight graph has exactly n edges there is nothing
-    to choose.
+    Works on the tight graph (zero reduced cost edges, plus the Hungarian
+    matching), where the perfect matchings are the optimal assignments.
+    One iterative pass fixes rows in order. A tight edge is in some
+    perfect matching exactly when it is matched or on an alternating
+    cycle, so row i takes the smallest tight column whose owner reaches
+    i along alternating edges through unfixed rows, and the matching is
+    rotated along that cycle.
     """
     n = a.shape[0]
     tol = 1e-9 * max(1.0, float(np.abs(a).max()))
     tight = (a - u[:, None] - v[None, :]) <= tol
-    if int(tight.sum()) <= n:
+    rows = np.arange(n)
+    tight[rows, perm] = True
+    if int(tight.sum()) == n:
         return perm
-    chosen = np.full(n, -1, dtype=np.intp)
-    banned = np.zeros(n, dtype=bool)
+    col, owner, succ = perm.copy(), np.empty_like(perm), np.empty_like(perm)
+    owner[col] = rows
     for i in range(n):
-        placed = False
-        for j in np.flatnonzero(tight[i] & ~banned):
-            banned[j] = True
-            if _matchable(tight, range(i + 1, n), banned):
-                chosen[i] = j
-                placed = True
-                break
-            banned[j] = False
-        if not placed:  # tolerance artefact; keep the solver's answer
-            return perm
+        cand = np.flatnonzero(tight[i, :col[i]])
+        cand = cand[owner[cand] > i]
+        if cand.size == 0:
+            continue
+        # reverse BFS over r -> owner[c], tight (r, c); succ: next row to i
+        reached = rows <= i
+        frontier = rows[i:i + 1]
+        while frontier.size:
+            todo = np.flatnonzero(~reached)
+            hit = tight[np.ix_(todo, col[frontier])]
+            found = hit.any(axis=1)
+            succ[todo[found]] = frontier[hit[found].argmax(axis=1)]
+            frontier = todo[found]
+            reached[frontier] = True
+        cand = cand[reached[owner[cand]]]
+        if cand.size == 0:
+            continue
+        path = [owner[cand[0]]]
+        while path[-1] != i:
+            path.append(succ[path[-1]])
+        # each row on the cycle takes the column of the next; i takes cand[0]
+        col[path] = np.append(col[path[1:]], cand[0])
+        owner[col[path]] = path
     # guard against tolerance admitting a strictly worse matching
-    if lap_cost(a, chosen) <= lap_cost(a, perm):
-        return chosen
+    if lap_cost(a, col) <= lap_cost(a, perm):
+        return col
     return perm
 
 

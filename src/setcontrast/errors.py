@@ -35,4 +35,5 @@ class ConfigError(SetContrastError, ValueError):
 
 
 class NumericError(SetContrastError, ArithmeticError):
-    """Training aborted on a non-finite loss or gradient."""
+    """Training aborted on a non-finite loss or gradient, or a degenerate
+    embedding."""

@@ -19,6 +19,7 @@ from . import tensor as T
 from .errors import (
     ConfigError,
     ContractError,
+    DegenerateInputError,
     EvaluationError,
     NumericError,
     ShapeError,
@@ -240,8 +241,8 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
 
     Batches are index sets applied to both views, so the in-batch ground
     truth stays the identity. Aborts with NumericError on a non-finite
-    loss or gradient. Matching accuracy and the probe run once, after
-    training.
+    loss or gradient, or on a degenerate (zero) embedding. Matching
+    accuracy and the probe run once, after training.
     """
     started = time.perf_counter()
     n = dataset.view_a.shape[0]
@@ -265,9 +266,11 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
                 gt = GroundTruthAlignment.identity(len(idx))
                 loss, _ = two_view_loss(za, zb, gt, config.loss)
                 value = loss.item()
-            except EvaluationError as e:
+            except (EvaluationError, DegenerateInputError) as e:
+                kind = ("degenerate embedding" if isinstance(e, DegenerateInputError)
+                        else "non-finite value")
                 raise NumericError(
-                    f"non-finite value at epoch {epoch} step {step} "
+                    f"{kind} at epoch {epoch} step {step} "
                     f"(loss={config.loss.name!r}, seed={config.seed}): {e}"
                 )
             if not np.isfinite(value):

@@ -19,12 +19,7 @@ from typing import Union
 import numpy as np
 
 from . import tensor as T
-from .errors import (
-    ContractError,
-    DegenerateInputError,
-    EvaluationError,
-    ShapeError,
-)
+from .errors import ContractError, EvaluationError, ShapeError
 
 Array = np.ndarray
 
@@ -154,10 +149,6 @@ def pairwise_distances(z_a, z_b, mode: str = "euclidean") -> SimilarityTriple:
         s_a = T.pairwise_dist(za, za)
         s_b = T.pairwise_dist(zb, zb)
     elif mode == "cosine":
-        if np.any((za.data * za.data).sum(axis=1) == 0.0) or np.any(
-            (zb.data * zb.data).sum(axis=1) == 0.0
-        ):
-            raise DegenerateInputError("cosine similarity undefined for zero rows")
         na = T.row_l2_normalize(za)
         nb = T.row_l2_normalize(zb)
         s = T.matmul(na, T.transpose(nb))

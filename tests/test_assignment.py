@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -76,14 +78,31 @@ class TestSolveLap:
             assignment.solve_lap(np.ones((2, 3)), "min")
 
     def test_integer_costs_with_many_ties(self):
+        # {0,1} and {0,1,2} costs up to n=8 leave many optima, so the
+        # tie-break needs rotations along alternating cycles of several hops
         rng = np.random.default_rng(12)
         for _ in range(50):
-            n = int(rng.integers(2, 7))
-            s = rng.integers(0, 3, size=(n, n)).astype(float)
-            fast = assignment.solve_lap(s, "min")
-            slow = assignment.brute_force_lap(s, "min")
-            assert fast.cost == slow.cost
-            assert fast.perm == slow.perm
+            n = int(rng.integers(2, 9))
+            s = rng.integers(0, int(rng.integers(2, 4)), size=(n, n)).astype(float)
+            for sense in ("min", "max"):
+                fast = assignment.solve_lap(s, sense)
+                slow = assignment.brute_force_lap(s, sense)
+                assert fast.cost == slow.cost
+                assert fast.perm == slow.perm
+
+    def test_large_tied_instance_needs_no_deep_stack(self):
+        # the tie-break must not recurse along augmenting paths: a 128x128
+        # {0,1} instance solves with only 40 frames of headroom
+        rng = np.random.default_rng(17)
+        s = rng.integers(0, 2, size=(128, 128)).astype(float)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            res = assignment.solve_lap(s, "min")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sorted(res.perm) == list(range(128))
+        assert res.cost == assignment.lap_cost(s, np.array(res.perm))
 
 
 class TestBruteForce:

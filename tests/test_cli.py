@@ -172,6 +172,23 @@ class TestTrainCommand:
         assert "gradient" in err and "'b1'" in err
         assert "epoch 1 step 0" in err and "seed=0" in err
 
+    def test_zero_embedding_maps_to_exit_3_at_its_step(self, tmp_path, capsys):
+        # with 4 hidden ReLU units, a 2-wide embedding is an exact zero row
+        # for some input at the first step; row_l2_normalize rejects it
+        doc = {
+            "data": {"num_classes": 2, "samples_per_class": 16,
+                     "ambient_dim": 4, "seed": 0},
+            "train": {"hidden_dim": 4, "embed_dim": 2, "epochs": 20},
+            "losses": [{"name": "infonce", "kind": "infonce", "beta": 0.0}],
+            "seeds": [0],
+        }
+        cfgp = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfgp,
+                         "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "degenerate embedding at epoch 0 step 0" in err
+        assert "loss='infonce'" in err and "seed=0" in err
+
 
 class TestSweepCommand:
     def test_emits_sorted_grid_rows(self, tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setcontrast import simgeom, tensor as T
-from setcontrast.errors import ContractError, EvaluationError, ShapeError
+from setcontrast.errors import (
+    ContractError, DegenerateInputError, EvaluationError, ShapeError)
 
 
 def _symmetric_matrix(n, seed, low_rank):
@@ -187,6 +188,13 @@ class TestPairwiseDistances:
     def test_feature_dim_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             simgeom.pairwise_distances(np.ones((2, 3)), np.ones((2, 4)), "euclidean")
+
+    @pytest.mark.parametrize("side", ["z_a", "z_b"])
+    def test_cosine_zero_row_rejected(self, side):
+        z = {"z_a": np.ones((3, 2)), "z_b": np.ones((3, 2))}
+        z[side][1] = 0.0
+        with pytest.raises(DegenerateInputError):
+            simgeom.pairwise_distances(z["z_a"], z["z_b"], "cosine")
 
 
 class TestClosedFormSpectra:
