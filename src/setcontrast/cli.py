@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -44,7 +45,9 @@ def _expect_mapping(obj: Any, path: str) -> Dict[str, Any]:
 
 
 def _take(d: Dict[str, Any], path: str, key: str, kinds, default=_MISSING):
-    """Pop a typed field; bool is rejected where a number is expected."""
+    """Pop a typed field; bool is rejected where a number is expected, and
+    so are NaN, Infinity and integers too large for a float, all of
+    which json.loads accepts."""
     if key not in d:
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}: missing required field")
@@ -53,7 +56,13 @@ def _take(d: Dict[str, Any], path: str, key: str, kinds, default=_MISSING):
     if kinds is float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{path}.{key}: expected a number")
-        return float(v)
+        try:
+            v = float(v)
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise ConfigError(f"{path}.{key}: expected a finite number")
+        return v
     if kinds is int:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"{path}.{key}: expected an integer")
@@ -272,6 +281,8 @@ def _parse_beta_grid(text: Optional[str]) -> Tuple[float, ...]:
             raise ConfigError(f"beta-grid: {part!r} is not finite")
         if v < 0:
             raise ConfigError(f"beta-grid: {part!r} is negative")
+        if v in values:
+            raise ConfigError(f"beta-grid: duplicate value {part!r}")
         values.append(v)
     if not values:
         raise ConfigError("beta-grid: empty grid")
@@ -328,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--force", action="store_true")
     p_sweep.add_argument("--beta-grid", default=None,
-                         help="comma-separated non-negative weights "
+                         help="comma-separated distinct non-negative weights "
                               "(default: 0 to 1.875 step 0.125)")
     return parser
 

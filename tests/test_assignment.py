@@ -140,6 +140,50 @@ class TestBruteForce:
             assert got.cost == pytest.approx(best[0], abs=1e-12)
             assert got.perm == best[1]
 
+    def test_lap_across_table_blocks_matches_solver(self):
+        # n = 9 and 10 enumerate one 7!-row block per prefix, so the first
+        # optimum must carry across blocks; solve_lap has the same tie-break
+        rng = np.random.default_rng(18)
+        for n in (9, 10):
+            for s in (rng.integers(0, 2, size=(n, n)).astype(float),
+                      rng.normal(size=(n, n))):
+                for sense in ("min", "max"):
+                    fast = assignment.solve_lap(s, sense)
+                    slow = assignment.brute_force_lap(s, sense)
+                    assert slow.cost == fast.cost
+                    assert slow.perm == fast.perm
+
+    def test_lap_ties_at_table_size(self):
+        rng = np.random.default_rng(19)
+        for n in (7, 8):
+            s = rng.integers(0, 3, size=(n, n)).astype(float)
+            for sense in ("min", "max"):
+                got = assignment.brute_force_lap(s, sense)
+                assert got.perm == enumerate_best(s, sense)
+
+    def test_qap_ties_across_table_blocks(self):
+        # integer inputs make the costs exact and leave many tied optima
+        rng = np.random.default_rng(20)
+        n = 8
+        s, s_a, s_b = (rng.integers(0, 3, size=(n, n)).astype(float)
+                       for _ in range(3))
+        perms = np.array(list(itertools.permutations(range(n))))
+        costs = (s[np.arange(n), perms].sum(axis=1)
+                 + np.einsum("ij,pij->p", s_a,
+                             s_b[perms[:, :, None], perms[:, None, :]]))
+        for sense, k in (("min", np.argmin(costs)), ("max", np.argmax(costs))):
+            got = assignment.brute_force_qap(s, s_a, s_b, sense)
+            assert got.perm == tuple(perms[k])
+            assert got.cost == costs[k]
+
+    def test_lex_table_is_read_only_itertools_order(self):
+        for m in range(8):
+            table = assignment._lex_table(m)
+            want = np.array(list(itertools.permutations(range(m))))
+            assert table.shape == (len(want), m)
+            assert np.array_equal(table, want)
+            assert not table.flags.writeable
+
     def test_qap_reduces_to_lap_when_quadratic_term_vanishes(self):
         rng = np.random.default_rng(15)
         s = rng.normal(size=(5, 5))

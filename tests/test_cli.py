@@ -189,6 +189,33 @@ class TestTrainCommand:
         assert "degenerate embedding at epoch 0 step 0" in err
         assert "loss='infonce'" in err and "seed=0" in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "learning_rate", float("inf")),
+        pytest.param("train", "learning_rate", 10 ** 400,
+                     id="train-learning_rate-huge_int"),
+        ("losses", "margin", float("nan")),
+        ("losses", "temperature", float("nan")),
+        ("losses", "beta", float("nan")),
+        ("losses", "alpha", float("inf")),
+        ("data", "noise_sigma", float("-inf")),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys,
+                                               section, key, value):
+        # json.loads accepts NaN/Infinity literals and huge integers; they
+        # must be rejected before training, not surface as exit 0, 1 or 3
+        doc = json.loads(json.dumps(TINY))
+        if section == "losses":
+            doc["losses"][0].update({"kind": "smoothed", key: value})
+            field = f"losses[0].{key}"
+        else:
+            doc[section][key] = value
+            field = f"{section}.{key}"
+        cfgp = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfgp,
+                         "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: expected a finite number" in err
+
 
 class TestSweepCommand:
     def test_emits_sorted_grid_rows(self, tmp_path):
@@ -226,7 +253,8 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", cfgp,
                          "--out", str(tmp_path / "sw")]) == 2
 
-    @pytest.mark.parametrize("grid", ["0,-1", "0,abc", "", "nan"])
+    @pytest.mark.parametrize("grid", ["0,-1", "0,abc", "", "nan",
+                                      "0.5,0.5", "1,1.0"])
     def test_bad_grids_rejected(self, tmp_path, grid):
         cfgp = write_config(tmp_path, TINY)
         assert cli.main(["sweep", "--config", cfgp,
