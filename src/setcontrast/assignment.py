@@ -1,12 +1,16 @@
-"""Linear and quadratic assignment: an O(N^3) Hungarian solver, exhaustive
-oracles with size guards, and matching accuracy.
+"""Linear and quadratic assignment: an O(N^3) shortest-augmenting-path
+LAP solver (Jonker-Volgenant column-reduction warm start, Dijkstra paths
+with lazy dual updates as in Crouse 2016), exhaustive oracles with size
+guards, and matching accuracy.
 
 Tie-break contract: among equally optimal assignments both the solver
 and the oracles return the lexicographically smallest permutation, so
-equality tests between them can be exact. The solver refines the
-Hungarian matching by one iterative pass of alternating-cycle rotations.
-The oracles score permutations in lexicographic order, in blocks of at
-most 7! rows sliced from a cached read-only permutation table.
+equality tests between them can be exact. The solver's duals certify
+every optimal assignment; when their tight graph has no alternating
+cycle the optimum is unique, otherwise one iterative pass of
+alternating-cycle rotations refines the matching. The oracles score
+permutations in lexicographic order, in blocks of at most 7! rows
+sliced from a cached read-only permutation table.
 """
 
 from __future__ import annotations
@@ -65,50 +69,73 @@ def lap_cost(s: Array, perm: Array) -> float:
 
 
 def _hungarian(a: Array):
-    """Shortest-augmenting-path Hungarian method on a cost matrix
-    (minimization). Returns (perm, row_duals, col_duals)."""
+    """Shortest augmenting paths with a column-reduction warm start
+    (Jonker & Volgenant 1987; Crouse 2016, "On implementing 2D rectangular
+    assignment algorithms"), minimization. Returns (perm, row_duals,
+    col_duals) with a - u - v >= 0 everywhere and = 0 on matched edges.
+
+    The warm start sets v to the column minima with u = 0 and gives each
+    column its first argmin row while that row is free. Each row left
+    free then grows one Dijkstra tree over reduced costs to the nearest
+    free column; the duals are updated lazily, once per path, from the
+    final distances of the scanned columns.
+    """
     n = a.shape[0]
-    inf = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.intp)  # p[j]: 1-based row matched to col j
-    way = np.zeros(n + 1, dtype=np.intp)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=bool)
+    u = np.zeros(n)
+    v = a.min(axis=0)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col = np.full(n, -1, dtype=np.intp)
+    first_rows, cols = np.unique(a.argmin(axis=0), return_index=True)
+    col4row[first_rows] = cols
+    row4col[cols] = first_rows
+    free = row4col < 0
+    for cur in np.flatnonzero(col4row < 0):
+        free_cols = np.flatnonzero(free)
+        key = np.full(n, np.inf)  # tentative distance of unscanned columns
+        shortest = np.empty(n)    # final distance of scanned columns
+        path = np.empty(n, dtype=np.intp)
+        w = v.copy()              # -inf on scanned columns: r reads +inf
+        scanned = []
+        i, minval = cur, 0.0
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            cur = a[i0 - 1, :] - u[i0] - v[1:]
-            free = ~used[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            reach = np.where(free, minv[1:], inf)
-            j1 = int(np.argmin(reach)) + 1
-            delta = reach[j1 - 1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            r = a[i] - w
+            r += minval - u[i]
+            better = r < key
+            np.minimum(key, r, out=key)
+            path[better] = i
+            j = int(key.argmin())
+            minval = key[j]
+            # among equal distances prefer a free column: the path ends
+            k = free_cols[key[free_cols].argmin()]
+            if key[k] <= minval:
+                j = int(k)
+            shortest[j] = minval
+            key[j] = np.inf
+            w[j] = -np.inf
+            if free[j]:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    perm = np.empty(n, dtype=np.intp)
-    for j in range(1, n + 1):
-        perm[p[j] - 1] = j - 1
-    return perm, u[1:], v[1:]
+            scanned.append(j)
+            i = row4col[j]
+        # lazy dual update over the scanned matched columns and their rows
+        seen = np.array(scanned, dtype=np.intp)
+        delta = minval - shortest[seen]
+        u[cur] += minval
+        u[row4col[seen]] += delta
+        v[seen] -= delta
+        free[j] = False
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row, u, v
 
 
 def _lex_refine(a: Array, perm: Array, u: Array, v: Array) -> Array:
     """Among optimal assignments pick the lexicographically smallest.
 
-    Works on the tight graph (zero reduced cost edges, plus the Hungarian
+    Works on the tight graph (zero reduced cost edges, plus the solver's
     matching), where the perfect matchings are the optimal assignments.
     One iterative pass fixes rows in order. A tight edge is in some
     perfect matching exactly when it is matched or on an alternating
@@ -122,6 +149,19 @@ def _lex_refine(a: Array, perm: Array, u: Array, v: Array) -> Array:
     rows = np.arange(n)
     tight[rows, perm] = True
     if int(tight.sum()) == n:
+        return perm
+    # row i -> row k when i can take k's column: the alternating cycles
+    # are the cycles of this digraph. A row without an out-edge or an
+    # in-edge among the live rows is on none, so peel it; if every row
+    # peels, the optimum is unique.
+    g = tight[:, perm]
+    g[rows, rows] = False
+    while g.size:
+        live = g.any(axis=1) & g.any(axis=0)
+        if live.all():
+            break
+        g = g[np.ix_(live, live)]
+    else:
         return perm
     col, owner, succ = perm.copy(), np.empty_like(perm), np.empty_like(perm)
     owner[col] = rows
@@ -162,7 +202,7 @@ def solve_lap(s, sense: str = "min") -> Assignment:
     work = a if sense == "min" else -a
     perm, u, v = _hungarian(work)
     perm = _lex_refine(work, perm, u, v)
-    return Assignment(perm=tuple(int(j) for j in perm), cost=lap_cost(a, perm))
+    return Assignment(perm=tuple(perm.tolist()), cost=lap_cost(a, perm))
 
 
 @functools.lru_cache(maxsize=None)

@@ -364,17 +364,20 @@ def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, fl
 
     Cosine mode feeds the pairwise loss the negated similarity matrix so
     distance semantics hold on one code path; qare always sees the raw
-    intra-set matrices of its mode. With beta == 0 the qare branch is
-    never built, keeping the base-loss trajectory bit-identical.
+    intra-set matrices of its mode. With beta == 0 neither S_A, S_B nor
+    the qare branch is built; S comes from the same operations, keeping
+    the base-loss trajectory bit-identical.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
     if za.shape[0] != zb.shape[0]:
         raise ShapeError("two_view_loss: batch sizes differ")
     n = za.shape[0]
-    triple = simgeom.pairwise_distances(za, zb, cfg.mode)
-    s_pair = triple.s if cfg.mode == "euclidean" else T.scale(triple.s, -1.0)
+    # at beta == 0 nothing reads S_A and S_B, so only S is built
+    triple = None if cfg.beta == 0.0 else simgeom.pairwise_distances(za, zb, cfg.mode)
+    s = simgeom.cross_distances(za, zb, cfg.mode) if triple is None else triple.s
+    s_pair = s if cfg.mode == "euclidean" else T.scale(s, -1.0)
     pw = pairwise_loss(s_pair, gt, cfg)
-    if cfg.beta == 0.0:
+    if triple is None:
         total = pw if cfg.alpha == 1.0 else T.scale(pw, cfg.alpha)
         return total, {
             "pairwise": pw.item(),

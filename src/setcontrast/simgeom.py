@@ -132,6 +132,20 @@ def eig_dot(values_a, values_b, sense: str) -> float:
     return float(la @ lb)
 
 
+def _embedded(z_a, z_b, mode: str, name: str):
+    """The two sets as the similarity sees them (raw for euclidean,
+    row-normalized for cosine) and the pairwise map of the mode."""
+    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
+    if za.shape[1] != zb.shape[1]:
+        raise ShapeError(f"{name}: feature dims differ, {za.shape} vs {zb.shape}")
+    if mode == "euclidean":
+        return za, zb, T.pairwise_dist
+    if mode == "cosine":
+        return (T.row_l2_normalize(za), T.row_l2_normalize(zb),
+                lambda x, y: T.matmul(x, T.transpose(y)))
+    raise ContractError(f"unknown similarity mode {mode!r}")
+
+
 def pairwise_distances(z_a, z_b, mode: str = "euclidean") -> SimilarityTriple:
     """Build the (S, S_A, S_B) triple from two embedding sets.
 
@@ -139,21 +153,13 @@ def pairwise_distances(z_a, z_b, mode: str = "euclidean") -> SimilarityTriple:
     norms; cosine mode row-normalizes and stores inner products. Both
     keep the tape alive when the embeddings are tracked.
     """
-    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
-    if za.shape[1] != zb.shape[1]:
-        raise ShapeError(
-            f"pairwise_distances: feature dims differ, {za.shape} vs {zb.shape}"
-        )
-    if mode == "euclidean":
-        s = T.pairwise_dist(za, zb)
-        s_a = T.pairwise_dist(za, za)
-        s_b = T.pairwise_dist(zb, zb)
-    elif mode == "cosine":
-        na = T.row_l2_normalize(za)
-        nb = T.row_l2_normalize(zb)
-        s = T.matmul(na, T.transpose(nb))
-        s_a = T.matmul(na, T.transpose(na))
-        s_b = T.matmul(nb, T.transpose(nb))
-    else:
-        raise ContractError(f"unknown similarity mode {mode!r}")
-    return SimilarityTriple(s=s, s_a=s_a, s_b=s_b, mode=mode)
+    xa, xb, sim = _embedded(z_a, z_b, mode, "pairwise_distances")
+    return SimilarityTriple(s=sim(xa, xb), s_a=sim(xa, xa), s_b=sim(xb, xb),
+                            mode=mode)
+
+
+def cross_distances(z_a, z_b, mode: str = "euclidean") -> T.Tensor:
+    """The inter-set matrix S of ``pairwise_distances`` alone, built by
+    the same operations, for callers that never read S_A and S_B."""
+    xa, xb, sim = _embedded(z_a, z_b, mode, "cross_distances")
+    return sim(xa, xb)

@@ -105,6 +105,97 @@ class TestSolveLap:
         assert res.cost == assignment.lap_cost(s, np.array(res.perm))
 
 
+def certificate_families(rng, n):
+    """Cost families for the dual certificate, including ties and the
+    warm start's worst case (every column minimum in row 0)."""
+    one_row = rng.normal(size=(n, n))
+    one_row[0] = one_row.min() - 1.0 - rng.random(n)
+    return {
+        "gaussian": rng.normal(size=(n, n)),
+        "{0,1}": rng.integers(0, 2, size=(n, n)).astype(float),
+        "{0,1,2}": rng.integers(0, 3, size=(n, n)).astype(float),
+        "constant": np.full((n, n), 2.5),
+        "rank-1": np.outer(rng.normal(size=n), rng.normal(size=n)),
+        "one-row minima": one_row,
+        "scaled 1e9": rng.normal(size=(n, n)) * 1e9,
+    }
+
+
+class TestHungarianCertificate:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64])
+    def test_duals_certify_the_matching(self, n):
+        # a - u - v >= 0 everywhere and = 0 on matched edges proves the
+        # matching optimal (complementary slackness)
+        rng = np.random.default_rng(100 + n)
+        for name, a in certificate_families(rng, n).items():
+            perm, u, v = assignment._hungarian(a)
+            tol = 1e-9 * max(1.0, float(np.abs(a).max()))
+            reduced = a - u[:, None] - v[None, :]
+            assert sorted(perm.tolist()) == list(range(n)), name
+            assert reduced.min() >= -tol, name
+            assert np.abs(reduced[np.arange(n), perm]).max() <= tol, name
+
+
+def refine_exit(a, sense):
+    """Refine solve_lap's own matching of a: (tight edges beyond the n
+    matched ones, whether the rotation pass ran). The early exits hand
+    back the matching array itself."""
+    work = a if sense == "min" else -a
+    perm, u, v = assignment._hungarian(work)
+    out = assignment._lex_refine(work, perm, u, v)
+    tol = 1e-9 * max(1.0, float(np.abs(work).max()))
+    extra = int(((work - u[:, None] - v[None, :]) <= tol).sum()) - len(perm)
+    return extra, out is not perm
+
+
+def planted_cycle(rng, n, k):
+    """Costs in [1, 2) with zeros on a random permutation and on its
+    rotation over k random rows: exactly two optimal assignments."""
+    a = rng.uniform(1.0, 2.0, size=(n, n))
+    p = rng.permutation(n)
+    a[np.arange(n), p] = 0.0
+    cyc = rng.choice(n, size=k, replace=False)
+    a[cyc, p[np.roll(cyc, -1)]] = 0.0
+    return a
+
+
+class TestLexRefineExits:
+    def test_unique_optimum_exits_after_the_peel(self):
+        rng = np.random.default_rng(21)
+        peeled = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            s = rng.normal(size=(n, n))
+            for sense in ("min", "max"):
+                extra, rotated = refine_exit(s, sense)
+                assert not rotated
+                peeled += extra > 0
+                fast = assignment.solve_lap(s, sense)
+                slow = assignment.brute_force_lap(s, sense)
+                assert fast.perm == slow.perm
+                assert fast.cost == slow.cost
+        # 110 of the 120 solves leave extra tight edges: the peel decides
+        assert peeled >= 100
+
+    @pytest.mark.parametrize("tie", ["duplicated column", "3-cycle", "4-cycle"])
+    def test_tied_optima_take_the_rotation_pass(self, tie):
+        rng = np.random.default_rng(22)
+        for _ in range(25):
+            n = int(rng.integers(4, 9))
+            if tie == "duplicated column":
+                s = rng.normal(size=(n, n))
+                j, k = rng.choice(n, size=2, replace=False)
+                s[:, k] = s[:, j]
+            else:
+                s = planted_cycle(rng, n, int(tie[0]))
+            for sense, x in (("min", s), ("max", -s)):
+                assert refine_exit(x, sense)[1]
+                fast = assignment.solve_lap(x, sense)
+                slow = assignment.brute_force_lap(x, sense)
+                assert fast.perm == slow.perm
+                assert fast.cost == slow.cost
+
+
 class TestBruteForce:
     def test_lap_matches_reference_enumeration(self):
         rng = np.random.default_rng(13)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import setcontrast
 from setcontrast import cli, simgeom, tensor as T
 from setcontrast.errors import ConfigError, NumericError
 
@@ -294,6 +299,16 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+    def test_runs_as_python_module(self):
+        src = str(Path(setcontrast.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-m", "setcontrast", "verify", "--suite", "lap_exact"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("PASS lap_exact")
 
 
 class TestForceAndPaths:

@@ -357,6 +357,25 @@ class TestTwoViewLoss:
                                    temperature=cfg.temperature).item()
         assert total.item() == bare
 
+    @pytest.mark.parametrize("beta, builds", [(0.0, 1), (0.5, 3)])
+    def test_intra_set_matrices_built_only_for_qare(self, monkeypatch, beta, builds):
+        # one euclidean step, forward and backward: at beta = 0 only S is built
+        calls = []
+        real = T.pairwise_dist
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(T, "pairwise_dist", counting)
+        rng = np.random.default_rng(31)
+        tape = T.Tape()
+        za, zb = (tape.leaf(rng.normal(size=(5, 3))) for _ in range(2))
+        cfg = losses.LossConfig(name="x", kind="infonce", beta=beta)
+        total, _ = losses.two_view_loss(za, zb, identity(5), cfg)
+        tape.backward(total)
+        assert len(calls) == builds
+
     def test_dispatch_covers_every_kind(self):
         rng = np.random.default_rng(30)
         za, zb = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))

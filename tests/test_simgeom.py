@@ -196,6 +196,18 @@ class TestPairwiseDistances:
         with pytest.raises(DegenerateInputError):
             simgeom.pairwise_distances(z["z_a"], z["z_b"], "cosine")
 
+    def test_cross_distances_is_the_triples_s(self):
+        rng = np.random.default_rng(11)
+        za, zb = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        for mode in ("euclidean", "cosine"):
+            triple = simgeom.pairwise_distances(za, zb, mode)
+            assert np.array_equal(simgeom.cross_distances(za, zb, mode).data,
+                                  triple.s.data)
+        with pytest.raises(ContractError):
+            simgeom.cross_distances(za, zb, "manhattan")
+        with pytest.raises(ShapeError):
+            simgeom.cross_distances(np.ones((2, 3)), np.ones((2, 4)))
+
 
 class TestClosedFormSpectra:
     def test_two_by_two_closed_form(self):
