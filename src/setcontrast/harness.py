@@ -118,7 +118,16 @@ def gen_two_view_dataset(spec: SyntheticSpec) -> TwoViewDataset:
 # encoder
 
 class MLPEncoder:
-    """Two-layer MLP with relu and a row-l2-normalized output."""
+    """Two-layer MLP with relu and a row-l2-normalized output.
+
+    ``b2`` starts at zero, so an input whose hidden relu units are all
+    inactive embeds to the zero row, which has no direction: the forward
+    pass raises DegenerateInputError and training exits 3. Narrow widths
+    make that likely at the first step: 2 classes, ``ambient_dim`` 4,
+    ``hidden_dim`` 4, ``embed_dim`` 2, data seed 0 and run seed 0 (the
+    rest at defaults) abort at epoch 0 step 0. The init is kept as it is,
+    so every other run keeps its exact outputs.
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int, embed_dim: int,
                  rng: Optional[np.random.Generator] = None):
@@ -136,14 +145,31 @@ class MLPEncoder:
         }
 
     def forward(self, x: Array, leaves: Optional[Dict[str, T.Tensor]] = None) -> T.Tensor:
-        """Tracked forward pass when param leaves are given, constant
-        evaluation otherwise; one code path for both."""
-        p = leaves if leaves is not None else {
-            k: T.Tensor(v) for k, v in self.params.items()
-        }
-        h = T.relu(T.add(T.matmul(T.Tensor(x), p["w1"]), p["b1"]))
-        out = T.add(T.matmul(h, p["w2"]), p["b2"])
-        return T.row_l2_normalize(out)
+        """normalize(relu(x w1 + b1) w2 + b2) as one tape node over
+        (w1, b1, w2, b2) when param leaves are given, constant evaluation
+        otherwise; one code path for both. A zero output row raises
+        DegenerateInputError."""
+        p = leaves if leaves is not None else self.params
+        ops = tuple(T.as_tensor(p[k]) for k in ("w1", "b1", "w2", "b2"))
+        w1, b1, w2, b2 = (t.data for t in ops)
+        xd = T.Tensor(x).data
+        if xd.shape[1] != w1.shape[0]:
+            raise ShapeError(f"encoder: input width {xd.shape[1]} != {w1.shape[0]}")
+        pre = xd @ w1 + b1
+        h = np.maximum(pre, 0.0)
+        out = h @ w2 + b2
+        norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
+        if (norms == 0.0).any():
+            raise DegenerateInputError("row_l2_normalize: zero row has no direction")
+        z = out / norms
+
+        def vjp(g):
+            g_out = (g - (g * z).sum(axis=1, keepdims=True) * z) / norms
+            g_pre = (g_out @ w2.T) * (pre > 0.0)  # zero subgradient at the kink
+            return (xd.T @ g_pre, g_pre.sum(axis=0, keepdims=True),
+                    h.T @ g_out, g_out.sum(axis=0, keepdims=True))
+
+        return T.custom_op(ops, z, vjp)
 
     def embed(self, x: Array) -> Array:
         return self.forward(np.asarray(x, dtype=np.float64)).data
@@ -152,41 +178,57 @@ class MLPEncoder:
 # ---------------------------------------------------------------------------
 # optimizer
 
-@dataclass
 class AdamState:
-    m: Dict[str, Array]
-    v: Dict[str, Array]
-    t: int = 0
+    """Adam's parameters and moments as three flat float64 buffers.
 
-    @classmethod
-    def init(cls, params: Dict[str, Array]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            t=0,
-        )
+    ``flat`` holds the parameters back to back in the order of the dict
+    they came from, ``m`` and ``v`` the moments at the same offsets, and
+    ``params`` maps each name to a reshaped view of ``flat``, so an
+    update of the buffer shows through those arrays.
+    """
+
+    def __init__(self, params: Dict[str, Array]):
+        arrays = [np.asarray(p, dtype=np.float64) for p in params.values()]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.t = 0
+        self._shapes = {k: a.shape for k, a in zip(params, arrays)}
+        self._bounds = np.cumsum([0] + [a.size for a in arrays])
+        self.params = self.views(self.flat)
+
+    def views(self, buf: Array) -> Dict[str, Array]:
+        """Each parameter's slice of a flat buffer, in its own shape."""
+        return {k: buf[lo:hi].reshape(shape) for (k, shape), lo, hi
+                in zip(self._shapes.items(), self._bounds[:-1], self._bounds[1:])}
+
+    def flatten(self, grads: Dict[str, Array]) -> Array:
+        """The per-parameter gradients as one flat buffer."""
+        for k, shape in self._shapes.items():
+            if np.shape(grads[k]) != shape:
+                raise ShapeError(f"adam_step: grad shape mismatch for {k!r}")
+        return np.concatenate([np.ravel(grads[k]) for k in self._shapes])
+
+    def name_at(self, index: int) -> str:
+        """The parameter that holds flat position ``index``."""
+        return list(self._shapes)[int(np.searchsorted(self._bounds, index, side="right")) - 1]
 
 
-def adam_step(params: Dict[str, Array], grads: Dict[str, Array], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> Tuple[Dict[str, Array], AdamState]:
-    """One bias-corrected Adam update; returns fresh param/state dicts."""
-    t = state.t + 1
-    new_params: Dict[str, Array] = {}
-    new_m: Dict[str, Array] = {}
-    new_v: Dict[str, Array] = {}
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ShapeError(f"adam_step: grad shape mismatch for {k!r}")
-        m = beta1 * state.m[k] + (1.0 - beta1) * g
-        v = beta2 * state.v[k] + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        new_params[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[k] = m
-        new_v[k] = v
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+def adam_step(state: AdamState, grad: Array, lr: float, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One bias-corrected Adam update of ``state`` in place, from the flat
+    gradient ``grad``; elementwise, so per parameter it gives the same
+    bits as updating each array on its own."""
+    if grad.shape != state.flat.shape:
+        raise ShapeError(f"adam_step: flat grad shape {grad.shape} != {state.flat.shape}")
+    state.t += 1
+    state.m *= beta1
+    state.m += (1.0 - beta1) * grad
+    state.v *= beta2
+    state.v += (1.0 - beta2) * (grad * grad)
+    m_hat = state.m / (1.0 - beta1 ** state.t)
+    v_hat = state.v / (1.0 - beta2 ** state.t)
+    state.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +291,8 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     if config.batch_size > n:
         raise ConfigError(f"batch_size {config.batch_size} exceeds dataset size {n}")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    state = AdamState.init(encoder.params)
+    state = AdamState(encoder.params)
+    encoder.params = state.params
     epoch_losses: List[float] = []
     degenerate = 0
     steps_per_epoch = n // config.batch_size
@@ -281,19 +324,17 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
             grads = tape.backward(loss)
             if "degenerate-eigenvalues" in tape.flags:
                 degenerate += 1
-            grad_arrays = {k: grads[t].data for k, t in leaves.items()}
-            for key, g in grad_arrays.items():
-                if not np.all(np.isfinite(g)):
-                    raise NumericError(
-                        f"non-finite gradient for parameter {key!r} at epoch "
-                        f"{epoch} step {step} (loss={config.loss.name!r}, "
-                        f"seed={config.seed})"
-                    )
-            encoder.params, state = adam_step(
-                encoder.params, grad_arrays, state,
-                lr=config.learning_rate, beta1=config.beta1,
-                beta2=config.beta2, eps=config.eps,
-            )
+            grad = state.flatten({k: grads[t].data for k, t in leaves.items()})
+            finite = np.isfinite(grad)
+            if not finite.all():
+                raise NumericError(
+                    f"non-finite gradient for parameter "
+                    f"{state.name_at(int(np.argmin(finite)))!r} at epoch "
+                    f"{epoch} step {step} (loss={config.loss.name!r}, "
+                    f"seed={config.seed})"
+                )
+            adam_step(state, grad, lr=config.learning_rate, beta1=config.beta1,
+                      beta2=config.beta2, eps=config.eps)
             batch_losses.append(value)
         epoch_losses.append(float(np.mean(batch_losses)))
     report = RunReport(
@@ -347,10 +388,9 @@ def linear_probe(embeddings, labels, epochs: int = 100, lr: float = 1e-3,
     label_of = {c: i for i, c in enumerate(classes)}
     yt = np.array([label_of[v] for v in y[train_idx]])
     xt = x[train_idx]
-    w = np.zeros((x.shape[1], classes.size))
-    b = np.zeros((1, classes.size))
-    state = AdamState.init({"w": w, "b": b})
-    params = {"w": w, "b": b}
+    state = AdamState({"w": np.zeros((x.shape[1], classes.size)),
+                       "b": np.zeros((1, classes.size))})
+    params = state.params
     for _ in range(epochs):
         order = rng.permutation(xt.shape[0])
         for start in range(0, xt.shape[0], batch_size):
@@ -363,7 +403,7 @@ def linear_probe(embeddings, labels, epochs: int = 100, lr: float = 1e-3,
             p[np.arange(sel.size), yb] -= 1.0
             p /= sel.size
             grads = {"w": xb.T @ p, "b": p.sum(axis=0, keepdims=True)}
-            params, state = adam_step(params, grads, state, lr=lr)
+            adam_step(state, state.flatten(grads), lr=lr)
     logits = x[test_idx] @ params["w"] + params["b"]
     pred = np.argmax(logits, axis=1)
     truth = np.array([label_of[v] for v in y[test_idx]])

@@ -6,12 +6,29 @@ smaller means more alike, and the ground-truth column of each row is
 the positive. Cosine-similarity callers negate S first (see
 ``two_view_loss``). All losses return scalar Tensors and differentiate
 end-to-end through the tape.
+
+Each pairwise loss is one tape node on S. Its value is computed in
+numpy and its VJP in closed form, times the upstream gradient and the
+reduction (1, or 1/N for "mean"):
+
+- ``infonce_loss``: (Y - softmax(-S/tau)) / tau, row-wise;
+- ``smoothed_batch_hard_loss``: Y - softmax(-S/tau);
+- ``batch_hard_lap_loss``: Y minus the one-hot of each row's minimum of
+  S + mY;
+- ``nt_logistic_loss``: sigmoid(s_pos/tau)/tau on the positives and
+  -sigmoid(-s_neg/tau)/tau on each row's hardest negative;
+- ``sparseclr_loss``: Y + sparsemax(-S), row-wise;
+- ``structured_lap_loss``: Y - Y*, with Y* the optimal assignment.
+
+Y is the ground-truth assignment matrix. Where a row minimum is tied,
+the batch-hard and NT-logistic gradients go to the first minimising
+column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -49,7 +66,7 @@ def _gt_indices(gt, n_rows: int, n_cols: int, bijection: bool) -> Array:
     idx = np.asarray(gt, dtype=np.intp).reshape(-1)
     if idx.shape[0] != n_rows:
         raise ContractError(f"alignment length {idx.shape[0]} != rows {n_rows}")
-    if np.any(idx < 0) or np.any(idx >= n_cols):
+    if (idx < 0).any() or (idx >= n_cols).any():
         raise ContractError("alignment indices outside column range")
     if bijection and not np.array_equal(np.sort(idx), np.arange(n_rows)):
         raise ContractError("alignment must be a bijection for this loss")
@@ -68,29 +85,46 @@ def _square(s: T.Tensor, name: str) -> int:
     return s.shape[0]
 
 
-def _reduce(total: T.Tensor, n_rows: int, reduction: str) -> T.Tensor:
+def _reduction_scale(n_rows: int, reduction: str) -> float:
     if reduction == "sum":
-        return total
+        return 1.0
     if reduction == "mean":
-        return T.scale(total, 1.0 / n_rows)
+        return 1.0 / n_rows
     raise ContractError(f"reduction must be 'sum' or 'mean', got {reduction!r}")
+
+
+def _loss_node(s: T.Tensor, total, reduction_scale: float, grad) -> T.Tensor:
+    """One tape node with value ``total * reduction_scale``; its VJP is
+    ``grad(c)`` with c the upstream gradient times the reduction scale."""
+
+    def vjp(g):
+        return (grad(float(g.reshape(())) * reduction_scale),)
+
+    return T.custom_op((s,), np.reshape(total * reduction_scale, (1, 1)), vjp)
 
 
 # ---------------------------------------------------------------------------
 # sparsemax (Euclidean projection onto the probability simplex)
 
+def _row_thresholds(z: Array) -> Array:
+    """T(z_i) of every row, with sum_j max(z_ij - T_i, 0) = 1: sort each
+    row descending, take cumulative sums, and read the last k with
+    1 + k z_(k) > sum_{j<=k} z_(j)."""
+    k = z.shape[1]
+    zs = np.sort(z, axis=1)[:, ::-1]
+    css = np.cumsum(zs, axis=1)
+    support = 1.0 + np.arange(1, k + 1) * zs > css
+    k_star = k - np.argmax(support[:, ::-1], axis=1)
+    return (css[np.arange(z.shape[0]), k_star - 1] - 1.0) / k_star
+
+
 def sparsemax_threshold(z) -> float:
     """Threshold T(z) with sum(max(z - T, 0)) = 1, via the sorted
     cumulative-sum characterization of the simplex projection."""
-    v = np.asarray(z, dtype=np.float64).reshape(-1)
+    v = np.asarray(z, dtype=np.float64).reshape(1, -1)
     if v.size == 0:
         raise ShapeError("sparsemax_threshold: empty input")
-    zs = np.sort(v)[::-1]
-    css = np.cumsum(zs)
-    ks = np.arange(1, v.size + 1)
-    support = 1.0 + ks * zs > css
-    k_star = int(ks[support][-1])
-    return float((css[k_star - 1] - 1.0) / k_star)
+    return float(_row_thresholds(v)[0])
 
 
 def sparsemax(z) -> Array:
@@ -102,139 +136,155 @@ def sparsemax(z) -> Array:
 # ---------------------------------------------------------------------------
 # structured LAP losses and their relaxations
 
-def _const(a: Array) -> T.Tensor:
-    return T.Tensor(a)
-
-
-def _margin_matrix(s: T.Tensor, y: Array, margin: float) -> T.Tensor:
+def _margined(s: Array, y: Array, margin: float) -> Array:
+    """S_m = S + m Y_gt."""
     if margin < 0.0:
         raise ContractError(f"margin must be >= 0, got {margin}")
-    if margin == 0.0:
-        return s
-    return T.add(s, _const(margin * y))
-
-
-def _masked_total(s: T.Tensor, y: Array) -> T.Tensor:
-    # tr(S Y^T): one surviving entry per row, summed in row order
-    return T.total_sum(T.mul(s, _const(y)))
-
-
-def _lap_min_term(sm: T.Tensor) -> T.Tensor:
-    """min over permutations of tr(S Y^T), differentiable by the envelope
-    rule: the gradient is the optimal permutation matrix."""
-    res = assignment.solve_lap(sm.data, "min")
-    n = sm.shape[0]
-    y_star = _gt_matrix(np.asarray(res.perm, dtype=np.intp), n, n)
-
-    def vjp(g):
-        return (float(g.reshape(())) * y_star,)
-
-    return T.custom_op((sm,), np.array(res.cost).reshape(1, 1), vjp)
+    return s if margin == 0.0 else s + margin * y
 
 
 def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
                         reduction: str = "sum") -> T.Tensor:
     """Margin-augmented structured loss with exact one-to-one mining:
-    tr(S_m Y_gt^T) - min_Y tr(S_m Y^T) over permutations, S_m = S + m Y_gt."""
+    tr(S_m Y_gt^T) - min_Y tr(S_m Y^T) over permutations, S_m = S + m Y_gt.
+
+    The minimum is differentiated by the envelope rule, so the VJP is
+    Y_gt - Y*, with Y* the solver's (lexicographically first) optimum."""
     s = T.as_tensor(s)
     n = _square(s, "structured_lap_loss")
     idx = _gt_indices(gt, n, n, bijection=True)
     y = _gt_matrix(idx, n, n)
-    sm = _margin_matrix(s, y, margin)
-    loss = T.sub(_masked_total(sm, y), _lap_min_term(sm))
-    return _reduce(loss, n, reduction)
+    sm = _margined(s.data, y, margin)
+    red = _reduction_scale(n, reduction)
+    best = assignment.solve_lap(sm, "min")
+
+    def grad(c):
+        return c * y - c * _gt_matrix(np.asarray(best.perm, dtype=np.intp), n, n)
+
+    return _loss_node(s, (sm * y).sum() - best.cost, red, grad)
 
 
 def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
                         reduction: str = "sum") -> T.Tensor:
     """Row-independent relaxation of the structured loss:
     tr(S_m Y_gt^T) - sum_i min_j [S_m]_ij. Equals the hinged triplet sum
-    max(0, s_pos + m - hardest negative) row by row."""
+    max(0, s_pos + m - hardest negative) row by row.
+
+    VJP: Y_gt minus the one-hot of each row's minimum of S_m; a tied
+    minimum routes the gradient to its first column."""
     s = T.as_tensor(s)
     n = _square(s, "batch_hard_lap_loss")
     idx = _gt_indices(gt, n, n, bijection=True)
     y = _gt_matrix(idx, n, n)
-    sm = _margin_matrix(s, y, margin)
-    loss = T.sub(_masked_total(sm, y), T.total_sum(T.row_min(sm)))
-    return _reduce(loss, n, reduction)
+    sm = _margined(s.data, y, margin)
+    red = _reduction_scale(n, reduction)
+    hardest = np.argmin(sm, axis=1)
+
+    def grad(c):
+        g = c * y
+        g[np.arange(n), hardest] -= c
+        return g
+
+    total = (sm * y).sum() - np.min(sm, axis=1).reshape(-1, 1).sum()
+    return _loss_node(s, total, red, grad)
 
 
-def _row_lse_of_neg(s: T.Tensor, temperature: float) -> T.Tensor:
-    """Per-row log sum_j exp(-S_ij / tau), (N, 1), max-shifted for
-    overflow safety."""
+def _softmax_of_neg(s: Array, temperature: float):
+    """Row-wise e = exp(-S/tau - max), its row sums r (N, 1) and the
+    max-shifted log-sum-exp log r + max (N, 1); softmax is e / r."""
     if temperature <= 0.0:
         raise ContractError(f"temperature must be > 0, got {temperature}")
-    z = T.scale(s, -1.0 / temperature)
-    m = T.row_max(z)
-    return T.add(T.log(T.row_sum(T.exp(T.sub(z, m)))), m)
+    z = s * (-1.0 / temperature)
+    m = np.max(z, axis=1).reshape(-1, 1)
+    e = np.exp(z - m)
+    r = e.sum(axis=1, keepdims=True)
+    return e, r, np.log(r) + m
 
 
 def smoothed_batch_hard_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
                              reduction: str = "sum") -> T.Tensor:
     """Log-sum-exp smoothing of the batch-hard row minima:
-    tr(S Y_gt^T) + tau * sum_i log sum_j exp(-S_ij / tau)."""
+    tr(S Y_gt^T) + tau * sum_i log sum_j exp(-S_ij / tau).
+
+    VJP: Y_gt - softmax(-S / tau) row-wise."""
     s = T.as_tensor(s)
     n = _square(s, "smoothed_batch_hard_loss")
     idx = _gt_indices(gt, n, n, bijection=True)
     y = _gt_matrix(idx, n, n)
-    lse = _row_lse_of_neg(s, temperature)
-    loss = T.add(_masked_total(s, y), T.scale(T.total_sum(lse), temperature))
-    return _reduce(loss, n, reduction)
+    e, r, lse = _softmax_of_neg(s.data, temperature)
+    red = _reduction_scale(n, reduction)
+
+    def grad(c):
+        return (c * temperature) / r * e * (-1.0 / temperature) + c * y
+
+    return _loss_node(s, (s.data * y).sum() + lse.sum() * temperature, red, grad)
 
 
 def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
                  reduction: str = "mean") -> T.Tensor:
     """Distance-form InfoNCE; the positive column stays inside the
     row-wise log-sum-exp. With reduction="sum" this equals the smoothed
-    batch-hard loss divided by tau (exact identity)."""
+    batch-hard loss divided by tau (exact identity).
+
+    VJP: (Y_gt - softmax(-S / tau)) / tau row-wise."""
     s = T.as_tensor(s)
     n = _square(s, "infonce_loss")
     idx = _gt_indices(gt, n, n, bijection=True)
     y = _gt_matrix(idx, n, n)
-    pos = T.row_sum(T.mul(s, _const(y)))  # (N, 1) gathered positives
-    rows = T.add(T.scale(pos, 1.0 / temperature), _row_lse_of_neg(s, temperature))
-    return _reduce(T.total_sum(rows), n, reduction)
+    e, r, lse = _softmax_of_neg(s.data, temperature)
+    red = _reduction_scale(n, reduction)
+    pos = (s.data * y).sum(axis=1, keepdims=True)  # (N, 1) gathered positives
+
+    def grad(c):
+        return c / r * e * (-1.0 / temperature) + (c * (1.0 / temperature)) * y
+
+    return _loss_node(s, (pos * (1.0 / temperature) + lse).sum(), red, grad)
+
+
+def _sigmoid(x: Array) -> Array:
+    # via tanh, which keeps both tails stable
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
                      reduction: str = "mean") -> T.Tensor:
     """Logistic pair loss with the batch-hard negative:
     mean_i [softplus(s_pos/tau) + softplus(-s_neg*/tau)] where s_neg* is
-    the row minimum over non-positive columns. S may be rectangular."""
+    the row minimum over non-positive columns. S may be rectangular.
+
+    VJP: sigmoid(s_pos/tau)/tau on each positive and -sigmoid(-s_neg*/tau)/tau
+    on each row's hardest negative; a tied minimum routes the gradient to
+    its first column. softplus is log(1 + exp(x)) without overflow."""
     s = T.as_tensor(s)
     n, k = s.shape
     if k < 2:
         raise ContractError("nt_logistic_loss needs at least one negative column")
     idx = _gt_indices(gt, n, k, bijection=False)
     y = _gt_matrix(idx, n, k)
-    pos = T.row_sum(T.mul(s, _const(y)))
-    big = float(np.ptp(s.data)) + 1.0  # lift positives out of the row minima
-    neg = T.row_min(T.add(s, _const(big * y)))
-    rows = T.add(
-        T.softplus(T.scale(pos, 1.0 / temperature)),
-        T.softplus(T.scale(neg, -1.0 / temperature)),
-    )
-    return _reduce(T.total_sum(rows), n, reduction)
+    red = _reduction_scale(n, reduction)
+    pos = (s.data * y).sum(axis=1, keepdims=True) * (1.0 / temperature)
+    lifted = s.data + (float(np.ptp(s.data)) + 1.0) * y  # positives out of the minima
+    hardest = np.argmin(lifted, axis=1)
+    neg = np.min(lifted, axis=1).reshape(-1, 1) * (-1.0 / temperature)
+
+    def grad(c):
+        g = c * _sigmoid(pos) * (1.0 / temperature) * y
+        g[np.arange(n), hardest] += (c * _sigmoid(neg) * (-1.0 / temperature))[:, 0]
+        return g
+
+    total = (np.logaddexp(0.0, pos) + np.logaddexp(0.0, neg)).sum()
+    return _loss_node(s, total, red, grad)
 
 
-def _sparse_support_term(s: T.Tensor) -> T.Tensor:
-    """0.5 * sum_i sum_{j in support(sparsemax(-h_i))} (h_ij^2 - T_i^2)
-    with T_i = T(-h_i); gradient is -sparsemax(-h_i) rowwise."""
-    h = s.data
-    n = h.shape[0]
-    p = np.zeros_like(h)
-    total = 0.0
-    for i in range(n):
-        ti = sparsemax_threshold(-h[i])
-        pi = np.maximum(-h[i] - ti, 0.0)
-        support = pi > 0.0
-        total += 0.5 * float((h[i, support] ** 2 - ti * ti).sum())
-        p[i] = pi
-
-    def vjp(g):
-        return (float(g.reshape(())) * (-p),)
-
-    return T.custom_op((s,), np.array(total).reshape(1, 1), vjp)
+def _sparse_support(h: Array):
+    """Row-wise sparsemax P of -h, and the support term
+    0.5 * sum_i sum_{j in support(P_i)} (h_ij^2 - T_i^2) with T_i = T(-h_i).
+    Both sums add in sequence, columns then rows, so the value does not
+    depend on how numpy blocks a reduction."""
+    t = _row_thresholds(-h)
+    p = np.maximum(-h - t[:, None], 0.0)
+    rows = np.cumsum(np.where(p > 0.0, h ** 2 - (t * t)[:, None], 0.0), axis=1)[:, -1]
+    return p, np.cumsum(0.5 * rows)[-1]
 
 
 def sparseclr_loss(s, gt, reduction: str = "sum") -> T.Tensor:
@@ -243,13 +293,20 @@ def sparseclr_loss(s, gt, reduction: str = "sum") -> T.Tensor:
     the hardest columns:
 
         tr(S Y_gt^T) - 0.5 sum_i sum_{j in Omega(-h_i)} (h_ij^2 - T^2(-h_i)).
+
+    VJP: Y_gt + sparsemax(-h_i) row-wise.
     """
     s = T.as_tensor(s)
     n = _square(s, "sparseclr_loss")
     idx = _gt_indices(gt, n, n, bijection=True)
     y = _gt_matrix(idx, n, n)
-    loss = T.sub(_masked_total(s, y), _sparse_support_term(s))
-    return _reduce(loss, n, reduction)
+    red = _reduction_scale(n, reduction)
+    p, support_term = _sparse_support(s.data)
+
+    def grad(c):
+        return c * p + c * y
+
+    return _loss_node(s, (s.data * y).sum() - support_term, red, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +331,8 @@ def qare(s_a, s_b, mode: str = "euclidean") -> T.Tensor:
         return T.scale(T.total_sum(paired), -1.0)
     if mode == "cosine":
         ones = np.ones((na, na))
-        la = simgeom.eigvals(T.add(sa, _const(ones)))
-        lb = simgeom.eigvals(T.add(sb, _const(ones)))
+        la = simgeom.eigvals(T.add(sa, ones))
+        lb = simgeom.eigvals(T.add(sb, ones))
         return T.total_sum(T.mul(la, lb))    # descending * descending
     raise ContractError(f"qare: unknown mode {mode!r}")
 

@@ -7,9 +7,11 @@ every registered leaf. Tapes are rebuilt for each forward pass and are
 not thread-safe; Tensors themselves are immutable values and can be
 shared freely.
 
-Gradient conventions for the non-smooth primitives: ``relu`` uses the
-zero subgradient at 0, ``row_min``/``row_max`` route the incoming
-gradient to the first index attaining the extremum.
+The primitives are ``add``, ``mul``, ``scale``, ``matmul``,
+``transpose``, ``total_sum``, ``row_l2_normalize``, ``flip_rows`` and
+``pairwise_dist``. Anything with a closed-form gradient of its own (each
+pairwise loss, the encoder, the eigenvalues) is one ``custom_op`` node,
+and documents its subgradient conventions where it is defined.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class Tensor:
 
     def __init__(self, data):
         arr = _coerce(data)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise EvaluationError("tensor data contains NaN or Inf")
         self.data = _freeze(arr)
         self.node = None
@@ -83,55 +85,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar tensor, shape={self.shape}")
         return float(self.data.reshape(()))
 
-    # -- operator sugar; all routing goes through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise ShapeError("tensor division supports scalar divisors only")
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def sum(self) -> "Tensor":
-        return total_sum(self)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def sqrt(self) -> "Tensor":
-        return sqrt(self)
-
     def __repr__(self) -> str:
         tag = "tracked" if self.tracked else "const"
         return f"Tensor(shape={self.shape}, {tag})\n{self.data!r}"
@@ -154,11 +107,6 @@ class Gradients:
             key = key.node.idx
         return self._by_id[key]
 
-    def __contains__(self, key) -> bool:
-        if isinstance(key, Tensor):
-            key = key.node.idx if key.node is not None else -1
-        return key in self._by_id
-
 
 class Tape:
     """Records primitive applications for one forward pass."""
@@ -179,9 +127,9 @@ class Tape:
     def leaf(self, data) -> Tensor:
         """Register data as a differentiable leaf."""
         t = Tensor(data)  # validates finiteness, copies
-        node = self._record((), None)
-        self._leaf_shapes[node.idx] = t.data.shape
-        return Tensor._raw(t.data, node)
+        t.node = self._record((), None)
+        self._leaf_shapes[t.node.idx] = t.data.shape
+        return t
 
     def backward(self, loss: Tensor) -> Gradients:
         """Reverse sweep from a scalar loss; returns gradients for every
@@ -278,17 +226,6 @@ def add(a, b) -> Tensor:
     return _emit((a, b), a.data + b.data, vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a.shape, b.shape, "sub")
-    sa, sb = a.shape, b.shape
-
-    def vjp(g):
-        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
-
-    return _emit((a, b), a.data - b.data, vjp)
-
-
 def mul(a, b) -> Tensor:
     """Elementwise product (with 2-D broadcasting)."""
     a, b = as_tensor(a), as_tensor(b)
@@ -332,58 +269,6 @@ def transpose(a) -> Tensor:
     return _emit((a,), a.data.T.copy(), vjp)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _emit((a,), out, vjp)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    da = a.data
-
-    def vjp(g):
-        return (g / da,)
-
-    return _emit((a,), np.log(da), vjp)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g / (2.0 * out),)
-
-    return _emit((a,), out, vjp)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    da = a.data
-
-    def vjp(g):
-        return (g * (da > 0.0),)
-
-    return _emit((a,), np.maximum(da, 0.0), vjp)
-
-
-def softplus(a) -> Tensor:
-    """log(1 + exp(x)), evaluated without overflow."""
-    a = as_tensor(a)
-    da = a.data
-
-    def vjp(g):
-        # sigmoid via tanh keeps both tails stable
-        return (g * (0.5 * (1.0 + np.tanh(0.5 * da))),)
-
-    return _emit((a,), np.logaddexp(0.0, da), vjp)
-
-
 def total_sum(a) -> Tensor:
     a = as_tensor(a)
     shape = a.shape
@@ -392,39 +277,6 @@ def total_sum(a) -> Tensor:
         return (np.full(shape, float(g.reshape(()))),)
 
     return _emit((a,), a.data.sum().reshape(1, 1), vjp)
-
-
-def row_sum(a) -> Tensor:
-    a = as_tensor(a)
-    cols = a.shape[1]
-
-    def vjp(g):
-        return (np.repeat(g, cols, axis=1),)
-
-    return _emit((a,), a.data.sum(axis=1, keepdims=True), vjp)
-
-
-def _row_extremum(a, argfn, reducefn) -> Tensor:
-    a = as_tensor(a)
-    da = a.data
-    idx = argfn(da, axis=1)  # first attaining index per row
-
-    def vjp(g):
-        out = np.zeros_like(da)
-        out[np.arange(da.shape[0]), idx] = g[:, 0]
-        return (out,)
-
-    return _emit((a,), reducefn(da, axis=1).reshape(-1, 1), vjp)
-
-
-def row_min(a) -> Tensor:
-    """Per-row minimum, (N, 1); gradient goes to the first attaining index."""
-    return _row_extremum(a, np.argmin, np.min)
-
-
-def row_max(a) -> Tensor:
-    """Per-row maximum, (N, 1); gradient goes to the first attaining index."""
-    return _row_extremum(a, np.argmax, np.max)
 
 
 def row_l2_normalize(a) -> Tensor:

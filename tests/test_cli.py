@@ -194,6 +194,22 @@ class TestTrainCommand:
         assert "degenerate embedding at epoch 0 step 0" in err
         assert "loss='infonce'" in err and "seed=0" in err
 
+    def test_narrow_encoder_exits_3_at_the_first_step(self, tmp_path, capsys):
+        # the documented narrow-width failure: zero b2 plus hidden relu
+        # units that are all inactive for some input give a zero embedding
+        doc = {
+            "data": {"num_classes": 2, "ambient_dim": 4, "seed": 0},
+            "train": {"hidden_dim": 4, "embed_dim": 2},
+            "losses": [{"name": "infonce", "kind": "infonce"}],
+            "seeds": [0],
+        }
+        cfgp = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfgp,
+                         "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert ("degenerate embedding at epoch 0 step 0 (loss='infonce', seed=0): "
+                "row_l2_normalize: zero row has no direction") in err
+
     @pytest.mark.parametrize("section,key,value", [
         ("train", "learning_rate", float("inf")),
         pytest.param("train", "learning_rate", 10 ** 400,

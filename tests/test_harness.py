@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from setcontrast import harness, losses, simgeom, tensor as T
-from setcontrast.errors import ConfigError, NumericError
+from setcontrast.errors import ConfigError, DegenerateInputError, NumericError, ShapeError
 
 TINY = harness.SyntheticSpec(num_classes=2, samples_per_class=4,
                              ambient_dim=8, noise_sigma=0.2, seed=5)
@@ -85,27 +85,117 @@ class TestEncoder:
         z = out.data if isinstance(out, T.Tensor) else out
         np.testing.assert_allclose(z, enc.embed(x), atol=1e-12)
 
+    def test_relu_subgradient_zero_at_kink(self):
+        # the second hidden unit sits exactly at 0, so its weights get nothing
+        enc = harness.MLPEncoder(2, 2, 2)
+        enc.params = {"w1": np.eye(2), "b1": np.zeros((1, 2)),
+                      "w2": np.eye(2), "b2": np.array([[0.0, 1.0]])}
+        tape = T.Tape()
+        leaves = {k: tape.leaf(v) for k, v in enc.params.items()}
+        z = enc.forward(np.array([[1.0, 0.0]]), leaves)
+        grads = tape.backward(T.total_sum(T.mul(z, T.Tensor([[1.0, -1.0]]))))
+        np.testing.assert_array_equal(grads[leaves["b1"]].data[0, 1], 0.0)
+        np.testing.assert_array_equal(grads[leaves["w1"]].data[:, 1], 0.0)
+        assert grads[leaves["b1"]].data[0, 0] != 0.0
+
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+    def test_forward_gradcheck_away_from_kinks(self, name):
+        rng = np.random.default_rng(11)
+        enc = harness.MLPEncoder(5, 7, 3, rng)
+        enc.params["b1"] = rng.normal(size=(1, 7)) * 0.1
+        enc.params["b2"] = rng.normal(size=(1, 3)) * 0.1
+        x = rng.normal(size=(6, 5))
+        pre = x @ enc.params["w1"] + enc.params["b1"]
+        assert np.abs(pre).min() > 1e-3
+        up = T.Tensor(rng.normal(size=(6, 3)))
+
+        def f(p):
+            leaves = {k: T.Tensor(v) for k, v in enc.params.items()}
+            leaves[name] = p
+            return T.total_sum(T.mul(enc.forward(x, leaves), up))
+
+        assert T.gradcheck(f, enc.params[name]) < 1e-7
+
+    def test_narrow_encoder_zero_row_comes_from_dead_relus(self):
+        # 2 classes, ambient_dim 4, hidden_dim 4, embed_dim 2, seeds 0
+        spec = harness.SyntheticSpec(num_classes=2, ambient_dim=4, seed=0)
+        enc = harness.make_encoder(spec, harness.TrainConfig(
+            hidden_dim=4, embed_dim=2, seed=0))
+        ds = harness.gen_two_view_dataset(spec)
+        x = np.vstack([ds.view_a, ds.view_b])
+        dead = (x @ enc.params["w1"] + enc.params["b1"] <= 0.0).all(axis=1)
+        assert dead.any()
+        np.testing.assert_array_equal(enc.params["b2"], 0.0)
+        with pytest.raises(DegenerateInputError):
+            enc.embed(x[dead])
+
+
+def _reference_adam(params, grads, m, v, t, lr, b1, b2, eps):
+    """Per-parameter Adam, one array at a time."""
+    out = {}
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = b1 * m[k] + (1.0 - b1) * g
+        v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+        m_hat = m[k] / (1.0 - b1 ** t)
+        v_hat = v[k] / (1.0 - b2 ** t)
+        out[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return out
+
 
 class TestAdam:
     def test_single_step_matches_reference(self):
         params = {"w": np.array([[1.0, -2.0]])}
         grads = {"w": np.array([[0.5, 0.25]])}
-        state = harness.AdamState.init(params)
+        state = harness.AdamState(params)
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        new_params, _ = harness.adam_step(params, grads, state, lr, b1, b2, eps)
+        harness.adam_step(state, state.flatten(grads), lr, b1, b2, eps)
         m = (1 - b1) * grads["w"]
         v = (1 - b2) * grads["w"] ** 2
         mh = m / (1 - b1)
         vh = v / (1 - b2)
         want = params["w"] - lr * mh / (np.sqrt(vh) + eps)
-        np.testing.assert_allclose(new_params["w"], want, atol=1e-15)
+        np.testing.assert_allclose(state.params["w"], want, atol=1e-15)
 
     def test_inputs_are_not_mutated(self):
         params = {"w": np.ones((2, 2))}
         grads = {"w": np.ones((2, 2))}
-        state = harness.AdamState.init(params)
-        harness.adam_step(params, grads, state, 0.1)
+        state = harness.AdamState(params)
+        harness.adam_step(state, state.flatten(grads), 0.1)
         np.testing.assert_array_equal(params["w"], np.ones((2, 2)))
+        np.testing.assert_array_equal(grads["w"], np.ones((2, 2)))
+
+    def test_flat_buffer_matches_per_parameter_loop_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        shapes = {"w1": (5, 4), "b1": (1, 4), "w2": (4, 3), "b2": (1, 3)}
+        params = {k: rng.normal(size=sh) for k, sh in shapes.items()}
+        state = harness.AdamState(params)
+        m = {k: np.zeros(sh) for k, sh in shapes.items()}
+        v = {k: np.zeros(sh) for k, sh in shapes.items()}
+        ref = dict(params)
+        for t in range(1, 51):
+            grads = {k: rng.normal(size=sh) * 10.0 ** rng.integers(-4, 3)
+                     for k, sh in shapes.items()}
+            harness.adam_step(state, state.flatten(grads), 5e-3, 0.9, 0.999, 1e-8)
+            ref = _reference_adam(ref, grads, m, v, t, 5e-3, 0.9, 0.999, 1e-8)
+            for k in shapes:
+                np.testing.assert_array_equal(state.params[k], ref[k])
+                np.testing.assert_array_equal(state.views(state.m)[k], m[k])
+                np.testing.assert_array_equal(state.views(state.v)[k], v[k])
+        assert state.t == 50
+        assert all(state.params[k].base is state.flat for k in shapes)
+
+    def test_grad_shape_mismatch_rejected(self):
+        state = harness.AdamState({"w": np.ones((2, 2))})
+        with pytest.raises(ShapeError, match="'w'"):
+            state.flatten({"w": np.ones((2, 3))})
+        with pytest.raises(ShapeError):
+            harness.adam_step(state, np.ones(3), 0.1)
+
+    def test_name_at_maps_flat_positions_to_parameters(self):
+        state = harness.AdamState({"a": np.ones((2, 2)), "b": np.ones((1, 3)),
+                                   "c": np.ones((1, 1))})
+        assert [state.name_at(i) for i in range(8)] == list("aaaabbbc")
 
 
 class TestTraining:
@@ -162,6 +252,27 @@ class TestTraining:
         cfg = tiny_train_config()
         with pytest.raises(NumericError):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+
+    @pytest.mark.parametrize("kind,mining", [
+        ("infonce", "batch-hard"), ("smoothed", "batch-hard"),
+        ("nt_logistic", "batch-hard"), ("sparseclr", "batch-hard"),
+        ("margin", "batch-hard"), ("margin", "one-to-one"),
+    ])
+    def test_beta_zero_step_records_eight_tape_nodes(self, monkeypatch, kind, mining):
+        # 4 parameter leaves + 2 encoder views + S + the pairwise loss
+        nodes = []
+        real = T.Tape.backward
+
+        def counting(self, loss):
+            nodes.append(len(self))
+            return real(self, loss)
+
+        monkeypatch.setattr(T.Tape, "backward", counting)
+        ds = harness.gen_two_view_dataset(TINY)
+        cfg = tiny_train_config(epochs=1, loss=losses.LossConfig(
+            name="t", kind=kind, mining=mining, beta=0.0))
+        harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+        assert nodes == [8, 8]
 
     def test_partial_final_batch_is_dropped(self):
         ds = harness.gen_two_view_dataset(TINY)  # 8 samples
@@ -261,14 +372,15 @@ class TestOptimizerEdgeCases:
 
     def test_zero_gradient_keeps_params_and_decays_moments(self):
         params = {"w": np.array([[1.0, -2.0]])}
-        zeros = {"w": np.zeros((1, 2))}
-        state = harness.AdamState.init(params)
-        p1, s1 = harness.adam_step(params, zeros, state, lr=0.1)
-        np.testing.assert_array_equal(p1["w"], params["w"])
-        p2, s2 = harness.adam_step(p1, {"w": np.ones((1, 2))}, s1, lr=0.1)
-        _, s3 = harness.adam_step(p2, zeros, s2, lr=0.1)
-        np.testing.assert_array_equal(s3.m["w"], 0.9 * s2.m["w"])
-        np.testing.assert_array_equal(s3.v["w"], 0.999 * s2.v["w"])
+        zeros = np.zeros(2)
+        state = harness.AdamState(params)
+        harness.adam_step(state, zeros, lr=0.1)
+        np.testing.assert_array_equal(state.params["w"], params["w"])
+        harness.adam_step(state, np.ones(2), lr=0.1)
+        m2, v2 = state.views(state.m.copy()), state.views(state.v.copy())
+        harness.adam_step(state, zeros, lr=0.1)
+        np.testing.assert_array_equal(state.views(state.m)["w"], 0.9 * m2["w"])
+        np.testing.assert_array_equal(state.views(state.v)["w"], 0.999 * v2["w"])
 
 
 class TestProbeBaselines:

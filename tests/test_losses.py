@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +87,24 @@ class TestBatchHardLapLoss:
             want += max(0.0, s[i, j] + m - neg)
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_tied_row_minimum_routes_to_first_column(self):
+        # every row's minimum of S + 0.5 Y is tied; row 0 ties with its
+        # own positive, which comes first, so that row gets no gradient
+        s = np.array([[0.1, 0.6, 0.6, 0.9],
+                      [0.3, 1.0, 0.3, 0.3],
+                      [0.0, 0.0, 0.9, 0.4],
+                      [0.7, 0.2, 0.2, 1.0]])
+        want = np.array([[0.0, 0.0, 0.0, 0.0],
+                         [-1.0, 1.0, 0.0, 0.0],
+                         [-1.0, 0.0, 1.0, 0.0],
+                         [0.0, -1.0, 0.0, 1.0]])
+        for reduction, c in (("sum", 1.0), ("mean", 0.25)):
+            tape = T.Tape()
+            leaf = tape.leaf(s)
+            val = losses.batch_hard_lap_loss(leaf, identity(4), margin=0.5,
+                                             reduction=reduction)
+            np.testing.assert_array_equal(tape.backward(val)[leaf].data, c * want)
+
     def test_never_exceeds_one_to_one_loss(self):
         # relaxing the bijection constraint can only lower the minimum
         rng = np.random.default_rng(21)
@@ -146,6 +166,21 @@ class TestInfoNCE:
         total = losses.infonce_loss(s, gt, temperature=0.05, reduction="sum").item()
         assert mean == pytest.approx(total / 6.0, rel=1e-12)
 
+    def test_gradient_is_gt_minus_softmax(self):
+        rng = np.random.default_rng(32)
+        s = rng.normal(size=(5, 5))
+        gt = random_gt(rng, 5)
+        tau = 0.5
+        tape = T.Tape()
+        leaf = tape.leaf(s)
+        g = tape.backward(losses.infonce_loss(leaf, gt, temperature=tau))[leaf].data
+        z = -s / tau
+        soft = np.exp(z - z.max(axis=1, keepdims=True))
+        soft /= soft.sum(axis=1, keepdims=True)
+        y = np.zeros((5, 5))
+        y[np.arange(5), gt.perm] = 1.0
+        np.testing.assert_allclose(g, (y - soft) / tau / 5, atol=1e-12)
+
     def test_is_strictly_positive_at_generic_points(self):
         rng = np.random.default_rng(24)
         s = rng.normal(size=(5, 5))
@@ -179,10 +214,100 @@ class TestNTLogistic:
         want = np.log1p(np.exp(0.5)) + np.log1p(np.exp(-1.0))
         assert val == pytest.approx(want, rel=1e-12)
 
+    def test_tied_hardest_negative_routes_to_first_column(self):
+        s = np.array([[0.5, 0.2, 0.2, 0.9],
+                      [0.3, 0.3, 0.8, 0.1]])
+        gt = losses.GroundTruthAlignment((0, 3))
+        tau = 0.5
+
+        def sig(x):
+            return 1.0 / (1.0 + np.exp(-x))
+
+        want = np.zeros((2, 4))
+        want[0, 0], want[1, 3] = sig(0.5 / tau) / tau, sig(0.1 / tau) / tau
+        want[0, 1], want[1, 0] = -sig(-0.2 / tau) / tau, -sig(-0.3 / tau) / tau
+        for reduction, c in (("sum", 1.0), ("mean", 0.5)):
+            tape = T.Tape()
+            leaf = tape.leaf(s)
+            val = losses.nt_logistic_loss(leaf, gt, temperature=tau,
+                                          reduction=reduction)
+            g = tape.backward(val)[leaf].data
+            np.testing.assert_allclose(g, c * want, rtol=1e-12, atol=0.0)
+
+    def test_stable_at_extreme_inputs(self):
+        # softplus at +-800 neither overflows nor loses the linear tail
+        gt = losses.GroundTruthAlignment((0,))
+        for row, value, grad in (([-800.0, 800.0], 0.0, [0.0, 0.0]),
+                                 ([0.0, 0.0], 2.0 * np.log(2.0), [0.5, -0.5]),
+                                 ([800.0, -800.0], 1600.0, [1.0, -1.0])):
+            tape = T.Tape()
+            leaf = tape.leaf(np.array([row]))
+            val = losses.nt_logistic_loss(leaf, gt, temperature=1.0)
+            g = tape.backward(val)[leaf].data
+            assert np.isfinite(val.item()) and np.isfinite(g).all()
+            assert val.item() == pytest.approx(value, abs=1e-12)
+            np.testing.assert_allclose(g, [grad], atol=1e-12)
+        assert losses.nt_logistic_loss(np.array([[-800.0, 800.0]]), gt,
+                                       temperature=1.0).item() == 0.0
+
     def test_needs_at_least_one_negative(self):
         with pytest.raises(ContractError):
             losses.nt_logistic_loss(np.ones((1, 1)),
                                     losses.GroundTruthAlignment((0,)))
+
+
+def _row_min_gap(m):
+    part = np.sort(m, axis=1)
+    return float((part[:, 1] - part[:, 0]).min())
+
+
+def _lap_gap(m):
+    """Cost gap between the best and the second-best permutation."""
+    n = m.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))))
+    costs = np.sort(m[np.arange(n), perms].sum(axis=1))
+    return float(costs[1] - costs[0])
+
+
+def _generic(rng, kind, n):
+    """A random S (n x n, or n x (n+1) for nt_logistic) and alignment
+    with every kink of the loss at least 1e-3 away."""
+    while True:
+        k = n + 1 if kind == "nt_logistic" else n
+        s = rng.normal(size=(n, k))
+        perm = rng.permutation(k)[:n]
+        y = np.zeros((n, k))
+        y[np.arange(n), perm] = 1.0
+        if kind == "batch_hard":
+            ok = _row_min_gap(s + 0.5 * y) > 1e-3
+        elif kind == "structured":
+            ok = _lap_gap(s + 0.5 * y) > 1e-3
+        elif kind == "nt_logistic":
+            ok = _row_min_gap(s + 1e3 * y) > 1e-3
+        else:
+            ok = True
+        if ok:
+            return s, losses.GroundTruthAlignment(tuple(int(j) for j in perm))
+
+
+FUSED = {
+    "infonce": lambda s, gt, r: losses.infonce_loss(s, gt, 0.5, reduction=r),
+    "smoothed": lambda s, gt, r: losses.smoothed_batch_hard_loss(s, gt, 0.5, reduction=r),
+    "nt_logistic": lambda s, gt, r: losses.nt_logistic_loss(s, gt, 0.5, reduction=r),
+    "sparseclr": lambda s, gt, r: losses.sparseclr_loss(s, gt, reduction=r),
+    "batch_hard": lambda s, gt, r: losses.batch_hard_lap_loss(s, gt, 0.5, reduction=r),
+    "structured": lambda s, gt, r: losses.structured_lap_loss(s, gt, 0.5, reduction=r),
+}
+
+
+class TestFusedLossGradients:
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    @pytest.mark.parametrize("kind", sorted(FUSED))
+    def test_gradcheck_at_tie_free_points(self, kind, reduction):
+        rng = np.random.default_rng(sorted(FUSED).index(kind))
+        for n in (2, 5, 8 if kind != "structured" else 6):
+            s, gt = _generic(rng, kind, n)
+            assert T.gradcheck(lambda x: FUSED[kind](x, gt, reduction), s) < 1e-6
 
 
 class TestSparsemax:

@@ -52,29 +52,22 @@ class TestTensorBasics:
 
 
 class TestForwardValues:
-    def test_operator_sugar_matches_numpy(self):
+    def test_primitives_match_numpy(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
         ta, tb = T.Tensor(a), T.Tensor(b)
-        np.testing.assert_allclose((ta + tb).data, a + b)
-        np.testing.assert_allclose((ta - tb).data, a - b)
-        np.testing.assert_allclose((ta * tb).data, a * b)
-        np.testing.assert_allclose((ta * 2.5).data, a * 2.5)
-        np.testing.assert_allclose((ta / 2.0).data, a / 2.0)
-        np.testing.assert_allclose((-ta).data, -a)
-        np.testing.assert_allclose((ta @ tb.T).data, a @ b.T)
-        np.testing.assert_allclose(ta.T.data, a.T)
+        np.testing.assert_allclose(T.add(ta, tb).data, a + b)
+        np.testing.assert_allclose(T.mul(ta, tb).data, a * b)
+        np.testing.assert_allclose(T.scale(ta, 2.5).data, a * 2.5)
+        np.testing.assert_allclose(T.scale(ta, -1.0).data, -a)
+        np.testing.assert_allclose(T.matmul(ta, T.transpose(tb)).data, a @ b.T)
+        np.testing.assert_allclose(T.transpose(ta).data, a.T)
 
     def test_reductions_keep_2d(self):
         a = np.arange(6.0).reshape(2, 3)
         t = T.Tensor(a)
-        assert T.row_sum(t).shape == (2, 1)
-        assert T.row_min(t).shape == (2, 1)
-        assert T.row_max(t).shape == (2, 1)
         assert T.total_sum(t).shape == (1, 1)
-        np.testing.assert_allclose(T.row_min(t).data[:, 0], a.min(axis=1))
-        np.testing.assert_allclose(T.row_max(t).data[:, 0], a.max(axis=1))
         assert T.total_sum(t).item() == a.sum()
 
     def test_broadcast_row_and_col(self):
@@ -85,14 +78,6 @@ class TestForwardValues:
         np.testing.assert_allclose(T.add(a, col).data, 4.0)
         with pytest.raises(ShapeError):
             T.add(a, T.Tensor(np.ones((3, 2))))
-
-    def test_softplus_is_stable_at_extremes(self):
-        t = T.Tensor(np.array([[-800.0, 0.0, 800.0]]))
-        out = T.softplus(t).data
-        assert np.isfinite(out).all()
-        assert out[0, 0] == 0.0
-        assert out[0, 1] == pytest.approx(np.log(2.0))
-        assert out[0, 2] == pytest.approx(800.0)
 
     def test_pairwise_dist_values(self):
         a = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -134,7 +119,7 @@ class TestTapeSemantics:
     def test_constants_join_the_active_tape(self):
         tape = T.Tape()
         a = tape.leaf(np.full((2, 2), 3.0))
-        out = T.total_sum(a * T.Tensor(np.full((2, 2), 2.0)))
+        out = T.total_sum(T.mul(a, T.Tensor(np.full((2, 2), 2.0))))
         grads = tape.backward(out)
         np.testing.assert_allclose(grads[a].data, 2.0)
 
@@ -145,22 +130,6 @@ class TestTapeSemantics:
         loss = T.total_sum(T.matmul(x, T.Tensor(w)))
         grads = tape.backward(loss)
         np.testing.assert_allclose(grads[x].data, np.ones((2, 2)) @ w.T)
-
-    def test_row_extremum_ties_go_to_first_index(self):
-        tape = T.Tape()
-        x = tape.leaf(np.array([[1.0, 1.0, 2.0]]))
-        grads = tape.backward(T.total_sum(T.row_min(x)))
-        np.testing.assert_allclose(grads[x].data, [[1.0, 0.0, 0.0]])
-        tape = T.Tape()
-        x = tape.leaf(np.array([[2.0, 2.0, 1.0]]))
-        grads = tape.backward(T.total_sum(T.row_max(x)))
-        np.testing.assert_allclose(grads[x].data, [[1.0, 0.0, 0.0]])
-
-    def test_relu_subgradient_zero_at_kink(self):
-        tape = T.Tape()
-        x = tape.leaf(np.array([[-1.0, 0.0, 2.0]]))
-        grads = tape.backward(T.total_sum(T.relu(x)))
-        np.testing.assert_allclose(grads[x].data, [[0.0, 0.0, 1.0]])
 
     def test_pairwise_dist_zero_distance_has_zero_gradient(self):
         tape = T.Tape()
@@ -207,8 +176,11 @@ class TestGradcheck:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_output_rejected(self):
+        def log(x):
+            return T.custom_op([x], np.log(x.data), lambda g: (g / x.data,))
+
         with pytest.raises(EvaluationError):
-            T.gradcheck(lambda x: T.total_sum(T.log(x)),
+            T.gradcheck(lambda x: T.total_sum(log(x)),
                         np.array([[-1.0, 1.0]]))
 
     @settings(max_examples=25, deadline=None)
@@ -216,8 +188,8 @@ class TestGradcheck:
     def test_composite_expression_gradient(self, a):
         def f(x):
             y = T.mul(x, x)
-            z = T.softplus(T.scale(x, 0.7))
-            return T.total_sum(T.add(y, z))
+            z = T.matmul(T.scale(x, 0.7), T.transpose(x))
+            return T.add(T.total_sum(y), T.total_sum(T.mul(z, z)))
 
         assert T.gradcheck(f, a) < 1e-5
 
@@ -247,16 +219,6 @@ class TestClosedFormGradients:
         x = tape.leaf(np.arange(6.0).reshape(2, 3))
         grads = tape.backward(T.total_sum(x))
         np.testing.assert_array_equal(grads[x].data, np.ones((2, 3)))
-
-    def test_logsumexp_gradient_is_softmax(self):
-        z = np.array([[0.3, -1.2, 2.0, 0.0, 0.7]])
-        tape = T.Tape()
-        x = tape.leaf(z)
-        lse = T.log(T.row_sum(T.exp(x)))
-        grads = tape.backward(T.total_sum(lse))
-        soft = np.exp(z - z.max())
-        soft /= soft.sum()
-        np.testing.assert_allclose(grads[x].data, soft, atol=1e-12)
 
     def test_trace_of_product_gradient_is_transpose(self):
         rng = np.random.default_rng(3)
