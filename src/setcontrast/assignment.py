@@ -148,8 +148,6 @@ def _lex_refine(a: Array, perm: Array, u: Array, v: Array) -> Array:
     tight = (a - u[:, None] - v[None, :]) <= tol
     rows = np.arange(n)
     tight[rows, perm] = True
-    if int(tight.sum()) == n:
-        return perm
     # row i -> row k when i can take k's column: the alternating cycles
     # are the cycles of this digraph. A row without an out-edge or an
     # in-edge among the live rows is on none, so peel it; if every row

@@ -47,7 +47,8 @@ def _expect_mapping(obj: Any, path: str) -> Dict[str, Any]:
 def _take(d: Dict[str, Any], path: str, key: str, kinds, default=_MISSING):
     """Pop a typed field; bool is rejected where a number is expected, and
     so are NaN, Infinity and integers too large for a float, all of
-    which json.loads accepts."""
+    which json.loads accepts. A float -0.0 reads as 0.0, so that equal
+    configs write equal bytes."""
     if key not in d:
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}: missing required field")
@@ -62,7 +63,7 @@ def _take(d: Dict[str, Any], path: str, key: str, kinds, default=_MISSING):
             v = math.inf
         if not math.isfinite(v):
             raise ConfigError(f"{path}.{key}: expected a finite number")
-        return v
+        return v + 0.0
     if kinds is int:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"{path}.{key}: expected an integer")
@@ -274,7 +275,7 @@ def _parse_beta_grid(text: Optional[str]) -> Tuple[float, ...]:
     for part in text.split(","):
         part = part.strip()
         try:
-            v = float(part)
+            v = float(part) + 0.0  # -0 reads as 0
         except ValueError:
             raise ConfigError(f"beta-grid: {part!r} is not a number")
         if not np.isfinite(v):

@@ -54,6 +54,8 @@ class SyntheticSpec:
             raise ConfigError("ambient_dim must be >= 2")
         if self.noise_sigma < 0.0:
             raise ConfigError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def num_items(self) -> int:
@@ -120,6 +122,11 @@ def gen_two_view_dataset(spec: SyntheticSpec) -> TwoViewDataset:
 class MLPEncoder:
     """Two-layer MLP with relu and a row-l2-normalized output.
 
+    The encoder owns its parameter layout. ``flat`` is one float64
+    buffer holding w1, b1, w2 and b2 back to back in that order, and
+    ``params`` maps each name to a reshaped view of it, so an update of
+    ``flat`` in place shows through those arrays.
+
     ``b2`` starts at zero, so an input whose hidden relu units are all
     inactive embeds to the zero row, which has no direction: the forward
     pass raises DegenerateInputError and training exits 3. Narrow widths
@@ -137,21 +144,33 @@ class MLPEncoder:
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.embed_dim = embed_dim
-        self.params: Dict[str, Array] = {
-            "w1": rng.normal(size=(input_dim, hidden_dim)) * np.sqrt(2.0 / input_dim),
-            "b1": np.zeros((1, hidden_dim)),
-            "w2": rng.normal(size=(hidden_dim, embed_dim)) * np.sqrt(1.0 / hidden_dim),
-            "b2": np.zeros((1, embed_dim)),
-        }
+        self._shapes = {"w1": (input_dim, hidden_dim), "b1": (1, hidden_dim),
+                        "w2": (hidden_dim, embed_dim), "b2": (1, embed_dim)}
+        self._bounds = np.cumsum([0] + [r * c for r, c in self._shapes.values()])
+        self.flat = np.zeros(self._bounds[-1])
+        self.params: Dict[str, Array] = self.views(self.flat)
+        w1, w2 = self.params["w1"], self.params["w2"]
+        w1[...] = rng.normal(size=w1.shape) * np.sqrt(2.0 / input_dim)
+        w2[...] = rng.normal(size=w2.shape) * np.sqrt(1.0 / hidden_dim)
 
-    def forward(self, x: Array, leaves: Optional[Dict[str, T.Tensor]] = None) -> T.Tensor:
-        """normalize(relu(x w1 + b1) w2 + b2) as one tape node over
-        (w1, b1, w2, b2) when param leaves are given, constant evaluation
-        otherwise; one code path for both. A zero output row raises
-        DegenerateInputError."""
-        p = leaves if leaves is not None else self.params
-        ops = tuple(T.as_tensor(p[k]) for k in ("w1", "b1", "w2", "b2"))
-        w1, b1, w2, b2 = (t.data for t in ops)
+    def views(self, buf: Array) -> Dict[str, Array]:
+        """Each parameter's slice of a flat buffer in this layout, in its
+        own shape."""
+        return {k: buf[lo:hi].reshape(shape) for (k, shape), lo, hi
+                in zip(self._shapes.items(), self._bounds[:-1], self._bounds[1:])}
+
+    def name_at(self, index: int) -> str:
+        """The parameter that holds flat position ``index``."""
+        return list(self._shapes)[int(np.searchsorted(self._bounds, index, side="right")) - 1]
+
+    def forward(self, x: Array, w: Optional[T.Tensor] = None) -> T.Tensor:
+        """normalize(relu(x w1 + b1) w2 + b2) as one tape node over the
+        whole flat parameter vector ``w`` (a leaf of ``flat``), constant
+        evaluation of ``flat`` when ``w`` is None; one code path for both.
+        The gradient comes back flat, in layout order. A zero output row
+        raises DegenerateInputError."""
+        w = T.as_tensor(self.flat if w is None else w)
+        w1, b1, w2, b2 = self.views(w.data.reshape(-1)).values()
         xd = T.Tensor(x).data
         if xd.shape[1] != w1.shape[0]:
             raise ShapeError(f"encoder: input width {xd.shape[1]} != {w1.shape[0]}")
@@ -166,10 +185,10 @@ class MLPEncoder:
         def vjp(g):
             g_out = (g - (g * z).sum(axis=1, keepdims=True) * z) / norms
             g_pre = (g_out @ w2.T) * (pre > 0.0)  # zero subgradient at the kink
-            return (xd.T @ g_pre, g_pre.sum(axis=0, keepdims=True),
-                    h.T @ g_out, g_out.sum(axis=0, keepdims=True))
+            parts = (xd.T @ g_pre, g_pre.sum(axis=0), h.T @ g_out, g_out.sum(axis=0))
+            return (np.concatenate([q.ravel() for q in parts]).reshape(w.shape),)
 
-        return T.custom_op(ops, z, vjp)
+        return T.custom_op((w,), z, vjp)
 
     def embed(self, x: Array) -> Array:
         return self.forward(np.asarray(x, dtype=np.float64)).data
@@ -179,39 +198,15 @@ class MLPEncoder:
 # optimizer
 
 class AdamState:
-    """Adam's parameters and moments as three flat float64 buffers.
+    """Adam over one flat float64 parameter buffer: ``flat`` is the
+    caller's buffer, updated in place, and ``m`` and ``v`` are the
+    moments at the same offsets."""
 
-    ``flat`` holds the parameters back to back in the order of the dict
-    they came from, ``m`` and ``v`` the moments at the same offsets, and
-    ``params`` maps each name to a reshaped view of ``flat``, so an
-    update of the buffer shows through those arrays.
-    """
-
-    def __init__(self, params: Dict[str, Array]):
-        arrays = [np.asarray(p, dtype=np.float64) for p in params.values()]
-        self.flat = np.concatenate([a.ravel() for a in arrays])
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
+    def __init__(self, flat: Array):
+        self.flat = flat
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
         self.t = 0
-        self._shapes = {k: a.shape for k, a in zip(params, arrays)}
-        self._bounds = np.cumsum([0] + [a.size for a in arrays])
-        self.params = self.views(self.flat)
-
-    def views(self, buf: Array) -> Dict[str, Array]:
-        """Each parameter's slice of a flat buffer, in its own shape."""
-        return {k: buf[lo:hi].reshape(shape) for (k, shape), lo, hi
-                in zip(self._shapes.items(), self._bounds[:-1], self._bounds[1:])}
-
-    def flatten(self, grads: Dict[str, Array]) -> Array:
-        """The per-parameter gradients as one flat buffer."""
-        for k, shape in self._shapes.items():
-            if np.shape(grads[k]) != shape:
-                raise ShapeError(f"adam_step: grad shape mismatch for {k!r}")
-        return np.concatenate([np.ravel(grads[k]) for k in self._shapes])
-
-    def name_at(self, index: int) -> str:
-        """The parameter that holds flat position ``index``."""
-        return list(self._shapes)[int(np.searchsorted(self._bounds, index, side="right")) - 1]
 
 
 def adam_step(state: AdamState, grad: Array, lr: float, beta1: float = 0.9,
@@ -282,8 +277,11 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     """Minibatch training of the encoder under the configured loss.
 
     Batches are index sets applied to both views, so the in-batch ground
-    truth stays the identity. Aborts with NumericError on a non-finite
-    loss or gradient, or on a degenerate (zero) embedding. Matching
+    truth stays the identity; the partial last batch is dropped, so every
+    batch has ``batch_size`` rows. Each step registers the encoder's
+    ``flat`` buffer as the tape's one leaf, and Adam updates that buffer
+    in place. Aborts with NumericError on a non-finite loss or gradient
+    (naming the parameter), or on a degenerate (zero) embedding. Matching
     accuracy and the probe run once, after training.
     """
     started = time.perf_counter()
@@ -291,8 +289,8 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     if config.batch_size > n:
         raise ConfigError(f"batch_size {config.batch_size} exceeds dataset size {n}")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    state = AdamState(encoder.params)
-    encoder.params = state.params
+    state = AdamState(encoder.flat)
+    gt = GroundTruthAlignment.identity(config.batch_size)
     epoch_losses: List[float] = []
     degenerate = 0
     steps_per_epoch = n // config.batch_size
@@ -303,10 +301,9 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
             idx = order[step * config.batch_size:(step + 1) * config.batch_size]
             try:
                 tape = T.Tape()
-                leaves = {k: tape.leaf(v) for k, v in encoder.params.items()}
-                za = encoder.forward(dataset.view_a[idx], leaves)
-                zb = encoder.forward(dataset.view_b[idx], leaves)
-                gt = GroundTruthAlignment.identity(len(idx))
+                w = tape.leaf(encoder.flat)
+                za = encoder.forward(dataset.view_a[idx], w)
+                zb = encoder.forward(dataset.view_b[idx], w)
                 loss, _ = two_view_loss(za, zb, gt, config.loss)
                 value = loss.item()
             except (EvaluationError, DegenerateInputError) as e:
@@ -321,15 +318,14 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
                     f"non-finite loss {value} at epoch {epoch} step {step} "
                     f"(loss={config.loss.name!r}, seed={config.seed})"
                 )
-            grads = tape.backward(loss)
+            grad = tape.backward(loss)[w].data.reshape(-1)
             if "degenerate-eigenvalues" in tape.flags:
                 degenerate += 1
-            grad = state.flatten({k: grads[t].data for k, t in leaves.items()})
             finite = np.isfinite(grad)
             if not finite.all():
                 raise NumericError(
                     f"non-finite gradient for parameter "
-                    f"{state.name_at(int(np.argmin(finite)))!r} at epoch "
+                    f"{encoder.name_at(int(np.argmin(finite)))!r} at epoch "
                     f"{epoch} step {step} (loss={config.loss.name!r}, "
                     f"seed={config.seed})"
                 )
@@ -388,23 +384,22 @@ def linear_probe(embeddings, labels, epochs: int = 100, lr: float = 1e-3,
     label_of = {c: i for i, c in enumerate(classes)}
     yt = np.array([label_of[v] for v in y[train_idx]])
     xt = x[train_idx]
-    state = AdamState({"w": np.zeros((x.shape[1], classes.size)),
-                       "b": np.zeros((1, classes.size))})
-    params = state.params
+    k = x.shape[1] * classes.size
+    state = AdamState(np.zeros(k + classes.size))
+    w, b = state.flat[:k].reshape(x.shape[1], classes.size), state.flat[k:]
     for _ in range(epochs):
         order = rng.permutation(xt.shape[0])
         for start in range(0, xt.shape[0], batch_size):
             sel = order[start:start + batch_size]
             xb, yb = xt[sel], yt[sel]
-            logits = xb @ params["w"] + params["b"]
+            logits = xb @ w + b
             logits -= logits.max(axis=1, keepdims=True)
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(sel.size), yb] -= 1.0
             p /= sel.size
-            grads = {"w": xb.T @ p, "b": p.sum(axis=0, keepdims=True)}
-            adam_step(state, state.flatten(grads), lr=lr)
-    logits = x[test_idx] @ params["w"] + params["b"]
+            adam_step(state, np.concatenate([(xb.T @ p).ravel(), p.sum(axis=0)]), lr=lr)
+    logits = x[test_idx] @ w + b
     pred = np.argmax(logits, axis=1)
     truth = np.array([label_of[v] for v in y[test_idx]])
     return float(np.mean(pred == truth))

@@ -9,7 +9,8 @@ shared freely.
 
 The primitives are ``add``, ``mul``, ``scale``, ``matmul``,
 ``transpose``, ``total_sum``, ``row_l2_normalize``, ``flip_rows`` and
-``pairwise_dist``. Anything with a closed-form gradient of its own (each
+``pairwise_dist``; ``add`` and ``mul`` take operands of one shape and
+do not broadcast. Anything with a closed-form gradient of its own (each
 pairwise loss, the encoder, the eigenvalues) is one ``custom_op`` node,
 and documents its subgradient conventions where it is defined.
 """
@@ -194,46 +195,32 @@ def active_tape(*tensors) -> Optional[Tape]:
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers (2-D only: a dimension may be 1 on either side)
-
-def _broadcast_check(sa: tuple, sb: tuple, opname: str) -> None:
-    for da, db in zip(sa, sb):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"{opname}: shapes {sa} and {sb} do not broadcast")
-
-
-def _unbroadcast(g: Array, shape: tuple) -> Array:
-    if g.shape == shape:
-        return g
-    if shape[0] == 1 and g.shape[0] != 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        g = g.sum(axis=1, keepdims=True)
-    return g
-
-
-# ---------------------------------------------------------------------------
 # primitives
 
+def _same_shape(a: Tensor, b: Tensor, opname: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ")
+
+
 def add(a, b) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a.shape, b.shape, "add")
-    sa, sb = a.shape, b.shape
+    _same_shape(a, b, "add")
 
     def vjp(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
+        return g, g
 
     return _emit((a, b), a.data + b.data, vjp)
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise product (with 2-D broadcasting)."""
+    """Elementwise product of two tensors of one shape."""
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a.shape, b.shape, "mul")
+    _same_shape(a, b, "mul")
     da, db = a.data, b.data
 
     def vjp(g):
-        return _unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)
+        return g * db, g * da
 
     return _emit((a, b), da * db, vjp)
 

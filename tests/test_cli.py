@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import setcontrast
-from setcontrast import cli, simgeom, tensor as T
+from setcontrast import cli, harness, simgeom, tensor as T
 from setcontrast.errors import ConfigError, NumericError
 
 TINY = {
@@ -155,8 +155,12 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfgp,
                          "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
     def test_non_finite_gradient_maps_to_exit_3_at_its_step(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch, capsys, name):
+        layout = harness.MLPEncoder(TINY["data"]["ambient_dim"],
+                                    TINY["train"]["hidden_dim"],
+                                    TINY["train"]["embed_dim"])
         real_backward = T.Tape.backward
         calls = []
 
@@ -164,9 +168,10 @@ class TestTrainCommand:
             grads = real_backward(self, loss)
             calls.append(None)
             if len(calls) == 3:  # seed 0, epoch 1, step 0 (two steps/epoch)
-                # leaves are registered in parameter order: w1, b1, w2, b2
-                g = grads[1]
-                g.data = np.full(g.shape, np.nan)
+                g = grads[0]  # node 0: the step's one leaf, the flat parameters
+                data = g.data.copy()
+                layout.views(data.reshape(-1))[name][...] = np.nan
+                g.data = data
             return grads
 
         monkeypatch.setattr(T.Tape, "backward", poisoned)
@@ -174,7 +179,7 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfgp,
                          "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
-        assert "gradient" in err and "'b1'" in err
+        assert "gradient" in err and f"'{name}'" in err
         assert "epoch 1 step 0" in err and "seed=0" in err
 
     def test_zero_embedding_maps_to_exit_3_at_its_step(self, tmp_path, capsys):
@@ -237,6 +242,26 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"{field}: expected a finite number" in err
 
+    def test_negative_data_seed_is_config_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TINY))
+        doc["data"]["seed"] = -1
+        cfgp = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfgp,
+                         "--out", str(tmp_path / "run")]) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_zero_beta_writes_zero(self, tmp_path):
+        outs = []
+        for beta in (0.0, -0.0):
+            doc = json.loads(json.dumps(TINY))
+            doc["losses"][0]["beta"] = beta
+            outs.append(tmp_path / str(beta))
+            assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                             "--out", str(outs[-1])]) == 0
+        text = (outs[1] / "summary.json").read_bytes()
+        assert b"-0" not in text
+        assert text == (outs[0] / "summary.json").read_bytes()
+
 
 class TestSweepCommand:
     def test_emits_sorted_grid_rows(self, tmp_path):
@@ -281,6 +306,17 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", cfgp,
                          "--out", str(tmp_path / "sw"),
                          "--beta-grid", grid]) == 2
+
+    def test_negative_zero_in_grid_writes_zero(self, tmp_path):
+        cfgp = write_config(tmp_path, TINY)
+        outs = []
+        for grid in ("0,1", "-0,1"):
+            outs.append(tmp_path / grid)
+            assert cli.main(["sweep", "--config", cfgp, "--out", str(outs[-1]),
+                             f"--beta-grid={grid}"]) == 0
+        text = (outs[1] / "sweep.csv").read_bytes()
+        assert b"-0" not in text
+        assert text == (outs[0] / "sweep.csv").read_bytes()
 
     def test_default_grid_is_the_sixteen_point_ramp(self):
         assert cli.DEFAULT_BETA_GRID == tuple(i * 0.125 for i in range(16))

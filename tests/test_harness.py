@@ -88,31 +88,37 @@ class TestEncoder:
     def test_relu_subgradient_zero_at_kink(self):
         # the second hidden unit sits exactly at 0, so its weights get nothing
         enc = harness.MLPEncoder(2, 2, 2)
-        enc.params = {"w1": np.eye(2), "b1": np.zeros((1, 2)),
-                      "w2": np.eye(2), "b2": np.array([[0.0, 1.0]])}
+        enc.params["w1"][...] = np.eye(2)
+        enc.params["b1"][...] = 0.0
+        enc.params["w2"][...] = np.eye(2)
+        enc.params["b2"][...] = [[0.0, 1.0]]
         tape = T.Tape()
-        leaves = {k: tape.leaf(v) for k, v in enc.params.items()}
-        z = enc.forward(np.array([[1.0, 0.0]]), leaves)
+        w = tape.leaf(enc.flat)
+        z = enc.forward(np.array([[1.0, 0.0]]), w)
         grads = tape.backward(T.total_sum(T.mul(z, T.Tensor([[1.0, -1.0]]))))
-        np.testing.assert_array_equal(grads[leaves["b1"]].data[0, 1], 0.0)
-        np.testing.assert_array_equal(grads[leaves["w1"]].data[:, 1], 0.0)
-        assert grads[leaves["b1"]].data[0, 0] != 0.0
+        g = enc.views(grads[w].data.reshape(-1))
+        np.testing.assert_array_equal(g["b1"][0, 1], 0.0)
+        np.testing.assert_array_equal(g["w1"][:, 1], 0.0)
+        assert g["b1"][0, 0] != 0.0
 
     @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
     def test_forward_gradcheck_away_from_kinks(self, name):
         rng = np.random.default_rng(11)
         enc = harness.MLPEncoder(5, 7, 3, rng)
-        enc.params["b1"] = rng.normal(size=(1, 7)) * 0.1
-        enc.params["b2"] = rng.normal(size=(1, 3)) * 0.1
+        enc.params["b1"][...] = rng.normal(size=(1, 7)) * 0.1
+        enc.params["b2"][...] = rng.normal(size=(1, 3)) * 0.1
         x = rng.normal(size=(6, 5))
         pre = x @ enc.params["w1"] + enc.params["b1"]
         assert np.abs(pre).min() > 1e-3
         up = T.Tensor(rng.normal(size=(6, 3)))
 
         def f(p):
-            leaves = {k: T.Tensor(v) for k, v in enc.params.items()}
-            leaves[name] = p
-            return T.total_sum(T.mul(enc.forward(x, leaves), up))
+            # the flat vector with p in the named slice, its adjoint that slice
+            buf = enc.flat.copy()
+            enc.views(buf)[name][...] = p.data
+            w = T.custom_op((p,), buf.reshape(1, -1),
+                            lambda g: (enc.views(g.reshape(-1))[name],))
+            return T.total_sum(T.mul(enc.forward(x, w), up))
 
         assert T.gradcheck(f, enc.params[name]) < 1e-7
 
@@ -145,57 +151,72 @@ def _reference_adam(params, grads, m, v, t, lr, b1, b2, eps):
 
 class TestAdam:
     def test_single_step_matches_reference(self):
-        params = {"w": np.array([[1.0, -2.0]])}
-        grads = {"w": np.array([[0.5, 0.25]])}
-        state = harness.AdamState(params)
+        params = np.array([1.0, -2.0])
+        grad = np.array([0.5, 0.25])
+        state = harness.AdamState(params.copy())
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        harness.adam_step(state, state.flatten(grads), lr, b1, b2, eps)
-        m = (1 - b1) * grads["w"]
-        v = (1 - b2) * grads["w"] ** 2
+        harness.adam_step(state, grad, lr, b1, b2, eps)
+        m = (1 - b1) * grad
+        v = (1 - b2) * grad ** 2
         mh = m / (1 - b1)
         vh = v / (1 - b2)
-        want = params["w"] - lr * mh / (np.sqrt(vh) + eps)
-        np.testing.assert_allclose(state.params["w"], want, atol=1e-15)
+        want = params - lr * mh / (np.sqrt(vh) + eps)
+        np.testing.assert_allclose(state.flat, want, atol=1e-15)
 
     def test_inputs_are_not_mutated(self):
-        params = {"w": np.ones((2, 2))}
-        grads = {"w": np.ones((2, 2))}
-        state = harness.AdamState(params)
-        harness.adam_step(state, state.flatten(grads), 0.1)
-        np.testing.assert_array_equal(params["w"], np.ones((2, 2)))
-        np.testing.assert_array_equal(grads["w"], np.ones((2, 2)))
+        # the parameter buffer is the one array Adam writes, in place
+        flat = np.ones(4)
+        grad = np.ones(4)
+        state = harness.AdamState(flat)
+        harness.adam_step(state, grad, 0.1)
+        np.testing.assert_array_equal(grad, np.ones(4))
+        assert state.flat is flat and (flat < 1.0).all()
+        assert not any(np.shares_memory(a, b) for a, b in
+                       [(state.m, flat), (state.v, flat), (state.m, state.v),
+                        (state.m, grad), (state.v, grad)])
 
     def test_flat_buffer_matches_per_parameter_loop_bit_for_bit(self):
         rng = np.random.default_rng(12)
-        shapes = {"w1": (5, 4), "b1": (1, 4), "w2": (4, 3), "b2": (1, 3)}
+        enc = harness.MLPEncoder(5, 4, 3)
+        shapes = {k: p.shape for k, p in enc.params.items()}
+        assert shapes == {"w1": (5, 4), "b1": (1, 4), "w2": (4, 3), "b2": (1, 3)}
         params = {k: rng.normal(size=sh) for k, sh in shapes.items()}
-        state = harness.AdamState(params)
+        for k in shapes:
+            enc.params[k][...] = params[k]
+        state = harness.AdamState(enc.flat)
         m = {k: np.zeros(sh) for k, sh in shapes.items()}
         v = {k: np.zeros(sh) for k, sh in shapes.items()}
         ref = dict(params)
         for t in range(1, 51):
             grads = {k: rng.normal(size=sh) * 10.0 ** rng.integers(-4, 3)
                      for k, sh in shapes.items()}
-            harness.adam_step(state, state.flatten(grads), 5e-3, 0.9, 0.999, 1e-8)
+            grad = np.empty_like(enc.flat)
+            for k in shapes:
+                enc.views(grad)[k][...] = grads[k]
+            harness.adam_step(state, grad, 5e-3, 0.9, 0.999, 1e-8)
             ref = _reference_adam(ref, grads, m, v, t, 5e-3, 0.9, 0.999, 1e-8)
             for k in shapes:
-                np.testing.assert_array_equal(state.params[k], ref[k])
-                np.testing.assert_array_equal(state.views(state.m)[k], m[k])
-                np.testing.assert_array_equal(state.views(state.v)[k], v[k])
+                np.testing.assert_array_equal(enc.params[k], ref[k])
+                np.testing.assert_array_equal(enc.views(state.m)[k], m[k])
+                np.testing.assert_array_equal(enc.views(state.v)[k], v[k])
         assert state.t == 50
-        assert all(state.params[k].base is state.flat for k in shapes)
+        assert all(enc.params[k].base is enc.flat for k in shapes)
 
     def test_grad_shape_mismatch_rejected(self):
-        state = harness.AdamState({"w": np.ones((2, 2))})
-        with pytest.raises(ShapeError, match="'w'"):
-            state.flatten({"w": np.ones((2, 3))})
-        with pytest.raises(ShapeError):
-            harness.adam_step(state, np.ones(3), 0.1)
+        state = harness.AdamState(np.ones(4))
+        for grad in (np.ones(3), np.ones((1, 4)), np.ones((2, 2))):
+            with pytest.raises(ShapeError):
+                harness.adam_step(state, grad, 0.1)
+        assert state.t == 0
 
     def test_name_at_maps_flat_positions_to_parameters(self):
-        state = harness.AdamState({"a": np.ones((2, 2)), "b": np.ones((1, 3)),
-                                   "c": np.ones((1, 1))})
-        assert [state.name_at(i) for i in range(8)] == list("aaaabbbc")
+        # the flat layout Adam steps over: w1 2x2, b1 1x2, w2 2x1, b2 1x1
+        enc = harness.MLPEncoder(2, 2, 1)
+        names = [enc.name_at(i) for i in range(enc.flat.size)]
+        assert names == ["w1"] * 4 + ["b1"] * 2 + ["w2"] * 2 + ["b2"]
+        for k, p in enc.params.items():
+            np.testing.assert_array_equal(
+                p.ravel(), enc.flat[[n == k for n in names]])
 
 
 class TestTraining:
@@ -258,8 +279,8 @@ class TestTraining:
         ("nt_logistic", "batch-hard"), ("sparseclr", "batch-hard"),
         ("margin", "batch-hard"), ("margin", "one-to-one"),
     ])
-    def test_beta_zero_step_records_eight_tape_nodes(self, monkeypatch, kind, mining):
-        # 4 parameter leaves + 2 encoder views + S + the pairwise loss
+    def test_beta_zero_step_records_five_tape_nodes(self, monkeypatch, kind, mining):
+        # 1 flat parameter leaf + 2 encoder views + S + the pairwise loss
         nodes = []
         real = T.Tape.backward
 
@@ -272,7 +293,7 @@ class TestTraining:
         cfg = tiny_train_config(epochs=1, loss=losses.LossConfig(
             name="t", kind=kind, mining=mining, beta=0.0))
         harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        assert nodes == [8, 8]
+        assert nodes == [5, 5]
 
     def test_partial_final_batch_is_dropped(self):
         ds = harness.gen_two_view_dataset(TINY)  # 8 samples
@@ -371,16 +392,16 @@ class TestOptimizerEdgeCases:
             np.testing.assert_array_equal(trained.params[k], before[k])
 
     def test_zero_gradient_keeps_params_and_decays_moments(self):
-        params = {"w": np.array([[1.0, -2.0]])}
+        params = np.array([1.0, -2.0])
         zeros = np.zeros(2)
-        state = harness.AdamState(params)
+        state = harness.AdamState(params.copy())
         harness.adam_step(state, zeros, lr=0.1)
-        np.testing.assert_array_equal(state.params["w"], params["w"])
+        np.testing.assert_array_equal(state.flat, params)
         harness.adam_step(state, np.ones(2), lr=0.1)
-        m2, v2 = state.views(state.m.copy()), state.views(state.v.copy())
+        m2, v2 = state.m.copy(), state.v.copy()
         harness.adam_step(state, zeros, lr=0.1)
-        np.testing.assert_array_equal(state.views(state.m)["w"], 0.9 * m2["w"])
-        np.testing.assert_array_equal(state.views(state.v)["w"], 0.999 * v2["w"])
+        np.testing.assert_array_equal(state.m, 0.9 * m2)
+        np.testing.assert_array_equal(state.v, 0.999 * v2)
 
 
 class TestProbeBaselines:
