@@ -54,8 +54,21 @@ def _check_sense(sense: str) -> str:
     return sense
 
 
+def _as_indices(values) -> Array:
+    """``values`` flattened to intp; ContractError on an entry that is not
+    an integer (a fraction, NaN or Inf), which a cast would truncate."""
+    raw = np.asarray(values).reshape(-1)
+    if raw.dtype.kind in "iub":
+        return raw.astype(np.intp, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN and Inf fail the equality below
+        idx = raw.astype(np.intp)
+    if not np.array_equal(idx, raw):
+        raise ContractError(f"indices must be integers, got {values!r}")
+    return idx
+
+
 def _check_perm(perm, n: int) -> Array:
-    p = np.asarray(perm, dtype=np.intp).reshape(-1)
+    p = _as_indices(perm)
     if p.shape[0] != n or not np.array_equal(np.sort(p), np.arange(n)):
         raise ContractError(f"expected a permutation of 0..{n - 1}, got {perm!r}")
     return p

@@ -1,9 +1,13 @@
 """Command-line front end: `verify`, `train`, and `sweep`.
 
 Configs are JSON documents validated strictly (unknown keys rejected,
-every diagnostic names the offending field). All output files are
-byte-deterministic for a given config: rows are sorted, floats are
-printed with 9 significant digits, and no wall-clock data is written.
+every diagnostic names the offending field). The schema of the `data`,
+`train` and `losses[i]` sections is their dataclass: `SyntheticSpec`,
+`TrainConfig` and `LossConfig`, read field by field. The whole run is
+checked (config, beta grid against the loss, separable classes) before
+the output directory is created. All output files are byte-deterministic
+for a given config: rows are sorted, floats are printed with 9
+significant digits, and no wall-clock data is written.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure during
 training, 1 any other failure (including a failing verify suite).
@@ -18,7 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -84,67 +88,30 @@ def _reject_unknown(d: Dict[str, Any], path: str) -> None:
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     data: harness.SyntheticSpec
-    train_fields: Dict[str, Any]
+    train: harness.TrainConfig
     losses: Tuple[losses.LossConfig, ...]
     seeds: Tuple[int, ...]
     out: Optional[str]
 
-    def train_config(self, loss: losses.LossConfig, seed: int) -> harness.TrainConfig:
-        return harness.TrainConfig(loss=loss, seed=seed, **self.train_fields)
 
-
-def _parse_data(section: Any) -> harness.SyntheticSpec:
-    d = dict(_expect_mapping(section, "data"))
-    base = harness.SyntheticSpec()
-    spec = harness.SyntheticSpec(
-        num_classes=_take(d, "data", "num_classes", int, base.num_classes),
-        samples_per_class=_take(d, "data", "samples_per_class", int,
-                                base.samples_per_class),
-        ambient_dim=_take(d, "data", "ambient_dim", int, base.ambient_dim),
-        noise_sigma=_take(d, "data", "noise_sigma", float, base.noise_sigma),
-        seed=_take(d, "data", "seed", int, base.seed),
-    )
-    _reject_unknown(d, "data")
-    return spec
-
-
-def _parse_train(section: Any) -> Dict[str, Any]:
-    d = dict(_expect_mapping(section, "train"))
-    base = harness.TrainConfig()
-    fields = {
-        "epochs": _take(d, "train", "epochs", int, base.epochs),
-        "batch_size": _take(d, "train", "batch_size", int, base.batch_size),
-        "learning_rate": _take(d, "train", "learning_rate", float,
-                               base.learning_rate),
-        "beta1": _take(d, "train", "beta1", float, base.beta1),
-        "beta2": _take(d, "train", "beta2", float, base.beta2),
-        "eps": _take(d, "train", "eps", float, base.eps),
-        "hidden_dim": _take(d, "train", "hidden_dim", int, base.hidden_dim),
-        "embed_dim": _take(d, "train", "embed_dim", int, base.embed_dim),
-    }
-    _reject_unknown(d, "train")
-    return fields
-
-
-def _parse_loss(section: Any, path: str) -> losses.LossConfig:
+def _parse_section(section: Any, path: str, cls, required: Tuple[str, ...] = (),
+                   unread: Tuple[str, ...] = ()):
+    """Read one section into the dataclass ``cls``: each int, float and str
+    field not in ``unread`` is a key of its annotated type, defaulting to
+    the field's default unless ``required``. Checks run type, then domain
+    (``cls``'s own), then unknown key; every diagnostic starts with ``path``."""
     d = dict(_expect_mapping(section, path))
-    base = losses.LossConfig()
+    hints = get_type_hints(cls)
+    values = {f.name: _take(d, path, f.name, hints[f.name],
+                            _MISSING if f.name in required else f.default)
+              for f in dataclasses.fields(cls)
+              if hints[f.name] in (int, float, str) and f.name not in unread}
     try:
-        cfg = losses.LossConfig(
-            name=_take(d, path, "name", str),
-            kind=_take(d, path, "kind", str),
-            mining=_take(d, path, "mining", str, base.mining),
-            margin=_take(d, path, "margin", float, base.margin),
-            temperature=_take(d, path, "temperature", float, base.temperature),
-            alpha=_take(d, path, "alpha", float, base.alpha),
-            beta=_take(d, path, "beta", float, base.beta),
-            mode=_take(d, path, "mode", str, base.mode),
-            reduction=_take(d, path, "reduction", str, base.reduction),
-        )
-    except ContractError as e:
+        obj = cls(**values)
+    except (ConfigError, ContractError) as e:
         raise ConfigError(f"{path}: {e}")
     _reject_unknown(d, path)
-    return cfg
+    return obj
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -160,15 +127,20 @@ def load_config(path: str) -> ExperimentConfig:
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     d = dict(_expect_mapping(doc, "config"))
 
-    data = _parse_data(d.pop("data", {}))
-    train_fields = _parse_train(d.pop("train", {}))
+    data = _parse_section(d.pop("data", {}), "data", harness.SyntheticSpec)
+    train = _parse_section(d.pop("train", {}), "train", harness.TrainConfig,
+                           unread=("seed",))
+    if train.batch_size > data.num_items:
+        raise ConfigError(f"train: batch_size {train.batch_size} exceeds the "
+                          f"dataset size {data.num_items}")
 
     if "losses" not in d:
         raise ConfigError("losses: missing required field")
     raw_losses = d.pop("losses")
     if not isinstance(raw_losses, list) or not raw_losses:
         raise ConfigError("losses: expected a non-empty list")
-    loss_cfgs = [_parse_loss(entry, f"losses[{i}]")
+    loss_cfgs = [_parse_section(entry, f"losses[{i}]", losses.LossConfig,
+                                required=("name", "kind"))
                  for i, entry in enumerate(raw_losses)]
     names = [c.name for c in loss_cfgs]
     if len(set(names)) != len(names):
@@ -189,8 +161,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("out: expected a string")
 
     _reject_unknown(d, "config")
-    return ExperimentConfig(data=data, train_fields=train_fields,
-                            losses=tuple(loss_cfgs), seeds=tuple(seeds), out=out)
+    return ExperimentConfig(data=data, train=train, losses=tuple(loss_cfgs),
+                            seeds=tuple(seeds), out=out)
 
 
 def _resolve_out(cfg: ExperimentConfig, flag: Optional[str], force: bool) -> Path:
@@ -210,7 +182,7 @@ def _resolve_out(cfg: ExperimentConfig, flag: Optional[str], force: bool) -> Pat
 
 def _run_one(dataset: harness.TwoViewDataset, cfg: ExperimentConfig,
              loss: losses.LossConfig, seed: int) -> harness.RunReport:
-    tc = cfg.train_config(loss, seed)
+    tc = dataclasses.replace(cfg.train, loss=loss, seed=seed)
     encoder = harness.make_encoder(cfg.data, tc)
     _, report = harness.train(dataset, encoder, tc)
     return report
@@ -224,8 +196,8 @@ def _write_csv(path: Path, header: Sequence[str],
         w.writerows(rows)
 
 
-def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
-    dataset = harness.gen_two_view_dataset(cfg.data)
+def cmd_train(cfg: ExperimentConfig, dataset: harness.TwoViewDataset,
+              out: Path) -> int:
     rows: List[Tuple[int, str, int, str, str, str]] = []
     summary: Dict[str, Any] = {}
     for loss in cfg.losses:
@@ -290,17 +262,13 @@ def _parse_beta_grid(text: Optional[str]) -> Tuple[float, ...]:
     return tuple(values)
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path, grid: Tuple[float, ...]) -> int:
-    if len(cfg.losses) != 1:
-        raise ConfigError("losses: sweep requires exactly one loss entry")
-    base = cfg.losses[0]
-    dataset = harness.gen_two_view_dataset(cfg.data)
+def cmd_sweep(cfg: ExperimentConfig, dataset: harness.TwoViewDataset,
+              out: Path, variants: Sequence[losses.LossConfig]) -> int:
     rows: List[Tuple[float, int, str, str]] = []
-    for beta in grid:
-        loss = dataclasses.replace(base, beta=beta)
+    for loss in variants:
         for seed in cfg.seeds:
             report = _run_one(dataset, cfg, loss, seed)
-            rows.append((beta, seed, _fmt(report.matching_accuracy),
+            rows.append((loss.beta, seed, _fmt(report.matching_accuracy),
                          _fmt(report.probe_accuracy)))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(out / "sweep.csv",
@@ -352,13 +320,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.suite)
         cfg = load_config(args.config)
-        if args.command == "train":
-            out = _resolve_out(cfg, args.out, args.force)
-            return cmd_train(cfg, out)
         if args.command == "sweep":
             grid = _parse_beta_grid(args.beta_grid)
-            out = _resolve_out(cfg, args.out, args.force)
-            return cmd_sweep(cfg, out, grid)
+            if len(cfg.losses) != 1:
+                raise ConfigError("losses: sweep requires exactly one loss entry")
+            try:
+                variants = [dataclasses.replace(cfg.losses[0], beta=b) for b in grid]
+            except ContractError as e:
+                raise ConfigError(f"beta-grid: {e}")
+        # before the output directory: it raises ConfigError on inseparable classes
+        dataset = harness.gen_two_view_dataset(cfg.data)
+        out = _resolve_out(cfg, args.out, args.force)
+        if args.command == "train":
+            return cmd_train(cfg, dataset, out)
+        if args.command == "sweep":
+            return cmd_sweep(cfg, dataset, out, variants)
         raise AssertionError(args.command)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -86,9 +86,7 @@ def gen_two_view_dataset(spec: SyntheticSpec) -> TwoViewDataset:
     the ground-truth alignment is the identity."""
     rng = np.random.default_rng(spec.seed)
     centers = rng.normal(scale=_CENTER_SIGMA, size=(spec.num_classes, spec.ambient_dim))
-    gaps = np.sqrt(
-        ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    )
+    gaps = T.pairwise_dist(centers, centers).data
     min_gap = float(gaps[~np.eye(spec.num_classes, dtype=bool)].min())
     if min_gap < 4.0 * spec.noise_sigma:
         raise ConfigError(
@@ -197,6 +195,12 @@ class MLPEncoder:
 # ---------------------------------------------------------------------------
 # optimizer
 
+# fixed Adam hyperparameters, the defaults of Kingma & Ba (2015)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Adam over one flat float64 parameter buffer: ``flat`` is the
     caller's buffer, updated in place, and ``m`` and ``v`` are the
@@ -209,21 +213,21 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(state: AdamState, grad: Array, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(state: AdamState, grad: Array, lr: float) -> None:
     """One bias-corrected Adam update of ``state`` in place, from the flat
-    gradient ``grad``; elementwise, so per parameter it gives the same
+    gradient ``grad``, at step size ``lr`` with the fixed betas 0.9 and
+    0.999 and eps 1e-8; elementwise, so per parameter it gives the same
     bits as updating each array on its own."""
     if grad.shape != state.flat.shape:
         raise ShapeError(f"adam_step: flat grad shape {grad.shape} != {state.flat.shape}")
     state.t += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grad
-    state.v *= beta2
-    state.v += (1.0 - beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    state.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m *= _ADAM_BETA1
+    state.m += (1.0 - _ADAM_BETA1) * grad
+    state.v *= _ADAM_BETA2
+    state.v += (1.0 - _ADAM_BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - _ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - _ADAM_BETA2 ** state.t)
+    state.flat -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +235,13 @@ def adam_step(state: AdamState, grad: Array, lr: float, beta1: float = 0.9,
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run. The CLI's ``train`` section sets every field but
+    ``loss`` and ``seed``, which each run sets; of Adam's hyperparameters
+    only ``learning_rate`` is settable (see ``adam_step``)."""
+
     epochs: int = 60
     batch_size: int = 32
     learning_rate: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     hidden_dim: int = 64
     embed_dim: int = 16
     loss: LossConfig = field(default_factory=LossConfig)
@@ -249,10 +254,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2")
         if self.learning_rate < 0.0:
             raise ConfigError("learning_rate must be >= 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("Adam betas must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ConfigError("Adam eps must be > 0")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ConfigError("encoder widths must be positive")
 
@@ -329,8 +330,7 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
                     f"{epoch} step {step} (loss={config.loss.name!r}, "
                     f"seed={config.seed})"
                 )
-            adam_step(state, grad, lr=config.learning_rate, beta1=config.beta1,
-                      beta2=config.beta2, eps=config.eps)
+            adam_step(state, grad, lr=config.learning_rate)
             batch_losses.append(value)
         epoch_losses.append(float(np.mean(batch_losses)))
     report = RunReport(
@@ -356,15 +356,21 @@ def evaluate_matching(encoder, dataset: TwoViewDataset) -> float:
     return assignment.matching_accuracy(s, np.asarray(dataset.gt.perm))
 
 
-def linear_probe(embeddings, labels, epochs: int = 100, lr: float = 1e-3,
-                 batch_size: int = 128, seed: int = 0) -> float:
+_PROBE_EPOCHS = 100
+_PROBE_LR = 1e-3
+_PROBE_BATCH = 128
+
+
+def linear_probe(embeddings, labels, seed: int = 0) -> float:
     """Multinomial logistic regression on frozen embeddings with a
-    stratified 80/20 split; returns held-out accuracy."""
+    stratified 80/20 split drawn from ``seed``, trained by Adam for a
+    fixed 100 epochs of minibatches of 128 at step size 1e-3; returns
+    held-out accuracy."""
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ShapeError("linear_probe: embeddings and labels disagree")
-    classes = np.unique(y)
+    classes, codes = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise ContractError("linear_probe needs at least two classes")
     rng = np.random.default_rng(seed)
@@ -381,16 +387,15 @@ def linear_probe(embeddings, labels, epochs: int = 100, lr: float = 1e-3,
     if test_idx.size == 0:
         raise ContractError("linear_probe: split left no held-out samples")
 
-    label_of = {c: i for i, c in enumerate(classes)}
-    yt = np.array([label_of[v] for v in y[train_idx]])
+    yt = codes[train_idx]
     xt = x[train_idx]
     k = x.shape[1] * classes.size
     state = AdamState(np.zeros(k + classes.size))
     w, b = state.flat[:k].reshape(x.shape[1], classes.size), state.flat[k:]
-    for _ in range(epochs):
+    for _ in range(_PROBE_EPOCHS):
         order = rng.permutation(xt.shape[0])
-        for start in range(0, xt.shape[0], batch_size):
-            sel = order[start:start + batch_size]
+        for start in range(0, xt.shape[0], _PROBE_BATCH):
+            sel = order[start:start + _PROBE_BATCH]
             xb, yb = xt[sel], yt[sel]
             logits = xb @ w + b
             logits -= logits.max(axis=1, keepdims=True)
@@ -398,11 +403,11 @@ def linear_probe(embeddings, labels, epochs: int = 100, lr: float = 1e-3,
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(sel.size), yb] -= 1.0
             p /= sel.size
-            adam_step(state, np.concatenate([(xb.T @ p).ravel(), p.sum(axis=0)]), lr=lr)
+            adam_step(state, np.concatenate([(xb.T @ p).ravel(), p.sum(axis=0)]),
+                      lr=_PROBE_LR)
     logits = x[test_idx] @ w + b
     pred = np.argmax(logits, axis=1)
-    truth = np.array([label_of[v] for v in y[test_idx]])
-    return float(np.mean(pred == truth))
+    return float(np.mean(pred == codes[test_idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +422,10 @@ def fig1b_instance() -> Tuple[simgeom.SimilarityTriple, simgeom.SimilarityTriple
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     offset = square + np.array([0.25, 0.1])
-
-    def dist(a, b):
-        return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-
-    s = dist(square, offset)
-    s_a = dist(square, square)
-    s_b_near = dist(offset, offset)   # same shape as view A
-    s_b_far = dist(line, line)        # different internal geometry
+    s = T.pairwise_dist(square, offset).data
+    s_a = T.pairwise_dist(square, square).data
+    s_b_near = T.pairwise_dist(offset, offset).data  # same shape as view A
+    s_b_far = T.pairwise_dist(line, line).data       # different internal geometry
     first = simgeom.SimilarityTriple(
         s=T.Tensor(s), s_a=T.Tensor(s_a), s_b=T.Tensor(s_b_near), mode="euclidean"
     )

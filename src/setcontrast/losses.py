@@ -63,7 +63,7 @@ class GroundTruthAlignment:
 def _gt_indices(gt, n_rows: int, n_cols: int, bijection: bool) -> Array:
     if isinstance(gt, GroundTruthAlignment):
         gt = gt.perm
-    idx = np.asarray(gt, dtype=np.intp).reshape(-1)
+    idx = assignment._as_indices(gt)
     if idx.shape[0] != n_rows:
         raise ContractError(f"alignment length {idx.shape[0]} != rows {n_rows}")
     if (idx < 0).any() or (idx >= n_cols).any():

@@ -327,9 +327,13 @@ def _scalar_eval(f, x: Array) -> float:
     return val
 
 
-def gradcheck(f, x, eps: float = 1e-6) -> float:
+_GRADCHECK_STEP = 1e-6
+
+
+def gradcheck(f, x) -> float:
     """Max over coordinates of |analytic - central difference| scaled by
-    max(1, |analytic|). ``f`` maps one Tensor to a scalar."""
+    max(1, |analytic|), with a fixed difference step of 1e-6. ``f`` maps
+    one Tensor to a scalar."""
     base = as_tensor(x).data
     tape = Tape()
     xt = tape.leaf(base)
@@ -344,12 +348,12 @@ def gradcheck(f, x, eps: float = 1e-6) -> float:
     for i in range(base.shape[0]):
         for j in range(base.shape[1]):
             orig = pert[i, j]
-            pert[i, j] = orig + eps
+            pert[i, j] = orig + _GRADCHECK_STEP
             fp = _scalar_eval(f, pert)
-            pert[i, j] = orig - eps
+            pert[i, j] = orig - _GRADCHECK_STEP
             fm = _scalar_eval(f, pert)
             pert[i, j] = orig
-            num = (fp - fm) / (2.0 * eps)
+            num = (fp - fm) / (2.0 * _GRADCHECK_STEP)
             err = abs(analytic[i, j] - num) / max(1.0, abs(analytic[i, j]))
             worst = max(worst, err)
     return worst

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ class TestLoadConfig:
     def test_roundtrip_and_defaults(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path, TINY))
         assert cfg.data.num_classes == 2
-        assert cfg.train_fields["epochs"] == 2
+        assert cfg.train.epochs == 2
         assert cfg.losses[0].name == "infonce"
         assert cfg.seeds == (0, 1)
         assert cfg.out is None
@@ -80,6 +82,53 @@ class TestLoadConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             cli.load_config("/nonexistent/cfg.json")
+
+    def test_every_section_field_is_read(self, tmp_path):
+        # one non-default value per int, float and str field of the three
+        # section dataclasses; TrainConfig's loss and seed are set per run
+        doc = {
+            "data": {"num_classes": 3, "samples_per_class": 5, "ambient_dim": 6,
+                     "noise_sigma": 0.125, "seed": 11},
+            "train": {"epochs": 3, "batch_size": 4, "learning_rate": 0.01,
+                      "hidden_dim": 8, "embed_dim": 3},
+            "losses": [{"name": "x", "kind": "margin", "mining": "one-to-one",
+                        "margin": 0.25, "temperature": 0.5, "alpha": 0.5,
+                        "beta": 0.75, "mode": "cosine", "reduction": "sum"}],
+        }
+        cfg = cli.load_config(write_config(tmp_path, doc))
+        sections = [("data", cfg.data, doc["data"]),
+                    ("train", cfg.train, doc["train"]),
+                    ("losses", cfg.losses[0], doc["losses"][0])]
+        for section, got, given in sections:
+            hints = typing.get_type_hints(type(got))
+            unread = {"seed"} if section == "train" else set()
+            readable = {f.name for f in dataclasses.fields(got)
+                        if hints[f.name] in (int, float, str)} - unread
+            assert set(given) == readable, section
+            default = type(got)()
+            for key, value in given.items():
+                assert getattr(got, key) == value, f"{section}.{key}"
+                assert getattr(default, key) != value, f"{section}.{key}"
+
+    @pytest.mark.parametrize("section,key,value,needle", [
+        ("data", "num_classes", 1, "data: num_classes must be >= 2"),
+        ("train", "epochs", 0, "train: epochs must be >= 1"),
+    ])
+    def test_domain_errors_name_their_section(self, tmp_path, capsys,
+                                              section, key, value, needle):
+        doc = json.loads(json.dumps(TINY))
+        doc[section][key] = value
+        assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert f"config error: {needle}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps"])
+    def test_adam_hyperparameters_are_unknown_keys(self, tmp_path, capsys, key):
+        doc = json.loads(json.dumps(TINY))
+        doc["train"][key] = 0.5
+        assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert f"config error: train.{key}: unknown key" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -141,6 +190,21 @@ class TestTrainCommand:
         cfgp = write_config(tmp_path, doc)
         assert cli.main(["train", "--config", cfgp]) == 0
         assert (tmp_path / "fromcfg" / "history.csv").exists()
+
+    @pytest.mark.parametrize("command,section,value", [
+        ("train", "train", {"epochs": 0}),
+        ("train", "train", {"batch_size": 1000}),  # the default data has 128 items
+        ("train", "data", {"noise_sigma": 100.0}),  # classes not separable
+        ("sweep", "losses", [{"name": "a", "kind": "infonce"},
+                             {"name": "b", "kind": "smoothed"}]),
+    ], ids=["epochs", "batch_size", "separability", "sweep_losses"])
+    def test_invalid_run_creates_no_output_directory(self, tmp_path, command,
+                                                     section, value):
+        doc = {"losses": [{"name": "a", "kind": "infonce"}], section: value}
+        out = tmp_path / "run"
+        assert cli.main([command, "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_out_everywhere_is_config_error(self, tmp_path):
         cfgp = write_config(tmp_path, TINY)
@@ -248,7 +312,7 @@ class TestTrainCommand:
         cfgp = write_config(tmp_path, doc)
         assert cli.main(["train", "--config", cfgp,
                          "--out", str(tmp_path / "run")]) == 2
-        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "config error: data: seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_negative_zero_beta_writes_zero(self, tmp_path):
         outs = []
@@ -298,6 +362,19 @@ class TestSweepCommand:
         cfgp = write_config(tmp_path, doc)
         assert cli.main(["sweep", "--config", cfgp,
                          "--out", str(tmp_path / "sw")]) == 2
+
+    def test_grid_value_invalid_for_the_loss_creates_nothing(self, tmp_path,
+                                                              capsys):
+        # with alpha 0 the objective needs beta > 0, so the grid's 0 is
+        # rejected before the beta=1 runs train or the directory exists
+        doc = json.loads(json.dumps(TINY))
+        doc["losses"][0].update(alpha=0.0, beta=1.0)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                         "--out", str(out), "--beta-grid", "1,0"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: beta-grid: alpha + beta must be positive" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0,-1", "0,abc", "", "nan",
                                       "0.5,0.5", "1,1.0"])

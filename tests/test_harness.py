@@ -155,7 +155,7 @@ class TestAdam:
         grad = np.array([0.5, 0.25])
         state = harness.AdamState(params.copy())
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        harness.adam_step(state, grad, lr, b1, b2, eps)
+        harness.adam_step(state, grad, lr)
         m = (1 - b1) * grad
         v = (1 - b2) * grad ** 2
         mh = m / (1 - b1)
@@ -193,7 +193,7 @@ class TestAdam:
             grad = np.empty_like(enc.flat)
             for k in shapes:
                 enc.views(grad)[k][...] = grads[k]
-            harness.adam_step(state, grad, 5e-3, 0.9, 0.999, 1e-8)
+            harness.adam_step(state, grad, 5e-3)
             ref = _reference_adam(ref, grads, m, v, t, 5e-3, 0.9, 0.999, 1e-8)
             for k in shapes:
                 np.testing.assert_array_equal(enc.params[k], ref[k])

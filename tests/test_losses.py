@@ -554,6 +554,18 @@ class TestLossConfigValidation:
                                        losses.GroundTruthAlignment((0, 0)),
                                        margin=0.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda s: losses.structured_lap_loss(s, (0.5, 1.5), margin=0.0),
+        lambda s: assignment.matching_accuracy(s, (0.5, 1.5)),
+        lambda s: assignment.qap_objective(s, s, s, (1.7, 0.2)),
+    ], ids=["structured_lap_loss", "matching_accuracy", "qap_objective"])
+    def test_fractional_indices_rejected_not_truncated(self, call):
+        # truncation would read (0.5, 1.5) as the identity and (1.7, 0.2)
+        # as the swap, both valid permutations of 2
+        s = np.array([[0.0, 1.0], [2.0, 0.5]])
+        with pytest.raises(ContractError):
+            call(s)
+
 
 class TestTiedOptimum:
     def test_structured_lap_zero_when_gt_tied_at_margin_zero(self):
