@@ -9,14 +9,17 @@ equality tests between them can be exact. The solver's duals certify
 every optimal assignment; when their tight graph has no alternating
 cycle the optimum is unique, otherwise one iterative pass of
 alternating-cycle rotations refines the matching. The oracles score
-permutations in lexicographic order, in blocks of at most 7! rows
-sliced from a cached read-only permutation table.
+permutations in lexicographic order, in blocks of at most 7! rows. The
+tables of all permutations are cached as read-only uint8 arrays up to
+n = 8 (8! rows, 322 KB), and for n <= 8 each block is a view of one;
+n = 9 and 10 fix a prefix per block and permute the rest by the 7! table.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -28,9 +31,12 @@ Array = np.ndarray
 
 BRUTE_FORCE_LAP_MAX = 10
 BRUTE_FORCE_QAP_MAX = 8
-# largest cached permutation table: blocks of 7! = 5040 rows keep the
-# (M, n, n) gather of brute_force_qap near 2.6 MB at n = 8
-_TABLE_MAX = 7
+# largest enumeration read straight from a cached permutation table
+_TABLE_MAX = 8
+# blocks of at most 7! = 5040 rows keep the (M, n, n) gather of
+# brute_force_qap near 2.6 MB at n = 8
+_BLOCK_M = 7
+_BLOCK_ROWS = math.factorial(_BLOCK_M)
 
 
 @dataclass(frozen=True)
@@ -218,30 +224,36 @@ def solve_lap(s, sense: str = "min") -> Assignment:
 
 @functools.lru_cache(maxsize=None)
 def _lex_table(m: int) -> Array:
-    """All permutations of range(m) in lexicographic order, one per row
-    (read-only, shared by every caller). Rows starting with f are f
-    followed by the table of size m - 1 shifted past f."""
+    """All permutations of range(m) in lexicographic order, one per row,
+    as uint8 (read-only, shared by every caller). Rows starting with f
+    are f followed by the table of size m - 1 shifted past f."""
     if m == 0:
-        table = np.zeros((1, 0), dtype=np.intp)
+        table = np.zeros((1, 0), dtype=np.uint8)
     else:
         t = _lex_table(m - 1)
         table = np.concatenate([
-            np.column_stack((np.full(len(t), f, dtype=np.intp), t + (t >= f)))
+            np.column_stack((np.full(len(t), f, dtype=np.uint8), t + (t >= f)))
             for f in range(m)])
     table.setflags(write=False)
     return table
 
 
 def _perm_blocks(n: int):
-    """All permutations of range(n) in lexicographic order. Each block
-    fixes one prefix of length n - 7 (empty when n <= 7) and permutes the
-    remaining values, taken in ascending order, by the cached table."""
-    m = min(n, _TABLE_MAX)
-    table = _lex_table(m)
-    for head in itertools.permutations(range(n), n - m):
+    """All permutations of range(n) in lexicographic order, in blocks of
+    at most 7! rows. For n <= 8 the blocks are read-only views of
+    consecutive rows of the cached uint8 table. For n = 9 and 10 each
+    block is built: it fixes one prefix of length n - 7 and permutes the
+    remaining values, taken in ascending order, by the 7! table."""
+    if n <= _TABLE_MAX:
+        table = _lex_table(n)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            yield table[start:start + _BLOCK_ROWS]
+        return
+    table = _lex_table(_BLOCK_M)
+    for head in itertools.permutations(range(n), n - _BLOCK_M):
         block = np.empty((len(table), n), dtype=np.intp)
-        block[:, :n - m] = head
-        block[:, n - m:] = np.delete(np.arange(n), head)[table]
+        block[:, :n - _BLOCK_M] = head
+        block[:, n - _BLOCK_M:] = np.delete(np.arange(n), head)[table]
         yield block
 
 
@@ -249,17 +261,19 @@ def brute_force_lap(s, sense: str = "min") -> Assignment:
     """Exhaustive LAP oracle (N <= 10). Same tie-break as solve_lap:
     permutations are scored in lexicographic order, in blocks of at most
     7! rows from a cached table; the first optimum of a block is kept and
-    only strict improvements replace the incumbent."""
+    only strict improvements replace the incumbent. Each block's costs
+    are gathered from the flattened matrix and summed along the row."""
     a = _check_square(s, "brute_force_lap")
     _check_sense(sense)
     n = a.shape[0]
     if n > BRUTE_FORCE_LAP_MAX:
         raise SizeGuardError(f"brute_force_lap: N={n} exceeds {BRUTE_FORCE_LAP_MAX}")
-    rows = np.arange(n)
+    flat = a.ravel()
+    row_offsets = np.arange(n) * n
     best_cost = None
     best_perm = None
     for block in _perm_blocks(n):
-        costs = a[rows[None, :], block].sum(axis=1)
+        costs = np.take(flat, block + row_offsets).sum(axis=1)
         k = int(np.argmin(costs)) if sense == "min" else int(np.argmax(costs))
         c = costs[k]
         if best_cost is None or (c < best_cost if sense == "min" else c > best_cost):

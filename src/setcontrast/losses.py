@@ -27,14 +27,14 @@ column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
 
 from . import assignment, simgeom
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError, EvaluationError, ShapeError
 
 Array = np.ndarray
 
@@ -51,9 +51,26 @@ MINING_MODES = ("one-to-one", "batch-hard")
 
 @dataclass(frozen=True)
 class GroundTruthAlignment:
-    """Row-to-column alignment; perm[i] is the positive column of row i."""
+    """Row-to-column alignment; perm[i] is the positive column of row i.
+
+    The entries are checked once, on construction: a fractional, NaN,
+    Inf or negative entry raises ContractError. ``indices`` keeps them as
+    a read-only intp array and ``bijective`` says whether they permute
+    0..n-1; neither takes part in equality or hashing."""
 
     perm: Tuple[int, ...]
+    indices: Array = field(init=False, repr=False, compare=False)
+    bijective: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a copy, so freezing it leaves an array passed as perm writable
+        idx = np.array(assignment._as_indices(self.perm))
+        if (idx < 0).any():
+            raise ContractError("alignment indices outside column range")
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "bijective", bool(
+            np.array_equal(np.sort(idx), np.arange(idx.shape[0]))))
 
     @classmethod
     def identity(cls, n: int) -> "GroundTruthAlignment":
@@ -61,14 +78,16 @@ class GroundTruthAlignment:
 
 
 def _gt_indices(gt, n_rows: int, n_cols: int, bijection: bool) -> Array:
-    if isinstance(gt, GroundTruthAlignment):
-        gt = gt.perm
-    idx = assignment._as_indices(gt)
+    """The alignment's checked indices against an (n_rows, n_cols) S; raw
+    tuples and arrays are wrapped in a GroundTruthAlignment first."""
+    if not isinstance(gt, GroundTruthAlignment):
+        gt = GroundTruthAlignment(gt)
+    idx = gt.indices
     if idx.shape[0] != n_rows:
         raise ContractError(f"alignment length {idx.shape[0]} != rows {n_rows}")
-    if (idx < 0).any() or (idx >= n_cols).any():
+    if n_rows and idx.max() >= n_cols:
         raise ContractError("alignment indices outside column range")
-    if bijection and not np.array_equal(np.sort(idx), np.arange(n_rows)):
+    if bijection and not gt.bijective:
         raise ContractError("alignment must be a bijection for this loss")
     return idx
 
@@ -120,15 +139,19 @@ def _row_thresholds(z: Array) -> Array:
 
 def sparsemax_threshold(z) -> float:
     """Threshold T(z) with sum(max(z - T, 0)) = 1, via the sorted
-    cumulative-sum characterization of the simplex projection."""
+    cumulative-sum characterization of the simplex projection. NaN or
+    Inf entries raise EvaluationError."""
     v = np.asarray(z, dtype=np.float64).reshape(1, -1)
     if v.size == 0:
         raise ShapeError("sparsemax_threshold: empty input")
+    if not np.all(np.isfinite(v)):
+        raise EvaluationError("sparsemax: input contains NaN or Inf")
     return float(_row_thresholds(v)[0])
 
 
 def sparsemax(z) -> Array:
-    """Projection of z onto the simplex: max(z - T(z), 0)."""
+    """Projection of z onto the simplex: max(z - T(z), 0). NaN or Inf
+    entries raise EvaluationError."""
     v = np.asarray(z, dtype=np.float64).reshape(-1)
     return np.maximum(v - sparsemax_threshold(v), 0.0)
 

@@ -75,9 +75,18 @@ def sym_eigen(m) -> EigenDecomposition:
     return EigenDecomposition(vals[::-1], vecs[:, ::-1])
 
 
+def _finite(values, name: str) -> Array:
+    """``values`` flattened to float64; EvaluationError on NaN or Inf."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(v)):
+        raise EvaluationError(f"{name}: values contain NaN or Inf")
+    return v
+
+
 def min_eigengap(values: Array) -> float:
-    """Smallest gap between neighbouring sorted eigenvalues (inf for n=1)."""
-    vals = np.sort(np.asarray(values, dtype=np.float64))
+    """Smallest gap between neighbouring sorted eigenvalues (inf for n=1).
+    NaN or Inf values raise EvaluationError."""
+    vals = np.sort(_finite(values, "min_eigengap"))
     if vals.size < 2:
         return float("inf")
     return float(np.min(np.diff(vals)))
@@ -117,10 +126,11 @@ def eig_dot(values_a, values_b, sense: str) -> float:
     """Extremal sum of eigenvalue products over pairings.
 
     "min": descending against ascending; "max": descending against
-    descending (classical rearrangement pairings).
+    descending (classical rearrangement pairings). NaN or Inf values
+    raise EvaluationError.
     """
-    la = np.asarray(values_a, dtype=np.float64).reshape(-1)
-    lb = np.asarray(values_b, dtype=np.float64).reshape(-1)
+    la = _finite(values_a, "eig_dot")
+    lb = _finite(values_b, "eig_dot")
     if la.shape != lb.shape:
         raise ShapeError(f"eig_dot: lengths differ, {la.shape} vs {lb.shape}")
     if sense not in ("min", "max"):

@@ -5,10 +5,19 @@ enumeration, support enumeration, finite differences) rather than
 reusing the code under test, so a regression in one module cannot
 silently re-validate itself. `run` executes a selection of suites and
 returns one result per suite; the CLI prints them as PASS/FAIL lines.
+
+The enumeration oracles are array programs that stay exhaustive. The
+sparsemax oracle scores every nonempty support at once from a cached
+boolean mask table: each row's affine projection, its feasibility and
+its distance to z. It never sorts z or takes a cumulative-sum
+threshold, so it stays independent of the closed form in ``losses``.
+The brute-force LAP and QAP oracles in ``assignment`` score every
+permutation, read in blocks from a cached table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -155,25 +164,35 @@ def suite_lap_exact() -> SuiteResult:
                        f"{count} matrices, both senses, exact cost match")
 
 
+@functools.lru_cache(maxsize=None)
+def _support_masks(k: int) -> Array:
+    """Every nonempty support of k coordinates as a boolean row: row r
+    holds the bits of mask r + 1, coordinate j being in when bit j is set.
+    Read-only and cached per k, shape (2^k - 1, k)."""
+    masks = (np.arange(1, 2 ** k)[:, None] >> np.arange(k) & 1).astype(bool)
+    masks.setflags(write=False)
+    return masks
+
+
 def _projection_oracle(z: Array) -> Array:
-    """Simplex projection by support enumeration: try every nonempty
-    support, project affinely, keep the feasible candidate nearest z."""
-    k = z.size
-    best = None
-    best_d = np.inf
-    for mask in range(1, 2 ** k):
-        idx = [j for j in range(k) if mask >> j & 1]
-        tau = (z[idx].sum() - 1.0) / len(idx)
-        cand = z[idx] - tau
-        if cand.min() < 0.0:
-            continue
-        p = np.zeros(k)
-        p[idx] = cand
-        d = float(((z - p) ** 2).sum())
-        if d < best_d:
-            best_d = d
-            best = p
-    return best
+    """Simplex projection by support enumeration: project z affinely onto
+    every nonempty support at once, drop the infeasible candidates (a
+    negative coordinate on the support) and keep the one nearest z.
+
+    Ties go to the first support in mask order, as a loop over masks
+    keeping only strict improvements would choose. Each support's sum
+    runs over its coordinates in index order. Nothing here sorts z or
+    reads a threshold off sorted cumulative sums, so the oracle shares no
+    step with ``losses.sparsemax``."""
+    masks = _support_masks(z.size)
+    total = np.cumsum(np.where(masks, z, 0.0), axis=1)[:, -1]
+    tau = (total - 1.0) / masks.sum(axis=1)
+    cand = z - tau[:, None]
+    feasible = np.where(masks, cand, np.inf).min(axis=1) >= 0.0
+    p = np.where(masks, cand, 0.0)
+    d = ((z - p) ** 2).sum(axis=1)
+    d[~feasible] = np.inf
+    return p[np.argmin(d)]
 
 
 def _simplex_grid(k: int, steps: int) -> Array:

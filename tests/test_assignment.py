@@ -268,12 +268,24 @@ class TestBruteForce:
             assert got.cost == costs[k]
 
     def test_lex_table_is_read_only_itertools_order(self):
-        for m in range(8):
+        for m in range(9):
             table = assignment._lex_table(m)
             want = np.array(list(itertools.permutations(range(m))))
             assert table.shape == (len(want), m)
             assert np.array_equal(table, want)
             assert not table.flags.writeable
+
+    def test_perm_blocks_concatenate_to_itertools_order(self):
+        for n in range(1, 10):
+            blocks = list(assignment._perm_blocks(n))
+            want = np.array(list(itertools.permutations(range(n))))
+            assert np.array_equal(np.concatenate(blocks), want)
+            assert all(len(b) <= 5040 for b in blocks)
+            if n <= 8:
+                table = assignment._lex_table(n)
+                for b in blocks:
+                    assert b.base is table
+                    assert not b.flags.writeable
 
     def test_qap_reduces_to_lap_when_quadratic_term_vanishes(self):
         rng = np.random.default_rng(15)

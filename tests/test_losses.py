@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setcontrast import assignment, losses, simgeom, tensor as T
-from setcontrast.errors import ContractError, ShapeError
+from setcontrast.errors import ContractError, EvaluationError, ShapeError
 
 random_square = st.tuples(
     st.integers(2, 8), st.integers(0, 2 ** 31 - 1)
@@ -343,6 +343,19 @@ class TestSparsemax:
         np.testing.assert_allclose(losses.sparsemax(p), p, atol=1e-12)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", [
+        lambda v: losses.sparsemax([v, 1.0]),
+        lambda v: losses.sparsemax_threshold([v, 1.0]),
+        lambda v: simgeom.eig_dot([v, 1.0], [1.0, 2.0], "min"),
+        lambda v: simgeom.min_eigengap([v, 1.0]),
+    ], ids=["sparsemax", "sparsemax_threshold", "eig_dot", "min_eigengap"])
+    def test_raises_evaluation_error(self, call, bad):
+        with pytest.raises(EvaluationError):
+            call(bad)
+
+
 class TestSparseCLR:
     def test_single_entry_closed_form(self):
         for s_val in (0.3, 1.7):
@@ -565,6 +578,48 @@ class TestLossConfigValidation:
         s = np.array([[0.0, 1.0], [2.0, 0.5]])
         with pytest.raises(ContractError):
             call(s)
+
+
+class TestGroundTruthAlignment:
+    @pytest.mark.parametrize("perm", [(0.5, 1.5), (0, -1), (0, np.nan)],
+                             ids=["fraction", "negative", "nan"])
+    def test_bad_entries_rejected_on_construction(self, perm):
+        with pytest.raises(ContractError):
+            losses.GroundTruthAlignment(perm)
+
+    def test_indices_are_read_only_and_flag_bijection(self):
+        gt = losses.GroundTruthAlignment((2, 0, 1))
+        assert gt.indices.dtype == np.intp
+        assert np.array_equal(gt.indices, [2, 0, 1])
+        assert not gt.indices.flags.writeable
+        assert gt.bijective
+        assert not losses.GroundTruthAlignment((0, 0)).bijective
+        assert not losses.GroundTruthAlignment((0, 2)).bijective
+
+    def test_equality_and_hash_follow_perm_only(self):
+        a = losses.GroundTruthAlignment((1, 0))
+        b = losses.GroundTruthAlignment((1, 0))
+        assert a == b and hash(a) == hash(b)
+        assert a != losses.GroundTruthAlignment((0, 1))
+        assert repr(a) == "GroundTruthAlignment(perm=(1, 0))"
+
+    @pytest.mark.parametrize("gt, match", [
+        ((0, 1, 2), "length"),
+        ((0, 2), "outside column range"),
+        ((0, -1), "outside column range"),
+        ((1, 1), "bijection"),
+    ])
+    @pytest.mark.parametrize("wrap", [tuple, np.array], ids=["tuple", "array"])
+    def test_raw_alignments_keep_their_errors(self, gt, match, wrap):
+        with pytest.raises(ContractError, match=match):
+            losses.infonce_loss(np.ones((2, 2)), wrap(gt))
+
+    def test_raw_alignment_scores_like_the_object(self):
+        s = np.array([[0.2, 1.0], [0.4, 0.3]])
+        gt = losses.GroundTruthAlignment((1, 0))
+        for raw in ((1, 0), np.array([1, 0])):
+            assert (losses.infonce_loss(s, raw).item()
+                    == losses.infonce_loss(s, gt).item())
 
 
 class TestTiedOptimum:
