@@ -62,13 +62,14 @@ def _check_sense(sense: str) -> str:
 
 def _as_indices(values) -> Array:
     """``values`` flattened to intp; ContractError on an entry that is not
-    an integer (a fraction, NaN or Inf), which a cast would truncate."""
+    an integer: a fraction, NaN or Inf, which a cast would truncate, or a
+    boolean, which a cast would read as 0 or 1."""
     raw = np.asarray(values).reshape(-1)
-    if raw.dtype.kind in "iub":
+    if raw.dtype.kind in "iu":
         return raw.astype(np.intp, copy=False)
     with np.errstate(invalid="ignore"):  # NaN and Inf fail the equality below
         idx = raw.astype(np.intp)
-    if not np.array_equal(idx, raw):
+    if raw.dtype.kind == "b" or not np.array_equal(idx, raw):
         raise ContractError(f"indices must be integers, got {values!r}")
     return idx
 

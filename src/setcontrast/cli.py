@@ -4,10 +4,10 @@ Configs are JSON documents validated strictly (unknown keys rejected,
 every diagnostic names the offending field). The schema of the `data`,
 `train` and `losses[i]` sections is their dataclass: `SyntheticSpec`,
 `TrainConfig` and `LossConfig`, read field by field. The whole run is
-checked (config, beta grid against the loss, separable classes) before
-the output directory is created. All output files are byte-deterministic
-for a given config: rows are sorted, floats are printed with 9
-significant digits, and no wall-clock data is written.
+checked (config, beta grid, separable classes) before the output
+directory is created. All output files are byte-deterministic for a
+given config: rows are sorted, floats are printed with 9 significant
+digits, and no wall-clock data is written.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure during
 training, 1 any other failure (including a failing verify suite).
@@ -176,7 +176,10 @@ def _resolve_out(cfg: ExperimentConfig, flag: Optional[str], force: bool) -> Pat
         if any(out.iterdir()) and not force:
             raise ConfigError(f"out: {out} is not empty (pass --force to overwrite)")
     else:
-        out.mkdir(parents=True)
+        try:
+            out.mkdir(parents=True)
+        except OSError as e:
+            raise ConfigError(f"out: {out}: {e.strerror or e}")
     return out
 
 
@@ -218,7 +221,6 @@ def cmd_train(cfg: ExperimentConfig, dataset: harness.TwoViewDataset,
         summary[loss.name] = {
             "kind": loss.kind,
             "mode": loss.mode,
-            "alpha": loss.alpha,
             "beta": loss.beta,
             "matching_accuracy": {
                 "mean": float(np.mean(match_accs)),
@@ -324,10 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             grid = _parse_beta_grid(args.beta_grid)
             if len(cfg.losses) != 1:
                 raise ConfigError("losses: sweep requires exactly one loss entry")
-            try:
-                variants = [dataclasses.replace(cfg.losses[0], beta=b) for b in grid]
-            except ContractError as e:
-                raise ConfigError(f"beta-grid: {e}")
+            variants = [dataclasses.replace(cfg.losses[0], beta=b) for b in grid]
         # before the output directory: it raises ConfigError on inseparable classes
         dataset = harness.gen_two_view_dataset(cfg.data)
         out = _resolve_out(cfg, args.out, args.force)

@@ -9,7 +9,7 @@ end-to-end through the tape.
 
 Each pairwise loss is one tape node on S. Its value is computed in
 numpy and its VJP in closed form, times the upstream gradient and the
-reduction (1, or 1/N for "mean"):
+reduction (1 for "sum", or 1/N for the batch mean that training uses):
 
 - ``infonce_loss``: (Y - softmax(-S/tau)) / tau, row-wise;
 - ``smoothed_batch_hard_loss``: Y - softmax(-S/tau);
@@ -53,10 +53,13 @@ MINING_MODES = ("one-to-one", "batch-hard")
 class GroundTruthAlignment:
     """Row-to-column alignment; perm[i] is the positive column of row i.
 
-    The entries are checked once, on construction: a fractional, NaN,
-    Inf or negative entry raises ContractError. ``indices`` keeps them as
-    a read-only intp array and ``bijective`` says whether they permute
-    0..n-1; neither takes part in equality or hashing."""
+    The entries are checked once, on construction: a boolean, fractional,
+    NaN, Inf or negative entry raises ContractError. ``perm`` is stored as
+    a tuple of ints, whatever sequence it was given as, so alignments
+    built from a list, a tuple or an array compare, hash and print alike.
+    ``indices`` keeps the entries as a read-only intp array and
+    ``bijective`` says whether they permute 0..n-1; neither takes part in
+    equality or hashing."""
 
     perm: Tuple[int, ...]
     indices: Array = field(init=False, repr=False, compare=False)
@@ -68,6 +71,7 @@ class GroundTruthAlignment:
         if (idx < 0).any():
             raise ContractError("alignment indices outside column range")
         idx.setflags(write=False)
+        object.__setattr__(self, "perm", tuple(idx.tolist()))
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "bijective", bool(
             np.array_equal(np.sort(idx), np.arange(idx.shape[0]))))
@@ -92,23 +96,27 @@ def _gt_indices(gt, n_rows: int, n_cols: int, bijection: bool) -> Array:
     return idx
 
 
-def _gt_matrix(idx: Array, n_rows: int, n_cols: int) -> Array:
-    y = np.zeros((n_rows, n_cols))
-    y[np.arange(n_rows), idx] = 1.0
-    return y
-
-
 def _square(s: T.Tensor, name: str) -> int:
     if s.shape[0] != s.shape[1]:
         raise ShapeError(f"{name}: expected square S, got {s.shape}")
     return s.shape[0]
 
 
-def _reduction_scale(n_rows: int, reduction: str) -> float:
+def _operands(s, gt, reduction: str, name: str, square: bool = True):
+    """A pairwise loss's operands: S as a Tensor, the dense ground-truth
+    Y of the alignment checked against S, and the reduction scale (1 for
+    "sum", 1/N for "mean"). A ``square`` loss takes a square S and a
+    bijective alignment."""
+    s = T.as_tensor(s)
+    n, k = s.shape
+    if square:
+        _square(s, name)
+    y = np.zeros((n, k))
+    y[np.arange(n), _gt_indices(gt, n, k, bijection=square)] = 1.0
     if reduction == "sum":
-        return 1.0
+        return s, y, 1.0
     if reduction == "mean":
-        return 1.0 / n_rows
+        return s, y, 1.0 / n
     raise ContractError(f"reduction must be 'sum' or 'mean', got {reduction!r}")
 
 
@@ -173,16 +181,12 @@ def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
 
     The minimum is differentiated by the envelope rule, so the VJP is
     Y_gt - Y*, with Y* the solver's (lexicographically first) optimum."""
-    s = T.as_tensor(s)
-    n = _square(s, "structured_lap_loss")
-    idx = _gt_indices(gt, n, n, bijection=True)
-    y = _gt_matrix(idx, n, n)
+    s, y, red = _operands(s, gt, reduction, "structured_lap_loss")
     sm = _margined(s.data, y, margin)
-    red = _reduction_scale(n, reduction)
     best = assignment.solve_lap(sm, "min")
 
     def grad(c):
-        return c * y - c * _gt_matrix(np.asarray(best.perm, dtype=np.intp), n, n)
+        return c * y - c * np.eye(len(y))[list(best.perm)]
 
     return _loss_node(s, (sm * y).sum() - best.cost, red, grad)
 
@@ -195,17 +199,13 @@ def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
 
     VJP: Y_gt minus the one-hot of each row's minimum of S_m; a tied
     minimum routes the gradient to its first column."""
-    s = T.as_tensor(s)
-    n = _square(s, "batch_hard_lap_loss")
-    idx = _gt_indices(gt, n, n, bijection=True)
-    y = _gt_matrix(idx, n, n)
+    s, y, red = _operands(s, gt, reduction, "batch_hard_lap_loss")
     sm = _margined(s.data, y, margin)
-    red = _reduction_scale(n, reduction)
     hardest = np.argmin(sm, axis=1)
 
     def grad(c):
         g = c * y
-        g[np.arange(n), hardest] -= c
+        g[np.arange(len(hardest)), hardest] -= c
         return g
 
     total = (sm * y).sum() - np.min(sm, axis=1).reshape(-1, 1).sum()
@@ -230,12 +230,8 @@ def smoothed_batch_hard_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
     tr(S Y_gt^T) + tau * sum_i log sum_j exp(-S_ij / tau).
 
     VJP: Y_gt - softmax(-S / tau) row-wise."""
-    s = T.as_tensor(s)
-    n = _square(s, "smoothed_batch_hard_loss")
-    idx = _gt_indices(gt, n, n, bijection=True)
-    y = _gt_matrix(idx, n, n)
+    s, y, red = _operands(s, gt, reduction, "smoothed_batch_hard_loss")
     e, r, lse = _softmax_of_neg(s.data, temperature)
-    red = _reduction_scale(n, reduction)
 
     def grad(c):
         return (c * temperature) / r * e * (-1.0 / temperature) + c * y
@@ -250,12 +246,8 @@ def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
     batch-hard loss divided by tau (exact identity).
 
     VJP: (Y_gt - softmax(-S / tau)) / tau row-wise."""
-    s = T.as_tensor(s)
-    n = _square(s, "infonce_loss")
-    idx = _gt_indices(gt, n, n, bijection=True)
-    y = _gt_matrix(idx, n, n)
+    s, y, red = _operands(s, gt, reduction, "infonce_loss")
     e, r, lse = _softmax_of_neg(s.data, temperature)
-    red = _reduction_scale(n, reduction)
     pos = (s.data * y).sum(axis=1, keepdims=True)  # (N, 1) gathered positives
 
     def grad(c):
@@ -278,13 +270,10 @@ def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
     VJP: sigmoid(s_pos/tau)/tau on each positive and -sigmoid(-s_neg*/tau)/tau
     on each row's hardest negative; a tied minimum routes the gradient to
     its first column. softplus is log(1 + exp(x)) without overflow."""
-    s = T.as_tensor(s)
+    s, y, red = _operands(s, gt, reduction, "nt_logistic_loss", square=False)
     n, k = s.shape
     if k < 2:
         raise ContractError("nt_logistic_loss needs at least one negative column")
-    idx = _gt_indices(gt, n, k, bijection=False)
-    y = _gt_matrix(idx, n, k)
-    red = _reduction_scale(n, reduction)
     pos = (s.data * y).sum(axis=1, keepdims=True) * (1.0 / temperature)
     lifted = s.data + (float(np.ptp(s.data)) + 1.0) * y  # positives out of the minima
     hardest = np.argmin(lifted, axis=1)
@@ -319,11 +308,7 @@ def sparseclr_loss(s, gt, reduction: str = "sum") -> T.Tensor:
 
     VJP: Y_gt + sparsemax(-h_i) row-wise.
     """
-    s = T.as_tensor(s)
-    n = _square(s, "sparseclr_loss")
-    idx = _gt_indices(gt, n, n, bijection=True)
-    y = _gt_matrix(idx, n, n)
-    red = _reduction_scale(n, reduction)
+    s, y, red = _operands(s, gt, reduction, "sparseclr_loss")
     p, support_term = _sparse_support(s.data)
 
     def grad(c):
@@ -360,14 +345,16 @@ def qare(s_a, s_b, mode: str = "euclidean") -> T.Tensor:
     raise ContractError(f"qare: unknown mode {mode!r}")
 
 
-def combined_loss(pairwise, qare_value, alpha: float = 1.0,
-                  beta: float = BETA_DEFAULT, n: int = 1) -> T.Tensor:
-    """alpha * pairwise + beta * qare / n^2."""
+def combined_loss(pairwise, qare_value, *, beta: float = BETA_DEFAULT,
+                  n: int = 1) -> T.Tensor:
+    """pairwise + beta * qare / n^2, the pairwise term unscaled: Adam
+    ignores a constant gradient scale (but for eps), so beta is the one
+    weight. ``beta`` and ``n`` are keyword-only."""
     if n < 1:
         raise ContractError(f"combined_loss: n must be >= 1, got {n}")
     p = T.as_tensor(pairwise)
     q = T.as_tensor(qare_value)
-    return T.add(T.scale(p, float(alpha)), T.scale(q, float(beta) / (n * n)))
+    return T.add(p, T.scale(q, float(beta) / (n * n)))
 
 
 def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
@@ -385,18 +372,18 @@ def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """One trainable loss variant. ``beta`` weighs the qare term into the
-    combined objective; ``mode`` selects distance vs cosine geometry."""
+    """One trainable loss variant: the batch-mean pairwise loss of
+    ``kind`` (with ``mining``, ``margin`` and ``temperature`` where they
+    apply), plus ``beta`` times qare / N^2; ``mode`` selects distance vs
+    cosine geometry."""
 
     name: str = "infonce"
     kind: str = "infonce"
     mining: str = "batch-hard"
     margin: float = MARGIN_DEFAULT
     temperature: float = TEMPERATURE_DEFAULT
-    alpha: float = 1.0
     beta: float = 0.0
     mode: str = "euclidean"
-    reduction: str = "mean"
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -409,44 +396,40 @@ class LossConfig:
             raise ContractError("margin must be >= 0")
         if self.temperature <= 0.0:
             raise ContractError("temperature must be > 0")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ContractError("alpha and beta must be >= 0")
-        if self.alpha + self.beta == 0.0:
-            raise ContractError("alpha + beta must be positive")
+        if self.beta < 0.0:
+            raise ContractError("beta must be >= 0")
         if self.mode not in ("euclidean", "cosine"):
             raise ContractError(f"unknown similarity mode {self.mode!r}")
-        if self.reduction not in ("sum", "mean"):
-            raise ContractError(f"unknown reduction {self.reduction!r}")
 
 
 def pairwise_loss(s, gt, cfg: LossConfig) -> T.Tensor:
-    """Dispatch the configured pairwise loss on a distance-semantics S."""
+    """The configured pairwise loss on a distance-semantics S, as the
+    batch mean (reduction="mean") whatever the loss's own default."""
     if cfg.kind == "margin":
         fn = structured_lap_loss if cfg.mining == "one-to-one" else batch_hard_lap_loss
-        return fn(s, gt, margin=cfg.margin, reduction=cfg.reduction)
+        return fn(s, gt, margin=cfg.margin, reduction="mean")
     if cfg.kind == "smoothed":
-        return smoothed_batch_hard_loss(
-            s, gt, temperature=cfg.temperature, reduction=cfg.reduction
-        )
+        return smoothed_batch_hard_loss(s, gt, temperature=cfg.temperature,
+                                        reduction="mean")
     if cfg.kind == "infonce":
-        return infonce_loss(s, gt, temperature=cfg.temperature, reduction=cfg.reduction)
+        return infonce_loss(s, gt, temperature=cfg.temperature, reduction="mean")
     if cfg.kind == "nt_logistic":
-        return nt_logistic_loss(
-            s, gt, temperature=cfg.temperature, reduction=cfg.reduction
-        )
+        return nt_logistic_loss(s, gt, temperature=cfg.temperature, reduction="mean")
     if cfg.kind == "sparseclr":
-        return sparseclr_loss(s, gt, reduction=cfg.reduction)
+        return sparseclr_loss(s, gt, reduction="mean")
     raise ContractError(f"unknown loss kind {cfg.kind!r}")
 
 
 def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, float]]:
-    """Full training objective from two embedding batches.
+    """Full training objective from two embedding batches: the batch-mean
+    pairwise loss plus beta * qare / N^2 (``combined_loss``).
 
     Cosine mode feeds the pairwise loss the negated similarity matrix so
     distance semantics hold on one code path; qare always sees the raw
-    intra-set matrices of its mode. With beta == 0 neither S_A, S_B nor
-    the qare branch is built; S comes from the same operations, keeping
-    the base-loss trajectory bit-identical.
+    intra-set matrices of its mode. With beta == 0 the objective is the
+    pairwise node itself: neither S_A, S_B nor the qare branch is built,
+    and S comes from the same operations, keeping the base-loss
+    trajectory bit-identical.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
     if za.shape[0] != zb.shape[0]:
@@ -458,12 +441,7 @@ def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, fl
     s_pair = s if cfg.mode == "euclidean" else T.scale(s, -1.0)
     pw = pairwise_loss(s_pair, gt, cfg)
     if triple is None:
-        total = pw if cfg.alpha == 1.0 else T.scale(pw, cfg.alpha)
-        return total, {
-            "pairwise": pw.item(),
-            "qare": 0.0,
-            "total": total.item(),
-        }
+        return pw, {"pairwise": pw.item(), "qare": 0.0, "total": pw.item()}
     q = qare(triple.s_a, triple.s_b, cfg.mode)
-    total = combined_loss(pw, q, alpha=cfg.alpha, beta=cfg.beta, n=n)
+    total = combined_loss(pw, q, beta=cfg.beta, n=n)
     return total, {"pairwise": pw.item(), "qare": q.item(), "total": total.item()}

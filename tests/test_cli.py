@@ -13,6 +13,15 @@ import setcontrast
 from setcontrast import cli, harness, simgeom, tensor as T
 from setcontrast.errors import ConfigError, NumericError
 
+def run_module(*args):
+    """``python -m setcontrast`` with this checkout's package on the path."""
+    src = str(Path(setcontrast.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "setcontrast", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 TINY = {
     "data": {"num_classes": 2, "samples_per_class": 4, "ambient_dim": 8,
              "noise_sigma": 0.2, "seed": 5},
@@ -92,8 +101,8 @@ class TestLoadConfig:
             "train": {"epochs": 3, "batch_size": 4, "learning_rate": 0.01,
                       "hidden_dim": 8, "embed_dim": 3},
             "losses": [{"name": "x", "kind": "margin", "mining": "one-to-one",
-                        "margin": 0.25, "temperature": 0.5, "alpha": 0.5,
-                        "beta": 0.75, "mode": "cosine", "reduction": "sum"}],
+                        "margin": 0.25, "temperature": 0.5, "beta": 0.75,
+                        "mode": "cosine"}],
         }
         cfg = cli.load_config(write_config(tmp_path, doc))
         sections = [("data", cfg.data, doc["data"]),
@@ -130,6 +139,18 @@ class TestLoadConfig:
                          "--out", str(tmp_path / "run")]) == 2
         assert f"config error: train.{key}: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("alpha", 0.5), ("reduction", "sum")])
+    def test_removed_loss_weights_are_unknown_keys(self, tmp_path, capsys, key, value):
+        # beta is the objective's one weight: the pairwise term is always
+        # the unscaled batch mean
+        doc = json.loads(json.dumps(TINY))
+        doc["losses"][0][key] = value
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert f"config error: losses[0].{key}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_writes_reports_with_expected_schema(self, tmp_path):
@@ -147,7 +168,7 @@ class TestTrainCommand:
         assert final[2] == "2" and final[4] != "" and final[5] != ""
         summary = json.loads((out / "summary.json").read_text())
         v = summary["variants"]["infonce"]
-        assert set(v) == {"kind", "mode", "alpha", "beta",
+        assert set(v) == {"kind", "mode", "beta",
                           "matching_accuracy", "probe_accuracy", "seeds"}
         assert v["seeds"] == [0, 1]
         assert 0.0 <= v["matching_accuracy"]["mean"] <= 1.0
@@ -286,7 +307,7 @@ class TestTrainCommand:
         ("losses", "margin", float("nan")),
         ("losses", "temperature", float("nan")),
         ("losses", "beta", float("nan")),
-        ("losses", "alpha", float("inf")),
+        ("losses", "margin", float("inf")),
         ("data", "noise_sigma", float("-inf")),
     ])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys,
@@ -363,19 +384,6 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", cfgp,
                          "--out", str(tmp_path / "sw")]) == 2
 
-    def test_grid_value_invalid_for_the_loss_creates_nothing(self, tmp_path,
-                                                              capsys):
-        # with alpha 0 the objective needs beta > 0, so the grid's 0 is
-        # rejected before the beta=1 runs train or the directory exists
-        doc = json.loads(json.dumps(TINY))
-        doc["losses"][0].update(alpha=0.0, beta=1.0)
-        out = tmp_path / "sw"
-        assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
-                         "--out", str(out), "--beta-grid", "1,0"]) == 2
-        err = capsys.readouterr().err
-        assert "config error: beta-grid: alpha + beta must be positive" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("grid", ["0,-1", "0,abc", "", "nan",
                                       "0.5,0.5", "1,1.0"])
     def test_bad_grids_rejected(self, tmp_path, grid):
@@ -430,12 +438,7 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
     def test_runs_as_python_module(self):
-        src = str(Path(setcontrast.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        done = subprocess.run(
-            [sys.executable, "-m", "setcontrast", "verify", "--suite", "lap_exact"],
-            capture_output=True, text=True, env=env, timeout=120)
+        done = run_module("verify", "--suite", "lap_exact")
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("PASS lap_exact")
 
@@ -447,6 +450,18 @@ class TestForceAndPaths:
         blocker.write_text("x")
         assert cli.main(["train", "--config", cfgp,
                          "--out", str(blocker)]) == 2
+
+    def test_out_path_below_a_file_rejected(self, tmp_path):
+        # mkdir fails with NotADirectoryError; that is a config error
+        # naming out, not a traceback
+        cfgp = write_config(tmp_path, TINY)
+        blocker = tmp_path / "blocked"
+        blocker.write_text("x")
+        done = run_module("train", "--config", cfgp, "--out", str(blocker / "sub"))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(f"config error: out: {blocker / 'sub'}: ")
+        assert "Traceback" not in done.stderr
+        assert blocker.read_text() == "x"
 
     def test_nested_out_dirs_created(self, tmp_path):
         cfgp = write_config(tmp_path, TINY)

@@ -295,6 +295,27 @@ class TestTraining:
         harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
         assert nodes == [5, 5]
 
+    @pytest.mark.parametrize("mode,count", [("euclidean", 15), ("cosine", 21)])
+    def test_beta_one_step_adds_the_qare_term_once(self, monkeypatch, mode, count):
+        # 1 flat leaf + 2 encoder views + the pairwise loss + qare's 6 nodes
+        # + 2 that add beta * qare / N^2 to the unscaled pairwise loss, with
+        # S, S_A, S_B as 3 distance nodes; cosine builds them in 8 nodes
+        # (normalize, transpose, matmul), negates S, and its qare is 1 + S
+        # shifts, 2 spectra, mul and sum
+        nodes = []
+        real = T.Tape.backward
+
+        def counting(self, loss):
+            nodes.append(len(self))
+            return real(self, loss)
+
+        monkeypatch.setattr(T.Tape, "backward", counting)
+        ds = harness.gen_two_view_dataset(TINY)
+        cfg = tiny_train_config(epochs=1, loss=losses.LossConfig(
+            name="t", kind="infonce", beta=1.0, mode=mode))
+        harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+        assert nodes == [count, count]
+
     def test_partial_final_batch_is_dropped(self):
         ds = harness.gen_two_view_dataset(TINY)  # 8 samples
         cfg = tiny_train_config(batch_size=5, epochs=1)  # one step per epoch

@@ -300,6 +300,26 @@ FUSED = {
 }
 
 
+# (S, alignment, reduction, error) that every pairwise loss rejects;
+# nt_logistic takes a rectangular S and a non-injective alignment
+BAD_OPERANDS = {
+    "non_square": (np.ones((2, 3)), (0, 1), "sum", ShapeError),
+    "wrong_length": (np.ones((2, 2)), (0, 1, 2), "sum", ContractError),
+    "not_bijective": (np.ones((2, 2)), (1, 1), "sum", ContractError),
+    "bad_reduction": (np.ones((2, 2)), (0, 1), "median", ContractError),
+}
+
+
+class TestOperandChecks:
+    @pytest.mark.parametrize("kind,case", [
+        (kind, case) for kind in sorted(FUSED) for case in BAD_OPERANDS
+        if kind != "nt_logistic" or case in ("wrong_length", "bad_reduction")])
+    def test_bad_operands_raise(self, kind, case):
+        s, gt, reduction, error = BAD_OPERANDS[case]
+        with pytest.raises(error):
+            FUSED[kind](s, gt, reduction)
+
+
 class TestFusedLossGradients:
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     @pytest.mark.parametrize("kind", sorted(FUSED))
@@ -429,19 +449,24 @@ class TestCombinedLoss:
     def test_beta_zero_is_pairwise(self):
         pw = T.Tensor(1.7)
         q = T.Tensor(4.0)
-        assert losses.combined_loss(pw, q, alpha=1.0, beta=0.0, n=2).item() == 1.7
+        assert losses.combined_loss(pw, q, beta=0.0, n=2).item() == 1.7
 
     def test_weighting_arithmetic(self):
         pw = T.Tensor(0.0)
         q = T.Tensor(4.0)
-        got = losses.combined_loss(pw, q, alpha=0.0, beta=1.0, n=2).item()
+        got = losses.combined_loss(pw, q, beta=1.0, n=2).item()
         assert got == pytest.approx(1.0)
 
     def test_scales_by_squared_batch(self):
         pw = T.Tensor(2.0)
         q = T.Tensor(9.0)
-        got = losses.combined_loss(pw, q, alpha=2.0, beta=3.0, n=3).item()
-        assert got == pytest.approx(2.0 * 2.0 + 3.0 * 9.0 / 9.0)
+        got = losses.combined_loss(pw, q, beta=3.0, n=3).item()
+        assert got == pytest.approx(2.0 + 3.0 * 9.0 / 9.0)
+
+    def test_weights_are_keyword_only(self):
+        # a third positional argument, once alpha, is not read as beta
+        with pytest.raises(TypeError):
+            losses.combined_loss(T.Tensor(2.0), T.Tensor(9.0), 3.0)
 
 
 class TestStructuredQapExact:
@@ -549,13 +574,11 @@ class TestLossConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(temperature=0.0),
         dict(margin=-0.1),
-        dict(alpha=0.0, beta=0.0),
         dict(beta=-1.0),
         dict(kind="nope"),
         dict(mining="sideways"),
         dict(kind="infonce", mining="one-to-one"),
         dict(mode="manhattan"),
-        dict(reduction="median"),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ContractError):
@@ -613,6 +636,24 @@ class TestGroundTruthAlignment:
     def test_raw_alignments_keep_their_errors(self, gt, match, wrap):
         with pytest.raises(ContractError, match=match):
             losses.infonce_loss(np.ones((2, 2)), wrap(gt))
+
+    @pytest.mark.parametrize("wrap", [list, tuple, np.array],
+                             ids=["list", "tuple", "array"])
+    def test_perm_is_stored_as_ints_and_booleans_are_rejected(self, wrap):
+        gt = losses.GroundTruthAlignment(wrap([1, 0]))
+        ref = losses.GroundTruthAlignment((1, 0))
+        assert gt.perm == (1, 0) and all(type(j) is int for j in gt.perm)
+        assert gt == ref and hash(gt) == hash(ref)
+        assert repr(gt) == "GroundTruthAlignment(perm=(1, 0))"
+        # a boolean mask is not the permutation (1, 0)
+        s = np.array([[0.2, 1.0], [0.4, 0.3]])
+        mask = wrap([True, False])
+        for call in (lambda: assignment.matching_accuracy(s, mask),
+                     lambda: assignment.qap_objective(s, s, s, mask),
+                     lambda: losses.infonce_loss(s, mask),
+                     lambda: losses.GroundTruthAlignment(mask)):
+            with pytest.raises(ContractError, match="indices must be integers"):
+                call()
 
     def test_raw_alignment_scores_like_the_object(self):
         s = np.array([[0.2, 1.0], [0.4, 0.3]])
