@@ -579,6 +579,8 @@ class TestLossConfigValidation:
         dict(mining="sideways"),
         dict(kind="infonce", mining="one-to-one"),
         dict(mode="manhattan"),
+        dict(temperature=-0.5),
+        dict(mode="Cosine"),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ContractError):
