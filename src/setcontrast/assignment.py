@@ -8,11 +8,15 @@ and the oracles return the lexicographically smallest permutation, so
 equality tests between them can be exact. The solver's duals certify
 every optimal assignment; when their tight graph has no alternating
 cycle the optimum is unique, otherwise one iterative pass of
-alternating-cycle rotations refines the matching. The oracles score
-permutations in lexicographic order, in blocks of at most 7! rows. The
-tables of all permutations are cached as read-only uint8 arrays up to
-n = 8 (8! rows, 322 KB), and for n <= 8 each block is a view of one;
-n = 9 and 10 fix a prefix per block and permute the rest by the 7! table.
+alternating-cycle rotations refines the matching. The LAP oracle ranks
+permutations by their ``lap_cost`` bits. It scores all of them by
+prefix sums shared along the lexicographic order, one row per level,
+and re-ranks by ``lap_cost`` the few whose running sum lies within a
+rounding bound of the smallest (see ``brute_force_lap``). The QAP
+oracle scores permutations in lexicographic order, in blocks of at most
+7! rows. The tables of all permutations are cached as read-only uint8
+arrays up to n = 8 (8! rows, 322 KB), and the LAP oracle's prefix levels
+as read-only intp arrays read off them; both are built on first use.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ BRUTE_FORCE_QAP_MAX = 8
 _TABLE_MAX = 8
 # blocks of at most 7! = 5040 rows keep the (M, n, n) gather of
 # brute_force_qap near 2.6 MB at n = 8
-_BLOCK_M = 7
-_BLOCK_ROWS = math.factorial(_BLOCK_M)
+_BLOCK_ROWS = math.factorial(7)
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,18 @@ def _check_sense(sense: str) -> str:
 def _as_indices(values) -> Array:
     """``values`` flattened to intp; ContractError on an entry that is not
     an integer: a fraction, NaN or Inf, which a cast would truncate, or a
-    boolean, which a cast would read as 0 or 1."""
+    boolean, which a cast would read as 0 or 1. A sequence that mixes
+    booleans with integers converts to an integer array, so the entries
+    are checked for booleans as objects, whatever the input type."""
+    if any(isinstance(v, (bool, np.bool_))
+           for v in np.asarray(values, dtype=object).reshape(-1)):
+        raise ContractError(f"indices must be integers, got {values!r}")
     raw = np.asarray(values).reshape(-1)
     if raw.dtype.kind in "iu":
         return raw.astype(np.intp, copy=False)
     with np.errstate(invalid="ignore"):  # NaN and Inf fail the equality below
         idx = raw.astype(np.intp)
-    if raw.dtype.kind == "b" or not np.array_equal(idx, raw):
+    if not np.array_equal(idx, raw):
         raise ContractError(f"indices must be integers, got {values!r}")
     return idx
 
@@ -82,8 +90,9 @@ def _check_perm(perm, n: int) -> Array:
 
 
 def lap_cost(s: Array, perm: Array) -> float:
-    """Linear assignment cost, summed in row order. Shared by the solver
-    and the oracle so agreed permutations give bitwise-equal costs."""
+    """Linear assignment cost: numpy's sum of the assigned entries taken
+    in row order, pairwise from n = 8 on. Shared by the solver and the
+    oracle so agreed permutations give bitwise-equal costs."""
     n = s.shape[0]
     return float(s[np.arange(n), perm].sum())
 
@@ -240,49 +249,99 @@ def _lex_table(m: int) -> Array:
 
 
 def _perm_blocks(n: int):
-    """All permutations of range(n) in lexicographic order, in blocks of
-    at most 7! rows. For n <= 8 the blocks are read-only views of
-    consecutive rows of the cached uint8 table. For n = 9 and 10 each
-    block is built: it fixes one prefix of length n - 7 and permutes the
-    remaining values, taken in ascending order, by the 7! table."""
-    if n <= _TABLE_MAX:
-        table = _lex_table(n)
-        for start in range(0, len(table), _BLOCK_ROWS):
-            yield table[start:start + _BLOCK_ROWS]
-        return
-    table = _lex_table(_BLOCK_M)
-    for head in itertools.permutations(range(n), n - _BLOCK_M):
-        block = np.empty((len(table), n), dtype=np.intp)
-        block[:, :n - _BLOCK_M] = head
-        block[:, n - _BLOCK_M:] = np.delete(np.arange(n), head)[table]
-        yield block
+    """All permutations of range(n), n <= 8, in lexicographic order, as
+    read-only views of at most 7! consecutive rows of the cached uint8
+    table."""
+    table = _lex_table(n)
+    for start in range(0, len(table), _BLOCK_ROWS):
+        yield table[start:start + _BLOCK_ROWS]
+
+
+@functools.lru_cache(maxsize=None)
+def _lex_levels(m: int) -> Tuple[Array, ...]:
+    """The prefix levels of ``_lex_table(m)``: level k holds the column
+    that row k takes in each length-(k + 1) prefix, in lexicographic
+    order, as read-only intp. Each such prefix spans (m - k - 1)!
+    consecutive rows of the table, so level k is every (m - k - 1)!-th
+    entry of column k."""
+    table = _lex_table(m)
+    levels = []
+    for k in range(m):
+        level = table[::math.factorial(m - k - 1), k].astype(np.intp)
+        level.setflags(write=False)
+        levels.append(level)
+    return tuple(levels)
 
 
 def brute_force_lap(s, sense: str = "min") -> Assignment:
-    """Exhaustive LAP oracle (N <= 10). Same tie-break as solve_lap:
-    permutations are scored in lexicographic order, in blocks of at most
-    7! rows from a cached table; the first optimum of a block is kept and
-    only strict improvements replace the incumbent. Each block's costs
-    are gathered from the flattened matrix and summed along the row."""
+    """Exhaustive LAP oracle (N <= 10), ranked by ``lap_cost`` with the
+    same tie-break as solve_lap: the lexicographically first optimum.
+
+    Permutations are scored by shared prefix sums, a head of n - m rows
+    at a time, m = min(n, 8). Each head is fixed in lexicographic order;
+    its remaining rows take the free columns, in ascending order,
+    permuted by ``_lex_table(m)``. The costs of all m! completions build
+    up one row per level, ``costs = (costs[:, None] + row[level]).ravel()``,
+    since the completions of one prefix form a contiguous run.
+
+    These running sums add the entries one row at a time, while
+    ``lap_cost`` uses numpy's pairwise sum, so the two can differ in the
+    last bits. Any summation order of the n terms x_i of one permutation
+    lies within gamma_{n-1} * sum_i |x_i| of the exact sum, where
+    gamma_k = k u / (1 - k u) and u is the unit roundoff, so two orders
+    differ by at most D = 2 gamma_{n-1} R with R = sum_i max_j |a_ij|.
+    Within one head, if q has the smallest running sum c and p is any
+    ``lap_cost`` optimum, then run(p) <= lap(p) + D <= lap(q) + D <= c + 2 D.
+    So every permutation whose running sum lies within 2 D of c is
+    re-ranked by its ``lap_cost`` bits, and the first exact optimum in
+    lexicographic order is kept; the window uses gamma_n, whose spare
+    4 u R covers the rounding of R and of c + 2 D. A later head replaces
+    the incumbent only on a strict improvement, so memory stays bounded
+    by 8! sums whatever n is. The max sense minimizes the negated
+    matrix, whose sums are the exact negations of the original ones.
+
+    The bound assumes no sum overflows. When R or a running sum does, as
+    for entries near the largest double, the window is infinite and every
+    permutation of the head is re-ranked, which is exhaustive ranking by
+    ``lap_cost`` outright."""
     a = _check_square(s, "brute_force_lap")
     _check_sense(sense)
     n = a.shape[0]
     if n > BRUTE_FORCE_LAP_MAX:
         raise SizeGuardError(f"brute_force_lap: N={n} exceeds {BRUTE_FORCE_LAP_MAX}")
-    flat = a.ravel()
-    row_offsets = np.arange(n) * n
+    work = a if sense == "min" else -a
+    m = min(n, _TABLE_MAX)
+    table = _lex_table(m)
+    levels = _lex_levels(m)
+    rows = np.arange(n)
+    u = np.finfo(np.float64).eps / 2
+    gamma = n * u / (1 - n * u)
+    # R and the running sums can overflow where no lap_cost does; an
+    # infinite window or running sum re-ranks every permutation of the head
+    with np.errstate(over="ignore"):
+        window = 4 * gamma * float(np.abs(a).max(axis=1).sum())
     best_cost = None
     best_perm = None
-    for block in _perm_blocks(n):
-        costs = np.take(flat, block + row_offsets).sum(axis=1)
-        k = int(np.argmin(costs)) if sense == "min" else int(np.argmax(costs))
-        c = costs[k]
-        if best_cost is None or (c < best_cost if sense == "min" else c > best_cost):
-            best_cost = c
-            best_perm = block[k].copy()
-    return Assignment(
-        perm=tuple(int(j) for j in best_perm), cost=lap_cost(a, best_perm)
-    )
+    for head in itertools.permutations(range(n), n - m):
+        cols = np.delete(rows, head)
+        tail = work[n - m:, cols]
+        with np.errstate(over="ignore"):
+            # the head's entries, summed in any order the bound allows; 0 for n <= 8
+            costs = work[rows[:n - m], list(head)].sum(keepdims=True)
+            for row, level in zip(tail, levels):
+                costs = (costs[:, None] + row[level].reshape(costs.size, -1)).ravel()
+            limit = costs.min() + window if np.isfinite(costs).all() else np.inf
+        found = np.flatnonzero(costs <= limit)
+        perms = np.empty((found.size, n), dtype=np.intp)
+        perms[:, :n - m] = head
+        perms[:, n - m:] = cols[table[found]]
+        # row sums along the last axis are lap_cost's sums, bit for bit
+        exact = work[rows, perms].sum(axis=1)
+        k = int(np.argmin(exact))
+        if best_cost is None or exact[k] < best_cost:
+            best_cost = exact[k]
+            best_perm = perms[k]
+    return Assignment(perm=tuple(best_perm.tolist()), cost=lap_cost(a, best_perm))
 
 
 def qap_objective(s, s_a, s_b, perm) -> float:

@@ -12,7 +12,9 @@ boolean mask table: each row's affine projection, its feasibility and
 its distance to z. It never sorts z or takes a cumulative-sum
 threshold, so it stays independent of the closed form in ``losses``.
 The brute-force LAP and QAP oracles in ``assignment`` score every
-permutation, read in blocks from a cached table.
+permutation: the LAP oracle by prefix sums shared along the
+lexicographic order, re-ranked by ``lap_cost`` near the optimum, and
+the QAP oracle in blocks read from a cached table.
 """
 
 from __future__ import annotations

@@ -1,13 +1,17 @@
 import inspect
 import itertools
+import math
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from setcontrast import assignment
-from setcontrast.errors import ShapeError, SizeGuardError
+from setcontrast.errors import (
+    ContractError, EvaluationError, ShapeError, SizeGuardError)
 
 random_costs = st.tuples(
     st.integers(1, 7), st.integers(0, 2 ** 31 - 1)
@@ -25,6 +29,24 @@ def enumerate_best(s, sense):
         if best_cost is None or c < best_cost:
             best_perm, best_cost = perm, c
     return best_perm
+
+
+def mixed_magnitude(rng, n):
+    """Entries from {0, +-2^53, 2^52} plus {0, 1, 2}: a permutation's
+    entries summed in row order and in numpy's pairwise order often round
+    to different costs, so ranking by either picks different optima."""
+    big = rng.choice([0.0, 2.0 ** 53, -(2.0 ** 53), 2.0 ** 52], size=(n, n))
+    return big + rng.integers(0, 3, size=(n, n))
+
+
+def lap_cost_optima(s):
+    """Reference for both senses: every permutation ranked by lap_cost,
+    the first strict optimum in itertools.permutations order wins."""
+    perms = list(itertools.permutations(range(s.shape[0])))
+    costs = np.array([assignment.lap_cost(s, np.array(p)) for p in perms])
+    return {sense: (perms[k], costs[k])
+            for sense, k in (("min", np.argmin(costs)),
+                             ("max", np.argmax(costs)))}
 
 
 class TestSolveLap:
@@ -232,12 +254,14 @@ class TestBruteForce:
             assert got.perm == best[1]
 
     def test_lap_across_table_blocks_matches_solver(self):
-        # n = 9 and 10 enumerate one 7!-row block per prefix, so the first
-        # optimum must carry across blocks; solve_lap has the same tie-break
+        # n = 9 and 10 fix one head of n - 8 rows at a time, so the first
+        # optimum must carry across heads; solve_lap has the same tie-break
         rng = np.random.default_rng(18)
+        ties = np.random.default_rng(25)
         for n in (9, 10):
             for s in (rng.integers(0, 2, size=(n, n)).astype(float),
-                      rng.normal(size=(n, n))):
+                      rng.normal(size=(n, n)),
+                      ties.integers(0, 3, size=(n, n)).astype(float)):
                 for sense in ("min", "max"):
                     fast = assignment.solve_lap(s, sense)
                     slow = assignment.brute_force_lap(s, sense)
@@ -267,6 +291,60 @@ class TestBruteForce:
             assert got.perm == tuple(perms[k])
             assert got.cost == costs[k]
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_lap_ranks_by_lap_cost_not_running_sums(self, n):
+        # the prefix sums add entries in row order, lap_cost pairwise; on
+        # this family the two orders disagree on the optimum about half
+        # the time at n = 8, so the oracle must re-rank its candidates
+        rng = np.random.default_rng(24 + n)
+        for _ in range(4):
+            s = mixed_magnitude(rng, n)
+            for sense, (perm, cost) in lap_cost_optima(s).items():
+                got = assignment.brute_force_lap(s, sense)
+                assert got.perm == perm
+                assert got.cost == cost
+
+    def test_lap_heads_hold_bounded_memory(self):
+        # one head at a time: a call holds at most 8! running sums
+        s = np.random.default_rng(25).normal(size=(10, 10))
+        tracemalloc.start()
+        try:
+            assignment.brute_force_lap(s, "min")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_lap_overflowing_sums_rank_by_lap_cost(self):
+        # R = sum_i max_j |a_ij| overflows in both; at n = 8 every running
+        # sum does too (-inf for min, +inf for max) while each lap_cost,
+        # summed pairwise, stays finite and exact, so every permutation
+        # must be re-ranked, without a warning
+        big = 0.6 * np.finfo(np.float64).max
+        s = np.random.default_rng(26).integers(0, 3, size=(8, 8)) * 2.0 ** 971
+        s[0] -= big
+        s[2] -= big
+        s[3] += big
+        for s in (np.array([[1e308, 0.0], [0.0, -1e308]]), s):
+            for sense, (perm, cost) in lap_cost_optima(s).items():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = assignment.brute_force_lap(s, sense)
+                assert got.perm == perm
+                assert got.cost == cost
+
+    def test_lex_levels_are_cached_read_only_table_columns(self):
+        for m in range(1, 9):
+            levels = assignment._lex_levels(m)
+            assert levels is assignment._lex_levels(m)
+            assert all(lv.dtype == np.intp and not lv.flags.writeable
+                       for lv in levels)
+            # level k repeats once per completion of its prefix
+            columns = [np.repeat(lv, math.factorial(m - k - 1))
+                       for k, lv in enumerate(levels)]
+            assert np.array_equal(np.column_stack(columns),
+                                  assignment._lex_table(m))
+
     def test_lex_table_is_read_only_itertools_order(self):
         for m in range(9):
             table = assignment._lex_table(m)
@@ -276,16 +354,15 @@ class TestBruteForce:
             assert not table.flags.writeable
 
     def test_perm_blocks_concatenate_to_itertools_order(self):
-        for n in range(1, 10):
+        for n in range(1, 9):
             blocks = list(assignment._perm_blocks(n))
             want = np.array(list(itertools.permutations(range(n))))
             assert np.array_equal(np.concatenate(blocks), want)
             assert all(len(b) <= 5040 for b in blocks)
-            if n <= 8:
-                table = assignment._lex_table(n)
-                for b in blocks:
-                    assert b.base is table
-                    assert not b.flags.writeable
+            table = assignment._lex_table(n)
+            for b in blocks:
+                assert b.base is table
+                assert not b.flags.writeable
 
     def test_qap_reduces_to_lap_when_quadratic_term_vanishes(self):
         rng = np.random.default_rng(15)
@@ -295,6 +372,37 @@ class TestBruteForce:
         lap = assignment.brute_force_lap(s, "min")
         assert qap.perm == lap.perm
         assert qap.cost == pytest.approx(lap.cost)
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("solve", ["solve_lap", "brute_force_lap"])
+    def test_non_finite_input_raises_evaluation_error(self, solve, bad):
+        s = np.eye(3)
+        s[1, 2] = bad
+        with pytest.raises(EvaluationError,
+                           match=f"^{solve}: matrix contains NaN or Inf"):
+            getattr(assignment, solve)(s, "min")
+
+    @pytest.mark.parametrize("solve", ["solve_lap", "brute_force_lap"])
+    def test_unknown_sense_raises_contract_error(self, solve):
+        with pytest.raises(ContractError,
+                           match="^sense must be 'min' or 'max', got 'mx'"):
+            getattr(assignment, solve)(np.eye(3), "mx")
+
+    def test_quadratic_terms_of_another_size_raise_shape_error(self):
+        s, small = np.eye(3), np.eye(2)
+        with pytest.raises(ShapeError, match="^brute_force_qap: S, S_A, S_B "
+                                             "must share the same size"):
+            assignment.brute_force_qap(s, small, s, "min")
+        with pytest.raises(ShapeError, match="^qap_objective: S, S_A, S_B "
+                                             "must share the same size"):
+            assignment.qap_objective(s, small, s, (0, 1, 2))
+
+    def test_matching_accuracy_rejects_a_non_permutation(self):
+        with pytest.raises(ContractError,
+                           match=r"^expected a permutation of 0\.\.1"):
+            assignment.matching_accuracy(np.eye(2), (0, 0))
 
 
 class TestObjectives:

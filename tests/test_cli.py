@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import setcontrast
-from setcontrast import cli, harness, simgeom, tensor as T
+from setcontrast import assignment, cli, harness, simgeom, tensor as T
 from setcontrast.errors import ConfigError, NumericError
 
 def run_module(*args):
@@ -431,6 +431,20 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--suite", "sandwich"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("FAIL sandwich")
+
+    def test_oracle_one_ulp_off_fails_lap_exact_suite(
+            self, capsys, monkeypatch):
+        true_oracle = assignment.brute_force_lap
+
+        def one_ulp_up(s, sense="min"):
+            res = true_oracle(s, sense)
+            return dataclasses.replace(
+                res, cost=float(np.nextafter(res.cost, np.inf)))
+
+        monkeypatch.setattr(assignment, "brute_force_lap", one_ulp_up)
+        assert cli.main(["verify", "--suite", "lap_exact"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL lap_exact")
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

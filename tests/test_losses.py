@@ -657,6 +657,18 @@ class TestGroundTruthAlignment:
             with pytest.raises(ContractError, match="indices must be integers"):
                 call()
 
+    @pytest.mark.parametrize(
+        "mixed", [[True, 0], (0, np.True_), np.array([True, 0], dtype=object)],
+        ids=["list", "tuple", "object-array"])
+    def test_booleans_mixed_with_integers_are_rejected(self, mixed):
+        # numpy reads [True, 0] as the integers (1, 0)
+        s = np.array([[0.2, 1.0], [0.4, 0.3]])
+        for call in (lambda: losses.GroundTruthAlignment(mixed),
+                     lambda: assignment.matching_accuracy(s, mixed),
+                     lambda: assignment.qap_objective(s, s, s, mixed)):
+            with pytest.raises(ContractError, match="indices must be integers"):
+                call()
+
     def test_raw_alignment_scores_like_the_object(self):
         s = np.array([[0.2, 1.0], [0.4, 0.3]])
         gt = losses.GroundTruthAlignment((1, 0))
