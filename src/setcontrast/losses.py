@@ -23,6 +23,10 @@ reduction (1 for "sum", or 1/N for the batch mean that training uses):
 Y is the ground-truth assignment matrix. Where a row minimum is tied,
 the batch-hard and NT-logistic gradients go to the first minimising
 column.
+
+``qare`` is one node over (S_A, S_B), whose VJP pulls the partner
+spectrum back through ``simgeom.eigenvalue_gradient``, and
+``combined_loss`` is one node with VJP (g, g * beta / N^2).
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ Array = np.ndarray
 MARGIN_DEFAULT = 0.5
 TEMPERATURE_DEFAULT = 0.05
 BETA_DEFAULT = 1.0
+# partner values inside one degenerate eigenvalue cluster that spread by
+# more than this, relative to max(1, max |partner|), flag qare's step
+DEGENERATE_UPSTREAM_SPREAD = 1e-8
 
 LOSS_KINDS = ("margin", "smoothed", "infonce", "nt_logistic", "sparseclr")
 MINING_MODES = ("one-to-one", "batch-hard")
@@ -320,12 +327,30 @@ def sparseclr_loss(s, gt, reduction: str = "sum") -> T.Tensor:
 # ---------------------------------------------------------------------------
 # spectral set regularizer and combinations
 
+def _basis_dependent(values: Array, upstream: Array) -> bool:
+    """Whether ``simgeom.eigenvalue_gradient`` of ``upstream`` depends on
+    the eigenvector basis the solver picked: some cluster of sorted
+    ``values`` whose neighbours lie closer than DEGENERATE_EIGENGAP gets
+    upstream values that spread by more than
+    DEGENERATE_UPSTREAM_SPREAD * max(1, max |upstream|)."""
+    gaps = np.abs(np.diff(values)) >= simgeom.DEGENERATE_EIGENGAP
+    starts = np.flatnonzero(np.r_[True, gaps])
+    spread = np.maximum.reduceat(upstream, starts) - np.minimum.reduceat(upstream, starts)
+    return bool((spread > DEGENERATE_UPSTREAM_SPREAD
+                 * max(1.0, float(np.abs(upstream).max()))).any())
+
+
 def qare(s_a, s_b, mode: str = "euclidean") -> T.Tensor:
-    """Spectral alignment of the two intra-set matrices.
+    """Spectral alignment of the two intra-set matrices, one tape node
+    over (S_A, S_B).
 
     Euclidean distances: negated minimal pairing of the two spectra
     (descending against ascending). Cosine similarities: maximal pairing
-    of the spectra of the elementwise-shifted matrices 1 + S.
+    of the spectra of the elementwise-shifted matrices 1 + S. The VJP of
+    each matrix is ``simgeom.eigenvalue_gradient`` of c times its partner
+    values in the pairing, c = -g (euclidean) or g (cosine). The active
+    tape is flagged "degenerate-eigenvalues" only where that gradient
+    depends on the eigenvector basis (``_basis_dependent``).
     """
     sa, sb = T.as_tensor(s_a), T.as_tensor(s_b)
     na = _square(sa, "qare: s_a")
@@ -333,28 +358,45 @@ def qare(s_a, s_b, mode: str = "euclidean") -> T.Tensor:
     if na != nb:
         raise ShapeError(f"qare: sizes differ, {na} vs {nb}")
     if mode == "euclidean":
-        la = simgeom.eigvals(sa)   # descending
-        lb = simgeom.eigvals(sb)
-        paired = T.mul(la, T.flip_rows(lb))  # descending * ascending
-        return T.scale(T.total_sum(paired), -1.0)
-    if mode == "cosine":
-        ones = np.ones((na, na))
-        la = simgeom.eigvals(T.add(sa, ones))
-        lb = simgeom.eigvals(T.add(sb, ones))
-        return T.total_sum(T.mul(la, lb))    # descending * descending
-    raise ContractError(f"qare: unknown mode {mode!r}")
+        dec_a, dec_b = simgeom.sym_eigen(sa.data), simgeom.sym_eigen(sb.data)
+        sign = -1.0
+        partner_a, partner_b = dec_b.values[::-1], dec_a.values[::-1]
+    elif mode == "cosine":
+        dec_a = simgeom.sym_eigen(sa.data + 1.0)
+        dec_b = simgeom.sym_eigen(sb.data + 1.0)
+        sign = 1.0
+        partner_a, partner_b = dec_b.values, dec_a.values
+    else:
+        raise ContractError(f"qare: unknown mode {mode!r}")
+    tape = T.active_tape(sa, sb)
+    if tape is not None and (_basis_dependent(dec_a.values, partner_a)
+                             or _basis_dependent(dec_b.values, partner_b)):
+        tape.flags.add("degenerate-eigenvalues")
+
+    def vjp(g):
+        c = float(g.reshape(())) * sign
+        return (simgeom.eigenvalue_gradient(dec_a, c * partner_a),
+                simgeom.eigenvalue_gradient(dec_b, c * partner_b))
+
+    value = (dec_a.values * partner_a).sum() * sign
+    return T.custom_op((sa, sb), np.reshape(value, (1, 1)), vjp)
 
 
 def combined_loss(pairwise, qare_value, *, beta: float = BETA_DEFAULT,
                   n: int = 1) -> T.Tensor:
-    """pairwise + beta * qare / n^2, the pairwise term unscaled: Adam
-    ignores a constant gradient scale (but for eps), so beta is the one
-    weight. ``beta`` and ``n`` are keyword-only."""
+    """pairwise + beta * qare / n^2 as one tape node, the pairwise term
+    unscaled: Adam ignores a constant gradient scale (but for eps), so
+    beta is the one weight. ``beta`` and ``n`` are keyword-only."""
     if n < 1:
         raise ContractError(f"combined_loss: n must be >= 1, got {n}")
     p = T.as_tensor(pairwise)
     q = T.as_tensor(qare_value)
-    return T.add(p, T.scale(q, float(beta) / (n * n)))
+    w = float(beta) / (n * n)
+
+    def vjp(g):
+        return g, g * w
+
+    return T.custom_op((p, q), p.data + q.data * w, vjp)
 
 
 def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:

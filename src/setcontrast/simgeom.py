@@ -4,17 +4,20 @@ products.
 
 Eigenvalues come from LAPACK through ``np.linalg.eigh``. The gradient
 rule d lambda_i / dM = u_i u_i^T is exact for a simple eigenvalue; inside
-a degenerate eigenspace the eigenvectors are not unique, so the rule
-gives one valid subgradient whatever the solver, and ``eigvals`` flags
-that case on the tape. Results are deterministic for a given LAPACK
-build; they were never byte-identical across machines, because matrix
-products already go through BLAS.
+a degenerate eigenspace the eigenvectors are not unique. Over a cluster
+of equal eigenvalues with equal upstream g the rule still gives g times
+the cluster's projector, whatever basis the solver returns (Lewis 1996,
+"Derivatives of spectral functions"); only unequal upstream values make
+it one subgradient among many. ``losses.qare`` flags that case on the
+tape; ``eigvals``, which sees no upstream, flags every close gap.
+Results are deterministic for a given LAPACK build; they were never
+byte-identical across machines, because matrix products already go
+through BLAS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -23,8 +26,8 @@ from .errors import ContractError, EvaluationError, ShapeError
 
 Array = np.ndarray
 
-# below this gap neighbouring eigenvalues count as degenerate and the
-# gradient rule degrades to a subgradient choice
+# below this gap neighbouring eigenvalues count as one degenerate
+# cluster, inside which the solver's eigenvector basis is arbitrary
 DEGENERATE_EIGENGAP = 1e-8
 
 
@@ -94,8 +97,8 @@ def min_eigengap(values: Array) -> float:
 
 def eigenvalue_gradient(decomp: EigenDecomposition, upstream) -> Array:
     """Pull an upstream gradient on the sorted eigenvalues back to the
-    matrix: d lambda_i / dM = u_i u_i^T. For degenerate spectra this is
-    one valid subgradient; callers detect that case via min_eigengap."""
+    matrix: d lambda_i / dM = u_i u_i^T. Where a degenerate cluster gets
+    unequal upstream values this is one valid subgradient of many."""
     up = np.asarray(upstream, dtype=np.float64).reshape(-1)
     u = decomp.vectors
     if up.shape[0] != u.shape[1]:
@@ -151,9 +154,20 @@ def _embedded(z_a, z_b, mode: str, name: str):
     if mode == "euclidean":
         return za, zb, T.pairwise_dist
     if mode == "cosine":
-        return (T.row_l2_normalize(za), T.row_l2_normalize(zb),
-                lambda x, y: T.matmul(x, T.transpose(y)))
+        return T.row_l2_normalize(za), T.row_l2_normalize(zb), _inner_products
     raise ContractError(f"unknown similarity mode {mode!r}")
+
+
+def _inner_products(x: T.Tensor, y: T.Tensor) -> T.Tensor:
+    """x y^T as one tape node; its VJP is (g y, (x^T g)^T). y enters both
+    products as a C-ordered copy of y^T: BLAS rounds differently with
+    another memory layout, so the layout is part of the result."""
+    xd, yt = x.data, y.data.T.copy()
+
+    def vjp(g):
+        return g @ yt.T, (xd.T @ g).T
+
+    return T.custom_op((x, y), xd @ yt, vjp)
 
 
 def pairwise_distances(z_a, z_b, mode: str = "euclidean") -> SimilarityTriple:

@@ -7,12 +7,11 @@ every registered leaf. Tapes are rebuilt for each forward pass and are
 not thread-safe; Tensors themselves are immutable values and can be
 shared freely.
 
-The primitives are ``add``, ``mul``, ``scale``, ``matmul``,
-``transpose``, ``total_sum``, ``row_l2_normalize``, ``flip_rows`` and
-``pairwise_dist``; ``add`` and ``mul`` take operands of one shape and
-do not broadcast. Anything with a closed-form gradient of its own (each
-pairwise loss, the encoder, the eigenvalues) is one ``custom_op`` node,
-and documents its subgradient conventions where it is defined.
+The primitives are ``scale``, ``row_l2_normalize`` and
+``pairwise_dist``. Anything with a closed-form gradient of its own (each
+pairwise loss, each encoder view, each cosine similarity matrix, the set
+term ``qare`` and the combined objective) is one ``custom_op`` node, and
+documents its subgradient conventions where it is defined.
 """
 
 from __future__ import annotations
@@ -197,34 +196,6 @@ def active_tape(*tensors) -> Optional[Tape]:
 # ---------------------------------------------------------------------------
 # primitives
 
-def _same_shape(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ")
-
-
-def add(a, b) -> Tensor:
-    """Elementwise sum of two tensors of one shape."""
-    a, b = as_tensor(a), as_tensor(b)
-    _same_shape(a, b, "add")
-
-    def vjp(g):
-        return g, g
-
-    return _emit((a, b), a.data + b.data, vjp)
-
-
-def mul(a, b) -> Tensor:
-    """Elementwise product of two tensors of one shape."""
-    a, b = as_tensor(a), as_tensor(b)
-    _same_shape(a, b, "mul")
-    da, db = a.data, b.data
-
-    def vjp(g):
-        return g * db, g * da
-
-    return _emit((a, b), da * db, vjp)
-
-
 def scale(a, s: float) -> Tensor:
     a = as_tensor(a)
     s = float(s)
@@ -233,37 +204,6 @@ def scale(a, s: float) -> Tensor:
         return (g * s,)
 
     return _emit((a,), a.data * s, vjp)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    da, db = a.data, b.data
-
-    def vjp(g):
-        return g @ db.T, da.T @ g
-
-    return _emit((a, b), da @ db, vjp)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (g.T,)
-
-    return _emit((a,), a.data.T.copy(), vjp)
-
-
-def total_sum(a) -> Tensor:
-    a = as_tensor(a)
-    shape = a.shape
-
-    def vjp(g):
-        return (np.full(shape, float(g.reshape(()))),)
-
-    return _emit((a,), a.data.sum().reshape(1, 1), vjp)
 
 
 def row_l2_normalize(a) -> Tensor:
@@ -280,16 +220,6 @@ def row_l2_normalize(a) -> Tensor:
         return ((g - inner * out) / norms,)
 
     return _emit((a,), out, vjp)
-
-
-def flip_rows(a) -> Tensor:
-    """Reverse row order; the adjoint is the same flip."""
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (g[::-1].copy(),)
-
-    return _emit((a,), a.data[::-1].copy(), vjp)
 
 
 def pairwise_dist(a, b) -> Tensor:

@@ -4,6 +4,8 @@ import pytest
 from setcontrast import harness, losses, simgeom, tensor as T
 from setcontrast.errors import ConfigError, DegenerateInputError, NumericError, ShapeError
 
+from conftest import weighted_sum
+
 TINY = harness.SyntheticSpec(num_classes=2, samples_per_class=4,
                              ambient_dim=8, noise_sigma=0.2, seed=5)
 
@@ -14,6 +16,22 @@ def tiny_train_config(**kwargs):
                     seed=0)
     defaults.update(kwargs)
     return harness.TrainConfig(**defaults)
+
+
+def _nodes_per_step(monkeypatch, loss):
+    """Tape length at each backward of a one-epoch TINY run (two steps)."""
+    nodes = []
+    real = T.Tape.backward
+
+    def counting(self, loss):
+        nodes.append(len(self))
+        return real(self, loss)
+
+    monkeypatch.setattr(T.Tape, "backward", counting)
+    ds = harness.gen_two_view_dataset(TINY)
+    cfg = tiny_train_config(epochs=1, loss=loss)
+    harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+    return nodes
 
 
 class TestSyntheticData:
@@ -95,7 +113,7 @@ class TestEncoder:
         tape = T.Tape()
         w = tape.leaf(enc.flat)
         z = enc.forward(np.array([[1.0, 0.0]]), w)
-        grads = tape.backward(T.total_sum(T.mul(z, T.Tensor([[1.0, -1.0]]))))
+        grads = tape.backward(weighted_sum(z, [[1.0, -1.0]]))
         g = enc.views(grads[w].data.reshape(-1))
         np.testing.assert_array_equal(g["b1"][0, 1], 0.0)
         np.testing.assert_array_equal(g["w1"][:, 1], 0.0)
@@ -118,7 +136,7 @@ class TestEncoder:
             enc.views(buf)[name][...] = p.data
             w = T.custom_op((p,), buf.reshape(1, -1),
                             lambda g: (enc.views(g.reshape(-1))[name],))
-            return T.total_sum(T.mul(enc.forward(x, w), up))
+            return weighted_sum(enc.forward(x, w), up)
 
         assert T.gradcheck(f, enc.params[name]) < 1e-7
 
@@ -281,40 +299,43 @@ class TestTraining:
     ])
     def test_beta_zero_step_records_five_tape_nodes(self, monkeypatch, kind, mining):
         # 1 flat parameter leaf + 2 encoder views + S + the pairwise loss
-        nodes = []
-        real = T.Tape.backward
+        assert _nodes_per_step(monkeypatch, losses.LossConfig(
+            name="t", kind=kind, mining=mining, beta=0.0)) == [5, 5]
 
-        def counting(self, loss):
-            nodes.append(len(self))
-            return real(self, loss)
+    def test_beta_zero_cosine_step_records_eight_tape_nodes(self, monkeypatch):
+        # the five, plus 2 row normalisations and the negation of S
+        assert _nodes_per_step(monkeypatch, losses.LossConfig(
+            name="t", kind="infonce", beta=0.0, mode="cosine")) == [8, 8]
 
-        monkeypatch.setattr(T.Tape, "backward", counting)
-        ds = harness.gen_two_view_dataset(TINY)
-        cfg = tiny_train_config(epochs=1, loss=losses.LossConfig(
-            name="t", kind=kind, mining=mining, beta=0.0))
-        harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        assert nodes == [5, 5]
-
-    @pytest.mark.parametrize("mode,count", [("euclidean", 15), ("cosine", 21)])
+    @pytest.mark.parametrize("mode,count", [("euclidean", 9), ("cosine", 12)])
     def test_beta_one_step_adds_the_qare_term_once(self, monkeypatch, mode, count):
-        # 1 flat leaf + 2 encoder views + the pairwise loss + qare's 6 nodes
-        # + 2 that add beta * qare / N^2 to the unscaled pairwise loss, with
-        # S, S_A, S_B as 3 distance nodes; cosine builds them in 8 nodes
-        # (normalize, transpose, matmul), negates S, and its qare is 1 + S
-        # shifts, 2 spectra, mul and sum
-        nodes = []
-        real = T.Tape.backward
+        # 1 flat leaf + 2 encoder views + S, S_A, S_B + the pairwise loss +
+        # qare + the combination; cosine adds 2 row normalisations and the
+        # negation of S
+        assert _nodes_per_step(monkeypatch, losses.LossConfig(
+            name="t", kind="infonce", beta=1.0, mode=mode)) == [count, count]
 
-        def counting(self, loss):
-            nodes.append(len(self))
-            return real(self, loss)
-
-        monkeypatch.setattr(T.Tape, "backward", counting)
-        ds = harness.gen_two_view_dataset(TINY)
-        cfg = tiny_train_config(epochs=1, loss=losses.LossConfig(
+    @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
+    def test_beta_one_step_gradcheck_over_flat_parameters(self, mode):
+        cfg = tiny_train_config(loss=losses.LossConfig(
             name="t", kind="infonce", beta=1.0, mode=mode))
-        harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        assert nodes == [count, count]
+        enc = harness.make_encoder(TINY, cfg)
+        ds = harness.gen_two_view_dataset(TINY)
+        xa, xb = ds.view_a[:4], ds.view_b[:4]
+        gt = losses.GroundTruthAlignment.identity(4)
+        # a generic point: no relu at its kink, no close eigenvalues in qare
+        for x in (xa, xb):
+            assert np.abs(x @ enc.params["w1"] + enc.params["b1"]).min() > 1e-3
+        triple = simgeom.pairwise_distances(enc.embed(xa), enc.embed(xb), mode)
+        shift = 0.0 if mode == "euclidean" else 1.0
+        for m in (triple.s_a, triple.s_b):
+            assert simgeom.min_eigengap(simgeom.sym_eigen(m.data + shift).values) > 1e-3
+
+        def step(w):
+            return losses.two_view_loss(enc.forward(xa, w), enc.forward(xb, w),
+                                        gt, cfg.loss)[0]
+
+        assert T.gradcheck(step, enc.flat) < 1e-6
 
     def test_partial_final_batch_is_dropped(self):
         ds = harness.gen_two_view_dataset(TINY)  # 8 samples

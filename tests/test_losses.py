@@ -445,6 +445,43 @@ class TestQare:
         assert moved == pytest.approx(base, abs=1e-9)
 
 
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="^qare: sizes differ, 3 vs 2$"):
+            losses.qare(np.zeros((3, 3)), np.zeros((2, 2)))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractError, match="^qare: unknown mode 'manhattan'$"):
+            losses.qare(np.zeros((2, 2)), np.zeros((2, 2)), "manhattan")
+
+    @staticmethod
+    def _flags(z_a, z_b, mode):
+        tape = T.Tape()
+        triple = simgeom.pairwise_distances(tape.leaf(z_a), tape.leaf(z_b), mode)
+        tape.backward(losses.qare(triple.s_a, triple.s_b, mode))
+        return tape.flags
+
+    def test_rank_deficient_cosine_is_not_flagged(self):
+        # 1 + S at n=8 in 2-D has rank 3 in both views: five zero eigenvalues
+        # each, paired with each other, so their upstream is equal (zero)
+        rng = np.random.default_rng(13)
+        za, zb = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
+        shifted = simgeom.pairwise_distances(za, zb, "cosine").s_a.data + 1.0
+        gap = simgeom.min_eigengap(simgeom.sym_eigen(shifted).values)
+        assert gap < simgeom.DEGENERATE_EIGENGAP
+        assert "degenerate-eigenvalues" not in self._flags(za, zb, "cosine")
+
+    def test_hexagon_against_generic_set_is_flagged(self):
+        # a regular hexagon's distance matrix is circulant, so its eigenvalues
+        # come in equal pairs; a generic view B pairs them with distinct values
+        angles = np.arange(6) * (np.pi / 3.0)
+        hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        rng = np.random.default_rng(14)
+        generic, other = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        assert "degenerate-eigenvalues" in self._flags(hexagon, generic, "euclidean")
+        assert "degenerate-eigenvalues" in self._flags(generic, hexagon, "euclidean")
+        assert "degenerate-eigenvalues" not in self._flags(generic, other, "euclidean")
+
+
 class TestCombinedLoss:
     def test_beta_zero_is_pairwise(self):
         pw = T.Tensor(1.7)

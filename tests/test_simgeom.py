@@ -8,6 +8,8 @@ from setcontrast import simgeom, tensor as T
 from setcontrast.errors import (
     ContractError, DegenerateInputError, EvaluationError, ShapeError)
 
+from conftest import weighted_sum
+
 
 def _symmetric_matrix(n, seed, low_rank):
     rng = np.random.default_rng(seed)
@@ -84,9 +86,9 @@ class TestEigenvalueGradient:
         m = (m + m.T) / 2
 
         def f(x):
-            sym = T.scale(T.add(x, T.transpose(x)), 0.5)
-            return T.total_sum(T.mul(simgeom.eigvals(sym),
-                                     T.Tensor(np.array([[1.0, -2.0, 0.5, 3.0]]).T)))
+            # symmetric part, so that a one-entry perturbation stays symmetric
+            sym = T.custom_op((x,), (x.data + x.data.T) / 2, lambda g: ((g + g.T) / 2,))
+            return weighted_sum(simgeom.eigvals(sym), [[1.0], [-2.0], [0.5], [3.0]])
 
         assert T.gradcheck(f, m) < 1e-6
 
@@ -101,14 +103,14 @@ class TestEigenvalueGradient:
     def test_degenerate_spectrum_sets_tape_flag(self):
         tape = T.Tape()
         x = tape.leaf(np.eye(3))  # all eigenvalues equal
-        loss = T.total_sum(simgeom.eigvals(x))
+        loss = weighted_sum(simgeom.eigvals(x))
         tape.backward(loss)
         assert "degenerate-eigenvalues" in tape.flags
 
     def test_generic_spectrum_leaves_flag_unset(self):
         tape = T.Tape()
         x = tape.leaf(np.diag([3.0, 1.0, -2.0]))
-        tape.backward(T.total_sum(simgeom.eigvals(x)))
+        tape.backward(weighted_sum(simgeom.eigvals(x)))
         assert "degenerate-eigenvalues" not in tape.flags
 
 
@@ -196,6 +198,19 @@ class TestPairwiseDistances:
         with pytest.raises(DegenerateInputError):
             simgeom.pairwise_distances(z["z_a"], z["z_b"], "cosine")
 
+    @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
+    def test_each_matrix_gradcheck(self, mode):
+        rng = np.random.default_rng(12)
+        za, zb = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        for field, sides in (("s", ("z_a", "z_b")), ("s_a", ("z_a",)), ("s_b", ("z_b",))):
+            for side in sides:
+                def f(x):
+                    z = {"z_a": za, "z_b": zb, side: x}
+                    m = getattr(simgeom.pairwise_distances(z["z_a"], z["z_b"], mode), field)
+                    return weighted_sum(m, np.sin(np.arange(m.data.size)).reshape(m.shape))
+
+                assert T.gradcheck(f, za if side == "z_a" else zb) < 1e-7
+
     def test_cross_distances_is_the_triples_s(self):
         rng = np.random.default_rng(11)
         za, zb = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
@@ -234,7 +249,7 @@ class TestEigenvalueVjp:
         tape = T.Tape()
         x = tape.leaf(np.diag([2.0, 1.0]))
         vals = simgeom.eigvals(x)
-        picked = T.total_sum(T.mul(vals, T.Tensor([[1.0], [0.0]])))
+        picked = weighted_sum(vals, [[1.0], [0.0]])
         grads = tape.backward(picked)
         np.testing.assert_allclose(grads[x].data,
                                    [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
@@ -243,5 +258,5 @@ class TestEigenvalueVjp:
         tape = T.Tape()
         x = tape.leaf(np.array([[2.0, 0.3], [0.3, 1.0]]))
         vals = simgeom.eigvals(x)
-        grads = tape.backward(T.total_sum(T.mul(vals, T.Tensor([[0.0], [0.0]]))))
+        grads = tape.backward(weighted_sum(vals, 0.0))
         np.testing.assert_array_equal(grads[x].data, np.zeros((2, 2)))

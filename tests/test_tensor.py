@@ -10,6 +10,8 @@ from setcontrast.errors import (
     ShapeError,
 )
 
+from conftest import weighted_sum
+
 
 def small_arrays(rows=(1, 4), cols=(1, 4)):
     return st.tuples(
@@ -57,38 +59,16 @@ class TestForwardValues:
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
         ta, tb = T.Tensor(a), T.Tensor(b)
-        np.testing.assert_allclose(T.add(ta, tb).data, a + b)
-        np.testing.assert_allclose(T.mul(ta, tb).data, a * b)
         np.testing.assert_allclose(T.scale(ta, 2.5).data, a * 2.5)
         np.testing.assert_allclose(T.scale(ta, -1.0).data, -a)
-        np.testing.assert_allclose(T.matmul(ta, T.transpose(tb)).data, a @ b.T)
-        np.testing.assert_allclose(T.transpose(ta).data, a.T)
-
-    def test_reductions_keep_2d(self):
-        a = np.arange(6.0).reshape(2, 3)
-        t = T.Tensor(a)
-        assert T.total_sum(t).shape == (1, 1)
-        assert T.total_sum(t).item() == a.sum()
-
-    def test_broadcast_row_and_col(self):
-        # add and mul do not broadcast: a row or column operand is rejected
-        a = T.Tensor(np.ones((2, 3)))
-        for other in (np.full((1, 3), 2.0), np.full((2, 1), 3.0), np.ones((3, 2))):
-            for op in (T.add, T.mul):
-                with pytest.raises(ShapeError):
-                    op(a, T.Tensor(other))
-                with pytest.raises(ShapeError):
-                    op(T.Tensor(other), a)
+        np.testing.assert_allclose(T.pairwise_dist(ta, tb).data,
+                                   np.linalg.norm(a[:, None] - b[None], axis=2))
 
     def test_pairwise_dist_values(self):
         a = np.array([[0.0, 0.0], [3.0, 4.0]])
         b = np.array([[0.0, 0.0]])
         d = T.pairwise_dist(T.Tensor(a), T.Tensor(b)).data
         np.testing.assert_allclose(d, [[0.0], [5.0]])
-
-    def test_flip_rows(self):
-        a = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(T.flip_rows(T.Tensor(a)).data, a[::-1])
 
     def test_row_l2_normalize_unit_rows(self):
         rng = np.random.default_rng(1)
@@ -106,7 +86,7 @@ class TestTapeSemantics:
         tape = T.Tape()
         a = tape.leaf(np.ones((2, 2)))
         b = tape.leaf(np.ones((2, 2)))
-        loss = T.total_sum(a)
+        loss = weighted_sum(a)
         grads = tape.backward(loss)
         np.testing.assert_allclose(grads[a].data, 1.0)
         np.testing.assert_allclose(grads[b].data, 0.0)
@@ -114,13 +94,15 @@ class TestTapeSemantics:
     def test_mixing_tapes_rejected(self):
         a = T.Tape().leaf(np.ones((2, 2)))
         b = T.Tape().leaf(np.ones((2, 2)))
-        with pytest.raises(ContractError):
-            T.add(a, b)
+        with pytest.raises(ContractError,
+                           match="^operands were recorded on different tapes$"):
+            T.custom_op((a, b), a.data + b.data, lambda g: (g, g))
 
     def test_constants_join_the_active_tape(self):
         tape = T.Tape()
         a = tape.leaf(np.full((2, 2), 3.0))
-        out = T.total_sum(T.mul(a, T.Tensor(np.full((2, 2), 2.0))))
+        out = weighted_sum(a, T.Tensor(np.full((2, 2), 2.0)))
+        assert out.tracked
         grads = tape.backward(out)
         np.testing.assert_allclose(grads[a].data, 2.0)
 
@@ -128,15 +110,33 @@ class TestTapeSemantics:
         tape = T.Tape()
         x = tape.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
         w = np.array([[2.0, 0.0], [0.0, 5.0]])
-        loss = T.total_sum(T.matmul(x, T.Tensor(w)))
+        loss = weighted_sum(T.scale(x, 0.5), w)
         grads = tape.backward(loss)
-        np.testing.assert_allclose(grads[x].data, np.ones((2, 2)) @ w.T)
+        np.testing.assert_array_equal(grads[x].data, 0.5 * w)
+
+    def test_backward_rejects_a_loss_off_this_tape(self):
+        tape = T.Tape()
+        a = tape.leaf(np.ones((2, 2)))
+        other = T.Tape()
+        b = other.leaf(np.ones((2, 2)))
+        for loss in (weighted_sum(b), T.Tensor(1.0)):
+            with pytest.raises(ContractError,
+                               match="^loss is not recorded on this tape$"):
+                tape.backward(loss)
+        tape.backward(weighted_sum(a))  # the tape itself still works
+
+    def test_backward_needs_a_scalar_loss(self):
+        tape = T.Tape()
+        a = tape.leaf(np.ones((2, 3)))
+        with pytest.raises(ShapeError, match=r"^backward needs a scalar loss, "
+                                             r"shape=\(2, 3\)$"):
+            tape.backward(T.scale(a, 2.0))
 
     def test_pairwise_dist_zero_distance_has_zero_gradient(self):
         tape = T.Tape()
         a = tape.leaf(np.array([[1.0, 2.0]]))
         d = T.pairwise_dist(a, T.Tensor(np.array([[1.0, 2.0]])))
-        grads = tape.backward(T.total_sum(d))
+        grads = tape.backward(weighted_sum(d))
         np.testing.assert_allclose(grads[a].data, 0.0)
 
     def test_custom_op_roundtrip(self):
@@ -150,7 +150,7 @@ class TestTapeSemantics:
             return T.custom_op([x], val, vjp)
 
         x0 = np.random.default_rng(2).normal(size=(3, 3))
-        err = T.gradcheck(lambda x: T.total_sum(cube(x)), x0)
+        err = T.gradcheck(lambda x: weighted_sum(cube(x)), x0)
         assert err < 1e-6
 
 
@@ -165,8 +165,15 @@ class TestGradcheck:
             return T.custom_op([x], x.data.copy(), vjp)
 
         x0 = np.ones((2, 2))
-        err = T.gradcheck(lambda x: T.total_sum(bad(x)), x0)
+        err = T.gradcheck(lambda x: weighted_sum(bad(x)), x0)
         assert err > 0.1
+
+    @pytest.mark.parametrize("f", [lambda x: T.scale(x, 2.0), lambda x: 1.0],
+                             ids=["matrix", "float"])
+    def test_f_must_return_a_scalar_tensor(self, f):
+        with pytest.raises(ContractError,
+                           match="^gradcheck: f must return a scalar Tensor$"):
+            T.gradcheck(f, np.ones((2, 2)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_output_rejected(self):
@@ -174,16 +181,16 @@ class TestGradcheck:
             return T.custom_op([x], np.log(x.data), lambda g: (g / x.data,))
 
         with pytest.raises(EvaluationError):
-            T.gradcheck(lambda x: T.total_sum(log(x)),
+            T.gradcheck(lambda x: weighted_sum(log(x)),
                         np.array([[-1.0, 1.0]]))
 
     @settings(max_examples=25, deadline=None)
     @given(small_arrays())
     def test_composite_expression_gradient(self, a):
+        # x reaches the sum through both of its operands, so their
+        # gradients accumulate on the leaf
         def f(x):
-            y = T.mul(x, x)
-            z = T.matmul(T.scale(x, 0.7), T.transpose(x))
-            return T.add(T.total_sum(y), T.total_sum(T.mul(z, z)))
+            return weighted_sum(T.row_l2_normalize(T.scale(x, 0.7)), x)
 
         assert T.gradcheck(f, a) < 1e-5
 
@@ -195,7 +202,7 @@ class TestGradcheck:
         def f(x):
             za = T.row_l2_normalize(x)
             zb = T.row_l2_normalize(T.as_tensor(b))
-            return T.total_sum(T.pairwise_dist(za, zb))
+            return weighted_sum(T.pairwise_dist(za, zb))
 
         na = a / np.linalg.norm(a, axis=1, keepdims=True)
         nb = b / np.linalg.norm(b, axis=1, keepdims=True)
@@ -211,17 +218,17 @@ class TestClosedFormGradients:
     def test_sum_gradient_is_ones(self):
         tape = T.Tape()
         x = tape.leaf(np.arange(6.0).reshape(2, 3))
-        grads = tape.backward(T.total_sum(x))
+        grads = tape.backward(weighted_sum(x))
         np.testing.assert_array_equal(grads[x].data, np.ones((2, 3)))
 
     def test_trace_of_product_gradient_is_transpose(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3))
-        eye = np.eye(3)
 
         def trace_ab(x):
-            return T.total_sum(T.mul(T.matmul(x, T.Tensor(b)), T.Tensor(eye)))
+            # tr(x b) = sum_ij x_ij b_ji
+            return weighted_sum(x, b.T)
 
         tape = T.Tape()
         x = tape.leaf(a)
@@ -232,4 +239,4 @@ class TestClosedFormGradients:
     def test_squared_norm_gradcheck_is_exact(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(4, 2))
-        assert T.gradcheck(lambda t: T.total_sum(T.mul(t, t)), x) < 1e-8
+        assert T.gradcheck(lambda t: weighted_sum(t, t), x) < 1e-8
