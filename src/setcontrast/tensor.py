@@ -31,7 +31,11 @@ def _freeze(arr: Array) -> Array:
 
 
 def _coerce(data) -> Array:
-    arr = np.array(data, dtype=np.float64)
+    return _as_2d(np.array(data, dtype=np.float64))
+
+
+def _as_2d(arr: Array) -> Array:
+    """arr as 2-D: a scalar as (1, 1), a vector as (1, n)."""
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -183,9 +187,11 @@ def _emit(operands: Sequence[Tensor], value: Array, vjp) -> Tensor:
 
 def custom_op(operands: Iterable, value: Array, vjp: Callable) -> Tensor:
     """Register a domain primitive: ``vjp(grad_out)`` must return one
-    gradient array (or None) per operand, each matching its shape."""
+    gradient array (or None) per operand, each matching its shape. The
+    value is stored 2-D as ``Tensor`` stores data: a scalar as (1, 1), a
+    vector as (1, n); more dimensions raise ShapeError."""
     ops = tuple(as_tensor(t) for t in operands)
-    return _emit(ops, np.asarray(value, dtype=np.float64), vjp)
+    return _emit(ops, _as_2d(np.asarray(value, dtype=np.float64)), vjp)
 
 
 def active_tape(*tensors) -> Optional[Tape]:

@@ -158,6 +158,99 @@ class TestHungarianCertificate:
             assert np.abs(reduced[np.arange(n), perm]).max() <= tol, name
 
 
+def assert_certificate(a, perm, u, v):
+    """a - u - v >= -tol everywhere and |a - u - v| <= tol on matched edges."""
+    n = a.shape[0]
+    tol = 1e-9 * max(1.0, float(np.abs(a).max()))
+    reduced = a - u[:, None] - v[None, :]
+    assert sorted(perm.tolist()) == list(range(n))
+    assert reduced.min() >= -tol
+    assert np.abs(reduced[np.arange(n), perm]).max() <= tol
+
+
+def warm_start(a):
+    """The solver's two warm start phases on a: (rows free after the
+    column reduction, reduction steps, the matching after it, v)."""
+    v, col4row, row4col = assignment._column_reduction(a)
+    free_before = int((col4row < 0).sum())
+    steps = assignment._augmenting_row_reduction(a, v, col4row, row4col)
+    return free_before, steps, col4row, v
+
+
+def assert_agrees_with_oracle(a):
+    for sense, x in (("min", a), ("max", -a)):
+        fast = assignment.solve_lap(x, sense)
+        slow = assignment.brute_force_lap(x, sense)
+        assert fast.perm == slow.perm
+        assert fast.cost == slow.cost
+
+
+def tie_families(rng, n):
+    """Inputs whose rows tie on their cheapest columns, so the reduction
+    can pass one column round its rows without end."""
+    return {
+        "constant": np.full((n, n), 2.5),
+        # integer entries: every permutation's float sum is exact, so
+        # the oracle and solver see the same ties
+        "identical rows": np.tile(rng.integers(0, 5, size=n), (n, 1)).astype(float),
+        "identical columns": np.tile(rng.normal(size=(n, 1)), (1, n)),
+        "{0,1}": rng.integers(0, 2, size=(n, n)).astype(float),
+        "{0,1,2}": rng.integers(0, 3, size=(n, n)).astype(float),
+        "integer rank-1": np.outer(rng.integers(1, 3, size=n),
+                                   rng.integers(1, 3, size=n)).astype(float),
+    }
+
+
+class TestAugmentingRowReduction:
+    def test_reduction_matches_every_free_row(self):
+        # every column minimum sits in row 0, so the column reduction
+        # matches one row; the reduction matches the other n - 1 and the
+        # Dijkstra phase has no row left to grow a tree from
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(3, 9))
+            a = rng.normal(size=(n, n))
+            a[0] = a.min() - 1.0 - rng.random(n)
+            free_before, steps, col4row, _ = warm_start(a)
+            assert free_before == n - 1
+            assert steps < assignment._ARR_STEPS_PER_ROW * n
+            assert (col4row >= 0).all()
+            perm, u, v = assignment._hungarian(a)
+            assert np.array_equal(perm, col4row)
+            assert_certificate(a, perm, u, v)
+            assert_agrees_with_oracle(a)
+
+    @pytest.mark.parametrize("family, n", [
+        ("constant", 8), ("identical rows", 8), ("{0,1}", 128)])
+    def test_step_bound_leaves_rows_to_dijkstra(self, family, n):
+        a = tie_families(np.random.default_rng(32), n)[family]
+        free_before, steps, col4row, _ = warm_start(a)
+        assert steps == assignment._ARR_STEPS_PER_ROW * n
+        assert 0 < (col4row < 0).sum() <= free_before
+        perm, u, v = assignment._hungarian(a)
+        assert_certificate(a, perm, u, v)
+        if n <= 8:
+            assert_agrees_with_oracle(a)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 64])
+    def test_tie_families_stop_within_the_bound(self, n):
+        # the pass ends after at most 4 n steps, and every row it leaves
+        # matched has its smallest reduced cost on its own column, so the
+        # Dijkstra phase starts from feasible duals
+        rng = np.random.default_rng(33 + n)
+        for name, a in tie_families(rng, n).items():
+            _, steps, col4row, v = warm_start(a)
+            assert steps <= assignment._ARR_STEPS_PER_ROW * n, name
+            rows = np.flatnonzero(col4row >= 0)
+            reduced = a[rows] - v[None, :]
+            own = reduced[np.arange(rows.size), col4row[rows]]
+            assert (reduced.min(axis=1) == own).all(), name
+            perm, u, v = assignment._hungarian(a)
+            assert_certificate(a, perm, u, v)
+            if n <= 8:
+                assert_agrees_with_oracle(a)
+
+
 def refine_exit(a, sense):
     """Refine solve_lap's own matching of a: (tight edges beyond the n
     matched ones, whether the rotation pass ran). The early exits hand

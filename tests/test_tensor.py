@@ -153,6 +153,22 @@ class TestTapeSemantics:
         err = T.gradcheck(lambda x: weighted_sum(cube(x)), x0)
         assert err < 1e-6
 
+    def test_custom_op_value_is_2d(self):
+        # a 0-d value is a (1, 1) scalar that backward accepts as a loss,
+        # and a 1-D value a (1, n) row, as Tensor stores them
+        tape = T.Tape()
+        x = tape.leaf(np.array([[2.0]]))
+        y = T.custom_op([x], np.float64(4.0), lambda g: (4.0 * g,))
+        assert y.shape == (1, 1)
+        np.testing.assert_array_equal(tape.backward(y)[x].data, [[4.0]])
+        row = T.custom_op([x], np.array([1.0, 2.0, 3.0]), lambda g: (None,))
+        assert row.shape == (1, 3)
+
+    def test_custom_op_rejects_a_value_above_2d(self):
+        with pytest.raises(ShapeError,
+                           match="^tensors are 1-D or 2-D, got ndim=3$"):
+            T.custom_op([T.Tensor(1.0)], np.zeros((2, 2, 2)), lambda g: (None,))
+
 
 class TestGradcheck:
     def test_detects_wrong_gradient(self):

@@ -12,16 +12,19 @@ Each checkout runs, in fresh processes with BLAS pinned to one thread:
   one-to-one (one ``sweep.csv`` each);
 - ``verify``, whose stdout is one file.
 
-The 51 files of one side are then compared byte for byte with the
-other's. The script prints each differing or missing file and the count,
-and exits 1 if any file differs, 0 otherwise. It needs only the standard
-library and the two checkouts; the configs come from this checkout's
-``perfbench/workloads.py``, which is standard library only. It is not a
-tier-1 test: one side takes about 40 s.
-
 The CSV files print 9 significant digits, so a change in the last bits
-of a training run can pass unseen; compare the tape's values and
-gradients directly when bit-identity is the claim.
+of a training run would pass them unseen. So one more fresh process per
+checkout trains every run of the 24 train configs in process and writes
+two sha256 digests per run: of ``repr(report.epoch_losses)`` and of the
+trained ``encoder.flat`` bytes (``digests.txt``, 120 runs).
+
+The 51 files of one side are then compared byte for byte with the
+other's, and the digests run by run. The script prints each differing or
+missing file and digest and the counts, and exits 1 if any differs, 0
+otherwise. It needs only the standard library and the two checkouts; the
+configs come from this checkout's ``perfbench/workloads.py``, which is
+standard library only. It is not a tier-1 test: one side takes about
+80 s.
 """
 
 from __future__ import annotations
@@ -48,30 +51,68 @@ SWEEPS = {
 }
 
 
+# Trains every run of the configs named on its command line, as the
+# ``train`` command does, and prints one line per run: the config, loss
+# and seed, then the sha256 of repr(epoch_losses) and of encoder.flat.
+_DIGEST_CHILD = """
+import dataclasses, hashlib, sys
+from pathlib import Path
+from setcontrast import cli, harness
+for path in sys.argv[1:]:
+    cfg = cli.load_config(path)
+    dataset = harness.gen_two_view_dataset(cfg.data)
+    for loss in cfg.losses:
+        for seed in cfg.seeds:
+            tc = dataclasses.replace(cfg.train, loss=loss, seed=seed)
+            encoder, report = harness.train(
+                dataset, harness.make_encoder(cfg.data, tc), tc)
+            losses = hashlib.sha256(repr(report.epoch_losses).encode())
+            flat = hashlib.sha256(encoder.flat.tobytes())
+            print(Path(path).stem, loss.name, seed,
+                  losses.hexdigest(), flat.hexdigest())
+"""
+
+
 def _run(checkout: Path, argv, stdout=None) -> None:
+    """``python argv`` under ``checkout``'s package, BLAS on one thread."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "setcontrast", *argv],
+    done = subprocess.run([sys.executable, *argv],
                           env=env, stdout=stdout, stderr=subprocess.PIPE,
                           text=True)
     if done.returncode != 0:
-        print(f"{checkout}: setcontrast {' '.join(argv)} exited "
+        print(f"{checkout}: python {' '.join(argv)[:200]} exited "
               f"{done.returncode}\n{done.stderr}", file=sys.stderr)
 
 
 def _outputs(checkout: Path, out: Path, configs: Path) -> None:
     """Every golden run of one checkout, written under ``out``."""
-    for name in TRAIN_WORKLOADS:
-        for seed in SEEDS:
-            cfg = configs / f"{name}-seed{seed}.json"
-            _run(checkout, ["train", "--config", str(cfg),
-                            "--out", str(out / cfg.stem)])
+    train_configs = [configs / f"{name}-seed{seed}.json"
+                     for name in TRAIN_WORKLOADS for seed in SEEDS]
+    for cfg in train_configs:
+        _run(checkout, ["-m", "setcontrast", "train", "--config", str(cfg),
+                        "--out", str(out / cfg.stem)])
     for name in SWEEPS:
-        _run(checkout, ["sweep", "--config", str(configs / f"{name}.json"),
+        _run(checkout, ["-m", "setcontrast", "sweep",
+                        "--config", str(configs / f"{name}.json"),
                         "--beta-grid", BETA_GRID, "--out", str(out / name)])
     with open(out / "verify.txt", "w", encoding="utf-8") as fh:
-        _run(checkout, ["verify"], stdout=fh)
+        _run(checkout, ["-m", "setcontrast", "verify"], stdout=fh)
+    with open(out / "digests.txt", "w", encoding="utf-8") as fh:
+        _run(checkout, ["-c", _DIGEST_CHILD, *map(str, train_configs)],
+             stdout=fh)
+
+
+def _digests(path: Path) -> dict:
+    """{(config, loss, seed, what): sha256} from one side's digests.txt."""
+    found = {}
+    if path.is_file():
+        for line in path.read_text(encoding="utf-8").splitlines():
+            config, loss, seed, losses, flat = line.split()
+            found[(config, loss, seed, "epoch_losses")] = losses
+            found[(config, loss, seed, "flat")] = flat
+    return found
 
 
 def _write_configs(configs: Path) -> None:
@@ -88,6 +129,14 @@ def _expected() -> list:
     files = [f"{name}-seed{seed}/{leaf}" for name in TRAIN_WORKLOADS
              for seed in SEEDS for leaf in ("history.csv", "summary.json")]
     return files + [f"{name}/sweep.csv" for name in SWEEPS] + ["verify.txt"]
+
+
+def _expected_digests() -> list:
+    return [(f"{name}-seed{seed}", loss["name"], str(run), what)
+            for name in TRAIN_WORKLOADS for seed in SEEDS
+            for cfg in (WORKLOADS[name].config(seed),)
+            for loss in cfg["losses"] for run in cfg["seeds"]
+            for what in ("epoch_losses", "flat")]
 
 
 def main(argv) -> int:
@@ -111,10 +160,23 @@ def main(argv) -> int:
                 differing.append(f"{rel} (missing)")
             elif not filecmp.cmp(a, b, shallow=False):
                 differing.append(rel)
+        base_digests = _digests(work / "base" / "digests.txt")
+        head_digests = _digests(work / "head" / "digests.txt")
+    keys = _expected_digests()
+    digest_diffs = []
+    for key in keys:
+        a, b = base_digests.get(key), head_digests.get(key)
+        if a is None or b is None:
+            digest_diffs.append(" ".join(key) + " (missing)")
+        elif a != b:
+            digest_diffs.append(" ".join(key))
     for rel in differing:
         print(f"DIFF {rel}")
+    for key in digest_diffs:
+        print(f"DIFF digest {key}")
     print(f"{len(differing)} differing files of {len(files)}")
-    return 1 if differing else 0
+    print(f"{len(digest_diffs)} differing digests of {len(keys)}")
+    return 1 if differing or digest_diffs else 0
 
 
 if __name__ == "__main__":
