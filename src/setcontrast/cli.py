@@ -259,8 +259,6 @@ def _parse_beta_grid(text: Optional[str]) -> Tuple[float, ...]:
         if v in values:
             raise ConfigError(f"beta-grid: duplicate value {part!r}")
         values.append(v)
-    if not values:
-        raise ConfigError("beta-grid: empty grid")
     return tuple(values)
 
 

@@ -168,6 +168,7 @@ class MLPEncoder:
         The gradient comes back flat, in layout order. A zero output row
         raises DegenerateInputError."""
         w = T.as_tensor(self.flat if w is None else w)
+        w_shape = w.shape  # the VJP holds arrays and shapes, never w
         w1, b1, w2, b2 = self.views(w.data.reshape(-1)).values()
         xd = T.Tensor(x).data
         if xd.shape[1] != w1.shape[0]:
@@ -184,7 +185,7 @@ class MLPEncoder:
             g_out = (g - (g * z).sum(axis=1, keepdims=True) * z) / norms
             g_pre = (g_out @ w2.T) * (pre > 0.0)  # zero subgradient at the kink
             parts = (xd.T @ g_pre, g_pre.sum(axis=0), h.T @ g_out, g_out.sum(axis=0))
-            return (np.concatenate([q.ravel() for q in parts]).reshape(w.shape),)
+            return (np.concatenate([q.ravel() for q in parts]).reshape(w_shape),)
 
         return T.custom_op((w,), z, vjp)
 
@@ -347,12 +348,20 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     return encoder, report
 
 
+# rows of the evaluation distance matrix built per pairwise_dist call, so
+# the (rows, N, E) difference tensor stays small
+_EVAL_BLOCK_ROWS = 32
+
+
 def evaluate_matching(encoder, dataset: TwoViewDataset) -> float:
     """LAP matching accuracy between the two embedded views under
-    Euclidean distances, scored against the identity alignment."""
+    Euclidean distances, scored against the identity alignment. The
+    distance matrix is built in blocks of rows; each entry is the same
+    reduction as in one whole-matrix call, so the bytes are equal."""
     za = encoder.embed(dataset.view_a)
     zb = encoder.embed(dataset.view_b)
-    s = T.pairwise_dist(T.Tensor(za), T.Tensor(zb)).data
+    s = np.concatenate([T.pairwise_dist(za[lo:lo + _EVAL_BLOCK_ROWS], zb).data
+                        for lo in range(0, za.shape[0], _EVAL_BLOCK_ROWS)])
     return assignment.matching_accuracy(s, np.asarray(dataset.gt.perm))
 
 

@@ -7,6 +7,12 @@ every registered leaf. Tapes are rebuilt for each forward pass and are
 not thread-safe; Tensors themselves are immutable values and can be
 shared freely.
 
+Ownership runs one way. A tracked Tensor holds its tape; the tape holds
+one (parents, vjp) record per node, and a VJP holds arrays and scalars,
+never a tracked Tensor. So no tape is part of a reference cycle, and a
+step's whole graph (its activations and the arrays its VJPs keep) is
+freed by reference counting when its last Tensor goes.
+
 The primitives are ``scale``, ``row_l2_normalize`` and
 ``pairwise_dist``. Anything with a closed-form gradient of its own (each
 pairwise loss, each encoder view, each cosine similarity matrix, the set
@@ -46,15 +52,13 @@ def _as_2d(arr: Array) -> Array:
 
 
 class _Node:
-    """One recorded primitive application."""
+    """A tracked Tensor's handle: its tape and the index of its record."""
 
-    __slots__ = ("tape", "idx", "parents", "vjp")
+    __slots__ = ("tape", "idx")
 
-    def __init__(self, tape: "Tape", idx: int, parents, vjp):
+    def __init__(self, tape: "Tape", idx: int):
         self.tape = tape
         self.idx = idx
-        self.parents = parents  # tuple of node indices, None for constants
-        self.vjp = vjp  # grad_out -> sequence of parent grads (or None)
 
 
 class Tensor:
@@ -116,17 +120,18 @@ class Tape:
     """Records primitive applications for one forward pass."""
 
     def __init__(self):
-        self._nodes: list = []
+        # one (parents, vjp) per node: record indices (None for a constant
+        # operand) and the VJP, None for a leaf; nothing here holds a node
+        self._records: list = []
         self._leaf_shapes: dict = {}
         self.flags: set = set()  # e.g. "degenerate-eigenvalues"
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._records)
 
     def _record(self, parents, vjp) -> _Node:
-        node = _Node(self, len(self._nodes), parents, vjp)
-        self._nodes.append(node)
-        return node
+        self._records.append((parents, vjp))
+        return _Node(self, len(self._records) - 1)
 
     def leaf(self, data) -> Tensor:
         """Register data as a differentiable leaf."""
@@ -142,13 +147,14 @@ class Tape:
             raise ContractError("loss is not recorded on this tape")
         if loss.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, shape={loss.shape}")
-        adjoint: list = [None] * len(self._nodes)
+        adjoint: list = [None] * len(self._records)
         adjoint[loss.node.idx] = np.ones((1, 1))
-        for node in reversed(self._nodes[: loss.node.idx + 1]):
-            g = adjoint[node.idx]
-            if g is None or node.vjp is None:
+        for idx in range(loss.node.idx, -1, -1):
+            parents, vjp = self._records[idx]
+            g = adjoint[idx]
+            if g is None or vjp is None:
                 continue
-            for pid, pg in zip(node.parents, node.vjp(g)):
+            for pid, pg in zip(parents, vjp(g)):
                 if pid is None or pg is None:
                     continue
                 if adjoint[pid] is None:
@@ -189,7 +195,12 @@ def custom_op(operands: Iterable, value: Array, vjp: Callable) -> Tensor:
     """Register a domain primitive: ``vjp(grad_out)`` must return one
     gradient array (or None) per operand, each matching its shape. The
     value is stored 2-D as ``Tensor`` stores data: a scalar as (1, 1), a
-    vector as (1, n); more dimensions raise ShapeError."""
+    vector as (1, n); more dimensions raise ShapeError.
+
+    ``vjp`` may capture arrays and scalars (an operand's ``.data``, its
+    shape), never a tracked Tensor: the tape keeps ``vjp`` in its
+    records, and a Tensor there would hold the tape in a reference cycle
+    that only the cycle collector frees, with every array of the graph."""
     ops = tuple(as_tensor(t) for t in operands)
     return _emit(ops, _as_2d(np.asarray(value, dtype=np.float64)), vjp)
 

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+
 import numpy as np
 
 from setcontrast import tensor as T
@@ -6,12 +9,27 @@ from setcontrast import tensor as T
 def weighted_sum(x, w=1.0) -> T.Tensor:
     """sum(x * w) as one tape node over x and w, with w a Tensor of x's
     shape or anything that broadcasts to it. Tests compose tape
-    expressions with it; the library needs no such primitive."""
+    expressions with it; the library needs no such primitive. Like every
+    VJP, its VJP holds arrays, not the Tensors."""
     x = T.as_tensor(x)
     w = w if isinstance(w, T.Tensor) else T.Tensor(np.broadcast_to(w, x.shape))
+    xd, wd = x.data, w.data
 
     def vjp(g):
         c = float(g.reshape(()))
-        return c * w.data, c * x.data
+        return c * wd, c * xd
 
-    return T.custom_op((x, w), np.reshape((x.data * w.data).sum(), (1, 1)), vjp)
+    return T.custom_op((x, w), np.reshape((xd * wd).sum(), (1, 1)), vjp)
+
+
+@contextlib.contextmanager
+def gc_disabled():
+    """No cycle collection inside the block, so only reference counting
+    frees what the block drops."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

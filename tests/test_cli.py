@@ -327,6 +327,32 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"{field}: expected a finite number" in err
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("data", "noise_sigma", "0.5", "data.noise_sigma: expected a number"),
+        ("losses", "temperature", True, "losses[0].temperature: expected a number"),
+        ("losses", "kind", 3, "losses[0].kind: expected a string"),
+        ("losses", "mode", None, "losses[0].mode: expected a string"),
+    ])
+    def test_wrong_field_type_is_config_error(self, tmp_path, capsys,
+                                              section, key, value, message):
+        doc = json.loads(json.dumps(TINY))
+        target = doc["losses"][0] if section == "losses" else doc[section]
+        target[key] = value
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_run_seed_is_config_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TINY))
+        doc["seeds"] = [0, -1]
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert "config error: seeds: must be non-negative\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_data_seed_is_config_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TINY))
         doc["data"]["seed"] = -1
@@ -391,6 +417,16 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", cfgp,
                          "--out", str(tmp_path / "sw"),
                          "--beta-grid", grid]) == 2
+
+    @pytest.mark.parametrize("grid", ["", ","])
+    def test_empty_grid_part_is_not_a_number(self, tmp_path, capsys, grid):
+        # str.split always yields a part, and an empty one fails float()
+        cfgp = write_config(tmp_path, TINY)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", cfgp, "--out", str(out),
+                         "--beta-grid", grid]) == 2
+        assert "config error: beta-grid: '' is not a number\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_zero_in_grid_writes_zero(self, tmp_path):
         cfgp = write_config(tmp_path, TINY)

@@ -1,10 +1,18 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from setcontrast import harness, losses, simgeom, tensor as T
-from setcontrast.errors import ConfigError, DegenerateInputError, NumericError, ShapeError
+from setcontrast import assignment, harness, losses, simgeom, tensor as T
+from setcontrast.errors import (
+    ConfigError,
+    ContractError,
+    DegenerateInputError,
+    NumericError,
+    ShapeError,
+)
 
-from conftest import weighted_sum
+from conftest import gc_disabled, weighted_sum
 
 TINY = harness.SyntheticSpec(num_classes=2, samples_per_class=4,
                              ambient_dim=8, noise_sigma=0.2, seed=5)
@@ -16,6 +24,13 @@ def tiny_train_config(**kwargs):
                     seed=0)
     defaults.update(kwargs)
     return harness.TrainConfig(**defaults)
+
+
+PAIRWISE_KINDS = [
+    ("infonce", "batch-hard"), ("smoothed", "batch-hard"),
+    ("nt_logistic", "batch-hard"), ("sparseclr", "batch-hard"),
+    ("margin", "batch-hard"), ("margin", "one-to-one"),
+]
 
 
 def _nodes_per_step(monkeypatch, loss):
@@ -152,6 +167,11 @@ class TestEncoder:
         np.testing.assert_array_equal(enc.params["b2"], 0.0)
         with pytest.raises(DegenerateInputError):
             enc.embed(x[dead])
+
+    @pytest.mark.parametrize("widths", [(0, 4, 2), (8, 0, 2), (8, 4, 0)])
+    def test_nonpositive_width_rejected(self, widths):
+        with pytest.raises(ConfigError, match="^encoder widths must be positive$"):
+            harness.MLPEncoder(*widths)
 
 
 def _reference_adam(params, grads, m, v, t, lr, b1, b2, eps):
@@ -292,11 +312,7 @@ class TestTraining:
         with pytest.raises(NumericError):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
 
-    @pytest.mark.parametrize("kind,mining", [
-        ("infonce", "batch-hard"), ("smoothed", "batch-hard"),
-        ("nt_logistic", "batch-hard"), ("sparseclr", "batch-hard"),
-        ("margin", "batch-hard"), ("margin", "one-to-one"),
-    ])
+    @pytest.mark.parametrize("kind,mining", PAIRWISE_KINDS)
     def test_beta_zero_step_records_five_tape_nodes(self, monkeypatch, kind, mining):
         # 1 flat parameter leaf + 2 encoder views + S + the pairwise loss
         assert _nodes_per_step(monkeypatch, losses.LossConfig(
@@ -337,6 +353,27 @@ class TestTraining:
 
         assert T.gradcheck(step, enc.flat) < 1e-6
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(batch_size=1), "batch_size must be >= 2"),
+        (dict(learning_rate=-1e-3), "learning_rate must be >= 0"),
+        (dict(hidden_dim=0), "encoder widths must be positive"),
+        (dict(embed_dim=0), "encoder widths must be positive"),
+    ])
+    def test_invalid_config_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            tiny_train_config(**kwargs)
+
+    def test_nonfinite_loss_raises_numeric_error(self, monkeypatch):
+        def nan_loss(za, zb, gt, cfg):
+            return T.custom_op((za,), np.nan, lambda g: (None,)), {}
+
+        monkeypatch.setattr(harness, "two_view_loss", nan_loss)
+        ds = harness.gen_two_view_dataset(TINY)
+        cfg = tiny_train_config()
+        with pytest.raises(NumericError, match=(
+                r"^non-finite loss nan at epoch 0 step 0 \(loss='t', seed=0\)$")):
+            harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+
     def test_partial_final_batch_is_dropped(self):
         ds = harness.gen_two_view_dataset(TINY)  # 8 samples
         cfg = tiny_train_config(batch_size=5, epochs=1)  # one step per epoch
@@ -365,6 +402,76 @@ class TestEvaluation:
         enc, _ = harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
         acc = harness.evaluate_matching(enc, ds)
         assert 0.0 <= acc <= 1.0
+
+    def test_linear_probe_rejects_mismatched_labels(self):
+        with pytest.raises(ShapeError,
+                           match="^linear_probe: embeddings and labels disagree$"):
+            harness.linear_probe(np.zeros((6, 2)), np.array([0, 1] * 2))
+
+    def test_linear_probe_needs_two_classes(self):
+        with pytest.raises(ContractError,
+                           match="^linear_probe needs at least two classes$"):
+            harness.linear_probe(np.zeros((4, 2)), np.zeros(4, dtype=int))
+
+    def test_linear_probe_needs_a_held_out_sample(self):
+        # a class of one sample goes wholly to the training side
+        with pytest.raises(ContractError,
+                           match="^linear_probe: split left no held-out samples$"):
+            harness.linear_probe(np.eye(3), np.arange(3))
+
+    @pytest.mark.parametrize("num_classes,samples_per_class", [(5, 9), (8, 16)])
+    def test_block_rows_give_the_one_call_bytes(self, monkeypatch, num_classes,
+                                                samples_per_class):
+        # 45 items leave a partial last block; 128 fill four whole ones
+        spec = harness.SyntheticSpec(num_classes=num_classes,
+                                     samples_per_class=samples_per_class)
+        assert spec.num_items > harness._EVAL_BLOCK_ROWS
+        ds = harness.gen_two_view_dataset(spec)
+        enc = harness.make_encoder(spec, harness.TrainConfig())
+        seen = []
+        real = assignment.matching_accuracy
+
+        def capture(s, perm):
+            seen.append(s)
+            return real(s, perm)
+
+        monkeypatch.setattr(assignment, "matching_accuracy", capture)
+        harness.evaluate_matching(enc, ds)
+        whole = T.pairwise_dist(enc.embed(ds.view_a), enc.embed(ds.view_b)).data
+        assert len(seen) == 1
+        assert seen[0].shape == whole.shape == (spec.num_items, spec.num_items)
+        assert seen[0].tobytes() == whole.tobytes()
+
+
+class TestTapeLifetime:
+    """A tape's records hold arrays only, so reference counting alone
+    frees a step's graph once its last Tensor goes: nothing waits for
+    the cycle collector."""
+
+    @pytest.mark.parametrize("kind,mining,beta,mode", [
+        *((kind, mining, 0.0, "euclidean") for kind, mining in PAIRWISE_KINDS),
+        ("infonce", "batch-hard", 0.0, "cosine"),
+        ("infonce", "batch-hard", 1.0, "euclidean"),
+        ("infonce", "batch-hard", 1.0, "cosine"),
+    ])
+    def test_step_graph_is_freed_without_the_collector(self, kind, mining,
+                                                        beta, mode):
+        loss = losses.LossConfig(name="t", kind=kind, mining=mining, beta=beta,
+                                 mode=mode)
+        ds = harness.gen_two_view_dataset(TINY)
+        enc = harness.make_encoder(TINY, tiny_train_config(loss=loss))
+        gt = losses.GroundTruthAlignment.identity(4)
+        with gc_disabled():
+            tape = T.Tape()
+            w = tape.leaf(enc.flat)
+            za = enc.forward(ds.view_a[:4], w)
+            zb = enc.forward(ds.view_b[:4], w)
+            value, terms = losses.two_view_loss(za, zb, gt, loss)
+            grad = tape.backward(value)[w]
+            assert len(tape) >= 5 and np.isfinite(grad.data).all()
+            alive = weakref.ref(tape)
+            del tape, w, za, zb, value, terms, grad
+            assert alive() is None
 
 
 class TestFig1bInstance:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from setcontrast.errors import (
     ShapeError,
 )
 
-from conftest import weighted_sum
+from conftest import gc_disabled, weighted_sum
 
 
 def small_arrays(rows=(1, 4), cols=(1, 4)):
@@ -190,6 +192,26 @@ class TestGradcheck:
         with pytest.raises(ContractError,
                            match="^gradcheck: f must return a scalar Tensor$"):
             T.gradcheck(f, np.ones((2, 2)))
+
+    def test_leaves_no_tape_alive(self, monkeypatch):
+        tapes = []
+
+        class Recorded(T.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        def f(x):
+            return weighted_sum(T.pairwise_dist(T.scale(x, 2.0),
+                                                T.row_l2_normalize(x)))
+
+        monkeypatch.setattr(T, "Tape", Recorded)
+        x0 = np.random.default_rng(0).normal(size=(3, 2))
+        with gc_disabled():
+            err = T.gradcheck(f, x0)
+            assert len(tapes) == 1
+            assert tapes[0]() is None
+        assert err < 1e-6
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_output_rejected(self):
