@@ -11,13 +11,17 @@ forever, so the pass stops after a fixed ``4 n`` steps. Each row still
 free then grows a Dijkstra tree to the nearest free column, with lazy
 dual updates as in Crouse 2016. On the n = 32 solves of training with
 the one-to-one margin loss, column reduction leaves about 11 of the 32
-rows free, and the reduction pass about 0.6 on average.
+rows free, and the reduction pass about 0.6 on average. Both warm start
+phases keep the matching in Python int lists while they run and write it
+to arrays once: at these sizes numpy scalar indexing, not arithmetic, is
+what a step would otherwise cost.
 
 Tie-break contract: among equally optimal assignments both the solver
 and the oracles return the lexicographically smallest permutation, so
 equality tests between them can be exact. The solver's duals certify
-every optimal assignment; when their tight graph has no alternating
-cycle the optimum is unique, otherwise one iterative pass of
+every optimal assignment. When their tight graph has no alternating
+cycle the optimum is unique, which a topological sort of the tight
+edges off the matching decides; otherwise one iterative pass of
 alternating-cycle rotations refines the matching. The LAP oracle ranks
 permutations by their ``lap_cost`` bits. It scores all of them by
 prefix sums shared along the lexicographic order, one row per level,
@@ -113,15 +117,20 @@ def lap_cost(s: Array, perm: Array) -> float:
 def _column_reduction(a: Array):
     """The first warm start phase: (v, col4row, row4col) with v the
     column minima and each column matched to its first argmin row while
-    that row is free; -1 marks an unmatched row or column."""
+    that row is free; -1 marks an unmatched row or column.
+
+    The columns are visited in ascending order, so a row that is the
+    first argmin of several columns takes the first of them. The matching
+    is built in Python int lists and written to arrays once."""
     n = a.shape[0]
     v = a.min(axis=0)
-    col4row = np.full(n, -1, dtype=np.intp)
-    row4col = np.full(n, -1, dtype=np.intp)
-    first_rows, cols = np.unique(a.argmin(axis=0), return_index=True)
-    col4row[first_rows] = cols
-    row4col[cols] = first_rows
-    return v, col4row, row4col
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for j, i in enumerate(a.argmin(axis=0).tolist()):
+        if col4row[i] < 0:
+            col4row[i] = j
+            row4col[j] = i
+    return v, np.array(col4row, dtype=np.intp), np.array(row4col, dtype=np.intp)
 
 
 def _augmenting_row_reduction(a: Array, v: Array, col4row: Array,
@@ -143,34 +152,45 @@ def _augmenting_row_reduction(a: Array, v: Array, col4row: Array,
     pass a column round forever (a constant matrix does), so the pass
     stops after ``_ARR_STEPS_PER_ROW * n`` steps with the queue's rows
     still free.
+
+    The matching is read into Python int lists at the start and written
+    back to ``col4row`` and ``row4col`` once at the end, and the two
+    reduced costs are read as Python floats with ``item``: a step's
+    bookkeeping is plain Python, and its numpy work is the row, two
+    argmins and the dual update.
     """
     n = a.shape[0]
-    queue = collections.deque(np.flatnonzero(col4row < 0).tolist())
+    c4r = col4row.tolist()
+    r4c = row4col.tolist()
+    queue = collections.deque(i for i, j in enumerate(c4r) if j < 0)
+    limit = _ARR_STEPS_PER_ROW * n
     steps = 0
-    while queue and steps < _ARR_STEPS_PER_ROW * n:
+    while queue and steps < limit:
         steps += 1
         i = queue.popleft()
         r = a[i] - v
         j1 = int(r.argmin())
-        umin = float(r[j1])
+        umin = r.item(j1)
         r[j1] = np.inf
         j2 = int(r.argmin())
-        usubmin = float(r[j2])
+        usubmin = r.item(j2)
         gap = umin < usubmin
         if gap:
             v[j1] -= usubmin - umin
             j = j1
         else:
-            j = j1 if row4col[j1] < 0 else j2
-        displaced = int(row4col[j])
-        col4row[i] = j
-        row4col[j] = i
+            j = j1 if r4c[j1] < 0 else j2
+        displaced = r4c[j]
+        c4r[i] = j
+        r4c[j] = i
         if displaced >= 0:
-            col4row[displaced] = -1
+            c4r[displaced] = -1
             if gap:
                 queue.appendleft(displaced)
             else:
                 queue.append(displaced)
+    col4row[:] = c4r
+    row4col[:] = r4c
     return steps
 
 
@@ -241,6 +261,26 @@ def _hungarian(a: Array):
     return col4row, u, v
 
 
+def _is_acyclic(n: int, src, dst) -> bool:
+    """Whether the digraph on nodes 0..n-1 with edges src[e] -> dst[e]
+    has no cycle: Kahn's topological sort removes every node."""
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, k in zip(src, dst):
+        succ[i].append(k)
+        indeg[k] += 1
+    ready = [k for k in range(n) if indeg[k] == 0]
+    removed = 0
+    while ready:
+        i = ready.pop()
+        removed += 1
+        for k in succ[i]:
+            indeg[k] -= 1
+            if indeg[k] == 0:
+                ready.append(k)
+    return removed == n
+
+
 def _lex_refine(a: Array, perm: Array, u: Array, v: Array) -> Array:
     """Among optimal assignments pick the lexicographically smallest.
 
@@ -251,25 +291,26 @@ def _lex_refine(a: Array, perm: Array, u: Array, v: Array) -> Array:
     cycle, so row i takes the smallest tight column whose owner reaches
     i along alternating edges through unfixed rows, and the matching is
     rotated along that cycle.
+
+    Most optima are unique, so the pass is skipped when the tight graph
+    has no alternating cycle. These are the cycles of the digraph with
+    an edge row i -> row k when i can take k's column off the matching,
+    so the test is Kahn's topological sort of that digraph, read from
+    the tight entries of ``a[:, perm]``. The full tight matrix is built
+    only when a cycle exists and the pass runs.
     """
     n = a.shape[0]
     tol = 1e-9 * max(1.0, float(np.abs(a).max()))
-    tight = (a - u[:, None] - v[None, :]) <= tol
+    # g[i, k]: row i can take row k's column, the same bits as the
+    # tight matrix's column perm[k]; the matching itself is no edge
+    g = (a[:, perm] - u[:, None] - v[perm]) <= tol
     rows = np.arange(n)
-    tight[rows, perm] = True
-    # row i -> row k when i can take k's column: the alternating cycles
-    # are the cycles of this digraph. A row without an out-edge or an
-    # in-edge among the live rows is on none, so peel it; if every row
-    # peels, the optimum is unique.
-    g = tight[:, perm]
     g[rows, rows] = False
-    while g.size:
-        live = g.any(axis=1) & g.any(axis=0)
-        if live.all():
-            break
-        g = g[np.ix_(live, live)]
-    else:
+    src, dst = np.nonzero(g)
+    if _is_acyclic(n, src.tolist(), dst.tolist()):
         return perm
+    tight = (a - u[:, None] - v[None, :]) <= tol
+    tight[rows, perm] = True
     col, owner, succ = perm.copy(), np.empty_like(perm), np.empty_like(perm)
     owner[col] = rows
     for i in range(n):

@@ -284,7 +284,8 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     ``flat`` buffer as the tape's one leaf, and Adam updates that buffer
     in place. Aborts with NumericError on a non-finite loss or gradient
     (naming the parameter), or on a degenerate (zero) embedding. Matching
-    accuracy and the probe run once, after training.
+    accuracy and the probe run once, after training, on one embedding of
+    each view.
     """
     started = time.perf_counter()
     n = dataset.view_a.shape[0]
@@ -334,11 +335,13 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
             adam_step(state, grad, lr=config.learning_rate)
             batch_losses.append(value)
         epoch_losses.append(float(np.mean(batch_losses)))
+    za = encoder.embed(dataset.view_a)
+    zb = encoder.embed(dataset.view_b)
     report = RunReport(
         epoch_losses=epoch_losses,
-        matching_accuracy=evaluate_matching(encoder, dataset),
+        matching_accuracy=_matching_accuracy(za, zb, dataset.gt),
         probe_accuracy=linear_probe(
-            np.vstack([encoder.embed(dataset.view_a), encoder.embed(dataset.view_b)]),
+            np.vstack([za, zb]),
             np.concatenate([dataset.labels, dataset.labels]),
             seed=config.seed,
         ),
@@ -358,11 +361,16 @@ def evaluate_matching(encoder, dataset: TwoViewDataset) -> float:
     Euclidean distances, scored against the identity alignment. The
     distance matrix is built in blocks of rows; each entry is the same
     reduction as in one whole-matrix call, so the bytes are equal."""
-    za = encoder.embed(dataset.view_a)
-    zb = encoder.embed(dataset.view_b)
+    return _matching_accuracy(encoder.embed(dataset.view_a),
+                              encoder.embed(dataset.view_b), dataset.gt)
+
+
+def _matching_accuracy(za: Array, zb: Array, gt: GroundTruthAlignment) -> float:
+    """``evaluate_matching`` on embeddings already computed, which
+    ``train`` shares with the linear probe."""
     s = np.concatenate([T.pairwise_dist(za[lo:lo + _EVAL_BLOCK_ROWS], zb).data
                         for lo in range(0, za.shape[0], _EVAL_BLOCK_ROWS)])
-    return assignment.matching_accuracy(s, np.asarray(dataset.gt.perm))
+    return assignment.matching_accuracy(s, np.asarray(gt.perm))
 
 
 _PROBE_EPOCHS = 100

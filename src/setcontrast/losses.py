@@ -457,9 +457,8 @@ def pairwise_loss(s, gt, cfg: LossConfig) -> T.Tensor:
         return infonce_loss(s, gt, temperature=cfg.temperature, reduction="mean")
     if cfg.kind == "nt_logistic":
         return nt_logistic_loss(s, gt, temperature=cfg.temperature, reduction="mean")
-    if cfg.kind == "sparseclr":
-        return sparseclr_loss(s, gt, reduction="mean")
-    raise ContractError(f"unknown loss kind {cfg.kind!r}")
+    # the last of LOSS_KINDS: LossConfig rejects any other kind on construction
+    return sparseclr_loss(s, gt, reduction="mean")
 
 
 def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, float]]:

@@ -22,6 +22,7 @@ documents its subgradient conventions where it is defined.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -103,16 +104,27 @@ def as_tensor(x) -> Tensor:
 
 
 class Gradients:
-    """Result of Tape.backward: gradients keyed by leaf."""
+    """Result of Tape.backward: gradients keyed by the tape's leaves, as
+    Tensors or as record indices.
 
-    def __init__(self, by_id: dict):
+    Holds the tape only weakly, so a step's graph is still freed when its
+    last Tensor goes. An untracked tensor, a tensor of another tape and a
+    tracked non-leaf raise ContractError."""
+
+    def __init__(self, by_id: dict, tape: "Tape"):
         self._by_id = by_id
+        self._tape = weakref.ref(tape)
 
     def __getitem__(self, key) -> Tensor:
         if isinstance(key, Tensor):
             if key.node is None:
                 raise ContractError("tensor is not tracked on any tape")
+            # a tracked key keeps its tape alive, so a dead ref is another tape
+            if key.node.tape is not self._tape():
+                raise ContractError("tensor was recorded on another tape")
             key = key.node.idx
+        if key not in self._by_id:
+            raise ContractError(f"record {key} is not a leaf of this tape")
         return self._by_id[key]
 
 
@@ -167,7 +179,7 @@ class Tape:
             if g is None:
                 g = np.zeros(shape)
             out[idx] = Tensor._raw(np.array(g), None)
-        return Gradients(out)
+        return Gradients(out, self)
 
 
 def _common_tape(operands: Sequence[Tensor]) -> Optional[Tape]:

@@ -1,3 +1,4 @@
+import collections
 import inspect
 import itertools
 import math
@@ -251,6 +252,94 @@ class TestAugmentingRowReduction:
                 assert_agrees_with_oracle(a)
 
 
+def reference_column_reduction(a):
+    """The column reduction written with np.unique: each row that is the
+    argmin of some columns takes the first of them (return_index)."""
+    n = a.shape[0]
+    v = a.min(axis=0)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col = np.full(n, -1, dtype=np.intp)
+    first_rows, cols = np.unique(a.argmin(axis=0), return_index=True)
+    col4row[first_rows] = cols
+    row4col[cols] = first_rows
+    return v, col4row, row4col
+
+
+def reference_row_reduction(a, v, col4row, row4col):
+    """The augmenting row reduction over numpy arrays, element by element."""
+    n = a.shape[0]
+    queue = collections.deque(np.flatnonzero(col4row < 0).tolist())
+    steps = 0
+    while queue and steps < assignment._ARR_STEPS_PER_ROW * n:
+        steps += 1
+        i = queue.popleft()
+        r = a[i] - v
+        j1 = int(r.argmin())
+        umin = float(r[j1])
+        r[j1] = np.inf
+        j2 = int(r.argmin())
+        usubmin = float(r[j2])
+        gap = umin < usubmin
+        if gap:
+            v[j1] -= usubmin - umin
+            j = j1
+        else:
+            j = j1 if row4col[j1] < 0 else j2
+        displaced = int(row4col[j])
+        col4row[i] = j
+        row4col[j] = i
+        if displaced >= 0:
+            col4row[displaced] = -1
+            if gap:
+                queue.appendleft(displaced)
+            else:
+                queue.append(displaced)
+    return steps
+
+
+def warm_start_families(rng):
+    """(name, matrix) pairs: Gaussian and integer-tied inputs for n = 1..40,
+    and the near-tie families of tools/lap_near_ties.py."""
+    for n in range(1, 41):
+        yield "gaussian", rng.normal(size=(n, n))
+        yield "{0,1}", rng.integers(0, 2, size=(n, n)).astype(float)
+        yield "{0,1,2}", rng.integers(0, 3, size=(n, n)).astype(float)
+        yield "constant", np.full((n, n), 2.5)
+    for eps in (1e-13, 1e-11, 5e-10, 2e-9, 1e-8):
+        for _ in range(8):
+            n = int(rng.integers(2, 7))
+            yield f"near-tie {eps:g}", (rng.integers(0, 3, size=(n, n))
+                                        + eps * rng.integers(-1, 2, size=(n, n)))
+
+
+class TestWarmStartBookkeeping:
+    def test_phases_match_the_array_reference_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for name, a in warm_start_families(rng):
+            for x in (a, -a):
+                got = assignment._column_reduction(x)
+                want = reference_column_reduction(x)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+                got_steps = assignment._augmenting_row_reduction(x, *got)
+                want_steps = reference_row_reduction(x, *want)
+                assert got_steps == want_steps, name
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), name
+
+    def test_column_reduction_gives_a_row_its_first_argmin_column(self):
+        # row 0 is the argmin of columns 1, 2 and 3 (column 1 ties with
+        # row 3, whose index is larger); row 2 is the argmin of column 0
+        a = np.array([[5.0, 0.0, 0.0, 1.0],
+                      [6.0, 3.0, 4.0, 2.0],
+                      [1.0, 4.0, 5.0, 3.0],
+                      [7.0, 0.0, 2.0, 2.0]])
+        v, col4row, row4col = assignment._column_reduction(a)
+        np.testing.assert_array_equal(v, [1.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(col4row, [1, -1, 0, -1])
+        np.testing.assert_array_equal(row4col, [2, 0, -1, -1])
+
+
 def refine_exit(a, sense):
     """Refine solve_lap's own matching of a: (tight edges beyond the n
     matched ones, whether the rotation pass ran). The early exits hand
@@ -309,6 +398,49 @@ class TestLexRefineExits:
                 slow = assignment.brute_force_lap(x, sense)
                 assert fast.perm == slow.perm
                 assert fast.cost == slow.cost
+
+
+def reference_peel(g):
+    """Whether the digraph g (g[i, k]: edge i -> k) peels to nothing when
+    rows without an out-edge or an in-edge among the live rows are
+    removed until none is left; a cycle never peels."""
+    while g.size:
+        live = g.any(axis=1) & g.any(axis=0)
+        if live.all():
+            return False
+        g = g[np.ix_(live, live)]
+    return True
+
+
+def random_digraphs(rng):
+    """(name, g) boolean adjacency matrices without self-loops: DAGs,
+    DAGs with a planted 2-, 3- or 4-cycle, and graphs with no edges."""
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        order = rng.permutation(n)
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.6), k=1)
+        dag = upper[np.ix_(order, order)]
+        yield "dag", dag
+        yield "empty", np.zeros((n, n), dtype=bool)
+        for k in (2, 3, 4):
+            if k <= n:
+                g = dag.copy()
+                cyc = rng.choice(n, size=k, replace=False)
+                g[cyc, np.roll(cyc, -1)] = True
+                yield f"{k}-cycle", g
+
+
+class TestAcyclicityTest:
+    def test_topological_sort_decides_as_the_peel(self):
+        rng = np.random.default_rng(42)
+        seen = set()
+        for name, g in random_digraphs(rng):
+            src, dst = np.nonzero(g)
+            acyclic = assignment._is_acyclic(g.shape[0], src.tolist(), dst.tolist())
+            assert acyclic == reference_peel(g), name
+            assert acyclic == (name in ("dag", "empty")), name
+            seen.add(name)
+        assert seen == {"dag", "empty", "2-cycle", "3-cycle", "4-cycle"}
 
 
 class TestBruteForce:

@@ -75,6 +75,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=needle):
             cli.load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("mutate,needle", [
+        (lambda d: [d], "config: expected an object, got list"),
+        (lambda d: dict(d, data=[1]), "data: expected an object, got list"),
+        (lambda d: dict(d, train=3), "train: expected an object, got int"),
+        (lambda d: dict(d, losses=["infonce"]), "losses[0]: expected an object, got str"),
+        (lambda d: {k: v for k, v in d.items() if k != "losses"},
+         "losses: missing required field"),
+    ])
+    def test_malformed_sections_exit_2(self, tmp_path, capsys, mutate, needle):
+        doc = mutate(json.loads(json.dumps(TINY)))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {needle}\n"
+        assert not out.exists()
+
     def test_duplicate_loss_names_rejected(self, tmp_path):
         doc = json.loads(json.dumps(TINY))
         doc["losses"] = [{"name": "a", "kind": "infonce"},

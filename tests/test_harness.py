@@ -110,6 +110,11 @@ class TestEncoder:
         x = np.random.default_rng(1).normal(size=(5, 8))
         np.testing.assert_array_equal(e1.embed(x), e2.embed(x))
 
+    def test_input_width_must_match_the_first_layer(self):
+        enc = harness.MLPEncoder(8, 16, 4, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="^encoder: input width 7 != 8$"):
+            enc.embed(np.ones((3, 7)))
+
     def test_forward_matches_embed(self):
         rng = np.random.default_rng(2)
         enc = harness.MLPEncoder(8, 16, 4, rng)
@@ -363,6 +368,14 @@ class TestTraining:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             tiny_train_config(**kwargs)
 
+    def test_batch_larger_than_the_dataset_rejected(self):
+        # the CLI checks this before training; a library caller meets it here
+        ds = harness.gen_two_view_dataset(TINY)  # 8 samples
+        cfg = tiny_train_config(batch_size=9)
+        with pytest.raises(ConfigError,
+                           match="^batch_size 9 exceeds dataset size 8$"):
+            harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+
     def test_nonfinite_loss_raises_numeric_error(self, monkeypatch):
         def nan_loss(za, zb, gt, cfg):
             return T.custom_op((za,), np.nan, lambda g: (None,)), {}
@@ -402,6 +415,27 @@ class TestEvaluation:
         enc, _ = harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
         acc = harness.evaluate_matching(enc, ds)
         assert 0.0 <= acc <= 1.0
+
+    def test_train_embeds_each_view_once(self, monkeypatch):
+        # the matching accuracy and the probe share one embedding per view
+        ds = harness.gen_two_view_dataset(TINY)
+        cfg = tiny_train_config()
+        real_embed = harness.MLPEncoder.embed
+        seen = []
+
+        def counted(self, x):
+            seen.append(x)
+            return real_embed(self, x)
+
+        monkeypatch.setattr(harness.MLPEncoder, "embed", counted)
+        enc, report = harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+        assert len(seen) == 2
+        assert seen[0] is ds.view_a and seen[1] is ds.view_b
+        assert report.matching_accuracy == harness.evaluate_matching(enc, ds)
+        za, zb = real_embed(enc, ds.view_a), real_embed(enc, ds.view_b)
+        assert report.probe_accuracy == harness.linear_probe(
+            np.vstack([za, zb]), np.concatenate([ds.labels, ds.labels]),
+            seed=cfg.seed)
 
     def test_linear_probe_rejects_mismatched_labels(self):
         with pytest.raises(ShapeError,

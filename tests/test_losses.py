@@ -376,6 +376,38 @@ class TestNonFiniteInput:
             call(bad)
 
 
+class TestArgumentChecks:
+    """Each public loss rejects a bad argument itself, without a LossConfig
+    in front of it."""
+
+    def test_sparsemax_threshold_of_nothing(self):
+        with pytest.raises(ShapeError, match="^sparsemax_threshold: empty input$"):
+            losses.sparsemax_threshold([])
+
+    @pytest.mark.parametrize("loss", [losses.structured_lap_loss,
+                                      losses.batch_hard_lap_loss])
+    def test_negative_margin(self, loss):
+        s = np.arange(4.0).reshape(2, 2)
+        gt = losses.GroundTruthAlignment.identity(2)
+        with pytest.raises(ContractError, match=r"^margin must be >= 0, got -0\.5$"):
+            loss(s, gt, margin=-0.5)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    @pytest.mark.parametrize("loss", [losses.infonce_loss,
+                                      losses.smoothed_batch_hard_loss])
+    def test_nonpositive_temperature(self, loss, temperature):
+        s = np.arange(4.0).reshape(2, 2)
+        gt = losses.GroundTruthAlignment.identity(2)
+        with pytest.raises(ContractError,
+                           match=f"^temperature must be > 0, got {temperature}$"):
+            loss(s, gt, temperature=temperature)
+
+    def test_combined_loss_needs_a_positive_batch(self):
+        with pytest.raises(ContractError,
+                           match="^combined_loss: n must be >= 1, got 0$"):
+            losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0), beta=1.0, n=0)
+
+
 class TestSparseCLR:
     def test_single_entry_closed_form(self):
         for s_val in (0.3, 1.7):

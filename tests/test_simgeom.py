@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,12 @@ class TestSymEigen:
         with pytest.raises(ContractError):
             simgeom.sym_eigen(m)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_input_rejected(self, shape):
+        with pytest.raises(ShapeError,
+                           match=f"^expected a square matrix, got shape {re.escape(str(shape))}$"):
+            simgeom.sym_eigen(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):
         m = np.eye(3)
@@ -100,6 +107,12 @@ class TestEigenvalueGradient:
         g = simgeom.eigenvalue_gradient(dec, np.ones((5, 1)))
         np.testing.assert_allclose(g, g.T)
 
+    def test_upstream_length_must_match(self):
+        dec = simgeom.sym_eigen(np.eye(3))
+        with pytest.raises(ShapeError,
+                           match="^eigenvalue_gradient: upstream length mismatch$"):
+            simgeom.eigenvalue_gradient(dec, np.ones(2))
+
     def test_degenerate_spectrum_sets_tape_flag(self):
         tape = T.Tape()
         x = tape.leaf(np.eye(3))  # all eigenvalues equal
@@ -131,6 +144,11 @@ class TestEigDot:
     def test_unknown_sense_rejected(self):
         with pytest.raises(ContractError):
             simgeom.eig_dot(np.ones(2), np.ones(2), "median")
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ShapeError,
+                           match=r"^eig_dot: lengths differ, \(2,\) vs \(3,\)$"):
+            simgeom.eig_dot(np.ones(2), np.ones(3), "min")
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))

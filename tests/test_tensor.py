@@ -82,6 +82,11 @@ class TestForwardValues:
         with pytest.raises(DegenerateInputError):
             T.row_l2_normalize(T.Tensor(np.zeros((2, 3))))
 
+    def test_pairwise_dist_feature_dims_must_agree(self):
+        with pytest.raises(ShapeError, match=(r"^pairwise_dist: feature dims differ, "
+                                              r"\(2, 3\) vs \(1, 2\)$")):
+            T.pairwise_dist(np.ones((2, 3)), np.ones((1, 2)))
+
 
 class TestTapeSemantics:
     def test_backward_returns_zero_for_unreached_leaf(self):
@@ -126,6 +131,44 @@ class TestTapeSemantics:
                                match="^loss is not recorded on this tape$"):
                 tape.backward(loss)
         tape.backward(weighted_sum(a))  # the tape itself still works
+
+    def test_gradients_reject_a_leaf_of_another_tape(self):
+        # both leaves are record 0 of their tape: an index lookup would
+        # hand back xa's gradient for xb
+        ta, tb = T.Tape(), T.Tape()
+        xa = ta.leaf(np.ones((1, 2)))
+        xb = tb.leaf(np.ones((1, 2)))
+        grads = ta.backward(weighted_sum(xa, 3.0))
+        with pytest.raises(ContractError,
+                           match="^tensor was recorded on another tape$"):
+            grads[xb]
+        np.testing.assert_array_equal(grads[xa].data, [[3.0, 3.0]])
+
+    def test_gradients_reject_a_tracked_non_leaf(self):
+        tape = T.Tape()
+        x = tape.leaf(np.ones((1, 2)))
+        y = T.scale(x, 2.0)
+        grads = tape.backward(weighted_sum(y))
+        with pytest.raises(ContractError,
+                           match="^record 1 is not a leaf of this tape$"):
+            grads[y]
+
+    def test_gradients_reject_an_untracked_tensor(self):
+        tape = T.Tape()
+        grads = tape.backward(weighted_sum(tape.leaf(np.ones((1, 2)))))
+        with pytest.raises(ContractError,
+                           match="^tensor is not tracked on any tape$"):
+            grads[T.Tensor(np.ones((1, 2)))]
+
+    def test_gradients_hold_no_tape_alive(self):
+        with gc_disabled():
+            tape = T.Tape()
+            x = tape.leaf(np.ones((1, 2)))
+            grads = tape.backward(weighted_sum(x))
+            alive = weakref.ref(tape)
+            del tape, x
+            assert alive() is None
+            np.testing.assert_array_equal(grads[0].data, [[1.0, 1.0]])
 
     def test_backward_needs_a_scalar_loss(self):
         tape = T.Tape()
@@ -221,6 +264,17 @@ class TestGradcheck:
         with pytest.raises(EvaluationError):
             T.gradcheck(lambda x: weighted_sum(log(x)),
                         np.array([[-1.0, 1.0]]))
+
+    def test_nonfinite_value_off_the_point_rejected(self):
+        # finite at x = 0, so the analytic pass succeeds; +inf one step
+        # to the right, where the first central difference evaluates f
+        def cliff(x):
+            value = np.inf if x.data.max() > 0.0 else x.data.sum()
+            return T.custom_op([x], value, lambda g: (np.full(x.shape, g.item()),))
+
+        with pytest.raises(EvaluationError,
+                           match="^gradcheck: function value is not finite$"):
+            T.gradcheck(cliff, np.zeros((1, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(small_arrays())

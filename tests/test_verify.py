@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from setcontrast import verify
+from setcontrast.errors import ConfigError
 
 
 def _loop_oracle(z):
@@ -54,3 +56,21 @@ class TestProjectionOracle:
             assert not masks.flags.writeable
             for r, row in enumerate(masks):
                 assert sum(1 << j for j in np.flatnonzero(row)) == r + 1
+
+
+class _FlatRng:
+    """A generator stand-in whose draws are all zeros: every pair of
+    embeddings is at distance 0, so no draw is generic."""
+
+    def normal(self, size):
+        return np.zeros(size)
+
+    def permutation(self, n):
+        return np.arange(n)
+
+
+class TestGenericPoint:
+    def test_sampling_failure_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=(
+                "^could not sample a generic point for batch-hard/euclidean$")):
+            verify._generic_point(_FlatRng(), "batch-hard", "euclidean")
