@@ -173,8 +173,9 @@ def _inner_products(x: T.Tensor, y: T.Tensor) -> T.Tensor:
 def pairwise_distances(z_a, z_b, mode: str = "euclidean") -> SimilarityTriple:
     """Build the (S, S_A, S_B) triple from two embedding sets.
 
-    Euclidean mode stores unsquared distances from explicit difference
-    norms; cosine mode row-normalizes and stores inner products. Both
+    Euclidean mode stores unsquared distances from ``T.pairwise_dist``
+    (explicit differences for small sets, the Gram form above 1024
+    elements); cosine mode row-normalizes and stores inner products. Both
     keep the tape alive when the embeddings are tracked.
     """
     xa, xb, sim = _embedded(z_a, z_b, mode, "pairwise_distances")

@@ -18,6 +18,10 @@ The primitives are ``scale``, ``row_l2_normalize`` and
 pairwise loss, each encoder view, each cosine similarity matrix, the set
 term ``qare`` and the combined objective) is one ``custom_op`` node, and
 documents its subgradient conventions where it is defined.
+``pairwise_dist`` sums explicit squared differences for small sets and
+uses the Gram form |a|^2 + |b|^2 - 2ab^T above 1024 elements, so the
+last bits of a distance depend on the size class and, through the
+matmul, on the BLAS build, as every matmul's bits already do.
 """
 
 from __future__ import annotations
@@ -251,19 +255,60 @@ def row_l2_normalize(a) -> Tensor:
     return _emit((a,), out, vjp)
 
 
-def pairwise_dist(a, b) -> Tensor:
-    """Euclidean distance matrix D[i, j] = ||a_i - b_j||, built from
-    explicit difference vectors.
+_EXPLICIT_MAX_ELEMENTS = 1024
 
-    Zero-distance pairs (including the diagonal of a self-distance
-    matrix) get zero gradient: the norm has no direction there.
+
+def pairwise_dist(a, b) -> Tensor:
+    """Euclidean distance matrix D[i, j] = ||a_i - b_j|| of an (N, E) and
+    an (M, E) set, in one of two forms chosen by size.
+
+    Up to N*M*E = 1024 it sums the squares of the explicit (N, M, E)
+    difference tensor. Above that it uses the Gram form
+    sqrt(|a_i|^2 + |b_j|^2 - 2 a_i.b_j), which builds only (N, M) arrays
+    and one matmul. The bound is near where the two cost the same: the
+    Gram form's ten or so numpy calls outweigh the explicit form's four
+    on tiny sets. On a 2-core Xeon with BLAS on one thread (best of
+    7 x 2000 calls, explicit against Gram), 4x4x3 took 3.7 against
+    9.8 us, 16x16x4 11.8 against 12.1 us, 16x16x8 12.7 against 11.9 us
+    and 32x32x16 63 against 18.5 us. So the thousands of 4x4 calls of
+    ``verify`` stay explicit, while a 32x32x16 training batch and a
+    128x128x16 evaluation sit far above the bound.
+
+    In the Gram form a squared distance at or below
+    4(E + 2) eps (|a_i|^2 + |b_j|^2) becomes exactly 0. The rounding
+    argument: with u = eps/2 and gamma_E = E u / (1 - E u), each squared
+    norm carries an error of at most gamma_E times itself, the inner
+    product at most gamma_E sum_k |a_ik b_jk| <= gamma_E (|a_i|^2 +
+    |b_j|^2) / 2 in any summation order, and the sum and the difference
+    add u each on values of at most 2(|a_i|^2 + |b_j|^2). So the computed
+    value lies within (2 gamma_E + 3u)(|a_i|^2 + |b_j|^2), about
+    (E + 1.5) eps (|a_i|^2 + |b_j|^2), of the exact one, a quarter of the
+    bound; an entry at or below the bound cannot be told apart from 0.
+    So equal rows, and the diagonal of a self-distance matrix, give
+    exactly 0, as the explicit form does. Near-coincident rows lose what
+    the explicit form keeps: a pair whose exact squared distance is at
+    most 5(E + 2) eps (|a_i|^2 + |b_j|^2) may read 0 (a distance of
+    2.0e-7 for unit rows at E = 16), and a small distance above that
+    carries the squared error as an absolute one, where the explicit
+    form's error is relative. A self-distance matrix is symmetric bit
+    for bit when one tensor is on both sides: numpy computes an array
+    times its own transpose as one symmetric product.
+
+    Zero-distance pairs get zero gradient: the norm has no direction
+    there.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"pairwise_dist: feature dims differ, {a.shape} vs {b.shape}")
     da, db = a.data, b.data
-    diff = da[:, None, :] - db[None, :, :]  # (N, M, E)
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    if da.shape[0] * db.shape[0] * da.shape[1] <= _EXPLICIT_MAX_ELEMENTS:
+        diff = da[:, None, :] - db[None, :, :]  # (N, M, E)
+        dist = np.sqrt((diff * diff).sum(axis=2))
+    else:
+        norms = (da * da).sum(axis=1)[:, None] + (db * db).sum(axis=1)[None, :]
+        sq = norms - 2.0 * (da @ db.T)
+        bound = (4.0 * (da.shape[1] + 2) * np.finfo(np.float64).eps) * norms
+        dist = np.sqrt(np.where(sq > bound, sq, 0.0))
 
     def vjp(g):
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -272,7 +272,6 @@ class TestTraining:
         assert 0.0 <= rep.matching_accuracy <= 1.0
         assert 0.0 <= rep.probe_accuracy <= 1.0
         assert rep.degenerate_batches >= 0
-        assert rep.wall_seconds >= 0.0
 
     def test_trajectory_is_bit_deterministic(self):
         ds = harness.gen_two_view_dataset(TINY)
@@ -456,10 +455,9 @@ class TestEvaluation:
     @pytest.mark.parametrize("num_classes,samples_per_class", [(5, 9), (8, 16)])
     def test_block_rows_give_the_one_call_bytes(self, monkeypatch, num_classes,
                                                 samples_per_class):
-        # 45 items leave a partial last block; 128 fill four whole ones
+        # evaluation's S is one pairwise_dist call over all items
         spec = harness.SyntheticSpec(num_classes=num_classes,
                                      samples_per_class=samples_per_class)
-        assert spec.num_items > harness._EVAL_BLOCK_ROWS
         ds = harness.gen_two_view_dataset(spec)
         enc = harness.make_encoder(spec, harness.TrainConfig())
         seen = []

@@ -87,6 +87,44 @@ class TestForwardValues:
                                               r"\(2, 3\) vs \(1, 2\)$")):
             T.pairwise_dist(np.ones((2, 3)), np.ones((1, 2)))
 
+    @pytest.mark.parametrize("n,m,e", [(1, 1, 1), (4, 4, 3), (4, 4, 2),
+                                       (8, 8, 16), (16, 16, 4), (1, 1024, 1)])
+    def test_pairwise_dist_at_or_below_the_bound_is_the_explicit_form(self, n, m, e):
+        # verify's 4x4 sets take this path, so their bytes must not move
+        assert n * m * e <= T._EXPLICIT_MAX_ELEMENTS
+        rng = np.random.default_rng(n * m * e)
+        a, b = rng.normal(size=(n, e)), rng.normal(size=(m, e))
+        diff = a[:, None, :] - b[None, :, :]
+        explicit = np.sqrt((diff * diff).sum(axis=2))
+        assert T.pairwise_dist(a, b).data.tobytes() == explicit.tobytes()
+
+    @pytest.mark.parametrize("n,m,e", [(8, 8, 16), (16, 16, 4), (8, 9, 16),
+                                       (32, 32, 16), (128, 128, 16), (3, 200, 2)])
+    def test_pairwise_dist_agrees_with_the_explicit_form(self, n, m, e):
+        # squared distances agree within the Gram form's zero bound,
+        # 4 (E + 2) eps (|a_i|^2 + |b_j|^2), on both sides of 1024 elements
+        rng = np.random.default_rng(n + m + e)
+        a, b = rng.normal(size=(n, e)), rng.normal(size=(m, e))
+        a[0] = b[0]  # one exact zero distance
+        b[1] = a[1] + 1e-3  # and a near one
+        d = T.pairwise_dist(a, b).data
+        diff = a[:, None, :] - b[None, :, :]
+        explicit = (diff * diff).sum(axis=2)
+        norms = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+        bound = 4.0 * (e + 2) * np.finfo(np.float64).eps * norms
+        assert np.all(np.abs(d * d - explicit) <= bound)
+        assert d[0, 0] == 0.0
+
+    @pytest.mark.parametrize("n,e", [(32, 16), (128, 16), (40, 30)])
+    def test_self_distances_are_symmetric_with_a_zero_diagonal(self, n, e):
+        x = np.random.default_rng(e).normal(size=(n, e))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)  # as training sees them
+        d = T.pairwise_dist(x, x).data
+        assert n * n * e > T._EXPLICIT_MAX_ELEMENTS
+        assert np.array_equal(np.diag(d), np.zeros(n))
+        assert np.array_equal(d, d.T)
+        assert d[~np.eye(n, dtype=bool)].min() > 0.0
+
 
 class TestTapeSemantics:
     def test_backward_returns_zero_for_unreached_leaf(self):
@@ -183,6 +221,16 @@ class TestTapeSemantics:
         d = T.pairwise_dist(a, T.Tensor(np.array([[1.0, 2.0]])))
         grads = tape.backward(weighted_sum(d))
         np.testing.assert_allclose(grads[a].data, 0.0)
+        # 32x16 equal rows take the Gram form, whose rounding rule makes
+        # every distance, and so every gradient, exactly 0
+        rows = np.tile(np.random.default_rng(5).normal(size=(1, 16)), (32, 1))
+        tape = T.Tape()
+        a = tape.leaf(rows)
+        d = T.pairwise_dist(a, T.Tensor(rows))
+        assert d.data.size * 16 > T._EXPLICIT_MAX_ELEMENTS
+        assert np.array_equal(d.data, np.zeros((32, 32)))
+        grads = tape.backward(weighted_sum(d))
+        assert np.array_equal(grads[a].data, np.zeros((32, 16)))
 
     def test_custom_op_roundtrip(self):
         def cube(x):
@@ -302,6 +350,18 @@ class TestGradcheck:
         if cross.min() < 1e-2 or np.linalg.norm(a, axis=1).min() < 1e-2:
             return  # too close to the distance kink to difference safely
         assert T.gradcheck(f, a) < 1e-5
+
+    def test_gram_form_distance_gradient(self):
+        # 32x16 against a fixed other set: Gram form, no zero distances
+        rng = np.random.default_rng(11)
+        a, b, w = (rng.normal(size=(32, 16)), rng.normal(size=(32, 16)),
+                   rng.normal(size=(32, 32)))
+
+        def f(x):
+            return weighted_sum(T.pairwise_dist(x, T.Tensor(b)), w)
+
+        assert T.pairwise_dist(a, b).data.min() > 1.0
+        assert T.gradcheck(f, a) < 1e-6
 
 
 class TestClosedFormGradients:

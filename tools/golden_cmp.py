@@ -16,12 +16,16 @@ The CSV files print 9 significant digits, so a change in the last bits
 of a training run would pass them unseen. So one more fresh process per
 checkout trains every run of the 24 train configs in process and writes
 two sha256 digests per run: of ``repr(report.epoch_losses)`` and of the
-trained ``encoder.flat`` bytes (``digests.txt``, 120 runs).
+trained ``encoder.flat`` bytes, and the epoch losses themselves
+(``digests.txt``, 120 runs).
 
 The 51 files of one side are then compared byte for byte with the
 other's, and the digests run by run. The script prints each differing or
 missing file and digest and the counts, and exits 1 if any differs, 0
-otherwise. It needs only the standard library and the two checkouts; the
+otherwise. Where a run's epoch-loss digest differs, it also prints that
+run's largest relative epoch-loss difference, and at the end the largest
+over all runs; this is a report of how far the losses moved, not a
+gate. It needs only the standard library and the two checkouts; the
 configs come from this checkout's ``perfbench/workloads.py``, which is
 standard library only. It is not a tier-1 test: one side takes about
 80 s.
@@ -53,7 +57,8 @@ SWEEPS = {
 
 # Trains every run of the configs named on its command line, as the
 # ``train`` command does, and prints one line per run: the config, loss
-# and seed, then the sha256 of repr(epoch_losses) and of encoder.flat.
+# and seed, the sha256 of repr(epoch_losses) and of encoder.flat, then the
+# epoch losses, comma-separated.
 _DIGEST_CHILD = """
 import dataclasses, hashlib, sys
 from pathlib import Path
@@ -69,7 +74,8 @@ for path in sys.argv[1:]:
             losses = hashlib.sha256(repr(report.epoch_losses).encode())
             flat = hashlib.sha256(encoder.flat.tobytes())
             print(Path(path).stem, loss.name, seed,
-                  losses.hexdigest(), flat.hexdigest())
+                  losses.hexdigest(), flat.hexdigest(),
+                  ",".join(map(repr, report.epoch_losses)))
 """
 
 
@@ -104,15 +110,23 @@ def _outputs(checkout: Path, out: Path, configs: Path) -> None:
              stdout=fh)
 
 
-def _digests(path: Path) -> dict:
-    """{(config, loss, seed, what): sha256} from one side's digests.txt."""
-    found = {}
+def _digests(path: Path) -> tuple:
+    """{(config, loss, seed, what): sha256} and {(config, loss, seed):
+    epoch losses} from one side's digests.txt."""
+    found, epoch_losses = {}, {}
     if path.is_file():
         for line in path.read_text(encoding="utf-8").splitlines():
-            config, loss, seed, losses, flat = line.split()
+            config, loss, seed, losses, flat, values = line.split()
             found[(config, loss, seed, "epoch_losses")] = losses
             found[(config, loss, seed, "flat")] = flat
-    return found
+            epoch_losses[(config, loss, seed)] = [float(v) for v in values.split(",")]
+    return found, epoch_losses
+
+
+def _max_rel(a: list, b: list) -> float:
+    """Largest relative difference between two runs' epoch losses."""
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y),
+               default=0.0)
 
 
 def _write_configs(configs: Path) -> None:
@@ -160,14 +174,20 @@ def main(argv) -> int:
                 differing.append(f"{rel} (missing)")
             elif not filecmp.cmp(a, b, shallow=False):
                 differing.append(rel)
-        base_digests = _digests(work / "base" / "digests.txt")
-        head_digests = _digests(work / "head" / "digests.txt")
+        base_digests, base_losses = _digests(work / "base" / "digests.txt")
+        head_digests, head_losses = _digests(work / "head" / "digests.txt")
     keys = _expected_digests()
     digest_diffs = []
+    worst = 0.0
     for key in keys:
         a, b = base_digests.get(key), head_digests.get(key)
         if a is None or b is None:
             digest_diffs.append(" ".join(key) + " (missing)")
+        elif a != b and key[3] == "epoch_losses":
+            moved = _max_rel(base_losses[key[:3]], head_losses[key[:3]])
+            worst = max(worst, moved)
+            digest_diffs.append(" ".join(key) + " (largest relative epoch-loss "
+                                f"difference {moved:.2e})")
         elif a != b:
             digest_diffs.append(" ".join(key))
     for rel in differing:
@@ -176,6 +196,7 @@ def main(argv) -> int:
         print(f"DIFF digest {key}")
     print(f"{len(differing)} differing files of {len(files)}")
     print(f"{len(digest_diffs)} differing digests of {len(keys)}")
+    print(f"largest relative epoch-loss difference over all runs: {worst:.2e}")
     return 1 if differing or digest_diffs else 0
 
 
