@@ -51,7 +51,7 @@ class SyntheticSpec:
             raise ConfigError("samples_per_class must be >= 1")
         if self.ambient_dim < 2:
             raise ConfigError("ambient_dim must be >= 2")
-        if self.noise_sigma < 0.0:
+        if not self.noise_sigma >= 0.0:
             raise ConfigError("noise_sigma must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -258,7 +258,7 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:
             raise ConfigError("learning_rate must be >= 0")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ConfigError("encoder widths must be positive")

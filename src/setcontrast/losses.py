@@ -65,12 +65,16 @@ class GroundTruthAlignment:
     a tuple of ints, whatever sequence it was given as, so alignments
     built from a list, a tuple or an array compare, hash and print alike.
     ``indices`` keeps the entries as a read-only intp array and
-    ``bijective`` says whether they permute 0..n-1; neither takes part in
-    equality or hashing."""
+    ``bijective`` says whether they permute 0..n-1. ``dense`` caches the
+    pairwise losses' read-only dense Y per shape of S the alignment was
+    checked against, so Y is built and checked once per alignment and S
+    shape; a failed check stores nothing. None of the three takes part
+    in equality or hashing."""
 
     perm: Tuple[int, ...]
     indices: Array = field(init=False, repr=False, compare=False)
     bijective: bool = field(init=False, repr=False, compare=False)
+    dense: Dict[tuple, Array] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a copy, so freezing it leaves an array passed as perm writable
@@ -82,25 +86,11 @@ class GroundTruthAlignment:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "bijective", bool(
             np.array_equal(np.sort(idx), np.arange(idx.shape[0]))))
+        object.__setattr__(self, "dense", {})
 
     @classmethod
     def identity(cls, n: int) -> "GroundTruthAlignment":
         return cls(tuple(range(n)))
-
-
-def _gt_indices(gt, n_rows: int, n_cols: int, bijection: bool) -> Array:
-    """The alignment's checked indices against an (n_rows, n_cols) S; raw
-    tuples and arrays are wrapped in a GroundTruthAlignment first."""
-    if not isinstance(gt, GroundTruthAlignment):
-        gt = GroundTruthAlignment(gt)
-    idx = gt.indices
-    if idx.shape[0] != n_rows:
-        raise ContractError(f"alignment length {idx.shape[0]} != rows {n_rows}")
-    if n_rows and idx.max() >= n_cols:
-        raise ContractError("alignment indices outside column range")
-    if bijection and not gt.bijective:
-        raise ContractError("alignment must be a bijection for this loss")
-    return idx
 
 
 def _square(s: T.Tensor, name: str) -> int:
@@ -111,15 +101,32 @@ def _square(s: T.Tensor, name: str) -> int:
 
 def _operands(s, gt, reduction: str, name: str, square: bool = True):
     """A pairwise loss's operands: S as a Tensor, the dense ground-truth
-    Y of the alignment checked against S, and the reduction scale (1 for
-    "sum", 1/N for "mean"). A ``square`` loss takes a square S and a
-    bijective alignment."""
+    Y of the alignment checked against S (cached on the alignment), and
+    the reduction scale (1 for "sum", 1/N for "mean"). A raw tuple or
+    array is wrapped in a GroundTruthAlignment first. A ``square`` loss
+    takes a square S and a bijective alignment; S must have rows."""
     s = T.as_tensor(s)
     n, k = s.shape
+    if n == 0:
+        raise ShapeError(f"{name}: S has no rows")
     if square:
         _square(s, name)
-    y = np.zeros((n, k))
-    y[np.arange(n), _gt_indices(gt, n, k, bijection=square)] = 1.0
+    if not isinstance(gt, GroundTruthAlignment):
+        gt = GroundTruthAlignment(gt)
+    y = gt.dense.get(s.shape)
+    # a cached Y passed the length and column checks, not the bijection one
+    if y is None or (square and not gt.bijective):
+        idx = gt.indices
+        if idx.shape[0] != n:
+            raise ContractError(f"alignment length {idx.shape[0]} != rows {n}")
+        if idx.max() >= k:
+            raise ContractError("alignment indices outside column range")
+        if square and not gt.bijective:
+            raise ContractError("alignment must be a bijection for this loss")
+        y = np.zeros(s.shape)
+        y[np.arange(n), idx] = 1.0
+        y.flags.writeable = False
+        gt.dense[s.shape] = y
     if reduction == "sum":
         return s, y, 1.0
     if reduction == "mean":
@@ -132,9 +139,9 @@ def _loss_node(s: T.Tensor, total, reduction_scale: float, grad) -> T.Tensor:
     ``grad(c)`` with c the upstream gradient times the reduction scale."""
 
     def vjp(g):
-        return (grad(float(g.reshape(())) * reduction_scale),)
+        return (grad(g.item() * reduction_scale),)
 
-    return T.custom_op((s,), np.reshape(total * reduction_scale, (1, 1)), vjp)
+    return T.custom_op((s,), total * reduction_scale, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +183,7 @@ def sparsemax(z) -> Array:
 
 def _margined(s: Array, y: Array, margin: float) -> Array:
     """S_m = S + m Y_gt."""
-    if margin < 0.0:
+    if not margin >= 0.0:
         raise ContractError(f"margin must be >= 0, got {margin}")
     return s if margin == 0.0 else s + margin * y
 
@@ -215,17 +222,21 @@ def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
         g[np.arange(len(hardest)), hardest] -= c
         return g
 
-    total = (sm * y).sum() - np.min(sm, axis=1).reshape(-1, 1).sum()
+    total = (sm * y).sum() - sm.min(axis=1).sum()
     return _loss_node(s, total, red, grad)
+
+
+def _check_temperature(temperature: float) -> None:
+    if not temperature > 0.0:
+        raise ContractError(f"temperature must be > 0, got {temperature}")
 
 
 def _softmax_of_neg(s: Array, temperature: float):
     """Row-wise e = exp(-S/tau - max), its row sums r (N, 1) and the
     max-shifted log-sum-exp log r + max (N, 1); softmax is e / r."""
-    if temperature <= 0.0:
-        raise ContractError(f"temperature must be > 0, got {temperature}")
+    _check_temperature(temperature)
     z = s * (-1.0 / temperature)
-    m = np.max(z, axis=1).reshape(-1, 1)
+    m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     r = e.sum(axis=1, keepdims=True)
     return e, r, np.log(r) + m
@@ -281,10 +292,11 @@ def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
     n, k = s.shape
     if k < 2:
         raise ContractError("nt_logistic_loss needs at least one negative column")
+    _check_temperature(temperature)
     pos = (s.data * y).sum(axis=1, keepdims=True) * (1.0 / temperature)
     lifted = s.data + (float(np.ptp(s.data)) + 1.0) * y  # positives out of the minima
     hardest = np.argmin(lifted, axis=1)
-    neg = np.min(lifted, axis=1).reshape(-1, 1) * (-1.0 / temperature)
+    neg = lifted.min(axis=1, keepdims=True) * (-1.0 / temperature)
 
     def grad(c):
         g = c * _sigmoid(pos) * (1.0 / temperature) * y
@@ -374,12 +386,11 @@ def qare(s_a, s_b, mode: str = "euclidean") -> T.Tensor:
         tape.flags.add("degenerate-eigenvalues")
 
     def vjp(g):
-        c = float(g.reshape(())) * sign
+        c = g.item() * sign
         return (simgeom.eigenvalue_gradient(dec_a, c * partner_a),
                 simgeom.eigenvalue_gradient(dec_b, c * partner_b))
 
-    value = (dec_a.values * partner_a).sum() * sign
-    return T.custom_op((sa, sb), np.reshape(value, (1, 1)), vjp)
+    return T.custom_op((sa, sb), (dec_a.values * partner_a).sum() * sign, vjp)
 
 
 def combined_loss(pairwise, qare_value, *, beta: float = BETA_DEFAULT,
@@ -389,6 +400,8 @@ def combined_loss(pairwise, qare_value, *, beta: float = BETA_DEFAULT,
     beta is the one weight. ``beta`` and ``n`` are keyword-only."""
     if n < 1:
         raise ContractError(f"combined_loss: n must be >= 1, got {n}")
+    if not beta >= 0.0:
+        raise ContractError(f"beta must be >= 0, got {beta}")
     p = T.as_tensor(pairwise)
     q = T.as_tensor(qare_value)
     w = float(beta) / (n * n)
@@ -403,8 +416,8 @@ def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
     """Reference-only exact QAP structured loss (enumerates, N <= 8):
     tr(S Y_gt^T) - min_Y [tr(S Y^T) + tr(S_A Y S_B^T Y^T)]."""
     a = np.asarray(s, dtype=np.float64)
-    n = a.shape[0]
-    idx = _gt_indices(gt, n, n, bijection=True)
+    perm = gt.perm if isinstance(gt, GroundTruthAlignment) else gt
+    idx = assignment._check_perm(perm, a.shape[0])
     opt = assignment.brute_force_qap(s, s_a, s_b, "min")
     return assignment.lap_cost(a, idx) - opt.cost
 
@@ -434,11 +447,11 @@ class LossConfig:
             raise ContractError(f"unknown mining mode {self.mining!r}")
         if self.mining == "one-to-one" and self.kind != "margin":
             raise ContractError("one-to-one mining is only defined for kind='margin'")
-        if self.margin < 0.0:
+        if not self.margin >= 0.0:
             raise ContractError("margin must be >= 0")
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:
             raise ContractError("temperature must be > 0")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ContractError("beta must be >= 0")
         if self.mode not in ("euclidean", "cosine"):
             raise ContractError(f"unknown similarity mode {self.mode!r}")
@@ -481,8 +494,9 @@ def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, fl
     s = simgeom.cross_distances(za, zb, cfg.mode) if triple is None else triple.s
     s_pair = s if cfg.mode == "euclidean" else T.scale(s, -1.0)
     pw = pairwise_loss(s_pair, gt, cfg)
+    pw_value = pw.item()
     if triple is None:
-        return pw, {"pairwise": pw.item(), "qare": 0.0, "total": pw.item()}
+        return pw, {"pairwise": pw_value, "qare": 0.0, "total": pw_value}
     q = qare(triple.s_a, triple.s_b, cfg.mode)
     total = combined_loss(pw, q, beta=cfg.beta, n=n)
-    return total, {"pairwise": pw.item(), "qare": q.item(), "total": total.item()}
+    return total, {"pairwise": pw_value, "qare": q.item(), "total": total.item()}

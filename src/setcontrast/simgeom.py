@@ -52,27 +52,23 @@ class EigenDecomposition:
     vectors: Array  # (n, n), columns matched to values
 
 
-def _as_matrix(m) -> Array:
-    a = m.data if isinstance(m, T.Tensor) else np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise EvaluationError("sym_eigen: matrix contains NaN or Inf")
-    return a
-
-
 def sym_eigen(m) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix via LAPACK
     (``np.linalg.eigh``), eigenvalues sorted descending.
 
-    Input asymmetry up to 1e-9 (relative) is tolerated and symmetrized
-    away; larger asymmetry raises ContractError, and NaN or Inf entries
+    An entrywise asymmetry up to 1e-9 * max(1, ||a||_F) is tolerated and
+    symmetrized away (the norm is taken only above 1e-9, the bound's
+    floor); larger asymmetry raises ContractError, and NaN or Inf entries
     raise EvaluationError. Within a repeated eigenvalue the returned
     eigenvectors are one arbitrary basis of that eigenspace.
     """
-    a = _as_matrix(m)
-    scale = float(np.linalg.norm(a))
-    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-9 * max(1.0, scale):
+    a = m.data if isinstance(m, T.Tensor) else np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise EvaluationError("sym_eigen: matrix contains NaN or Inf")
+    asym = float(np.abs(a - a.T).max(initial=0.0))
+    if asym > 1e-9 and asym > 1e-9 * max(1.0, float(np.linalg.norm(a))):
         raise ContractError("sym_eigen: matrix is not symmetric within 1e-9")
     vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
     return EigenDecomposition(vals[::-1], vecs[:, ::-1])

@@ -26,6 +26,7 @@ matmul, on the BLAS build, as every matmul's bits already do.
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -34,15 +35,6 @@ import numpy as np
 from .errors import ContractError, DegenerateInputError, EvaluationError, ShapeError
 
 Array = np.ndarray
-
-
-def _freeze(arr: Array) -> Array:
-    arr.flags.writeable = False
-    return arr
-
-
-def _coerce(data) -> Array:
-    return _as_2d(np.array(data, dtype=np.float64))
 
 
 def _as_2d(arr: Array) -> Array:
@@ -72,16 +64,19 @@ class Tensor:
     __slots__ = ("data", "node")
 
     def __init__(self, data):
-        arr = _coerce(data)
+        arr = _as_2d(np.array(data, dtype=np.float64))
         if not np.isfinite(arr).all():
             raise EvaluationError("tensor data contains NaN or Inf")
-        self.data = _freeze(arr)
+        arr.flags.writeable = False
+        self.data = arr
         self.node = None
 
     @classmethod
     def _raw(cls, arr: Array, node: Optional[_Node]) -> "Tensor":
+        """A Tensor over ``arr``, a 2-D C-contiguous float64 array, frozen."""
+        arr.flags.writeable = False
         t = object.__new__(cls)
-        t.data = _freeze(np.ascontiguousarray(arr, dtype=np.float64))
+        t.data = arr
         t.node = node
         return t
 
@@ -96,7 +91,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar tensor, shape={self.shape}")
-        return float(self.data.reshape(()))
+        return self.data.item()
 
     def __repr__(self) -> str:
         tag = "tracked" if self.tracked else "const"
@@ -182,7 +177,7 @@ class Tape:
             g = adjoint[idx]
             if g is None:
                 g = np.zeros(shape)
-            out[idx] = Tensor._raw(np.array(g), None)
+            out[idx] = Tensor._raw(np.array(g, dtype=np.float64, order="C"), None)
         return Gradients(out, self)
 
 
@@ -199,7 +194,8 @@ def _common_tape(operands: Sequence[Tensor]) -> Optional[Tape]:
 
 
 def _emit(operands: Sequence[Tensor], value: Array, vjp) -> Tensor:
-    """Wrap a primitive result; records a node when any operand is tracked."""
+    """Wrap a primitive result, a 2-D C-contiguous float64 array; records
+    a node when any operand is tracked."""
     tape = _common_tape(operands)
     if tape is None:
         return Tensor._raw(value, None)
@@ -218,7 +214,7 @@ def custom_op(operands: Iterable, value: Array, vjp: Callable) -> Tensor:
     records, and a Tensor there would hold the tape in a reference cycle
     that only the cycle collector frees, with every array of the graph."""
     ops = tuple(as_tensor(t) for t in operands)
-    return _emit(ops, _as_2d(np.asarray(value, dtype=np.float64)), vjp)
+    return _emit(ops, _as_2d(np.ascontiguousarray(value, dtype=np.float64)), vjp)
 
 
 def active_tape(*tensors) -> Optional[Tape]:
@@ -326,7 +322,7 @@ def pairwise_dist(a, b) -> Tensor:
 def _scalar_eval(f, x: Array) -> float:
     y = f(Tensor(x))
     val = y.item() if isinstance(y, Tensor) else float(y)
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise EvaluationError("gradcheck: function value is not finite")
     return val
 
@@ -344,7 +340,7 @@ def gradcheck(f, x) -> float:
     y = f(xt)
     if not isinstance(y, Tensor) or y.shape != (1, 1):
         raise ContractError("gradcheck: f must return a scalar Tensor")
-    if not np.isfinite(y.item()):
+    if not math.isfinite(y.item()):
         raise EvaluationError("gradcheck: function value is not finite")
     analytic = tape.backward(y)[xt].data
     worst = 0.0

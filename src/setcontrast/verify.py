@@ -76,10 +76,11 @@ def suite_sandwich() -> SuiteResult:
 
 def suite_hinge_identity() -> SuiteResult:
     """Batch-hard structured loss equals the classic per-row hinge
-    sum max(0, s_pos + m - hardest_negative), row by row."""
+    sum max(0, s_pos + m - hardest_negative), row by row. The reference
+    reads each row's hardest negative as a minimum over the row with its
+    positive masked to +inf."""
     rng = np.random.default_rng(102)
     worst = 0.0
-    count = 0
     margins = (0.0, 0.3, 0.5)
     for k in range(1000):
         n = int(rng.integers(2, 9))
@@ -88,15 +89,12 @@ def suite_hinge_identity() -> SuiteResult:
         perm = rng.permutation(n)
         gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
         got = losses.batch_hard_lap_loss(s, gt, margin=m, reduction="sum").item()
-        ref = 0.0
-        for i in range(n):
-            pos = s[i, perm[i]] + m
-            neg = np.delete(s[i], perm[i]).min()
-            ref += max(0.0, pos - neg)
+        pos = s[np.arange(n), perm] + m
+        neg = np.where(np.arange(n) == perm[:, None], np.inf, s).min(axis=1)
+        ref = np.maximum(0.0, pos - neg).sum()
         worst = max(worst, abs(got - ref))
-        count += 1
     return SuiteResult("hinge_identity", worst <= 1e-12, worst,
-                       f"{count} instances, margins {margins}")
+                       f"1000 instances, margins {margins}")
 
 
 def suite_smoothing_identity() -> SuiteResult:
@@ -104,7 +102,6 @@ def suite_smoothing_identity() -> SuiteResult:
     temperature times the sum-form of the softmax contrastive loss."""
     rng = np.random.default_rng(103)
     worst = 0.0
-    count = 0
     temps = (0.05, 0.5, 1.0)
     for k in range(1000):
         n = int(rng.integers(2, 9))
@@ -114,15 +111,11 @@ def suite_smoothing_identity() -> SuiteResult:
         gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
         got = losses.smoothed_batch_hard_loss(
             s, gt, temperature=tau, reduction="sum").item()
-        ref = 0.0
-        for i in range(n):
-            lse = np.logaddexp.reduce(-s[i] / tau)
-            ref += s[i, perm[i]] / tau + lse
-        ref *= tau
+        lse = np.logaddexp.reduce(-s / tau, axis=1)
+        ref = (s[np.arange(n), perm] / tau + lse).sum() * tau
         worst = max(worst, abs(got - ref))
-        count += 1
     return SuiteResult("smoothing_identity", worst <= 1e-10, worst,
-                       f"{count} instances, temperatures {temps}")
+                       f"1000 instances, temperatures {temps}")
 
 
 def suite_upper_bound() -> SuiteResult:

@@ -13,11 +13,13 @@ import setcontrast
 from setcontrast import assignment, cli, harness, simgeom, tensor as T
 from setcontrast.errors import ConfigError, NumericError
 
-def run_module(*args):
-    """``python -m setcontrast`` with this checkout's package on the path."""
+def run_module(*args, unset=(), **extra_env):
+    """``python -m setcontrast`` with this checkout's package on the path,
+    the variables in ``unset`` removed and ``extra_env`` set."""
     src = str(Path(setcontrast.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env.update(PYTHONPATH=src + (os.pathsep + path if path else ""), **extra_env)
     return subprocess.run([sys.executable, "-m", "setcontrast", *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
@@ -534,6 +536,36 @@ class TestForceAndPaths:
         out = tmp_path / "a" / "b" / "c"
         assert cli.main(["train", "--config", cfgp, "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # one machine, BLAS on one thread and on its default count
+        doc = {
+            "data": {"seed": 3},
+            "train": {"epochs": 3},
+            "losses": [
+                {"name": "infonce+qare", "kind": "infonce", "beta": 1.0},
+                {"name": "cosine+qare", "kind": "infonce", "beta": 1.0,
+                 "mode": "cosine"},
+                {"name": "margin", "kind": "margin", "mining": "one-to-one",
+                 "beta": 0.0},
+            ],
+            "seeds": [0],
+        }
+        cfgp = write_config(tmp_path, doc)
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+        pinned = run_module("train", "--config", cfgp, "--out",
+                            str(tmp_path / "pinned"), unset=blas_vars,
+                            OPENBLAS_NUM_THREADS="1")
+        free = run_module("train", "--config", cfgp, "--out",
+                          str(tmp_path / "free"), unset=blas_vars)
+        assert pinned.returncode == 0, pinned.stderr
+        assert free.returncode == 0, free.stderr
+        assert pinned.stdout == free.stdout
+        for name in ("history.csv", "summary.json"):
+            assert ((tmp_path / "pinned" / name).read_bytes()
+                    == (tmp_path / "free" / name).read_bytes())
 
 
 class TestSummaryAggregation:

@@ -95,6 +95,10 @@ class TestSyntheticData:
         with pytest.raises(ConfigError):
             harness.SyntheticSpec(**base)
 
+    def test_nan_noise_rejected(self):
+        with pytest.raises(ConfigError, match="^noise_sigma must be >= 0$"):
+            harness.SyntheticSpec(noise_sigma=float("nan"))
+
 
 class TestEncoder:
     def test_embeddings_are_row_normalized(self):
@@ -366,6 +370,10 @@ class TestTraining:
     def test_invalid_config_rejected(self, kwargs, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             tiny_train_config(**kwargs)
+
+    def test_nan_learning_rate_rejected(self):
+        with pytest.raises(ConfigError, match="^learning_rate must be >= 0$"):
+            tiny_train_config(learning_rate=float("nan"))
 
     def test_batch_larger_than_the_dataset_rejected(self):
         # the CLI checks this before training; a library caller meets it here

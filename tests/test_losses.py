@@ -407,6 +407,44 @@ class TestArgumentChecks:
                            match="^combined_loss: n must be >= 1, got 0$"):
             losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0), beta=1.0, n=0)
 
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    @pytest.mark.parametrize("loss, shape", [
+        (losses.structured_lap_loss, (0, 0)),
+        (losses.batch_hard_lap_loss, (0, 0)),
+        (losses.smoothed_batch_hard_loss, (0, 0)),
+        (losses.infonce_loss, (0, 0)),
+        (losses.nt_logistic_loss, (0, 3)),
+        (losses.sparseclr_loss, (0, 0)),
+    ], ids=lambda v: v.__name__ if callable(v) else "x".join(map(str, v)))
+    def test_empty_s(self, loss, shape, reduction):
+        with pytest.raises(ShapeError, match=r"^\w+: S has no rows$"):
+            loss(np.zeros(shape), (), reduction=reduction)
+
+    @pytest.mark.parametrize("call", [
+        lambda s, gt: losses.structured_lap_loss(s, gt, margin=np.nan),
+        lambda s, gt: losses.batch_hard_lap_loss(s, gt, margin=np.nan),
+        lambda s, gt: losses.smoothed_batch_hard_loss(s, gt, temperature=np.nan),
+        lambda s, gt: losses.infonce_loss(s, gt, temperature=np.nan),
+        lambda s, gt: losses.nt_logistic_loss(s, gt, temperature=np.nan),
+        lambda s, gt: losses.nt_logistic_loss(s, gt, temperature=0.0),
+        lambda s, gt: losses.nt_logistic_loss(s, gt, temperature=-1.0),
+        lambda s, gt: losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0),
+                                           beta=np.nan, n=2),
+        lambda s, gt: losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0),
+                                           beta=-1.0, n=2),
+    ], ids=["structured-margin-nan", "batch-hard-margin-nan",
+            "smoothed-temperature-nan", "infonce-temperature-nan",
+            "nt-logistic-temperature-nan", "nt-logistic-temperature-zero",
+            "nt-logistic-temperature-negative", "combined-beta-nan",
+            "combined-beta-negative"])
+    def test_nan_and_out_of_range_hyperparameters(self, call):
+        s = np.array([[0.2, 1.0], [0.4, 0.3]])
+        gt = losses.GroundTruthAlignment.identity(2)
+        with pytest.raises(ContractError,
+                           match=r"^(margin must be >= 0|temperature must be > 0"
+                                 r"|beta must be >= 0), got (nan|0\.0|-1\.0)$"):
+            call(s, gt)
+
 
 class TestSparseCLR:
     def test_single_entry_closed_form(self):
@@ -655,6 +693,15 @@ class TestLossConfigValidation:
         with pytest.raises(ContractError):
             losses.LossConfig(name="x", **kwargs)
 
+    @pytest.mark.parametrize("field, message", [
+        ("margin", "margin must be >= 0"),
+        ("temperature", "temperature must be > 0"),
+        ("beta", "beta must be >= 0"),
+    ])
+    def test_nan_rejected(self, field, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            losses.LossConfig(name="x", **{field: float("nan")})
+
     def test_alignment_must_be_bijection(self):
         with pytest.raises(ContractError):
             losses.structured_lap_loss(np.ones((2, 2)),
@@ -737,6 +784,46 @@ class TestGroundTruthAlignment:
                      lambda: assignment.qap_objective(s, s, s, mixed)):
             with pytest.raises(ContractError, match="indices must be integers"):
                 call()
+
+    def test_dense_truth_is_cached_read_only_per_shape(self):
+        gt = losses.GroundTruthAlignment((1, 0, 2))
+        s = np.arange(9.0).reshape(3, 3)
+        y = losses._operands(s, gt, "sum", "x")[1]
+        assert not y.flags.writeable
+        np.testing.assert_array_equal(y, np.eye(3)[[1, 0, 2]])
+        assert losses._operands(s, gt, "mean", "x")[1] is y
+        assert gt.dense == {(3, 3): y}
+        wide = losses._operands(np.zeros((3, 4)), gt, "sum", "x", square=False)[1]
+        assert wide.shape == (3, 4) and wide is not y
+        assert gt.dense == {(3, 3): y, (3, 4): wide}
+        # the loss value reads the same Y on the first and the second call
+        assert (losses.infonce_loss(s, gt).item()
+                == losses.infonce_loss(s, gt).item())
+
+    @pytest.mark.parametrize("gt, shape, match", [
+        ((0, 1, 2), (2, 2), "length"),
+        ((0, 2), (2, 2), "outside column range"),
+        ((1, 1), (2, 2), "bijection"),
+    ])
+    def test_errors_are_not_cached(self, gt, shape, match):
+        gt = losses.GroundTruthAlignment(gt)
+        n = len(gt.perm)
+        losses.nt_logistic_loss(np.ones((n, 3)), gt)  # a shape it passes at
+        for _ in range(2):
+            with pytest.raises(ContractError, match=match):
+                losses.infonce_loss(np.ones(shape), gt)
+        assert list(gt.dense) == [(n, 3)]
+
+    def test_cached_alignment_still_checks_the_bijection(self):
+        # a non-bijective alignment is valid for nt_logistic_loss, so its Y
+        # is cached; a square loss on the same shape must still reject it
+        gt = losses.GroundTruthAlignment((1, 1))
+        s = np.array([[0.2, 1.0], [0.4, 0.3]])
+        losses.nt_logistic_loss(s, gt)
+        assert (2, 2) in gt.dense
+        for _ in range(2):
+            with pytest.raises(ContractError, match="bijection"):
+                losses.infonce_loss(s, gt)
 
     def test_raw_alignment_scores_like_the_object(self):
         s = np.array([[0.2, 1.0], [0.4, 0.3]])

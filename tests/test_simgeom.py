@@ -78,6 +78,20 @@ class TestSymEigen:
         m = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
         simgeom.sym_eigen(m)
 
+    @pytest.mark.parametrize("scale, tolerated, rejected", [
+        (1e6, 1e-5, 1e-2),      # ||a||_F = 3.2e6: the bound is 3.2e-3
+        (0.1, 5e-10, 2e-9),     # ||a||_F = 0.32: the bound is 1e-9
+    ])
+    def test_asymmetry_bound_is_relative_to_the_norm(self, scale, tolerated,
+                                                     rejected):
+        m = np.array([[1.0, 2.0], [2.0, 1.0]]) * scale
+        m[1, 0] += tolerated
+        np.testing.assert_allclose(simgeom.sym_eigen(m).values,
+                                   [3.0 * scale, -scale], atol=tolerated)
+        m[1, 0] += rejected - tolerated
+        with pytest.raises(ContractError, match="not symmetric within 1e-9"):
+            simgeom.sym_eigen(m)
+
     def test_large_scale_converges(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(12, 12)) * 1e6

@@ -257,6 +257,20 @@ class TestTapeSemantics:
         row = T.custom_op([x], np.array([1.0, 2.0, 3.0]), lambda g: (None,))
         assert row.shape == (1, 3)
 
+    def test_stored_data_is_c_contiguous_float64_and_frozen(self):
+        tape = T.Tape()
+        x = tape.leaf(np.ones((2, 3)))
+        # an integer value, and a Fortran-ordered VJP output
+        y = T.custom_op([x], np.arange(6).reshape(3, 2).T,
+                        lambda g: (np.asfortranarray(np.ones((2, 3))),))
+        loss = T.custom_op([y], y.data.sum(), lambda g: (np.ones((2, 3)),))
+        grad = tape.backward(loss)[x]
+        for t in (y, grad):
+            assert t.data.dtype == np.float64
+            assert t.data.flags.c_contiguous and not t.data.flags.writeable
+        np.testing.assert_array_equal(y.data, [[0, 2, 4], [1, 3, 5]])
+        assert T.custom_op([x], np.float64(4.0), lambda g: (None,)).item() == 4.0
+
     def test_custom_op_rejects_a_value_above_2d(self):
         with pytest.raises(ShapeError,
                            match="^tensors are 1-D or 2-D, got ndim=3$"):
