@@ -278,7 +278,7 @@ def cmd_sweep(cfg: ExperimentConfig, dataset: harness.TwoViewDataset,
 
 
 def cmd_verify(suite: Optional[str]) -> int:
-    results = verify.run([suite] if suite else None)
+    results = verify.run(None if suite is None else [suite])
     for r in results:
         print(verify.format_result(r))
     return 0 if all(r.passed for r in results) else 1

@@ -287,9 +287,9 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     batch has ``batch_size`` rows. Each step registers the encoder's
     ``flat`` buffer as the tape's one leaf, and Adam updates that buffer
     in place. Aborts with NumericError on a non-finite loss or gradient
-    (naming the parameter), or on a degenerate (zero) embedding. Matching
-    accuracy and the probe run once, after training, on one embedding of
-    each view.
+    (naming the parameter), or on a degenerate (zero) embedding.
+    ``evaluate_matching`` and ``linear_probe`` run once, after training,
+    on one embedding of each view.
     """
     n = dataset.view_a.shape[0]
     if config.batch_size > n:
@@ -342,7 +342,7 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     zb = encoder.embed(dataset.view_b)
     report = RunReport(
         epoch_losses=epoch_losses,
-        matching_accuracy=_matching_accuracy(za, zb, dataset.gt),
+        matching_accuracy=evaluate_matching(za, zb, dataset.gt),
         probe_accuracy=linear_probe(
             np.vstack([za, zb]),
             np.concatenate([dataset.labels, dataset.labels]),
@@ -353,18 +353,11 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     return encoder, report
 
 
-def evaluate_matching(encoder, dataset: TwoViewDataset) -> float:
-    """LAP matching accuracy between the two embedded views under
-    Euclidean distances, scored against the identity alignment."""
-    return _matching_accuracy(encoder.embed(dataset.view_a),
-                              encoder.embed(dataset.view_b), dataset.gt)
-
-
-def _matching_accuracy(za: Array, zb: Array, gt: GroundTruthAlignment) -> float:
-    """``evaluate_matching`` on embeddings already computed, which
-    ``train`` shares with the linear probe."""
+def evaluate_matching(za: Array, zb: Array, gt: GroundTruthAlignment) -> float:
+    """LAP matching accuracy between two embedded views under Euclidean
+    distances, scored against the alignment ``gt``."""
     s = T.pairwise_dist(za, zb).data
-    return assignment.matching_accuracy(s, np.asarray(gt.perm))
+    return assignment.matching_accuracy(s, gt.indices)
 
 
 _PROBE_EPOCHS = 100
@@ -376,11 +369,13 @@ def linear_probe(embeddings, labels, seed: int = 0) -> float:
     """Multinomial logistic regression on frozen embeddings with a
     stratified 80/20 split drawn from ``seed``, trained by Adam for a
     fixed 100 epochs of minibatches of 128 at step size 1e-3; returns
-    held-out accuracy."""
+    held-out accuracy. NaN or Inf embeddings raise EvaluationError."""
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ShapeError("linear_probe: embeddings and labels disagree")
+    if not np.isfinite(x).all():
+        raise EvaluationError("linear_probe: embeddings contain NaN or Inf")
     classes, codes = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise ContractError("linear_probe needs at least two classes")

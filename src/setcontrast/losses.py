@@ -45,6 +45,9 @@ Array = np.ndarray
 MARGIN_DEFAULT = 0.5
 TEMPERATURE_DEFAULT = 0.05
 BETA_DEFAULT = 1.0
+# below this gap neighbouring eigenvalues count as one degenerate
+# cluster, inside which the solver's eigenvector basis is arbitrary
+DEGENERATE_EIGENGAP = 1e-8
 # partner values inside one degenerate eigenvalue cluster that spread by
 # more than this, relative to max(1, max |partner|), flag qare's step
 DEGENERATE_UPSTREAM_SPREAD = 1e-8
@@ -345,7 +348,7 @@ def _basis_dependent(values: Array, upstream: Array) -> bool:
     ``values`` whose neighbours lie closer than DEGENERATE_EIGENGAP gets
     upstream values that spread by more than
     DEGENERATE_UPSTREAM_SPREAD * max(1, max |upstream|)."""
-    gaps = np.abs(np.diff(values)) >= simgeom.DEGENERATE_EIGENGAP
+    gaps = np.abs(np.diff(values)) >= DEGENERATE_EIGENGAP
     starts = np.flatnonzero(np.r_[True, gaps])
     spread = np.maximum.reduceat(upstream, starts) - np.minimum.reduceat(upstream, starts)
     return bool((spread > DEGENERATE_UPSTREAM_SPREAD

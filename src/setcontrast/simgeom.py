@@ -8,8 +8,8 @@ a degenerate eigenspace the eigenvectors are not unique. Over a cluster
 of equal eigenvalues with equal upstream g the rule still gives g times
 the cluster's projector, whatever basis the solver returns (Lewis 1996,
 "Derivatives of spectral functions"); only unequal upstream values make
-it one subgradient among many. ``losses.qare`` flags that case on the
-tape; ``eigvals``, which sees no upstream, flags every close gap.
+it one subgradient among many. ``losses.qare``, which sees the upstream
+values, flags that case on the tape.
 Results are deterministic for a given LAPACK build; they were never
 byte-identical across machines, because matrix products already go
 through BLAS.
@@ -25,10 +25,6 @@ from . import tensor as T
 from .errors import ContractError, EvaluationError, ShapeError
 
 Array = np.ndarray
-
-# below this gap neighbouring eigenvalues count as one degenerate
-# cluster, inside which the solver's eigenvector basis is arbitrary
-DEGENERATE_EIGENGAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -106,14 +102,11 @@ def eigenvalue_gradient(decomp: EigenDecomposition, upstream) -> Array:
 def eigvals(m) -> T.Tensor:
     """Differentiable sorted-descending eigenvalues, shape (n, 1).
 
-    Flags "degenerate-eigenvalues" on the active tape when neighbouring
-    eigenvalues are closer than the degeneracy gap.
+    Sets no tape flag: whether its gradient depends on the eigenvector
+    basis turns on the upstream values, which it never sees.
     """
     mt = T.as_tensor(m)
     dec = sym_eigen(mt.data)
-    tape = T.active_tape(mt)
-    if tape is not None and min_eigengap(dec.values) < DEGENERATE_EIGENGAP:
-        tape.flags.add("degenerate-eigenvalues")
 
     def vjp(g):
         return (eigenvalue_gradient(dec, g[:, 0]),)

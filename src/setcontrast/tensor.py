@@ -59,12 +59,14 @@ class _Node:
 
 
 class Tensor:
-    """Immutable 2-D float64 array, optionally recorded on a tape."""
+    """Immutable 2-D float64 array, optionally recorded on a tape. The
+    data is a C-ordered copy whatever the input's layout, since BLAS
+    rounds differently with another layout."""
 
     __slots__ = ("data", "node")
 
     def __init__(self, data):
-        arr = _as_2d(np.array(data, dtype=np.float64))
+        arr = _as_2d(np.array(data, dtype=np.float64, order="C"))
         if not np.isfinite(arr).all():
             raise EvaluationError("tensor data contains NaN or Inf")
         arr.flags.writeable = False

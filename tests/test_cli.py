@@ -471,8 +471,13 @@ class TestVerifyCommand:
         assert out[0].startswith("PASS fig1b")
         assert "max_err=" in out[0]
 
-    def test_unknown_suite_is_config_error(self):
-        assert cli.main(["verify", "--suite", "nope"]) == 2
+    def test_unknown_suite_is_config_error(self, capsys):
+        # an empty name is a name too, not a request for every suite
+        for suite in ("nope", ""):
+            assert cli.main(["verify", "--suite", suite]) == 2
+            captured = capsys.readouterr()
+            assert f"unknown suite {suite!r}" in captured.err
+            assert captured.out == ""
 
     def test_corrupted_spectral_pairing_fails_sandwich_suite(
             self, capsys, monkeypatch):

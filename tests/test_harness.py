@@ -8,6 +8,7 @@ from setcontrast.errors import (
     ConfigError,
     ContractError,
     DegenerateInputError,
+    EvaluationError,
     NumericError,
     ShapeError,
 )
@@ -420,26 +421,39 @@ class TestEvaluation:
         ds = harness.gen_two_view_dataset(TINY)
         cfg = tiny_train_config()
         enc, _ = harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        acc = harness.evaluate_matching(enc, ds)
+        acc = harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b),
+                                        ds.gt)
         assert 0.0 <= acc <= 1.0
 
     def test_train_embeds_each_view_once(self, monkeypatch):
-        # the matching accuracy and the probe share one embedding per view
+        # the matching accuracy and the probe share one embedding per view,
+        # and train reaches the accuracy through the public binding
         ds = harness.gen_two_view_dataset(TINY)
         cfg = tiny_train_config()
         real_embed = harness.MLPEncoder.embed
-        seen = []
+        real_matching = harness.evaluate_matching
+        seen, matched = [], []
 
         def counted(self, x):
-            seen.append(x)
-            return real_embed(self, x)
+            z = real_embed(self, x)
+            seen.append((x, z))
+            return z
+
+        def recorded(za, zb, gt):
+            matched.append((za, zb, gt, real_matching(za, zb, gt)))
+            return matched[-1][3]
 
         monkeypatch.setattr(harness.MLPEncoder, "embed", counted)
+        monkeypatch.setattr(harness, "evaluate_matching", recorded)
         enc, report = harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
         assert len(seen) == 2
-        assert seen[0] is ds.view_a and seen[1] is ds.view_b
-        assert report.matching_accuracy == harness.evaluate_matching(enc, ds)
+        assert seen[0][0] is ds.view_a and seen[1][0] is ds.view_b
+        assert len(matched) == 1
+        za, zb, gt, acc = matched[0]
+        assert za is seen[0][1] and zb is seen[1][1] and gt is ds.gt
+        assert report.matching_accuracy == acc
         za, zb = real_embed(enc, ds.view_a), real_embed(enc, ds.view_b)
+        assert report.matching_accuracy == real_matching(za, zb, ds.gt)
         assert report.probe_accuracy == harness.linear_probe(
             np.vstack([za, zb]), np.concatenate([ds.labels, ds.labels]),
             seed=cfg.seed)
@@ -448,6 +462,15 @@ class TestEvaluation:
         with pytest.raises(ShapeError,
                            match="^linear_probe: embeddings and labels disagree$"):
             harness.linear_probe(np.zeros((6, 2)), np.array([0, 1] * 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_linear_probe_rejects_nonfinite_embeddings(self, bad):
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(40, 3))
+        z[7, 1] = bad
+        with pytest.raises(EvaluationError,
+                           match="^linear_probe: embeddings contain NaN or Inf$"):
+            harness.linear_probe(z, np.repeat([0, 1], 20))
 
     def test_linear_probe_needs_two_classes(self):
         with pytest.raises(ContractError,
@@ -476,7 +499,7 @@ class TestEvaluation:
             return real(s, perm)
 
         monkeypatch.setattr(assignment, "matching_accuracy", capture)
-        harness.evaluate_matching(enc, ds)
+        harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b), ds.gt)
         whole = T.pairwise_dist(enc.embed(ds.view_a), enc.embed(ds.view_b)).data
         assert len(seen) == 1
         assert seen[0].shape == whole.shape == (spec.num_items, spec.num_items)
@@ -555,16 +578,19 @@ class TestAffineViewStructure:
                     return (x - ds.bias_a) @ ds.q_a
                 return (x - ds.bias_b) @ ds.q_b
 
-        assert harness.evaluate_matching(Inverse(), ds) == 1.0
+        enc = Inverse()
+        assert harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b),
+                                         ds.gt) == 1.0
 
     def test_untrained_encoder_matches_at_chance(self):
         spec = harness.SyntheticSpec()
         ds = harness.gen_two_view_dataset(spec)
         n = spec.num_classes * spec.samples_per_class
+        encoders = [harness.make_encoder(spec, harness.TrainConfig(seed=seed))
+                    for seed in range(20)]
         vals = np.array([
-            harness.evaluate_matching(
-                harness.make_encoder(spec, harness.TrainConfig(seed=seed)), ds)
-            for seed in range(20)
+            harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b), ds.gt)
+            for enc in encoders
         ])
         band = 3.0 * vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - 1.0 / n) <= band

@@ -537,7 +537,7 @@ class TestQare:
         za, zb = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
         shifted = simgeom.pairwise_distances(za, zb, "cosine").s_a.data + 1.0
         gap = simgeom.min_eigengap(simgeom.sym_eigen(shifted).values)
-        assert gap < simgeom.DEGENERATE_EIGENGAP
+        assert gap < losses.DEGENERATE_EIGENGAP
         assert "degenerate-eigenvalues" not in self._flags(za, zb, "cosine")
 
     def test_hexagon_against_generic_set_is_flagged(self):

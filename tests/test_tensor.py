@@ -41,6 +41,14 @@ class TestTensorBasics:
         buf[0, 0] = 7.0
         assert t.data[0, 0] == 1.0
 
+    def test_data_is_c_ordered_whatever_the_input_layout(self):
+        # BLAS rounds by memory layout, so a stored layout must not depend
+        # on the caller's
+        x = np.asfortranarray(np.arange(12.0).reshape(3, 4) / 7.0)
+        for t in (T.Tensor(x), T.Tape().leaf(x)):
+            assert t.data.flags.c_contiguous
+            assert t.data.tobytes() == np.ascontiguousarray(x).tobytes()
+
     def test_item_requires_scalar(self):
         assert T.Tensor(3.0).item() == 3.0
         with pytest.raises(ShapeError):
