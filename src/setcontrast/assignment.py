@@ -83,9 +83,17 @@ def _check_sense(sense: str) -> str:
 def _as_indices(values) -> Array:
     """``values`` flattened to intp; ContractError on an entry that is not
     an integer: a fraction, NaN or Inf, which a cast would truncate, or a
-    boolean, which a cast would read as 0 or 1. A sequence that mixes
-    booleans with integers converts to an integer array, so the entries
-    are checked for booleans as objects, whatever the input type."""
+    boolean, which a cast would read as 0 or 1, and on an integer outside
+    the intp range. A tuple or list of plain ``int`` entries converts
+    directly (``type(v) is int`` is False for a boolean). Any other
+    sequence that mixes booleans with integers converts to an integer
+    array, so its entries are checked for booleans as objects."""
+    if type(values) in (tuple, list) and all(type(v) is int for v in values):
+        try:
+            return np.array(values, dtype=np.intp)
+        except OverflowError:
+            raise ContractError(
+                f"indices must be integers in the intp range, got {values!r}") from None
     if any(isinstance(v, (bool, np.bool_))
            for v in np.asarray(values, dtype=object).reshape(-1)):
         raise ContractError(f"indices must be integers, got {values!r}")
@@ -394,6 +402,21 @@ def _lex_levels(m: int) -> Tuple[Array, ...]:
     return tuple(levels)
 
 
+def _running_sums(costs: Array, tail: Array, levels: Tuple[Array, ...]) -> Array:
+    """The running sums of every completion of a prefix whose cost is
+    ``costs``, shape (1,): row k of ``tail`` adds its entry at each
+    completion's column of level k, in lexicographic order, one level at
+    a time. Each level adds the running sums into its fresh gather of
+    the row, in place; the sum of two doubles does not depend on the
+    order of its operands, so this gives the bits of
+    ``(costs[:, None] + row[level]).ravel()``."""
+    for row, level in zip(tail, levels):
+        step = row[level].reshape(costs.size, -1)
+        step += costs[:, None]
+        costs = step.ravel()
+    return costs
+
+
 def brute_force_lap(s, sense: str = "min") -> Assignment:
     """Exhaustive LAP oracle (N <= 10), ranked by ``lap_cost`` with the
     same tie-break as solve_lap: the lexicographically first optimum.
@@ -402,8 +425,9 @@ def brute_force_lap(s, sense: str = "min") -> Assignment:
     at a time, m = min(n, 8). Each head is fixed in lexicographic order;
     its remaining rows take the free columns, in ascending order,
     permuted by ``_lex_table(m)``. The costs of all m! completions build
-    up one row per level, ``costs = (costs[:, None] + row[level]).ravel()``,
-    since the completions of one prefix form a contiguous run.
+    up one row per level, ``costs = (costs[:, None] + row[level]).ravel()``
+    added in place in the gather (``_running_sums``), since the
+    completions of one prefix form a contiguous run.
 
     These running sums add the entries one row at a time, while
     ``lap_cost`` uses numpy's pairwise sum, so the two can differ in the
@@ -448,9 +472,8 @@ def brute_force_lap(s, sense: str = "min") -> Assignment:
         tail = work[n - m:, cols]
         with np.errstate(over="ignore"):
             # the head's entries, summed in any order the bound allows; 0 for n <= 8
-            costs = work[rows[:n - m], list(head)].sum(keepdims=True)
-            for row, level in zip(tail, levels):
-                costs = (costs[:, None] + row[level].reshape(costs.size, -1)).ravel()
+            costs = _running_sums(work[rows[:n - m], list(head)].sum(keepdims=True),
+                                  tail, levels)
             limit = costs.min() + window if np.isfinite(costs).all() else np.inf
         found = np.flatnonzero(costs <= limit)
         perms = np.empty((found.size, n), dtype=np.intp)

@@ -82,13 +82,13 @@ class GroundTruthAlignment:
     def __post_init__(self):
         # a copy, so freezing it leaves an array passed as perm writable
         idx = np.array(assignment._as_indices(self.perm))
-        if (idx < 0).any():
+        perm = tuple(idx.tolist())
+        if perm and min(perm) < 0:
             raise ContractError("alignment indices outside column range")
         idx.setflags(write=False)
-        object.__setattr__(self, "perm", tuple(idx.tolist()))
+        object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "bijective", bool(
-            np.array_equal(np.sort(idx), np.arange(idx.shape[0]))))
+        object.__setattr__(self, "bijective", sorted(perm) == list(range(len(perm))))
         object.__setattr__(self, "dense", {})
 
     @classmethod
@@ -197,7 +197,11 @@ def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
     tr(S_m Y_gt^T) - min_Y tr(S_m Y^T) over permutations, S_m = S + m Y_gt.
 
     The minimum is differentiated by the envelope rule, so the VJP is
-    Y_gt - Y*, with Y* the solver's (lexicographically first) optimum."""
+    Y_gt - Y*, with Y* the solver's (lexicographically first) optimum.
+
+    The loss is never negative. The two traces are summed in different
+    orders, so where the ground truth is itself optimal their difference
+    can round to just below 0; such a value reads 0."""
     s, y, red = _operands(s, gt, reduction, "structured_lap_loss")
     sm = _margined(s.data, y, margin)
     best = assignment.solve_lap(sm, "min")
@@ -205,7 +209,7 @@ def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
     def grad(c):
         return c * y - c * np.eye(len(y))[list(best.perm)]
 
-    return _loss_node(s, (sm * y).sum() - best.cost, red, grad)
+    return _loss_node(s, max(0.0, (sm * y).sum() - best.cost), red, grad)
 
 
 def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
@@ -239,9 +243,9 @@ def _softmax_of_neg(s: Array, temperature: float):
     max-shifted log-sum-exp log r + max (N, 1); softmax is e / r."""
     _check_temperature(temperature)
     z = s * (-1.0 / temperature)
-    m = z.max(axis=1, keepdims=True)
+    m = np.maximum.reduce(z, axis=1, keepdims=True)
     e = np.exp(z - m)
-    r = e.sum(axis=1, keepdims=True)
+    r = np.add.reduce(e, axis=1, keepdims=True)
     return e, r, np.log(r) + m
 
 
@@ -269,7 +273,7 @@ def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
     VJP: (Y_gt - softmax(-S / tau)) / tau row-wise."""
     s, y, red = _operands(s, gt, reduction, "infonce_loss")
     e, r, lse = _softmax_of_neg(s.data, temperature)
-    pos = (s.data * y).sum(axis=1, keepdims=True)  # (N, 1) gathered positives
+    pos = np.add.reduce(s.data * y, axis=1, keepdims=True)  # (N, 1) gathered positives
 
     def grad(c):
         return c / r * e * (-1.0 / temperature) + (c * (1.0 / temperature)) * y

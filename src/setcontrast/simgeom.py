@@ -52,21 +52,26 @@ def sym_eigen(m) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix via LAPACK
     (``np.linalg.eigh``), eigenvalues sorted descending.
 
-    An entrywise asymmetry up to 1e-9 * max(1, ||a||_F) is tolerated and
-    symmetrized away (the norm is taken only above 1e-9, the bound's
-    floor); larger asymmetry raises ContractError, and NaN or Inf entries
-    raise EvaluationError. Within a repeated eigenvalue the returned
+    A matrix equal to its transpose entry for entry, such as a
+    self-distance matrix, is decomposed as it stands: (a + a^T) / 2 would
+    give back the same bits. Otherwise an entrywise
+    asymmetry up to 1e-9 * max(1, ||a||_F) is tolerated and symmetrized
+    away (the norm is taken only above 1e-9, the bound's floor); larger
+    asymmetry raises ContractError. NaN or Inf entries raise
+    EvaluationError. Within a repeated eigenvalue the returned
     eigenvectors are one arbitrary basis of that eigenspace.
     """
     a = m.data if isinstance(m, T.Tensor) else np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise EvaluationError("sym_eigen: matrix contains NaN or Inf")
-    asym = float(np.abs(a - a.T).max(initial=0.0))
-    if asym > 1e-9 and asym > 1e-9 * max(1.0, float(np.linalg.norm(a))):
-        raise ContractError("sym_eigen: matrix is not symmetric within 1e-9")
-    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    if not np.logical_and.reduce(a == a.T, axis=None):
+        asym = float(np.abs(a - a.T).max(initial=0.0))
+        if asym > 1e-9 and asym > 1e-9 * max(1.0, float(np.linalg.norm(a))):
+            raise ContractError("sym_eigen: matrix is not symmetric within 1e-9")
+        a = (a + a.T) / 2.0
+    vals, vecs = np.linalg.eigh(a)
     return EigenDecomposition(vals[::-1], vecs[:, ::-1])
 
 
@@ -134,17 +139,24 @@ def eig_dot(values_a, values_b, sense: str) -> float:
     return float(la @ lb)
 
 
-def _embedded(z_a, z_b, mode: str, name: str):
-    """The two sets as the similarity sees them (raw for euclidean,
+def _embedded_set(z: T.Tensor, mode: str):
+    """One set as the similarity sees it (raw for euclidean,
     row-normalized for cosine) and the pairwise map of the mode."""
+    if mode == "euclidean":
+        return z, T.pairwise_dist
+    if mode == "cosine":
+        return T.row_l2_normalize(z), _inner_products
+    raise ContractError(f"unknown similarity mode {mode!r}")
+
+
+def _embedded(z_a, z_b, mode: str, name: str):
+    """Both sets as the similarity sees them and the pairwise map of the
+    mode, after checking that their feature dims agree."""
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
     if za.shape[1] != zb.shape[1]:
         raise ShapeError(f"{name}: feature dims differ, {za.shape} vs {zb.shape}")
-    if mode == "euclidean":
-        return za, zb, T.pairwise_dist
-    if mode == "cosine":
-        return T.row_l2_normalize(za), T.row_l2_normalize(zb), _inner_products
-    raise ContractError(f"unknown similarity mode {mode!r}")
+    xa, sim = _embedded_set(za, mode)
+    return xa, _embedded_set(zb, mode)[0], sim
 
 
 def _inner_products(x: T.Tensor, y: T.Tensor) -> T.Tensor:
@@ -177,3 +189,11 @@ def cross_distances(z_a, z_b, mode: str = "euclidean") -> T.Tensor:
     the same operations, for callers that never read S_A and S_B."""
     xa, xb, sim = _embedded(z_a, z_b, mode, "cross_distances")
     return sim(xa, xb)
+
+
+def self_distances(z, mode: str = "euclidean") -> T.Tensor:
+    """The intra-set matrix S_A of ``pairwise_distances`` for one set
+    alone, built by the same operations, for callers that hold the other
+    set's matrix already."""
+    x, sim = _embedded_set(T.as_tensor(z), mode)
+    return sim(x, x)

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import ContractError, DegenerateInputError, EvaluationError, ShapeError
 
 Array = np.ndarray
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _as_2d(arr: Array) -> Array:
@@ -67,7 +68,7 @@ class Tensor:
 
     def __init__(self, data):
         arr = _as_2d(np.array(data, dtype=np.float64, order="C"))
-        if not np.isfinite(arr).all():
+        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
             raise EvaluationError("tensor data contains NaN or Inf")
         arr.flags.writeable = False
         self.data = arr
@@ -216,7 +217,10 @@ def custom_op(operands: Iterable, value: Array, vjp: Callable) -> Tensor:
     records, and a Tensor there would hold the tape in a reference cycle
     that only the cycle collector frees, with every array of the graph."""
     ops = tuple(as_tensor(t) for t in operands)
-    return _emit(ops, _as_2d(np.ascontiguousarray(value, dtype=np.float64)), vjp)
+    if not (type(value) is np.ndarray and value.ndim == 2
+            and value.dtype is _FLOAT64 and value.flags.c_contiguous):
+        value = _as_2d(np.ascontiguousarray(value, dtype=np.float64))
+    return _emit(ops, value, vjp)
 
 
 def active_tape(*tensors) -> Optional[Tape]:
@@ -254,6 +258,7 @@ def row_l2_normalize(a) -> Tensor:
 
 
 _EXPLICIT_MAX_ELEMENTS = 1024
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def pairwise_dist(a, b) -> Tensor:
@@ -301,18 +306,18 @@ def pairwise_dist(a, b) -> Tensor:
     da, db = a.data, b.data
     if da.shape[0] * db.shape[0] * da.shape[1] <= _EXPLICIT_MAX_ELEMENTS:
         diff = da[:, None, :] - db[None, :, :]  # (N, M, E)
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
     else:
-        norms = (da * da).sum(axis=1)[:, None] + (db * db).sum(axis=1)[None, :]
+        norms = (np.add.reduce(da * da, axis=1)[:, None]
+                 + np.add.reduce(db * db, axis=1)[None, :])
         sq = norms - 2.0 * (da @ db.T)
-        bound = (4.0 * (da.shape[1] + 2) * np.finfo(np.float64).eps) * norms
+        bound = (4.0 * (da.shape[1] + 2) * _EPS) * norms
         dist = np.sqrt(np.where(sq > bound, sq, 0.0))
 
     def vjp(g):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = np.where(dist > 0.0, g / dist, 0.0)
-        ga = w.sum(axis=1, keepdims=True) * da - w @ db
-        gb = w.sum(axis=0)[:, None] * db - w.T @ da
+        w = np.divide(g, dist, out=np.zeros(dist.shape), where=dist > 0.0)
+        ga = np.add.reduce(w, axis=1, keepdims=True) * da - w @ db
+        gb = np.add.reduce(w, axis=0)[:, None] * db - w.T @ da
         return ga, gb
 
     return _emit((a, b), dist, vjp)
@@ -322,7 +327,9 @@ def pairwise_dist(a, b) -> Tensor:
 # finite-difference gradient checking
 
 def _scalar_eval(f, x: Array) -> float:
-    y = f(Tensor(x))
+    """f at a frozen copy of ``x``, a finite 2-D C-ordered float64 array,
+    as a float; EvaluationError if the value is not finite."""
+    y = f(Tensor._raw(x.copy(), None))
     val = y.item() if isinstance(y, Tensor) else float(y)
     if not math.isfinite(val):
         raise EvaluationError("gradcheck: function value is not finite")
@@ -346,6 +353,8 @@ def gradcheck(f, x) -> float:
         raise EvaluationError("gradcheck: function value is not finite")
     analytic = tape.backward(y)[xt].data
     worst = 0.0
+    # base is finite (the leaf checked it), and so is a finite double
+    # moved by the step, so each point is wrapped without another check
     pert = np.array(base)
     for i in range(base.shape[0]):
         for j in range(base.shape[1]):

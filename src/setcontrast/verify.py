@@ -13,8 +13,12 @@ its distance to z. It never sorts z or takes a cumulative-sum
 threshold, so it stays independent of the closed form in ``losses``.
 The brute-force LAP and QAP oracles in ``assignment`` score every
 permutation: the LAP oracle by prefix sums shared along the
-lexicographic order, re-ranked by ``lap_cost`` near the optimum, and
-the QAP oracle in blocks read from a cached table.
+lexicographic order, each level added in place into its gather of the
+row and re-ranked by ``lap_cost`` near the optimum, and the QAP oracle
+in blocks read from a cached table. The simplex grid that checks the
+sparsemax oracle reads each coordinate from a table of the running sums
+of 1/steps, indexed by the coordinate's count. The ``qare`` gradient
+checks build the fixed side's intra-set matrix once per check.
 """
 
 from __future__ import annotations
@@ -191,14 +195,18 @@ def _projection_oracle(z: Array) -> Array:
 
 
 def _simplex_grid(k: int, steps: int) -> Array:
-    """All points of the simplex with coordinates in units of 1/steps."""
-    pts = []
-    for comp in itertools.combinations_with_replacement(range(k), steps):
-        p = np.zeros(k)
-        for j in comp:
-            p[j] += 1.0 / steps
-        pts.append(p)
-    return np.array(pts)
+    """All points of the simplex with coordinates in units of 1/steps, one
+    per multiset of ``steps`` coordinates in
+    ``itertools.combinations_with_replacement`` order, each coordinate
+    the sum of 1/steps added once per time it is drawn. Those sums are
+    the running sums of 1/steps, so each coordinate is read from a table
+    of them by its count."""
+    sums = [0.0]
+    for _ in range(steps):
+        sums.append(sums[-1] + 1.0 / steps)
+    counts = [[comp.count(j) for j in range(k)]
+              for comp in itertools.combinations_with_replacement(range(k), steps)]
+    return np.array(sums)[counts]
 
 
 def suite_sparsemax() -> SuiteResult:
@@ -328,13 +336,16 @@ def suite_gradients() -> SuiteResult:
             za, zb = T.Tensor(za), T.Tensor(zb)
 
             if label == "qare":
+                # qare reads S_A and S_B only, and each forward moves one
+                # side: the other side's matrix is built once per check
+                s_a = simgeom.self_distances(za, cfg.mode)
+                s_b = simgeom.self_distances(zb, cfg.mode)
+
                 def f_a(x):
-                    triple = simgeom.pairwise_distances(x, zb, cfg.mode)
-                    return losses.qare(triple.s_a, triple.s_b, cfg.mode)
+                    return losses.qare(simgeom.self_distances(x, cfg.mode), s_b, cfg.mode)
 
                 def f_b(x):
-                    triple = simgeom.pairwise_distances(za, x, cfg.mode)
-                    return losses.qare(triple.s_a, triple.s_b, cfg.mode)
+                    return losses.qare(s_a, simgeom.self_distances(x, cfg.mode), cfg.mode)
             else:
                 def f_a(x):
                     return losses.two_view_loss(x, zb, gt, cfg)[0]

@@ -443,6 +443,13 @@ class TestAcyclicityTest:
         assert seen == {"dag", "empty", "2-cycle", "3-cycle", "4-cycle"}
 
 
+def reference_running_sums(costs, tail, levels):
+    """brute_force_lap's level loop with a fresh sum per level."""
+    for row, level in zip(tail, levels):
+        costs = (costs[:, None] + row[level].reshape(costs.size, -1)).ravel()
+    return costs
+
+
 class TestBruteForce:
     def test_lap_matches_reference_enumeration(self):
         rng = np.random.default_rng(13)
@@ -557,6 +564,31 @@ class TestBruteForce:
                     got = assignment.brute_force_lap(s, sense)
                 assert got.perm == perm
                 assert got.cost == cost
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_running_sums_match_the_level_loop_bit_for_bit(self, n):
+        # Gaussian and integer-tied entries, and entries up to 1e308 whose
+        # running sums overflow to +-inf part way; each from a zero start,
+        # as for n <= 8, and from a head's sum
+        rng = np.random.default_rng(60 + n)
+        levels = assignment._lex_levels(n)
+        overflowed = 0
+        for family in ("normal", "ties", "1e308"):
+            for _ in range(4):
+                if family == "normal":
+                    a = rng.normal(size=(n, n))
+                elif family == "ties":
+                    a = rng.integers(0, 3, size=(n, n)).astype(float)
+                else:
+                    a = rng.uniform(-1.0, 1.0, size=(n, n)) * 1e308
+                for start in (np.zeros(1), a[:1, 0].copy()):
+                    with np.errstate(over="ignore"):
+                        got = assignment._running_sums(start, a, levels)
+                        want = reference_running_sums(start, a, levels)
+                    assert got.shape == (math.factorial(n),)
+                    assert got.tobytes() == want.tobytes()
+                    overflowed += int(np.isinf(got).any())
+        assert overflowed > 0 or n == 1
 
     def test_lex_levels_are_cached_read_only_table_columns(self):
         for m in range(1, 9):

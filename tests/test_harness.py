@@ -402,7 +402,63 @@ class TestTraining:
         assert len(rep.epoch_losses) == 1
 
 
+def reference_probe(x, y, seed):
+    """linear_probe's split and training loop with each row's max taken
+    by a reduction; returns the trained flat weights and the accuracy."""
+    classes, codes = np.unique(y, return_inverse=True)
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for c in classes:
+        members = np.flatnonzero(y == c)
+        members = members[rng.permutation(members.size)]
+        cut = max(1, int(round(members.size * 0.8)))
+        cut = min(cut, members.size - 1) if members.size > 1 else cut
+        train_idx.append(members[:cut])
+        test_idx.append(members[cut:])
+    train_idx = np.concatenate(train_idx)
+    test_idx = np.concatenate(test_idx)
+    yt, xt = codes[train_idx], x[train_idx]
+    k = x.shape[1] * classes.size
+    state = harness.AdamState(np.zeros(k + classes.size))
+    w, b = state.flat[:k].reshape(x.shape[1], classes.size), state.flat[k:]
+    for _ in range(harness._PROBE_EPOCHS):
+        order = rng.permutation(xt.shape[0])
+        for start in range(0, xt.shape[0], harness._PROBE_BATCH):
+            sel = order[start:start + harness._PROBE_BATCH]
+            xb, yb = xt[sel], yt[sel]
+            logits = xb @ w + b
+            logits -= logits.max(axis=1, keepdims=True)
+            p = np.exp(logits)
+            p /= p.sum(axis=1, keepdims=True)
+            p[np.arange(sel.size), yb] -= 1.0
+            p /= sel.size
+            harness.adam_step(
+                state, np.concatenate([(xb.T @ p).ravel(), p.sum(axis=0)]),
+                lr=harness._PROBE_LR)
+    pred = np.argmax(x[test_idx] @ w + b, axis=1)
+    return state.flat, float(np.mean(pred == codes[test_idx]))
+
+
 class TestEvaluation:
+    def test_linear_probe_matches_the_reference_loop_bit_for_bit(self, monkeypatch):
+        # 8 classes, 240 training rows: two minibatches (128, 112) a step
+        rng = np.random.default_rng(6)
+        y = np.repeat(np.arange(8), 38)
+        z = rng.normal(size=(y.size, 4)) + 0.8 * rng.normal(size=(8, 4))[y]
+        states = []
+        real = harness.adam_step
+
+        def spy(state, grad, lr):
+            states.append(state)
+            real(state, grad, lr)
+
+        monkeypatch.setattr(harness, "adam_step", spy)
+        acc = harness.linear_probe(z, y, seed=3)
+        monkeypatch.setattr(harness, "adam_step", real)
+        flat, ref_acc = reference_probe(z, y, seed=3)
+        assert len(states) == 200 and all(s is states[0] for s in states)
+        assert states[0].flat.tobytes() == flat.tobytes()
+        assert acc == ref_acc and 0.2 < acc < 1.0
     def test_linear_probe_separates_blobs(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(40, 2)) * 0.1 + np.array([3.0, 0.0])

@@ -49,6 +49,17 @@ class TestStructuredLapLoss:
         else:
             assert gt_cost > opt
 
+    def test_optimal_ground_truth_reads_exactly_zero(self):
+        # the ground truth is the optimum, but its trace summed over the
+        # dense matrix rounds 1.1e-16 below the solver's cost, summed over
+        # the assigned entries
+        s = np.random.default_rng(49698279).normal(size=(4, 4))
+        sm = s + 0.5 * np.eye(4)
+        best = assignment.solve_lap(sm, "min")
+        assert best.perm == (0, 1, 2, 3)
+        assert (sm * np.eye(4)).sum() - best.cost < 0.0
+        assert losses.structured_lap_loss(s, identity(4), margin=0.5).item() == 0.0
+
     def test_envelope_gradient_is_gt_minus_argmin(self):
         rng = np.random.default_rng(20)
         s = rng.normal(size=(4, 4))
@@ -784,6 +795,37 @@ class TestGroundTruthAlignment:
                      lambda: assignment.qap_objective(s, s, s, mixed)):
             with pytest.raises(ContractError, match="indices must be integers"):
                 call()
+
+    @pytest.mark.parametrize("bad, match", [
+        (True, "integers"),
+        (np.True_, "integers"),
+        ([True, 0], "integers"),
+        ([0, np.True_], "integers"),
+        ([1.5, 0], "integers"),
+        ([float("nan"), 0], "integers"),
+        ([0, 2 ** 63], "integers"),
+        ([-(2 ** 63) - 1, 0], "integers"),
+        ([0, 2 ** 70], "integers"),
+        ([0, -1], "outside column range"),
+    ], ids=["true", "numpy-true", "true-first", "numpy-true-second", "fraction",
+            "nan", "above-intp", "below-intp", "far-above-intp", "negative"])
+    @pytest.mark.parametrize("wrap", [list, tuple], ids=["list", "tuple"])
+    def test_every_bad_entry_is_rejected(self, bad, match, wrap):
+        # a list or tuple of plain ints converts directly; nothing else may
+        bad = wrap(bad) if isinstance(bad, list) else bad
+        with pytest.raises(ContractError, match=match):
+            losses.GroundTruthAlignment(bad)
+
+    def test_int_sequences_and_arrays_compare_and_hash_alike(self):
+        perm = (4, 0, 3, 1, 5, 2)
+        ref = losses.GroundTruthAlignment(perm)
+        for raw in (list(perm), np.array(perm), np.array(perm, dtype=np.int32),
+                    np.array(perm, dtype=np.uint8)):
+            gt = losses.GroundTruthAlignment(raw)
+            assert gt == ref and hash(gt) == hash(ref)
+            assert all(type(j) is int for j in gt.perm)
+            assert gt.indices.dtype == np.intp and gt.bijective
+            assert gt.indices.tobytes() == ref.indices.tobytes()
 
     def test_dense_truth_is_cached_read_only_per_shape(self):
         gt = losses.GroundTruthAlignment((1, 0, 2))

@@ -92,6 +92,56 @@ class TestSymEigen:
         with pytest.raises(ContractError, match="not symmetric within 1e-9"):
             simgeom.sym_eigen(m)
 
+    @staticmethod
+    def _symmetrized_eigh(a):
+        vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+        return vals[::-1], vecs[:, ::-1]
+
+    @staticmethod
+    def _symmetric_family():
+        rng = np.random.default_rng(21)
+        for n in range(1, 65):
+            m = rng.normal(size=(n, n))
+            yield (m + m.T) / 2.0
+        for n, e in ((4, 3), (32, 16)):  # explicit and Gram-form distances
+            z = T.Tensor(rng.normal(size=(n, e)))
+            yield T.pairwise_dist(z, z).data
+            yield simgeom.self_distances(z, "cosine").data + 1.0
+
+    def test_exact_symmetry_gives_the_symmetrized_bits(self, monkeypatch):
+        # an exactly symmetric matrix goes to eigh as it stands, which
+        # gives the bits of decomposing (a + a^T) / 2
+        real = np.linalg.eigh
+        seen = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or real(a))
+        as_it_stands = 0
+        for a in self._symmetric_family():
+            seen.clear()
+            dec = simgeom.sym_eigen(a)
+            if np.array_equal(a, a.T):
+                assert len(seen) == 1 and seen[0] is a
+                as_it_stands += 1
+            vals, vecs = self._symmetrized_eigh(a)
+            assert dec.values.tobytes() == vals.tobytes()
+            assert dec.vectors.tobytes() == vecs.tobytes()
+        # (m + m^T) / 2 and both forms of a self-distance matrix are
+        # symmetric bit for bit; cosine 1 + S is on a BLAS that multiplies
+        # a matrix by its transpose symmetrically
+        assert as_it_stands >= 66
+
+    def test_one_ulp_asymmetry_takes_the_tolerance_path(self, monkeypatch):
+        a = _symmetric_matrix(5, 7, False)
+        a[3, 1] = np.nextafter(a[3, 1], np.inf)
+        real = np.linalg.eigh
+        seen = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: seen.append(m) or real(m))
+        dec = simgeom.sym_eigen(a)
+        (arg,) = seen
+        assert arg is not a and arg.tobytes() == ((a + a.T) / 2.0).tobytes()
+        vals, vecs = self._symmetrized_eigh(a)
+        assert dec.values.tobytes() == vals.tobytes()
+        assert dec.vectors.tobytes() == vecs.tobytes()
+
     def test_large_scale_converges(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(12, 12)) * 1e6
@@ -255,6 +305,20 @@ class TestPairwiseDistances:
             simgeom.cross_distances(za, zb, "manhattan")
         with pytest.raises(ShapeError):
             simgeom.cross_distances(np.ones((2, 3)), np.ones((2, 4)))
+
+
+    def test_self_distances_are_the_triples_intra_matrices(self):
+        rng = np.random.default_rng(13)
+        for n, e in ((4, 3), (32, 16)):  # explicit and Gram-form distances
+            za, zb = rng.normal(size=(n, e)), rng.normal(size=(n + 1, e))
+            for mode in ("euclidean", "cosine"):
+                triple = simgeom.pairwise_distances(za, zb, mode)
+                assert (simgeom.self_distances(za, mode).data.tobytes()
+                        == triple.s_a.data.tobytes())
+                assert (simgeom.self_distances(zb, mode).data.tobytes()
+                        == triple.s_b.data.tobytes())
+        with pytest.raises(ContractError, match="unknown similarity mode"):
+            simgeom.self_distances(za, "manhattan")
 
 
 class TestClosedFormSpectra:

@@ -326,6 +326,27 @@ class TestGradcheck:
             assert tapes[0]() is None
         assert err < 1e-6
 
+    def test_each_point_is_a_frozen_copy(self):
+        # every perturbed point f sees is its own read-only C-ordered copy,
+        # one coordinate moved by the step, whatever gradcheck does next
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return weighted_sum(x, np.arange(1.0, 7.0).reshape(2, 3))
+
+        x0 = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        T.gradcheck(f, x0)
+        assert len(seen) == 1 + 2 * x0.size
+        for k, t in enumerate(seen[1:]):
+            i, minus = divmod(k, 2)
+            want = np.array(x0, order="C")
+            want.flat[i] += -1e-6 if minus else 1e-6
+            assert t.data.tobytes() == want.tobytes()
+            assert t.data.flags.c_contiguous and not t.data.flags.writeable
+            assert t.node is None
+        assert len({id(t.data) for t in seen}) == len(seen)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_output_rejected(self):
         def log(x):

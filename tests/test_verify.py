@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,26 @@ def _loop_oracle(z):
             best_d = d
             best = p
     return best
+
+
+def _loop_grid(k, steps):
+    # the simplex grid as a loop that adds 1/steps once per draw
+    pts = []
+    for comp in itertools.combinations_with_replacement(range(k), steps):
+        p = np.zeros(k)
+        for j in comp:
+            p[j] += 1.0 / steps
+        pts.append(p)
+    return np.array(pts)
+
+
+class TestSimplexGrid:
+    @pytest.mark.parametrize("k, steps", [(2, 100), (3, 60), (4, 12)])
+    def test_table_lookup_matches_the_loop_bit_for_bit(self, k, steps):
+        got = verify._simplex_grid(k, steps)
+        want = _loop_grid(k, steps)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestProjectionOracle:
