@@ -57,6 +57,7 @@ _TABLE_MAX = 8
 # blocks of at most 7! = 5040 rows keep the (M, n, n) gather of
 # brute_force_qap near 2.6 MB at n = 8
 _BLOCK_ROWS = math.factorial(7)
+_INTP = np.iinfo(np.intp)
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,11 @@ def _as_indices(values) -> Array:
         raise ContractError(f"indices must be integers, got {values!r}")
     raw = np.asarray(values).reshape(-1)
     if raw.dtype.kind in "iu":
+        # a cast would wrap a uint64 above the intp maximum to a negative
+        if not np.can_cast(raw.dtype, np.intp) and raw.size and (
+                int(raw.max()) > _INTP.max or int(raw.min()) < _INTP.min):
+            raise ContractError(
+                f"indices must be integers in the intp range, got {values!r}")
         return raw.astype(np.intp, copy=False)
     with np.errstate(invalid="ignore"):  # NaN and Inf fail the equality below
         idx = raw.astype(np.intp)

@@ -8,8 +8,10 @@ bit-identical parameters and metrics.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -147,9 +149,15 @@ class MLPEncoder:
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.embed_dim = embed_dim
-        self._shapes = {"w1": (input_dim, hidden_dim), "b1": (1, hidden_dim),
-                        "w2": (hidden_dim, embed_dim), "b2": (1, embed_dim)}
-        self._bounds = np.cumsum([0] + [r * c for r, c in self._shapes.values()])
+        shapes = {"w1": (input_dim, hidden_dim), "b1": (1, hidden_dim),
+                  "w2": (hidden_dim, embed_dim), "b2": (1, embed_dim)}
+        # the layout as plain ints, built once: (name, slice, shape) per
+        # parameter, and the offsets that ``name_at`` bisects
+        self._bounds = [0]
+        for r, c in shapes.values():
+            self._bounds.append(self._bounds[-1] + r * c)
+        self._layout = tuple((name, slice(lo, hi), shape) for (name, shape), lo, hi
+                             in zip(shapes.items(), self._bounds[:-1], self._bounds[1:]))
         self.flat = np.zeros(self._bounds[-1])
         self.params: Dict[str, Array] = self.views(self.flat)
         w1, w2 = self.params["w1"], self.params["w2"]
@@ -159,38 +167,62 @@ class MLPEncoder:
     def views(self, buf: Array) -> Dict[str, Array]:
         """Each parameter's slice of a flat buffer in this layout, in its
         own shape."""
-        return {k: buf[lo:hi].reshape(shape) for (k, shape), lo, hi
-                in zip(self._shapes.items(), self._bounds[:-1], self._bounds[1:])}
+        return {name: buf[sl].reshape(shape) for name, sl, shape in self._layout}
 
     def name_at(self, index: int) -> str:
         """The parameter that holds flat position ``index``."""
-        return list(self._shapes)[int(np.searchsorted(self._bounds, index, side="right")) - 1]
+        return self._layout[bisect.bisect_right(self._bounds, index) - 1][0]
 
-    def forward(self, x: Array, w: Optional[T.Tensor] = None) -> T.Tensor:
+    def forward(self, x: Union[Array, T.Tensor],
+                w: Optional[T.Tensor] = None) -> T.Tensor:
         """normalize(relu(x w1 + b1) w2 + b2) as one tape node over the
         whole flat parameter vector ``w`` (a leaf of ``flat``), constant
         evaluation of ``flat`` when ``w`` is None; one code path for both.
         The gradient comes back flat, in layout order. A zero output row
-        raises DegenerateInputError."""
+        raises DegenerateInputError.
+
+        ``x`` is a constant input. A raw array is copied and checked for
+        finite values (EvaluationError on NaN or Inf); an untracked
+        Tensor is used as it is, since a Tensor holds finite data already.
+        The VJP writes the four gradient blocks straight into one flat
+        array, with the products and sums of the concatenating form, so
+        its bits are that form's."""
         w = T.as_tensor(self.flat if w is None else w)
         w_shape = w.shape  # the VJP holds arrays and shapes, never w
-        w1, b1, w2, b2 = self.views(w.data.reshape(-1)).values()
-        xd = T.Tensor(x).data
-        if xd.shape[1] != w1.shape[0]:
-            raise ShapeError(f"encoder: input width {xd.shape[1]} != {w1.shape[0]}")
-        pre = xd @ w1 + b1
-        h = np.maximum(pre, 0.0)
-        out = h @ w2 + b2
-        norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
-        if (norms == 0.0).any():
+        flat = w.data.reshape(-1)
+        (_, s_w1, sh_w1), (_, s_b1, _), (_, s_w2, sh_w2), (_, s_b2, _) = self._layout
+        w1, b1 = flat[s_w1].reshape(sh_w1), flat[s_b1]
+        w2, b2 = flat[s_w2].reshape(sh_w2), flat[s_b2]
+        if isinstance(x, T.Tensor):
+            if x.tracked:
+                raise ContractError("encoder: the input must be an untracked constant")
+            xd = x.data
+        else:
+            xd = T.Tensor(x).data
+        if xd.shape[1] != sh_w1[0]:
+            raise ShapeError(f"encoder: input width {xd.shape[1]} != {sh_w1[0]}")
+        h = xd @ w1
+        h += b1
+        np.maximum(h, 0.0, out=h)  # h > 0 exactly where the pre-activation is
+        out = h @ w2
+        out += b2
+        norms = np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
+        if not norms.all():
             raise DegenerateInputError("row_l2_normalize: zero row has no direction")
-        z = out / norms
+        z = out
+        z /= norms
 
         def vjp(g):
-            g_out = (g - (g * z).sum(axis=1, keepdims=True) * z) / norms
-            g_pre = (g_out @ w2.T) * (pre > 0.0)  # zero subgradient at the kink
-            parts = (xd.T @ g_pre, g_pre.sum(axis=0), h.T @ g_out, g_out.sum(axis=0))
-            return (np.concatenate([q.ravel() for q in parts]).reshape(w_shape),)
+            g_out = g - np.add.reduce(g * z, axis=1, keepdims=True) * z
+            g_out /= norms
+            g_pre = g_out @ w2.T
+            g_pre *= h > 0.0  # zero subgradient at the kink
+            grad = np.empty(flat.size)
+            np.matmul(xd.T, g_pre, out=grad[s_w1].reshape(sh_w1))
+            np.add.reduce(g_pre, axis=0, out=grad[s_b1])
+            np.matmul(h.T, g_out, out=grad[s_w2].reshape(sh_w2))
+            np.add.reduce(g_out, axis=0, out=grad[s_b2])
+            return (grad.reshape(w_shape),)
 
         return T.custom_op((w,), z, vjp)
 
@@ -210,30 +242,47 @@ _ADAM_EPS = 1e-8
 class AdamState:
     """Adam over one flat float64 parameter buffer: ``flat`` is the
     caller's buffer, updated in place, and ``m`` and ``v`` are the
-    moments at the same offsets."""
+    moments at the same offsets. Two scratch buffers of the same size
+    hold a step's temporaries."""
 
     def __init__(self, flat: Array):
         self.flat = flat
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
         self.t = 0
+        self._step = np.empty_like(flat)
+        self._denom = np.empty_like(flat)
 
 
 def adam_step(state: AdamState, grad: Array, lr: float) -> None:
     """One bias-corrected Adam update of ``state`` in place, from the flat
     gradient ``grad``, at step size ``lr`` with the fixed betas 0.9 and
     0.999 and eps 1e-8; elementwise, so per parameter it gives the same
-    bits as updating each array on its own."""
+    bits as updating each array on its own.
+
+    Every temporary lives in the state's scratch buffers. The operations
+    and their order are those of
+    ``flat -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)``
+    after ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g^2``, so
+    the bits are that expression's."""
     if grad.shape != state.flat.shape:
         raise ShapeError(f"adam_step: flat grad shape {grad.shape} != {state.flat.shape}")
     state.t += 1
+    step, denom = state._step, state._denom
+    np.multiply(grad, 1.0 - _ADAM_BETA1, out=step)
     state.m *= _ADAM_BETA1
-    state.m += (1.0 - _ADAM_BETA1) * grad
+    state.m += step
+    np.multiply(grad, grad, out=step)
+    step *= 1.0 - _ADAM_BETA2
     state.v *= _ADAM_BETA2
-    state.v += (1.0 - _ADAM_BETA2) * (grad * grad)
-    m_hat = state.m / (1.0 - _ADAM_BETA1 ** state.t)
-    v_hat = state.v / (1.0 - _ADAM_BETA2 ** state.t)
-    state.flat -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    state.v += step
+    np.divide(state.v, 1.0 - _ADAM_BETA2 ** state.t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += _ADAM_EPS
+    np.divide(state.m, 1.0 - _ADAM_BETA1 ** state.t, out=step)
+    step *= lr
+    step /= denom
+    state.flat -= step
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +339,27 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     (naming the parameter), or on a degenerate (zero) embedding.
     ``evaluate_matching`` and ``linear_probe`` run once, after training,
     on one embedding of each view.
+
+    Each view is checked for finite values once, before the first step,
+    without a copy (a NaN or Inf anywhere in it raises NumericError, in
+    a dropped row too); each batch, a fresh copy from fancy indexing, then
+    goes to ``forward`` as a constant Tensor, unchecked and uncopied.
     """
     n = dataset.view_a.shape[0]
     if config.batch_size > n:
         raise ConfigError(f"batch_size {config.batch_size} exceeds dataset size {n}")
+    views = []
+    for name in ("view_a", "view_b"):
+        view = np.ascontiguousarray(getattr(dataset, name), dtype=np.float64)
+        if view.ndim != 2:
+            raise ShapeError(f"train: {name} must be 2-D, got ndim={view.ndim}")
+        if not np.isfinite(view).all():
+            raise NumericError(
+                f"non-finite value in {name} before training "
+                f"(loss={config.loss.name!r}, seed={config.seed}): NaN or Inf"
+            )
+        views.append(view)
+    view_a, view_b = views
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     state = AdamState(encoder.flat)
     gt = GroundTruthAlignment.identity(config.batch_size)
@@ -308,8 +374,8 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
             try:
                 tape = T.Tape()
                 w = tape.leaf(encoder.flat)
-                za = encoder.forward(dataset.view_a[idx], w)
-                zb = encoder.forward(dataset.view_b[idx], w)
+                za = encoder.forward(T.Tensor._raw(view_a[idx], None), w)
+                zb = encoder.forward(T.Tensor._raw(view_b[idx], None), w)
                 loss, _ = two_view_loss(za, zb, gt, config.loss)
                 value = loss.item()
             except (EvaluationError, DegenerateInputError) as e:
@@ -319,7 +385,7 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
                     f"{kind} at epoch {epoch} step {step} "
                     f"(loss={config.loss.name!r}, seed={config.seed}): {e}"
                 )
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NumericError(
                     f"non-finite loss {value} at epoch {epoch} step {step} "
                     f"(loss={config.loss.name!r}, seed={config.seed})"
@@ -369,7 +435,12 @@ def linear_probe(embeddings, labels, seed: int = 0) -> float:
     """Multinomial logistic regression on frozen embeddings with a
     stratified 80/20 split drawn from ``seed``, trained by Adam for a
     fixed 100 epochs of minibatches of 128 at step size 1e-3; returns
-    held-out accuracy. NaN or Inf embeddings raise EvaluationError."""
+    held-out accuracy. NaN or Inf embeddings raise EvaluationError.
+
+    A step adds the bias and takes ``exp`` in place and writes its
+    gradient into one buffer reused across steps; each in-place form
+    does the operations of the expression it replaces, so the bits are
+    the same."""
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -398,21 +469,26 @@ def linear_probe(embeddings, labels, seed: int = 0) -> float:
     k = x.shape[1] * classes.size
     state = AdamState(np.zeros(k + classes.size))
     w, b = state.flat[:k].reshape(x.shape[1], classes.size), state.flat[k:]
+    grad = np.empty_like(state.flat)
+    grad_w, grad_b = grad[:k].reshape(w.shape), grad[k:]
+    rows = np.arange(min(xt.shape[0], _PROBE_BATCH))
     for _ in range(_PROBE_EPOCHS):
         order = rng.permutation(xt.shape[0])
         for start in range(0, xt.shape[0], _PROBE_BATCH):
             sel = order[start:start + _PROBE_BATCH]
-            xb, yb = xt[sel], yt[sel]
-            logits = xb @ w + b
+            xb, yb, r = xt[sel], yt[sel], rows[:sel.size]
+            logits = xb @ w
+            logits += b
             # the max by argmax and a gather: the same bits, in a third of
             # the time of a reduction along the short class axis
-            logits -= logits[np.arange(sel.size), logits.argmax(axis=1)][:, None]
-            p = np.exp(logits)
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(sel.size), yb] -= 1.0
+            logits -= logits[r, logits.argmax(axis=1)][:, None]
+            p = np.exp(logits, out=logits)
+            p /= np.add.reduce(p, axis=1, keepdims=True)
+            p[r, yb] -= 1.0
             p /= sel.size
-            adam_step(state, np.concatenate([(xb.T @ p).ravel(), p.sum(axis=0)]),
-                      lr=_PROBE_LR)
+            np.matmul(xb.T, p, out=grad_w)
+            np.add.reduce(p, axis=0, out=grad_b)
+            adam_step(state, grad, lr=_PROBE_LR)
     logits = x[test_idx] @ w + b
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == codes[test_idx]))

@@ -219,7 +219,11 @@ def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
     max(0, s_pos + m - hardest negative) row by row.
 
     VJP: Y_gt minus the one-hot of each row's minimum of S_m; a tied
-    minimum routes the gradient to its first column."""
+    minimum routes the gradient to its first column.
+
+    The loss is never negative. Where every row's positive is its
+    minimum the two sums add the same terms in different orders, so
+    their difference can round to just below 0; such a value reads 0."""
     s, y, red = _operands(s, gt, reduction, "batch_hard_lap_loss")
     sm = _margined(s.data, y, margin)
     hardest = np.argmin(sm, axis=1)
@@ -229,7 +233,7 @@ def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
         g[np.arange(len(hardest)), hardest] -= c
         return g
 
-    total = (sm * y).sum() - sm.min(axis=1).sum()
+    total = max(0.0, (sm * y).sum() - sm.min(axis=1).sum())
     return _loss_node(s, total, red, grad)
 
 

@@ -101,6 +101,22 @@ class TestSyntheticData:
             harness.SyntheticSpec(noise_sigma=float("nan"))
 
 
+def reference_encoder_vjp(enc, x, up):
+    """The encoder's output and flat gradient under the upstream gradient
+    ``up``, in the concatenating form: four blocks built apart, raveled
+    and joined."""
+    p = enc.params
+    pre = x @ p["w1"] + p["b1"]
+    h = np.maximum(pre, 0.0)
+    out = h @ p["w2"] + p["b2"]
+    norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
+    z = out / norms
+    g_out = (up - (up * z).sum(axis=1, keepdims=True) * z) / norms
+    g_pre = (g_out @ p["w2"].T) * (pre > 0.0)
+    parts = (x.T @ g_pre, g_pre.sum(axis=0), h.T @ g_out, g_out.sum(axis=0))
+    return z, np.concatenate([q.ravel() for q in parts])
+
+
 class TestEncoder:
     def test_embeddings_are_row_normalized(self):
         rng = np.random.default_rng(0)
@@ -183,6 +199,55 @@ class TestEncoder:
         with pytest.raises(ConfigError, match="^encoder widths must be positive$"):
             harness.MLPEncoder(*widths)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_forward_checks_a_raw_input_for_finite_values(self, bad):
+        enc = harness.MLPEncoder(3, 4, 2, np.random.default_rng(0))
+        x = np.ones((2, 3))
+        x[1, 2] = bad
+        with pytest.raises(EvaluationError, match="^tensor data contains NaN or Inf$"):
+            enc.forward(x)
+        with pytest.raises(EvaluationError, match="^tensor data contains NaN or Inf$"):
+            enc.embed(x)
+
+    def test_forward_takes_a_constant_tensor_as_it_is(self):
+        rng = np.random.default_rng(3)
+        enc = harness.MLPEncoder(5, 6, 3, rng)
+        x = rng.normal(size=(4, 5))
+        want = enc.forward(x).data
+        np.testing.assert_array_equal(enc.forward(T.Tensor(x)).data, want)
+        tape = T.Tape()
+        with pytest.raises(ContractError,
+                           match="^encoder: the input must be an untracked constant$"):
+            enc.forward(tape.leaf(x), tape.leaf(enc.flat))
+
+    @pytest.mark.parametrize("seed,integer", [(0, False), (1, False), (2, False),
+                                              (3, True), (4, True)])
+    def test_vjp_matches_the_concatenating_form_bit_for_bit(self, seed, integer):
+        # integer inputs and weights put many pre-activations exactly at
+        # the relu kink, where both forms must give the zero subgradient
+        rng = np.random.default_rng(seed)
+        enc = harness.MLPEncoder(5, 7, 3, rng)
+        if integer:
+            for k, p in enc.params.items():
+                p[...] = rng.integers(-2, 3, size=p.shape)
+            x = rng.integers(-2, 3, size=(9, 5)).astype(np.float64)
+        else:
+            enc.params["b1"][...] = rng.normal(size=(1, 7)) * 0.1
+            enc.params["b2"][...] = rng.normal(size=(1, 3)) * 0.1
+            x = rng.normal(size=(9, 5))
+        pre = x @ enc.params["w1"] + enc.params["b1"]
+        assert integer == bool((pre == 0.0).any())
+        up = rng.normal(size=(9, 3))
+        tape = T.Tape()
+        w = tape.leaf(enc.flat)
+        z = enc.forward(x, w)
+        got = tape.backward(weighted_sum(z, up))[w].data
+        want_z, want = reference_encoder_vjp(enc, x, up)
+        assert z.data.tobytes() == want_z.tobytes()
+        assert got.shape == (1, enc.flat.size)
+        assert got.tobytes() == want.tobytes()
+
 
 def _reference_adam(params, grads, m, v, t, lr, b1, b2, eps):
     """Per-parameter Adam, one array at a time."""
@@ -195,6 +260,18 @@ def _reference_adam(params, grads, m, v, t, lr, b1, b2, eps):
         v_hat = v[k] / (1.0 - b2 ** t)
         out[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     return out
+
+
+def expression_adam_step(flat, m, v, t, grad, lr):
+    """One Adam step on the flat arrays in expression form, as ``adam_step``
+    wrote it before its temporaries moved into scratch buffers."""
+    m *= 0.9
+    m += (1.0 - 0.9) * grad
+    v *= 0.999
+    v += (1.0 - 0.999) * (grad * grad)
+    m_hat = m / (1.0 - 0.9 ** t)
+    v_hat = v / (1.0 - 0.999 ** t)
+    flat -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 class TestAdam:
@@ -249,6 +326,23 @@ class TestAdam:
                 np.testing.assert_array_equal(enc.views(state.v)[k], v[k])
         assert state.t == 50
         assert all(enc.params[k].base is enc.flat for k in shapes)
+
+    def test_in_place_step_matches_the_expression_form_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        flat = rng.normal(size=37)
+        state = harness.AdamState(flat.copy())
+        m, v = np.zeros(37), np.zeros(37)
+        for t in range(1, 51):
+            grad = rng.normal(size=37) * 10.0 ** rng.integers(-6, 4)
+            if t % 7 == 0:
+                grad = np.zeros(37)
+            lr = (5e-3, 0.0, 1e-3, 0.3)[t % 4]
+            harness.adam_step(state, grad, lr)
+            expression_adam_step(flat, m, v, t, grad, lr)
+            assert state.flat.tobytes() == flat.tobytes()
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
+        assert state.t == 50
 
     def test_grad_shape_mismatch_rejected(self):
         state = harness.AdamState(np.ones(4))
@@ -320,6 +414,46 @@ class TestTraining:
         cfg = tiny_train_config()
         with pytest.raises(NumericError):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("view", ["view_a", "view_b"])
+    def test_nonfinite_view_raises_before_the_first_step(self, monkeypatch, view, bad):
+        import dataclasses
+        ds = harness.gen_two_view_dataset(TINY)
+        poisoned = np.array(getattr(ds, view))
+        poisoned[5, 3] = bad
+        ds = dataclasses.replace(ds, **{view: poisoned})
+        forwards = []
+        monkeypatch.setattr(harness.MLPEncoder, "forward",
+                            lambda *a: forwards.append(a))
+        cfg = tiny_train_config()
+        with pytest.raises(NumericError, match=(
+                rf"^non-finite value in {view} before training "
+                r"\(loss='t', seed=0\): NaN or Inf$")):
+            harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+        assert forwards == []
+
+    def test_view_must_be_two_dimensional(self):
+        import dataclasses
+        ds = harness.gen_two_view_dataset(TINY)
+        ds = dataclasses.replace(ds, view_b=ds.view_b.reshape(8, 2, 4))
+        cfg = tiny_train_config()
+        with pytest.raises(ShapeError, match="^train: view_b must be 2-D, got ndim=3$"):
+            harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+
+    def test_views_of_another_layout_train_to_the_same_bits(self):
+        # a Fortran-ordered view and a strided one are made C-ordered once
+        import dataclasses
+        ds = harness.gen_two_view_dataset(TINY)
+        cfg = tiny_train_config()
+        enc, rep = harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+        strided = np.repeat(ds.view_b, 2, axis=1)[:, ::2]
+        assert not strided.flags.c_contiguous
+        other = dataclasses.replace(ds, view_a=np.asfortranarray(ds.view_a),
+                                    view_b=strided)
+        enc2, rep2 = harness.train(other, harness.make_encoder(TINY, cfg), cfg)
+        assert rep2.epoch_losses == rep.epoch_losses
+        assert enc2.flat.tobytes() == enc.flat.tobytes()
 
     @pytest.mark.parametrize("kind,mining", PAIRWISE_KINDS)
     def test_beta_zero_step_records_five_tape_nodes(self, monkeypatch, kind, mining):

@@ -116,6 +116,22 @@ class TestBatchHardLapLoss:
                                              reduction=reduction)
             np.testing.assert_array_equal(tape.backward(val)[leaf].data, c * want)
 
+    def test_never_negative_when_every_positive_is_its_row_minimum(self):
+        # positives 3 below a Gaussian matrix at margin 0: most hinges are
+        # inactive, and the two sums that cancel add in different orders
+        rng = np.random.default_rng(0)
+        zeros = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 9))
+            s = rng.normal(size=(n, n))
+            s[np.arange(n), np.arange(n)] -= 3.0
+            val = losses.batch_hard_lap_loss(s, identity(n), margin=0.0).item()
+            assert val >= 0.0
+            hinge = sum(max(0.0, s[i, i] - np.delete(s[i], i).min()) for i in range(n))
+            assert val == pytest.approx(hinge, abs=1e-12)
+            zeros += hinge == 0.0
+        assert zeros > 1000  # 1490 of the 2000
+
     def test_never_exceeds_one_to_one_loss(self):
         # relaxing the bijection constraint can only lower the minimum
         rng = np.random.default_rng(21)
@@ -815,6 +831,26 @@ class TestGroundTruthAlignment:
         bad = wrap(bad) if isinstance(bad, list) else bad
         with pytest.raises(ContractError, match=match):
             losses.GroundTruthAlignment(bad)
+
+    @pytest.mark.parametrize("raw", [[2 ** 63, 0], [0, 2 ** 64 - 1]],
+                             ids=["intp-max-plus-one", "uint64-max"])
+    def test_uint64_above_intp_is_rejected_not_wrapped(self, raw):
+        # a cast reads 2**63 as -2**63, which the range check then blames
+        bad = np.array(raw, dtype=np.uint64)
+        s = np.eye(2)
+        for call in (lambda: losses.GroundTruthAlignment(bad),
+                     lambda: assignment.matching_accuracy(s, bad),
+                     lambda: assignment._as_indices(bad)):
+            with pytest.raises(ContractError,
+                               match="^indices must be integers in the intp range"):
+                call()
+
+    def test_uint64_in_the_intp_range_converts(self):
+        raw = np.array([2 ** 63 - 1, 0, 7], dtype=np.uint64)
+        idx = assignment._as_indices(raw)
+        assert idx.dtype == np.intp and idx.tolist() == [2 ** 63 - 1, 0, 7]
+        gt = losses.GroundTruthAlignment(np.array([2, 0, 1], dtype=np.uint64))
+        assert gt == losses.GroundTruthAlignment((2, 0, 1))
 
     def test_int_sequences_and_arrays_compare_and_hash_alike(self):
         perm = (4, 0, 3, 1, 5, 2)
