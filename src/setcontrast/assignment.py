@@ -85,16 +85,9 @@ def _as_indices(values) -> Array:
     """``values`` flattened to intp; ContractError on an entry that is not
     an integer: a fraction, NaN or Inf, which a cast would truncate, or a
     boolean, which a cast would read as 0 or 1, and on an integer outside
-    the intp range. A tuple or list of plain ``int`` entries converts
-    directly (``type(v) is int`` is False for a boolean). Any other
-    sequence that mixes booleans with integers converts to an integer
-    array, so its entries are checked for booleans as objects."""
-    if type(values) in (tuple, list) and all(type(v) is int for v in values):
-        try:
-            return np.array(values, dtype=np.intp)
-        except OverflowError:
-            raise ContractError(
-                f"indices must be integers in the intp range, got {values!r}") from None
+    the intp range. A sequence that mixes booleans with integers converts
+    to an integer array, so the entries are checked for booleans as
+    objects, whatever the input type."""
     if any(isinstance(v, (bool, np.bool_))
            for v in np.asarray(values, dtype=object).reshape(-1)):
         raise ContractError(f"indices must be integers, got {values!r}")
@@ -106,8 +99,12 @@ def _as_indices(values) -> Array:
             raise ContractError(
                 f"indices must be integers in the intp range, got {values!r}")
         return raw.astype(np.intp, copy=False)
-    with np.errstate(invalid="ignore"):  # NaN and Inf fail the equality below
-        idx = raw.astype(np.intp)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and Inf fail the equality below
+            idx = raw.astype(np.intp)
+    except OverflowError:  # a Python int outside intp, held as an object
+        raise ContractError(
+            f"indices must be integers in the intp range, got {values!r}") from None
     if not np.array_equal(idx, raw):
         raise ContractError(f"indices must be integers, got {values!r}")
     return idx

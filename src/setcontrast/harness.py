@@ -38,7 +38,8 @@ _WITHIN_SIGMA = 1.0
 class SyntheticSpec:
     """Synthetic two-view dataset: latent class blobs pushed through one
     random orthogonal map + bias per view, plus isotropic view noise.
-    Class centers must stay at least 4 * noise_sigma apart."""
+    Class centers must stay at least 4 * noise_sigma apart, and
+    noise_sigma must be finite."""
 
     num_classes: int = 8
     samples_per_class: int = 16
@@ -55,6 +56,8 @@ class SyntheticSpec:
             raise ConfigError("ambient_dim must be >= 2")
         if not self.noise_sigma >= 0.0:
             raise ConfigError("noise_sigma must be >= 0")
+        if not math.isfinite(self.noise_sigma):
+            raise ConfigError("noise_sigma must be finite")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -181,9 +184,10 @@ class MLPEncoder:
         The gradient comes back flat, in layout order. A zero output row
         raises DegenerateInputError.
 
-        ``x`` is a constant input. A raw array is copied and checked for
-        finite values (EvaluationError on NaN or Inf); an untracked
-        Tensor is used as it is, since a Tensor holds finite data already.
+        ``x`` is a constant input, read by ``T.as_tensor``: a raw array
+        is copied and checked for finite values (EvaluationError on NaN or
+        Inf), and a Tensor, which holds finite data already, is used as it
+        is; a tracked one raises ContractError.
         The VJP writes the four gradient blocks straight into one flat
         array, with the products and sums of the concatenating form, so
         its bits are that form's."""
@@ -193,12 +197,10 @@ class MLPEncoder:
         (_, s_w1, sh_w1), (_, s_b1, _), (_, s_w2, sh_w2), (_, s_b2, _) = self._layout
         w1, b1 = flat[s_w1].reshape(sh_w1), flat[s_b1]
         w2, b2 = flat[s_w2].reshape(sh_w2), flat[s_b2]
-        if isinstance(x, T.Tensor):
-            if x.tracked:
-                raise ContractError("encoder: the input must be an untracked constant")
-            xd = x.data
-        else:
-            xd = T.Tensor(x).data
+        x = T.as_tensor(x)
+        if x.tracked:
+            raise ContractError("encoder: the input must be an untracked constant")
+        xd = x.data
         if xd.shape[1] != sh_w1[0]:
             raise ShapeError(f"encoder: input width {xd.shape[1]} != {sh_w1[0]}")
         h = xd @ w1
@@ -242,47 +244,30 @@ _ADAM_EPS = 1e-8
 class AdamState:
     """Adam over one flat float64 parameter buffer: ``flat`` is the
     caller's buffer, updated in place, and ``m`` and ``v`` are the
-    moments at the same offsets. Two scratch buffers of the same size
-    hold a step's temporaries."""
+    moments at the same offsets."""
 
     def __init__(self, flat: Array):
         self.flat = flat
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
         self.t = 0
-        self._step = np.empty_like(flat)
-        self._denom = np.empty_like(flat)
 
 
 def adam_step(state: AdamState, grad: Array, lr: float) -> None:
     """One bias-corrected Adam update of ``state`` in place, from the flat
     gradient ``grad``, at step size ``lr`` with the fixed betas 0.9 and
     0.999 and eps 1e-8; elementwise, so per parameter it gives the same
-    bits as updating each array on its own.
-
-    Every temporary lives in the state's scratch buffers. The operations
-    and their order are those of
-    ``flat -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)``
-    after ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g^2``, so
-    the bits are that expression's."""
+    bits as updating each array on its own."""
     if grad.shape != state.flat.shape:
         raise ShapeError(f"adam_step: flat grad shape {grad.shape} != {state.flat.shape}")
     state.t += 1
-    step, denom = state._step, state._denom
-    np.multiply(grad, 1.0 - _ADAM_BETA1, out=step)
     state.m *= _ADAM_BETA1
-    state.m += step
-    np.multiply(grad, grad, out=step)
-    step *= 1.0 - _ADAM_BETA2
+    state.m += (1.0 - _ADAM_BETA1) * grad
     state.v *= _ADAM_BETA2
-    state.v += step
-    np.divide(state.v, 1.0 - _ADAM_BETA2 ** state.t, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += _ADAM_EPS
-    np.divide(state.m, 1.0 - _ADAM_BETA1 ** state.t, out=step)
-    step *= lr
-    step /= denom
-    state.flat -= step
+    state.v += (1.0 - _ADAM_BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - _ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - _ADAM_BETA2 ** state.t)
+    state.flat -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +277,8 @@ def adam_step(state: AdamState, grad: Array, lr: float) -> None:
 class TrainConfig:
     """One training run. The CLI's ``train`` section sets every field but
     ``loss`` and ``seed``, which each run sets; of Adam's hyperparameters
-    only ``learning_rate`` is settable (see ``adam_step``)."""
+    only ``learning_rate`` is settable (see ``adam_step``), and it must
+    be finite."""
 
     epochs: int = 60
     batch_size: int = 32
@@ -309,6 +295,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2")
         if not self.learning_rate >= 0.0:
             raise ConfigError("learning_rate must be >= 0")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError("learning_rate must be finite")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ConfigError("encoder widths must be positive")
 

@@ -31,6 +31,7 @@ spectrum back through ``simgeom.eigenvalue_gradient``, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -68,16 +69,12 @@ class GroundTruthAlignment:
     a tuple of ints, whatever sequence it was given as, so alignments
     built from a list, a tuple or an array compare, hash and print alike.
     ``indices`` keeps the entries as a read-only intp array and
-    ``bijective`` says whether they permute 0..n-1. ``dense`` caches the
-    pairwise losses' read-only dense Y per shape of S the alignment was
-    checked against, so Y is built and checked once per alignment and S
-    shape; a failed check stores nothing. None of the three takes part
-    in equality or hashing."""
+    ``bijective`` says whether they permute 0..n-1; neither takes part in
+    equality or hashing."""
 
     perm: Tuple[int, ...]
     indices: Array = field(init=False, repr=False, compare=False)
     bijective: bool = field(init=False, repr=False, compare=False)
-    dense: Dict[tuple, Array] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a copy, so freezing it leaves an array passed as perm writable
@@ -89,7 +86,6 @@ class GroundTruthAlignment:
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "bijective", sorted(perm) == list(range(len(perm))))
-        object.__setattr__(self, "dense", {})
 
     @classmethod
     def identity(cls, n: int) -> "GroundTruthAlignment":
@@ -104,10 +100,10 @@ def _square(s: T.Tensor, name: str) -> int:
 
 def _operands(s, gt, reduction: str, name: str, square: bool = True):
     """A pairwise loss's operands: S as a Tensor, the dense ground-truth
-    Y of the alignment checked against S (cached on the alignment), and
-    the reduction scale (1 for "sum", 1/N for "mean"). A raw tuple or
-    array is wrapped in a GroundTruthAlignment first. A ``square`` loss
-    takes a square S and a bijective alignment; S must have rows."""
+    Y of the alignment checked against S, and the reduction scale (1 for
+    "sum", 1/N for "mean"). A raw tuple or array is wrapped in a
+    GroundTruthAlignment first. A ``square`` loss takes a square S and a
+    bijective alignment; S must have rows."""
     s = T.as_tensor(s)
     n, k = s.shape
     if n == 0:
@@ -116,20 +112,15 @@ def _operands(s, gt, reduction: str, name: str, square: bool = True):
         _square(s, name)
     if not isinstance(gt, GroundTruthAlignment):
         gt = GroundTruthAlignment(gt)
-    y = gt.dense.get(s.shape)
-    # a cached Y passed the length and column checks, not the bijection one
-    if y is None or (square and not gt.bijective):
-        idx = gt.indices
-        if idx.shape[0] != n:
-            raise ContractError(f"alignment length {idx.shape[0]} != rows {n}")
-        if idx.max() >= k:
-            raise ContractError("alignment indices outside column range")
-        if square and not gt.bijective:
-            raise ContractError("alignment must be a bijection for this loss")
-        y = np.zeros(s.shape)
-        y[np.arange(n), idx] = 1.0
-        y.flags.writeable = False
-        gt.dense[s.shape] = y
+    idx = gt.indices
+    if idx.shape[0] != n:
+        raise ContractError(f"alignment length {idx.shape[0]} != rows {n}")
+    if idx.max() >= k:
+        raise ContractError("alignment indices outside column range")
+    if square and not gt.bijective:
+        raise ContractError("alignment must be a bijection for this loss")
+    y = np.zeros(s.shape)
+    y[np.arange(n), idx] = 1.0
     if reduction == "sum":
         return s, y, 1.0
     if reduction == "mean":
@@ -185,9 +176,12 @@ def sparsemax(z) -> Array:
 # structured LAP losses and their relaxations
 
 def _margined(s: Array, y: Array, margin: float) -> Array:
-    """S_m = S + m Y_gt."""
+    """S_m = S + m Y_gt, for a finite margin m >= 0: an infinite one
+    would make every off-positive entry inf * 0 = NaN."""
     if not margin >= 0.0:
         raise ContractError(f"margin must be >= 0, got {margin}")
+    if not math.isfinite(margin):
+        raise ContractError(f"margin must be finite, got {margin}")
     return s if margin == 0.0 else s + margin * y
 
 
@@ -441,7 +435,8 @@ class LossConfig:
     """One trainable loss variant: the batch-mean pairwise loss of
     ``kind`` (with ``mining``, ``margin`` and ``temperature`` where they
     apply), plus ``beta`` times qare / N^2; ``mode`` selects distance vs
-    cosine geometry."""
+    cosine geometry. ``margin``, ``temperature`` and ``beta`` must be
+    finite."""
 
     name: str = "infonce"
     kind: str = "infonce"
@@ -460,10 +455,16 @@ class LossConfig:
             raise ContractError("one-to-one mining is only defined for kind='margin'")
         if not self.margin >= 0.0:
             raise ContractError("margin must be >= 0")
+        if not math.isfinite(self.margin):
+            raise ContractError("margin must be finite")
         if not self.temperature > 0.0:
             raise ContractError("temperature must be > 0")
+        if not math.isfinite(self.temperature):
+            raise ContractError("temperature must be finite")
         if not self.beta >= 0.0:
             raise ContractError("beta must be >= 0")
+        if not math.isfinite(self.beta):
+            raise ContractError("beta must be finite")
         if self.mode not in ("euclidean", "cosine"):
             raise ContractError(f"unknown similarity mode {self.mode!r}")
 

@@ -52,26 +52,26 @@ def sym_eigen(m) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix via LAPACK
     (``np.linalg.eigh``), eigenvalues sorted descending.
 
-    A matrix equal to its transpose entry for entry, such as a
-    self-distance matrix, is decomposed as it stands: (a + a^T) / 2 would
-    give back the same bits. Otherwise an entrywise
-    asymmetry up to 1e-9 * max(1, ||a||_F) is tolerated and symmetrized
-    away (the norm is taken only above 1e-9, the bound's floor); larger
-    asymmetry raises ContractError. NaN or Inf entries raise
-    EvaluationError. Within a repeated eigenvalue the returned
-    eigenvectors are one arbitrary basis of that eigenspace.
+    An entrywise asymmetry up to 1e-9 * max(1, ||a||_F) is tolerated and
+    symmetrized away (a norm beyond the float range reads inf); larger
+    asymmetry raises ContractError, and NaN or Inf entries raise
+    EvaluationError. The matrix decomposed is a/2 + a^T/2, which cannot
+    overflow; outside the subnormal range it has the bits of
+    (a + a^T) / 2, so an exactly symmetric matrix is decomposed as it is.
+    Within a repeated eigenvalue the returned eigenvectors are one
+    arbitrary basis of that eigenspace.
     """
     a = m.data if isinstance(m, T.Tensor) else np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise EvaluationError("sym_eigen: matrix contains NaN or Inf")
-    if not np.logical_and.reduce(a == a.T, axis=None):
-        asym = float(np.abs(a - a.T).max(initial=0.0))
-        if asym > 1e-9 and asym > 1e-9 * max(1.0, float(np.linalg.norm(a))):
-            raise ContractError("sym_eigen: matrix is not symmetric within 1e-9")
-        a = (a + a.T) / 2.0
-    vals, vecs = np.linalg.eigh(a)
+    h = 0.5 * a  # halves: neither their difference nor their sum overflows
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if np.abs(h - h.T).max(initial=0.0) > 0.5e-9 * max(1.0, norm):
+        raise ContractError("sym_eigen: matrix is not symmetric within 1e-9")
+    vals, vecs = np.linalg.eigh(h + h.T)
     return EigenDecomposition(vals[::-1], vecs[:, ::-1])
 
 

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import ContractError, DegenerateInputError, EvaluationError, ShapeError
 
 Array = np.ndarray
-_FLOAT64 = np.dtype(np.float64)
 
 
 def _as_2d(arr: Array) -> Array:
@@ -217,10 +216,7 @@ def custom_op(operands: Iterable, value: Array, vjp: Callable) -> Tensor:
     records, and a Tensor there would hold the tape in a reference cycle
     that only the cycle collector frees, with every array of the graph."""
     ops = tuple(as_tensor(t) for t in operands)
-    if not (type(value) is np.ndarray and value.ndim == 2
-            and value.dtype is _FLOAT64 and value.flags.c_contiguous):
-        value = _as_2d(np.ascontiguousarray(value, dtype=np.float64))
-    return _emit(ops, value, vjp)
+    return _emit(ops, _as_2d(np.ascontiguousarray(value, dtype=np.float64)), vjp)
 
 
 def active_tape(*tensors) -> Optional[Tape]:

@@ -100,6 +100,11 @@ class TestSyntheticData:
         with pytest.raises(ConfigError, match="^noise_sigma must be >= 0$"):
             harness.SyntheticSpec(noise_sigma=float("nan"))
 
+    def test_infinite_noise_rejected(self):
+        # not reported as "not separable", which blames the class centers
+        with pytest.raises(ConfigError, match="^noise_sigma must be finite$"):
+            harness.SyntheticSpec(noise_sigma=float("inf"))
+
 
 def reference_encoder_vjp(enc, x, up):
     """The encoder's output and flat gradient under the upstream gradient
@@ -263,8 +268,8 @@ def _reference_adam(params, grads, m, v, t, lr, b1, b2, eps):
 
 
 def expression_adam_step(flat, m, v, t, grad, lr):
-    """One Adam step on the flat arrays in expression form, as ``adam_step``
-    wrote it before its temporaries moved into scratch buffers."""
+    """One Adam step on the flat arrays in expression form, the reference
+    that ``adam_step`` must match bit for bit."""
     m *= 0.9
     m += (1.0 - 0.9) * grad
     v *= 0.999
@@ -509,6 +514,11 @@ class TestTraining:
     def test_nan_learning_rate_rejected(self):
         with pytest.raises(ConfigError, match="^learning_rate must be >= 0$"):
             tiny_train_config(learning_rate=float("nan"))
+
+    def test_infinite_learning_rate_rejected(self):
+        # not a non-finite parameter at step 1 that names neither
+        with pytest.raises(ConfigError, match="^learning_rate must be finite$"):
+            tiny_train_config(learning_rate=float("inf"))
 
     def test_batch_larger_than_the_dataset_rejected(self):
         # the CLI checks this before training; a library caller meets it here

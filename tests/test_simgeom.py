@@ -109,8 +109,8 @@ class TestSymEigen:
             yield simgeom.self_distances(z, "cosine").data + 1.0
 
     def test_exact_symmetry_gives_the_symmetrized_bits(self, monkeypatch):
-        # an exactly symmetric matrix goes to eigh as it stands, which
-        # gives the bits of decomposing (a + a^T) / 2
+        # an exactly symmetric matrix reaches eigh with its own bits, which
+        # are those of (a + a^T) / 2
         real = np.linalg.eigh
         seen = []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or real(a))
@@ -119,7 +119,7 @@ class TestSymEigen:
             seen.clear()
             dec = simgeom.sym_eigen(a)
             if np.array_equal(a, a.T):
-                assert len(seen) == 1 and seen[0] is a
+                assert len(seen) == 1 and seen[0].tobytes() == a.tobytes()
                 as_it_stands += 1
             vals, vecs = self._symmetrized_eigh(a)
             assert dec.values.tobytes() == vals.tobytes()
@@ -141,6 +141,18 @@ class TestSymEigen:
         vals, vecs = self._symmetrized_eigh(a)
         assert dec.values.tobytes() == vals.tobytes()
         assert dec.vectors.tobytes() == vecs.tobytes()
+
+    @pytest.mark.parametrize("asymmetric", [False, True], ids=["exact", "one-ulp"])
+    def test_huge_entries_do_not_overflow(self, asymmetric):
+        # a + a^T overflows once entries pass about 8.99e307, and ||a||_F
+        # overflows here too
+        a = np.array([[1e308, 2.0], [2.0, -1e308]])
+        if asymmetric:
+            a[1, 0] = np.nextafter(2.0, 3.0)
+        dec = simgeom.sym_eigen(a)
+        np.testing.assert_array_equal(dec.values, [1e308, -1e308])
+        np.testing.assert_array_equal(dec.values, np.linalg.eigvalsh(a)[::-1])
+        assert np.isfinite(dec.vectors).all()
 
     def test_large_scale_converges(self):
         rng = np.random.default_rng(3)
