@@ -234,6 +234,8 @@ def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
 def _check_temperature(temperature: float) -> None:
     if not temperature > 0.0:
         raise ContractError(f"temperature must be > 0, got {temperature}")
+    if not math.isfinite(temperature):
+        raise ContractError(f"temperature must be finite, got {temperature}")
 
 
 def _softmax_of_neg(s: Array, temperature: float):
@@ -363,11 +365,12 @@ def qare(s_a, s_b, mode: str = "euclidean") -> T.Tensor:
 
     Euclidean distances: negated minimal pairing of the two spectra
     (descending against ascending). Cosine similarities: maximal pairing
-    of the spectra of the elementwise-shifted matrices 1 + S. The VJP of
-    each matrix is ``simgeom.eigenvalue_gradient`` of c times its partner
-    values in the pairing, c = -g (euclidean) or g (cosine). The active
-    tape is flagged "degenerate-eigenvalues" only where that gradient
-    depends on the eigenvector basis (``_basis_dependent``).
+    of the spectra of the elementwise-shifted matrices 1 + S. Both
+    matrices are decomposed in one ``simgeom.sym_eigen_pair`` call. The
+    VJP of each matrix is ``simgeom.eigenvalue_gradient`` of c times its
+    partner values in the pairing, c = -g (euclidean) or g (cosine). The
+    active tape is flagged "degenerate-eigenvalues" only where that
+    gradient depends on the eigenvector basis (``_basis_dependent``).
     """
     sa, sb = T.as_tensor(s_a), T.as_tensor(s_b)
     na = _square(sa, "qare: s_a")
@@ -375,12 +378,11 @@ def qare(s_a, s_b, mode: str = "euclidean") -> T.Tensor:
     if na != nb:
         raise ShapeError(f"qare: sizes differ, {na} vs {nb}")
     if mode == "euclidean":
-        dec_a, dec_b = simgeom.sym_eigen(sa.data), simgeom.sym_eigen(sb.data)
+        dec_a, dec_b = simgeom.sym_eigen_pair(sa.data, sb.data)
         sign = -1.0
         partner_a, partner_b = dec_b.values[::-1], dec_a.values[::-1]
     elif mode == "cosine":
-        dec_a = simgeom.sym_eigen(sa.data + 1.0)
-        dec_b = simgeom.sym_eigen(sb.data + 1.0)
+        dec_a, dec_b = simgeom.sym_eigen_pair(sa.data + 1.0, sb.data + 1.0)
         sign = 1.0
         partner_a, partner_b = dec_b.values, dec_a.values
     else:

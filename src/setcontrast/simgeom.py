@@ -2,9 +2,12 @@
 eigendecomposition with its eigenvalue gradient, and sorted spectrum
 products.
 
-Eigenvalues come from LAPACK through ``np.linalg.eigh``. The gradient
-rule d lambda_i / dM = u_i u_i^T is exact for a simple eigenvalue; inside
-a degenerate eigenspace the eigenvectors are not unique. Over a cluster
+Eigenvalues come from LAPACK through ``np.linalg.eigh``. The two
+intra-set matrices of a pair go to it as one (2, n, n) stack
+(``sym_eigen_pair``): one call, and each matrix gets the bits of a call
+of its own. The gradient rule d lambda_i / dM = u_i u_i^T is exact for a
+simple eigenvalue; inside a degenerate eigenspace the eigenvectors are
+not unique. Over a cluster
 of equal eigenvalues with equal upstream g the rule still gives g times
 the cluster's projector, whatever basis the solver returns (Lewis 1996,
 "Derivatives of spectral functions"); only unequal upstream values make
@@ -48,31 +51,68 @@ class EigenDecomposition:
     vectors: Array  # (n, n), columns matched to values
 
 
+def _square_matrix(m) -> Array:
+    """``m`` as a float64 array (a Tensor's own data); ShapeError unless
+    it is one square matrix."""
+    a = m.data if isinstance(m, T.Tensor) else np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _sym_eigen_stack(a: Array):
+    """Eigenpairs of a stack a (k, n, n) of symmetric matrices, values
+    descending: one finiteness test, one asymmetry test and one
+    ``np.linalg.eigh`` call for the whole stack. LAPACK decomposes each
+    matrix of a stack on its own, so each gets the bits of a call of its
+    own.
+
+    The bound 0.5e-9 * max(1, ||a||_F) on the halves' asymmetry is never
+    below 0.5e-9, so a matrix's norm is taken only where some entry goes
+    past that, and then as max|a| * ||a / max|a| ||_F with the 0.5e-9
+    applied first, which keeps the bound finite for any finite a."""
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+        raise EvaluationError("sym_eigen: matrix contains NaN or Inf")
+    h = 0.5 * a  # halves: neither their difference nor their sum overflows
+    ht = h.swapaxes(1, 2)
+    skew = np.abs(h - ht)
+    if skew.max(initial=0.0) > 0.5e-9:
+        for m, d in zip(a, skew):
+            top = np.abs(m).max()
+            if d.max() > max(0.5e-9, 0.5e-9 * top * float(np.linalg.norm(m / top))):
+                raise ContractError("sym_eigen: matrix is not symmetric within 1e-9")
+    vals, vecs = np.linalg.eigh(h + ht)
+    return vals[:, ::-1], vecs[:, :, ::-1]
+
+
 def sym_eigen(m) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix via LAPACK
     (``np.linalg.eigh``), eigenvalues sorted descending.
 
     An entrywise asymmetry up to 1e-9 * max(1, ||a||_F) is tolerated and
-    symmetrized away (a norm beyond the float range reads inf); larger
-    asymmetry raises ContractError, and NaN or Inf entries raise
-    EvaluationError. The matrix decomposed is a/2 + a^T/2, which cannot
-    overflow; outside the subnormal range it has the bits of
-    (a + a^T) / 2, so an exactly symmetric matrix is decomposed as it is.
-    Within a repeated eigenvalue the returned eigenvectors are one
-    arbitrary basis of that eigenspace.
+    symmetrized away; larger asymmetry raises ContractError, and NaN or
+    Inf entries raise EvaluationError. The norm is scaled by max|a|, so
+    it stays finite for entries near the float range. The matrix
+    decomposed is a/2 + a^T/2, which cannot overflow; outside the
+    subnormal range it has the bits of (a + a^T) / 2, so an exactly
+    symmetric matrix is decomposed as it is. Within a repeated eigenvalue
+    the returned eigenvectors are one arbitrary basis of that eigenspace.
     """
-    a = m.data if isinstance(m, T.Tensor) else np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.logical_and.reduce(np.isfinite(a), axis=None):
-        raise EvaluationError("sym_eigen: matrix contains NaN or Inf")
-    h = 0.5 * a  # halves: neither their difference nor their sum overflows
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if np.abs(h - h.T).max(initial=0.0) > 0.5e-9 * max(1.0, norm):
-        raise ContractError("sym_eigen: matrix is not symmetric within 1e-9")
-    vals, vecs = np.linalg.eigh(h + h.T)
-    return EigenDecomposition(vals[::-1], vecs[:, ::-1])
+    vals, vecs = _sym_eigen_stack(_square_matrix(m)[None])
+    return EigenDecomposition(vals[0], vecs[0])
+
+
+def sym_eigen_pair(a, b):
+    """``(sym_eigen(a), sym_eigen(b))`` bit for bit, from one stacked
+    ``np.linalg.eigh`` call, for callers that need both spectra of a pair
+    of intra-set matrices. The two must have the same shape
+    (ShapeError); the checks and messages are ``sym_eigen``'s, over both.
+    """
+    x, y = _square_matrix(a), _square_matrix(b)
+    if x.shape != y.shape:
+        raise ShapeError(f"sym_eigen_pair: shapes differ, {x.shape} vs {y.shape}")
+    vals, vecs = _sym_eigen_stack(np.array((x, y)))
+    return tuple(EigenDecomposition(v, u) for v, u in zip(vals, vecs))
 
 
 def _finite(values, name: str) -> Array:

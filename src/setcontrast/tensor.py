@@ -347,20 +347,20 @@ def gradcheck(f, x) -> float:
         raise ContractError("gradcheck: f must return a scalar Tensor")
     if not math.isfinite(y.item()):
         raise EvaluationError("gradcheck: function value is not finite")
-    analytic = tape.backward(y)[xt].data
+    analytic = tape.backward(y)[xt].data.tolist()
     worst = 0.0
     # base is finite (the leaf checked it), and so is a finite double
-    # moved by the step, so each point is wrapped without another check
+    # moved by the step, so each point is wrapped without another check.
+    # The loop reads Python floats, whose arithmetic is float64's.
     pert = np.array(base)
-    for i in range(base.shape[0]):
-        for j in range(base.shape[1]):
-            orig = pert[i, j]
+    for i, (row, grad_row) in enumerate(zip(base.tolist(), analytic)):
+        for j, (orig, grad) in enumerate(zip(row, grad_row)):
             pert[i, j] = orig + _GRADCHECK_STEP
             fp = _scalar_eval(f, pert)
             pert[i, j] = orig - _GRADCHECK_STEP
             fm = _scalar_eval(f, pert)
             pert[i, j] = orig
             num = (fp - fm) / (2.0 * _GRADCHECK_STEP)
-            err = abs(analytic[i, j] - num) / max(1.0, abs(analytic[i, j]))
+            err = abs(grad - num) / max(1.0, abs(grad))
             worst = max(worst, err)
     return worst

@@ -65,8 +65,7 @@ def suite_sandwich() -> SuiteResult:
         for _ in range(40):
             s_a = _random_symmetric(rng, n)
             s_b = _random_symmetric(rng, n)
-            la = simgeom.sym_eigen(s_a).values
-            lb = simgeom.sym_eigen(s_b).values
+            la, lb = (d.values for d in simgeom.sym_eigen_pair(s_a, s_b))
             lo = simgeom.eig_dot(la, lb, "min")
             hi = simgeom.eig_dot(la, lb, "max")
             vals = np.einsum("ij,pij->p", s_a,
@@ -137,8 +136,7 @@ def suite_upper_bound() -> SuiteResult:
         gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
         lhs = losses.structured_qap_loss_exact(s, s_a, s_b, gt)
         lap = losses.structured_lap_loss(s, gt, margin=0.0, reduction="sum").item()
-        la = simgeom.sym_eigen(s_a).values
-        lb = simgeom.sym_eigen(s_b).values
+        la, lb = (d.values for d in simgeom.sym_eigen_pair(s_a, s_b))
         rhs = lap - simgeom.eig_dot(la, lb, "min")
         worst = max(worst, lhs - rhs)
         count += 1
@@ -299,9 +297,9 @@ def _generic_point(rng, kind: str, mode: str) -> Tuple[Array, Array, "losses.Gro
             if mode == "cosine":
                 sa = sa + 1.0
                 sb = sb + 1.0
-            ga = simgeom.min_eigengap(simgeom.sym_eigen(sa).values)
-            gb = simgeom.min_eigengap(simgeom.sym_eigen(sb).values)
-            if min(ga, gb) < 1e-3:
+            gaps = [simgeom.min_eigengap(d.values)
+                    for d in simgeom.sym_eigen_pair(sa, sb)]
+            if min(gaps) < 1e-3:
                 ok = False
         if ok:
             gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))

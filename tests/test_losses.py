@@ -438,6 +438,18 @@ class TestArgumentChecks:
                            match=f"^temperature must be > 0, got {temperature}$"):
             loss(s, gt, temperature=temperature)
 
+    @pytest.mark.parametrize("loss", [losses.infonce_loss,
+                                      losses.smoothed_batch_hard_loss,
+                                      losses.nt_logistic_loss])
+    def test_infinite_temperature(self, loss):
+        # S / inf is all zeros: infonce would read log 2, nt_logistic
+        # 2 log 2 and the smoothed loss inf * log 2
+        s = np.array([[0.2, 1.0], [0.4, 0.3]])
+        gt = losses.GroundTruthAlignment.identity(2)
+        with pytest.raises(ContractError,
+                           match=r"^temperature must be finite, got inf$"):
+            loss(s, gt, temperature=np.inf)
+
     def test_combined_loss_needs_a_positive_batch(self):
         with pytest.raises(ContractError,
                            match="^combined_loss: n must be >= 1, got 0$"):
@@ -550,6 +562,53 @@ class TestQare:
         moved = losses.qare(T.Tensor(pa), T.Tensor(pb), "euclidean").item()
         assert moved == pytest.approx(base, abs=1e-9)
 
+
+    @staticmethod
+    def _two_call_qare(s_a, s_b, mode):
+        """qare as two sym_eigen calls: value, whether the gradient
+        depends on the basis, and both VJP arrays at upstream 1."""
+        shift = 1.0 if mode == "cosine" else 0.0
+        dec_a = simgeom.sym_eigen(s_a + shift)
+        dec_b = simgeom.sym_eigen(s_b + shift)
+        if mode == "euclidean":
+            sign, partner_a, partner_b = -1.0, dec_b.values[::-1], dec_a.values[::-1]
+        else:
+            sign, partner_a, partner_b = 1.0, dec_b.values, dec_a.values
+        flagged = (losses._basis_dependent(dec_a.values, partner_a)
+                   or losses._basis_dependent(dec_b.values, partner_b))
+        value = np.reshape((dec_a.values * partner_a).sum() * sign, (1, 1))
+        return (value, flagged,
+                simgeom.eigenvalue_gradient(dec_a, sign * partner_a),
+                simgeom.eigenvalue_gradient(dec_b, sign * partner_b))
+
+    @staticmethod
+    def _intra_pairs(mode):
+        rng = np.random.default_rng(15)
+        for n, e in ((2, 2), (4, 3), (8, 2), (32, 16)):
+            yield simgeom.pairwise_distances(rng.normal(size=(n, e)),
+                                             rng.normal(size=(n, e)), mode)
+        angles = np.arange(6) * (np.pi / 3.0)
+        hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        yield simgeom.pairwise_distances(hexagon, rng.normal(size=(6, 2)), mode)
+
+    @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
+    def test_matches_two_eigen_calls_bit_for_bit(self, mode):
+        flagged = []
+        for triple in self._intra_pairs(mode):
+            s_a, s_b = triple.s_a.data, triple.s_b.data
+            value, flag, g_a, g_b = self._two_call_qare(s_a, s_b, mode)
+            assert losses.qare(s_a, s_b, mode).data.tobytes() == value.tobytes()
+            tape = T.Tape()
+            leaf_a, leaf_b = tape.leaf(s_a), tape.leaf(s_b)
+            q = losses.qare(leaf_a, leaf_b, mode)
+            assert q.data.tobytes() == value.tobytes()
+            grads = tape.backward(q)
+            assert grads[leaf_a].data.tobytes() == g_a.tobytes()
+            assert grads[leaf_b].data.tobytes() == g_b.tobytes()
+            assert ("degenerate-eigenvalues" in tape.flags) == flag
+            flagged.append(flag)
+        # only the hexagon's paired eigenvalues meet distinct partners
+        assert flagged == [False] * 4 + [True]
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="^qare: sizes differ, 3 vs 2$"):

@@ -28,6 +28,38 @@ symmetric_matrices = st.builds(
     st.booleans())
 
 
+# asymmetries of 2e308 in matrices whose Frobenius norm overflows; in the
+# second, max|a| * ||a / max|a| ||_F = 2e308 overflows too
+GROSSLY_ASYMMETRIC = np.array([[1e308, 1e308], [-1e308, 0.0]])
+GROSSLY_ASYMMETRIC_FULL = np.array([[1e308, 1e308], [-1e308, 1e308]])
+
+
+def _nudged(asymmetry):
+    """[[0, 10], [10, 0]] with ``asymmetry`` added below the diagonal.
+    ||a||_F = 14.1 bounds the asymmetry at 1.41e-8: 2e-9 lies past the
+    1e-9 the bound is never below, and inside it; 1.5e-8 lies past it."""
+    return np.array([[0.0, 10.0], [10.0 + asymmetry, 0.0]])
+
+
+def _pair_family():
+    """Pairs of one shape: Gaussian symmetric at n = 1-64, integer ties,
+    rank-deficient cosine 1 + S at n = 32 in 16 dims, and the hexagon's
+    distance matrix (repeated eigenvalues) against a generic set's."""
+    rng = np.random.default_rng(22)
+    for n in range(1, 65):
+        yield _symmetric_matrix(n, 2 * n, False), _symmetric_matrix(n, 2 * n + 1, False)
+    for n in (3, 6, 12):
+        ties = [rng.integers(0, 3, size=(n, n)).astype(np.float64) for _ in range(2)]
+        yield tuple(t + t.T for t in ties)
+    z_a, z_b = T.Tensor(rng.normal(size=(32, 16))), T.Tensor(rng.normal(size=(32, 16)))
+    yield (simgeom.self_distances(z_a, "cosine").data + 1.0,
+           simgeom.self_distances(z_b, "cosine").data + 1.0)
+    angles = np.arange(6) * (np.pi / 3.0)
+    hexagon = T.Tensor(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    generic = T.Tensor(rng.normal(size=(6, 2)))
+    yield T.pairwise_dist(hexagon, hexagon).data, T.pairwise_dist(generic, generic).data
+
+
 class TestSymEigen:
     @settings(max_examples=40, deadline=None)
     @given(symmetric_matrices)
@@ -81,6 +113,8 @@ class TestSymEigen:
     @pytest.mark.parametrize("scale, tolerated, rejected", [
         (1e6, 1e-5, 1e-2),      # ||a||_F = 3.2e6: the bound is 3.2e-3
         (0.1, 5e-10, 2e-9),     # ||a||_F = 0.32: the bound is 1e-9
+        (10.0, 2e-9, 4e-8),     # ||a||_F = 31.6: the bound is 3.2e-8, and
+                                # 2e-9 is past the 1e-9 it is never below
     ])
     def test_asymmetry_bound_is_relative_to_the_norm(self, scale, tolerated,
                                                      rejected):
@@ -160,6 +194,77 @@ class TestSymEigen:
         m = (m + m.T) / 2
         got = simgeom.sym_eigen(m).values
         np.testing.assert_allclose(got, np.linalg.eigvalsh(m)[::-1], rtol=1e-10)
+
+    @pytest.mark.parametrize("a", [GROSSLY_ASYMMETRIC, GROSSLY_ASYMMETRIC_FULL],
+                             ids=["three-entries", "four-entries"])
+    def test_gross_asymmetry_with_an_overflowing_norm_rejected(self, a):
+        with pytest.raises(ContractError,
+                           match="^sym_eigen: matrix is not symmetric within 1e-9$"):
+            simgeom.sym_eigen(a)
+
+
+class TestSymEigenPair:
+    def test_matches_two_single_calls_bit_for_bit(self):
+        # against sym_eigen, and against a 2-D eigh call of the matrix alone
+        count = 0
+        for a, b in _pair_family():
+            got = simgeom.sym_eigen_pair(a, b)
+            for dec, m in zip(got, (a, b)):
+                want = simgeom.sym_eigen(m)
+                assert dec.values.tobytes() == want.values.tobytes()
+                assert dec.vectors.tobytes() == want.vectors.tobytes()
+                vals, vecs = TestSymEigen._symmetrized_eigh(m)
+                assert dec.values.tobytes() == vals.tobytes()
+                assert dec.vectors.tobytes() == vecs.tobytes()
+            count += 1
+        assert count == 69
+
+    def test_one_eigh_call_per_pair(self, monkeypatch):
+        real = np.linalg.eigh
+        seen = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.shape) or real(a))
+        simgeom.sym_eigen_pair(np.eye(3), 2.0 * np.eye(3))
+        assert seen == [(2, 3, 3)]
+
+    def test_differing_shapes_rejected(self):
+        with pytest.raises(ShapeError,
+                           match=r"^sym_eigen_pair: shapes differ, \(3, 3\) vs \(2, 2\)$"):
+            simgeom.sym_eigen_pair(np.eye(3), np.eye(2))
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["first", "second"])
+    def test_non_square_side_rejected(self, side):
+        pair = [np.eye(2), np.eye(2)]
+        pair[side] = np.zeros((2, 3))
+        with pytest.raises(ShapeError,
+                           match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            simgeom.sym_eigen_pair(*pair)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["first", "second"])
+    def test_nan_in_either_matrix_rejected(self, side):
+        pair = [np.eye(3), np.eye(3)]
+        pair[side][0, 1] = pair[side][1, 0] = np.nan
+        with pytest.raises(EvaluationError,
+                           match="^sym_eigen: matrix contains NaN or Inf$"):
+            simgeom.sym_eigen_pair(*pair)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.0, 1.0], [0.0, 0.0]]), GROSSLY_ASYMMETRIC, _nudged(1.5e-8),
+    ], ids=["plain", "overflowing-norm", "just-past-the-bound"])
+    def test_asymmetric_matrix_on_either_side_rejected(self, side, bad):
+        pair = [np.eye(2), np.eye(2)]
+        pair[side] = bad
+        with pytest.raises(ContractError,
+                           match="^sym_eigen: matrix is not symmetric within 1e-9$"):
+            simgeom.sym_eigen_pair(*pair)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["first", "second"])
+    def test_asymmetry_inside_the_bound_tolerated_on_either_side(self, side):
+        pair = [np.eye(2), np.eye(2)]
+        pair[side] = _nudged(2e-9)
+        got = simgeom.sym_eigen_pair(*pair)[side]
+        want = simgeom.sym_eigen(_nudged(2e-9))
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestEigenvalueGradient:
