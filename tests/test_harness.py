@@ -546,6 +546,55 @@ class TestTraining:
         assert len(rep.epoch_losses) == 1
 
 
+class TestTrainingScaleGradients:
+    """The gradient of one default-size step (batch 32, widths 64 and 16,
+    3,152 flat parameters) against central differences. Such a step runs
+    what the toy-size gradchecks never reach: Gram-form distances,
+    rank-deficient cosine spectra (n = 32 > E + 1 = 17), the n = 32 LAP
+    and the encoder's in-place VJP."""
+
+    DIRECTIONS = 4
+    STEPS = (1e-4, 1e-5, 1e-6)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("kind,mining", PAIRWISE_KINDS)
+    def test_step_gradient_matches_central_differences(self, kind, mining, mode, beta):
+        # after one epoch of training, on a random batch; per unit
+        # direction d, the best step h's |difference quotient - g.d|
+        # relative to |g|. The worst case over these 24 cases read 3.6e-11.
+        # With the encoder VJP missing its 1/norms every case read 6.5e-3 or
+        # more, and with combined_loss's weight scaled by 1.01 every beta=1
+        # case read 4.7e-6 or more.
+        spec = harness.SyntheticSpec()
+        cfg = harness.TrainConfig(epochs=1, loss=losses.LossConfig(
+            name="g", kind=kind, mining=mining, beta=beta, mode=mode))
+        ds = harness.gen_two_view_dataset(spec)
+        enc, _ = harness.train(ds, harness.make_encoder(spec, cfg), cfg)
+        assert enc.flat.size == 3152
+        rng = np.random.default_rng(11)
+        idx = rng.permutation(spec.num_items)[:cfg.batch_size]
+        xa, xb = ds.view_a[idx], ds.view_b[idx]
+        gt = losses.GroundTruthAlignment.identity(cfg.batch_size)
+
+        def step(w):
+            return losses.two_view_loss(enc.forward(xa, w), enc.forward(xb, w),
+                                        gt, cfg.loss)[0]
+
+        tape = T.Tape()
+        w = tape.leaf(enc.flat)
+        g = tape.backward(step(w))[w].data.reshape(-1)
+        flat = enc.flat.copy()
+        worst = 0.0
+        for _ in range(self.DIRECTIONS):
+            d = rng.normal(size=flat.size)
+            d /= np.linalg.norm(d)
+            err = min(abs((step(flat + h * d).item() - step(flat - h * d).item())
+                          / (2.0 * h) - g @ d) for h in self.STEPS)
+            worst = max(worst, err / np.linalg.norm(g))
+        assert worst < 1e-6
+
+
 def reference_probe(x, y, seed):
     """linear_probe's split and training loop with each row's max taken
     by a reduction; returns the trained flat weights and the accuracy."""
