@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -485,23 +485,22 @@ def linear_probe(embeddings, labels, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # the two-triple contrast instance
 
-def fig1b_instance() -> Tuple[simgeom.SimilarityTriple, simgeom.SimilarityTriple]:
-    """Two hand-built (S, S_A, S_B) triples sharing the inter-set matrix
-    (hence identical LAP optima) while their intra-set geometry differs:
-    the exact QAP optima and the qare values both separate them. This is
-    the counterexample showing pairwise terms alone cannot see intra-set
-    structure."""
+def fig1b_points() -> Tuple[Array, Array, Array]:
+    """The point sets of ``fig1b_instance``: view A (a unit square), and
+    view B near (the square shifted, so of view A's shape) and far (a
+    line, of another internal geometry)."""
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    offset = square + np.array([0.25, 0.1])
-    s = T.pairwise_dist(square, offset).data
-    s_a = T.pairwise_dist(square, square).data
-    s_b_near = T.pairwise_dist(offset, offset).data  # same shape as view A
-    s_b_far = T.pairwise_dist(line, line).data       # different internal geometry
-    first = simgeom.SimilarityTriple(
-        s=T.Tensor(s), s_a=T.Tensor(s_a), s_b=T.Tensor(s_b_near), mode="euclidean"
-    )
-    second = simgeom.SimilarityTriple(
-        s=T.Tensor(s), s_a=T.Tensor(s_a), s_b=T.Tensor(s_b_far), mode="euclidean"
-    )
-    return first, second
+    return square, square + np.array([0.25, 0.1]), line
+
+
+def fig1b_instance() -> Tuple[simgeom.SimilarityTriple, simgeom.SimilarityTriple]:
+    """Two (S, S_A, S_B) triples of ``fig1b_points`` sharing the
+    inter-set matrix of view A and near view B (hence identical LAP
+    optima), the first with near view B's intra-set matrix and the second
+    with far view B's: the exact QAP optima and the qare values both
+    separate them. This is the counterexample showing pairwise terms
+    alone cannot see intra-set structure."""
+    view_a, near, far = fig1b_points()
+    first = simgeom.pairwise_distances(view_a, near)
+    return first, replace(first, s_b=simgeom.self_distances(far))

@@ -24,8 +24,11 @@ Y is the ground-truth assignment matrix. Where a row minimum is tied,
 the batch-hard and NT-logistic gradients go to the first minimising
 column.
 
-``qare`` is one node over (S_A, S_B), whose VJP pulls the partner
-spectrum back through ``simgeom.eigenvalue_gradient``, and
+``qare(z_a, z_b, mode)`` reads the two embedding sets: in euclidean
+mode it is one node over their distance matrices, in cosine mode one
+node over the row-normalized sets, whose spectra it takes from the
+(E+1)-column factor P = [1, X] of 1 + S. Either VJP pulls the partner
+spectrum back through ``simgeom.eigenvalue_gradient``.
 ``combined_loss`` is one node with VJP (g, g * beta / N^2).
 """
 
@@ -359,45 +362,56 @@ def _basis_dependent(values: Array, upstream: Array) -> bool:
                  * max(1.0, float(np.abs(upstream).max()))).any())
 
 
-def qare(s_a, s_b, mode: str = "euclidean") -> T.Tensor:
-    """Spectral alignment of the two intra-set matrices, one tape node
-    over (S_A, S_B).
+def qare(z_a, z_b, mode: str = "euclidean") -> T.Tensor:
+    """Spectral alignment of two embedding sets of one shape (n, E).
 
-    Euclidean distances: negated minimal pairing of the two spectra
-    (descending against ascending). Cosine similarities: maximal pairing
-    of the spectra of the elementwise-shifted matrices 1 + S. Both
-    matrices are decomposed in one ``simgeom.sym_eigen_pair`` call. The
-    VJP of each matrix is ``simgeom.eigenvalue_gradient`` of c times its
-    partner values in the pairing, c = -g (euclidean) or g (cosine). The
-    active tape is flagged "degenerate-eigenvalues" only where that
-    gradient depends on the eigenvector basis (``_basis_dependent``).
+    Euclidean distances: negated minimal pairing (descending against
+    ascending) of the spectra of the sets' distance matrices
+    ``simgeom.self_distances``; one node over the two matrices, whose
+    VJPs are ``simgeom.eigenvalue_gradient`` of -g times the partner
+    values. Cosine similarities: maximal pairing (descending against
+    descending) of the spectra of 1 + S = P P^T, where P = [1, X] and X
+    is the row-normalized set. Those are the min(n, E+1) leading
+    eigenvalues of the (E+1) x (E+1) matrix G = P^T P; the rest of
+    either spectrum is exactly 0 and pairs with zeros, so S is never
+    built. One node over the two X; as d lambda_i / dP = 2 P v_i v_i^T,
+    each VJP is 2 P M without M's first column, M the
+    ``eigenvalue_gradient`` of g times the partner values. Both matrices
+    of a pair go to one ``simgeom.sym_eigen_pair`` call. The active tape
+    is flagged "degenerate-eigenvalues" only where a gradient depends on
+    the eigenvector basis (``_basis_dependent`` on the spectra read).
     """
-    sa, sb = T.as_tensor(s_a), T.as_tensor(s_b)
-    na = _square(sa, "qare: s_a")
-    nb = _square(sb, "qare: s_b")
-    if na != nb:
-        raise ShapeError(f"qare: sizes differ, {na} vs {nb}")
+    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
+    if za.shape != zb.shape:
+        raise ShapeError(f"qare: shapes differ, {za.shape} vs {zb.shape}")
+    factors = None
     if mode == "euclidean":
-        dec_a, dec_b = simgeom.sym_eigen_pair(sa.data, sb.data)
-        sign = -1.0
-        partner_a, partner_b = dec_b.values[::-1], dec_a.values[::-1]
+        ins = simgeom.self_distances(za), simgeom.self_distances(zb)
+        dec_a, dec_b = simgeom.sym_eigen_pair(ins[0].data, ins[1].data)
+        sign, partner_a, partner_b = -1.0, dec_b.values[::-1], dec_a.values[::-1]
     elif mode == "cosine":
-        dec_a, dec_b = simgeom.sym_eigen_pair(sa.data + 1.0, sb.data + 1.0)
-        sign = 1.0
-        partner_a, partner_b = dec_b.values, dec_a.values
+        ins = T.row_l2_normalize(za), T.row_l2_normalize(zb)
+        factors = [np.hstack((np.ones((x.shape[0], 1)), x.data)) for x in ins]
+        k = min(factors[0].shape)
+        dec_a, dec_b = (simgeom.EigenDecomposition(d.values[:k], d.vectors[:, :k])
+                        for d in simgeom.sym_eigen_pair(*(p.T @ p for p in factors)))
+        sign, partner_a, partner_b = 1.0, dec_b.values, dec_a.values
     else:
         raise ContractError(f"qare: unknown mode {mode!r}")
-    tape = T.active_tape(sa, sb)
+    tape = T.active_tape(*ins)
     if tape is not None and (_basis_dependent(dec_a.values, partner_a)
                              or _basis_dependent(dec_b.values, partner_b)):
         tape.flags.add("degenerate-eigenvalues")
 
     def vjp(g):
         c = g.item() * sign
-        return (simgeom.eigenvalue_gradient(dec_a, c * partner_a),
-                simgeom.eigenvalue_gradient(dec_b, c * partner_b))
+        grads = (simgeom.eigenvalue_gradient(dec_a, c * partner_a),
+                 simgeom.eigenvalue_gradient(dec_b, c * partner_b))
+        if factors is None:
+            return grads
+        return tuple(2.0 * p @ m[:, 1:] for p, m in zip(factors, grads))
 
-    return T.custom_op((sa, sb), (dec_a.values * partner_a).sum() * sign, vjp)
+    return T.custom_op(ins, (dec_a.values * partner_a).sum() * sign, vjp)
 
 
 def combined_loss(pairwise, qare_value, *, beta: float = BETA_DEFAULT,
@@ -409,6 +423,8 @@ def combined_loss(pairwise, qare_value, *, beta: float = BETA_DEFAULT,
         raise ContractError(f"combined_loss: n must be >= 1, got {n}")
     if not beta >= 0.0:
         raise ContractError(f"beta must be >= 0, got {beta}")
+    if not math.isfinite(beta):
+        raise ContractError(f"beta must be finite, got {beta}")
     p = T.as_tensor(pairwise)
     q = T.as_tensor(qare_value)
     w = float(beta) / (n * n)
@@ -492,25 +508,20 @@ def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, fl
     """Full training objective from two embedding batches: the batch-mean
     pairwise loss plus beta * qare / N^2 (``combined_loss``).
 
-    Cosine mode feeds the pairwise loss the negated similarity matrix so
-    distance semantics hold on one code path; qare always sees the raw
-    intra-set matrices of its mode. With beta == 0 the objective is the
-    pairwise node itself: neither S_A, S_B nor the qare branch is built,
-    and S comes from the same operations, keeping the base-loss
-    trajectory bit-identical.
+    S comes from ``simgeom.cross_distances`` at every beta. Cosine mode
+    feeds the pairwise loss the negated similarity matrix, so distance
+    semantics hold on one code path; qare reads the two embedding sets
+    themselves. With beta == 0 the objective is the pairwise node itself,
+    and nothing of qare is built.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
     if za.shape[0] != zb.shape[0]:
         raise ShapeError("two_view_loss: batch sizes differ")
-    n = za.shape[0]
-    # at beta == 0 nothing reads S_A and S_B, so only S is built
-    triple = None if cfg.beta == 0.0 else simgeom.pairwise_distances(za, zb, cfg.mode)
-    s = simgeom.cross_distances(za, zb, cfg.mode) if triple is None else triple.s
-    s_pair = s if cfg.mode == "euclidean" else T.scale(s, -1.0)
-    pw = pairwise_loss(s_pair, gt, cfg)
+    s = simgeom.cross_distances(za, zb, cfg.mode)
+    pw = pairwise_loss(s if cfg.mode == "euclidean" else T.scale(s, -1.0), gt, cfg)
     pw_value = pw.item()
-    if triple is None:
+    if cfg.beta == 0.0:
         return pw, {"pairwise": pw_value, "qare": 0.0, "total": pw_value}
-    q = qare(triple.s_a, triple.s_b, cfg.mode)
-    total = combined_loss(pw, q, beta=cfg.beta, n=n)
+    q = qare(za, zb, cfg.mode)
+    total = combined_loss(pw, q, beta=cfg.beta, n=za.shape[0])
     return total, {"pairwise": pw_value, "qare": q.item(), "total": total.item()}

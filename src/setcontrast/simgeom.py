@@ -3,11 +3,12 @@ eigendecomposition with its eigenvalue gradient, and sorted spectrum
 products.
 
 Eigenvalues come from LAPACK through ``np.linalg.eigh``. The two
-intra-set matrices of a pair go to it as one (2, n, n) stack
-(``sym_eigen_pair``): one call, and each matrix gets the bits of a call
-of its own. The gradient rule d lambda_i / dM = u_i u_i^T is exact for a
-simple eigenvalue; inside a degenerate eigenspace the eigenvectors are
-not unique. Over a cluster
+matrices that ``losses.qare`` decomposes (the intra-set distance
+matrices, or in cosine mode the (E+1) x (E+1) Gram matrices of the
+factors of 1 + S) go to it as one stack (``sym_eigen_pair``): one call,
+and each matrix gets the bits of a call of its own. The gradient rule
+d lambda_i / dM = u_i u_i^T is exact for a simple eigenvalue; inside a
+degenerate eigenspace the eigenvectors are not unique. Over a cluster
 of equal eigenvalues with equal upstream g the rule still gives g times
 the cluster's projector, whatever basis the solver returns (Lewis 1996,
 "Derivatives of spectral functions"); only unequal upstream values make
@@ -105,7 +106,7 @@ def sym_eigen(m) -> EigenDecomposition:
 def sym_eigen_pair(a, b):
     """``(sym_eigen(a), sym_eigen(b))`` bit for bit, from one stacked
     ``np.linalg.eigh`` call, for callers that need both spectra of a pair
-    of intra-set matrices. The two must have the same shape
+    of matrices, as ``losses.qare`` does. The two must have the same shape
     (ShapeError); the checks and messages are ``sym_eigen``'s, over both.
     """
     x, y = _square_matrix(a), _square_matrix(b)
@@ -135,8 +136,9 @@ def min_eigengap(values: Array) -> float:
 def eigenvalue_gradient(decomp: EigenDecomposition, upstream) -> Array:
     """Pull an upstream gradient on the sorted eigenvalues back to the
     matrix: d lambda_i / dM = u_i u_i^T. Where a degenerate cluster gets
-    unequal upstream values this is one valid subgradient of many."""
-    up = np.asarray(upstream, dtype=np.float64).reshape(-1)
+    unequal upstream values this is one valid subgradient of many. NaN or
+    Inf upstream values raise EvaluationError."""
+    up = _finite(upstream, "eigenvalue_gradient")
     u = decomp.vectors
     if up.shape[0] != u.shape[1]:
         raise ShapeError("eigenvalue_gradient: upstream length mismatch")
@@ -233,7 +235,7 @@ def cross_distances(z_a, z_b, mode: str = "euclidean") -> T.Tensor:
 
 def self_distances(z, mode: str = "euclidean") -> T.Tensor:
     """The intra-set matrix S_A of ``pairwise_distances`` for one set
-    alone, built by the same operations, for callers that hold the other
-    set's matrix already."""
+    alone, built by the same operations; euclidean ``losses.qare`` reads
+    its spectrum."""
     x, sim = _embedded_set(T.as_tensor(z), mode)
     return sim(x, x)

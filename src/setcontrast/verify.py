@@ -17,8 +17,8 @@ lexicographic order, each level added in place into its gather of the
 row and re-ranked by ``lap_cost`` near the optimum, and the QAP oracle
 in blocks read from a cached table. The simplex grid that checks the
 sparsemax oracle reads each coordinate from a table of the running sums
-of 1/steps, indexed by the coordinate's count. The ``qare`` gradient
-checks build the fixed side's intra-set matrix once per check.
+of 1/steps, indexed by the coordinate's count. The ``gradients`` and
+``fig1b`` suites call ``qare`` on point sets, as training does.
 """
 
 from __future__ import annotations
@@ -334,16 +334,11 @@ def suite_gradients() -> SuiteResult:
             za, zb = T.Tensor(za), T.Tensor(zb)
 
             if label == "qare":
-                # qare reads S_A and S_B only, and each forward moves one
-                # side: the other side's matrix is built once per check
-                s_a = simgeom.self_distances(za, cfg.mode)
-                s_b = simgeom.self_distances(zb, cfg.mode)
-
                 def f_a(x):
-                    return losses.qare(simgeom.self_distances(x, cfg.mode), s_b, cfg.mode)
+                    return losses.qare(x, zb, cfg.mode)
 
                 def f_b(x):
-                    return losses.qare(s_a, simgeom.self_distances(x, cfg.mode), cfg.mode)
+                    return losses.qare(za, x, cfg.mode)
             else:
                 def f_a(x):
                     return losses.two_view_loss(x, zb, gt, cfg)[0]
@@ -370,8 +365,9 @@ def suite_fig1b() -> SuiteResult:
     qap_far = assignment.brute_force_qap(
         far.s.data, far.s_a.data, far.s_b.data, "min").cost
     qap_gap = abs(qap_near - qap_far)
-    q_near = losses.qare(near.s_a, near.s_b, near.mode).item()
-    q_far = losses.qare(far.s_a, far.s_b, far.mode).item()
+    view_a, near_b, far_b = harness.fig1b_points()
+    q_near = losses.qare(view_a, near_b, near.mode).item()
+    q_far = losses.qare(view_a, far_b, far.mode).item()
     q_gap = abs(q_near - q_far)
     passed = lap_gap <= 1e-12 and qap_gap > 0.1 and q_gap > 1e-6
     return SuiteResult("fig1b", passed, lap_gap,

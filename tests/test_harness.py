@@ -473,9 +473,10 @@ class TestTraining:
 
     @pytest.mark.parametrize("mode,count", [("euclidean", 9), ("cosine", 12)])
     def test_beta_one_step_adds_the_qare_term_once(self, monkeypatch, mode, count):
-        # 1 flat leaf + 2 encoder views + S, S_A, S_B + the pairwise loss +
-        # qare + the combination; cosine adds 2 row normalisations and the
-        # negation of S
+        # 1 flat leaf + 2 encoder views + S + the pairwise loss + S_A, S_B
+        # + qare + the combination; cosine adds 2 row normalisations and
+        # the negation of S, and reads the 2 row-normalized sets in place
+        # of S_A and S_B
         assert _nodes_per_step(monkeypatch, losses.LossConfig(
             name="t", kind="infonce", beta=1.0, mode=mode)) == [count, count]
 
@@ -801,9 +802,9 @@ class TestFig1bInstance:
                 assert m.min() >= 0.0
 
     def test_quadratic_side_separates_the_geometries(self):
-        near, far = harness.fig1b_instance()
-        q_near = losses.qare(near.s_a, near.s_b, "euclidean").item()
-        q_far = losses.qare(far.s_a, far.s_b, "euclidean").item()
+        view_a, near, far = harness.fig1b_points()
+        q_near = losses.qare(view_a, near, "euclidean").item()
+        q_far = losses.qare(view_a, far, "euclidean").item()
         assert abs(q_near - q_far) > 1e-6
 
 

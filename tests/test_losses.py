@@ -450,6 +450,11 @@ class TestArgumentChecks:
                            match=r"^temperature must be finite, got inf$"):
             loss(s, gt, temperature=np.inf)
 
+    def test_combined_loss_rejects_infinite_beta(self):
+        # as LossConfig does; inf would make the objective inf
+        with pytest.raises(ContractError, match=r"^beta must be finite, got inf$"):
+            losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0), beta=np.inf, n=2)
+
     def test_combined_loss_needs_a_positive_batch(self):
         with pytest.raises(ContractError,
                            match="^combined_loss: n must be >= 1, got 0$"):
@@ -535,15 +540,18 @@ class TestSparseCLR:
 
 class TestQare:
     def test_zero_matrices(self):
-        z = T.Tensor(np.zeros((3, 3)))
+        # coincident points: both distance matrices are zero
+        z = T.Tensor(np.ones((3, 2)))
         assert losses.qare(z, z, "euclidean").item() == 0.0
 
     def test_euclidean_known_instance(self):
-        s_a = T.Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        s_b = T.Tensor(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        assert losses.qare(s_a, s_b, "euclidean").item() == pytest.approx(4.0)
+        # two points 1 apart and two points 2 apart: spectra (1, -1), (2, -2)
+        z_a = T.Tensor(np.array([[0.0], [1.0]]))
+        z_b = T.Tensor(np.array([[0.0], [2.0]]))
+        assert losses.qare(z_a, z_b, "euclidean").item() == pytest.approx(4.0)
 
     def test_cosine_known_instance(self):
+        # orthogonal rows: 1 + S = [[2, 1], [1, 2]], spectrum (3, 1)
         i2 = T.Tensor(np.eye(2))
         assert losses.qare(i2, i2, "cosine").item() == pytest.approx(10.0)
 
@@ -551,83 +559,102 @@ class TestQare:
     @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
     def test_invariant_to_simultaneous_relabeling(self, n, seed):
         rng = np.random.default_rng(seed)
-        s_a = rng.normal(size=(n, n))
-        s_a = (s_a + s_a.T) / 2
-        s_b = rng.normal(size=(n, n))
-        s_b = (s_b + s_b.T) / 2
-        base = losses.qare(T.Tensor(s_a), T.Tensor(s_b), "euclidean").item()
+        z_a, z_b = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
         p = rng.permutation(n)
-        pa = s_a[np.ix_(p, p)]
-        pb = s_b[np.ix_(p, p)]
-        moved = losses.qare(T.Tensor(pa), T.Tensor(pb), "euclidean").item()
-        assert moved == pytest.approx(base, abs=1e-9)
-
-
-    @staticmethod
-    def _two_call_qare(s_a, s_b, mode):
-        """qare as two sym_eigen calls: value, whether the gradient
-        depends on the basis, and both VJP arrays at upstream 1."""
-        shift = 1.0 if mode == "cosine" else 0.0
-        dec_a = simgeom.sym_eigen(s_a + shift)
-        dec_b = simgeom.sym_eigen(s_b + shift)
-        if mode == "euclidean":
-            sign, partner_a, partner_b = -1.0, dec_b.values[::-1], dec_a.values[::-1]
-        else:
-            sign, partner_a, partner_b = 1.0, dec_b.values, dec_a.values
-        flagged = (losses._basis_dependent(dec_a.values, partner_a)
-                   or losses._basis_dependent(dec_b.values, partner_b))
-        value = np.reshape((dec_a.values * partner_a).sum() * sign, (1, 1))
-        return (value, flagged,
-                simgeom.eigenvalue_gradient(dec_a, sign * partner_a),
-                simgeom.eigenvalue_gradient(dec_b, sign * partner_b))
+        for mode in ("euclidean", "cosine"):
+            base = losses.qare(z_a, z_b, mode).item()
+            moved = losses.qare(z_a[p], z_b[p], mode).item()
+            assert moved == pytest.approx(base, rel=1e-12, abs=1e-9)
 
     @staticmethod
-    def _intra_pairs(mode):
+    def _point_pairs():
         rng = np.random.default_rng(15)
         for n, e in ((2, 2), (4, 3), (8, 2), (32, 16)):
-            yield simgeom.pairwise_distances(rng.normal(size=(n, e)),
-                                             rng.normal(size=(n, e)), mode)
+            yield rng.normal(size=(n, e)), rng.normal(size=(n, e))
         angles = np.arange(6) * (np.pi / 3.0)
         hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        yield simgeom.pairwise_distances(hexagon, rng.normal(size=(6, 2)), mode)
+        yield hexagon, rng.normal(size=(6, 2))
 
     @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
-    def test_matches_two_eigen_calls_bit_for_bit(self, mode):
-        flagged = []
-        for triple in self._intra_pairs(mode):
-            s_a, s_b = triple.s_a.data, triple.s_b.data
-            value, flag, g_a, g_b = self._two_call_qare(s_a, s_b, mode)
-            assert losses.qare(s_a, s_b, mode).data.tobytes() == value.tobytes()
-            tape = T.Tape()
-            leaf_a, leaf_b = tape.leaf(s_a), tape.leaf(s_b)
-            q = losses.qare(leaf_a, leaf_b, mode)
-            assert q.data.tobytes() == value.tobytes()
-            grads = tape.backward(q)
-            assert grads[leaf_a].data.tobytes() == g_a.tobytes()
-            assert grads[leaf_b].data.tobytes() == g_b.tobytes()
-            assert ("degenerate-eigenvalues" in tape.flags) == flag
-            flagged.append(flag)
+    def test_matches_two_eigen_calls_bit_for_bit(self, monkeypatch, mode):
+        def run():
+            out = []
+            for z_a, z_b in self._point_pairs():
+                tape = T.Tape()
+                leaf_a, leaf_b = tape.leaf(z_a), tape.leaf(z_b)
+                q = losses.qare(leaf_a, leaf_b, mode)
+                grads = tape.backward(q)
+                out.append((q.data.tobytes(), grads[leaf_a].data.tobytes(),
+                            grads[leaf_b].data.tobytes(),
+                            "degenerate-eigenvalues" in tape.flags))
+            return out
+
+        stacked = run()
+        monkeypatch.setattr(simgeom, "sym_eigen_pair",
+                            lambda a, b: (simgeom.sym_eigen(a), simgeom.sym_eigen(b)))
+        assert run() == stacked
         # only the hexagon's paired eigenvalues meet distinct partners
-        assert flagged == [False] * 4 + [True]
+        assert [flag for *_, flag in stacked] == [False] * 4 + [True]
+
+    @pytest.mark.parametrize("n,e", [(3, 4), (4, 3), (8, 3), (32, 16)])
+    def test_factored_cosine_matches_the_full_spectrum(self, monkeypatch, n, e):
+        # n < E+1, n = E+1 and n > E+1. The reference decomposes the n x n
+        # 1 + X X^T and pulls each spectrum back as 2 M X onto the
+        # row-normalized set X, M = eigenvalue_gradient of the partner
+        rng = np.random.default_rng(100 * n + e)
+        z_a, z_b = rng.normal(size=(n, e)), rng.normal(size=(n, e))
+        tape = T.Tape()
+        leaves = tape.leaf(z_a), tape.leaf(z_b)
+        xs = [T.row_l2_normalize(z) for z in leaves]
+        full = [simgeom.sym_eigen(1.0 + x.data @ x.data.T) for x in xs]
+
+        def vjp(g):
+            return tuple(2.0 * simgeom.eigenvalue_gradient(d, g.item() * p.values) @ x.data
+                         for d, p, x in zip(full, full[::-1], xs))
+
+        ref = T.custom_op(xs, full[0].values @ full[1].values, vjp)
+        want = tape.backward(ref)
+
+        read = []
+        real = simgeom.eigenvalue_gradient
+        monkeypatch.setattr(simgeom, "eigenvalue_gradient",
+                            lambda d, up: read.append(d.values) or real(d, up))
+        tape = T.Tape()
+        leaves_q = tape.leaf(z_a), tape.leaf(z_b)
+        q = losses.qare(*leaves_q, "cosine")
+        got = tape.backward(q)
+        assert q.item() == pytest.approx(ref.item(), rel=1e-12)
+        for lw, lg in zip(leaves, leaves_q):
+            w, g = want[lw].data, got[lg].data
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+        # min(n, E+1) eigenvalues each, none within rounding of 0, where
+        # the full form's other n - E - 1 are rounding noise
+        k = min(n, e + 1)
+        assert [v.size for v in read] == [k, k]
+        for v, d in zip(read, full):
+            assert v.min() > 1e-6 * v.max()
+            assert np.abs(d.values[k:]).max(initial=0.0) < 1e-12 * v.max()
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="^qare: sizes differ, 3 vs 2$"):
-            losses.qare(np.zeros((3, 3)), np.zeros((2, 2)))
+        for shape in ((2, 2), (3, 3)):
+            with pytest.raises(ShapeError, match=(
+                    rf"^qare: shapes differ, \(3, 2\) vs \({shape[0]}, {shape[1]}\)$")):
+                losses.qare(np.ones((3, 2)), np.ones(shape))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ContractError, match="^qare: unknown mode 'manhattan'$"):
-            losses.qare(np.zeros((2, 2)), np.zeros((2, 2)), "manhattan")
+            losses.qare(np.eye(2), np.eye(2), "manhattan")
 
     @staticmethod
     def _flags(z_a, z_b, mode):
         tape = T.Tape()
-        triple = simgeom.pairwise_distances(tape.leaf(z_a), tape.leaf(z_b), mode)
-        tape.backward(losses.qare(triple.s_a, triple.s_b, mode))
+        tape.backward(losses.qare(tape.leaf(z_a), tape.leaf(z_b), mode))
         return tape.flags
 
     def test_rank_deficient_cosine_is_not_flagged(self):
-        # 1 + S at n=8 in 2-D has rank 3 in both views: five zero eigenvalues
-        # each, paired with each other, so their upstream is equal (zero)
+        # 1 + S at n=8 in 2-D has rank 3 in both views: five zero
+        # eigenvalues each, one cluster; qare reads only the three of the
+        # 3 x 3 factor Gram, so no cluster meets distinct partners
         rng = np.random.default_rng(13)
         za, zb = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
         shifted = simgeom.pairwise_distances(za, zb, "cosine").s_a.data + 1.0

@@ -294,6 +294,14 @@ class TestEigenvalueGradient:
                            match="^eigenvalue_gradient: upstream length mismatch$"):
             simgeom.eigenvalue_gradient(dec, np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_upstream_rejected(self, bad):
+        # not a NaN matrix, as eig_dot and min_eigengap raise too
+        dec = simgeom.sym_eigen(np.diag([3.0, 1.0, -2.0]))
+        with pytest.raises(EvaluationError,
+                           match="^eigenvalue_gradient: values contain NaN or Inf$"):
+            simgeom.eigenvalue_gradient(dec, [1.0, bad, 0.5])
+
     def test_degenerate_spectrum_leaves_tape_flag_unset(self):
         # the flag's rule needs upstream values, so only losses.qare sets it
         tape = T.Tape()
