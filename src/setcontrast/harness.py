@@ -328,10 +328,13 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     ``evaluate_matching`` and ``linear_probe`` run once, after training,
     on one embedding of each view.
 
-    Each view is checked for finite values once, before the first step,
-    without a copy (a NaN or Inf anywhere in it raises NumericError, in
-    a dropped row too); each batch, a fresh copy from fancy indexing, then
-    goes to ``forward`` as a constant Tensor, unchecked and uncopied.
+    The two views and the labels must have the same number of rows, and
+    the labels one dimension; otherwise ShapeError names their shapes
+    before the first step. Each view is checked for finite values once,
+    before the first step, without a copy (a NaN or Inf anywhere in it
+    raises NumericError, in a dropped row too); each batch, a fresh copy
+    from fancy indexing, then goes to ``forward`` as a constant Tensor,
+    unchecked and uncopied.
     """
     n = dataset.view_a.shape[0]
     if config.batch_size > n:
@@ -348,6 +351,10 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
             )
         views.append(view)
     view_a, view_b = views
+    labels = np.asarray(dataset.labels)
+    if view_b.shape[0] != n or labels.shape != (n,):
+        raise ShapeError(f"train: the views and labels disagree: view_a {view_a.shape}, "
+                         f"view_b {view_b.shape}, labels {labels.shape}")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     state = AdamState(encoder.flat)
     gt = GroundTruthAlignment.identity(config.batch_size)

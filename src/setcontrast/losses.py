@@ -7,9 +7,10 @@ the positive. Cosine-similarity callers negate S first (see
 ``two_view_loss``). All losses return scalar Tensors and differentiate
 end-to-end through the tape.
 
-Each pairwise loss is one tape node on S. Its value is computed in
-numpy and its VJP in closed form, times the upstream gradient and the
-reduction (1 for "sum", or 1/N for the batch mean that training uses):
+Each pairwise loss is the batch mean over the N rows of S: a sum over
+rows divided by N, as training uses it. It is one tape node on S. Its
+value is computed in numpy and its VJP in closed form, times the
+upstream gradient over N:
 
 - ``infonce_loss``: (Y - softmax(-S/tau)) / tau, row-wise;
 - ``smoothed_batch_hard_loss``: Y - softmax(-S/tau);
@@ -101,12 +102,11 @@ def _square(s: T.Tensor, name: str) -> int:
     return s.shape[0]
 
 
-def _operands(s, gt, reduction: str, name: str, square: bool = True):
-    """A pairwise loss's operands: S as a Tensor, the dense ground-truth
-    Y of the alignment checked against S, and the reduction scale (1 for
-    "sum", 1/N for "mean"). A raw tuple or array is wrapped in a
-    GroundTruthAlignment first. A ``square`` loss takes a square S and a
-    bijective alignment; S must have rows."""
+def _operands(s, gt, name: str, square: bool = True):
+    """A pairwise loss's operands: S as a Tensor and the dense
+    ground-truth Y of the alignment checked against S. A raw tuple or
+    array is wrapped in a GroundTruthAlignment first. A ``square`` loss
+    takes a square S and a bijective alignment; S must have rows."""
     s = T.as_tensor(s)
     n, k = s.shape
     if n == 0:
@@ -124,21 +124,18 @@ def _operands(s, gt, reduction: str, name: str, square: bool = True):
         raise ContractError("alignment must be a bijection for this loss")
     y = np.zeros(s.shape)
     y[np.arange(n), idx] = 1.0
-    if reduction == "sum":
-        return s, y, 1.0
-    if reduction == "mean":
-        return s, y, 1.0 / n
-    raise ContractError(f"reduction must be 'sum' or 'mean', got {reduction!r}")
+    return s, y
 
 
-def _loss_node(s: T.Tensor, total, reduction_scale: float, grad) -> T.Tensor:
-    """One tape node with value ``total * reduction_scale``; its VJP is
-    ``grad(c)`` with c the upstream gradient times the reduction scale."""
+def _loss_node(s: T.Tensor, total, grad) -> T.Tensor:
+    """One tape node with the batch mean ``total / N`` as value, N the
+    rows of S; its VJP is ``grad(c)`` with c the upstream gradient over N."""
+    scale = 1.0 / s.shape[0]
 
     def vjp(g):
-        return (grad(g.item() * reduction_scale),)
+        return (grad(g.item() * scale),)
 
-    return T.custom_op((s,), total * reduction_scale, vjp)
+    return T.custom_op((s,), total * scale, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -188,40 +185,41 @@ def _margined(s: Array, y: Array, margin: float) -> Array:
     return s if margin == 0.0 else s + margin * y
 
 
-def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
-                        reduction: str = "sum") -> T.Tensor:
+def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> T.Tensor:
     """Margin-augmented structured loss with exact one-to-one mining:
-    tr(S_m Y_gt^T) - min_Y tr(S_m Y^T) over permutations, S_m = S + m Y_gt.
+    [tr(S_m Y_gt^T) - min_Y tr(S_m Y^T)] / N over permutations,
+    S_m = S + m Y_gt.
 
     The minimum is differentiated by the envelope rule, so the VJP is
-    Y_gt - Y*, with Y* the solver's (lexicographically first) optimum.
+    (Y_gt - Y*) / N, with Y* the solver's (lexicographically first)
+    optimum.
 
     The loss is never negative. The two traces are summed in different
     orders, so where the ground truth is itself optimal their difference
     can round to just below 0; such a value reads 0."""
-    s, y, red = _operands(s, gt, reduction, "structured_lap_loss")
+    s, y = _operands(s, gt, "structured_lap_loss")
     sm = _margined(s.data, y, margin)
     best = assignment.solve_lap(sm, "min")
 
     def grad(c):
         return c * y - c * np.eye(len(y))[list(best.perm)]
 
-    return _loss_node(s, max(0.0, (sm * y).sum() - best.cost), red, grad)
+    return _loss_node(s, max(0.0, (sm * y).sum() - best.cost), grad)
 
 
-def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
-                        reduction: str = "sum") -> T.Tensor:
+def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> T.Tensor:
     """Row-independent relaxation of the structured loss:
-    tr(S_m Y_gt^T) - sum_i min_j [S_m]_ij. Equals the hinged triplet sum
-    max(0, s_pos + m - hardest negative) row by row.
+    [tr(S_m Y_gt^T) - sum_i min_j [S_m]_ij] / N. Equals the hinged
+    triplet sum max(0, s_pos + m - hardest negative) over the rows,
+    divided by N.
 
-    VJP: Y_gt minus the one-hot of each row's minimum of S_m; a tied
-    minimum routes the gradient to its first column.
+    VJP: Y_gt minus the one-hot of each row's minimum of S_m, over N; a
+    tied minimum routes the gradient to its first column.
 
     The loss is never negative. Where every row's positive is its
     minimum the two sums add the same terms in different orders, so
     their difference can round to just below 0; such a value reads 0."""
-    s, y, red = _operands(s, gt, reduction, "batch_hard_lap_loss")
+    s, y = _operands(s, gt, "batch_hard_lap_loss")
     sm = _margined(s.data, y, margin)
     hardest = np.argmin(sm, axis=1)
 
@@ -231,7 +229,7 @@ def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT,
         return g
 
     total = max(0.0, (sm * y).sum() - sm.min(axis=1).sum())
-    return _loss_node(s, total, red, grad)
+    return _loss_node(s, total, grad)
 
 
 def _check_temperature(temperature: float) -> None:
@@ -252,36 +250,36 @@ def _softmax_of_neg(s: Array, temperature: float):
     return e, r, np.log(r) + m
 
 
-def smoothed_batch_hard_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
-                             reduction: str = "sum") -> T.Tensor:
+def smoothed_batch_hard_loss(s, gt,
+                             temperature: float = TEMPERATURE_DEFAULT) -> T.Tensor:
     """Log-sum-exp smoothing of the batch-hard row minima:
-    tr(S Y_gt^T) + tau * sum_i log sum_j exp(-S_ij / tau).
+    [tr(S Y_gt^T) + tau * sum_i log sum_j exp(-S_ij / tau)] / N.
 
-    VJP: Y_gt - softmax(-S / tau) row-wise."""
-    s, y, red = _operands(s, gt, reduction, "smoothed_batch_hard_loss")
+    VJP: (Y_gt - softmax(-S / tau)) / N row-wise."""
+    s, y = _operands(s, gt, "smoothed_batch_hard_loss")
     e, r, lse = _softmax_of_neg(s.data, temperature)
 
     def grad(c):
         return (c * temperature) / r * e * (-1.0 / temperature) + c * y
 
-    return _loss_node(s, (s.data * y).sum() + lse.sum() * temperature, red, grad)
+    return _loss_node(s, (s.data * y).sum() + lse.sum() * temperature, grad)
 
 
-def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
-                 reduction: str = "mean") -> T.Tensor:
+def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> T.Tensor:
     """Distance-form InfoNCE; the positive column stays inside the
-    row-wise log-sum-exp. With reduction="sum" this equals the smoothed
-    batch-hard loss divided by tau (exact identity).
+    row-wise log-sum-exp: sum_i [s_pos_i / tau + log sum_j exp(-S_ij / tau)]
+    / N. This equals the smoothed batch-hard loss divided by tau (exact
+    identity).
 
-    VJP: (Y_gt - softmax(-S / tau)) / tau row-wise."""
-    s, y, red = _operands(s, gt, reduction, "infonce_loss")
+    VJP: (Y_gt - softmax(-S / tau)) / (tau N) row-wise."""
+    s, y = _operands(s, gt, "infonce_loss")
     e, r, lse = _softmax_of_neg(s.data, temperature)
     pos = np.add.reduce(s.data * y, axis=1, keepdims=True)  # (N, 1) gathered positives
 
     def grad(c):
         return c / r * e * (-1.0 / temperature) + (c * (1.0 / temperature)) * y
 
-    return _loss_node(s, (pos * (1.0 / temperature) + lse).sum(), red, grad)
+    return _loss_node(s, (pos * (1.0 / temperature) + lse).sum(), grad)
 
 
 def _sigmoid(x: Array) -> Array:
@@ -289,16 +287,16 @@ def _sigmoid(x: Array) -> Array:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
-                     reduction: str = "mean") -> T.Tensor:
+def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> T.Tensor:
     """Logistic pair loss with the batch-hard negative:
-    mean_i [softplus(s_pos/tau) + softplus(-s_neg*/tau)] where s_neg* is
-    the row minimum over non-positive columns. S may be rectangular.
+    sum_i [softplus(s_pos/tau) + softplus(-s_neg*/tau)] / N where s_neg*
+    is the row minimum over non-positive columns. S may be rectangular.
 
-    VJP: sigmoid(s_pos/tau)/tau on each positive and -sigmoid(-s_neg*/tau)/tau
-    on each row's hardest negative; a tied minimum routes the gradient to
-    its first column. softplus is log(1 + exp(x)) without overflow."""
-    s, y, red = _operands(s, gt, reduction, "nt_logistic_loss", square=False)
+    VJP, over N: sigmoid(s_pos/tau)/tau on each positive and
+    -sigmoid(-s_neg*/tau)/tau on each row's hardest negative; a tied
+    minimum routes the gradient to its first column. softplus is
+    log(1 + exp(x)) without overflow."""
+    s, y = _operands(s, gt, "nt_logistic_loss", square=False)
     n, k = s.shape
     if k < 2:
         raise ContractError("nt_logistic_loss needs at least one negative column")
@@ -314,7 +312,7 @@ def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT,
         return g
 
     total = (np.logaddexp(0.0, pos) + np.logaddexp(0.0, neg)).sum()
-    return _loss_node(s, total, red, grad)
+    return _loss_node(s, total, grad)
 
 
 def _sparse_support(h: Array):
@@ -328,22 +326,22 @@ def _sparse_support(h: Array):
     return p, np.cumsum(0.5 * rows)[-1]
 
 
-def sparseclr_loss(s, gt, reduction: str = "sum") -> T.Tensor:
+def sparseclr_loss(s, gt) -> T.Tensor:
     """Sparsemax-smoothed batch-hard loss: the row minima are replaced by
     a simplex projection of the negated row, giving sparse support over
     the hardest columns:
 
-        tr(S Y_gt^T) - 0.5 sum_i sum_{j in Omega(-h_i)} (h_ij^2 - T^2(-h_i)).
+        [tr(S Y_gt^T) - 0.5 sum_i sum_{j in Omega(-h_i)} (h_ij^2 - T^2(-h_i))] / N.
 
-    VJP: Y_gt + sparsemax(-h_i) row-wise.
+    VJP: (Y_gt + sparsemax(-h_i)) / N row-wise.
     """
-    s, y, red = _operands(s, gt, reduction, "sparseclr_loss")
+    s, y = _operands(s, gt, "sparseclr_loss")
     p, support_term = _sparse_support(s.data)
 
     def grad(c):
         return c * p + c * y
 
-    return _loss_node(s, (s.data * y).sum() - support_term, red, grad)
+    return _loss_node(s, (s.data * y).sum() - support_term, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +434,8 @@ def combined_loss(pairwise, qare_value, *, beta: float = BETA_DEFAULT,
 
 
 def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
-    """Reference-only exact QAP structured loss (enumerates, N <= 8):
+    """Reference-only exact QAP structured loss (enumerates, N <= 8), in
+    sum form, not divided by N as the pairwise losses are:
     tr(S Y_gt^T) - min_Y [tr(S Y^T) + tr(S_A Y S_B^T Y^T)]."""
     a = np.asarray(s, dtype=np.float64)
     perm = gt.perm if isinstance(gt, GroundTruthAlignment) else gt
@@ -488,20 +487,18 @@ class LossConfig:
 
 
 def pairwise_loss(s, gt, cfg: LossConfig) -> T.Tensor:
-    """The configured pairwise loss on a distance-semantics S, as the
-    batch mean (reduction="mean") whatever the loss's own default."""
+    """The configured batch-mean pairwise loss on a distance-semantics S."""
     if cfg.kind == "margin":
         fn = structured_lap_loss if cfg.mining == "one-to-one" else batch_hard_lap_loss
-        return fn(s, gt, margin=cfg.margin, reduction="mean")
+        return fn(s, gt, margin=cfg.margin)
     if cfg.kind == "smoothed":
-        return smoothed_batch_hard_loss(s, gt, temperature=cfg.temperature,
-                                        reduction="mean")
+        return smoothed_batch_hard_loss(s, gt, temperature=cfg.temperature)
     if cfg.kind == "infonce":
-        return infonce_loss(s, gt, temperature=cfg.temperature, reduction="mean")
+        return infonce_loss(s, gt, temperature=cfg.temperature)
     if cfg.kind == "nt_logistic":
-        return nt_logistic_loss(s, gt, temperature=cfg.temperature, reduction="mean")
+        return nt_logistic_loss(s, gt, temperature=cfg.temperature)
     # the last of LOSS_KINDS: LossConfig rejects any other kind on construction
-    return sparseclr_loss(s, gt, reduction="mean")
+    return sparseclr_loss(s, gt)
 
 
 def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, float]]:

@@ -18,7 +18,9 @@ row and re-ranked by ``lap_cost`` near the optimum, and the QAP oracle
 in blocks read from a cached table. The simplex grid that checks the
 sparsemax oracle reads each coordinate from a table of the running sums
 of 1/steps, indexed by the coordinate's count. The ``gradients`` and
-``fig1b`` suites call ``qare`` on point sets, as training does.
+``fig1b`` suites call ``qare`` on point sets, as training does. Every
+pairwise loss is a batch mean, so the identity suites compare N times
+it with their sum-form references.
 """
 
 from __future__ import annotations
@@ -78,10 +80,10 @@ def suite_sandwich() -> SuiteResult:
 
 
 def suite_hinge_identity() -> SuiteResult:
-    """Batch-hard structured loss equals the classic per-row hinge
-    sum max(0, s_pos + m - hardest_negative), row by row. The reference
-    reads each row's hardest negative as a minimum over the row with its
-    positive masked to +inf."""
+    """N times the batch-mean batch-hard structured loss equals the
+    classic per-row hinge sum max(0, s_pos + m - hardest_negative). The
+    reference reads each row's hardest negative as a minimum over the
+    row with its positive masked to +inf."""
     rng = np.random.default_rng(102)
     worst = 0.0
     margins = (0.0, 0.3, 0.5)
@@ -91,7 +93,7 @@ def suite_hinge_identity() -> SuiteResult:
         s = rng.normal(size=(n, n))
         perm = rng.permutation(n)
         gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
-        got = losses.batch_hard_lap_loss(s, gt, margin=m, reduction="sum").item()
+        got = n * losses.batch_hard_lap_loss(s, gt, margin=m).item()
         pos = s[np.arange(n), perm] + m
         neg = np.where(np.arange(n) == perm[:, None], np.inf, s).min(axis=1)
         ref = np.maximum(0.0, pos - neg).sum()
@@ -101,8 +103,9 @@ def suite_hinge_identity() -> SuiteResult:
 
 
 def suite_smoothing_identity() -> SuiteResult:
-    """Log-sum-exp smoothing of the batch-hard loss equals the
-    temperature times the sum-form of the softmax contrastive loss."""
+    """N times the batch-mean log-sum-exp smoothing of the batch-hard
+    loss equals the temperature times the sum-form of the softmax
+    contrastive loss."""
     rng = np.random.default_rng(103)
     worst = 0.0
     temps = (0.05, 0.5, 1.0)
@@ -112,8 +115,7 @@ def suite_smoothing_identity() -> SuiteResult:
         s = rng.normal(size=(n, n))
         perm = rng.permutation(n)
         gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
-        got = losses.smoothed_batch_hard_loss(
-            s, gt, temperature=tau, reduction="sum").item()
+        got = n * losses.smoothed_batch_hard_loss(s, gt, temperature=tau).item()
         lse = np.logaddexp.reduce(-s / tau, axis=1)
         ref = (s[np.arange(n), perm] / tau + lse).sum() * tau
         worst = max(worst, abs(got - ref))
@@ -123,7 +125,8 @@ def suite_smoothing_identity() -> SuiteResult:
 
 def suite_upper_bound() -> SuiteResult:
     """Exact quadratic structured loss never exceeds the linear
-    structured loss minus the min-sense eigenvalue dot product."""
+    structured loss (N times its batch mean) minus the min-sense
+    eigenvalue dot product."""
     rng = np.random.default_rng(104)
     worst = -np.inf
     count = 0
@@ -135,7 +138,7 @@ def suite_upper_bound() -> SuiteResult:
         perm = rng.permutation(n)
         gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
         lhs = losses.structured_qap_loss_exact(s, s_a, s_b, gt)
-        lap = losses.structured_lap_loss(s, gt, margin=0.0, reduction="sum").item()
+        lap = n * losses.structured_lap_loss(s, gt, margin=0.0).item()
         la, lb = (d.values for d in simgeom.sym_eigen_pair(s_a, s_b))
         rhs = lap - simgeom.eig_dot(la, lb, "min")
         worst = max(worst, lhs - rhs)

@@ -34,17 +34,19 @@ def test_criterion_01_sandwich_bound():
 
 
 def test_criterion_02_batch_hard_identity():
-    # structured batch-hard loss == per-row hinge sum, 1e-12
+    # N * batch-mean structured batch-hard loss == per-row hinge sum, 1e-12
     _suite("hinge_identity", budget=10.0)
 
 
 def test_criterion_03_smoothing_identity():
-    # smoothed batch-hard == temperature * sum-form softmax loss, 1e-10
+    # N * batch-mean smoothed batch-hard == temperature * sum-form softmax
+    # loss, 1e-10
     _suite("smoothing_identity", budget=10.0)
 
 
 def test_criterion_04_quadratic_upper_bound():
-    # exact quadratic structured loss <= linear loss - eig_dot(min)
+    # exact quadratic structured loss <= N * batch-mean linear loss
+    # - eig_dot(min)
     _suite("upper_bound", budget=60.0)
 
 

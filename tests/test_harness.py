@@ -446,6 +446,29 @@ class TestTraining:
         with pytest.raises(ShapeError, match="^train: view_b must be 2-D, got ndim=3$"):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
 
+    @pytest.mark.parametrize("field,rows,shapes", [
+        ("view_b", 6, r"view_a \(8, 8\), view_b \(6, 8\), labels \(8,\)"),
+        ("view_b", 10, r"view_a \(8, 8\), view_b \(10, 8\), labels \(8,\)"),
+        ("labels", 6, r"view_a \(8, 8\), view_b \(8, 8\), labels \(6,\)"),
+    ], ids=["short-view-b", "long-view-b", "short-labels"])
+    def test_disagreeing_rows_raise_before_the_first_step(self, monkeypatch,
+                                                          field, rows, shapes):
+        # a short view_b once failed at the first batch, a long one after
+        # training in matching_accuracy, short labels in linear_probe
+        import dataclasses
+        ds = harness.gen_two_view_dataset(TINY)
+        value = getattr(ds, field)
+        value = np.resize(value, (rows,) + value.shape[1:])
+        ds = dataclasses.replace(ds, **{field: value})
+        forwards = []
+        monkeypatch.setattr(harness.MLPEncoder, "forward",
+                            lambda *a: forwards.append(a))
+        cfg = tiny_train_config()
+        with pytest.raises(ShapeError, match=(
+                rf"^train: the views and labels disagree: {shapes}$")):
+            harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+        assert forwards == []
+
     def test_views_of_another_layout_train_to_the_same_bits(self):
         # a Fortran-ordered view and a strided one are made C-ordered once
         import dataclasses

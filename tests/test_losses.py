@@ -24,7 +24,7 @@ class TestStructuredLapLoss:
     def test_known_2x2_instance(self):
         s = np.array([[0.8, 1.0], [1.0, 0.8]])
         val = losses.structured_lap_loss(s, identity(2), margin=0.5).item()
-        assert val == pytest.approx(0.6, abs=1e-12)
+        assert val == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_when_gt_undercuts_by_more_than_margin(self):
         s = np.array([[0.0, 5.0], [5.0, 0.0]])
@@ -71,14 +71,14 @@ class TestStructuredLapLoss:
         star = assignment.solve_lap(sm, "min").perm
         y_star = np.zeros((4, 4))
         y_star[np.arange(4), star] = 1.0
-        np.testing.assert_allclose(g, np.eye(4) - y_star)
+        np.testing.assert_allclose(g, (np.eye(4) - y_star) / 4)
 
 
 class TestBatchHardLapLoss:
     def test_known_2x2_instance(self):
         s = np.array([[0.8, 1.0], [1.0, 0.8]])
         val = losses.batch_hard_lap_loss(s, identity(2), margin=0.5).item()
-        assert val == pytest.approx(0.6, abs=1e-12)
+        assert val == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_when_hinges_inactive(self):
         s = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
@@ -90,7 +90,7 @@ class TestBatchHardLapLoss:
         n = s.shape[0]
         rng = np.random.default_rng(int(abs(s[0, 0]) * 1e6) % (2 ** 31))
         gt = random_gt(rng, n)
-        got = losses.batch_hard_lap_loss(s, gt, margin=m).item()
+        got = n * losses.batch_hard_lap_loss(s, gt, margin=m).item()
         want = 0.0
         for i in range(n):
             j = gt.perm[i]
@@ -109,12 +109,10 @@ class TestBatchHardLapLoss:
                          [-1.0, 1.0, 0.0, 0.0],
                          [-1.0, 0.0, 1.0, 0.0],
                          [0.0, -1.0, 0.0, 1.0]])
-        for reduction, c in (("sum", 1.0), ("mean", 0.25)):
-            tape = T.Tape()
-            leaf = tape.leaf(s)
-            val = losses.batch_hard_lap_loss(leaf, identity(4), margin=0.5,
-                                             reduction=reduction)
-            np.testing.assert_array_equal(tape.backward(val)[leaf].data, c * want)
+        tape = T.Tape()
+        leaf = tape.leaf(s)
+        val = losses.batch_hard_lap_loss(leaf, identity(4), margin=0.5)
+        np.testing.assert_array_equal(tape.backward(val)[leaf].data, 0.25 * want)
 
     def test_never_negative_when_every_positive_is_its_row_minimum(self):
         # positives 3 below a Gaussian matrix at margin 0: most hinges are
@@ -128,7 +126,7 @@ class TestBatchHardLapLoss:
             val = losses.batch_hard_lap_loss(s, identity(n), margin=0.0).item()
             assert val >= 0.0
             hinge = sum(max(0.0, s[i, i] - np.delete(s[i], i).min()) for i in range(n))
-            assert val == pytest.approx(hinge, abs=1e-12)
+            assert n * val == pytest.approx(hinge, abs=1e-12)
             zeros += hinge == 0.0
         assert zeros > 1000  # 1490 of the 2000
 
@@ -150,7 +148,7 @@ class TestSmoothedBatchHard:
             s = np.full((n, n), 1.3)
             val = losses.smoothed_batch_hard_loss(
                 s, identity(n), temperature=tau).item()
-            assert val == pytest.approx(tau * n * np.log(n), rel=1e-12)
+            assert val == pytest.approx(tau * np.log(n), rel=1e-12)
 
     def test_small_temperature_approaches_hard_loss(self):
         rng = np.random.default_rng(22)
@@ -166,8 +164,8 @@ class TestSmoothedBatchHard:
         n = s.shape[0]
         gt = identity(n)
         smooth = losses.smoothed_batch_hard_loss(s, gt, temperature=tau).item()
-        rows = losses.infonce_loss(s, gt, temperature=tau, reduction="sum").item()
-        assert abs(smooth - tau * rows) <= 1e-10
+        rows = losses.infonce_loss(s, gt, temperature=tau).item()
+        assert n * abs(smooth - tau * rows) <= 1e-10
 
 
 class TestInfoNCE:
@@ -184,14 +182,6 @@ class TestInfoNCE:
         bound = np.log(1.0 + (n - 1) * np.exp(-10.0))
         assert val == pytest.approx(bound, rel=1e-12)
         assert val <= bound * (1.0 + 1e-12)
-
-    def test_mean_is_sum_over_n(self):
-        rng = np.random.default_rng(23)
-        s = rng.normal(size=(6, 6))
-        gt = identity(6)
-        mean = losses.infonce_loss(s, gt, temperature=0.05).item()
-        total = losses.infonce_loss(s, gt, temperature=0.05, reduction="sum").item()
-        assert mean == pytest.approx(total / 6.0, rel=1e-12)
 
     def test_gradient_is_gt_minus_softmax(self):
         rng = np.random.default_rng(32)
@@ -253,13 +243,11 @@ class TestNTLogistic:
         want = np.zeros((2, 4))
         want[0, 0], want[1, 3] = sig(0.5 / tau) / tau, sig(0.1 / tau) / tau
         want[0, 1], want[1, 0] = -sig(-0.2 / tau) / tau, -sig(-0.3 / tau) / tau
-        for reduction, c in (("sum", 1.0), ("mean", 0.5)):
-            tape = T.Tape()
-            leaf = tape.leaf(s)
-            val = losses.nt_logistic_loss(leaf, gt, temperature=tau,
-                                          reduction=reduction)
-            g = tape.backward(val)[leaf].data
-            np.testing.assert_allclose(g, c * want, rtol=1e-12, atol=0.0)
+        tape = T.Tape()
+        leaf = tape.leaf(s)
+        val = losses.nt_logistic_loss(leaf, gt, temperature=tau)
+        g = tape.backward(val)[leaf].data
+        np.testing.assert_allclose(g, 0.5 * want, rtol=1e-12, atol=0.0)
 
     def test_stable_at_extreme_inputs(self):
         # softplus at +-800 neither overflows nor loses the linear tail
@@ -318,43 +306,41 @@ def _generic(rng, kind, n):
 
 
 FUSED = {
-    "infonce": lambda s, gt, r: losses.infonce_loss(s, gt, 0.5, reduction=r),
-    "smoothed": lambda s, gt, r: losses.smoothed_batch_hard_loss(s, gt, 0.5, reduction=r),
-    "nt_logistic": lambda s, gt, r: losses.nt_logistic_loss(s, gt, 0.5, reduction=r),
-    "sparseclr": lambda s, gt, r: losses.sparseclr_loss(s, gt, reduction=r),
-    "batch_hard": lambda s, gt, r: losses.batch_hard_lap_loss(s, gt, 0.5, reduction=r),
-    "structured": lambda s, gt, r: losses.structured_lap_loss(s, gt, 0.5, reduction=r),
+    "infonce": lambda s, gt: losses.infonce_loss(s, gt, 0.5),
+    "smoothed": lambda s, gt: losses.smoothed_batch_hard_loss(s, gt, 0.5),
+    "nt_logistic": lambda s, gt: losses.nt_logistic_loss(s, gt, 0.5),
+    "sparseclr": lambda s, gt: losses.sparseclr_loss(s, gt),
+    "batch_hard": lambda s, gt: losses.batch_hard_lap_loss(s, gt, 0.5),
+    "structured": lambda s, gt: losses.structured_lap_loss(s, gt, 0.5),
 }
 
 
-# (S, alignment, reduction, error) that every pairwise loss rejects;
-# nt_logistic takes a rectangular S and a non-injective alignment
+# (S, alignment, error) that every pairwise loss rejects; nt_logistic
+# takes a rectangular S and a non-injective alignment
 BAD_OPERANDS = {
-    "non_square": (np.ones((2, 3)), (0, 1), "sum", ShapeError),
-    "wrong_length": (np.ones((2, 2)), (0, 1, 2), "sum", ContractError),
-    "not_bijective": (np.ones((2, 2)), (1, 1), "sum", ContractError),
-    "bad_reduction": (np.ones((2, 2)), (0, 1), "median", ContractError),
+    "non_square": (np.ones((2, 3)), (0, 1), ShapeError),
+    "wrong_length": (np.ones((2, 2)), (0, 1, 2), ContractError),
+    "not_bijective": (np.ones((2, 2)), (1, 1), ContractError),
 }
 
 
 class TestOperandChecks:
     @pytest.mark.parametrize("kind,case", [
         (kind, case) for kind in sorted(FUSED) for case in BAD_OPERANDS
-        if kind != "nt_logistic" or case in ("wrong_length", "bad_reduction")])
+        if kind != "nt_logistic" or case == "wrong_length"])
     def test_bad_operands_raise(self, kind, case):
-        s, gt, reduction, error = BAD_OPERANDS[case]
+        s, gt, error = BAD_OPERANDS[case]
         with pytest.raises(error):
-            FUSED[kind](s, gt, reduction)
+            FUSED[kind](s, gt)
 
 
 class TestFusedLossGradients:
-    @pytest.mark.parametrize("reduction", ["sum", "mean"])
     @pytest.mark.parametrize("kind", sorted(FUSED))
-    def test_gradcheck_at_tie_free_points(self, kind, reduction):
+    def test_gradcheck_at_tie_free_points(self, kind):
         rng = np.random.default_rng(sorted(FUSED).index(kind))
         for n in (2, 5, 8 if kind != "structured" else 6):
             s, gt = _generic(rng, kind, n)
-            assert T.gradcheck(lambda x: FUSED[kind](x, gt, reduction), s) < 1e-6
+            assert T.gradcheck(lambda x: FUSED[kind](x, gt), s) < 1e-6
 
 
 class TestSparsemax:
@@ -460,7 +446,6 @@ class TestArgumentChecks:
                            match="^combined_loss: n must be >= 1, got 0$"):
             losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0), beta=1.0, n=0)
 
-    @pytest.mark.parametrize("reduction", ["sum", "mean"])
     @pytest.mark.parametrize("loss, shape", [
         (losses.structured_lap_loss, (0, 0)),
         (losses.batch_hard_lap_loss, (0, 0)),
@@ -469,9 +454,9 @@ class TestArgumentChecks:
         (losses.nt_logistic_loss, (0, 3)),
         (losses.sparseclr_loss, (0, 0)),
     ], ids=lambda v: v.__name__ if callable(v) else "x".join(map(str, v)))
-    def test_empty_s(self, loss, shape, reduction):
+    def test_empty_s(self, loss, shape):
         with pytest.raises(ShapeError, match=r"^\w+: S has no rows$"):
-            loss(np.zeros(shape), (), reduction=reduction)
+            loss(np.zeros(shape), ())
 
     @pytest.mark.parametrize("call", [
         lambda s, gt: losses.structured_lap_loss(s, gt, margin=np.nan),
@@ -516,7 +501,7 @@ class TestSparseCLR:
         want = np.eye(4)
         for i in range(4):
             want[i] += losses.sparsemax(-s[i])
-        np.testing.assert_allclose(g, want, atol=1e-12)
+        np.testing.assert_allclose(g, want / 4, atol=1e-12)
 
     def test_dominant_negative_zeroes_other_gradients(self):
         # first row: one distance far below the rest, so the support of
@@ -705,7 +690,7 @@ class TestStructuredQapExact:
         zero = np.zeros((4, 4))
         gt = identity(4)
         got = losses.structured_qap_loss_exact(s, zero, zero, gt)
-        want = losses.structured_lap_loss(s, gt, margin=0.0).item()
+        want = 4 * losses.structured_lap_loss(s, gt, margin=0.0).item()
         assert got == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -719,10 +704,54 @@ class TestStructuredQapExact:
         s_b = (s_b + s_b.T) / 2
         gt = random_gt(rng, n)
         lhs = losses.structured_qap_loss_exact(s, s_a, s_b, gt)
-        lap = losses.structured_lap_loss(s, gt, margin=0.0).item()
+        lap = n * losses.structured_lap_loss(s, gt, margin=0.0).item()
         la = simgeom.sym_eigen(s_a).values
         lb = simgeom.sym_eigen(s_b).values
         assert lhs <= lap - simgeom.eig_dot(la, lb, "min") + 1e-9
+
+
+class TestPairwiseLoss:
+    # each (kind, mining) variant, by the direct call it must dispatch to
+    # with the config's margin or temperature
+    VARIANTS = {
+        ("margin", "one-to-one"): lambda s, gt, c: losses.structured_lap_loss(
+            s, gt, margin=c.margin),
+        ("margin", "batch-hard"): lambda s, gt, c: losses.batch_hard_lap_loss(
+            s, gt, margin=c.margin),
+        ("smoothed", "batch-hard"): lambda s, gt, c: losses.smoothed_batch_hard_loss(
+            s, gt, temperature=c.temperature),
+        ("infonce", "batch-hard"): lambda s, gt, c: losses.infonce_loss(
+            s, gt, temperature=c.temperature),
+        ("nt_logistic", "batch-hard"): lambda s, gt, c: losses.nt_logistic_loss(
+            s, gt, temperature=c.temperature),
+        ("sparseclr", "batch-hard"): lambda s, gt, c: losses.sparseclr_loss(s, gt),
+    }
+
+    @staticmethod
+    def _bytes(fn, s):
+        tape = T.Tape()
+        leaf = tape.leaf(s)
+        value = fn(leaf)
+        return value.data.tobytes(), tape.backward(value)[leaf].data.tobytes()
+
+    @pytest.mark.parametrize("kind,mining", sorted(VARIANTS))
+    def test_matches_the_direct_call_bit_for_bit(self, kind, mining):
+        cfg = losses.LossConfig(name="x", kind=kind, mining=mining,
+                                margin=0.3, temperature=0.7)
+        rng = np.random.default_rng(33)
+        s = rng.normal(size=(6, 6))
+        gt = random_gt(rng, 6)
+        got = self._bytes(lambda x: losses.pairwise_loss(x, gt, cfg), s)
+        want = self._bytes(lambda x: self.VARIANTS[kind, mining](x, gt, cfg), s)
+        assert got == want
+        # the fields reach the loss: the default margin and temperature differ
+        default = losses.LossConfig(name="x", kind=kind, mining=mining)
+        if kind != "sparseclr":
+            assert self._bytes(lambda x: losses.pairwise_loss(x, gt, default), s)[0] != got[0]
+
+    def test_covers_every_kind_and_mining(self):
+        assert {k for k, _ in self.VARIANTS} == set(losses.LOSS_KINDS)
+        assert {m for _, m in self.VARIANTS} == set(losses.MINING_MODES)
 
 
 class TestTwoViewLoss:
