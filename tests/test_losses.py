@@ -183,6 +183,17 @@ class TestInfoNCE:
         assert val == pytest.approx(bound, rel=1e-12)
         assert val <= bound * (1.0 + 1e-12)
 
+    def test_mean_is_sum_over_n(self):
+        # each row's term s_pos / tau + log sum_j exp(-S_ij / tau), by hand
+        rng = np.random.default_rng(23)
+        s = rng.normal(size=(6, 6))
+        gt = random_gt(rng, 6)
+        tau = 0.05
+        rows = [s[i, gt.perm[i]] / tau + np.log(np.exp(-s[i] / tau).sum())
+                for i in range(6)]
+        mean = losses.infonce_loss(s, gt, temperature=tau).item()
+        assert mean == pytest.approx(sum(rows) / 6.0, rel=1e-12)
+
     def test_gradient_is_gt_minus_softmax(self):
         rng = np.random.default_rng(32)
         s = rng.normal(size=(5, 5))
@@ -342,6 +353,14 @@ class TestFusedLossGradients:
             s, gt = _generic(rng, kind, n)
             assert T.gradcheck(lambda x: FUSED[kind](x, gt), s) < 1e-6
 
+    @pytest.mark.parametrize("kind", sorted(FUSED))
+    def test_gradcheck_under_an_upstream_weight(self, kind):
+        # the VJP scales by the upstream gradient, here 2.5, not only by 1/N
+        rng = np.random.default_rng(10 + sorted(FUSED).index(kind))
+        for n in (2, 5):
+            s, gt = _generic(rng, kind, n)
+            assert T.gradcheck(lambda x: T.scale(FUSED[kind](x, gt), 2.5), s) < 1e-6
+
 
 class TestSparsemax:
     def test_uniform_input(self):
@@ -387,6 +406,21 @@ class TestNonFiniteInput:
     def test_raises_evaluation_error(self, call, bad):
         with pytest.raises(EvaluationError):
             call(bad)
+
+
+# each pairwise loss with an S of no rows; nt_logistic takes it rectangular
+EMPTY_S = [
+    (losses.structured_lap_loss, (0, 0)),
+    (losses.batch_hard_lap_loss, (0, 0)),
+    (losses.smoothed_batch_hard_loss, (0, 0)),
+    (losses.infonce_loss, (0, 0)),
+    (losses.nt_logistic_loss, (0, 3)),
+    (losses.sparseclr_loss, (0, 0)),
+]
+
+
+def _empty_s_id(v):
+    return v.__name__ if callable(v) else "x".join(map(str, v))
 
 
 class TestArgumentChecks:
@@ -446,17 +480,17 @@ class TestArgumentChecks:
                            match="^combined_loss: n must be >= 1, got 0$"):
             losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0), beta=1.0, n=0)
 
-    @pytest.mark.parametrize("loss, shape", [
-        (losses.structured_lap_loss, (0, 0)),
-        (losses.batch_hard_lap_loss, (0, 0)),
-        (losses.smoothed_batch_hard_loss, (0, 0)),
-        (losses.infonce_loss, (0, 0)),
-        (losses.nt_logistic_loss, (0, 3)),
-        (losses.sparseclr_loss, (0, 0)),
-    ], ids=lambda v: v.__name__ if callable(v) else "x".join(map(str, v)))
+    @pytest.mark.parametrize("loss, shape", EMPTY_S, ids=_empty_s_id)
     def test_empty_s(self, loss, shape):
         with pytest.raises(ShapeError, match=r"^\w+: S has no rows$"):
             loss(np.zeros(shape), ())
+
+    @pytest.mark.parametrize("loss, shape", EMPTY_S, ids=_empty_s_id)
+    def test_empty_s_on_the_tape(self, loss, shape):
+        # a tape leaf is checked as an array is, before the 1/N scale
+        leaf = T.Tape().leaf(np.zeros(shape))
+        with pytest.raises(ShapeError, match=r"^\w+: S has no rows$"):
+            loss(leaf, ())
 
     @pytest.mark.parametrize("call", [
         lambda s, gt: losses.structured_lap_loss(s, gt, margin=np.nan),
