@@ -22,22 +22,24 @@ equality tests between them can be exact. The solver's duals certify
 every optimal assignment. When their tight graph has no alternating
 cycle the optimum is unique, which a topological sort of the tight
 edges off the matching decides; otherwise one iterative pass of
-alternating-cycle rotations refines the matching. The LAP oracle ranks
-permutations by their ``lap_cost`` bits. It scores all of them by
-prefix sums shared along the lexicographic order, one row per level,
-and re-ranks by ``lap_cost`` the few whose running sum lies within a
-rounding bound of the smallest (see ``brute_force_lap``). The QAP
-oracle scores permutations in lexicographic order, in blocks of at most
-7! rows. The tables of all permutations are cached as read-only uint8
-arrays up to n = 8 (8! rows, 322 KB), and the LAP oracle's prefix levels
-as read-only intp arrays read off them; both are built on first use.
+alternating-cycle rotations refines the matching.
+
+Both oracles enumerate all n! permutations and take n <= 8. The LAP
+oracle ranks permutations by their ``lap_cost`` bits. It scores all of
+them by prefix sums shared along the lexicographic order, one row per
+level, and re-ranks by ``lap_cost`` the few whose running sum lies
+within a rounding bound of the smallest (see ``brute_force_lap``). The
+QAP oracle scores permutations in lexicographic order, in blocks of at
+most 7! rows. The table of all permutations of n is cached as a
+read-only uint8 array (8! rows, 322 KB at n = 8), and the LAP oracle's
+prefix levels as read-only intp arrays read off it; both are built on
+first use.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -48,12 +50,10 @@ from .errors import ContractError, EvaluationError, ShapeError, SizeGuardError
 
 Array = np.ndarray
 
-BRUTE_FORCE_LAP_MAX = 10
+BRUTE_FORCE_LAP_MAX = 8
 BRUTE_FORCE_QAP_MAX = 8
 # augmenting row reduction steps per row before the Dijkstra phase takes over
 _ARR_STEPS_PER_ROW = 4
-# largest enumeration read straight from a cached permutation table
-_TABLE_MAX = 8
 # blocks of at most 7! = 5040 rows keep the (M, n, n) gather of
 # brute_force_qap near 2.6 MB at n = 8
 _BLOCK_ROWS = math.factorial(7)
@@ -381,9 +381,9 @@ def _lex_table(m: int) -> Array:
 
 
 def _perm_blocks(n: int):
-    """All permutations of range(n), n <= 8, in lexicographic order, as
-    read-only views of at most 7! consecutive rows of the cached uint8
-    table."""
+    """All permutations of range(n) for the QAP oracle, n <= 8, in
+    lexicographic order, as read-only views of at most 7! consecutive
+    rows of the cached uint8 table."""
     table = _lex_table(n)
     for start in range(0, len(table), _BLOCK_ROWS):
         yield table[start:start + _BLOCK_ROWS]
@@ -421,16 +421,14 @@ def _running_sums(costs: Array, tail: Array, levels: Tuple[Array, ...]) -> Array
 
 
 def brute_force_lap(s, sense: str = "min") -> Assignment:
-    """Exhaustive LAP oracle (N <= 10), ranked by ``lap_cost`` with the
+    """Exhaustive LAP oracle (N <= 8), ranked by ``lap_cost`` with the
     same tie-break as solve_lap: the lexicographically first optimum.
 
-    Permutations are scored by shared prefix sums, a head of n - m rows
-    at a time, m = min(n, 8). Each head is fixed in lexicographic order;
-    its remaining rows take the free columns, in ascending order,
-    permuted by ``_lex_table(m)``. The costs of all m! completions build
-    up one row per level, ``costs = (costs[:, None] + row[level]).ravel()``
-    added in place in the gather (``_running_sums``), since the
-    completions of one prefix form a contiguous run.
+    Permutations are scored by shared prefix sums in lexicographic
+    order. The costs of all n! permutations build up one row per level,
+    ``costs = (costs[:, None] + row[level]).ravel()`` added in place in
+    the gather (``_running_sums``), since the completions of one prefix
+    form a contiguous run.
 
     These running sums add the entries one row at a time, while
     ``lap_cost`` uses numpy's pairwise sum, so the two can differ in the
@@ -438,57 +436,38 @@ def brute_force_lap(s, sense: str = "min") -> Assignment:
     lies within gamma_{n-1} * sum_i |x_i| of the exact sum, where
     gamma_k = k u / (1 - k u) and u is the unit roundoff, so two orders
     differ by at most D = 2 gamma_{n-1} R with R = sum_i max_j |a_ij|.
-    Within one head, if q has the smallest running sum c and p is any
-    ``lap_cost`` optimum, then run(p) <= lap(p) + D <= lap(q) + D <= c + 2 D.
-    So every permutation whose running sum lies within 2 D of c is
+    If q has the smallest running sum c and p is any ``lap_cost``
+    optimum, then run(p) <= lap(p) + D <= lap(q) + D <= c + 2 D. So
+    every permutation whose running sum lies within 2 D of c is
     re-ranked by its ``lap_cost`` bits, and the first exact optimum in
     lexicographic order is kept; the window uses gamma_n, whose spare
-    4 u R covers the rounding of R and of c + 2 D. A later head replaces
-    the incumbent only on a strict improvement, so memory stays bounded
-    by 8! sums whatever n is. The max sense minimizes the negated
-    matrix, whose sums are the exact negations of the original ones.
+    4 u R covers the rounding of R and of c + 2 D. The max sense
+    minimizes the negated matrix, whose sums are the exact negations of
+    the original ones.
 
     The bound assumes no sum overflows. When R or a running sum does, as
     for entries near the largest double, the window is infinite and every
-    permutation of the head is re-ranked, which is exhaustive ranking by
-    ``lap_cost`` outright."""
+    permutation is re-ranked, which is exhaustive ranking by ``lap_cost``
+    outright."""
     a = _check_square(s, "brute_force_lap")
     _check_sense(sense)
     n = a.shape[0]
     if n > BRUTE_FORCE_LAP_MAX:
         raise SizeGuardError(f"brute_force_lap: N={n} exceeds {BRUTE_FORCE_LAP_MAX}")
     work = a if sense == "min" else -a
-    m = min(n, _TABLE_MAX)
-    table = _lex_table(m)
-    levels = _lex_levels(m)
-    rows = np.arange(n)
     u = np.finfo(np.float64).eps / 2
     gamma = n * u / (1 - n * u)
     # R and the running sums can overflow where no lap_cost does; an
-    # infinite window or running sum re-ranks every permutation of the head
+    # infinite window or running sum re-ranks every permutation
     with np.errstate(over="ignore"):
         window = 4 * gamma * float(np.abs(a).max(axis=1).sum())
-    best_cost = None
-    best_perm = None
-    for head in itertools.permutations(range(n), n - m):
-        cols = np.delete(rows, head)
-        tail = work[n - m:, cols]
-        with np.errstate(over="ignore"):
-            # the head's entries, summed in any order the bound allows; 0 for n <= 8
-            costs = _running_sums(work[rows[:n - m], list(head)].sum(keepdims=True),
-                                  tail, levels)
-            limit = costs.min() + window if np.isfinite(costs).all() else np.inf
-        found = np.flatnonzero(costs <= limit)
-        perms = np.empty((found.size, n), dtype=np.intp)
-        perms[:, :n - m] = head
-        perms[:, n - m:] = cols[table[found]]
-        # row sums along the last axis are lap_cost's sums, bit for bit
-        exact = work[rows, perms].sum(axis=1)
-        k = int(np.argmin(exact))
-        if best_cost is None or exact[k] < best_cost:
-            best_cost = exact[k]
-            best_perm = perms[k]
-    return Assignment(perm=tuple(best_perm.tolist()), cost=lap_cost(a, best_perm))
+        costs = _running_sums(np.zeros(1), work, _lex_levels(n))
+        limit = costs.min() + window if np.isfinite(costs).all() else np.inf
+    perms = _lex_table(n)[np.flatnonzero(costs <= limit)]
+    # row sums along the last axis are lap_cost's sums, bit for bit
+    exact = work[np.arange(n), perms].sum(axis=1)
+    best = perms[int(np.argmin(exact))]
+    return Assignment(perm=tuple(best.tolist()), cost=lap_cost(a, best))
 
 
 def qap_objective(s, s_a, s_b, perm) -> float:

@@ -328,13 +328,14 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     ``evaluate_matching`` and ``linear_probe`` run once, after training,
     on one embedding of each view.
 
-    The two views and the labels must have the same number of rows, and
-    the labels one dimension; otherwise ShapeError names their shapes
-    before the first step. Each view is checked for finite values once,
-    before the first step, without a copy (a NaN or Inf anywhere in it
-    raises NumericError, in a dropped row too); each batch, a fresh copy
-    from fancy indexing, then goes to ``forward`` as a constant Tensor,
-    unchecked and uncopied.
+    The two views, the labels and the alignment ``dataset.gt`` must
+    have the same number of rows, and the labels one dimension;
+    otherwise ShapeError names their shapes before the first step. Each
+    view is checked for finite values once, before the first step,
+    without a copy (a NaN or Inf anywhere in it raises NumericError, in
+    a dropped row too); each batch, a fresh copy from fancy indexing,
+    then goes to ``forward`` as a constant Tensor, unchecked and
+    uncopied.
     """
     n = dataset.view_a.shape[0]
     if config.batch_size > n:
@@ -352,9 +353,11 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
         views.append(view)
     view_a, view_b = views
     labels = np.asarray(dataset.labels)
-    if view_b.shape[0] != n or labels.shape != (n,):
-        raise ShapeError(f"train: the views and labels disagree: view_a {view_a.shape}, "
-                         f"view_b {view_b.shape}, labels {labels.shape}")
+    m = len(dataset.gt.perm)
+    if view_b.shape[0] != n or labels.shape != (n,) or m != n:
+        raise ShapeError("train: the views, labels and alignment disagree: "
+                         f"view_a {view_a.shape}, view_b {view_b.shape}, "
+                         f"labels {labels.shape}, alignment length {m}")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     state = AdamState(encoder.flat)
     gt = GroundTruthAlignment.identity(config.batch_size)

@@ -447,25 +447,34 @@ class TestTraining:
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
 
     @pytest.mark.parametrize("field,rows,shapes", [
-        ("view_b", 6, r"view_a \(8, 8\), view_b \(6, 8\), labels \(8,\)"),
-        ("view_b", 10, r"view_a \(8, 8\), view_b \(10, 8\), labels \(8,\)"),
-        ("labels", 6, r"view_a \(8, 8\), view_b \(8, 8\), labels \(6,\)"),
-    ], ids=["short-view-b", "long-view-b", "short-labels"])
+        ("view_b", 6, r"view_a \(8, 8\), view_b \(6, 8\), labels \(8,\), "
+                      "alignment length 8"),
+        ("view_b", 10, r"view_a \(8, 8\), view_b \(10, 8\), labels \(8,\), "
+                       "alignment length 8"),
+        ("labels", 6, r"view_a \(8, 8\), view_b \(8, 8\), labels \(6,\), "
+                      "alignment length 8"),
+        ("gt", 6, r"view_a \(8, 8\), view_b \(8, 8\), labels \(8,\), "
+                  "alignment length 6"),
+    ], ids=["short-view-b", "long-view-b", "short-labels", "short-alignment"])
     def test_disagreeing_rows_raise_before_the_first_step(self, monkeypatch,
                                                           field, rows, shapes):
-        # a short view_b once failed at the first batch, a long one after
-        # training in matching_accuracy, short labels in linear_probe
+        # a short view_b once failed at the first batch, a long one or a
+        # short alignment after training in matching_accuracy, short
+        # labels in linear_probe
         import dataclasses
         ds = harness.gen_two_view_dataset(TINY)
-        value = getattr(ds, field)
-        value = np.resize(value, (rows,) + value.shape[1:])
+        if field == "gt":
+            value = losses.GroundTruthAlignment.identity(rows)
+        else:
+            value = getattr(ds, field)
+            value = np.resize(value, (rows,) + value.shape[1:])
         ds = dataclasses.replace(ds, **{field: value})
         forwards = []
         monkeypatch.setattr(harness.MLPEncoder, "forward",
                             lambda *a: forwards.append(a))
         cfg = tiny_train_config()
         with pytest.raises(ShapeError, match=(
-                rf"^train: the views and labels disagree: {shapes}$")):
+                rf"^train: the views, labels and alignment disagree: {shapes}$")):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
         assert forwards == []
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -217,9 +218,8 @@ class TestInfoNCE:
 
 class TestNTLogistic:
     def test_zero_positive_and_far_negative(self):
-        s = np.array([[0.0, 100.0]])
-        gt = losses.GroundTruthAlignment((0,))
-        val = losses.nt_logistic_loss(s, gt, temperature=1.0).item()
+        s = np.array([[0.0, 100.0], [100.0, 0.0]])
+        val = losses.nt_logistic_loss(s, identity(2), temperature=1.0).item()
         assert val == pytest.approx(np.log(2.0), abs=1e-10)
 
     def test_uniform_2x2_matches_hand_formula(self):
@@ -236,45 +236,52 @@ class TestNTLogistic:
         assert val == pytest.approx(2.0 * np.log(2.0), rel=1e-6)
 
     def test_picks_hardest_negative(self):
-        s = np.array([[0.5, 3.0, 1.0, 2.0]])
-        gt = losses.GroundTruthAlignment((0,))
-        val = losses.nt_logistic_loss(s, gt, temperature=1.0).item()
+        # row i is [0.5, 3.0, 1.0, 2.0] shifted by i: positive 0.5, hardest 1.0
+        s = np.array([np.roll([0.5, 3.0, 1.0, 2.0], i) for i in range(4)])
+        val = losses.nt_logistic_loss(s, identity(4), temperature=1.0).item()
         want = np.log1p(np.exp(0.5)) + np.log1p(np.exp(-1.0))
         assert val == pytest.approx(want, rel=1e-12)
 
     def test_tied_hardest_negative_routes_to_first_column(self):
+        # each row's two smallest negatives tie; in row 3 the positive lies
+        # between them
         s = np.array([[0.5, 0.2, 0.2, 0.9],
-                      [0.3, 0.3, 0.8, 0.1]])
-        gt = losses.GroundTruthAlignment((0, 3))
+                      [0.3, 0.3, 0.8, 0.1],
+                      [0.6, 0.9, 0.4, 0.4],
+                      [0.2, 0.5, 0.3, 0.2]])
+        gt = losses.GroundTruthAlignment((0, 3, 1, 2))
         tau = 0.5
 
         def sig(x):
             return 1.0 / (1.0 + np.exp(-x))
 
-        want = np.zeros((2, 4))
+        want = np.zeros((4, 4))
         want[0, 0], want[1, 3] = sig(0.5 / tau) / tau, sig(0.1 / tau) / tau
+        want[2, 1], want[3, 2] = sig(0.9 / tau) / tau, sig(0.3 / tau) / tau
         want[0, 1], want[1, 0] = -sig(-0.2 / tau) / tau, -sig(-0.3 / tau) / tau
+        want[2, 2], want[3, 0] = -sig(-0.4 / tau) / tau, -sig(-0.2 / tau) / tau
         tape = T.Tape()
         leaf = tape.leaf(s)
         val = losses.nt_logistic_loss(leaf, gt, temperature=tau)
         g = tape.backward(val)[leaf].data
-        np.testing.assert_allclose(g, 0.5 * want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(g, 0.25 * want, rtol=1e-12, atol=0.0)
 
     def test_stable_at_extreme_inputs(self):
-        # softplus at +-800 neither overflows nor loses the linear tail
-        gt = losses.GroundTruthAlignment((0,))
+        # softplus at +-800 neither overflows nor loses the linear tail;
+        # the second row mirrors the first, so each row's value is the mean
+        gt = identity(2)
         for row, value, grad in (([-800.0, 800.0], 0.0, [0.0, 0.0]),
                                  ([0.0, 0.0], 2.0 * np.log(2.0), [0.5, -0.5]),
                                  ([800.0, -800.0], 1600.0, [1.0, -1.0])):
             tape = T.Tape()
-            leaf = tape.leaf(np.array([row]))
+            leaf = tape.leaf(np.array([row, row[::-1]]))
             val = losses.nt_logistic_loss(leaf, gt, temperature=1.0)
             g = tape.backward(val)[leaf].data
             assert np.isfinite(val.item()) and np.isfinite(g).all()
             assert val.item() == pytest.approx(value, abs=1e-12)
-            np.testing.assert_allclose(g, [grad], atol=1e-12)
-        assert losses.nt_logistic_loss(np.array([[-800.0, 800.0]]), gt,
-                                       temperature=1.0).item() == 0.0
+            np.testing.assert_allclose(g, np.array([grad, grad[::-1]]) / 2, atol=1e-12)
+        assert losses.nt_logistic_loss(np.array([[-800.0, 800.0], [800.0, -800.0]]),
+                                       gt, temperature=1.0).item() == 0.0
 
     def test_needs_at_least_one_negative(self):
         with pytest.raises(ContractError):
@@ -296,13 +303,12 @@ def _lap_gap(m):
 
 
 def _generic(rng, kind, n):
-    """A random S (n x n, or n x (n+1) for nt_logistic) and alignment
-    with every kink of the loss at least 1e-3 away."""
+    """A random n x n S and alignment with every kink of the loss at
+    least 1e-3 away."""
     while True:
-        k = n + 1 if kind == "nt_logistic" else n
-        s = rng.normal(size=(n, k))
-        perm = rng.permutation(k)[:n]
-        y = np.zeros((n, k))
+        s = rng.normal(size=(n, n))
+        perm = rng.permutation(n)
+        y = np.zeros((n, n))
         y[np.arange(n), perm] = 1.0
         if kind == "batch_hard":
             ok = _row_min_gap(s + 0.5 * y) > 1e-3
@@ -326,8 +332,7 @@ FUSED = {
 }
 
 
-# (S, alignment, error) that every pairwise loss rejects; nt_logistic
-# takes a rectangular S and a non-injective alignment
+# (S, alignment, error) that every pairwise loss rejects
 BAD_OPERANDS = {
     "non_square": (np.ones((2, 3)), (0, 1), ShapeError),
     "wrong_length": (np.ones((2, 2)), (0, 1, 2), ContractError),
@@ -337,8 +342,7 @@ BAD_OPERANDS = {
 
 class TestOperandChecks:
     @pytest.mark.parametrize("kind,case", [
-        (kind, case) for kind in sorted(FUSED) for case in BAD_OPERANDS
-        if kind != "nt_logistic" or case == "wrong_length"])
+        (kind, case) for kind in sorted(FUSED) for case in BAD_OPERANDS])
     def test_bad_operands_raise(self, kind, case):
         s, gt, error = BAD_OPERANDS[case]
         with pytest.raises(error):
@@ -408,13 +412,13 @@ class TestNonFiniteInput:
             call(bad)
 
 
-# each pairwise loss with an S of no rows; nt_logistic takes it rectangular
+# each pairwise loss with an S of no rows
 EMPTY_S = [
     (losses.structured_lap_loss, (0, 0)),
     (losses.batch_hard_lap_loss, (0, 0)),
     (losses.smoothed_batch_hard_loss, (0, 0)),
     (losses.infonce_loss, (0, 0)),
-    (losses.nt_logistic_loss, (0, 3)),
+    (losses.nt_logistic_loss, (0, 0)),
     (losses.sparseclr_loss, (0, 0)),
 ]
 
@@ -918,14 +922,20 @@ class TestGroundTruthAlignment:
         with pytest.raises(ContractError):
             losses.GroundTruthAlignment(perm)
 
-    def test_indices_are_read_only_and_flag_bijection(self):
+    @pytest.mark.parametrize("perm", [(1, 1), (0, 2), (0, -1)],
+                             ids=["repeated", "out-of-range", "negative"])
+    @pytest.mark.parametrize("wrap", [tuple, np.array], ids=["tuple", "array"])
+    def test_non_permutations_rejected_on_construction(self, perm, wrap):
+        raw = wrap(perm)
+        with pytest.raises(ContractError, match=(
+                "^" + re.escape(f"expected a permutation of 0..1, got {raw!r}") + "$")):
+            losses.GroundTruthAlignment(raw)
+
+    def test_indices_are_read_only(self):
         gt = losses.GroundTruthAlignment((2, 0, 1))
         assert gt.indices.dtype == np.intp
         assert np.array_equal(gt.indices, [2, 0, 1])
         assert not gt.indices.flags.writeable
-        assert gt.bijective
-        assert not losses.GroundTruthAlignment((0, 0)).bijective
-        assert not losses.GroundTruthAlignment((0, 2)).bijective
 
     def test_equality_and_hash_follow_perm_only(self):
         a = losses.GroundTruthAlignment((1, 0))
@@ -936,9 +946,9 @@ class TestGroundTruthAlignment:
 
     @pytest.mark.parametrize("gt, match", [
         ((0, 1, 2), "length"),
-        ((0, 2), "outside column range"),
-        ((0, -1), "outside column range"),
-        ((1, 1), "bijection"),
+        ((0, 2), "permutation"),
+        ((0, -1), "permutation"),
+        ((1, 1), "permutation"),
     ])
     @pytest.mark.parametrize("wrap", [tuple, np.array], ids=["tuple", "array"])
     def test_raw_alignments_keep_their_errors(self, gt, match, wrap):
@@ -985,7 +995,7 @@ class TestGroundTruthAlignment:
         ([0, 2 ** 63], "integers"),
         ([-(2 ** 63) - 1, 0], "integers"),
         ([0, 2 ** 70], "integers"),
-        ([0, -1], "outside column range"),
+        ([0, -1], "permutation of 0..1"),
     ], ids=["true", "numpy-true", "true-first", "numpy-true-second", "fraction",
             "nan", "above-intp", "below-intp", "far-above-intp", "negative"])
     @pytest.mark.parametrize("wrap", [list, tuple], ids=["list", "tuple"])
@@ -1023,31 +1033,15 @@ class TestGroundTruthAlignment:
             gt = losses.GroundTruthAlignment(raw)
             assert gt == ref and hash(gt) == hash(ref)
             assert all(type(j) is int for j in gt.perm)
-            assert gt.indices.dtype == np.intp and gt.bijective
+            assert gt.indices.dtype == np.intp
             assert gt.indices.tobytes() == ref.indices.tobytes()
 
-    @pytest.mark.parametrize("gt, shape, match", [
-        ((0, 1, 2), (2, 2), "length"),
-        ((0, 2), (2, 2), "outside column range"),
-        ((1, 1), (2, 2), "bijection"),
-    ])
-    def test_errors_are_not_cached(self, gt, shape, match):
-        gt = losses.GroundTruthAlignment(gt)
-        n = len(gt.perm)
-        losses.nt_logistic_loss(np.ones((n, 3)), gt)  # a shape it passes at
+    def test_errors_are_not_cached(self):
+        gt = losses.GroundTruthAlignment((0, 1, 2))
+        losses.infonce_loss(np.ones((3, 3)), gt)  # a shape it passes at
         for _ in range(2):
-            with pytest.raises(ContractError, match=match):
-                losses.infonce_loss(np.ones(shape), gt)
-
-    def test_cached_alignment_still_checks_the_bijection(self):
-        # a non-bijective alignment is valid for nt_logistic_loss; a square
-        # loss on the same shape must still reject it, on every call
-        gt = losses.GroundTruthAlignment((1, 1))
-        s = np.array([[0.2, 1.0], [0.4, 0.3]])
-        losses.nt_logistic_loss(s, gt)
-        for _ in range(2):
-            with pytest.raises(ContractError, match="bijection"):
-                losses.infonce_loss(s, gt)
+            with pytest.raises(ContractError, match="length"):
+                losses.infonce_loss(np.ones((2, 2)), gt)
 
     def test_raw_alignment_scores_like_the_object(self):
         s = np.array([[0.2, 1.0], [0.4, 0.3]])
