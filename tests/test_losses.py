@@ -589,6 +589,22 @@ class TestQare:
             moved = losses.qare(z_a[p], z_b[p], mode).item()
             assert moved == pytest.approx(base, rel=1e-12, abs=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
+    def test_bounds_the_similarity_form_qap(self, n, e, seed):
+        # max_Y [tr(S Y^T) + tr((1+S_A) Y (1+S_B) Y^T)] - tr(S Y_gt^T)
+        # <= N * structured_lap_loss(-S, gt, 0) + qare, S_* cosine similarities
+        rng = np.random.default_rng(seed)
+        z_a, z_b = rng.normal(size=(n, e)), rng.normal(size=(n, e))
+        x_a, x_b = (z / np.linalg.norm(z, axis=1, keepdims=True) for z in (z_a, z_b))
+        s = x_a @ x_b.T
+        gt = random_gt(rng, n)
+        qap = assignment.brute_force_qap(s, 1.0 + x_a @ x_a.T, 1.0 + x_b @ x_b.T, "max")
+        excess = qap.cost - assignment.lap_cost(s, gt.indices)
+        bound = (n * losses.structured_lap_loss(-s, gt, margin=0.0).item()
+                 + losses.qare(z_a, z_b, "cosine").item())
+        assert excess <= bound + 1e-9
+
     @staticmethod
     def _point_pairs():
         rng = np.random.default_rng(15)

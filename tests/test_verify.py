@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from setcontrast import verify
+from setcontrast import losses, tensor as T, verify
 from setcontrast.errors import ConfigError
 
 
@@ -78,6 +78,17 @@ class TestProjectionOracle:
             assert not masks.flags.writeable
             for r, row in enumerate(masks):
                 assert sum(1 << j for j in np.flatnonzero(row)) == r + 1
+
+
+class TestUpperBound:
+    def test_passes(self):
+        assert verify.suite_upper_bound().passed
+
+    def test_fails_on_a_negated_qare(self, monkeypatch):
+        real = losses.qare
+        monkeypatch.setattr(losses, "qare",
+                            lambda *args: T.scale(real(*args), -1.0))
+        assert not verify.suite_upper_bound().passed
 
 
 class _FlatRng:
