@@ -18,7 +18,7 @@ upstream gradient over N:
   S + mY;
 - ``nt_logistic_loss``: sigmoid(s_pos/tau)/tau on the positives and
   -sigmoid(-s_neg/tau)/tau on each row's hardest negative;
-- ``sparseclr_loss``: Y + sparsemax(-S), row-wise;
+- ``sparseclr_loss``: Y - sparsemax(-S), row-wise;
 - ``structured_lap_loss``: Y - Y*, with Y* the optimal assignment.
 
 Y is the ground-truth assignment matrix. Where a row minimum is tied,
@@ -318,21 +318,27 @@ def _sparse_support(h: Array):
 
 
 def sparseclr_loss(s, gt) -> T.Tensor:
-    """Sparsemax-smoothed batch-hard loss: the row minima are replaced by
-    a simplex projection of the negated row, giving sparse support over
-    the hardest columns:
+    """Sparsemax-smoothed batch-hard loss at margin 0: each row's
+    -min_j h_ij is replaced by the sparsemax smoothed max of -h_i,
+    max_{p in simplex} <p, -h_i> - 0.5 |p|^2 (Martins & Astudillo 2016),
+    which puts sparse support on the hardest columns:
 
-        [tr(S Y_gt^T) - 0.5 sum_i sum_{j in Omega(-h_i)} (h_ij^2 - T^2(-h_i))] / N.
+        [tr(S Y_gt^T) + 0.5 sum_i sum_{j in Omega(-h_i)} (h_ij^2 - T^2(-h_i))] / N.
 
-    VJP: (Y_gt + sparsemax(-h_i)) / N row-wise.
+    The smoothed max of k entries lies in [max - 1/2, max - 1/(2k)], so N
+    times the loss lies in [N BH_0 - N/2, N BH_0 - 1/2], BH_0 the
+    batch-hard loss at margin 0. The value does not carry the +1/2 of
+    Martins' sparsemax loss; it would move no gradient.
+
+    VJP: (Y_gt - sparsemax(-h_i)) / N row-wise.
     """
     s, y = _operands(s, gt, "sparseclr_loss")
     p, support_term = _sparse_support(s.data)
 
     def grad(c):
-        return c * p + c * y
+        return c * y - c * p
 
-    return _loss_node(s, (s.data * y).sum() - support_term, grad)
+    return _loss_node(s, (s.data * y).sum() + support_term, grad)
 
 
 # ---------------------------------------------------------------------------

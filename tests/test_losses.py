@@ -524,12 +524,13 @@ class TestArgumentChecks:
 
 class TestSparseCLR:
     def test_single_entry_closed_form(self):
+        # one column: the smoothed max of -s is -s - 1/2, so s - s - 1/2
         for s_val in (0.3, 1.7):
             s = np.array([[s_val]])
             got = losses.sparseclr_loss(s, identity(1)).item()
-            assert got == pytest.approx(2.0 * s_val + 0.5, rel=1e-12)
+            assert got == pytest.approx(-0.5, rel=1e-12)
 
-    def test_gradient_is_gt_plus_rowwise_sparsemax(self):
+    def test_gradient_is_gt_minus_rowwise_sparsemax(self):
         rng = np.random.default_rng(26)
         s = np.abs(rng.normal(size=(4, 4))) + 0.1
         tape = T.Tape()
@@ -538,8 +539,22 @@ class TestSparseCLR:
         g = tape.backward(val)[leaf].data
         want = np.eye(4)
         for i in range(4):
-            want[i] += losses.sparsemax(-s[i])
+            want[i] -= losses.sparsemax(-s[i])
         np.testing.assert_allclose(g, want / 4, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_square, st.sampled_from([0.1, 1.0, 10.0]),
+           st.integers(0, 2 ** 31 - 1))
+    def test_brackets_the_batch_hard_loss(self, s, scale, seed):
+        # the sparsemax smoothed max of n entries lies in [max - 1/2,
+        # max - 1/(2n)], so N * sparseclr lies in [N BH_0 - N/2, N BH_0 - 1/2];
+        # 1e-10 covers the rounding at the one-column equality case
+        s = s * scale
+        n = s.shape[0]
+        gt = random_gt(np.random.default_rng(seed), n)
+        got = n * losses.sparseclr_loss(s, gt).item()
+        hard = n * losses.batch_hard_lap_loss(s, gt, margin=0.0).item()
+        assert hard - n / 2 - 1e-10 <= got <= hard - 0.5 + 1e-10
 
     def test_dominant_negative_zeroes_other_gradients(self):
         # first row: one distance far below the rest, so the support of
