@@ -498,9 +498,11 @@ def linear_probe(embeddings, labels, seed: int = 0) -> float:
 def fig1b_points() -> Tuple[Array, Array, Array]:
     """The point sets of ``fig1b_instance``: view A (a unit square), and
     view B near (the square shifted, so of view A's shape) and far (a
-    line, of another internal geometry)."""
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    line, of another internal geometry). All three lie off the origin,
+    so that qare can row-normalize every point."""
+    off = np.array([0.5, 0.5])
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) + off
+    line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]) + off
     return square, square + np.array([0.25, 0.1]), line
 
 

@@ -25,11 +25,10 @@ Y is the ground-truth assignment matrix. Where a row minimum is tied,
 the batch-hard and NT-logistic gradients go to the first minimising
 column.
 
-``qare(z_a, z_b, mode)`` reads the two embedding sets: in euclidean
-mode it is one node over their distance matrices, in cosine mode one
-node over the row-normalized sets, whose spectra it takes from the
-(E+1)-column factor P = [1, X] of 1 + S. Either VJP pulls the partner
-spectrum back through ``simgeom.eigenvalue_gradient``.
+``qare(z_a, z_b)`` reads the two embedding sets in one form, whatever
+the mode of S: one node over the row-normalized sets, whose spectra it
+takes from the (E+1)-column factor P = [1, X] of 1 + S_A. Its VJP pulls
+the partner spectrum back through ``simgeom.eigenvalue_gradient``.
 ``combined_loss`` is one node with VJP (g, g * beta / N^2).
 """
 
@@ -357,56 +356,49 @@ def _basis_dependent(values: Array, upstream: Array) -> bool:
                  * max(1.0, float(np.abs(upstream).max()))).any())
 
 
-def qare(z_a, z_b, mode: str = "euclidean") -> T.Tensor:
-    """Spectral alignment of two embedding sets of one shape (n, E).
+def qare(z_a, z_b) -> T.Tensor:
+    """Spectral alignment of two embedding sets of one shape (n, E): the
+    maximal pairing (descending against descending) of the spectra of
+    1 + S_A = P_A P_A^T and 1 + S_B, with S_A the cosine similarities of
+    one set, P = [1, X] and X the row-normalized set.
 
-    Euclidean distances: negated minimal pairing (descending against
-    ascending) of the spectra of the sets' distance matrices
-    ``simgeom.self_distances``; one node over the two matrices, whose
-    VJPs are ``simgeom.eigenvalue_gradient`` of -g times the partner
-    values. Cosine similarities: maximal pairing (descending against
-    descending) of the spectra of 1 + S = P P^T, where P = [1, X] and X
-    is the row-normalized set. Those are the min(n, E+1) leading
-    eigenvalues of the (E+1) x (E+1) matrix G = P^T P; the rest of
-    either spectrum is exactly 0 and pairs with zeros, so S is never
-    built. One node over the two X; as d lambda_i / dP = 2 P v_i v_i^T,
-    each VJP is 2 P M without M's first column, M the
-    ``eigenvalue_gradient`` of g times the partner values. Both matrices
-    of a pair go to one ``simgeom.sym_eigen_pair`` call. The active tape
-    is flagged "degenerate-eigenvalues" only where a gradient depends on
-    the eigenvector basis (``_basis_dependent`` on the spectra read).
+    Those spectra are the min(n, E+1) leading eigenvalues of the
+    (E+1) x (E+1) matrices G = P^T P; the rest of either spectrum is
+    exactly 0 and pairs with zeros, so S_A is never built. One node over
+    the two X; as d lambda_i / dP = 2 P v_i v_i^T, each VJP is 2 P M
+    without M's first column, M the ``eigenvalue_gradient`` of g times the
+    partner values. Both G go to one ``simgeom.sym_eigen_pair`` call. The
+    active tape is flagged "degenerate-eigenvalues" only where a gradient
+    depends on the eigenvector basis (``_basis_dependent`` on the spectra
+    read).
+
+    The value bounds the quadratic term of the similarity-form QAP
+    max_Y [tr(S Y^T) + tr((1+S_A) Y (1+S_B) Y^T)] over permutations Y
+    (Finke, Burkard & Rendl 1987), so that QAP's excess over the
+    ground truth is at most N * ``structured_lap_loss(-S, gt, margin=0)``
+    plus qare. It is scale-free, since 1 + S_A has trace 2n: lowering it
+    flattens the spectra, which spreads each set's points.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
     if za.shape != zb.shape:
         raise ShapeError(f"qare: shapes differ, {za.shape} vs {zb.shape}")
-    factors = None
-    if mode == "euclidean":
-        ins = simgeom.self_distances(za), simgeom.self_distances(zb)
-        dec_a, dec_b = simgeom.sym_eigen_pair(ins[0].data, ins[1].data)
-        sign, partner_a, partner_b = -1.0, dec_b.values[::-1], dec_a.values[::-1]
-    elif mode == "cosine":
-        ins = T.row_l2_normalize(za), T.row_l2_normalize(zb)
-        factors = [np.hstack((np.ones((x.shape[0], 1)), x.data)) for x in ins]
-        k = min(factors[0].shape)
-        dec_a, dec_b = (simgeom.EigenDecomposition(d.values[:k], d.vectors[:, :k])
-                        for d in simgeom.sym_eigen_pair(*(p.T @ p for p in factors)))
-        sign, partner_a, partner_b = 1.0, dec_b.values, dec_a.values
-    else:
-        raise ContractError(f"qare: unknown mode {mode!r}")
+    ins = T.row_l2_normalize(za), T.row_l2_normalize(zb)
+    factors = [np.hstack((np.ones((x.shape[0], 1)), x.data)) for x in ins]
+    k = min(factors[0].shape)
+    dec_a, dec_b = (simgeom.EigenDecomposition(d.values[:k], d.vectors[:, :k])
+                    for d in simgeom.sym_eigen_pair(*(p.T @ p for p in factors)))
     tape = T.active_tape(*ins)
-    if tape is not None and (_basis_dependent(dec_a.values, partner_a)
-                             or _basis_dependent(dec_b.values, partner_b)):
+    if tape is not None and (_basis_dependent(dec_a.values, dec_b.values)
+                             or _basis_dependent(dec_b.values, dec_a.values)):
         tape.flags.add("degenerate-eigenvalues")
 
     def vjp(g):
-        c = g.item() * sign
-        grads = (simgeom.eigenvalue_gradient(dec_a, c * partner_a),
-                 simgeom.eigenvalue_gradient(dec_b, c * partner_b))
-        if factors is None:
-            return grads
-        return tuple(2.0 * p @ m[:, 1:] for p, m in zip(factors, grads))
+        c = g.item()
+        return tuple(2.0 * p @ simgeom.eigenvalue_gradient(d, c * partner)[:, 1:]
+                     for p, d, partner in zip(factors, (dec_a, dec_b),
+                                              (dec_b.values, dec_a.values)))
 
-    return T.custom_op(ins, (dec_a.values * partner_a).sum() * sign, vjp)
+    return T.custom_op(ins, (dec_a.values * dec_b.values).sum(), vjp)
 
 
 def combined_loss(pairwise, qare_value, *, beta: float = BETA_DEFAULT,
@@ -448,9 +440,10 @@ def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
 class LossConfig:
     """One trainable loss variant: the batch-mean pairwise loss of
     ``kind`` (with ``mining``, ``margin`` and ``temperature`` where they
-    apply), plus ``beta`` times qare / N^2; ``mode`` selects distance vs
-    cosine geometry. ``margin``, ``temperature`` and ``beta`` must be
-    finite."""
+    apply), plus ``beta`` times qare / N^2. ``mode`` selects S alone:
+    distances ("euclidean") or negated cosine similarities ("cosine");
+    qare has one form in both. ``margin``, ``temperature`` and ``beta``
+    must be finite."""
 
     name: str = "infonce"
     kind: str = "infonce"
@@ -505,8 +498,8 @@ def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, fl
     S comes from ``simgeom.cross_distances`` at every beta. Cosine mode
     feeds the pairwise loss the negated similarity matrix, so distance
     semantics hold on one code path; qare reads the two embedding sets
-    themselves. With beta == 0 the objective is the pairwise node itself,
-    and nothing of qare is built.
+    themselves, in one form for both modes. With beta == 0 the objective
+    is the pairwise node itself, and nothing of qare is built.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
     if za.shape[0] != zb.shape[0]:
@@ -516,6 +509,6 @@ def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, fl
     pw_value = pw.item()
     if cfg.beta == 0.0:
         return pw, {"pairwise": pw_value, "qare": 0.0, "total": pw_value}
-    q = qare(za, zb, cfg.mode)
+    q = qare(za, zb)
     total = combined_loss(pw, q, beta=cfg.beta, n=za.shape[0])
     return total, {"pairwise": pw_value, "qare": q.item(), "total": total.item()}

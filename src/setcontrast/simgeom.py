@@ -3,10 +3,10 @@ eigendecomposition with its eigenvalue gradient, and sorted spectrum
 products.
 
 Eigenvalues come from LAPACK through ``np.linalg.eigh``. The two
-matrices that ``losses.qare`` decomposes (the intra-set distance
-matrices, or in cosine mode the (E+1) x (E+1) Gram matrices of the
-factors of 1 + S) go to it as one stack (``sym_eigen_pair``): one call,
-and each matrix gets the bits of a call of its own. The gradient rule
+matrices that ``losses.qare`` decomposes (the (E+1) x (E+1) Gram
+matrices of the factors of 1 + S_A and 1 + S_B, in either mode) go to it
+as one stack (``sym_eigen_pair``): one call, and each matrix gets the
+bits of a call of its own. The gradient rule
 d lambda_i / dM = u_i u_i^T is exact for a simple eigenvalue; inside a
 degenerate eigenspace the eigenvectors are not unique. Over a cluster
 of equal eigenvalues with equal upstream g the rule still gives g times
@@ -235,7 +235,6 @@ def cross_distances(z_a, z_b, mode: str = "euclidean") -> T.Tensor:
 
 def self_distances(z, mode: str = "euclidean") -> T.Tensor:
     """The intra-set matrix S_A of ``pairwise_distances`` for one set
-    alone, built by the same operations; euclidean ``losses.qare`` reads
-    its spectrum."""
+    alone, built by the same operations."""
     x, sim = _embedded_set(T.as_tensor(z), mode)
     return sim(x, x)

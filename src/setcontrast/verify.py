@@ -17,8 +17,9 @@ lexicographic order, each level added in place into its gather of the
 row and re-ranked by ``lap_cost`` near the optimum, and the QAP oracle
 in blocks read from a cached table. The simplex grid that checks the
 sparsemax oracle reads each coordinate from a table of the running sums
-of 1/steps, indexed by the coordinate's count. The ``gradients`` and
-``fig1b`` suites call ``qare`` on point sets, as training does. Every
+of 1/steps, indexed by the coordinate's count. The ``gradients``,
+``fig1b`` and ``upper_bound`` suites call ``qare`` on point sets, as
+training does. Every
 pairwise loss is a batch mean, so the identity suites compare N times
 it with their sum-form references.
 """
@@ -150,36 +151,28 @@ def suite_upper_bound() -> SuiteResult:
     plus ``qare`` of the two sets."""
     rng = np.random.default_rng(104)
     worst = -np.inf
-    count = 0
     for _ in range(200):
         n = int(rng.integers(2, 7))
         s = rng.normal(size=(n, n))
         s_a = _random_symmetric(rng, n)
         s_b = _random_symmetric(rng, n)
-        perm = rng.permutation(n)
-        gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
+        gt = losses.GroundTruthAlignment(rng.permutation(n))
         lhs = losses.structured_qap_loss_exact(s, s_a, s_b, gt)
         lap = n * losses.structured_lap_loss(s, gt, margin=0.0).item()
         la, lb = (d.values for d in simgeom.sym_eigen_pair(s_a, s_b))
-        rhs = lap - simgeom.eig_dot(la, lb, "min")
-        worst = max(worst, lhs - rhs)
-        count += 1
-    sets = 0
+        worst = max(worst, lhs - (lap - simgeom.eig_dot(la, lb, "min")))
     for _ in range(60):
         n, e = int(rng.integers(2, 7)), int(rng.integers(1, 5))
         za, zb = rng.normal(size=(n, e)), rng.normal(size=(n, e))
         xa, xb = (z / np.linalg.norm(z, axis=1, keepdims=True) for z in (za, zb))
         s = xa @ xb.T
-        perm = rng.permutation(n)
-        gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
+        gt = losses.GroundTruthAlignment(rng.permutation(n))
         qap = assignment.brute_force_qap(s, 1.0 + xa @ xa.T, 1.0 + xb @ xb.T, "max")
         lhs = qap.cost - assignment.lap_cost(s, gt.indices)
         lap = n * losses.structured_lap_loss(-s, gt, margin=0.0).item()
-        rhs = lap + losses.qare(za, zb, "cosine").item()
-        worst = max(worst, lhs - rhs)
-        sets += 1
+        worst = max(worst, lhs - (lap + losses.qare(za, zb).item()))
     return SuiteResult("upper_bound", worst <= 1e-9, max(worst, 0.0),
-                       f"{count} triples, {sets} cosine set pairs, "
+                       "200 triples, 60 cosine set pairs, "
                        f"worst slack violation {worst:.3e}")
 
 
@@ -292,57 +285,39 @@ def _generic_point(rng, kind: str, mode: str) -> Tuple[Array, Array, "losses.Gro
     support boundaries and eigenvalue gaps all separated by >= 1e-3."""
     n = 4
     d = 3
-    margin = losses.MARGIN_DEFAULT
+    positives = np.arange(n) == np.arange(n)[:, None]
     for _ in range(500):
         za = rng.normal(size=(n, d))
         zb = rng.normal(size=(n, d))
         perm = rng.permutation(n)
-        triple = simgeom.pairwise_distances(za, zb, mode)
-        s = triple.s.data
+        s = simgeom.cross_distances(za, zb, mode).data
         s_pair = s if mode == "euclidean" else -s
         if mode == "euclidean" and s.min() < 5e-2:
             continue
-        sm = s_pair.copy()
-        for i in range(n):
-            sm[i, perm[i]] += margin
+        pos = positives[perm]
+        sm = s_pair + losses.MARGIN_DEFAULT * pos
         ok = True
         if kind in ("batch-hard", "smoothed"):
-            for i in range(n):
-                row = np.sort(sm[i])
-                if row[1] - row[0] < 1e-3:
-                    ok = False
-                    break
+            row = np.sort(sm, axis=1)
+            ok = bool(np.all(row[:, 1] - row[:, 0] >= 1e-3))
         elif kind == "structured-lap":
             costs = [sum(sm[i, p[i]] for i in range(n))
                      for p in itertools.permutations(range(n))]
-            if _top2_gap(costs) < 1e-3:
-                ok = False
+            ok = _top2_gap(costs) >= 1e-3
         elif kind == "nt-logistic":
-            for i in range(n):
-                neg = np.sort(np.delete(s_pair[i], perm[i]))
-                if neg[1] - neg[0] < 1e-3:
-                    ok = False
-                    break
+            neg = np.sort(np.where(pos, np.inf, s_pair), axis=1)
+            ok = bool(np.all(neg[:, 1] - neg[:, 0] >= 1e-3))
         elif kind == "sparseclr":
-            for i in range(n):
-                z = -sm[i]
-                t = losses.sparsemax_threshold(z)
-                if np.min(np.abs(z - t)) < 1e-3:
-                    ok = False
-                    break
-        if kind in ("qare", "combined"):
-            sa = triple.s_a.data
-            sb = triple.s_b.data
-            if mode == "cosine":
-                sa = sa + 1.0
-                sb = sb + 1.0
-            gaps = [simgeom.min_eigengap(d.values)
-                    for d in simgeom.sym_eigen_pair(sa, sb)]
-            if min(gaps) < 1e-3:
-                ok = False
+            # sparseclr takes no margin: its kinks are those of sparsemax(-S)
+            ok = all(np.abs(z - losses.sparsemax_threshold(z)).min() >= 1e-3
+                     for z in -s_pair)
+        elif kind in ("qare", "combined"):
+            # qare reads the spectra of 1 + S_A and 1 + S_B in either mode
+            shifted = (1.0 + simgeom.self_distances(z, "cosine").data for z in (za, zb))
+            ok = min(simgeom.min_eigengap(d.values)
+                     for d in simgeom.sym_eigen_pair(*shifted)) >= 1e-3
         if ok:
-            gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
-            return za, zb, gt
+            return za, zb, losses.GroundTruthAlignment(perm)
     raise ConfigError(f"could not sample a generic point for {kind}/{mode}")
 
 
@@ -355,7 +330,6 @@ _GRAD_CASES: Tuple[Tuple[str, "losses.LossConfig"], ...] = (
     ("infonce", losses.LossConfig(name="g", kind="infonce", beta=0.0)),
     ("nt-logistic", losses.LossConfig(name="g", kind="nt_logistic", beta=0.0)),
     ("sparseclr", losses.LossConfig(name="g", kind="sparseclr", beta=0.0)),
-    ("qare", losses.LossConfig(name="g", kind="infonce", mode="euclidean")),
     ("qare", losses.LossConfig(name="g", kind="infonce", mode="cosine")),
     ("combined", losses.LossConfig(name="g", kind="infonce", beta=1.125)),
 )
@@ -374,10 +348,10 @@ def suite_gradients() -> SuiteResult:
 
             if label == "qare":
                 def f_a(x):
-                    return losses.qare(x, zb, cfg.mode)
+                    return losses.qare(x, zb)
 
                 def f_b(x):
-                    return losses.qare(za, x, cfg.mode)
+                    return losses.qare(za, x)
             else:
                 def f_a(x):
                     return losses.two_view_loss(x, zb, gt, cfg)[0]
@@ -405,8 +379,8 @@ def suite_fig1b() -> SuiteResult:
         far.s.data, far.s_a.data, far.s_b.data, "min").cost
     qap_gap = abs(qap_near - qap_far)
     view_a, near_b, far_b = harness.fig1b_points()
-    q_near = losses.qare(view_a, near_b, near.mode).item()
-    q_far = losses.qare(view_a, far_b, far.mode).item()
+    q_near = losses.qare(view_a, near_b).item()
+    q_far = losses.qare(view_a, far_b).item()
     q_gap = abs(q_near - q_far)
     passed = lap_gap <= 1e-12 and qap_gap > 0.1 and q_gap > 1e-6
     return SuiteResult("fig1b", passed, lap_gap,

@@ -505,10 +505,9 @@ class TestTraining:
 
     @pytest.mark.parametrize("mode,count", [("euclidean", 9), ("cosine", 12)])
     def test_beta_one_step_adds_the_qare_term_once(self, monkeypatch, mode, count):
-        # 1 flat leaf + 2 encoder views + S + the pairwise loss + S_A, S_B
-        # + qare + the combination; cosine adds 2 row normalisations and
-        # the negation of S, and reads the 2 row-normalized sets in place
-        # of S_A and S_B
+        # 1 flat leaf + 2 encoder views + S + the pairwise loss + the 2
+        # row-normalized sets qare reads + qare + the combination; cosine
+        # adds the 2 row normalisations of S and the negation of S
         assert _nodes_per_step(monkeypatch, losses.LossConfig(
             name="t", kind="infonce", beta=1.0, mode=mode)) == [count, count]
 
@@ -523,10 +522,9 @@ class TestTraining:
         # a generic point: no relu at its kink, no close eigenvalues in qare
         for x in (xa, xb):
             assert np.abs(x @ enc.params["w1"] + enc.params["b1"]).min() > 1e-3
-        triple = simgeom.pairwise_distances(enc.embed(xa), enc.embed(xb), mode)
-        shift = 0.0 if mode == "euclidean" else 1.0
-        for m in (triple.s_a, triple.s_b):
-            assert simgeom.min_eigengap(simgeom.sym_eigen(m.data + shift).values) > 1e-3
+        for z in (enc.embed(xa), enc.embed(xb)):
+            shifted = 1.0 + simgeom.self_distances(z, "cosine").data
+            assert simgeom.min_eigengap(simgeom.sym_eigen(shifted).values) > 1e-3
 
         def step(w):
             return losses.two_view_loss(enc.forward(xa, w), enc.forward(xb, w),
@@ -835,8 +833,8 @@ class TestFig1bInstance:
 
     def test_quadratic_side_separates_the_geometries(self):
         view_a, near, far = harness.fig1b_points()
-        q_near = losses.qare(view_a, near, "euclidean").item()
-        q_far = losses.qare(view_a, far, "euclidean").item()
+        q_near = losses.qare(view_a, near).item()
+        q_far = losses.qare(view_a, far).item()
         assert abs(q_near - q_far) > 1e-6
 
 

@@ -577,21 +577,10 @@ class TestSparseCLR:
 
 
 class TestQare:
-    def test_zero_matrices(self):
-        # coincident points: both distance matrices are zero
-        z = T.Tensor(np.ones((3, 2)))
-        assert losses.qare(z, z, "euclidean").item() == 0.0
-
-    def test_euclidean_known_instance(self):
-        # two points 1 apart and two points 2 apart: spectra (1, -1), (2, -2)
-        z_a = T.Tensor(np.array([[0.0], [1.0]]))
-        z_b = T.Tensor(np.array([[0.0], [2.0]]))
-        assert losses.qare(z_a, z_b, "euclidean").item() == pytest.approx(4.0)
-
     def test_cosine_known_instance(self):
         # orthogonal rows: 1 + S = [[2, 1], [1, 2]], spectrum (3, 1)
         i2 = T.Tensor(np.eye(2))
-        assert losses.qare(i2, i2, "cosine").item() == pytest.approx(10.0)
+        assert losses.qare(i2, i2).item() == pytest.approx(10.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
@@ -599,10 +588,9 @@ class TestQare:
         rng = np.random.default_rng(seed)
         z_a, z_b = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
         p = rng.permutation(n)
-        for mode in ("euclidean", "cosine"):
-            base = losses.qare(z_a, z_b, mode).item()
-            moved = losses.qare(z_a[p], z_b[p], mode).item()
-            assert moved == pytest.approx(base, rel=1e-12, abs=1e-9)
+        base = losses.qare(z_a, z_b).item()
+        moved = losses.qare(z_a[p], z_b[p]).item()
+        assert moved == pytest.approx(base, rel=1e-12, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
@@ -617,7 +605,7 @@ class TestQare:
         qap = assignment.brute_force_qap(s, 1.0 + x_a @ x_a.T, 1.0 + x_b @ x_b.T, "max")
         excess = qap.cost - assignment.lap_cost(s, gt.indices)
         bound = (n * losses.structured_lap_loss(-s, gt, margin=0.0).item()
-                 + losses.qare(z_a, z_b, "cosine").item())
+                 + losses.qare(z_a, z_b).item())
         assert excess <= bound + 1e-9
 
     @staticmethod
@@ -629,14 +617,13 @@ class TestQare:
         hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         yield hexagon, rng.normal(size=(6, 2))
 
-    @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
-    def test_matches_two_eigen_calls_bit_for_bit(self, monkeypatch, mode):
+    def test_matches_two_eigen_calls_bit_for_bit(self, monkeypatch):
         def run():
             out = []
             for z_a, z_b in self._point_pairs():
                 tape = T.Tape()
                 leaf_a, leaf_b = tape.leaf(z_a), tape.leaf(z_b)
-                q = losses.qare(leaf_a, leaf_b, mode)
+                q = losses.qare(leaf_a, leaf_b)
                 grads = tape.backward(q)
                 out.append((q.data.tobytes(), grads[leaf_a].data.tobytes(),
                             grads[leaf_b].data.tobytes(),
@@ -675,7 +662,7 @@ class TestQare:
                             lambda d, up: read.append(d.values) or real(d, up))
         tape = T.Tape()
         leaves_q = tape.leaf(z_a), tape.leaf(z_b)
-        q = losses.qare(*leaves_q, "cosine")
+        q = losses.qare(*leaves_q)
         got = tape.backward(q)
         assert q.item() == pytest.approx(ref.item(), rel=1e-12)
         for lw, lg in zip(leaves, leaves_q):
@@ -695,14 +682,10 @@ class TestQare:
                     rf"^qare: shapes differ, \(3, 2\) vs \({shape[0]}, {shape[1]}\)$")):
                 losses.qare(np.ones((3, 2)), np.ones(shape))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ContractError, match="^qare: unknown mode 'manhattan'$"):
-            losses.qare(np.eye(2), np.eye(2), "manhattan")
-
     @staticmethod
-    def _flags(z_a, z_b, mode):
+    def _flags(z_a, z_b):
         tape = T.Tape()
-        tape.backward(losses.qare(tape.leaf(z_a), tape.leaf(z_b), mode))
+        tape.backward(losses.qare(tape.leaf(z_a), tape.leaf(z_b)))
         return tape.flags
 
     def test_rank_deficient_cosine_is_not_flagged(self):
@@ -714,18 +697,19 @@ class TestQare:
         shifted = simgeom.pairwise_distances(za, zb, "cosine").s_a.data + 1.0
         gap = simgeom.min_eigengap(simgeom.sym_eigen(shifted).values)
         assert gap < losses.DEGENERATE_EIGENGAP
-        assert "degenerate-eigenvalues" not in self._flags(za, zb, "cosine")
+        assert "degenerate-eigenvalues" not in self._flags(za, zb)
 
     def test_hexagon_against_generic_set_is_flagged(self):
-        # a regular hexagon's distance matrix is circulant, so its eigenvalues
-        # come in equal pairs; a generic view B pairs them with distinct values
+        # a regular hexagon's factor Gram P^T P is diag(6, 3, 3) to rounding,
+        # so two of its eigenvalues are equal; a generic view B pairs them
+        # with distinct values
         angles = np.arange(6) * (np.pi / 3.0)
         hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         rng = np.random.default_rng(14)
         generic, other = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-        assert "degenerate-eigenvalues" in self._flags(hexagon, generic, "euclidean")
-        assert "degenerate-eigenvalues" in self._flags(generic, hexagon, "euclidean")
-        assert "degenerate-eigenvalues" not in self._flags(generic, other, "euclidean")
+        assert "degenerate-eigenvalues" in self._flags(hexagon, generic)
+        assert "degenerate-eigenvalues" in self._flags(generic, hexagon)
+        assert "degenerate-eigenvalues" not in self._flags(generic, other)
 
 
 class TestCombinedLoss:
@@ -847,9 +831,10 @@ class TestTwoViewLoss:
                                    temperature=cfg.temperature).item()
         assert total.item() == bare
 
-    @pytest.mark.parametrize("beta, builds", [(0.0, 1), (0.5, 3)])
-    def test_intra_set_matrices_built_only_for_qare(self, monkeypatch, beta, builds):
-        # one euclidean step, forward and backward: at beta = 0 only S is built
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_only_s_is_a_distance_matrix(self, monkeypatch, beta):
+        # one euclidean step, forward and backward: qare reads the
+        # row-normalized sets, so S is the one distance matrix at any beta
         calls = []
         real = T.pairwise_dist
 
@@ -864,7 +849,7 @@ class TestTwoViewLoss:
         cfg = losses.LossConfig(name="x", kind="infonce", beta=beta)
         total, _ = losses.two_view_loss(za, zb, identity(5), cfg)
         tape.backward(total)
-        assert len(calls) == builds
+        assert len(calls) == 1
 
     def test_dispatch_covers_every_kind(self):
         rng = np.random.default_rng(30)
