@@ -19,9 +19,8 @@ in blocks read from a cached table. The simplex grid that checks the
 sparsemax oracle reads each coordinate from a table of the running sums
 of 1/steps, indexed by the coordinate's count. The ``gradients``,
 ``fig1b`` and ``upper_bound`` suites call ``qare`` on point sets, as
-training does. Every
-pairwise loss is a batch mean, so the identity suites compare N times
-it with their sum-form references.
+training does. Every pairwise loss is a batch mean, so the identity
+suites compare N times it with their sum-form references.
 """
 
 from __future__ import annotations

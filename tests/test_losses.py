@@ -592,6 +592,16 @@ class TestQare:
         moved = losses.qare(z_a[p], z_b[p]).item()
         assert moved == pytest.approx(base, rel=1e-12, abs=1e-9)
 
+    def test_invariant_to_positive_row_scales(self):
+        # qare reads row directions only, so it cannot pull a set together
+        # by shrinking it, as a form homogeneous in the embedding scale can
+        rng = np.random.default_rng(17)
+        z_a, z_b = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        scales = rng.uniform(0.1, 10.0, size=(6, 1))
+        base = losses.qare(z_a, z_b).item()
+        assert losses.qare(z_a * scales, z_b).item() == pytest.approx(base, rel=1e-12)
+        assert losses.qare(z_a, 0.01 * z_b).item() == pytest.approx(base, rel=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
     def test_bounds_the_similarity_form_qap(self, n, e, seed):
