@@ -130,6 +130,11 @@ def gen_two_view_dataset(spec: SyntheticSpec) -> TwoViewDataset:
 class MLPEncoder:
     """Two-layer MLP with relu and a row-l2-normalized output.
 
+    The encoder is the one place in the program that normalizes rows.
+    Cosine S (``simgeom.cross_distances``) and ``losses.qare`` take the
+    rows they are given, so their cosine similarities and spectra of
+    1 + S_A rely on the unit rows that ``forward`` returns.
+
     The encoder owns its parameter layout. ``flat`` is one float64
     buffer holding w1, b1, w2 and b2 back to back in that order, and
     ``params`` maps each name to a reshaped view of it, so an update of
@@ -210,7 +215,7 @@ class MLPEncoder:
         out += b2
         norms = np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
         if not norms.all():
-            raise DegenerateInputError("row_l2_normalize: zero row has no direction")
+            raise DegenerateInputError("encoder: zero output row has no direction")
         z = out
         z /= norms
 
@@ -498,8 +503,10 @@ def linear_probe(embeddings, labels, seed: int = 0) -> float:
 def fig1b_points() -> Tuple[Array, Array, Array]:
     """The point sets of ``fig1b_instance``: view A (a unit square), and
     view B near (the square shifted, so of view A's shape) and far (a
-    line, of another internal geometry). All three lie off the origin,
-    so that qare can row-normalize every point."""
+    line, of another internal geometry). All three are shifted off the
+    origin by (0.5, 0.5); the offset is part of the instance, since these
+    points pin the LAP, QAP and qare gaps that ``verify``'s fig1b suite
+    prints."""
     off = np.array([0.5, 0.5])
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) + off
     line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]) + off
@@ -515,4 +522,4 @@ def fig1b_instance() -> Tuple[simgeom.SimilarityTriple, simgeom.SimilarityTriple
     alone cannot see intra-set structure."""
     view_a, near, far = fig1b_points()
     first = simgeom.pairwise_distances(view_a, near)
-    return first, replace(first, s_b=simgeom.self_distances(far))
+    return first, replace(first, s_b=T.pairwise_dist(far, far))

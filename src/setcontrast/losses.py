@@ -26,9 +26,10 @@ the batch-hard and NT-logistic gradients go to the first minimising
 column.
 
 ``qare(z_a, z_b)`` reads the two embedding sets in one form, whatever
-the mode of S: one node over the row-normalized sets, whose spectra it
-takes from the (E+1)-column factor P = [1, X] of 1 + S_A. Its VJP pulls
-the partner spectrum back through ``simgeom.eigenvalue_gradient``.
+the mode of S: one node over the rows as given, whose spectra it takes
+from the (E+1)-column factor P = [1, Z] of 1 + Z Z^T, which is 1 + S_A
+on the encoder's unit rows. Its VJP pulls the partner spectrum back
+through ``simgeom.eigenvalue_gradient``.
 ``combined_loss`` is one node with VJP (g, g * beta / N^2).
 """
 
@@ -359,13 +360,15 @@ def _basis_dependent(values: Array, upstream: Array) -> bool:
 def qare(z_a, z_b) -> T.Tensor:
     """Spectral alignment of two embedding sets of one shape (n, E): the
     maximal pairing (descending against descending) of the spectra of
-    1 + S_A = P_A P_A^T and 1 + S_B, with S_A the cosine similarities of
-    one set, P = [1, X] and X the row-normalized set.
+    1 + Z_A Z_A^T = P_A P_A^T and 1 + Z_B Z_B^T, with P = [1, Z] built
+    from the rows as given. On unit rows, such as ``MLPEncoder.forward``
+    returns, Z_A Z_A^T is the cosine similarity matrix S_A, so these are
+    the spectra of 1 + S_A and 1 + S_B; qare normalizes nothing itself.
 
     Those spectra are the min(n, E+1) leading eigenvalues of the
     (E+1) x (E+1) matrices G = P^T P; the rest of either spectrum is
     exactly 0 and pairs with zeros, so S_A is never built. One node over
-    the two X; as d lambda_i / dP = 2 P v_i v_i^T, each VJP is 2 P M
+    the two Z; as d lambda_i / dP = 2 P v_i v_i^T, each VJP is 2 P M
     without M's first column, M the ``eigenvalue_gradient`` of g times the
     partner values. Both G go to one ``simgeom.sym_eigen_pair`` call. The
     active tape is flagged "degenerate-eigenvalues" only where a gradient
@@ -376,18 +379,18 @@ def qare(z_a, z_b) -> T.Tensor:
     max_Y [tr(S Y^T) + tr((1+S_A) Y (1+S_B) Y^T)] over permutations Y
     (Finke, Burkard & Rendl 1987), so that QAP's excess over the
     ground truth is at most N * ``structured_lap_loss(-S, gt, margin=0)``
-    plus qare. It is scale-free, since 1 + S_A has trace 2n: lowering it
-    flattens the spectra, which spreads each set's points.
+    plus qare; the bound holds for any rows. It is not invariant to the
+    scale of the rows. On unit rows 1 + S_A has trace 2n, so lowering
+    qare flattens the spectra, which spreads each set's points.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
     if za.shape != zb.shape:
         raise ShapeError(f"qare: shapes differ, {za.shape} vs {zb.shape}")
-    ins = T.row_l2_normalize(za), T.row_l2_normalize(zb)
-    factors = [np.hstack((np.ones((x.shape[0], 1)), x.data)) for x in ins]
+    factors = [np.hstack((np.ones((z.shape[0], 1)), z.data)) for z in (za, zb)]
     k = min(factors[0].shape)
     dec_a, dec_b = (simgeom.EigenDecomposition(d.values[:k], d.vectors[:, :k])
                     for d in simgeom.sym_eigen_pair(*(p.T @ p for p in factors)))
-    tape = T.active_tape(*ins)
+    tape = T.active_tape(za, zb)
     if tape is not None and (_basis_dependent(dec_a.values, dec_b.values)
                              or _basis_dependent(dec_b.values, dec_a.values)):
         tape.flags.add("degenerate-eigenvalues")
@@ -398,7 +401,7 @@ def qare(z_a, z_b) -> T.Tensor:
                      for p, d, partner in zip(factors, (dec_a, dec_b),
                                               (dec_b.values, dec_a.values)))
 
-    return T.custom_op(ins, (dec_a.values * dec_b.values).sum(), vjp)
+    return T.custom_op((za, zb), (dec_a.values * dec_b.values).sum(), vjp)
 
 
 def combined_loss(pairwise, qare_value, *, beta: float = BETA_DEFAULT,
@@ -441,9 +444,10 @@ class LossConfig:
     """One trainable loss variant: the batch-mean pairwise loss of
     ``kind`` (with ``mining``, ``margin`` and ``temperature`` where they
     apply), plus ``beta`` times qare / N^2. ``mode`` selects S alone:
-    distances ("euclidean") or negated cosine similarities ("cosine");
-    qare has one form in both. ``margin``, ``temperature`` and ``beta``
-    must be finite."""
+    distances ("euclidean") or negated inner products ("cosine"), which
+    are cosine similarities on the encoder's unit rows; qare has one
+    form in both. ``margin``, ``temperature`` and ``beta`` must be
+    finite."""
 
     name: str = "infonce"
     kind: str = "infonce"
@@ -498,8 +502,9 @@ def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, fl
     S comes from ``simgeom.cross_distances`` at every beta. Cosine mode
     feeds the pairwise loss the negated similarity matrix, so distance
     semantics hold on one code path; qare reads the two embedding sets
-    themselves, in one form for both modes. With beta == 0 the objective
-    is the pairwise node itself, and nothing of qare is built.
+    themselves, in one form for both modes. Neither normalizes the rows:
+    both read the encoder's unit rows as given. With beta == 0 the
+    objective is the pairwise node itself, and nothing of qare is built.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
     if za.shape[0] != zb.shape[0]:

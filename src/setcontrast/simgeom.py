@@ -2,9 +2,13 @@
 eigendecomposition with its eigenvalue gradient, and sorted spectrum
 products.
 
+Cosine mode takes the inner products of the rows as given and
+normalizes nothing: the encoder is the one place that makes rows unit,
+so on its embeddings these are the cosine similarities.
+
 Eigenvalues come from LAPACK through ``np.linalg.eigh``. The two
 matrices that ``losses.qare`` decomposes (the (E+1) x (E+1) Gram
-matrices of the factors of 1 + S_A and 1 + S_B, in either mode) go to it
+matrices of the factors of 1 + Z_A Z_A^T and 1 + Z_B Z_B^T) go to it
 as one stack (``sym_eigen_pair``): one call, and each matrix gets the
 bits of a call of its own. The gradient rule
 d lambda_i / dM = u_i u_i^T is exact for a simple eigenvalue; inside a
@@ -33,17 +37,14 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class SimilarityTriple:
-    """Inter-set matrix S plus the two intra-set matrices S_A, S_B.
-
-    ``mode`` is "euclidean" (entries are distances, zero diagonals on
-    S_A/S_B) or "cosine" (entries are cosine similarities, unit
-    diagonals). All three may be tape-tracked Tensors.
+    """Inter-set matrix S plus the two intra-set matrices S_A, S_B,
+    either distances (zero diagonals on S_A/S_B) or inner products. All
+    three may be tape-tracked Tensors.
     """
 
     s: T.Tensor
     s_a: T.Tensor
     s_b: T.Tensor
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -181,26 +182,6 @@ def eig_dot(values_a, values_b, sense: str) -> float:
     return float(la @ lb)
 
 
-def _embedded_set(z: T.Tensor, mode: str):
-    """One set as the similarity sees it (raw for euclidean,
-    row-normalized for cosine) and the pairwise map of the mode."""
-    if mode == "euclidean":
-        return z, T.pairwise_dist
-    if mode == "cosine":
-        return T.row_l2_normalize(z), _inner_products
-    raise ContractError(f"unknown similarity mode {mode!r}")
-
-
-def _embedded(z_a, z_b, mode: str, name: str):
-    """Both sets as the similarity sees them and the pairwise map of the
-    mode, after checking that their feature dims agree."""
-    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
-    if za.shape[1] != zb.shape[1]:
-        raise ShapeError(f"{name}: feature dims differ, {za.shape} vs {zb.shape}")
-    xa, sim = _embedded_set(za, mode)
-    return xa, _embedded_set(zb, mode)[0], sim
-
-
 def _inner_products(x: T.Tensor, y: T.Tensor) -> T.Tensor:
     """x y^T as one tape node; its VJP is (g y, (x^T g)^T). y enters both
     products as a C-ordered copy of y^T: BLAS rounds differently with
@@ -213,28 +194,36 @@ def _inner_products(x: T.Tensor, y: T.Tensor) -> T.Tensor:
     return T.custom_op((x, y), xd @ yt, vjp)
 
 
+def _pairwise_map(z_a, z_b, mode: str, name: str):
+    """Both sets as Tensors and the pairwise map of ``mode``, after
+    checking that their feature dims agree."""
+    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
+    if za.shape[1] != zb.shape[1]:
+        raise ShapeError(f"{name}: feature dims differ, {za.shape} vs {zb.shape}")
+    if mode == "euclidean":
+        return za, zb, T.pairwise_dist
+    if mode == "cosine":
+        return za, zb, _inner_products
+    raise ContractError(f"unknown similarity mode {mode!r}")
+
+
 def pairwise_distances(z_a, z_b, mode: str = "euclidean") -> SimilarityTriple:
     """Build the (S, S_A, S_B) triple from two embedding sets.
 
     Euclidean mode stores unsquared distances from ``T.pairwise_dist``
     (explicit differences for small sets, the Gram form above 1024
-    elements); cosine mode row-normalizes and stores inner products. Both
-    keep the tape alive when the embeddings are tracked.
+    elements); cosine mode stores the inner products of the rows as
+    given, which are cosine similarities, with unit diagonals on S_A and
+    S_B, only for unit rows such as the encoder's. Both keep the tape
+    alive when the embeddings are tracked.
     """
-    xa, xb, sim = _embedded(z_a, z_b, mode, "pairwise_distances")
-    return SimilarityTriple(s=sim(xa, xb), s_a=sim(xa, xa), s_b=sim(xb, xb),
-                            mode=mode)
+    za, zb, sim = _pairwise_map(z_a, z_b, mode, "pairwise_distances")
+    return SimilarityTriple(s=sim(za, zb), s_a=sim(za, za), s_b=sim(zb, zb))
 
 
 def cross_distances(z_a, z_b, mode: str = "euclidean") -> T.Tensor:
     """The inter-set matrix S of ``pairwise_distances`` alone, built by
-    the same operations, for callers that never read S_A and S_B."""
-    xa, xb, sim = _embedded(z_a, z_b, mode, "cross_distances")
-    return sim(xa, xb)
-
-
-def self_distances(z, mode: str = "euclidean") -> T.Tensor:
-    """The intra-set matrix S_A of ``pairwise_distances`` for one set
-    alone, built by the same operations."""
-    x, sim = _embedded_set(T.as_tensor(z), mode)
-    return sim(x, x)
+    the same operations, for callers that never read S_A and S_B: in
+    cosine mode the inner products of the rows as given."""
+    za, zb, sim = _pairwise_map(z_a, z_b, mode, "cross_distances")
+    return sim(za, zb)

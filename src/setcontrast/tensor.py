@@ -13,11 +13,12 @@ never a tracked Tensor. So no tape is part of a reference cycle, and a
 step's whole graph (its activations and the arrays its VJPs keep) is
 freed by reference counting when its last Tensor goes.
 
-The primitives are ``scale``, ``row_l2_normalize`` and
-``pairwise_dist``. Anything with a closed-form gradient of its own (each
-pairwise loss, each encoder view, each cosine similarity matrix, the set
-term ``qare`` and the combined objective) is one ``custom_op`` node, and
-documents its subgradient conventions where it is defined.
+The primitives are ``scale`` and ``pairwise_dist``. Anything with a
+closed-form gradient of its own (each pairwise loss, each encoder view,
+which is the one place rows are normalized, each cosine similarity
+matrix, the set term ``qare`` and the combined objective) is one
+``custom_op`` node, and documents its subgradient conventions where it
+is defined.
 ``pairwise_dist`` sums explicit squared differences for small sets and
 uses the Gram form |a|^2 + |b|^2 - 2ab^T above 1024 elements, so the
 last bits of a distance depend on the size class and, through the
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, EvaluationError, ShapeError
+from .errors import ContractError, EvaluationError, ShapeError
 
 Array = np.ndarray
 
@@ -235,22 +236,6 @@ def scale(a, s: float) -> Tensor:
         return (g * s,)
 
     return _emit((a,), a.data * s, vjp)
-
-
-def row_l2_normalize(a) -> Tensor:
-    a = as_tensor(a)
-    da = a.data
-    norms = np.sqrt((da * da).sum(axis=1, keepdims=True))
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("row_l2_normalize: zero row has no direction")
-    out = da / norms
-
-    def vjp(g):
-        # d(x/||x||) = (g - (g.y) y) / ||x|| per row
-        inner = (g * out).sum(axis=1, keepdims=True)
-        return ((g - inner * out) / norms,)
-
-    return _emit((a,), out, vjp)
 
 
 _EXPLICIT_MAX_ELEMENTS = 1024

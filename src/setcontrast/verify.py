@@ -18,9 +18,10 @@ row and re-ranked by ``lap_cost`` near the optimum, and the QAP oracle
 in blocks read from a cached table. The simplex grid that checks the
 sparsemax oracle reads each coordinate from a table of the running sums
 of 1/steps, indexed by the coordinate's count. The ``gradients``,
-``fig1b`` and ``upper_bound`` suites call ``qare`` on point sets, as
-training does. Every pairwise loss is a batch mean, so the identity
-suites compare N times it with their sum-form references.
+``fig1b`` and ``upper_bound`` suites call ``qare`` on point sets as
+drawn, not on unit rows: ``qare`` reads the rows it is given. Every
+pairwise loss is a batch mean, so the identity suites compare N times it
+with their sum-form references.
 """
 
 from __future__ import annotations
@@ -143,11 +144,13 @@ def suite_upper_bound() -> SuiteResult:
     structured loss (N times its batch mean) minus the min-sense
     eigenvalue dot product.
 
-    On cosine point sets, the same bound for ``qare``: with S, S_A and
-    S_B the cosine similarity matrices of two sets, the exact
-    similarity-form QAP excess max_Y [tr(S Y^T) + tr((1+S_A) Y (1+S_B)
-    Y^T)] - tr(S Y_gt^T) never exceeds N times the linear loss on -S
-    plus ``qare`` of the two sets."""
+    On point sets, the same bound for ``qare``: with S = Z_A Z_B^T,
+    S_A = Z_A Z_A^T and S_B = Z_B Z_B^T built from the same raw rows that
+    ``qare`` reads, the exact similarity-form QAP excess max_Y
+    [tr(S Y^T) + tr((1+S_A) Y (1+S_B) Y^T)] - tr(S Y_gt^T) never exceeds
+    N times the linear loss on -S plus ``qare`` of the two sets. The
+    eigenvalue bound holds for any symmetric pair, so the rows need not
+    be unit."""
     rng = np.random.default_rng(104)
     worst = -np.inf
     for _ in range(200):
@@ -163,15 +166,14 @@ def suite_upper_bound() -> SuiteResult:
     for _ in range(60):
         n, e = int(rng.integers(2, 7)), int(rng.integers(1, 5))
         za, zb = rng.normal(size=(n, e)), rng.normal(size=(n, e))
-        xa, xb = (z / np.linalg.norm(z, axis=1, keepdims=True) for z in (za, zb))
-        s = xa @ xb.T
+        s = za @ zb.T
         gt = losses.GroundTruthAlignment(rng.permutation(n))
-        qap = assignment.brute_force_qap(s, 1.0 + xa @ xa.T, 1.0 + xb @ xb.T, "max")
+        qap = assignment.brute_force_qap(s, 1.0 + za @ za.T, 1.0 + zb @ zb.T, "max")
         lhs = qap.cost - assignment.lap_cost(s, gt.indices)
         lap = n * losses.structured_lap_loss(-s, gt, margin=0.0).item()
         worst = max(worst, lhs - (lap + losses.qare(za, zb).item()))
     return SuiteResult("upper_bound", worst <= 1e-9, max(worst, 0.0),
-                       "200 triples, 60 cosine set pairs, "
+                       "200 triples, 60 set pairs, "
                        f"worst slack violation {worst:.3e}")
 
 
@@ -311,8 +313,8 @@ def _generic_point(rng, kind: str, mode: str) -> Tuple[Array, Array, "losses.Gro
             ok = all(np.abs(z - losses.sparsemax_threshold(z)).min() >= 1e-3
                      for z in -s_pair)
         elif kind in ("qare", "combined"):
-            # qare reads the spectra of 1 + S_A and 1 + S_B in either mode
-            shifted = (1.0 + simgeom.self_distances(z, "cosine").data for z in (za, zb))
+            # qare reads the spectra of 1 + Z Z^T of the rows as given
+            shifted = (1.0 + z @ z.T for z in (za, zb))
             ok = min(simgeom.min_eigengap(d.values)
                      for d in simgeom.sym_eigen_pair(*shifted)) >= 1e-3
         if ok:

@@ -287,7 +287,7 @@ class TestTrainCommand:
 
     def test_zero_embedding_maps_to_exit_3_at_its_step(self, tmp_path, capsys):
         # with 4 hidden ReLU units, a 2-wide embedding is an exact zero row
-        # for some input at the first step; row_l2_normalize rejects it
+        # for some input at the first step; the encoder rejects it
         doc = {
             "data": {"num_classes": 2, "samples_per_class": 16,
                      "ambient_dim": 4, "seed": 0},
@@ -316,7 +316,7 @@ class TestTrainCommand:
                          "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert ("degenerate embedding at epoch 0 step 0 (loss='infonce', seed=0): "
-                "row_l2_normalize: zero row has no direction") in err
+                "encoder: zero output row has no direction") in err
 
     @pytest.mark.parametrize("section,key,value", [
         ("train", "learning_rate", float("inf")),

@@ -498,16 +498,16 @@ class TestTraining:
         assert _nodes_per_step(monkeypatch, losses.LossConfig(
             name="t", kind=kind, mining=mining, beta=0.0)) == [5, 5]
 
-    def test_beta_zero_cosine_step_records_eight_tape_nodes(self, monkeypatch):
-        # the five, plus 2 row normalisations and the negation of S
+    def test_beta_zero_cosine_step_records_six_tape_nodes(self, monkeypatch):
+        # the five, plus the negation of S: S reads the encoder's unit rows
         assert _nodes_per_step(monkeypatch, losses.LossConfig(
-            name="t", kind="infonce", beta=0.0, mode="cosine")) == [8, 8]
+            name="t", kind="infonce", beta=0.0, mode="cosine")) == [6, 6]
 
-    @pytest.mark.parametrize("mode,count", [("euclidean", 9), ("cosine", 12)])
+    @pytest.mark.parametrize("mode,count", [("euclidean", 7), ("cosine", 8)])
     def test_beta_one_step_adds_the_qare_term_once(self, monkeypatch, mode, count):
-        # 1 flat leaf + 2 encoder views + S + the pairwise loss + the 2
-        # row-normalized sets qare reads + qare + the combination; cosine
-        # adds the 2 row normalisations of S and the negation of S
+        # 1 flat leaf + 2 encoder views + S + the pairwise loss + qare +
+        # the combination; cosine adds the negation of S. Nothing after
+        # the encoder normalizes rows
         assert _nodes_per_step(monkeypatch, losses.LossConfig(
             name="t", kind="infonce", beta=1.0, mode=mode)) == [count, count]
 
@@ -523,7 +523,7 @@ class TestTraining:
         for x in (xa, xb):
             assert np.abs(x @ enc.params["w1"] + enc.params["b1"]).min() > 1e-3
         for z in (enc.embed(xa), enc.embed(xb)):
-            shifted = 1.0 + simgeom.self_distances(z, "cosine").data
+            shifted = 1.0 + z @ z.T
             assert simgeom.min_eigengap(simgeom.sym_eigen(shifted).values) > 1e-3
 
         def step(w):

@@ -592,31 +592,36 @@ class TestQare:
         moved = losses.qare(z_a[p], z_b[p]).item()
         assert moved == pytest.approx(base, rel=1e-12, abs=1e-9)
 
-    def test_invariant_to_positive_row_scales(self):
-        # qare reads row directions only, so it cannot pull a set together
-        # by shrinking it, as a form homogeneous in the embedding scale can
+    def test_reads_the_rows_as_given(self):
+        # neither qare nor cosine S normalizes rows (the encoder does): on
+        # scaled rows qare is the descending pairing of the spectra of
+        # 1 + Z Z^T, and cosine S is the product of the rows
         rng = np.random.default_rng(17)
         z_a, z_b = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
-        scales = rng.uniform(0.1, 10.0, size=(6, 1))
-        base = losses.qare(z_a, z_b).item()
-        assert losses.qare(z_a * scales, z_b).item() == pytest.approx(base, rel=1e-12)
-        assert losses.qare(z_a, 0.01 * z_b).item() == pytest.approx(base, rel=1e-12)
+        z_a *= rng.uniform(0.1, 10.0, size=(6, 1))
+        z_b *= 0.01
+        l_a, l_b = (np.linalg.eigvalsh(1.0 + z @ z.T)[::-1] for z in (z_a, z_b))
+        assert losses.qare(z_a, z_b).item() == pytest.approx(l_a @ l_b, rel=1e-12)
+        s = simgeom.cross_distances(z_a, z_b, "cosine").data
+        want = z_a @ z_b.T
+        np.testing.assert_allclose(s, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
-    def test_bounds_the_similarity_form_qap(self, n, e, seed):
+    @given(st.integers(2, 6), st.integers(1, 4), st.sampled_from([0.1, 1.0, 5.0]),
+           st.integers(0, 2 ** 31 - 1))
+    def test_bounds_the_similarity_form_qap(self, n, e, scale, seed):
         # max_Y [tr(S Y^T) + tr((1+S_A) Y (1+S_B) Y^T)] - tr(S Y_gt^T)
-        # <= N * structured_lap_loss(-S, gt, 0) + qare, S_* cosine similarities
+        # <= N * structured_lap_loss(-S, gt, 0) + qare, with S, S_A and S_B
+        # the inner products of the rows qare reads, unit or not
         rng = np.random.default_rng(seed)
-        z_a, z_b = rng.normal(size=(n, e)), rng.normal(size=(n, e))
-        x_a, x_b = (z / np.linalg.norm(z, axis=1, keepdims=True) for z in (z_a, z_b))
-        s = x_a @ x_b.T
+        z_a, z_b = scale * rng.normal(size=(n, e)), scale * rng.normal(size=(n, e))
+        s = z_a @ z_b.T
         gt = random_gt(rng, n)
-        qap = assignment.brute_force_qap(s, 1.0 + x_a @ x_a.T, 1.0 + x_b @ x_b.T, "max")
+        qap = assignment.brute_force_qap(s, 1.0 + z_a @ z_a.T, 1.0 + z_b @ z_b.T, "max")
         excess = qap.cost - assignment.lap_cost(s, gt.indices)
         bound = (n * losses.structured_lap_loss(-s, gt, margin=0.0).item()
                  + losses.qare(z_a, z_b).item())
-        assert excess <= bound + 1e-9
+        assert excess <= bound + 1e-9 * max(1.0, abs(bound))
 
     @staticmethod
     def _point_pairs():
@@ -650,20 +655,20 @@ class TestQare:
     @pytest.mark.parametrize("n,e", [(3, 4), (4, 3), (8, 3), (32, 16)])
     def test_factored_cosine_matches_the_full_spectrum(self, monkeypatch, n, e):
         # n < E+1, n = E+1 and n > E+1. The reference decomposes the n x n
-        # 1 + X X^T and pulls each spectrum back as 2 M X onto the
-        # row-normalized set X, M = eigenvalue_gradient of the partner
+        # 1 + Z Z^T and pulls each spectrum back as 2 M Z onto the set Z
+        # as given, M = eigenvalue_gradient of the partner; on unit rows
+        # these are the spectra of 1 + S_A and 1 + S_B
         rng = np.random.default_rng(100 * n + e)
         z_a, z_b = rng.normal(size=(n, e)), rng.normal(size=(n, e))
         tape = T.Tape()
         leaves = tape.leaf(z_a), tape.leaf(z_b)
-        xs = [T.row_l2_normalize(z) for z in leaves]
-        full = [simgeom.sym_eigen(1.0 + x.data @ x.data.T) for x in xs]
+        full = [simgeom.sym_eigen(1.0 + z.data @ z.data.T) for z in leaves]
 
         def vjp(g):
-            return tuple(2.0 * simgeom.eigenvalue_gradient(d, g.item() * p.values) @ x.data
-                         for d, p, x in zip(full, full[::-1], xs))
+            return tuple(2.0 * simgeom.eigenvalue_gradient(d, g.item() * p.values) @ z.data
+                         for d, p, z in zip(full, full[::-1], leaves))
 
-        ref = T.custom_op(xs, full[0].values @ full[1].values, vjp)
+        ref = T.custom_op(leaves, full[0].values @ full[1].values, vjp)
         want = tape.backward(ref)
 
         read = []
@@ -844,7 +849,7 @@ class TestTwoViewLoss:
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_only_s_is_a_distance_matrix(self, monkeypatch, beta):
         # one euclidean step, forward and backward: qare reads the
-        # row-normalized sets, so S is the one distance matrix at any beta
+        # factors of the sets, so S is the one distance matrix at any beta
         calls = []
         real = T.pairwise_dist
 
