@@ -129,6 +129,22 @@ class TestEncoder:
         z = enc.embed(rng.normal(size=(10, 8)))
         np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_embeddings_are_unit_at_any_input_scale(self, scale):
+        # the encoder is the one place that normalizes rows
+        rng = np.random.default_rng(3)
+        enc = harness.MLPEncoder(8, 16, 4, rng)
+        z = enc.embed(scale * rng.normal(size=(10, 8)))
+        np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
+
+    def test_zero_output_row_is_rejected_by_the_encoder(self):
+        enc = harness.MLPEncoder(3, 4, 2, np.random.default_rng(0))
+        enc.params["w2"][...] = 0.0
+        tape = T.Tape()
+        with pytest.raises(DegenerateInputError,
+                           match="^encoder: zero output row has no direction$"):
+            enc.forward(np.ones((2, 3)), tape.leaf(enc.flat))
+
     def test_seeded_construction_is_deterministic(self):
         cfg = tiny_train_config()
         e1 = harness.make_encoder(TINY, cfg)

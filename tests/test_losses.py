@@ -606,6 +606,18 @@ class TestQare:
         want = z_a @ z_b.T
         np.testing.assert_allclose(s, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
+    def test_unit_rows_pair_the_spectra_of_the_shifted_cosine_triple(self):
+        # the paper's form: on the encoder's unit rows, qare pairs the
+        # spectra of 1 + S_A and 1 + S_B of the cosine similarity triple
+        rng = np.random.default_rng(19)
+        z_a, z_b = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+        z_a /= np.linalg.norm(z_a, axis=1, keepdims=True)
+        z_b /= np.linalg.norm(z_b, axis=1, keepdims=True)
+        triple = simgeom.pairwise_distances(z_a, z_b, "cosine")
+        l_a, l_b = (np.linalg.eigvalsh(1.0 + m.data)[::-1]
+                    for m in (triple.s_a, triple.s_b))
+        assert losses.qare(z_a, z_b).item() == pytest.approx(l_a @ l_b, rel=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 4), st.sampled_from([0.1, 1.0, 5.0]),
            st.integers(0, 2 ** 31 - 1))

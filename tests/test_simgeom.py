@@ -376,6 +376,52 @@ class TestPairwiseDistances:
         assert triple.s_b.shape == (5, 5)
         np.testing.assert_allclose(np.diag(triple.s_a.data), 0.0, atol=1e-12)
 
+    def test_cosine_takes_the_rows_as_given(self):
+        # the encoder makes rows unit; cosine mode only multiplies them
+        rng = np.random.default_rng(9)
+        za, zb = rng.normal(size=(4, 3)) * 10.0, rng.normal(size=(5, 3)) * 0.1
+        triple = simgeom.pairwise_distances(za, zb, "cosine")
+        for got, want in ((triple.s, za @ zb.T), (triple.s_a, za @ za.T),
+                          (triple.s_b, zb @ zb.T)):
+            np.testing.assert_allclose(got.data, want, rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max())
+        na = za / np.linalg.norm(za, axis=1, keepdims=True)
+        nb = zb / np.linalg.norm(zb, axis=1, keepdims=True)
+        unit = simgeom.pairwise_distances(na, nb, "cosine")
+        assert np.abs(unit.s.data).max() <= 1.0 + 1e-12
+        np.testing.assert_allclose(np.diag(unit.s_a.data), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(unit.s_b.data), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("side", ["z_a", "z_b"])
+    def test_cosine_zero_row_gives_zero_similarities(self, side):
+        # no normalization, so no zero-row check: the row's products are 0
+        z = {"z_a": np.ones((3, 2)), "z_b": np.ones((3, 2))}
+        z[side][1] = 0.0
+        triple = simgeom.pairwise_distances(z["z_a"], z["z_b"], "cosine")
+        s = triple.s.data if side == "z_a" else triple.s.data.T
+        intra = triple.s_a.data if side == "z_a" else triple.s_b.data
+        np.testing.assert_array_equal(s[1], 0.0)
+        np.testing.assert_array_equal(intra[1], 0.0)
+        np.testing.assert_array_equal(intra[:, 1], 0.0)
+        assert np.count_nonzero(s) == 6
+
+    def test_intra_matrices_are_each_sets_own_map(self):
+        # S_A and S_B are the map of one set Tensor on both sides, bit for
+        # bit (one symmetric product in the Gram form); euclidean S_B is
+        # T.pairwise_dist(z_b, z_b), as fig1b_instance reads the far view
+        rng = np.random.default_rng(13)
+        for n, e in ((4, 3), (32, 16)):  # explicit and Gram-form distances
+            za, zb = T.Tensor(rng.normal(size=(n, e))), T.Tensor(rng.normal(size=(n + 1, e)))
+            for mode in ("euclidean", "cosine"):
+                triple = simgeom.pairwise_distances(za, zb, mode)
+                assert (simgeom.cross_distances(za, za, mode).data.tobytes()
+                        == triple.s_a.data.tobytes())
+                assert (simgeom.cross_distances(zb, zb, mode).data.tobytes()
+                        == triple.s_b.data.tobytes())
+            euclid = simgeom.pairwise_distances(za, zb, "euclidean")
+            assert (T.pairwise_dist(zb, zb).data.tobytes()
+                    == euclid.s_b.data.tobytes())
+
     def test_intra_matrices_are_symmetric(self):
         rng = np.random.default_rng(10)
         za, zb = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
