@@ -25,7 +25,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .losses import GroundTruthAlignment, LossConfig, two_view_loss
+from .losses import GroundTruthAlignment, LossConfig, objective
 
 Array = np.ndarray
 
@@ -133,7 +133,11 @@ class MLPEncoder:
     The encoder is the one place in the program that normalizes rows.
     Cosine S (``simgeom.cross_distances``) and ``losses.qare`` take the
     rows they are given, so their cosine similarities and spectra of
-    1 + S_A rely on the unit rows that ``forward`` returns.
+    1 + S_A rely on the unit rows that the encoder returns.
+
+    ``apply`` maps arrays to the output and its pullback, which training
+    chains with no tape; ``forward`` wraps it as one tape node, for
+    evaluation, library callers and the tests' tape reference.
 
     The encoder owns its parameter layout. ``flat`` is one float64
     buffer holding w1, b1, w2 and b2 back to back in that order, and
@@ -181,34 +185,24 @@ class MLPEncoder:
         """The parameter that holds flat position ``index``."""
         return self._layout[bisect.bisect_right(self._bounds, index) - 1][0]
 
-    def forward(self, x: Union[Array, T.Tensor],
-                w: Optional[T.Tensor] = None) -> T.Tensor:
-        """normalize(relu(x w1 + b1) w2 + b2) as one tape node over the
-        whole flat parameter vector ``w`` (a leaf of ``flat``), constant
-        evaluation of ``flat`` when ``w`` is None; one code path for both.
-        The gradient comes back flat, in layout order. A zero output row
-        raises DegenerateInputError.
+    def apply(self, x: Array, flat: Array):
+        """normalize(relu(x w1 + b1) w2 + b2) of a 2-D float64 batch ``x``
+        under ``flat``, a 1-D parameter vector in this layout, and its
+        pullback: g, the gradient on the output, to the flat gradient, in
+        layout order. The pullback writes the four gradient blocks
+        straight into one flat array, with the products and sums of the
+        concatenating form, so its bits are that form's.
 
-        ``x`` is a constant input, read by ``T.as_tensor``: a raw array
-        is copied and checked for finite values (EvaluationError on NaN or
-        Inf), and a Tensor, which holds finite data already, is used as it
-        is; a tracked one raises ContractError.
-        The VJP writes the four gradient blocks straight into one flat
-        array, with the products and sums of the concatenating form, so
-        its bits are that form's."""
-        w = T.as_tensor(self.flat if w is None else w)
-        w_shape = w.shape  # the VJP holds arrays and shapes, never w
-        flat = w.data.reshape(-1)
+        ``x`` and ``flat`` are read as they are, with no copy and no
+        finiteness check, and the pullback reads ``flat`` again: call it
+        before ``flat`` changes. ShapeError when the width of ``x`` is not
+        the input width; a zero output row raises DegenerateInputError."""
         (_, s_w1, sh_w1), (_, s_b1, _), (_, s_w2, sh_w2), (_, s_b2, _) = self._layout
         w1, b1 = flat[s_w1].reshape(sh_w1), flat[s_b1]
         w2, b2 = flat[s_w2].reshape(sh_w2), flat[s_b2]
-        x = T.as_tensor(x)
-        if x.tracked:
-            raise ContractError("encoder: the input must be an untracked constant")
-        xd = x.data
-        if xd.shape[1] != sh_w1[0]:
-            raise ShapeError(f"encoder: input width {xd.shape[1]} != {sh_w1[0]}")
-        h = xd @ w1
+        if x.shape[1] != sh_w1[0]:
+            raise ShapeError(f"encoder: input width {x.shape[1]} != {sh_w1[0]}")
+        h = x @ w1
         h += b1
         np.maximum(h, 0.0, out=h)  # h > 0 exactly where the pre-activation is
         out = h @ w2
@@ -219,19 +213,38 @@ class MLPEncoder:
         z = out
         z /= norms
 
-        def vjp(g):
+        def pullback(g):
             g_out = g - np.add.reduce(g * z, axis=1, keepdims=True) * z
             g_out /= norms
             g_pre = g_out @ w2.T
             g_pre *= h > 0.0  # zero subgradient at the kink
             grad = np.empty(flat.size)
-            np.matmul(xd.T, g_pre, out=grad[s_w1].reshape(sh_w1))
+            np.matmul(x.T, g_pre, out=grad[s_w1].reshape(sh_w1))
             np.add.reduce(g_pre, axis=0, out=grad[s_b1])
             np.matmul(h.T, g_out, out=grad[s_w2].reshape(sh_w2))
             np.add.reduce(g_out, axis=0, out=grad[s_b2])
-            return (grad.reshape(w_shape),)
+            return grad
 
-        return T.custom_op((w,), z, vjp)
+        return z, pullback
+
+    def forward(self, x: Union[Array, T.Tensor],
+                w: Optional[T.Tensor] = None) -> T.Tensor:
+        """``apply`` as one tape node over the whole flat parameter vector
+        ``w`` (a leaf of ``flat``), constant evaluation of ``flat`` when
+        ``w`` is None; one code path for both. The gradient comes back
+        flat, in layout order.
+
+        ``x`` is a constant input, read by ``T.as_tensor``: a raw array
+        is copied and checked for finite values (EvaluationError on NaN or
+        Inf), and a Tensor, which holds finite data already, is used as it
+        is; a tracked one raises ContractError."""
+        w = T.as_tensor(self.flat if w is None else w)
+        w_shape = w.shape  # the VJP holds arrays and shapes, never w
+        x = T.as_tensor(x)
+        if x.tracked:
+            raise ContractError("encoder: the input must be an untracked constant")
+        z, pullback = self.apply(x.data, w.data.reshape(-1))
+        return T.custom_op((w,), z, lambda g: (pullback(g).reshape(w_shape),))
 
     def embed(self, x: Array) -> Array:
         return self.forward(np.asarray(x, dtype=np.float64)).data
@@ -326,10 +339,15 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
 
     Batches are index sets applied to both views, so the in-batch ground
     truth stays the identity; the partial last batch is dropped, so every
-    batch has ``batch_size`` rows. Each step registers the encoder's
-    ``flat`` buffer as the tape's one leaf, and Adam updates that buffer
-    in place. Aborts with NumericError on a non-finite loss or gradient
-    (naming the parameter), or on a degenerate (zero) embedding.
+    batch has ``batch_size`` rows. Each step builds no tape: it is a
+    direct chain of three closed-form pullbacks, ``encoder.apply`` on each
+    view and ``losses.objective``, whose gradient on the encoder's
+    ``flat`` buffer is pull_b(g_b) + pull_a(g_a), the sum a tape would
+    form; Adam updates that buffer in place. Aborts with NumericError on
+    non-finite parameters, a non-finite loss or gradient (naming the
+    parameter), or on a degenerate (zero) embedding. A step whose qare
+    gradient depends on the eigenvector basis counts in
+    ``degenerate_batches``.
     ``evaluate_matching`` and ``linear_probe`` run once, after training,
     on one embedding of each view.
 
@@ -339,8 +357,7 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     view is checked for finite values once, before the first step,
     without a copy (a NaN or Inf anywhere in it raises NumericError, in
     a dropped row too); each batch, a fresh copy from fancy indexing,
-    then goes to ``forward`` as a constant Tensor, unchecked and
-    uncopied.
+    then goes to ``apply`` unchecked and uncopied.
     """
     n = dataset.view_a.shape[0]
     if config.batch_size > n:
@@ -364,7 +381,8 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
                          f"view_a {view_a.shape}, view_b {view_b.shape}, "
                          f"labels {labels.shape}, alignment length {m}")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    state = AdamState(encoder.flat)
+    flat = encoder.flat
+    state = AdamState(flat)
     gt = GroundTruthAlignment.identity(config.batch_size)
     epoch_losses: List[float] = []
     degenerate = 0
@@ -375,12 +393,13 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
         for step in range(steps_per_epoch):
             idx = order[step * config.batch_size:(step + 1) * config.batch_size]
             try:
-                tape = T.Tape()
-                w = tape.leaf(encoder.flat)
-                za = encoder.forward(T.Tensor._raw(view_a[idx], None), w)
-                zb = encoder.forward(T.Tensor._raw(view_b[idx], None), w)
-                loss, _ = two_view_loss(za, zb, gt, config.loss)
-                value = loss.item()
+                # Adam keeps finite parameters finite; a caller's may not be
+                if not np.logical_and.reduce(np.isfinite(flat), axis=None):
+                    raise EvaluationError("tensor data contains NaN or Inf")
+                za, pull_a = encoder.apply(view_a[idx], flat)
+                zb, pull_b = encoder.apply(view_b[idx], flat)
+                terms, pull, flagged = objective(za, zb, gt, config.loss)
+                value = terms["total"]
             except (EvaluationError, DegenerateInputError) as e:
                 kind = ("degenerate embedding" if isinstance(e, DegenerateInputError)
                         else "non-finite value")
@@ -393,9 +412,9 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
                     f"non-finite loss {value} at epoch {epoch} step {step} "
                     f"(loss={config.loss.name!r}, seed={config.seed})"
                 )
-            grad = tape.backward(loss)[w].data.reshape(-1)
-            if "degenerate-eigenvalues" in tape.flags:
-                degenerate += 1
+            g_a, g_b = pull(1.0)
+            grad = pull_b(g_b) + pull_a(g_a)
+            degenerate += flagged
             finite = np.isfinite(grad)
             if not finite.all():
                 raise NumericError(

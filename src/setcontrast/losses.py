@@ -4,11 +4,12 @@ prediction, plus the spectral set regularizer ``qare``.
 Pairwise losses consume a square inter-set matrix S with distance
 semantics: smaller means more alike, and the ground-truth column of each
 row, given by a permutation, is the positive. Cosine-similarity callers
-negate S first (see ``two_view_loss``). All losses return scalar Tensors
+negate S first (see ``objective``). All losses return scalar Tensors
 and differentiate end-to-end through the tape.
 
 Each pairwise loss is the batch mean over the N rows of S: a sum over
-rows divided by N, as training uses it. It is one tape node on S. Its
+rows divided by N, as training uses it. It is one tape node on S over
+an array-level function that returns the value and its pullback. Its
 value is computed in numpy and its VJP in closed form, times the
 upstream gradient over N:
 
@@ -30,7 +31,13 @@ the mode of S: one node over the rows as given, whose spectra it takes
 from the (E+1)-column factor P = [1, Z] of 1 + Z Z^T, which is 1 + S_A
 on the encoder's unit rows. Its VJP pulls the partner spectrum back
 through ``simgeom.eigenvalue_gradient``.
-``combined_loss`` is one node with VJP (g, g * beta / N^2).
+
+``objective(z_a, z_b, gt, cfg)`` is the training objective on two
+embedding arrays, S, the pairwise loss and beta * qare / N^2, built from
+the same array-level functions that those nodes wrap. It returns its
+terms, its pullback and qare's degenerate flag, with no tape:
+``harness.train`` chains it directly, and ``two_view_loss`` is one tape
+node over it.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ Array = np.ndarray
 
 MARGIN_DEFAULT = 0.5
 TEMPERATURE_DEFAULT = 0.05
-BETA_DEFAULT = 1.0
 # below this gap neighbouring eigenvalues count as one degenerate
 # cluster, inside which the solver's eigenvector basis is arbitrary
 DEGENERATE_EIGENGAP = 1e-8
@@ -97,12 +103,11 @@ class GroundTruthAlignment:
         return cls(tuple(range(n)))
 
 
-def _operands(s, gt, name: str):
-    """A pairwise loss's operands: S as a Tensor and the dense
-    ground-truth Y of the alignment checked against S. A raw tuple or
-    array is wrapped in a GroundTruthAlignment first. S must be square,
-    with rows, and the alignment as long as S."""
-    s = T.as_tensor(s)
+def _dense_truth(s: Array, gt, name: str) -> Array:
+    """The dense ground-truth Y of the alignment ``gt``, checked against
+    the S array of the pairwise loss ``name``. A raw tuple or array is
+    wrapped in a GroundTruthAlignment first. S must be square, with rows,
+    and the alignment as long as S."""
     n, k = s.shape
     if n == 0:
         raise ShapeError(f"{name}: S has no rows")
@@ -115,18 +120,29 @@ def _operands(s, gt, name: str):
         raise ContractError(f"alignment length {idx.shape[0]} != rows {n}")
     y = np.zeros(s.shape)
     y[np.arange(n), idx] = 1.0
-    return s, y
+    return y
 
 
-def _loss_node(s: T.Tensor, total, grad) -> T.Tensor:
-    """One tape node with the batch mean ``total / N`` as value, N the
-    rows of S; its VJP is ``grad(c)`` with c the upstream gradient over N."""
+def _batch_mean(s: Array, gt, name: str, parts, args: tuple):
+    """The pairwise loss ``name`` on an S array: with
+    ``parts(s, y, *args) -> (total, grad)``, the batch mean total / N, N
+    the rows of S, and its pullback c -> grad(c / N), the gradient on S
+    of c times the mean."""
+    y = _dense_truth(s, gt, name)
+    total, grad = parts(s, y, *args)
     scale = 1.0 / s.shape[0]
 
-    def vjp(g):
-        return (grad(g.item() * scale),)
+    def pullback(c):
+        return grad(c * scale)
 
-    return T.custom_op((s,), total * scale, vjp)
+    return total * scale, pullback
+
+
+def _loss_node(s, gt, name: str, parts, args: tuple) -> T.Tensor:
+    """``_batch_mean`` as one tape node on S."""
+    s = T.as_tensor(s)
+    value, pullback = _batch_mean(s.data, gt, name, parts, args)
+    return T.custom_op((s,), value, lambda g: (pullback(g.item()),))
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +204,17 @@ def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> T.Tensor:
     The loss is never negative. The two traces are summed in different
     orders, so where the ground truth is itself optimal their difference
     can round to just below 0; such a value reads 0."""
-    s, y = _operands(s, gt, "structured_lap_loss")
-    sm = _margined(s.data, y, margin)
+    return _loss_node(s, gt, "structured_lap_loss", _structured_lap, (margin,))
+
+
+def _structured_lap(s: Array, y: Array, margin: float):
+    sm = _margined(s, y, margin)
     best = assignment.solve_lap(sm, "min")
 
     def grad(c):
         return c * y - c * np.eye(len(y))[list(best.perm)]
 
-    return _loss_node(s, max(0.0, (sm * y).sum() - best.cost), grad)
+    return max(0.0, (sm * y).sum() - best.cost), grad
 
 
 def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> T.Tensor:
@@ -210,8 +229,11 @@ def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> T.Tensor:
     The loss is never negative. Where every row's positive is its
     minimum the two sums add the same terms in different orders, so
     their difference can round to just below 0; such a value reads 0."""
-    s, y = _operands(s, gt, "batch_hard_lap_loss")
-    sm = _margined(s.data, y, margin)
+    return _loss_node(s, gt, "batch_hard_lap_loss", _batch_hard_lap, (margin,))
+
+
+def _batch_hard_lap(s: Array, y: Array, margin: float):
+    sm = _margined(s, y, margin)
     hardest = np.argmin(sm, axis=1)
 
     def grad(c):
@@ -219,8 +241,7 @@ def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> T.Tensor:
         g[np.arange(len(hardest)), hardest] -= c
         return g
 
-    total = max(0.0, (sm * y).sum() - sm.min(axis=1).sum())
-    return _loss_node(s, total, grad)
+    return max(0.0, (sm * y).sum() - sm.min(axis=1).sum()), grad
 
 
 def _check_temperature(temperature: float) -> None:
@@ -247,13 +268,16 @@ def smoothed_batch_hard_loss(s, gt,
     [tr(S Y_gt^T) + tau * sum_i log sum_j exp(-S_ij / tau)] / N.
 
     VJP: (Y_gt - softmax(-S / tau)) / N row-wise."""
-    s, y = _operands(s, gt, "smoothed_batch_hard_loss")
-    e, r, lse = _softmax_of_neg(s.data, temperature)
+    return _loss_node(s, gt, "smoothed_batch_hard_loss", _smoothed, (temperature,))
+
+
+def _smoothed(s: Array, y: Array, temperature: float):
+    e, r, lse = _softmax_of_neg(s, temperature)
 
     def grad(c):
         return (c * temperature) / r * e * (-1.0 / temperature) + c * y
 
-    return _loss_node(s, (s.data * y).sum() + lse.sum() * temperature, grad)
+    return (s * y).sum() + lse.sum() * temperature, grad
 
 
 def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> T.Tensor:
@@ -263,14 +287,17 @@ def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> T.Tensor:
     identity).
 
     VJP: (Y_gt - softmax(-S / tau)) / (tau N) row-wise."""
-    s, y = _operands(s, gt, "infonce_loss")
-    e, r, lse = _softmax_of_neg(s.data, temperature)
-    pos = np.add.reduce(s.data * y, axis=1, keepdims=True)  # (N, 1) gathered positives
+    return _loss_node(s, gt, "infonce_loss", _infonce, (temperature,))
+
+
+def _infonce(s: Array, y: Array, temperature: float):
+    e, r, lse = _softmax_of_neg(s, temperature)
+    pos = np.add.reduce(s * y, axis=1, keepdims=True)  # (N, 1) gathered positives
 
     def grad(c):
         return c / r * e * (-1.0 / temperature) + (c * (1.0 / temperature)) * y
 
-    return _loss_node(s, (pos * (1.0 / temperature) + lse).sum(), grad)
+    return (pos * (1.0 / temperature) + lse).sum(), grad
 
 
 def _sigmoid(x: Array) -> Array:
@@ -287,13 +314,16 @@ def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> T.Tenso
     -sigmoid(-s_neg*/tau)/tau on each row's hardest negative; a tied
     minimum routes the gradient to its first column. softplus is
     log(1 + exp(x)) without overflow."""
-    s, y = _operands(s, gt, "nt_logistic_loss")
+    return _loss_node(s, gt, "nt_logistic_loss", _nt_logistic, (temperature,))
+
+
+def _nt_logistic(s: Array, y: Array, temperature: float):
     n = s.shape[0]
     if n < 2:
         raise ContractError("nt_logistic_loss needs at least one negative column")
     _check_temperature(temperature)
-    pos = (s.data * y).sum(axis=1, keepdims=True) * (1.0 / temperature)
-    lifted = s.data + (float(np.ptp(s.data)) + 1.0) * y  # positives out of the minima
+    pos = (s * y).sum(axis=1, keepdims=True) * (1.0 / temperature)
+    lifted = s + (float(np.ptp(s)) + 1.0) * y  # positives out of the minima
     hardest = np.argmin(lifted, axis=1)
     neg = lifted.min(axis=1, keepdims=True) * (-1.0 / temperature)
 
@@ -302,8 +332,7 @@ def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> T.Tenso
         g[np.arange(n), hardest] += (c * _sigmoid(neg) * (-1.0 / temperature))[:, 0]
         return g
 
-    total = (np.logaddexp(0.0, pos) + np.logaddexp(0.0, neg)).sum()
-    return _loss_node(s, total, grad)
+    return (np.logaddexp(0.0, pos) + np.logaddexp(0.0, neg)).sum(), grad
 
 
 def _sparse_support(h: Array):
@@ -332,13 +361,16 @@ def sparseclr_loss(s, gt) -> T.Tensor:
 
     VJP: (Y_gt - sparsemax(-h_i)) / N row-wise.
     """
-    s, y = _operands(s, gt, "sparseclr_loss")
-    p, support_term = _sparse_support(s.data)
+    return _loss_node(s, gt, "sparseclr_loss", _sparseclr, ())
+
+
+def _sparseclr(s: Array, y: Array):
+    p, support_term = _sparse_support(s)
 
     def grad(c):
         return c * y - c * p
 
-    return _loss_node(s, (s.data * y).sum() + support_term, grad)
+    return (s * y).sum() + support_term, grad
 
 
 # ---------------------------------------------------------------------------
@@ -384,45 +416,35 @@ def qare(z_a, z_b) -> T.Tensor:
     qare flattens the spectra, which spreads each set's points.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
+    value, pullback, spectra = _qare(za.data, zb.data)
+    tape = T.active_tape(za, zb)
+    if tape is not None and _flagged(*spectra):
+        tape.flags.add("degenerate-eigenvalues")
+    return T.custom_op((za, zb), value, lambda g: pullback(g.item()))
+
+
+def _qare(za: Array, zb: Array):
+    """``qare`` of two arrays: its value, its pullback c -> (g_a, g_b),
+    and the two spectra it read."""
     if za.shape != zb.shape:
         raise ShapeError(f"qare: shapes differ, {za.shape} vs {zb.shape}")
-    factors = [np.hstack((np.ones((z.shape[0], 1)), z.data)) for z in (za, zb)]
+    factors = [np.hstack((np.ones((z.shape[0], 1)), z)) for z in (za, zb)]
     k = min(factors[0].shape)
     dec_a, dec_b = (simgeom.EigenDecomposition(d.values[:k], d.vectors[:, :k])
                     for d in simgeom.sym_eigen_pair(*(p.T @ p for p in factors)))
-    tape = T.active_tape(za, zb)
-    if tape is not None and (_basis_dependent(dec_a.values, dec_b.values)
-                             or _basis_dependent(dec_b.values, dec_a.values)):
-        tape.flags.add("degenerate-eigenvalues")
 
-    def vjp(g):
-        c = g.item()
+    def pullback(c):
         return tuple(2.0 * p @ simgeom.eigenvalue_gradient(d, c * partner)[:, 1:]
                      for p, d, partner in zip(factors, (dec_a, dec_b),
                                               (dec_b.values, dec_a.values)))
 
-    return T.custom_op((za, zb), (dec_a.values * dec_b.values).sum(), vjp)
+    return (dec_a.values * dec_b.values).sum(), pullback, (dec_a.values, dec_b.values)
 
 
-def combined_loss(pairwise, qare_value, *, beta: float = BETA_DEFAULT,
-                  n: int = 1) -> T.Tensor:
-    """pairwise + beta * qare / n^2 as one tape node, the pairwise term
-    unscaled: Adam ignores a constant gradient scale (but for eps), so
-    beta is the one weight. ``beta`` and ``n`` are keyword-only."""
-    if n < 1:
-        raise ContractError(f"combined_loss: n must be >= 1, got {n}")
-    if not beta >= 0.0:
-        raise ContractError(f"beta must be >= 0, got {beta}")
-    if not math.isfinite(beta):
-        raise ContractError(f"beta must be finite, got {beta}")
-    p = T.as_tensor(pairwise)
-    q = T.as_tensor(qare_value)
-    w = float(beta) / (n * n)
-
-    def vjp(g):
-        return g, g * w
-
-    return T.custom_op((p, q), p.data + q.data * w, vjp)
+def _flagged(values_a: Array, values_b: Array) -> bool:
+    """Whether qare's gradient depends on the eigenvector basis: either
+    spectrum ``_basis_dependent`` on its partner."""
+    return _basis_dependent(values_a, values_b) or _basis_dependent(values_b, values_a)
 
 
 def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
@@ -480,40 +502,91 @@ class LossConfig:
             raise ContractError(f"unknown similarity mode {self.mode!r}")
 
 
+def _configured(cfg: LossConfig):
+    """(name, parts, args) of the configured pairwise loss, as
+    ``_batch_mean`` reads them."""
+    if cfg.kind == "margin":
+        if cfg.mining == "one-to-one":
+            return "structured_lap_loss", _structured_lap, (cfg.margin,)
+        return "batch_hard_lap_loss", _batch_hard_lap, (cfg.margin,)
+    if cfg.kind == "smoothed":
+        return "smoothed_batch_hard_loss", _smoothed, (cfg.temperature,)
+    if cfg.kind == "infonce":
+        return "infonce_loss", _infonce, (cfg.temperature,)
+    if cfg.kind == "nt_logistic":
+        return "nt_logistic_loss", _nt_logistic, (cfg.temperature,)
+    # the last of LOSS_KINDS: LossConfig rejects any other kind on construction
+    return "sparseclr_loss", _sparseclr, ()
+
+
 def pairwise_loss(s, gt, cfg: LossConfig) -> T.Tensor:
     """The configured batch-mean pairwise loss on a distance-semantics S."""
-    if cfg.kind == "margin":
-        fn = structured_lap_loss if cfg.mining == "one-to-one" else batch_hard_lap_loss
-        return fn(s, gt, margin=cfg.margin)
-    if cfg.kind == "smoothed":
-        return smoothed_batch_hard_loss(s, gt, temperature=cfg.temperature)
-    if cfg.kind == "infonce":
-        return infonce_loss(s, gt, temperature=cfg.temperature)
-    if cfg.kind == "nt_logistic":
-        return nt_logistic_loss(s, gt, temperature=cfg.temperature)
-    # the last of LOSS_KINDS: LossConfig rejects any other kind on construction
-    return sparseclr_loss(s, gt)
+    return _loss_node(s, gt, *_configured(cfg))
+
+
+def objective(z_a: Array, z_b: Array, gt, cfg: LossConfig):
+    """The training objective on two embedding batches, 2-D float64
+    arrays of one batch size: the batch-mean pairwise loss plus
+    beta * qare / N^2. Returns ``(terms, pullback, degenerate)``:
+
+    - ``terms``, the floats "pairwise", "qare" (0.0 at beta 0) and
+      "total", the objective's value;
+    - ``pullback(c)``, the gradients (g_a, g_b) on the two batches of c
+      times the total;
+    - ``degenerate``, whether that gradient depends on the eigenvector
+      basis the solver picked for qare (``_basis_dependent``); never at
+      beta 0, where nothing of qare is built.
+
+    S is the map of ``cfg.mode`` (``simgeom.cross_distances``' own). Cosine
+    mode feeds the pairwise loss the negated inner products, so distance
+    semantics hold on one code path; qare reads the two sets themselves,
+    in one form for both modes. Neither normalizes the rows: both read
+    the encoder's unit rows as given. The pairwise term is unscaled, as
+    Adam ignores a constant gradient scale (but for eps), so beta is the
+    one weight.
+
+    S, the pairwise loss and qare are the array-level functions that
+    their public nodes wrap, and no adjoint sums more than two terms, so
+    the terms and the gradients are those of the nodes composed on a
+    tape, bit for bit. ``harness.train`` calls it once a step, with no
+    tape; ``two_view_loss`` is one node over it.
+    """
+    if z_a.shape[0] != z_b.shape[0]:
+        raise ShapeError("two_view_loss: batch sizes differ")
+    s, pull_s = simgeom._similarity(z_a, z_b, cfg.mode, "cross_distances")
+    cosine = cfg.mode == "cosine"
+    pairwise, pull_pairwise = _batch_mean(s * -1.0 if cosine else s, gt, *_configured(cfg))
+    pairwise = float(pairwise)
+
+    def pull_pair(c):
+        g = pull_pairwise(c)
+        return pull_s(g * -1.0 if cosine else g)
+
+    if cfg.beta == 0.0:
+        return {"pairwise": pairwise, "qare": 0.0, "total": pairwise}, pull_pair, False
+    q, pull_q, spectra = _qare(z_a, z_b)
+    q = float(q)
+    w = float(cfg.beta) / (z_a.shape[0] * z_a.shape[0])
+
+    def pullback(c):
+        (ga, gb), (qa, qb) = pull_pair(c), pull_q(c * w)
+        return qa + ga, qb + gb
+
+    terms = {"pairwise": pairwise, "qare": q, "total": pairwise + q * w}
+    return terms, pullback, _flagged(*spectra)
 
 
 def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, float]]:
-    """Full training objective from two embedding batches: the batch-mean
-    pairwise loss plus beta * qare / N^2 (``combined_loss``).
-
-    S comes from ``simgeom.cross_distances`` at every beta. Cosine mode
-    feeds the pairwise loss the negated similarity matrix, so distance
-    semantics hold on one code path; qare reads the two embedding sets
-    themselves, in one form for both modes. Neither normalizes the rows:
-    both read the encoder's unit rows as given. With beta == 0 the
-    objective is the pairwise node itself, and nothing of qare is built.
+    """``objective`` as one tape node over the two embedding batches: the
+    total as a scalar Tensor, and the terms. The node's VJP is the
+    objective's pullback, so a tape composition of this node and the
+    encoder's runs the pullbacks that training chains directly. The
+    active tape is flagged "degenerate-eigenvalues" where the objective's
+    gradient depends on the eigenvector basis.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
-    if za.shape[0] != zb.shape[0]:
-        raise ShapeError("two_view_loss: batch sizes differ")
-    s = simgeom.cross_distances(za, zb, cfg.mode)
-    pw = pairwise_loss(s if cfg.mode == "euclidean" else T.scale(s, -1.0), gt, cfg)
-    pw_value = pw.item()
-    if cfg.beta == 0.0:
-        return pw, {"pairwise": pw_value, "qare": 0.0, "total": pw_value}
-    q = qare(za, zb)
-    total = combined_loss(pw, q, beta=cfg.beta, n=za.shape[0])
-    return total, {"pairwise": pw_value, "qare": q.item(), "total": total.item()}
+    terms, pullback, degenerate = objective(za.data, zb.data, gt, cfg)
+    tape = T.active_tape(za, zb)
+    if degenerate and tape is not None:
+        tape.flags.add("degenerate-eigenvalues")
+    return T.custom_op((za, zb), terms["total"], lambda g: pullback(g.item())), terms

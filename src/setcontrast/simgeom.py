@@ -16,8 +16,9 @@ degenerate eigenspace the eigenvectors are not unique. Over a cluster
 of equal eigenvalues with equal upstream g the rule still gives g times
 the cluster's projector, whatever basis the solver returns (Lewis 1996,
 "Derivatives of spectral functions"); only unequal upstream values make
-it one subgradient among many. ``losses.qare``, which sees the upstream
-values, flags that case on the tape.
+it one subgradient among many. ``losses``, whose set term sees the
+upstream values, flags that case: on the tape, or in the degenerate
+flag that ``losses.objective`` returns.
 Results are deterministic for a given LAPACK build; they were never
 byte-identical across machines, because matrix products already go
 through BLAS.
@@ -182,28 +183,32 @@ def eig_dot(values_a, values_b, sense: str) -> float:
     return float(la @ lb)
 
 
-def _inner_products(x: T.Tensor, y: T.Tensor) -> T.Tensor:
-    """x y^T as one tape node; its VJP is (g y, (x^T g)^T). y enters both
-    products as a C-ordered copy of y^T: BLAS rounds differently with
-    another memory layout, so the layout is part of the result."""
-    xd, yt = x.data, y.data.T.copy()
+def _inner_products(xd: Array, yd: Array):
+    """x y^T of two 2-D arrays, and its pullback g -> (g y, (x^T g)^T). y
+    enters both products as a C-ordered copy of y^T: BLAS rounds
+    differently with another memory layout, so the layout is part of the
+    result."""
+    yt = yd.T.copy()
 
-    def vjp(g):
+    def pullback(g):
         return g @ yt.T, (xd.T @ g).T
 
-    return T.custom_op((x, y), xd @ yt, vjp)
+    return xd @ yt, pullback
 
 
-def _pairwise_map(z_a, z_b, mode: str, name: str):
-    """Both sets as Tensors and the pairwise map of ``mode``, after
-    checking that their feature dims agree."""
-    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
+def _similarity(za: Array, zb: Array, mode: str, name: str):
+    """The pairwise map of ``mode`` between two 2-D float64 arrays, as the
+    (N, M) matrix and its pullback g -> (g_a, g_b): distances from
+    ``T.pairwise_dist`` in "euclidean" mode, the inner products of the
+    rows as given in "cosine" mode. ShapeError, naming ``name``, when the
+    feature dims differ. ``losses.objective`` builds S with it, and each
+    similarity node of this module wraps it."""
     if za.shape[1] != zb.shape[1]:
         raise ShapeError(f"{name}: feature dims differ, {za.shape} vs {zb.shape}")
     if mode == "euclidean":
-        return za, zb, T.pairwise_dist
+        return T._pairwise_dist(za, zb)
     if mode == "cosine":
-        return za, zb, _inner_products
+        return _inner_products(za, zb)
     raise ContractError(f"unknown similarity mode {mode!r}")
 
 
@@ -214,16 +219,21 @@ def pairwise_distances(z_a, z_b, mode: str = "euclidean") -> SimilarityTriple:
     (explicit differences for small sets, the Gram form above 1024
     elements); cosine mode stores the inner products of the rows as
     given, which are cosine similarities, with unit diagonals on S_A and
-    S_B, only for unit rows such as the encoder's. Both keep the tape
-    alive when the embeddings are tracked.
+    S_B, only for unit rows such as the encoder's. Each matrix is one
+    node over ``_similarity``, so the tape stays alive when the embeddings
+    are tracked.
     """
-    za, zb, sim = _pairwise_map(z_a, z_b, mode, "pairwise_distances")
-    return SimilarityTriple(s=sim(za, zb), s_a=sim(za, za), s_b=sim(zb, zb))
+    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
+    s, s_a, s_b = (T.custom_op((x, y), *_similarity(x.data, y.data, mode,
+                                                    "pairwise_distances"))
+                   for x, y in ((za, zb), (za, za), (zb, zb)))
+    return SimilarityTriple(s=s, s_a=s_a, s_b=s_b)
 
 
 def cross_distances(z_a, z_b, mode: str = "euclidean") -> T.Tensor:
     """The inter-set matrix S of ``pairwise_distances`` alone, built by
     the same operations, for callers that never read S_A and S_B: in
     cosine mode the inner products of the rows as given."""
-    za, zb, sim = _pairwise_map(z_a, z_b, mode, "cross_distances")
-    return sim(za, zb)
+    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
+    return T.custom_op((za, zb),
+                       *_similarity(za.data, zb.data, mode, "cross_distances"))

@@ -16,9 +16,13 @@ freed by reference counting when its last Tensor goes.
 The primitives are ``scale`` and ``pairwise_dist``. Anything with a
 closed-form gradient of its own (each pairwise loss, each encoder view,
 which is the one place rows are normalized, each cosine similarity
-matrix, the set term ``qare`` and the combined objective) is one
-``custom_op`` node, and documents its subgradient conventions where it
-is defined.
+matrix, the set term ``qare`` and the whole two-view objective) is one
+``custom_op`` node over an array-level function that returns the value
+and its pullback, and documents its subgradient conventions where it is
+defined. Training builds no tape: ``harness.train`` chains those
+pullbacks directly (the two encoder views and the objective). The tape
+composes them for library callers and ``gradcheck``, and is the tests'
+reference for that chain.
 ``pairwise_dist`` sums explicit squared differences for small sets and
 uses the Gram form |a|^2 + |b|^2 - 2ab^T above 1024 elements, so the
 last bits of a distance depend on the size class and, through the
@@ -282,9 +286,15 @@ def pairwise_dist(a, b) -> Tensor:
     there.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"pairwise_dist: feature dims differ, {a.shape} vs {b.shape}")
-    da, db = a.data, b.data
+    return _emit((a, b), *_pairwise_dist(a.data, b.data))
+
+
+def _pairwise_dist(da: Array, db: Array):
+    """``pairwise_dist`` of two 2-D float64 arrays, as the distance array
+    and its pullback g -> (g_a, g_b); the one implementation that the
+    node wraps and that training calls directly."""
+    if da.shape[1] != db.shape[1]:
+        raise ShapeError(f"pairwise_dist: feature dims differ, {da.shape} vs {db.shape}")
     if da.shape[0] * db.shape[0] * da.shape[1] <= _EXPLICIT_MAX_ELEMENTS:
         diff = da[:, None, :] - db[None, :, :]  # (N, M, E)
         dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
@@ -295,13 +305,13 @@ def pairwise_dist(a, b) -> Tensor:
         bound = (4.0 * (da.shape[1] + 2) * _EPS) * norms
         dist = np.sqrt(np.where(sq > bound, sq, 0.0))
 
-    def vjp(g):
+    def pullback(g):
         w = np.divide(g, dist, out=np.zeros(dist.shape), where=dist > 0.0)
         ga = np.add.reduce(w, axis=1, keepdims=True) * da - w @ db
         gb = np.add.reduce(w, axis=0)[:, None] * db - w.T @ da
         return ga, gb
 
-    return _emit((a, b), dist, vjp)
+    return dist, pullback
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import setcontrast
-from setcontrast import assignment, cli, harness, simgeom, tensor as T
+from setcontrast import assignment, cli, harness, simgeom
 from setcontrast.errors import ConfigError, NumericError
 
 def run_module(*args, unset=(), **extra_env):
@@ -261,23 +261,23 @@ class TestTrainCommand:
     @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
     def test_non_finite_gradient_maps_to_exit_3_at_its_step(
             self, tmp_path, monkeypatch, capsys, name):
-        layout = harness.MLPEncoder(TINY["data"]["ambient_dim"],
-                                    TINY["train"]["hidden_dim"],
-                                    TINY["train"]["embed_dim"])
-        real_backward = T.Tape.backward
+        real_apply = harness.MLPEncoder.apply
         calls = []
 
-        def poisoned(self, loss):
-            grads = real_backward(self, loss)
+        def poisoned(self, x, flat):
+            z, pullback = real_apply(self, x, flat)
             calls.append(None)
-            if len(calls) == 3:  # seed 0, epoch 1, step 0 (two steps/epoch)
-                g = grads[0]  # node 0: the step's one leaf, the flat parameters
-                data = g.data.copy()
-                layout.views(data.reshape(-1))[name][...] = np.nan
-                g.data = data
-            return grads
+            if len(calls) != 5:  # seed 0, epoch 1, step 0, view a: two views a step,
+                return z, pullback  # two steps an epoch
 
-        monkeypatch.setattr(T.Tape, "backward", poisoned)
+            def poisoned_pullback(g):
+                grad = pullback(g)
+                self.views(grad)[name][...] = np.nan
+                return grad
+
+            return z, poisoned_pullback
+
+        monkeypatch.setattr(harness.MLPEncoder, "apply", poisoned)
         cfgp = write_config(tmp_path, TINY)
         assert cli.main(["train", "--config", cfgp,
                          "--out", str(tmp_path / "x")]) == 3

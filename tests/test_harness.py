@@ -34,22 +34,6 @@ PAIRWISE_KINDS = [
 ]
 
 
-def _nodes_per_step(monkeypatch, loss):
-    """Tape length at each backward of a one-epoch TINY run (two steps)."""
-    nodes = []
-    real = T.Tape.backward
-
-    def counting(self, loss):
-        nodes.append(len(self))
-        return real(self, loss)
-
-    monkeypatch.setattr(T.Tape, "backward", counting)
-    ds = harness.gen_two_view_dataset(TINY)
-    cfg = tiny_train_config(epochs=1, loss=loss)
-    harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-    return nodes
-
-
 class TestSyntheticData:
     def test_shapes_and_alignment(self):
         ds = harness.gen_two_view_dataset(TINY)
@@ -444,15 +428,15 @@ class TestTraining:
         poisoned = np.array(getattr(ds, view))
         poisoned[5, 3] = bad
         ds = dataclasses.replace(ds, **{view: poisoned})
-        forwards = []
-        monkeypatch.setattr(harness.MLPEncoder, "forward",
-                            lambda *a: forwards.append(a))
+        applies = []
+        monkeypatch.setattr(harness.MLPEncoder, "apply",
+                            lambda *a: applies.append(a))
         cfg = tiny_train_config()
         with pytest.raises(NumericError, match=(
                 rf"^non-finite value in {view} before training "
                 r"\(loss='t', seed=0\): NaN or Inf$")):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        assert forwards == []
+        assert applies == []
 
     def test_view_must_be_two_dimensional(self):
         import dataclasses
@@ -485,14 +469,14 @@ class TestTraining:
             value = getattr(ds, field)
             value = np.resize(value, (rows,) + value.shape[1:])
         ds = dataclasses.replace(ds, **{field: value})
-        forwards = []
-        monkeypatch.setattr(harness.MLPEncoder, "forward",
-                            lambda *a: forwards.append(a))
+        applies = []
+        monkeypatch.setattr(harness.MLPEncoder, "apply",
+                            lambda *a: applies.append(a))
         cfg = tiny_train_config()
         with pytest.raises(ShapeError, match=(
                 rf"^train: the views, labels and alignment disagree: {shapes}$")):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        assert forwards == []
+        assert applies == []
 
     def test_views_of_another_layout_train_to_the_same_bits(self):
         # a Fortran-ordered view and a strided one are made C-ordered once
@@ -508,24 +492,31 @@ class TestTraining:
         assert rep2.epoch_losses == rep.epoch_losses
         assert enc2.flat.tobytes() == enc.flat.tobytes()
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
     @pytest.mark.parametrize("kind,mining", PAIRWISE_KINDS)
-    def test_beta_zero_step_records_five_tape_nodes(self, monkeypatch, kind, mining):
-        # 1 flat parameter leaf + 2 encoder views + S + the pairwise loss
-        assert _nodes_per_step(monkeypatch, losses.LossConfig(
-            name="t", kind=kind, mining=mining, beta=0.0)) == [5, 5]
+    def test_train_builds_no_tape(self, monkeypatch, kind, mining, mode, beta):
+        # a step is a chain of array-level pullbacks: no Tape, and no
+        # custom_op node but the two evaluation embeds after training,
+        # however many steps run
+        tapes, nodes = [], []
+        real_init, real_op = T.Tape.__init__, T.custom_op
 
-    def test_beta_zero_cosine_step_records_six_tape_nodes(self, monkeypatch):
-        # the five, plus the negation of S: S reads the encoder's unit rows
-        assert _nodes_per_step(monkeypatch, losses.LossConfig(
-            name="t", kind="infonce", beta=0.0, mode="cosine")) == [6, 6]
+        def counting_init(self):
+            tapes.append(None)
+            real_init(self)
 
-    @pytest.mark.parametrize("mode,count", [("euclidean", 7), ("cosine", 8)])
-    def test_beta_one_step_adds_the_qare_term_once(self, monkeypatch, mode, count):
-        # 1 flat leaf + 2 encoder views + S + the pairwise loss + qare +
-        # the combination; cosine adds the negation of S. Nothing after
-        # the encoder normalizes rows
-        assert _nodes_per_step(monkeypatch, losses.LossConfig(
-            name="t", kind="infonce", beta=1.0, mode=mode)) == [count, count]
+        def counting_op(*args):
+            nodes.append(None)
+            return real_op(*args)
+
+        monkeypatch.setattr(T.Tape, "__init__", counting_init)
+        monkeypatch.setattr(T, "custom_op", counting_op)
+        ds = harness.gen_two_view_dataset(TINY)
+        cfg = tiny_train_config(loss=losses.LossConfig(
+            name="t", kind=kind, mining=mining, beta=beta, mode=mode))
+        harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+        assert tapes == [] and len(nodes) == 2
 
     @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
     def test_beta_one_step_gradcheck_over_flat_parameters(self, mode):
@@ -575,11 +566,21 @@ class TestTraining:
                            match="^batch_size 9 exceeds dataset size 8$"):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
 
-    def test_nonfinite_loss_raises_numeric_error(self, monkeypatch):
-        def nan_loss(za, zb, gt, cfg):
-            return T.custom_op((za,), np.nan, lambda g: (None,)), {}
+    def test_nonfinite_parameters_raise_numeric_error(self):
+        ds = harness.gen_two_view_dataset(TINY)
+        cfg = tiny_train_config()
+        enc = harness.make_encoder(TINY, cfg)
+        enc.params["b2"][0, 1] = np.inf
+        with pytest.raises(NumericError, match=(
+                r"^non-finite value at epoch 0 step 0 \(loss='t', seed=0\): "
+                r"tensor data contains NaN or Inf$")):
+            harness.train(ds, enc, cfg)
 
-        monkeypatch.setattr(harness, "two_view_loss", nan_loss)
+    def test_nonfinite_loss_raises_numeric_error(self, monkeypatch):
+        def nan_objective(za, zb, gt, cfg):
+            return {"total": np.nan}, None, False
+
+        monkeypatch.setattr(harness, "objective", nan_objective)
         ds = harness.gen_two_view_dataset(TINY)
         cfg = tiny_train_config()
         with pytest.raises(NumericError, match=(
@@ -611,8 +612,8 @@ class TestTrainingScaleGradients:
         # direction d, the best step h's |difference quotient - g.d|
         # relative to |g|. The worst case over these 24 cases read 3.6e-11.
         # With the encoder VJP missing its 1/norms every case read 6.5e-3 or
-        # more, and with combined_loss's weight scaled by 1.01 every beta=1
-        # case read 4.7e-6 or more.
+        # more, and with the qare weight of the objective's pullback scaled
+        # by 1.01 every beta=1 case read 1.3e-5 or more.
         spec = harness.SyntheticSpec()
         cfg = harness.TrainConfig(epochs=1, loss=losses.LossConfig(
             name="g", kind=kind, mining=mining, beta=beta, mode=mode))
@@ -640,6 +641,87 @@ class TestTrainingScaleGradients:
                           / (2.0 * h) - g @ d) for h in self.STEPS)
             worst = max(worst, err / np.linalg.norm(g))
         assert worst < 1e-6
+
+
+class TestTapeFreeStep:
+    """A training step chains the pullbacks of ``apply`` on each view and
+    of ``losses.objective`` with no tape. Its value, flat gradient and
+    degenerate flag are those of the tape composition of the same step,
+    two ``forward`` nodes, one ``two_view_loss`` node and
+    ``Tape.backward``, bit for bit: each adjoint the tape sums has at
+    most two terms, so the order of the sum moves no bit."""
+
+    @staticmethod
+    def _run(name, loss):
+        """The dataset, encoder and config of a run of one step: one batch
+        of TINY, of 32 rows at the default widths 64 and 16, or of a
+        flagged pair of sets."""
+        if name != "hexagon":
+            spec = TINY if name == "tiny" else harness.SyntheticSpec(
+                num_classes=2, samples_per_class=16)
+            widths = (16, 4) if name == "tiny" else (64, 16)
+            cfg = harness.TrainConfig(epochs=1, batch_size=spec.num_items,
+                                      hidden_dim=widths[0], embed_dim=widths[1],
+                                      loss=loss)
+            return harness.gen_two_view_dataset(spec), harness.make_encoder(spec, cfg), cfg
+        # an encoder of widths 2, 4 and 2 that maps each row x to
+        # relu(x) - relu(-x) = x, so the hexagon, whose factor Gram is
+        # diag(6, 3, 3) to rounding, to itself: qare pairs its two equal
+        # eigenvalues with a generic view B's distinct ones, and the
+        # step's gradient depends on the eigenvector basis
+        angles = np.arange(6) * (np.pi / 3.0)
+        hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        generic = np.random.default_rng(14).normal(size=(6, 2))
+        ds = harness.TwoViewDataset(
+            view_a=hexagon, view_b=generic, labels=np.repeat([0, 1], 3),
+            gt=losses.GroundTruthAlignment.identity(6), q_a=np.eye(2),
+            q_b=np.eye(2), bias_a=np.zeros(2), bias_b=np.zeros(2))
+        enc = harness.MLPEncoder(2, 4, 2)
+        enc.params["w1"][...] = [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]
+        enc.params["w2"][...] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        cfg = harness.TrainConfig(epochs=1, batch_size=6, hidden_dim=4, embed_dim=2,
+                                  loss=loss)
+        return ds, enc, cfg
+
+    @pytest.mark.parametrize("run,beta", [("tiny", 0.0), ("tiny", 1.0),
+                                          ("default", 0.0), ("default", 1.0),
+                                          ("hexagon", 1.0)])
+    @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("kind,mining", PAIRWISE_KINDS)
+    def test_step_is_the_tape_composition_bit_for_bit(self, monkeypatch, kind,
+                                                      mining, mode, beta, run):
+        ds, enc, cfg = self._run(run, losses.LossConfig(
+            name="t", kind=kind, mining=mining, beta=beta, mode=mode))
+        flat = enc.flat.copy()
+        batches, grads = [], []
+        real_apply, real_adam = harness.MLPEncoder.apply, harness.adam_step
+
+        def seen_apply(self, x, w):
+            batches.append(x.copy())
+            return real_apply(self, x, w)
+
+        def seen_adam(state, grad, lr):
+            grads.append(grad.copy())
+            real_adam(state, grad, lr)
+
+        monkeypatch.setattr(harness.MLPEncoder, "apply", seen_apply)
+        monkeypatch.setattr(harness, "adam_step", seen_adam)
+        _, report = harness.train(ds, enc, cfg)
+        monkeypatch.undo()
+
+        # one step an epoch: the first two applies are its views, the first
+        # Adam update its gradient, the one epoch loss its value
+        tape = T.Tape()
+        w = tape.leaf(flat)
+        za, zb = (enc.forward(x, w) for x in batches[:2])
+        loss, _ = losses.two_view_loss(
+            za, zb, losses.GroundTruthAlignment.identity(cfg.batch_size), cfg.loss)
+        grad = tape.backward(loss)[w].data.reshape(-1)
+        assert report.epoch_losses == [loss.item()]
+        assert grads[0].tobytes() == grad.tobytes()
+        flagged = "degenerate-eigenvalues" in tape.flags
+        assert report.degenerate_batches == flagged
+        assert flagged == (run == "hexagon")
 
 
 def reference_probe(x, y, seed):
@@ -827,7 +909,8 @@ class TestTapeLifetime:
             zb = enc.forward(ds.view_b[:4], w)
             value, terms = losses.two_view_loss(za, zb, gt, loss)
             grad = tape.backward(value)[w]
-            assert len(tape) >= 5 and np.isfinite(grad.data).all()
+            # the flat leaf, two encoder views and the objective
+            assert len(tape) == 4 and np.isfinite(grad.data).all()
             alive = weakref.ref(tape)
             del tape, w, za, zb, value, terms, grad
             assert alive() is None

@@ -474,16 +474,6 @@ class TestArgumentChecks:
                            match=r"^temperature must be finite, got inf$"):
             loss(s, gt, temperature=np.inf)
 
-    def test_combined_loss_rejects_infinite_beta(self):
-        # as LossConfig does; inf would make the objective inf
-        with pytest.raises(ContractError, match=r"^beta must be finite, got inf$"):
-            losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0), beta=np.inf, n=2)
-
-    def test_combined_loss_needs_a_positive_batch(self):
-        with pytest.raises(ContractError,
-                           match="^combined_loss: n must be >= 1, got 0$"):
-            losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0), beta=1.0, n=0)
-
     @pytest.mark.parametrize("loss, shape", EMPTY_S, ids=_empty_s_id)
     def test_empty_s(self, loss, shape):
         with pytest.raises(ShapeError, match=r"^\w+: S has no rows$"):
@@ -504,15 +494,10 @@ class TestArgumentChecks:
         lambda s, gt: losses.nt_logistic_loss(s, gt, temperature=np.nan),
         lambda s, gt: losses.nt_logistic_loss(s, gt, temperature=0.0),
         lambda s, gt: losses.nt_logistic_loss(s, gt, temperature=-1.0),
-        lambda s, gt: losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0),
-                                           beta=np.nan, n=2),
-        lambda s, gt: losses.combined_loss(T.Tensor(1.0), T.Tensor(2.0),
-                                           beta=-1.0, n=2),
     ], ids=["structured-margin-nan", "batch-hard-margin-nan",
             "smoothed-temperature-nan", "infonce-temperature-nan",
             "nt-logistic-temperature-nan", "nt-logistic-temperature-zero",
-            "nt-logistic-temperature-negative", "combined-beta-nan",
-            "combined-beta-negative"])
+            "nt-logistic-temperature-negative"])
     def test_nan_and_out_of_range_hyperparameters(self, call):
         s = np.array([[0.2, 1.0], [0.4, 0.3]])
         gt = losses.GroundTruthAlignment.identity(2)
@@ -739,30 +724,6 @@ class TestQare:
         assert "degenerate-eigenvalues" not in self._flags(generic, other)
 
 
-class TestCombinedLoss:
-    def test_beta_zero_is_pairwise(self):
-        pw = T.Tensor(1.7)
-        q = T.Tensor(4.0)
-        assert losses.combined_loss(pw, q, beta=0.0, n=2).item() == 1.7
-
-    def test_weighting_arithmetic(self):
-        pw = T.Tensor(0.0)
-        q = T.Tensor(4.0)
-        got = losses.combined_loss(pw, q, beta=1.0, n=2).item()
-        assert got == pytest.approx(1.0)
-
-    def test_scales_by_squared_batch(self):
-        pw = T.Tensor(2.0)
-        q = T.Tensor(9.0)
-        got = losses.combined_loss(pw, q, beta=3.0, n=3).item()
-        assert got == pytest.approx(2.0 + 3.0 * 9.0 / 9.0)
-
-    def test_weights_are_keyword_only(self):
-        # a third positional argument, once alpha, is not read as beta
-        with pytest.raises(TypeError):
-            losses.combined_loss(T.Tensor(2.0), T.Tensor(9.0), 3.0)
-
-
 class TestStructuredQapExact:
     def test_vanishing_quadratic_term_reduces_to_lap(self):
         rng = np.random.default_rng(27)
@@ -863,13 +824,13 @@ class TestTwoViewLoss:
         # one euclidean step, forward and backward: qare reads the
         # factors of the sets, so S is the one distance matrix at any beta
         calls = []
-        real = T.pairwise_dist
+        real = T._pairwise_dist
 
         def counting(a, b):
             calls.append(1)
             return real(a, b)
 
-        monkeypatch.setattr(T, "pairwise_dist", counting)
+        monkeypatch.setattr(T, "_pairwise_dist", counting)
         rng = np.random.default_rng(31)
         tape = T.Tape()
         za, zb = (tape.leaf(rng.normal(size=(5, 3))) for _ in range(2))
@@ -877,6 +838,24 @@ class TestTwoViewLoss:
         total, _ = losses.two_view_loss(za, zb, identity(5), cfg)
         tape.backward(total)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
+    def test_is_one_tape_node(self, beta, mode):
+        rng = np.random.default_rng(32)
+        tape = T.Tape()
+        za, zb = (tape.leaf(rng.normal(size=(5, 3))) for _ in range(2))
+        cfg = losses.LossConfig(name="x", kind="infonce", beta=beta, mode=mode)
+        losses.two_view_loss(za, zb, identity(5), cfg)
+        assert len(tape) == 3  # the two leaves and the objective
+
+    def test_total_adds_beta_times_qare_over_the_squared_batch(self):
+        rng = np.random.default_rng(33)
+        za, zb = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        cfg = losses.LossConfig(name="x", kind="infonce", beta=3.0)
+        total, parts = losses.two_view_loss(za, zb, identity(3), cfg)
+        assert parts["qare"] == losses.qare(za, zb).item()
+        assert total.item() == parts["total"] == parts["pairwise"] + parts["qare"] * (3.0 / 9)
 
     def test_dispatch_covers_every_kind(self):
         rng = np.random.default_rng(30)
