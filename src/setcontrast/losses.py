@@ -383,6 +383,8 @@ def _basis_dependent(values: Array, upstream: Array) -> bool:
     upstream values that spread by more than
     DEGENERATE_UPSTREAM_SPREAD * max(1, max |upstream|)."""
     gaps = np.abs(np.diff(values)) >= DEGENERATE_EIGENGAP
+    if gaps.all():  # every cluster is one eigenvalue, whose spread is 0
+        return False
     starts = np.flatnonzero(np.r_[True, gaps])
     spread = np.maximum.reduceat(upstream, starts) - np.minimum.reduceat(upstream, starts)
     return bool((spread > DEGENERATE_UPSTREAM_SPREAD

@@ -722,6 +722,18 @@ class TestQare:
         assert "degenerate-eigenvalues" in self._flags(hexagon, generic)
         assert "degenerate-eigenvalues" in self._flags(generic, hexagon)
         assert "degenerate-eigenvalues" not in self._flags(generic, other)
+        # its own partner values are equal within the cluster too
+        assert "degenerate-eigenvalues" not in self._flags(hexagon, hexagon[::-1])
+
+    @pytest.mark.parametrize("values,upstream,dependent", [
+        ([3.0, 2.0, 1.0], [5.0, -1.0, 7.0], False),  # no cluster
+        ([3.0, 2.0, 2.0], [5.0, 1.0, 2.0], True),    # a cluster, spread partners
+        ([3.0, 2.0, 2.0], [5.0, 2.0, 2.0], False),   # a cluster, equal partners
+        ([2.0, 2.0, 2.0], [2.0, 2.0, 2.0 + 1e-9], False),  # spread under the bound
+    ])
+    def test_basis_dependence_needs_a_cluster_with_spread_partners(
+            self, values, upstream, dependent):
+        assert losses._basis_dependent(np.array(values), np.array(upstream)) is dependent
 
 
 class TestStructuredQapExact:
