@@ -539,8 +539,8 @@ def objective(z_a: Array, z_b: Array, gt, cfg: LossConfig):
       basis the solver picked for qare (``_basis_dependent``); never at
       beta 0, where nothing of qare is built.
 
-    S is the map of ``cfg.mode`` (``simgeom.cross_distances``' own). Cosine
-    mode feeds the pairwise loss the negated inner products, so distance
+    S is the matrix ``simgeom.cross_distances`` builds in ``cfg.mode``.
+    Cosine mode feeds the pairwise loss the negated inner products, so distance
     semantics hold on one code path; qare reads the two sets themselves,
     in one form for both modes. Neither normalizes the rows: both read
     the encoder's unit rows as given. The pairwise term is unscaled, as
@@ -557,7 +557,8 @@ def objective(z_a: Array, z_b: Array, gt, cfg: LossConfig):
         raise ShapeError("two_view_loss: batch sizes differ")
     s, pull_s = simgeom._similarity(z_a, z_b, cfg.mode, "cross_distances")
     cosine = cfg.mode == "cosine"
-    pairwise, pull_pairwise = _batch_mean(s * -1.0 if cosine else s, gt, *_configured(cfg))
+    pairwise, pull_pairwise = _batch_mean(s * -1.0 if cosine else s, gt,
+                                          *_configured(cfg))
     pairwise = float(pairwise)
 
     def pull_pair(c):

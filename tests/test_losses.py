@@ -867,7 +867,8 @@ class TestTwoViewLoss:
         cfg = losses.LossConfig(name="x", kind="infonce", beta=3.0)
         total, parts = losses.two_view_loss(za, zb, identity(3), cfg)
         assert parts["qare"] == losses.qare(za, zb).item()
-        assert total.item() == parts["total"] == parts["pairwise"] + parts["qare"] * (3.0 / 9)
+        want = parts["pairwise"] + parts["qare"] * (3.0 / 9)
+        assert total.item() == parts["total"] == want
 
     def test_dispatch_covers_every_kind(self):
         rng = np.random.default_rng(30)
