@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -89,14 +89,17 @@ def gen_two_view_dataset(spec: SyntheticSpec) -> TwoViewDataset:
     views v = x Q^T + b + noise. Items are row-aligned across views, so
     the ground-truth alignment is the identity.
 
-    The separability check reads the center gaps from ``pairwise_dist``,
-    in Gram form above 1024 elements (8 classes in 32 dimensions is
-    2048), so a config whose smallest gap lies within rounding of
-    4 * noise_sigma may fall on the other side of it than under the
-    explicit form."""
+    The separability check reads the center gaps from ``simgeom``'s
+    euclidean distances, in Gram form above 1024 elements (8 classes in
+    32 dimensions is 2048), so a config whose smallest gap lies within
+    rounding of 4 * noise_sigma may fall on the other side of it than
+    under the explicit form. The centers go in as two copies, so the
+    product is the general one, not numpy's symmetric product of an
+    array with itself, whose last bits differ."""
     rng = np.random.default_rng(spec.seed)
     centers = rng.normal(scale=_CENTER_SIGMA, size=(spec.num_classes, spec.ambient_dim))
-    gaps = T.pairwise_dist(centers, centers).data
+    gaps, _ = simgeom._similarity(centers, centers.copy(), "euclidean",
+                                  "gen_two_view_dataset")
     min_gap = float(gaps[~np.eye(spec.num_classes, dtype=bool)].min())
     if min_gap < 4.0 * spec.noise_sigma:
         raise ConfigError(
@@ -317,6 +320,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be finite")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ConfigError("encoder widths must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -353,11 +358,13 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
 
     The two views, the labels and the alignment ``dataset.gt`` must
     have the same number of rows, and the labels one dimension;
-    otherwise ShapeError names their shapes before the first step. Each
-    view is checked for finite values once, before the first step,
-    without a copy (a NaN or Inf anywhere in it raises NumericError, in
-    a dropped row too); each batch, a fresh copy from fancy indexing,
-    then goes to ``apply`` unchecked and uncopied.
+    otherwise ShapeError names their shapes before the first step. Since
+    a batch pairs row i of both views, ``dataset.gt`` must be the
+    identity; any other alignment raises ContractError before the first
+    step. Each view is checked for finite values once, before the first
+    step, without a copy (a NaN or Inf anywhere in it raises
+    NumericError, in a dropped row too); each batch, a fresh copy from
+    fancy indexing, then goes to ``apply`` unchecked and uncopied.
     """
     n = dataset.view_a.shape[0]
     if config.batch_size > n:
@@ -380,6 +387,9 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
         raise ShapeError("train: the views, labels and alignment disagree: "
                          f"view_a {view_a.shape}, view_b {view_b.shape}, "
                          f"labels {labels.shape}, alignment length {m}")
+    if dataset.gt.perm != tuple(range(n)):
+        raise ContractError("train: batches pair row i of both views, so the "
+                            "alignment must be the identity")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     flat = encoder.flat
     state = AdamState(flat)
@@ -443,8 +453,11 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
 
 def evaluate_matching(za: Array, zb: Array, gt: GroundTruthAlignment) -> float:
     """LAP matching accuracy between two embedded views under Euclidean
-    distances, scored against the alignment ``gt``."""
-    s = T.pairwise_dist(za, zb).data
+    distances, scored against the alignment ``gt``. Each view is read as
+    a Tensor reads it: copied, and checked for NaN or Inf
+    (EvaluationError)."""
+    s, _ = simgeom._similarity(T.as_tensor(za).data, T.as_tensor(zb).data,
+                               "euclidean", "evaluate_matching")
     return assignment.matching_accuracy(s, gt.indices)
 
 
@@ -532,13 +545,13 @@ def fig1b_points() -> Tuple[Array, Array, Array]:
     return square, square + np.array([0.25, 0.1]), line
 
 
-def fig1b_instance() -> Tuple[simgeom.SimilarityTriple, simgeom.SimilarityTriple]:
-    """Two (S, S_A, S_B) triples of ``fig1b_points`` sharing the
+def fig1b_instance() -> Tuple[tuple, tuple]:
+    """Two (S, S_A, S_B) tuples of Tensors of ``fig1b_points`` sharing the
     inter-set matrix of view A and near view B (hence identical LAP
     optima), the first with near view B's intra-set matrix and the second
     with far view B's: the exact QAP optima and the qare values both
     separate them. This is the counterexample showing pairwise terms
     alone cannot see intra-set structure."""
     view_a, near, far = fig1b_points()
-    first = simgeom.pairwise_distances(view_a, near)
-    return first, replace(first, s_b=T.pairwise_dist(far, far))
+    s, s_a, s_b = simgeom.pairwise_distances(view_a, near)
+    return (s, s_a, s_b), (s, s_a, simgeom.cross_distances(far, far))

@@ -521,11 +521,6 @@ def _configured(cfg: LossConfig):
     return "sparseclr_loss", _sparseclr, ()
 
 
-def pairwise_loss(s, gt, cfg: LossConfig) -> T.Tensor:
-    """The configured batch-mean pairwise loss on a distance-semantics S."""
-    return _loss_node(s, gt, *_configured(cfg))
-
-
 def objective(z_a: Array, z_b: Array, gt, cfg: LossConfig):
     """The training objective on two embedding batches, 2-D float64
     arrays of one batch size: the batch-mean pairwise loss plus

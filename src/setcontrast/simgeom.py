@@ -1,10 +1,17 @@
-"""Similarity geometry: pairwise similarity triples, a symmetric
+"""Similarity geometry: the inter-set matrix S and the intra-set
+matrices S_A and S_B of two embedding sets, a symmetric
 eigendecomposition with its eigenvalue gradient, and sorted spectrum
 products.
 
-Cosine mode takes the inner products of the rows as given and
-normalizes nothing: the encoder is the one place that makes rows unit,
-so on its embeddings these are the cosine similarities.
+Every similarity matrix of the program is built here, by one
+array-level function (``_similarity``) that returns the matrix and its
+pullback: ``losses.objective`` and ``harness`` call it on arrays, and
+``cross_distances`` and ``pairwise_distances`` wrap it as tape nodes.
+Euclidean mode gives distances, in explicit form for small sets and in
+Gram form above 1024 elements (``_distances``). Cosine mode takes the
+inner products of the rows as given and normalizes nothing: the encoder
+is the one place that makes rows unit, so on its embeddings these are
+the cosine similarities.
 
 Eigenvalues come from LAPACK through ``np.linalg.eigh``. The two
 matrices that ``losses.qare`` decomposes (the (E+1) x (E+1) Gram
@@ -37,27 +44,15 @@ Array = np.ndarray
 
 
 @dataclass(frozen=True)
-class SimilarityTriple:
-    """Inter-set matrix S plus the two intra-set matrices S_A, S_B,
-    either distances (zero diagonals on S_A/S_B) or inner products. All
-    three may be tape-tracked Tensors.
-    """
-
-    s: T.Tensor
-    s_a: T.Tensor
-    s_b: T.Tensor
-
-
-@dataclass(frozen=True)
 class EigenDecomposition:
     values: Array   # (n,), sorted descending
     vectors: Array  # (n, n), columns matched to values
 
 
 def _square_matrix(m) -> Array:
-    """``m`` as a float64 array (a Tensor's own data); ShapeError unless
-    it is one square matrix."""
-    a = m.data if isinstance(m, T.Tensor) else np.asarray(m, dtype=np.float64)
+    """``m`` as a float64 array; ShapeError unless it is one square
+    matrix."""
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -196,43 +191,108 @@ def _inner_products(xd: Array, yd: Array):
     return xd @ yt, pullback
 
 
+_EXPLICIT_MAX_ELEMENTS = 1024
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _distances(da: Array, db: Array):
+    """Euclidean distance matrix D[i, j] = ||a_i - b_j|| of an (N, E) and
+    an (M, E) array, and its pullback g -> (g_a, g_b), in one of two forms
+    chosen by size.
+
+    Up to N*M*E = 1024 it sums the squares of the explicit (N, M, E)
+    difference tensor. Above that it uses the Gram form
+    sqrt(|a_i|^2 + |b_j|^2 - 2 a_i.b_j), which builds only (N, M) arrays
+    and one matmul. The bound is near where the two cost the same: the
+    Gram form's ten or so numpy calls outweigh the explicit form's four
+    on tiny sets. On a 2-core Xeon with BLAS on one thread (best of
+    7 x 2000 calls, explicit against Gram), 4x4x3 took 3.7 against
+    9.8 us, 16x16x4 11.8 against 12.1 us, 16x16x8 12.7 against 11.9 us
+    and 32x32x16 63 against 18.5 us. So the thousands of 4x4 calls of
+    ``verify`` stay explicit, while a 32x32x16 training batch and a
+    128x128x16 evaluation sit far above the bound. The last bits of a
+    distance thus depend on the size class and, through the matmul, on
+    the BLAS build, as every matmul's bits already do.
+
+    In the Gram form a squared distance at or below
+    4(E + 2) eps (|a_i|^2 + |b_j|^2) becomes exactly 0. The rounding
+    argument: with u = eps/2 and gamma_E = E u / (1 - E u), each squared
+    norm carries an error of at most gamma_E times itself, the inner
+    product at most gamma_E sum_k |a_ik b_jk| <= gamma_E (|a_i|^2 +
+    |b_j|^2) / 2 in any summation order, and the sum and the difference
+    add u each on values of at most 2(|a_i|^2 + |b_j|^2). So the computed
+    value lies within (2 gamma_E + 3u)(|a_i|^2 + |b_j|^2), about
+    (E + 1.5) eps (|a_i|^2 + |b_j|^2), of the exact one, a quarter of the
+    bound; an entry at or below the bound cannot be told apart from 0.
+    So equal rows, and the diagonal of a self-distance matrix, give
+    exactly 0, as the explicit form does. Near-coincident rows lose what
+    the explicit form keeps: a pair whose exact squared distance is at
+    most 5(E + 2) eps (|a_i|^2 + |b_j|^2) may read 0 (a distance of
+    2.0e-7 for unit rows at E = 16), and a small distance above that
+    carries the squared error as an absolute one, where the explicit
+    form's error is relative. A self-distance matrix is symmetric bit
+    for bit when one array is on both sides: numpy computes an array
+    times its own transpose as one symmetric product. Two equal arrays
+    take the general product, whose bits may differ.
+
+    Zero-distance pairs get zero gradient: the norm has no direction
+    there. The caller checks the feature dims."""
+    if da.shape[0] * db.shape[0] * da.shape[1] <= _EXPLICIT_MAX_ELEMENTS:
+        diff = da[:, None, :] - db[None, :, :]  # (N, M, E)
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    else:
+        norms = (np.add.reduce(da * da, axis=1)[:, None]
+                 + np.add.reduce(db * db, axis=1)[None, :])
+        sq = norms - 2.0 * (da @ db.T)
+        bound = (4.0 * (da.shape[1] + 2) * _EPS) * norms
+        dist = np.sqrt(np.where(sq > bound, sq, 0.0))
+
+    def pullback(g):
+        w = np.divide(g, dist, out=np.zeros(dist.shape), where=dist > 0.0)
+        ga = np.add.reduce(w, axis=1, keepdims=True) * da - w @ db
+        gb = np.add.reduce(w, axis=0)[:, None] * db - w.T @ da
+        return ga, gb
+
+    return dist, pullback
+
+
 def _similarity(za: Array, zb: Array, mode: str, name: str):
     """The pairwise map of ``mode`` between two 2-D float64 arrays, as the
-    (N, M) matrix and its pullback g -> (g_a, g_b): distances from
-    ``T.pairwise_dist`` in "euclidean" mode, the inner products of the
-    rows as given in "cosine" mode. ShapeError, naming ``name``, when the
-    feature dims differ. ``losses.objective`` builds S with it, and each
-    similarity node of this module wraps it."""
+    (N, M) matrix and its pullback g -> (g_a, g_b): ``_distances`` in
+    "euclidean" mode, the inner products of the rows as given in "cosine"
+    mode. ShapeError, naming ``name``, when the feature dims differ.
+    ``losses.objective`` builds S with it, ``harness`` its evaluation and
+    center-gap distances, and each similarity node of this module wraps
+    it."""
     if za.shape[1] != zb.shape[1]:
         raise ShapeError(f"{name}: feature dims differ, {za.shape} vs {zb.shape}")
     if mode == "euclidean":
-        return T._pairwise_dist(za, zb)
+        return _distances(za, zb)
     if mode == "cosine":
         return _inner_products(za, zb)
     raise ContractError(f"unknown similarity mode {mode!r}")
 
 
-def pairwise_distances(z_a, z_b, mode: str = "euclidean") -> SimilarityTriple:
-    """Build the (S, S_A, S_B) triple from two embedding sets.
+def pairwise_distances(z_a, z_b, mode: str = "euclidean") -> tuple:
+    """The (S, S_A, S_B) triple of two embedding sets, as a plain tuple of
+    three ``cross_distances``: S of the two sets, and S_A and S_B of each
+    set against itself, so one array is on both sides.
 
-    Euclidean mode stores unsquared distances from ``T.pairwise_dist``
-    (explicit differences for small sets, the Gram form above 1024
-    elements); cosine mode stores the inner products of the rows as
-    given, which are cosine similarities, with unit diagonals on S_A and
-    S_B, only for unit rows such as the encoder's. Each matrix is one
-    node over ``_similarity``, so the tape stays alive when the embeddings
-    are tracked.
+    Euclidean mode stores unsquared distances (explicit differences for
+    small sets, the Gram form above 1024 elements; see ``_distances``),
+    with zero diagonals on S_A and S_B; cosine mode stores the inner
+    products of the rows as given, which are cosine similarities, with
+    unit diagonals on S_A and S_B, only for unit rows such as the
+    encoder's. Each matrix is one node, so the tape stays alive when the
+    embeddings are tracked.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
-    s, s_a, s_b = (T.custom_op((x, y), *_similarity(x.data, y.data, mode,
-                                                    "pairwise_distances"))
-                   for x, y in ((za, zb), (za, za), (zb, zb)))
-    return SimilarityTriple(s=s, s_a=s_a, s_b=s_b)
+    return tuple(cross_distances(x, y, mode) for x, y in ((za, zb), (za, za), (zb, zb)))
 
 
 def cross_distances(z_a, z_b, mode: str = "euclidean") -> T.Tensor:
-    """The inter-set matrix S of ``pairwise_distances`` alone, built by
-    the same operations, for callers that never read S_A and S_B: in
+    """The matrix of ``mode`` between two embedding sets, S of
+    ``pairwise_distances``, as one node: distances in euclidean mode, in
     cosine mode the inner products of the rows as given."""
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
     return T.custom_op((za, zb),

@@ -13,20 +13,16 @@ never a tracked Tensor. So no tape is part of a reference cycle, and a
 step's whole graph (its activations and the arrays its VJPs keep) is
 freed by reference counting when its last Tensor goes.
 
-The primitives are ``scale`` and ``pairwise_dist``. Anything with a
-closed-form gradient of its own (each pairwise loss, each encoder view,
-which is the one place rows are normalized, each cosine similarity
-matrix, the set term ``qare`` and the whole two-view objective) is one
-``custom_op`` node over an array-level function that returns the value
-and its pullback, and documents its subgradient conventions where it is
-defined. Training builds no tape: ``harness.train`` chains those
-pullbacks directly (the two encoder views and the objective). The tape
-composes them for library callers and ``gradcheck``, and is the tests'
-reference for that chain.
-``pairwise_dist`` sums explicit squared differences for small sets and
-uses the Gram form |a|^2 + |b|^2 - 2ab^T above 1024 elements, so the
-last bits of a distance depend on the size class and, through the
-matmul, on the BLAS build, as every matmul's bits already do.
+This module is the tape alone and builds no matrix. Every node is a
+``custom_op`` over an array-level function that returns the value and
+its pullback. That function lives in the module that owns its math, and
+documents its subgradient conventions there: the pairwise losses,
+``qare`` and the two-view objective in ``losses``, the similarity
+matrices and ``eigvals`` in ``simgeom``, and the encoder, the one place
+rows are normalized, in ``harness``. Training builds no tape:
+``harness.train`` chains those pullbacks directly (the two encoder
+views and the objective). The tape composes them for library callers
+and ``gradcheck``, and is the tests' reference for that chain.
 """
 
 from __future__ import annotations
@@ -200,118 +196,29 @@ def _common_tape(operands: Sequence[Tensor]) -> Optional[Tape]:
     return tape
 
 
-def _emit(operands: Sequence[Tensor], value: Array, vjp) -> Tensor:
-    """Wrap a primitive result, a 2-D C-contiguous float64 array; records
-    a node when any operand is tracked."""
-    tape = _common_tape(operands)
-    if tape is None:
-        return Tensor._raw(value, None)
-    parents = tuple(t.node.idx if t.node is not None else None for t in operands)
-    return Tensor._raw(value, tape._record(parents, vjp))
-
-
 def custom_op(operands: Iterable, value: Array, vjp: Callable) -> Tensor:
     """Register a domain primitive: ``vjp(grad_out)`` must return one
     gradient array (or None) per operand, each matching its shape. The
     value is stored 2-D as ``Tensor`` stores data: a scalar as (1, 1), a
-    vector as (1, n); more dimensions raise ShapeError.
+    vector as (1, n); more dimensions raise ShapeError. A node is
+    recorded only when some operand is tracked.
 
     ``vjp`` may capture arrays and scalars (an operand's ``.data``, its
     shape), never a tracked Tensor: the tape keeps ``vjp`` in its
     records, and a Tensor there would hold the tape in a reference cycle
     that only the cycle collector frees, with every array of the graph."""
     ops = tuple(as_tensor(t) for t in operands)
-    return _emit(ops, _as_2d(np.ascontiguousarray(value, dtype=np.float64)), vjp)
+    value = _as_2d(np.ascontiguousarray(value, dtype=np.float64))
+    tape = _common_tape(ops)
+    if tape is None:
+        return Tensor._raw(value, None)
+    parents = tuple(t.node.idx if t.node is not None else None for t in ops)
+    return Tensor._raw(value, tape._record(parents, vjp))
 
 
 def active_tape(*tensors) -> Optional[Tape]:
     """Tape shared by the given tensors, or None if all are constants."""
     return _common_tape([t for t in tensors if isinstance(t, Tensor)])
-
-
-# ---------------------------------------------------------------------------
-# primitives
-
-def scale(a, s: float) -> Tensor:
-    a = as_tensor(a)
-    s = float(s)
-
-    def vjp(g):
-        return (g * s,)
-
-    return _emit((a,), a.data * s, vjp)
-
-
-_EXPLICIT_MAX_ELEMENTS = 1024
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def pairwise_dist(a, b) -> Tensor:
-    """Euclidean distance matrix D[i, j] = ||a_i - b_j|| of an (N, E) and
-    an (M, E) set, in one of two forms chosen by size.
-
-    Up to N*M*E = 1024 it sums the squares of the explicit (N, M, E)
-    difference tensor. Above that it uses the Gram form
-    sqrt(|a_i|^2 + |b_j|^2 - 2 a_i.b_j), which builds only (N, M) arrays
-    and one matmul. The bound is near where the two cost the same: the
-    Gram form's ten or so numpy calls outweigh the explicit form's four
-    on tiny sets. On a 2-core Xeon with BLAS on one thread (best of
-    7 x 2000 calls, explicit against Gram), 4x4x3 took 3.7 against
-    9.8 us, 16x16x4 11.8 against 12.1 us, 16x16x8 12.7 against 11.9 us
-    and 32x32x16 63 against 18.5 us. So the thousands of 4x4 calls of
-    ``verify`` stay explicit, while a 32x32x16 training batch and a
-    128x128x16 evaluation sit far above the bound.
-
-    In the Gram form a squared distance at or below
-    4(E + 2) eps (|a_i|^2 + |b_j|^2) becomes exactly 0. The rounding
-    argument: with u = eps/2 and gamma_E = E u / (1 - E u), each squared
-    norm carries an error of at most gamma_E times itself, the inner
-    product at most gamma_E sum_k |a_ik b_jk| <= gamma_E (|a_i|^2 +
-    |b_j|^2) / 2 in any summation order, and the sum and the difference
-    add u each on values of at most 2(|a_i|^2 + |b_j|^2). So the computed
-    value lies within (2 gamma_E + 3u)(|a_i|^2 + |b_j|^2), about
-    (E + 1.5) eps (|a_i|^2 + |b_j|^2), of the exact one, a quarter of the
-    bound; an entry at or below the bound cannot be told apart from 0.
-    So equal rows, and the diagonal of a self-distance matrix, give
-    exactly 0, as the explicit form does. Near-coincident rows lose what
-    the explicit form keeps: a pair whose exact squared distance is at
-    most 5(E + 2) eps (|a_i|^2 + |b_j|^2) may read 0 (a distance of
-    2.0e-7 for unit rows at E = 16), and a small distance above that
-    carries the squared error as an absolute one, where the explicit
-    form's error is relative. A self-distance matrix is symmetric bit
-    for bit when one tensor is on both sides: numpy computes an array
-    times its own transpose as one symmetric product.
-
-    Zero-distance pairs get zero gradient: the norm has no direction
-    there.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    return _emit((a, b), *_pairwise_dist(a.data, b.data))
-
-
-def _pairwise_dist(da: Array, db: Array):
-    """``pairwise_dist`` of two 2-D float64 arrays, as the distance array
-    and its pullback g -> (g_a, g_b); the one implementation that the
-    node wraps and that training calls directly."""
-    if da.shape[1] != db.shape[1]:
-        raise ShapeError(f"pairwise_dist: feature dims differ, {da.shape} vs {db.shape}")
-    if da.shape[0] * db.shape[0] * da.shape[1] <= _EXPLICIT_MAX_ELEMENTS:
-        diff = da[:, None, :] - db[None, :, :]  # (N, M, E)
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
-    else:
-        norms = (np.add.reduce(da * da, axis=1)[:, None]
-                 + np.add.reduce(db * db, axis=1)[None, :])
-        sq = norms - 2.0 * (da @ db.T)
-        bound = (4.0 * (da.shape[1] + 2) * _EPS) * norms
-        dist = np.sqrt(np.where(sq > bound, sq, 0.0))
-
-    def pullback(g):
-        w = np.divide(g, dist, out=np.zeros(dist.shape), where=dist > 0.0)
-        ga = np.add.reduce(w, axis=1, keepdims=True) * da - w @ db
-        gb = np.add.reduce(w, axis=0)[:, None] * db - w.T @ da
-        return ga, gb
-
-    return dist, pullback
 
 
 # ---------------------------------------------------------------------------

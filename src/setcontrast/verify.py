@@ -370,14 +370,12 @@ def suite_fig1b() -> SuiteResult:
     """Shared inter-set matrix gives identical assignment optima while
     the quadratic costs and the spectral surrogate both separate the
     two intra-set geometries."""
-    near, far = harness.fig1b_instance()
-    lap_near = assignment.solve_lap(near.s.data, "min").cost
-    lap_far = assignment.solve_lap(far.s.data, "min").cost
+    near, far = ([m.data for m in t] for t in harness.fig1b_instance())
+    lap_near = assignment.solve_lap(near[0], "min").cost
+    lap_far = assignment.solve_lap(far[0], "min").cost
     lap_gap = abs(lap_near - lap_far)
-    qap_near = assignment.brute_force_qap(
-        near.s.data, near.s_a.data, near.s_b.data, "min").cost
-    qap_far = assignment.brute_force_qap(
-        far.s.data, far.s_a.data, far.s_b.data, "min").cost
+    qap_near = assignment.brute_force_qap(*near, "min").cost
+    qap_far = assignment.brute_force_qap(*far, "min").cost
     qap_gap = abs(qap_near - qap_far)
     view_a, near_b, far_b = harness.fig1b_points()
     q_near = losses.qare(view_a, near_b).item()

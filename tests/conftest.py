@@ -22,6 +22,13 @@ def weighted_sum(x, w=1.0) -> T.Tensor:
     return T.custom_op((x, w), np.reshape((xd * wd).sum(), (1, 1)), vjp)
 
 
+def scaled(x, s: float) -> T.Tensor:
+    """x * s as one tape node over x, for tests that need a node between
+    a leaf and a loss; its VJP holds the float s only."""
+    x = T.as_tensor(x)
+    return T.custom_op((x,), x.data * s, lambda g: (g * s,))
+
+
 @contextlib.contextmanager
 def gc_disabled():
     """No cycle collection inside the block, so only reference counting

@@ -478,6 +478,24 @@ class TestTraining:
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
         assert applies == []
 
+    def test_non_identity_alignment_raises_before_the_first_step(self, monkeypatch):
+        # a batch pairs row i of both views, so view_b permuted with its
+        # matching alignment would train against the wrong positives
+        import dataclasses
+        ds = harness.gen_two_view_dataset(TINY)
+        perm = np.roll(np.arange(ds.view_b.shape[0]), 1)
+        ds = dataclasses.replace(ds, view_b=ds.view_b[perm],
+                                 gt=losses.GroundTruthAlignment(np.argsort(perm)))
+        applies = []
+        monkeypatch.setattr(harness.MLPEncoder, "apply",
+                            lambda *a: applies.append(a))
+        cfg = tiny_train_config()
+        with pytest.raises(ContractError, match=(
+                "^train: batches pair row i of both views, so the alignment "
+                "must be the identity$")):
+            harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+        assert applies == []
+
     def test_views_of_another_layout_train_to_the_same_bits(self):
         # a Fortran-ordered view and a strided one are made C-ordered once
         import dataclasses
@@ -544,6 +562,7 @@ class TestTraining:
         (dict(learning_rate=-1e-3), "learning_rate must be >= 0"),
         (dict(hidden_dim=0), "encoder widths must be positive"),
         (dict(embed_dim=0), "encoder widths must be positive"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
     ])
     def test_invalid_config_rejected(self, kwargs, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -864,7 +883,7 @@ class TestEvaluation:
     @pytest.mark.parametrize("num_classes,samples_per_class", [(5, 9), (8, 16)])
     def test_block_rows_give_the_one_call_bytes(self, monkeypatch, num_classes,
                                                 samples_per_class):
-        # evaluation's S is one pairwise_dist call over all items
+        # evaluation's S is one distance matrix over all items
         spec = harness.SyntheticSpec(num_classes=num_classes,
                                      samples_per_class=samples_per_class)
         ds = harness.gen_two_view_dataset(spec)
@@ -878,7 +897,7 @@ class TestEvaluation:
 
         monkeypatch.setattr(assignment, "matching_accuracy", capture)
         harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b), ds.gt)
-        whole = T.pairwise_dist(enc.embed(ds.view_a), enc.embed(ds.view_b)).data
+        whole = simgeom.cross_distances(enc.embed(ds.view_a), enc.embed(ds.view_b)).data
         assert len(seen) == 1
         assert seen[0].shape == whole.shape == (spec.num_items, spec.num_items)
         assert seen[0].tobytes() == whole.tobytes()
@@ -918,14 +937,13 @@ class TestTapeLifetime:
 
 class TestFig1bInstance:
     def test_shared_inter_set_matrix(self):
-        near, far = harness.fig1b_instance()
-        np.testing.assert_array_equal(near.s.data, far.s.data)
-        assert near.s.shape == (4, 4)
+        (s_near, _, _), (s_far, _, _) = harness.fig1b_instance()
+        np.testing.assert_array_equal(s_near.data, s_far.data)
+        assert s_near.shape == (4, 4)
 
     def test_intra_matrices_are_distance_like(self):
-        near, far = harness.fig1b_instance()
-        for t in (near, far):
-            for m in (t.s_a.data, t.s_b.data):
+        for _, s_a, s_b in harness.fig1b_instance():
+            for m in (s_a.data, s_b.data):
                 np.testing.assert_allclose(m, m.T, atol=1e-15)
                 np.testing.assert_allclose(np.diag(m), 0.0, atol=1e-15)
                 assert m.min() >= 0.0

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from setcontrast import assignment, losses, simgeom, tensor as T
 from setcontrast.errors import ContractError, EvaluationError, ShapeError
 
+from conftest import scaled
+
 random_square = st.tuples(
     st.integers(2, 8), st.integers(0, 2 ** 31 - 1)
 ).map(lambda t: np.random.default_rng(t[1]).normal(size=(t[0], t[0])))
@@ -363,7 +365,7 @@ class TestFusedLossGradients:
         rng = np.random.default_rng(10 + sorted(FUSED).index(kind))
         for n in (2, 5):
             s, gt = _generic(rng, kind, n)
-            assert T.gradcheck(lambda x: T.scale(FUSED[kind](x, gt), 2.5), s) < 1e-6
+            assert T.gradcheck(lambda x: scaled(FUSED[kind](x, gt), 2.5), s) < 1e-6
 
 
 class TestSparsemax:
@@ -598,9 +600,8 @@ class TestQare:
         z_a, z_b = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
         z_a /= np.linalg.norm(z_a, axis=1, keepdims=True)
         z_b /= np.linalg.norm(z_b, axis=1, keepdims=True)
-        triple = simgeom.pairwise_distances(z_a, z_b, "cosine")
-        l_a, l_b = (np.linalg.eigvalsh(1.0 + m.data)[::-1]
-                    for m in (triple.s_a, triple.s_b))
+        _, s_a, s_b = simgeom.pairwise_distances(z_a, z_b, "cosine")
+        l_a, l_b = (np.linalg.eigvalsh(1.0 + m.data)[::-1] for m in (s_a, s_b))
         assert losses.qare(z_a, z_b).item() == pytest.approx(l_a @ l_b, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -706,7 +707,7 @@ class TestQare:
         # 3 x 3 factor Gram, so no cluster meets distinct partners
         rng = np.random.default_rng(13)
         za, zb = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
-        shifted = simgeom.pairwise_distances(za, zb, "cosine").s_a.data + 1.0
+        shifted = simgeom.pairwise_distances(za, zb, "cosine")[1].data + 1.0
         gap = simgeom.min_eigengap(simgeom.sym_eigen(shifted).values)
         assert gap < losses.DEGENERATE_EIGENGAP
         assert "degenerate-eigenvalues" not in self._flags(za, zb)
@@ -764,8 +765,8 @@ class TestStructuredQapExact:
 
 
 class TestPairwiseLoss:
-    # each (kind, mining) variant, by the direct call it must dispatch to
-    # with the config's margin or temperature
+    # each (kind, mining) variant of the objective's pairwise term, by the
+    # direct call it must dispatch to with the config's margin or temperature
     VARIANTS = {
         ("margin", "one-to-one"): lambda s, gt, c: losses.structured_lap_loss(
             s, gt, margin=c.margin),
@@ -781,26 +782,33 @@ class TestPairwiseLoss:
     }
 
     @staticmethod
-    def _bytes(fn, s):
+    def _bytes(fn, za, zb):
         tape = T.Tape()
-        leaf = tape.leaf(s)
-        value = fn(leaf)
+        leaf = tape.leaf(za)
+        value = fn(leaf, zb)
         return value.data.tobytes(), tape.backward(value)[leaf].data.tobytes()
 
     @pytest.mark.parametrize("kind,mining", sorted(VARIANTS))
     def test_matches_the_direct_call_bit_for_bit(self, kind, mining):
+        # the objective's pairwise term at beta 0, against the direct call
+        # on the euclidean S of the same two sets
         cfg = losses.LossConfig(name="x", kind=kind, mining=mining,
                                 margin=0.3, temperature=0.7)
         rng = np.random.default_rng(33)
-        s = rng.normal(size=(6, 6))
+        za, zb = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
         gt = random_gt(rng, 6)
-        got = self._bytes(lambda x: losses.pairwise_loss(x, gt, cfg), s)
-        want = self._bytes(lambda x: self.VARIANTS[kind, mining](x, gt, cfg), s)
+
+        def configured(c):
+            return lambda x, y: losses.two_view_loss(x, y, gt, c)[0]
+
+        got = self._bytes(configured(cfg), za, zb)
+        want = self._bytes(lambda x, y: self.VARIANTS[kind, mining](
+            simgeom.cross_distances(x, y), gt, cfg), za, zb)
         assert got == want
         # the fields reach the loss: the default margin and temperature differ
         default = losses.LossConfig(name="x", kind=kind, mining=mining)
         if kind != "sparseclr":
-            assert self._bytes(lambda x: losses.pairwise_loss(x, gt, default), s)[0] != got[0]
+            assert self._bytes(configured(default), za, zb)[0] != got[0]
 
     def test_covers_every_kind_and_mining(self):
         assert {k for k, _ in self.VARIANTS} == set(losses.LOSS_KINDS)
@@ -814,8 +822,8 @@ class TestTwoViewLoss:
         gt = identity(5)
         cfg = losses.LossConfig(name="x", kind="infonce", beta=0.0)
         total, parts = losses.two_view_loss(za, zb, gt, cfg)
-        triple = simgeom.pairwise_distances(za, zb, "euclidean")
-        bare = losses.infonce_loss(triple.s, gt, temperature=cfg.temperature).item()
+        s = simgeom.cross_distances(za, zb, "euclidean")
+        bare = losses.infonce_loss(s, gt, temperature=cfg.temperature).item()
         assert total.item() == bare
         assert parts["qare"] == 0.0
         assert parts["total"] == parts["pairwise"]
@@ -826,8 +834,8 @@ class TestTwoViewLoss:
         gt = identity(4)
         cfg = losses.LossConfig(name="x", kind="infonce", beta=0.0, mode="cosine")
         total, _ = losses.two_view_loss(za, zb, gt, cfg)
-        triple = simgeom.pairwise_distances(za, zb, "cosine")
-        bare = losses.infonce_loss(T.scale(triple.s, -1.0), gt,
+        s = simgeom.cross_distances(za, zb, "cosine")
+        bare = losses.infonce_loss(scaled(s, -1.0), gt,
                                    temperature=cfg.temperature).item()
         assert total.item() == bare
 
@@ -836,13 +844,13 @@ class TestTwoViewLoss:
         # one euclidean step, forward and backward: qare reads the
         # factors of the sets, so S is the one distance matrix at any beta
         calls = []
-        real = T._pairwise_dist
+        real = simgeom._distances
 
         def counting(a, b):
             calls.append(1)
             return real(a, b)
 
-        monkeypatch.setattr(T, "_pairwise_dist", counting)
+        monkeypatch.setattr(simgeom, "_distances", counting)
         rng = np.random.default_rng(31)
         tape = T.Tape()
         za, zb = (tape.leaf(rng.normal(size=(5, 3))) for _ in range(2))

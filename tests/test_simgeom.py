@@ -61,7 +61,7 @@ def _pair_family():
     angles = np.arange(6) * (np.pi / 3.0)
     hexagon = T.Tensor(np.stack([np.cos(angles), np.sin(angles)], axis=1))
     generic = T.Tensor(rng.normal(size=(6, 2)))
-    yield T.pairwise_dist(hexagon, hexagon).data, T.pairwise_dist(generic, generic).data
+    yield simgeom.cross_distances(hexagon, hexagon).data, simgeom.cross_distances(generic, generic).data
 
 
 class TestSymEigen:
@@ -143,7 +143,7 @@ class TestSymEigen:
             yield (m + m.T) / 2.0
         for n, e in ((4, 3), (32, 16)):  # explicit and Gram-form distances
             z = rng.normal(size=(n, e))
-            yield T.pairwise_dist(z, z).data
+            yield simgeom.cross_distances(z, z).data
             yield _shifted_cosine(z)
 
     def test_exact_symmetry_gives_the_symmetrized_bits(self, monkeypatch):
@@ -364,42 +364,131 @@ class TestMinEigengap:
         assert simgeom.min_eigengap(np.array([5.0, 3.0, 2.5])) == pytest.approx(0.5)
 
 
+class TestDistances:
+    """The euclidean map of ``_similarity``: explicit differences up to
+    1024 elements, the Gram form above, read through ``cross_distances``."""
+
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(3, 4))
+        b = rng.normal(size=(3, 4))
+        np.testing.assert_allclose(simgeom.cross_distances(T.Tensor(a), T.Tensor(b)).data,
+                                   np.linalg.norm(a[:, None] - b[None], axis=2))
+
+    def test_values(self):
+        a = np.array([[0.0, 0.0], [3.0, 4.0]])
+        b = np.array([[0.0, 0.0]])
+        d = simgeom.cross_distances(T.Tensor(a), T.Tensor(b)).data
+        np.testing.assert_allclose(d, [[0.0], [5.0]])
+
+    def test_feature_dims_must_agree(self):
+        with pytest.raises(ShapeError, match=(r"^cross_distances: feature dims differ, "
+                                              r"\(2, 3\) vs \(1, 2\)$")):
+            simgeom.cross_distances(np.ones((2, 3)), np.ones((1, 2)))
+
+    @pytest.mark.parametrize("n,m,e", [(1, 1, 1), (4, 4, 3), (4, 4, 2),
+                                       (8, 8, 16), (16, 16, 4), (1, 1024, 1)])
+    def test_at_or_below_the_bound_is_the_explicit_form(self, n, m, e):
+        # verify's 4x4 sets take this path, so their bytes must not move
+        assert n * m * e <= simgeom._EXPLICIT_MAX_ELEMENTS
+        rng = np.random.default_rng(n * m * e)
+        a, b = rng.normal(size=(n, e)), rng.normal(size=(m, e))
+        diff = a[:, None, :] - b[None, :, :]
+        explicit = np.sqrt((diff * diff).sum(axis=2))
+        assert simgeom.cross_distances(a, b).data.tobytes() == explicit.tobytes()
+
+    @pytest.mark.parametrize("n,m,e", [(8, 8, 16), (16, 16, 4), (8, 9, 16),
+                                       (32, 32, 16), (128, 128, 16), (3, 200, 2)])
+    def test_agrees_with_the_explicit_form(self, n, m, e):
+        # squared distances agree within the Gram form's zero bound,
+        # 4 (E + 2) eps (|a_i|^2 + |b_j|^2), on both sides of 1024 elements
+        rng = np.random.default_rng(n + m + e)
+        a, b = rng.normal(size=(n, e)), rng.normal(size=(m, e))
+        a[0] = b[0]  # one exact zero distance
+        b[1] = a[1] + 1e-3  # and a near one
+        d = simgeom.cross_distances(a, b).data
+        diff = a[:, None, :] - b[None, :, :]
+        explicit = (diff * diff).sum(axis=2)
+        norms = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+        bound = 4.0 * (e + 2) * np.finfo(np.float64).eps * norms
+        assert np.all(np.abs(d * d - explicit) <= bound)
+        assert d[0, 0] == 0.0
+
+    @pytest.mark.parametrize("n,e", [(32, 16), (128, 16), (40, 30)])
+    def test_self_distances_are_symmetric_with_a_zero_diagonal(self, n, e):
+        x = np.random.default_rng(e).normal(size=(n, e))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)  # as training sees them
+        d = simgeom.cross_distances(x, x).data
+        assert n * n * e > simgeom._EXPLICIT_MAX_ELEMENTS
+        assert np.array_equal(np.diag(d), np.zeros(n))
+        assert np.array_equal(d, d.T)
+        assert d[~np.eye(n, dtype=bool)].min() > 0.0
+
+    def test_zero_distance_has_zero_gradient(self):
+        tape = T.Tape()
+        a = tape.leaf(np.array([[1.0, 2.0]]))
+        d = simgeom.cross_distances(a, T.Tensor(np.array([[1.0, 2.0]])))
+        grads = tape.backward(weighted_sum(d))
+        np.testing.assert_allclose(grads[a].data, 0.0)
+        # 32x16 equal rows take the Gram form, whose rounding rule makes
+        # every distance, and so every gradient, exactly 0
+        rows = np.tile(np.random.default_rng(5).normal(size=(1, 16)), (32, 1))
+        tape = T.Tape()
+        a = tape.leaf(rows)
+        d = simgeom.cross_distances(a, T.Tensor(rows))
+        assert d.data.size * 16 > simgeom._EXPLICIT_MAX_ELEMENTS
+        assert np.array_equal(d.data, np.zeros((32, 32)))
+        grads = tape.backward(weighted_sum(d))
+        assert np.array_equal(grads[a].data, np.zeros((32, 16)))
+
+    def test_gram_form_gradient(self):
+        # 32x16 against a fixed other set: Gram form, no zero distances
+        rng = np.random.default_rng(11)
+        a, b, w = (rng.normal(size=(32, 16)), rng.normal(size=(32, 16)),
+                   rng.normal(size=(32, 32)))
+
+        def f(x):
+            return weighted_sum(simgeom.cross_distances(x, T.Tensor(b)), w)
+
+        assert simgeom.cross_distances(a, b).data.min() > 1.0
+        assert T.gradcheck(f, a) < 1e-6
+
+
 class TestPairwiseDistances:
     def test_euclidean_matches_direct_computation(self):
         rng = np.random.default_rng(8)
         za, zb = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        triple = simgeom.pairwise_distances(za, zb, "euclidean")
+        s, s_a, s_b = simgeom.pairwise_distances(za, zb, "euclidean")
         want = np.linalg.norm(za[:, None, :] - zb[None, :, :], axis=2)
-        np.testing.assert_allclose(triple.s.data, want, atol=1e-12)
-        assert triple.s.shape == (4, 5)
-        assert triple.s_a.shape == (4, 4)
-        assert triple.s_b.shape == (5, 5)
-        np.testing.assert_allclose(np.diag(triple.s_a.data), 0.0, atol=1e-12)
+        np.testing.assert_allclose(s.data, want, atol=1e-12)
+        assert s.shape == (4, 5)
+        assert s_a.shape == (4, 4)
+        assert s_b.shape == (5, 5)
+        np.testing.assert_allclose(np.diag(s_a.data), 0.0, atol=1e-12)
 
     def test_cosine_takes_the_rows_as_given(self):
         # the encoder makes rows unit; cosine mode only multiplies them
         rng = np.random.default_rng(9)
         za, zb = rng.normal(size=(4, 3)) * 10.0, rng.normal(size=(5, 3)) * 0.1
         triple = simgeom.pairwise_distances(za, zb, "cosine")
-        for got, want in ((triple.s, za @ zb.T), (triple.s_a, za @ za.T),
-                          (triple.s_b, zb @ zb.T)):
+        for got, want in zip(triple, (za @ zb.T, za @ za.T, zb @ zb.T)):
             np.testing.assert_allclose(got.data, want, rtol=0.0,
                                        atol=1e-12 * np.abs(want).max())
         na = za / np.linalg.norm(za, axis=1, keepdims=True)
         nb = zb / np.linalg.norm(zb, axis=1, keepdims=True)
-        unit = simgeom.pairwise_distances(na, nb, "cosine")
-        assert np.abs(unit.s.data).max() <= 1.0 + 1e-12
-        np.testing.assert_allclose(np.diag(unit.s_a.data), 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.diag(unit.s_b.data), 1.0, atol=1e-12)
+        s, s_a, s_b = simgeom.pairwise_distances(na, nb, "cosine")
+        assert np.abs(s.data).max() <= 1.0 + 1e-12
+        np.testing.assert_allclose(np.diag(s_a.data), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(s_b.data), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("side", ["z_a", "z_b"])
     def test_cosine_zero_row_gives_zero_similarities(self, side):
         # no normalization, so no zero-row check: the row's products are 0
         z = {"z_a": np.ones((3, 2)), "z_b": np.ones((3, 2))}
         z[side][1] = 0.0
-        triple = simgeom.pairwise_distances(z["z_a"], z["z_b"], "cosine")
-        s = triple.s.data if side == "z_a" else triple.s.data.T
-        intra = triple.s_a.data if side == "z_a" else triple.s_b.data
+        s, s_a, s_b = simgeom.pairwise_distances(z["z_a"], z["z_b"], "cosine")
+        s = s.data if side == "z_a" else s.data.T
+        intra = s_a.data if side == "z_a" else s_b.data
         np.testing.assert_array_equal(s[1], 0.0)
         np.testing.assert_array_equal(intra[1], 0.0)
         np.testing.assert_array_equal(intra[:, 1], 0.0)
@@ -408,27 +497,24 @@ class TestPairwiseDistances:
     def test_intra_matrices_are_each_sets_own_map(self):
         # S_A and S_B are the map of one set Tensor on both sides, bit for
         # bit (one symmetric product in the Gram form); euclidean S_B is
-        # T.pairwise_dist(z_b, z_b), as fig1b_instance reads the far view
+        # cross_distances(z_b, z_b), as fig1b_instance reads the far view
         rng = np.random.default_rng(13)
         for n, e in ((4, 3), (32, 16)):  # explicit and Gram-form distances
             za, zb = T.Tensor(rng.normal(size=(n, e))), T.Tensor(rng.normal(size=(n + 1, e)))
             for mode in ("euclidean", "cosine"):
-                triple = simgeom.pairwise_distances(za, zb, mode)
+                _, s_a, s_b = simgeom.pairwise_distances(za, zb, mode)
                 assert (simgeom.cross_distances(za, za, mode).data.tobytes()
-                        == triple.s_a.data.tobytes())
+                        == s_a.data.tobytes())
                 assert (simgeom.cross_distances(zb, zb, mode).data.tobytes()
-                        == triple.s_b.data.tobytes())
-            euclid = simgeom.pairwise_distances(za, zb, "euclidean")
-            assert (T.pairwise_dist(zb, zb).data.tobytes()
-                    == euclid.s_b.data.tobytes())
+                        == s_b.data.tobytes())
 
     def test_intra_matrices_are_symmetric(self):
         rng = np.random.default_rng(10)
         za, zb = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
         for mode in ("euclidean", "cosine"):
-            triple = simgeom.pairwise_distances(za, zb, mode)
-            np.testing.assert_allclose(triple.s_a.data, triple.s_a.data.T, atol=1e-12)
-            np.testing.assert_allclose(triple.s_b.data, triple.s_b.data.T, atol=1e-12)
+            _, s_a, s_b = simgeom.pairwise_distances(za, zb, mode)
+            np.testing.assert_allclose(s_a.data, s_a.data.T, atol=1e-12)
+            np.testing.assert_allclose(s_b.data, s_b.data.T, atol=1e-12)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ContractError):
@@ -436,18 +522,18 @@ class TestPairwiseDistances:
 
     def test_feature_dim_mismatch_rejected(self):
         for mode in ("euclidean", "cosine"):
-            with pytest.raises(ShapeError, match="^pairwise_distances: feature dims differ"):
+            with pytest.raises(ShapeError, match="^cross_distances: feature dims differ"):
                 simgeom.pairwise_distances(np.ones((2, 3)), np.ones((2, 4)), mode)
 
     @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
     def test_each_matrix_gradcheck(self, mode):
         rng = np.random.default_rng(12)
         za, zb = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        for field, sides in (("s", ("z_a", "z_b")), ("s_a", ("z_a",)), ("s_b", ("z_b",))):
+        for field, sides in ((0, ("z_a", "z_b")), (1, ("z_a",)), (2, ("z_b",))):
             for side in sides:
                 def f(x):
                     z = {"z_a": za, "z_b": zb, side: x}
-                    m = getattr(simgeom.pairwise_distances(z["z_a"], z["z_b"], mode), field)
+                    m = simgeom.pairwise_distances(z["z_a"], z["z_b"], mode)[field]
                     return weighted_sum(m, np.sin(np.arange(m.data.size)).reshape(m.shape))
 
                 assert T.gradcheck(f, za if side == "z_a" else zb) < 1e-7
@@ -456,9 +542,8 @@ class TestPairwiseDistances:
         rng = np.random.default_rng(11)
         za, zb = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
         for mode in ("euclidean", "cosine"):
-            triple = simgeom.pairwise_distances(za, zb, mode)
-            assert np.array_equal(simgeom.cross_distances(za, zb, mode).data,
-                                  triple.s.data)
+            s, _, _ = simgeom.pairwise_distances(za, zb, mode)
+            assert np.array_equal(simgeom.cross_distances(za, zb, mode).data, s.data)
         with pytest.raises(ContractError):
             simgeom.cross_distances(za, zb, "manhattan")
         for mode in ("euclidean", "cosine"):

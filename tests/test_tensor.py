@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setcontrast import tensor as T
+from setcontrast import simgeom, tensor as T
 from setcontrast.errors import (
     ContractError,
     EvaluationError,
     ShapeError,
 )
 
-from conftest import gc_disabled, weighted_sum
+from conftest import gc_disabled, scaled, weighted_sum
 
 
 def small_arrays(rows=(1, 4), cols=(1, 4)):
@@ -62,67 +62,6 @@ class TestTensorBasics:
         assert not T.Tensor(np.ones((2, 2))).tracked
 
 
-class TestForwardValues:
-    def test_primitives_match_numpy(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(3, 4))
-        ta, tb = T.Tensor(a), T.Tensor(b)
-        np.testing.assert_allclose(T.scale(ta, 2.5).data, a * 2.5)
-        np.testing.assert_allclose(T.scale(ta, -1.0).data, -a)
-        np.testing.assert_allclose(T.pairwise_dist(ta, tb).data,
-                                   np.linalg.norm(a[:, None] - b[None], axis=2))
-
-    def test_pairwise_dist_values(self):
-        a = np.array([[0.0, 0.0], [3.0, 4.0]])
-        b = np.array([[0.0, 0.0]])
-        d = T.pairwise_dist(T.Tensor(a), T.Tensor(b)).data
-        np.testing.assert_allclose(d, [[0.0], [5.0]])
-
-    def test_pairwise_dist_feature_dims_must_agree(self):
-        with pytest.raises(ShapeError, match=(r"^pairwise_dist: feature dims differ, "
-                                              r"\(2, 3\) vs \(1, 2\)$")):
-            T.pairwise_dist(np.ones((2, 3)), np.ones((1, 2)))
-
-    @pytest.mark.parametrize("n,m,e", [(1, 1, 1), (4, 4, 3), (4, 4, 2),
-                                       (8, 8, 16), (16, 16, 4), (1, 1024, 1)])
-    def test_pairwise_dist_at_or_below_the_bound_is_the_explicit_form(self, n, m, e):
-        # verify's 4x4 sets take this path, so their bytes must not move
-        assert n * m * e <= T._EXPLICIT_MAX_ELEMENTS
-        rng = np.random.default_rng(n * m * e)
-        a, b = rng.normal(size=(n, e)), rng.normal(size=(m, e))
-        diff = a[:, None, :] - b[None, :, :]
-        explicit = np.sqrt((diff * diff).sum(axis=2))
-        assert T.pairwise_dist(a, b).data.tobytes() == explicit.tobytes()
-
-    @pytest.mark.parametrize("n,m,e", [(8, 8, 16), (16, 16, 4), (8, 9, 16),
-                                       (32, 32, 16), (128, 128, 16), (3, 200, 2)])
-    def test_pairwise_dist_agrees_with_the_explicit_form(self, n, m, e):
-        # squared distances agree within the Gram form's zero bound,
-        # 4 (E + 2) eps (|a_i|^2 + |b_j|^2), on both sides of 1024 elements
-        rng = np.random.default_rng(n + m + e)
-        a, b = rng.normal(size=(n, e)), rng.normal(size=(m, e))
-        a[0] = b[0]  # one exact zero distance
-        b[1] = a[1] + 1e-3  # and a near one
-        d = T.pairwise_dist(a, b).data
-        diff = a[:, None, :] - b[None, :, :]
-        explicit = (diff * diff).sum(axis=2)
-        norms = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-        bound = 4.0 * (e + 2) * np.finfo(np.float64).eps * norms
-        assert np.all(np.abs(d * d - explicit) <= bound)
-        assert d[0, 0] == 0.0
-
-    @pytest.mark.parametrize("n,e", [(32, 16), (128, 16), (40, 30)])
-    def test_self_distances_are_symmetric_with_a_zero_diagonal(self, n, e):
-        x = np.random.default_rng(e).normal(size=(n, e))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)  # as training sees them
-        d = T.pairwise_dist(x, x).data
-        assert n * n * e > T._EXPLICIT_MAX_ELEMENTS
-        assert np.array_equal(np.diag(d), np.zeros(n))
-        assert np.array_equal(d, d.T)
-        assert d[~np.eye(n, dtype=bool)].min() > 0.0
-
-
 class TestTapeSemantics:
     def test_backward_returns_zero_for_unreached_leaf(self):
         tape = T.Tape()
@@ -152,7 +91,7 @@ class TestTapeSemantics:
         tape = T.Tape()
         x = tape.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
         w = np.array([[2.0, 0.0], [0.0, 5.0]])
-        loss = weighted_sum(T.scale(x, 0.5), w)
+        loss = weighted_sum(scaled(x, 0.5), w)
         grads = tape.backward(loss)
         np.testing.assert_array_equal(grads[x].data, 0.5 * w)
 
@@ -182,7 +121,7 @@ class TestTapeSemantics:
     def test_gradients_reject_a_tracked_non_leaf(self):
         tape = T.Tape()
         x = tape.leaf(np.ones((1, 2)))
-        y = T.scale(x, 2.0)
+        y = scaled(x, 2.0)
         grads = tape.backward(weighted_sum(y))
         with pytest.raises(ContractError,
                            match="^record 1 is not a leaf of this tape$"):
@@ -210,24 +149,7 @@ class TestTapeSemantics:
         a = tape.leaf(np.ones((2, 3)))
         with pytest.raises(ShapeError, match=r"^backward needs a scalar loss, "
                                              r"shape=\(2, 3\)$"):
-            tape.backward(T.scale(a, 2.0))
-
-    def test_pairwise_dist_zero_distance_has_zero_gradient(self):
-        tape = T.Tape()
-        a = tape.leaf(np.array([[1.0, 2.0]]))
-        d = T.pairwise_dist(a, T.Tensor(np.array([[1.0, 2.0]])))
-        grads = tape.backward(weighted_sum(d))
-        np.testing.assert_allclose(grads[a].data, 0.0)
-        # 32x16 equal rows take the Gram form, whose rounding rule makes
-        # every distance, and so every gradient, exactly 0
-        rows = np.tile(np.random.default_rng(5).normal(size=(1, 16)), (32, 1))
-        tape = T.Tape()
-        a = tape.leaf(rows)
-        d = T.pairwise_dist(a, T.Tensor(rows))
-        assert d.data.size * 16 > T._EXPLICIT_MAX_ELEMENTS
-        assert np.array_equal(d.data, np.zeros((32, 32)))
-        grads = tape.backward(weighted_sum(d))
-        assert np.array_equal(grads[a].data, np.zeros((32, 16)))
+            tape.backward(scaled(a, 2.0))
 
     def test_custom_op_roundtrip(self):
         def cube(x):
@@ -288,7 +210,7 @@ class TestGradcheck:
         err = T.gradcheck(lambda x: weighted_sum(bad(x)), x0)
         assert err > 0.1
 
-    @pytest.mark.parametrize("f", [lambda x: T.scale(x, 2.0), lambda x: 1.0],
+    @pytest.mark.parametrize("f", [lambda x: scaled(x, 2.0), lambda x: 1.0],
                              ids=["matrix", "float"])
     def test_f_must_return_a_scalar_tensor(self, f):
         with pytest.raises(ContractError,
@@ -304,7 +226,7 @@ class TestGradcheck:
                 tapes.append(weakref.ref(self))
 
         def f(x):
-            return weighted_sum(T.pairwise_dist(T.scale(x, 2.0), T.scale(x, -0.5)))
+            return weighted_sum(simgeom.cross_distances(scaled(x, 2.0), scaled(x, -0.5)))
 
         monkeypatch.setattr(T, "Tape", Recorded)
         x0 = np.random.default_rng(0).normal(size=(3, 2))
@@ -361,7 +283,7 @@ class TestGradcheck:
         # x reaches the sum through both of its operands, so their
         # gradients accumulate on the leaf
         def f(x):
-            return weighted_sum(T.scale(x, 0.7), x)
+            return weighted_sum(scaled(x, 0.7), x)
 
         assert T.gradcheck(f, a) < 1e-5
 
@@ -370,24 +292,12 @@ class TestGradcheck:
     def test_scale_then_distance_gradient(self, a):
         # x reaches both operands of the distance, one of them scaled
         def f(x):
-            return weighted_sum(T.pairwise_dist(T.scale(x, 0.5), x))
+            return weighted_sum(simgeom.cross_distances(scaled(x, 0.5), x))
 
         cross = np.linalg.norm(0.5 * a[:, None, :] - a[None, :, :], axis=2)
         if cross.min() < 1e-2:
             return  # too close to the distance kink to difference safely
         assert T.gradcheck(f, a) < 1e-5
-
-    def test_gram_form_distance_gradient(self):
-        # 32x16 against a fixed other set: Gram form, no zero distances
-        rng = np.random.default_rng(11)
-        a, b, w = (rng.normal(size=(32, 16)), rng.normal(size=(32, 16)),
-                   rng.normal(size=(32, 32)))
-
-        def f(x):
-            return weighted_sum(T.pairwise_dist(x, T.Tensor(b)), w)
-
-        assert T.pairwise_dist(a, b).data.min() > 1.0
-        assert T.gradcheck(f, a) < 1e-6
 
 
 class TestClosedFormGradients:

@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from setcontrast import losses, tensor as T, verify
+from setcontrast import losses, verify
 from setcontrast.errors import ConfigError
+
+from conftest import scaled
 
 
 def _loop_oracle(z):
@@ -84,7 +86,7 @@ class TestUpperBound:
     def test_fails_on_a_negated_qare(self, monkeypatch):
         real = losses.qare
         monkeypatch.setattr(losses, "qare",
-                            lambda *args: T.scale(real(*args), -1.0))
+                            lambda *args: scaled(real(*args), -1.0))
         assert not verify.suite_upper_bound().passed
 
 
