@@ -82,32 +82,26 @@ def _check_sense(sense: str) -> str:
 
 
 def _as_indices(values) -> Array:
-    """``values`` flattened to intp; ContractError on an entry that is not
-    an integer: a fraction, NaN or Inf, which a cast would truncate, or a
-    boolean, which a cast would read as 0 or 1, and on an integer outside
-    the intp range. A sequence that mixes booleans with integers converts
-    to an integer array, so the entries are checked for booleans as
-    objects, whatever the input type."""
+    """``values``, an integer array or a sequence of ints, flattened to
+    intp. ContractError on input that numpy does not read as integers
+    (floats, integral or not, and Python ints beyond int64, which it
+    reads as floats or objects), on a boolean, which a cast would read
+    as 0 or 1, and on a uint64 above the intp maximum, which a cast
+    would wrap to a negative. A sequence that mixes booleans with
+    integers converts to an integer array, so the entries are checked
+    for booleans as objects, whatever the input type. An empty sequence,
+    which numpy reads as float64, has no entry to reject."""
     if any(isinstance(v, (bool, np.bool_))
            for v in np.asarray(values, dtype=object).reshape(-1)):
         raise ContractError(f"indices must be integers, got {values!r}")
     raw = np.asarray(values).reshape(-1)
-    if raw.dtype.kind in "iu":
-        # a cast would wrap a uint64 above the intp maximum to a negative
-        if not np.can_cast(raw.dtype, np.intp) and raw.size and (
-                int(raw.max()) > _INTP.max or int(raw.min()) < _INTP.min):
-            raise ContractError(
-                f"indices must be integers in the intp range, got {values!r}")
-        return raw.astype(np.intp, copy=False)
-    try:
-        with np.errstate(invalid="ignore"):  # NaN and Inf fail the equality below
-            idx = raw.astype(np.intp)
-    except OverflowError:  # a Python int outside intp, held as an object
-        raise ContractError(
-            f"indices must be integers in the intp range, got {values!r}") from None
-    if not np.array_equal(idx, raw):
+    if raw.dtype.kind not in "iu" and raw.size:
         raise ContractError(f"indices must be integers, got {values!r}")
-    return idx
+    if not np.can_cast(raw.dtype, np.intp) and raw.size and (
+            int(raw.max()) > _INTP.max or int(raw.min()) < _INTP.min):
+        raise ContractError(
+            f"indices must be integers in the intp range, got {values!r}")
+    return raw.astype(np.intp, copy=False)
 
 
 def _check_perm(perm, n: int) -> Array:

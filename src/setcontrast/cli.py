@@ -120,11 +120,15 @@ def load_config(path: str) -> ExperimentConfig:
         text = p.read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {e.start}: {e.reason}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to read")
     d = dict(_expect_mapping(doc, "config"))
 
     data = _parse_section(d.pop("data", {}), "data", harness.SyntheticSpec)

@@ -68,10 +68,13 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class TwoViewDataset:
+    """Two views of the same items: row i of ``view_a`` and row i of
+    ``view_b`` are one item, of class ``labels[i]``, so the alignment
+    between the views is their row order."""
+
     view_a: Array
     view_b: Array
     labels: Array
-    gt: GroundTruthAlignment
     # the generating affine maps, kept for diagnostics and tests
     q_a: Array
     q_b: Array
@@ -86,8 +89,7 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> Array:
 
 def gen_two_view_dataset(spec: SyntheticSpec) -> TwoViewDataset:
     """Sample latents per item around class centers, then emit the two
-    views v = x Q^T + b + noise. Items are row-aligned across views, so
-    the ground-truth alignment is the identity.
+    views v = x Q^T + b + noise. Row i of each view is item i.
 
     The separability check reads the center gaps from ``simgeom``'s
     euclidean distances, in Gram form above 1024 elements (8 classes in
@@ -119,7 +121,6 @@ def gen_two_view_dataset(spec: SyntheticSpec) -> TwoViewDataset:
         view_a=view_a,
         view_b=view_b,
         labels=labels,
-        gt=GroundTruthAlignment.identity(n),
         q_a=q_a,
         q_b=q_b,
         bias_a=bias_a,
@@ -349,22 +350,21 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     view and ``losses.objective``, whose gradient on the encoder's
     ``flat`` buffer is pull_b(g_b) + pull_a(g_a), the sum a tape would
     form; Adam updates that buffer in place. Aborts with NumericError on
-    non-finite parameters, a non-finite loss or gradient (naming the
-    parameter), or on a degenerate (zero) embedding. A step whose qare
-    gradient depends on the eigenvector basis counts in
-    ``degenerate_batches``.
+    a non-finite loss or gradient (naming the parameter), or on a
+    degenerate (zero) embedding. A step whose qare gradient depends on
+    the eigenvector basis counts in ``degenerate_batches``.
     ``evaluate_matching`` and ``linear_probe`` run once, after training,
     on one embedding of each view.
 
-    The two views, the labels and the alignment ``dataset.gt`` must
-    have the same number of rows, and the labels one dimension;
-    otherwise ShapeError names their shapes before the first step. Since
-    a batch pairs row i of both views, ``dataset.gt`` must be the
-    identity; any other alignment raises ContractError before the first
-    step. Each view is checked for finite values once, before the first
-    step, without a copy (a NaN or Inf anywhere in it raises
-    NumericError, in a dropped row too); each batch, a fresh copy from
-    fancy indexing, then goes to ``apply`` unchecked and uncopied.
+    A batch pairs row i of both views, so the two views and the labels
+    must have the same number of rows, and the labels one dimension;
+    otherwise ShapeError names their shapes before the first step. Each
+    view and the encoder's parameters are checked for finite values
+    once, before the first step, without a copy (a NaN or Inf anywhere
+    in a view raises NumericError, in a dropped row too, and one in a
+    parameter names it); each batch, a fresh copy from fancy indexing,
+    then goes to ``apply`` unchecked and uncopied. After the first step
+    only Adam writes the parameters, from a gradient checked finite.
     """
     n = dataset.view_a.shape[0]
     if config.batch_size > n:
@@ -382,16 +382,17 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
         views.append(view)
     view_a, view_b = views
     labels = np.asarray(dataset.labels)
-    m = len(dataset.gt.perm)
-    if view_b.shape[0] != n or labels.shape != (n,) or m != n:
-        raise ShapeError("train: the views, labels and alignment disagree: "
+    if view_b.shape[0] != n or labels.shape != (n,):
+        raise ShapeError("train: the views and labels disagree: "
                          f"view_a {view_a.shape}, view_b {view_b.shape}, "
-                         f"labels {labels.shape}, alignment length {m}")
-    if dataset.gt.perm != tuple(range(n)):
-        raise ContractError("train: batches pair row i of both views, so the "
-                            "alignment must be the identity")
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
+                         f"labels {labels.shape}")
     flat = encoder.flat
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise NumericError(f"non-finite value in parameter "
+                           f"{encoder.name_at(int(np.argmin(finite)))!r} before "
+                           f"training (loss={config.loss.name!r}, seed={config.seed})")
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     state = AdamState(flat)
     gt = GroundTruthAlignment.identity(config.batch_size)
     epoch_losses: List[float] = []
@@ -403,9 +404,6 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
         for step in range(steps_per_epoch):
             idx = order[step * config.batch_size:(step + 1) * config.batch_size]
             try:
-                # Adam keeps finite parameters finite; a caller's may not be
-                if not np.logical_and.reduce(np.isfinite(flat), axis=None):
-                    raise EvaluationError("tensor data contains NaN or Inf")
                 za, pull_a = encoder.apply(view_a[idx], flat)
                 zb, pull_b = encoder.apply(view_b[idx], flat)
                 terms, pull, flagged = objective(za, zb, gt, config.loss)
@@ -440,7 +438,7 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     zb = encoder.embed(dataset.view_b)
     report = RunReport(
         epoch_losses=epoch_losses,
-        matching_accuracy=evaluate_matching(za, zb, dataset.gt),
+        matching_accuracy=evaluate_matching(za, zb),
         probe_accuracy=linear_probe(
             np.vstack([za, zb]),
             np.concatenate([dataset.labels, dataset.labels]),
@@ -451,14 +449,15 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     return encoder, report
 
 
-def evaluate_matching(za: Array, zb: Array, gt: GroundTruthAlignment) -> float:
+def evaluate_matching(za: Array, zb: Array) -> float:
     """LAP matching accuracy between two embedded views under Euclidean
-    distances, scored against the alignment ``gt``. Each view is read as
-    a Tensor reads it: copied, and checked for NaN or Inf
+    distances: the fraction of rows i whose optimal partner is row i of
+    the other view, as the views' rows are one item each. Each view is
+    read as a Tensor reads it: copied, and checked for NaN or Inf
     (EvaluationError)."""
     s, _ = simgeom._similarity(T.as_tensor(za).data, T.as_tensor(zb).data,
                                "euclidean", "evaluate_matching")
-    return assignment.matching_accuracy(s, gt.indices)
+    return assignment.matching_accuracy(s, np.arange(s.shape[0]))
 
 
 _PROBE_EPOCHS = 100
@@ -470,12 +469,15 @@ def linear_probe(embeddings, labels, seed: int = 0) -> float:
     """Multinomial logistic regression on frozen embeddings with a
     stratified 80/20 split drawn from ``seed``, trained by Adam for a
     fixed 100 epochs of minibatches of 128 at step size 1e-3; returns
-    held-out accuracy. NaN or Inf embeddings raise EvaluationError.
+    held-out accuracy. NaN or Inf embeddings raise EvaluationError, and
+    a negative seed ContractError.
 
     A step adds the bias and takes ``exp`` in place and writes its
     gradient into one buffer reused across steps; each in-place form
     does the operations of the expression it replaces, so the bits are
     the same."""
+    if seed < 0:
+        raise ContractError(f"linear_probe: seed must be >= 0, got {seed}")
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:

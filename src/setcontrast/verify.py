@@ -93,7 +93,7 @@ def suite_hinge_identity() -> SuiteResult:
         m = margins[k % 3]
         s = rng.normal(size=(n, n))
         perm = rng.permutation(n)
-        gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
+        gt = losses.GroundTruthAlignment(perm)
         got = n * losses.batch_hard_lap_loss(s, gt, margin=m).item()
         pos = s[np.arange(n), perm] + m
         neg = np.where(np.arange(n) == perm[:, None], np.inf, s).min(axis=1)
@@ -123,7 +123,7 @@ def suite_smoothing_identity() -> SuiteResult:
         tau = temps[k % 3]
         s = rng.normal(size=(n, n))
         perm = rng.permutation(n)
-        gt = losses.GroundTruthAlignment(tuple(int(j) for j in perm))
+        gt = losses.GroundTruthAlignment(perm)
         got = n * losses.smoothed_batch_hard_loss(s, gt, temperature=tau).item()
         lse = np.logaddexp.reduce(-s / tau, axis=1)
         pos = s[np.arange(n), perm]

@@ -110,6 +110,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             cli.load_config("/nonexistent/cfg.json")
 
+    @pytest.mark.parametrize("content,needle", [
+        (b"\xff{}", "not UTF-8 text at byte 0: invalid start byte"),
+        (b"[" * 200000 + b"]" * 200000, "JSON nested too deeply to read"),
+    ], ids=["not-utf8", "nested-past-the-recursion-limit"])
+    def test_unreadable_documents_exit_2(self, tmp_path, capsys, content, needle):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_bytes(content)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {cfgp}: {needle}\n"
+        assert not out.exists()
+
+    def test_reference_config_loads(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+        cfg = cli.load_config(str(path))
+        names = [loss.name for loss in cfg.losses]
+        assert len(names) == len(set(names)) == 18
+        assert sorted((c.kind, c.mining, c.mode, c.beta) for c in cfg.losses) == sorted(
+            (kind, "batch-hard", mode, beta)
+            for kind in ("infonce", "margin", "sparseclr")
+            for mode in ("euclidean", "cosine") for beta in (0.0, 1.0, 4.0))
+        assert cfg.seeds == tuple(range(10))
+
     def test_every_section_field_is_read(self, tmp_path):
         # one non-default value per int, float and str field of the three
         # section dataclasses; TrainConfig's loss and seed are set per run

@@ -41,7 +41,11 @@ class TestSyntheticData:
         assert ds.view_a.shape == (n, TINY.ambient_dim)
         assert ds.view_b.shape == (n, TINY.ambient_dim)
         assert ds.labels.shape == (n,)
-        assert ds.gt.perm == tuple(range(n))
+        # row i of each view is item i: mapped back through each view's
+        # affine map, the rows match row i to row i
+        latent_a = (ds.view_a - ds.bias_a) @ ds.q_a
+        latent_b = (ds.view_b - ds.bias_b) @ ds.q_b
+        assert harness.evaluate_matching(latent_a, latent_b) == 1.0
         counts = np.bincount(ds.labels)
         assert (counts == TINY.samples_per_class).all()
 
@@ -447,52 +451,25 @@ class TestTraining:
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
 
     @pytest.mark.parametrize("field,rows,shapes", [
-        ("view_b", 6, r"view_a \(8, 8\), view_b \(6, 8\), labels \(8,\), "
-                      "alignment length 8"),
-        ("view_b", 10, r"view_a \(8, 8\), view_b \(10, 8\), labels \(8,\), "
-                       "alignment length 8"),
-        ("labels", 6, r"view_a \(8, 8\), view_b \(8, 8\), labels \(6,\), "
-                      "alignment length 8"),
-        ("gt", 6, r"view_a \(8, 8\), view_b \(8, 8\), labels \(8,\), "
-                  "alignment length 6"),
-    ], ids=["short-view-b", "long-view-b", "short-labels", "short-alignment"])
+        ("view_b", 6, r"view_a \(8, 8\), view_b \(6, 8\), labels \(8,\)"),
+        ("view_b", 10, r"view_a \(8, 8\), view_b \(10, 8\), labels \(8,\)"),
+        ("labels", 6, r"view_a \(8, 8\), view_b \(8, 8\), labels \(6,\)"),
+    ], ids=["short-view-b", "long-view-b", "short-labels"])
     def test_disagreeing_rows_raise_before_the_first_step(self, monkeypatch,
                                                           field, rows, shapes):
-        # a short view_b once failed at the first batch, a long one or a
-        # short alignment after training in matching_accuracy, short
-        # labels in linear_probe
+        # a short view_b once failed at the first batch, a long one after
+        # training in matching_accuracy, short labels in linear_probe
         import dataclasses
         ds = harness.gen_two_view_dataset(TINY)
-        if field == "gt":
-            value = losses.GroundTruthAlignment.identity(rows)
-        else:
-            value = getattr(ds, field)
-            value = np.resize(value, (rows,) + value.shape[1:])
+        value = getattr(ds, field)
+        value = np.resize(value, (rows,) + value.shape[1:])
         ds = dataclasses.replace(ds, **{field: value})
         applies = []
         monkeypatch.setattr(harness.MLPEncoder, "apply",
                             lambda *a: applies.append(a))
         cfg = tiny_train_config()
         with pytest.raises(ShapeError, match=(
-                rf"^train: the views, labels and alignment disagree: {shapes}$")):
-            harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        assert applies == []
-
-    def test_non_identity_alignment_raises_before_the_first_step(self, monkeypatch):
-        # a batch pairs row i of both views, so view_b permuted with its
-        # matching alignment would train against the wrong positives
-        import dataclasses
-        ds = harness.gen_two_view_dataset(TINY)
-        perm = np.roll(np.arange(ds.view_b.shape[0]), 1)
-        ds = dataclasses.replace(ds, view_b=ds.view_b[perm],
-                                 gt=losses.GroundTruthAlignment(np.argsort(perm)))
-        applies = []
-        monkeypatch.setattr(harness.MLPEncoder, "apply",
-                            lambda *a: applies.append(a))
-        cfg = tiny_train_config()
-        with pytest.raises(ContractError, match=(
-                "^train: batches pair row i of both views, so the alignment "
-                "must be the identity$")):
+                rf"^train: the views and labels disagree: {shapes}$")):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
         assert applies == []
 
@@ -591,9 +568,25 @@ class TestTraining:
         enc = harness.make_encoder(TINY, cfg)
         enc.params["b2"][0, 1] = np.inf
         with pytest.raises(NumericError, match=(
-                r"^non-finite value at epoch 0 step 0 \(loss='t', seed=0\): "
-                r"tensor data contains NaN or Inf$")):
+                r"^non-finite value in parameter 'b2' before training "
+                r"\(loss='t', seed=0\)$")):
             harness.train(ds, enc, cfg)
+
+    @pytest.mark.parametrize("beta,message", [
+        (0.0, r"non-finite loss nan at epoch 0 step 1 \(loss='t', seed=0\)"),
+        (1.0, r"non-finite value at epoch 0 step 1 \(loss='t', seed=0\): "
+              r"sym_eigen: matrix contains NaN or Inf"),
+    ])
+    def test_overflowing_update_raises_numeric_error_at_the_next_step(self, beta,
+                                                                       message):
+        # the first update leaves finite parameters of about 1e300, whose
+        # products overflow in the next step's embedding
+        ds = harness.gen_two_view_dataset(TINY)
+        cfg = tiny_train_config(learning_rate=1e300, loss=losses.LossConfig(
+            name="t", kind="infonce", beta=beta))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=f"^{message}$"):
+            harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
 
     def test_nonfinite_loss_raises_numeric_error(self, monkeypatch):
         def nan_objective(za, zb, gt, cfg):
@@ -693,8 +686,7 @@ class TestTapeFreeStep:
         generic = np.random.default_rng(14).normal(size=(6, 2))
         ds = harness.TwoViewDataset(
             view_a=hexagon, view_b=generic, labels=np.repeat([0, 1], 3),
-            gt=losses.GroundTruthAlignment.identity(6), q_a=np.eye(2),
-            q_b=np.eye(2), bias_a=np.zeros(2), bias_b=np.zeros(2))
+            q_a=np.eye(2), q_b=np.eye(2), bias_a=np.zeros(2), bias_b=np.zeros(2))
         enc = harness.MLPEncoder(2, 4, 2)
         enc.params["w1"][...] = [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]
         enc.params["w2"][...] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
@@ -818,8 +810,7 @@ class TestEvaluation:
         ds = harness.gen_two_view_dataset(TINY)
         cfg = tiny_train_config()
         enc, _ = harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        acc = harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b),
-                                        ds.gt)
+        acc = harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b))
         assert 0.0 <= acc <= 1.0
 
     def test_train_embeds_each_view_once(self, monkeypatch):
@@ -836,9 +827,9 @@ class TestEvaluation:
             seen.append((x, z))
             return z
 
-        def recorded(za, zb, gt):
-            matched.append((za, zb, gt, real_matching(za, zb, gt)))
-            return matched[-1][3]
+        def recorded(za, zb):
+            matched.append((za, zb, real_matching(za, zb)))
+            return matched[-1][2]
 
         monkeypatch.setattr(harness.MLPEncoder, "embed", counted)
         monkeypatch.setattr(harness, "evaluate_matching", recorded)
@@ -846,11 +837,11 @@ class TestEvaluation:
         assert len(seen) == 2
         assert seen[0][0] is ds.view_a and seen[1][0] is ds.view_b
         assert len(matched) == 1
-        za, zb, gt, acc = matched[0]
-        assert za is seen[0][1] and zb is seen[1][1] and gt is ds.gt
+        za, zb, acc = matched[0]
+        assert za is seen[0][1] and zb is seen[1][1]
         assert report.matching_accuracy == acc
         za, zb = real_embed(enc, ds.view_a), real_embed(enc, ds.view_b)
-        assert report.matching_accuracy == real_matching(za, zb, ds.gt)
+        assert report.matching_accuracy == real_matching(za, zb)
         assert report.probe_accuracy == harness.linear_probe(
             np.vstack([za, zb]), np.concatenate([ds.labels, ds.labels]),
             seed=cfg.seed)
@@ -868,6 +859,12 @@ class TestEvaluation:
         with pytest.raises(EvaluationError,
                            match="^linear_probe: embeddings contain NaN or Inf$"):
             harness.linear_probe(z, np.repeat([0, 1], 20))
+
+    def test_linear_probe_rejects_a_negative_seed(self):
+        # numpy's default_rng would raise a bare ValueError
+        with pytest.raises(ContractError,
+                           match="^linear_probe: seed must be >= 0, got -1$"):
+            harness.linear_probe(np.eye(4), np.array([0, 0, 1, 1]), seed=-1)
 
     def test_linear_probe_needs_two_classes(self):
         with pytest.raises(ContractError,
@@ -896,7 +893,7 @@ class TestEvaluation:
             return real(s, perm)
 
         monkeypatch.setattr(assignment, "matching_accuracy", capture)
-        harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b), ds.gt)
+        harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b))
         whole = simgeom.cross_distances(enc.embed(ds.view_a), enc.embed(ds.view_b)).data
         assert len(seen) == 1
         assert seen[0].shape == whole.shape == (spec.num_items, spec.num_items)
@@ -976,8 +973,8 @@ class TestAffineViewStructure:
                 return (x - ds.bias_b) @ ds.q_b
 
         enc = Inverse()
-        assert harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b),
-                                         ds.gt) == 1.0
+        assert harness.evaluate_matching(enc.embed(ds.view_a),
+                                         enc.embed(ds.view_b)) == 1.0
 
     def test_untrained_encoder_matches_at_chance(self):
         spec = harness.SyntheticSpec()
@@ -986,7 +983,7 @@ class TestAffineViewStructure:
         encoders = [harness.make_encoder(spec, harness.TrainConfig(seed=seed))
                     for seed in range(20)]
         vals = np.array([
-            harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b), ds.gt)
+            harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b))
             for enc in encoders
         ])
         band = 3.0 * vals.std(ddof=1) / np.sqrt(vals.size)

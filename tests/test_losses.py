@@ -959,8 +959,9 @@ class TestLossConfigValidation:
 
 
 class TestGroundTruthAlignment:
-    @pytest.mark.parametrize("perm", [(0.5, 1.5), (0, -1), (0, np.nan)],
-                             ids=["fraction", "negative", "nan"])
+    @pytest.mark.parametrize("perm", [(0.5, 1.5), (0, -1), (0, np.nan),
+                                      np.array([1.0, 0.0])],
+                             ids=["fraction", "negative", "nan", "integral-float-array"])
     def test_bad_entries_rejected_on_construction(self, perm):
         with pytest.raises(ContractError):
             losses.GroundTruthAlignment(perm)
@@ -1039,11 +1040,13 @@ class TestGroundTruthAlignment:
         ([-(2 ** 63) - 1, 0], "integers"),
         ([0, 2 ** 70], "integers"),
         ([0, -1], "permutation of 0..1"),
+        ([1.0, 0.0], "integers"),
     ], ids=["true", "numpy-true", "true-first", "numpy-true-second", "fraction",
-            "nan", "above-intp", "below-intp", "far-above-intp", "negative"])
+            "nan", "above-intp", "below-intp", "far-above-intp", "negative",
+            "integral-float"])
     @pytest.mark.parametrize("wrap", [list, tuple], ids=["list", "tuple"])
     def test_every_bad_entry_is_rejected(self, bad, match, wrap):
-        # a Python int outside intp raises OverflowError in numpy's cast
+        # numpy reads a Python int outside int64 as a float or an object
         bad = wrap(bad) if isinstance(bad, list) else bad
         with pytest.raises(ContractError, match=match):
             losses.GroundTruthAlignment(bad)
@@ -1067,6 +1070,13 @@ class TestGroundTruthAlignment:
         assert idx.dtype == np.intp and idx.tolist() == [2 ** 63 - 1, 0, 7]
         gt = losses.GroundTruthAlignment(np.array([2, 0, 1], dtype=np.uint64))
         assert gt == losses.GroundTruthAlignment((2, 0, 1))
+
+    @pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+    def test_an_empty_sequence_is_the_empty_permutation(self, empty):
+        # numpy reads an empty sequence as float64, with no entry to reject
+        gt = losses.GroundTruthAlignment(empty)
+        assert gt.perm == () and gt.indices.dtype == np.intp
+        assert losses.GroundTruthAlignment.identity(0) == gt
 
     def test_int_sequences_and_arrays_compare_and_hash_alike(self):
         perm = (4, 0, 3, 1, 5, 2)
