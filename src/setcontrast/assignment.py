@@ -88,11 +88,14 @@ def _as_indices(values) -> Array:
     reads as floats or objects), on a boolean, which a cast would read
     as 0 or 1, and on a uint64 above the intp maximum, which a cast
     would wrap to a negative. A sequence that mixes booleans with
-    integers converts to an integer array, so the entries are checked
-    for booleans as objects, whatever the input type. An empty sequence,
-    which numpy reads as float64, has no entry to reject."""
-    if any(isinstance(v, (bool, np.bool_))
-           for v in np.asarray(values, dtype=object).reshape(-1)):
+    integers converts to an integer array, so the entries of anything
+    but an ndarray of a non-object dtype are checked for booleans as
+    objects; such an ndarray holds no Python bool, and the dtype test
+    rejects a boolean one. An empty sequence, which numpy reads as
+    float64, has no entry to reject."""
+    if (not isinstance(values, np.ndarray) or values.dtype == object) and any(
+            isinstance(v, (bool, np.bool_))
+            for v in np.asarray(values, dtype=object).reshape(-1)):
         raise ContractError(f"indices must be integers, got {values!r}")
     raw = np.asarray(values).reshape(-1)
     if raw.dtype.kind not in "iu" and raw.size:

@@ -23,6 +23,10 @@ rows are normalized, in ``harness``. Training builds no tape:
 ``harness.train`` chains those pullbacks directly (the two encoder
 views and the objective). The tape composes them for library callers
 and ``gradcheck``, and is the tests' reference for that chain.
+
+``gradcheck`` checks a tape gradient against central differences along
+two random unit directions, drawn from a generator seeded by the bytes
+of the point, so its result depends on the function and the point alone.
 """
 
 from __future__ import annotations
@@ -225,9 +229,10 @@ def active_tape(*tensors) -> Optional[Tape]:
 # finite-difference gradient checking
 
 def _scalar_eval(f, x: Array) -> float:
-    """f at a frozen copy of ``x``, a finite 2-D C-ordered float64 array,
-    as a float; EvaluationError if the value is not finite."""
-    y = f(Tensor._raw(x.copy(), None))
+    """f at ``x``, a fresh finite 2-D C-ordered float64 array that no one
+    else holds, frozen here, as a float; EvaluationError if the value is
+    not finite."""
+    y = f(Tensor._raw(x, None))
     val = y.item() if isinstance(y, Tensor) else float(y)
     if not math.isfinite(val):
         raise EvaluationError("gradcheck: function value is not finite")
@@ -235,12 +240,30 @@ def _scalar_eval(f, x: Array) -> float:
 
 
 _GRADCHECK_STEP = 1e-6
+_GRADCHECK_DIRECTIONS = 2
+
+
+def _directions(base: Array) -> Array:
+    """``_GRADCHECK_DIRECTIONS`` unit-norm Gaussian directions of the shape
+    of ``base``, a C-ordered float64 array, stacked on a leading axis.
+    The generator is seeded by the bytes of ``base`` read as uint32
+    words, so a point always gets the same directions and two points
+    almost surely get different ones."""
+    seed = np.random.SeedSequence(base.reshape(-1).view(np.uint32))
+    v = np.random.default_rng(seed).standard_normal((_GRADCHECK_DIRECTIONS, base.size))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v.reshape((_GRADCHECK_DIRECTIONS,) + base.shape)
 
 
 def gradcheck(f, x) -> float:
-    """Max over coordinates of |analytic - central difference| scaled by
-    max(1, |analytic|), with a fixed difference step of 1e-6. ``f`` maps
-    one Tensor to a scalar."""
+    """Worst error of the analytic gradient g of ``f`` at ``x`` along
+    ``_GRADCHECK_DIRECTIONS`` (2) random unit directions v: |<g, v> -
+    (f(x + hv) - f(x - hv)) / 2h| / max(1, |<g, v>|), with a fixed step
+    h = 1e-6. The directions are drawn from a generator seeded by the
+    bytes of x (``_directions``), so the result depends on f and x alone.
+    A wrong VJP shows along almost every v, since any error e in g enters
+    as <e, v>. ``f`` maps one Tensor to a scalar; each point it sees is a
+    fresh frozen C-ordered array."""
     base = as_tensor(x).data
     tape = Tape()
     xt = tape.leaf(base)
@@ -249,20 +272,14 @@ def gradcheck(f, x) -> float:
         raise ContractError("gradcheck: f must return a scalar Tensor")
     if not math.isfinite(y.item()):
         raise EvaluationError("gradcheck: function value is not finite")
-    analytic = tape.backward(y)[xt].data.tolist()
+    analytic = tape.backward(y)[xt].data
     worst = 0.0
     # base is finite (the leaf checked it), and so is a finite double
-    # moved by the step, so each point is wrapped without another check.
-    # The loop reads Python floats, whose arithmetic is float64's.
-    pert = np.array(base)
-    for i, (row, grad_row) in enumerate(zip(base.tolist(), analytic)):
-        for j, (orig, grad) in enumerate(zip(row, grad_row)):
-            pert[i, j] = orig + _GRADCHECK_STEP
-            fp = _scalar_eval(f, pert)
-            pert[i, j] = orig - _GRADCHECK_STEP
-            fm = _scalar_eval(f, pert)
-            pert[i, j] = orig
-            num = (fp - fm) / (2.0 * _GRADCHECK_STEP)
-            err = abs(grad - num) / max(1.0, abs(grad))
-            worst = max(worst, err)
+    # moved by the step, so each point is wrapped without another check
+    for v in _directions(base):
+        slope = float(np.vdot(analytic, v))
+        step = _GRADCHECK_STEP * v
+        num = (_scalar_eval(f, base + step)
+               - _scalar_eval(f, base - step)) / (2.0 * _GRADCHECK_STEP)
+        worst = max(worst, abs(slope - num) / max(1.0, abs(slope)))
     return worst

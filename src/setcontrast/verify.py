@@ -1,10 +1,11 @@
 """Self-check suites comparing the library against independent oracles.
 
 Each suite re-derives its expected answer from scratch (permutation
-enumeration, support enumeration, finite differences) rather than
-reusing the code under test, so a regression in one module cannot
-silently re-validate itself. `run` executes a selection of suites and
-returns one result per suite; the CLI prints them as PASS/FAIL lines.
+enumeration, support enumeration, directional finite differences)
+rather than reusing the code under test, so a regression in one module
+cannot silently re-validate itself. `run` executes a selection of
+suites and returns one result per suite; the CLI prints them as
+PASS/FAIL lines.
 
 The enumeration oracles are array programs that stay exhaustive. The
 sparsemax oracle scores every nonempty support at once from a cached
@@ -21,7 +22,10 @@ of 1/steps, indexed by the coordinate's count. The ``gradients``,
 ``fig1b`` and ``upper_bound`` suites call ``qare`` on point sets as
 drawn, not on unit rows: ``qare`` reads the rows it is given. Every
 pairwise loss is a batch mean, so the identity suites compare N times it
-with their sum-form references.
+with their sum-form references. ``tensor.gradcheck`` seeds its
+directions from the point it checks, so the ``gradients`` line is the
+same on every run; ``tools/grad_mutations.py`` checks that those
+directions catch each wrong pullback a per-coordinate check catches.
 """
 
 from __future__ import annotations
@@ -322,29 +326,42 @@ def _generic_point(rng, kind: str, mode: str) -> Tuple[Array, Array, "losses.Gro
     raise ConfigError(f"could not sample a generic point for {kind}/{mode}")
 
 
-_GRAD_CASES: Tuple[Tuple[str, "losses.LossConfig"], ...] = (
-    ("structured-lap", losses.LossConfig(
-        name="g", kind="margin", mining="one-to-one", beta=0.0)),
-    ("batch-hard", losses.LossConfig(
-        name="g", kind="margin", mining="batch-hard", beta=0.0)),
-    ("smoothed", losses.LossConfig(name="g", kind="smoothed", beta=0.0)),
-    ("infonce", losses.LossConfig(name="g", kind="infonce", beta=0.0)),
-    ("nt-logistic", losses.LossConfig(name="g", kind="nt_logistic", beta=0.0)),
-    ("sparseclr", losses.LossConfig(name="g", kind="sparseclr", beta=0.0)),
+_PAIRWISE_GRAD_CASES: Tuple[Tuple[str, dict], ...] = (
+    ("structured-lap", dict(kind="margin", mining="one-to-one")),
+    ("batch-hard", dict(kind="margin", mining="batch-hard")),
+    ("smoothed", dict(kind="smoothed")),
+    ("infonce", dict(kind="infonce")),
+    ("nt-logistic", dict(kind="nt_logistic")),
+    ("sparseclr", dict(kind="sparseclr")),
+)
+
+# each pairwise loss at beta 0 in both modes, qare alone, and infonce plus
+# qare in both modes: the cosine cases are the only ones whose S is the
+# inner-product map
+_GRAD_CASES: Tuple[Tuple[str, "losses.LossConfig"], ...] = tuple(
+    (label, losses.LossConfig(name="g", beta=0.0, mode=mode, **fields))
+    for mode in ("euclidean", "cosine")
+    for label, fields in _PAIRWISE_GRAD_CASES
+) + (
     ("qare", losses.LossConfig(name="g", kind="infonce", mode="cosine")),
     ("combined", losses.LossConfig(name="g", kind="infonce", beta=1.125)),
+    ("combined", losses.LossConfig(name="g", kind="infonce", beta=1.125,
+                                   mode="cosine")),
 )
 
 
 def suite_gradients() -> SuiteResult:
-    """Finite-difference check of every loss at generic random points."""
+    """Directional finite-difference check (``tensor.gradcheck``) of every
+    loss on each of its two inputs at 20 generic random points per case:
+    the six pairwise losses in euclidean and cosine mode, ``qare``, and
+    infonce plus qare in both modes."""
     rng = np.random.default_rng(107)
     worst = 0.0
     checks = 0
     for label, cfg in _GRAD_CASES:
         for _ in range(20):
             za, zb, gt = _generic_point(rng, label, cfg.mode)
-            # wrapped once, so the 24 forwards of each check reuse them
+            # wrapped once, so the 4 forwards of each check reuse them
             za, zb = T.Tensor(za), T.Tensor(zb)
 
             if label == "qare":

@@ -1051,6 +1051,17 @@ class TestGroundTruthAlignment:
         with pytest.raises(ContractError, match=match):
             losses.GroundTruthAlignment(bad)
 
+    @pytest.mark.parametrize("bad", [
+        [1, True, 0],
+        np.array([1, True], dtype=object),
+        np.array([True, False]),
+    ], ids=["list", "object-array", "bool-array"])
+    def test_booleans_are_rejected_whatever_holds_them(self, bad):
+        # the entries of a list or an object array are scanned as objects;
+        # a bool ndarray is rejected by its dtype alone
+        with pytest.raises(ContractError, match="^indices must be integers, got "):
+            assignment._as_indices(bad)
+
     @pytest.mark.parametrize("raw", [[2 ** 63, 0], [0, 2 ** 64 - 1]],
                              ids=["intp-max-plus-one", "uint64-max"])
     def test_uint64_above_intp_is_rejected_not_wrapped(self, raw):

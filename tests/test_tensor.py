@@ -237,8 +237,8 @@ class TestGradcheck:
         assert err < 1e-6
 
     def test_each_point_is_a_frozen_copy(self):
-        # every perturbed point f sees is its own read-only C-ordered copy,
-        # one coordinate moved by the step, whatever gradcheck does next
+        # every point f sees is its own read-only C-ordered array: the
+        # leaf, then x + h v and x - h v for each of K unit directions v
         seen = []
 
         def f(x):
@@ -247,15 +247,44 @@ class TestGradcheck:
 
         x0 = np.asfortranarray(np.arange(6.0).reshape(2, 3))
         T.gradcheck(f, x0)
-        assert len(seen) == 1 + 2 * x0.size
-        for k, t in enumerate(seen[1:]):
-            i, minus = divmod(k, 2)
-            want = np.array(x0, order="C")
-            want.flat[i] += -1e-6 if minus else 1e-6
-            assert t.data.tobytes() == want.tobytes()
+        k = T._GRADCHECK_DIRECTIONS
+        assert k == 2 and len(seen) == 1 + 2 * k
+        assert seen[0].data.tobytes() == np.array(x0, order="C").tobytes()
+        directions = []
+        for plus, minus in zip(seen[1::2], seen[2::2]):
+            v = (plus.data - minus.data) / 2e-6
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-8
+            np.testing.assert_allclose((plus.data + minus.data) / 2.0, x0,
+                                       rtol=0.0, atol=1e-15)
+            directions.append(v / np.linalg.norm(v))
+        assert abs(float(np.vdot(*directions))) < 1.0 - 1e-3
+        for t in seen[1:]:
             assert t.data.flags.c_contiguous and not t.data.flags.writeable
             assert t.node is None
         assert len({id(t.data) for t in seen}) == len(seen)
+
+    def test_result_depends_on_f_and_x_alone(self):
+        # the same point gives the same float bit for bit, and two points
+        # of one shape are checked along different directions
+        def f(x):
+            return weighted_sum(simgeom.cross_distances(x, np.ones((1, 3))))
+
+        rng = np.random.default_rng(5)
+        x1, x2 = rng.normal(size=(2, 4, 3))
+        first, again = T.gradcheck(f, x1), T.gradcheck(f, x1)
+        assert np.float64(first).tobytes() == np.float64(again).tobytes()
+        seen = []
+
+        def recorded(x):
+            seen.append(x.data)
+            return f(x)
+
+        T.gradcheck(recorded, x1)
+        T.gradcheck(recorded, x2)
+        k = T._GRADCHECK_DIRECTIONS
+        v1 = (seen[1] - seen[2]) / 2e-6
+        v2 = (seen[2 + 2 * k] - seen[3 + 2 * k]) / 2e-6
+        assert not np.allclose(v1, v2, rtol=0.0, atol=1e-3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_output_rejected(self):

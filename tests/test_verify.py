@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from setcontrast import losses, verify
+from setcontrast import losses, simgeom, verify
 from setcontrast.errors import ConfigError
 
 from conftest import scaled
@@ -88,6 +88,45 @@ class TestUpperBound:
         monkeypatch.setattr(losses, "qare",
                             lambda *args: scaled(real(*args), -1.0))
         assert not verify.suite_upper_bound().passed
+
+
+def _transposed_pullback(real):
+    # the map of ``real`` with a pullback that reads g^T for g
+    def wrapped(da, db):
+        value, pullback = real(da, db)
+        return value, lambda g: pullback(g.T)
+
+    return wrapped
+
+
+def _halved_pullback(real):
+    # ``losses._qare`` with its pullback halved
+    def wrapped(za, zb):
+        value, pullback, spectra = real(za, zb)
+        return value, lambda c: tuple(0.5 * g for g in pullback(c)), spectra
+
+    return wrapped
+
+
+class TestGradientSuite:
+    # each mutation leaves every value as it is and breaks one pullback;
+    # the cosine one is caught only by the suite's cosine cases
+    @pytest.mark.parametrize("module, name, wrapped", [
+        (simgeom, "_inner_products", _transposed_pullback(simgeom._inner_products)),
+        (simgeom, "_distances", _transposed_pullback(simgeom._distances)),
+        (losses, "_qare", _halved_pullback(losses._qare)),
+    ], ids=["cosine-reads-g-transposed", "euclidean-reads-g-transposed",
+            "qare-halved"])
+    def test_fails_on_a_wrong_pullback(self, monkeypatch, module, name, wrapped):
+        monkeypatch.setattr(module, name, wrapped)
+        result = verify.suite_gradients()
+        assert not result.passed and result.max_err > 1e-4
+
+    def test_reports_the_same_line_twice_in_one_process(self):
+        first, again = (verify.format_result(verify.run(["gradients"])[0])
+                        for _ in range(2))
+        assert first == again
+        assert first.endswith("600 checks over 15 losses")
 
 
 class _FlatRng:
