@@ -330,7 +330,6 @@ class RunReport:
     epoch_losses: List[float]
     matching_accuracy: float
     probe_accuracy: float
-    degenerate_batches: int
 
 
 def make_encoder(spec: SyntheticSpec, config: TrainConfig) -> MLPEncoder:
@@ -351,10 +350,9 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     ``flat`` buffer is pull_b(g_b) + pull_a(g_a), the sum a tape would
     form; Adam updates that buffer in place. Aborts with NumericError on
     a non-finite loss or gradient (naming the parameter), or on a
-    degenerate (zero) embedding. A step whose qare gradient depends on
-    the eigenvector basis counts in ``degenerate_batches``.
-    ``evaluate_matching`` and ``linear_probe`` run once, after training,
-    on one embedding of each view.
+    degenerate (zero) embedding. ``evaluate_matching`` and
+    ``linear_probe`` run once, after training, on one embedding of each
+    view.
 
     A batch pairs row i of both views, so the two views and the labels
     must have the same number of rows, and the labels one dimension;
@@ -396,7 +394,6 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     state = AdamState(flat)
     gt = GroundTruthAlignment.identity(config.batch_size)
     epoch_losses: List[float] = []
-    degenerate = 0
     steps_per_epoch = n // config.batch_size
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
@@ -406,7 +403,7 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
             try:
                 za, pull_a = encoder.apply(view_a[idx], flat)
                 zb, pull_b = encoder.apply(view_b[idx], flat)
-                terms, pull, flagged = objective(za, zb, gt, config.loss)
+                terms, pull = objective(za, zb, gt, config.loss)
                 value = terms["total"]
             except (EvaluationError, DegenerateInputError) as e:
                 kind = ("degenerate embedding" if isinstance(e, DegenerateInputError)
@@ -422,7 +419,6 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
                 )
             g_a, g_b = pull(1.0)
             grad = pull_b(g_b) + pull_a(g_a)
-            degenerate += flagged
             finite = np.isfinite(grad)
             if not finite.all():
                 raise NumericError(
@@ -444,7 +440,6 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
             np.concatenate([dataset.labels, dataset.labels]),
             seed=config.seed,
         ),
-        degenerate_batches=degenerate,
     )
     return encoder, report
 

@@ -30,14 +30,14 @@ column.
 the mode of S: one node over the rows as given, whose spectra it takes
 from the (E+1)-column factor P = [1, Z] of 1 + Z Z^T, which is 1 + S_A
 on the encoder's unit rows. Its VJP pulls the partner spectrum back
-through ``simgeom.eigenvalue_gradient``.
+through ``simgeom.eigenvalue_gradient``, which at a cluster of equal
+eigenvalues gives one valid subgradient (Lewis 1996; see ``simgeom``).
 
 ``objective(z_a, z_b, gt, cfg)`` is the training objective on two
 embedding arrays, S, the pairwise loss and beta * qare / N^2, built from
 the same array-level functions that those nodes wrap. It returns its
-terms, its pullback and qare's degenerate flag, with no tape:
-``harness.train`` chains it directly, and ``two_view_loss`` is one tape
-node over it.
+terms and its pullback, with no tape: ``harness.train`` chains it
+directly, and ``two_view_loss`` is one tape node over it.
 """
 
 from __future__ import annotations
@@ -56,12 +56,6 @@ Array = np.ndarray
 
 MARGIN_DEFAULT = 0.5
 TEMPERATURE_DEFAULT = 0.05
-# below this gap neighbouring eigenvalues count as one degenerate
-# cluster, inside which the solver's eigenvector basis is arbitrary
-DEGENERATE_EIGENGAP = 1e-8
-# partner values inside one degenerate eigenvalue cluster that spread by
-# more than this, relative to max(1, max |partner|), flag qare's step
-DEGENERATE_UPSTREAM_SPREAD = 1e-8
 
 LOSS_KINDS = ("margin", "smoothed", "infonce", "nt_logistic", "sparseclr")
 MINING_MODES = ("one-to-one", "batch-hard")
@@ -377,21 +371,6 @@ def _sparseclr(s: Array, y: Array):
 # ---------------------------------------------------------------------------
 # spectral set regularizer and combinations
 
-def _basis_dependent(values: Array, upstream: Array) -> bool:
-    """Whether ``simgeom.eigenvalue_gradient`` of ``upstream`` depends on
-    the eigenvector basis the solver picked: some cluster of sorted
-    ``values`` whose neighbours lie closer than DEGENERATE_EIGENGAP gets
-    upstream values that spread by more than
-    DEGENERATE_UPSTREAM_SPREAD * max(1, max |upstream|)."""
-    gaps = np.abs(np.diff(values)) >= DEGENERATE_EIGENGAP
-    if gaps.all():  # every cluster is one eigenvalue, whose spread is 0
-        return False
-    starts = np.flatnonzero(np.r_[True, gaps])
-    spread = np.maximum.reduceat(upstream, starts) - np.minimum.reduceat(upstream, starts)
-    return bool((spread > DEGENERATE_UPSTREAM_SPREAD
-                 * max(1.0, float(np.abs(upstream).max()))).any())
-
-
 def qare(z_a, z_b) -> T.Tensor:
     """Spectral alignment of two embedding sets of one shape (n, E): the
     maximal pairing (descending against descending) of the spectra of
@@ -405,10 +384,9 @@ def qare(z_a, z_b) -> T.Tensor:
     exactly 0 and pairs with zeros, so S_A is never built. One node over
     the two Z; as d lambda_i / dP = 2 P v_i v_i^T, each VJP is 2 P M
     without M's first column, M the ``eigenvalue_gradient`` of g times the
-    partner values. Both G go to one ``simgeom.sym_eigen_pair`` call. The
-    active tape is flagged "degenerate-eigenvalues" only where a gradient
-    depends on the eigenvector basis (``_basis_dependent`` on the spectra
-    read).
+    partner values. Both G go to one ``simgeom.sym_eigen_pair`` call.
+    Where either spectrum has a cluster of equal eigenvalues this VJP is
+    one valid subgradient of the value (see ``simgeom``).
 
     The value bounds the quadratic term of the similarity-form QAP
     max_Y [tr(S Y^T) + tr((1+S_A) Y (1+S_B) Y^T)] over permutations Y
@@ -419,16 +397,12 @@ def qare(z_a, z_b) -> T.Tensor:
     qare flattens the spectra, which spreads each set's points.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
-    value, pullback, spectra = _qare(za.data, zb.data)
-    tape = T.active_tape(za, zb)
-    if tape is not None and _flagged(*spectra):
-        tape.flags.add("degenerate-eigenvalues")
+    value, pullback = _qare(za.data, zb.data)
     return T.custom_op((za, zb), value, lambda g: pullback(g.item()))
 
 
 def _qare(za: Array, zb: Array):
-    """``qare`` of two arrays: its value, its pullback c -> (g_a, g_b),
-    and the two spectra it read."""
+    """``qare`` of two arrays: its value and its pullback c -> (g_a, g_b)."""
     if za.shape != zb.shape:
         raise ShapeError(f"qare: shapes differ, {za.shape} vs {zb.shape}")
     factors = [np.hstack((np.ones((z.shape[0], 1)), z)) for z in (za, zb)]
@@ -441,13 +415,7 @@ def _qare(za: Array, zb: Array):
                      for p, d, partner in zip(factors, (dec_a, dec_b),
                                               (dec_b.values, dec_a.values)))
 
-    return (dec_a.values * dec_b.values).sum(), pullback, (dec_a.values, dec_b.values)
-
-
-def _flagged(values_a: Array, values_b: Array) -> bool:
-    """Whether qare's gradient depends on the eigenvector basis: either
-    spectrum ``_basis_dependent`` on its partner."""
-    return _basis_dependent(values_a, values_b) or _basis_dependent(values_b, values_a)
+    return (dec_a.values * dec_b.values).sum(), pullback
 
 
 def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
@@ -525,15 +493,12 @@ def _configured(cfg: LossConfig):
 def objective(z_a: Array, z_b: Array, gt, cfg: LossConfig):
     """The training objective on two embedding batches, 2-D float64
     arrays of one batch size: the batch-mean pairwise loss plus
-    beta * qare / N^2. Returns ``(terms, pullback, degenerate)``:
+    beta * qare / N^2. Returns ``(terms, pullback)``:
 
-    - ``terms``, the floats "pairwise", "qare" (0.0 at beta 0) and
-      "total", the objective's value;
+    - ``terms``, the floats "pairwise", "qare" (0.0 at beta 0, where
+      nothing of qare is built) and "total", the objective's value;
     - ``pullback(c)``, the gradients (g_a, g_b) on the two batches of c
-      times the total;
-    - ``degenerate``, whether that gradient depends on the eigenvector
-      basis the solver picked for qare (``_basis_dependent``); never at
-      beta 0, where nothing of qare is built.
+      times the total.
 
     S is the matrix ``simgeom.cross_distances`` builds in ``cfg.mode``.
     Cosine mode feeds the pairwise loss the negated inner products, so distance
@@ -562,8 +527,8 @@ def objective(z_a: Array, z_b: Array, gt, cfg: LossConfig):
         return pull_s(g * -1.0 if cosine else g)
 
     if cfg.beta == 0.0:
-        return {"pairwise": pairwise, "qare": 0.0, "total": pairwise}, pull_pair, False
-    q, pull_q, spectra = _qare(z_a, z_b)
+        return {"pairwise": pairwise, "qare": 0.0, "total": pairwise}, pull_pair
+    q, pull_q = _qare(z_a, z_b)
     q = float(q)
     w = float(cfg.beta) / (z_a.shape[0] * z_a.shape[0])
 
@@ -572,20 +537,15 @@ def objective(z_a: Array, z_b: Array, gt, cfg: LossConfig):
         return qa + ga, qb + gb
 
     terms = {"pairwise": pairwise, "qare": q, "total": pairwise + q * w}
-    return terms, pullback, _flagged(*spectra)
+    return terms, pullback
 
 
 def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, float]]:
     """``objective`` as one tape node over the two embedding batches: the
     total as a scalar Tensor, and the terms. The node's VJP is the
     objective's pullback, so a tape composition of this node and the
-    encoder's runs the pullbacks that training chains directly. The
-    active tape is flagged "degenerate-eigenvalues" where the objective's
-    gradient depends on the eigenvector basis.
+    encoder's runs the pullbacks that training chains directly.
     """
     za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
-    terms, pullback, degenerate = objective(za.data, zb.data, gt, cfg)
-    tape = T.active_tape(za, zb)
-    if degenerate and tape is not None:
-        tape.flags.add("degenerate-eigenvalues")
+    terms, pullback = objective(za.data, zb.data, gt, cfg)
     return T.custom_op((za, zb), terms["total"], lambda g: pullback(g.item())), terms

@@ -22,10 +22,10 @@ d lambda_i / dM = u_i u_i^T is exact for a simple eigenvalue; inside a
 degenerate eigenspace the eigenvectors are not unique. Over a cluster
 of equal eigenvalues with equal upstream g the rule still gives g times
 the cluster's projector, whatever basis the solver returns (Lewis 1996,
-"Derivatives of spectral functions"); only unequal upstream values make
-it one subgradient among many. ``losses``, whose set term sees the
-upstream values, flags that case: on the tape, or in the degenerate
-flag that ``losses.objective`` returns.
+"Derivatives of spectral functions"); unequal upstream values make it
+one valid subgradient among many, which one turning on that basis. So
+``losses.qare``, whose upstream is the partner spectrum, needs no
+special case at a cluster.
 Results are deterministic for a given LAPACK build; they were never
 byte-identical across machines, because matrix products already go
 through BLAS.
@@ -132,9 +132,11 @@ def min_eigengap(values: Array) -> float:
 
 def eigenvalue_gradient(decomp: EigenDecomposition, upstream) -> Array:
     """Pull an upstream gradient on the sorted eigenvalues back to the
-    matrix: d lambda_i / dM = u_i u_i^T. Where a degenerate cluster gets
-    unequal upstream values this is one valid subgradient of many. NaN or
-    Inf upstream values raise EvaluationError."""
+    matrix: d lambda_i / dM = u_i u_i^T. A cluster of equal eigenvalues
+    with equal upstream values gives that value times the cluster's
+    projector, whatever basis ``decomp`` holds; with unequal ones it gives
+    one valid subgradient of many. NaN or Inf upstream values raise
+    EvaluationError."""
     up = _finite(upstream, "eigenvalue_gradient")
     u = decomp.vectors
     if up.shape[0] != u.shape[1]:
@@ -144,11 +146,8 @@ def eigenvalue_gradient(decomp: EigenDecomposition, upstream) -> Array:
 
 
 def eigvals(m) -> T.Tensor:
-    """Differentiable sorted-descending eigenvalues, shape (n, 1).
-
-    Sets no tape flag: whether its gradient depends on the eigenvector
-    basis turns on the upstream values, which it never sees.
-    """
+    """Differentiable sorted-descending eigenvalues, shape (n, 1), whose
+    VJP is ``eigenvalue_gradient`` of the upstream column."""
     mt = T.as_tensor(m)
     dec = sym_eigen(mt.data)
 

@@ -137,12 +137,13 @@ class Gradients:
 class Tape:
     """Records primitive applications for one forward pass."""
 
+    flags = frozenset()  # read by perfbench's backward probe; goes with the tape
+
     def __init__(self):
         # one (parents, vjp) per node: record indices (None for a constant
         # operand) and the VJP, None for a leaf; nothing here holds a node
         self._records: list = []
         self._leaf_shapes: dict = {}
-        self.flags: set = set()  # e.g. "degenerate-eigenvalues"
 
     def __len__(self) -> int:
         return len(self._records)
@@ -220,11 +221,6 @@ def custom_op(operands: Iterable, value: Array, vjp: Callable) -> Tensor:
     return Tensor._raw(value, tape._record(parents, vjp))
 
 
-def active_tape(*tensors) -> Optional[Tape]:
-    """Tape shared by the given tensors, or None if all are constants."""
-    return _common_tape([t for t in tensors if isinstance(t, Tensor)])
-
-
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
 
@@ -263,7 +259,8 @@ def gradcheck(f, x) -> float:
     bytes of x (``_directions``), so the result depends on f and x alone.
     A wrong VJP shows along almost every v, since any error e in g enters
     as <e, v>. ``f`` maps one Tensor to a scalar; each point it sees is a
-    fresh frozen C-ordered array."""
+    fresh frozen C-ordered array. A value or an analytic gradient that is
+    not finite raises EvaluationError."""
     base = as_tensor(x).data
     tape = Tape()
     xt = tape.leaf(base)
@@ -273,6 +270,8 @@ def gradcheck(f, x) -> float:
     if not math.isfinite(y.item()):
         raise EvaluationError("gradcheck: function value is not finite")
     analytic = tape.backward(y)[xt].data
+    if not np.isfinite(analytic).all():
+        raise EvaluationError("gradcheck: gradient is not finite")
     worst = 0.0
     # base is finite (the leaf checked it), and so is a finite double
     # moved by the step, so each point is wrapped without another check

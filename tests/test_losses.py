@@ -639,16 +639,13 @@ class TestQare:
                 q = losses.qare(leaf_a, leaf_b)
                 grads = tape.backward(q)
                 out.append((q.data.tobytes(), grads[leaf_a].data.tobytes(),
-                            grads[leaf_b].data.tobytes(),
-                            "degenerate-eigenvalues" in tape.flags))
+                            grads[leaf_b].data.tobytes()))
             return out
 
         stacked = run()
         monkeypatch.setattr(simgeom, "sym_eigen_pair",
                             lambda a, b: (simgeom.sym_eigen(a), simgeom.sym_eigen(b)))
         assert run() == stacked
-        # only the hexagon's paired eigenvalues meet distinct partners
-        assert [flag for *_, flag in stacked] == [False] * 4 + [True]
 
     @pytest.mark.parametrize("n,e", [(3, 4), (4, 3), (8, 3), (32, 16)])
     def test_factored_cosine_matches_the_full_spectrum(self, monkeypatch, n, e):
@@ -694,47 +691,6 @@ class TestQare:
             with pytest.raises(ShapeError, match=(
                     rf"^qare: shapes differ, \(3, 2\) vs \({shape[0]}, {shape[1]}\)$")):
                 losses.qare(np.ones((3, 2)), np.ones(shape))
-
-    @staticmethod
-    def _flags(z_a, z_b):
-        tape = T.Tape()
-        tape.backward(losses.qare(tape.leaf(z_a), tape.leaf(z_b)))
-        return tape.flags
-
-    def test_rank_deficient_cosine_is_not_flagged(self):
-        # 1 + S at n=8 in 2-D has rank 3 in both views: five zero
-        # eigenvalues each, one cluster; qare reads only the three of the
-        # 3 x 3 factor Gram, so no cluster meets distinct partners
-        rng = np.random.default_rng(13)
-        za, zb = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
-        shifted = simgeom.pairwise_distances(za, zb, "cosine")[1].data + 1.0
-        gap = simgeom.min_eigengap(simgeom.sym_eigen(shifted).values)
-        assert gap < losses.DEGENERATE_EIGENGAP
-        assert "degenerate-eigenvalues" not in self._flags(za, zb)
-
-    def test_hexagon_against_generic_set_is_flagged(self):
-        # a regular hexagon's factor Gram P^T P is diag(6, 3, 3) to rounding,
-        # so two of its eigenvalues are equal; a generic view B pairs them
-        # with distinct values
-        angles = np.arange(6) * (np.pi / 3.0)
-        hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        rng = np.random.default_rng(14)
-        generic, other = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-        assert "degenerate-eigenvalues" in self._flags(hexagon, generic)
-        assert "degenerate-eigenvalues" in self._flags(generic, hexagon)
-        assert "degenerate-eigenvalues" not in self._flags(generic, other)
-        # its own partner values are equal within the cluster too
-        assert "degenerate-eigenvalues" not in self._flags(hexagon, hexagon[::-1])
-
-    @pytest.mark.parametrize("values,upstream,dependent", [
-        ([3.0, 2.0, 1.0], [5.0, -1.0, 7.0], False),  # no cluster
-        ([3.0, 2.0, 2.0], [5.0, 1.0, 2.0], True),    # a cluster, spread partners
-        ([3.0, 2.0, 2.0], [5.0, 2.0, 2.0], False),   # a cluster, equal partners
-        ([2.0, 2.0, 2.0], [2.0, 2.0, 2.0 + 1e-9], False),  # spread under the bound
-    ])
-    def test_basis_dependence_needs_a_cluster_with_spread_partners(
-            self, values, upstream, dependent):
-        assert losses._basis_dependent(np.array(values), np.array(upstream)) is dependent
 
 
 class TestStructuredQapExact:

@@ -306,19 +306,25 @@ class TestEigenvalueGradient:
                            match="^eigenvalue_gradient: values contain NaN or Inf$"):
             simgeom.eigenvalue_gradient(dec, [1.0, bad, 0.5])
 
-    def test_degenerate_spectrum_leaves_tape_flag_unset(self):
-        # the flag's rule needs upstream values, so only losses.qare sets it
-        tape = T.Tape()
-        x = tape.leaf(np.eye(3))  # all eigenvalues equal
-        loss = weighted_sum(simgeom.eigvals(x))
-        tape.backward(loss)
-        assert "degenerate-eigenvalues" not in tape.flags
+    def test_cluster_basis_matters_only_under_unequal_upstream(self):
+        # Q diag(6, 3, 3) Q^T has a double eigenvalue; rotating the
+        # solver's basis of its eigenspace leaves the gradient as it is
+        # under equal upstream values on the cluster (the projector times
+        # that value), and moves it under unequal ones, where each basis
+        # gives another valid subgradient. So qare needs no special case
+        q, _ = np.linalg.qr(np.random.default_rng(6).normal(size=(3, 3)))
+        dec = simgeom.sym_eigen(q @ np.diag([6.0, 3.0, 3.0]) @ q.T)
+        c, s = np.cos(0.7), np.sin(0.7)
+        turned = dec.vectors.copy()
+        turned[:, 1:] = dec.vectors[:, 1:] @ np.array([[c, -s], [s, c]])
+        rotated = simgeom.EigenDecomposition(dec.values, turned)
 
-    def test_generic_spectrum_leaves_flag_unset(self):
-        tape = T.Tape()
-        x = tape.leaf(np.diag([3.0, 1.0, -2.0]))
-        tape.backward(weighted_sum(simgeom.eigvals(x)))
-        assert "degenerate-eigenvalues" not in tape.flags
+        def moved(upstream):
+            return np.abs(simgeom.eigenvalue_gradient(rotated, upstream)
+                          - simgeom.eigenvalue_gradient(dec, upstream)).max()
+
+        assert moved([1.0, 2.0, 2.0]) <= 1e-12
+        assert moved([1.0, 2.0, -1.0]) > 0.1
 
 
 class TestEigDot:

@@ -1,10 +1,12 @@
+import importlib
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setcontrast import simgeom, tensor as T
+from setcontrast import losses, simgeom, tensor as T
 from setcontrast.errors import (
     ContractError,
     EvaluationError,
@@ -196,6 +198,36 @@ class TestTapeSemantics:
             T.custom_op([T.Tensor(1.0)], np.zeros((2, 2, 2)), lambda g: (None,))
 
 
+def _hexagon_qare(tape):
+    """qare of a regular hexagon, whose factor Gram is diag(6, 3, 3) to
+    rounding, against a generic set: a gradient at an eigenvalue cluster
+    with unequal partner values, one subgradient of many."""
+    angles = np.arange(6) * (np.pi / 3.0)
+    hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    generic = np.random.default_rng(14).normal(size=(6, 2))
+    return losses.qare(tape.leaf(hexagon), tape.leaf(generic))
+
+
+class TestBenchmarkBackwardProbe:
+    """perfbench's traced passes read every ``Tape.backward`` through
+    ``tracer._backward_probe``, which reads ``len(tape)`` and
+    ``tape.flags``. A tape keeps ``flags`` empty, the hexagon's qare
+    included, so the probe reports no degenerate step."""
+
+    @pytest.mark.parametrize("loss", [
+        lambda tape: weighted_sum(scaled(tape.leaf(np.ones((2, 3))), 2.0)),
+        _hexagon_qare,
+    ], ids=["scaled-sum", "hexagon-qare"])
+    def test_probe_reads_the_tape(self, monkeypatch, loss):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracer = importlib.import_module("tracer")
+        tape = T.Tape()
+        tape.backward(loss(tape))
+        assert tape.flags == frozenset()
+        assert tracer._backward_probe((tape,), {}, None) == {
+            "nodes": len(tape), "degenerate": False}
+
+
 class TestGradcheck:
     def test_detects_wrong_gradient(self):
         def bad(x):
@@ -305,6 +337,17 @@ class TestGradcheck:
         with pytest.raises(EvaluationError,
                            match="^gradcheck: function value is not finite$"):
             T.gradcheck(cliff, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_gradient_rejected(self, bad):
+        # a finite value whose VJP is not finite: the error <g, v> - num
+        # is NaN or inf, and max(worst, nan) would report 0
+        def broken(x):
+            return T.custom_op([x], x.data.sum(), lambda g: (np.full(x.shape, bad),))
+
+        with pytest.raises(EvaluationError,
+                           match="^gradcheck: gradient is not finite$"):
+            T.gradcheck(broken, np.ones((2, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(small_arrays())

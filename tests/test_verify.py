@@ -102,8 +102,8 @@ def _transposed_pullback(real):
 def _halved_pullback(real):
     # ``losses._qare`` with its pullback halved
     def wrapped(za, zb):
-        value, pullback, spectra = real(za, zb)
-        return value, lambda c: tuple(0.5 * g for g in pullback(c)), spectra
+        value, pullback = real(za, zb)
+        return value, lambda c: tuple(0.5 * g for g in pullback(c))
 
     return wrapped
 

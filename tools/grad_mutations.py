@@ -34,11 +34,15 @@ STEP = 1e-6  # the package's difference step
 def per_coordinate_gradcheck(T, f, x) -> float:
     """The reference: max over coordinates of |analytic - central
     difference| / max(1, |analytic|), moving one coordinate at a time by
-    STEP. ``T`` is the package's ``tensor`` module."""
+    STEP. ``T`` is the package's ``tensor`` module. An analytic gradient
+    or a function value that is not finite raises the package's
+    EvaluationError, as ``gradcheck`` does: either would read as error 0."""
     base = T.as_tensor(x).data
     tape = T.Tape()
     xt = tape.leaf(base)
     analytic = tape.backward(f(xt))[xt].data.reshape(-1)
+    if not np.isfinite(analytic).all():
+        raise T.EvaluationError("gradcheck: gradient is not finite")
     worst = 0.0
     for i, grad in enumerate(analytic):
         values = []
@@ -46,6 +50,8 @@ def per_coordinate_gradcheck(T, f, x) -> float:
             point = np.array(base)
             point.flat[i] += step
             values.append(f(T.Tensor(point)).item())
+        if not np.isfinite(values).all():
+            raise T.EvaluationError("gradcheck: function value is not finite")
         num = (values[0] - values[1]) / (2.0 * STEP)
         worst = max(worst, abs(grad - num) / max(1.0, abs(grad)))
     return worst
@@ -70,8 +76,8 @@ def _distance_weights_transposed(real):
 
 def _qare_scaled(real, factor):
     def wrapped(za, zb):
-        value, pullback, spectra = real(za, zb)
-        return value, lambda c: tuple(factor * g for g in pullback(c)), spectra
+        value, pullback = real(za, zb)
+        return value, lambda c: tuple(factor * g for g in pullback(c))
     return wrapped
 
 
