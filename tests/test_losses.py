@@ -692,6 +692,31 @@ class TestQare:
                     rf"^qare: shapes differ, \(3, 2\) vs \({shape[0]}, {shape[1]}\)$")):
                 losses.qare(np.ones((3, 2)), np.ones(shape))
 
+    @pytest.mark.parametrize("side", [0, 1], ids=["hexagon-first", "hexagon-second"])
+    def test_pullback_at_a_cluster_is_a_subgradient(self, side):
+        # with the other set fixed, qare is max_U ||P U G^(1/2)||_F^2 over
+        # orthogonal U, G the other set's PSD factor Gram: a convex
+        # function of the rows. A regular hexagon's factor Gram is
+        # diag(6, 3, 3) to rounding, and qare pairs its two equal
+        # eigenvalues with distinct partners; the gradient it returns
+        # there still bounds qare from below along every step
+        angles = np.arange(6) * (np.pi / 3.0)
+        hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        pair = [np.random.default_rng(14).normal(size=(6, 2))] * 2
+        pair[side] = hexagon
+        tape = T.Tape()
+        leaves = [tape.leaf(z) for z in pair]
+        q = losses.qare(*leaves)
+        grad = tape.backward(q)[leaves[side]].data
+        rng = np.random.default_rng(3)
+        for scale in (1e-4, 1e-2, 1.0):
+            for _ in range(20):
+                step = scale * rng.normal(size=hexagon.shape)
+                moved = list(pair)
+                moved[side] = hexagon + step
+                gap = losses.qare(*moved).item() - q.item() - (grad * step).sum()
+                assert gap >= -1e-9 * q.item()
+
 
 class TestStructuredQapExact:
     def test_vanishing_quadratic_term_reduces_to_lap(self):

@@ -306,25 +306,34 @@ class TestEigenvalueGradient:
                            match="^eigenvalue_gradient: values contain NaN or Inf$"):
             simgeom.eigenvalue_gradient(dec, [1.0, bad, 0.5])
 
-    def test_cluster_basis_matters_only_under_unequal_upstream(self):
-        # Q diag(6, 3, 3) Q^T has a double eigenvalue; rotating the
-        # solver's basis of its eigenspace leaves the gradient as it is
-        # under equal upstream values on the cluster (the projector times
-        # that value), and moves it under unequal ones, where each basis
-        # gives another valid subgradient. So qare needs no special case
+    @pytest.mark.parametrize("values,upstream", [
+        ([6.0, 3.0, 3.0], [1.0, 2.0, 2.0]),   # a double cluster, equal partners
+        ([6.0, 3.0, 3.0], [1.0, 2.0, -1.0]),  # a double cluster, spread partners
+        ([3.0, 3.0, 3.0], [2.0, 2.0, 2.0]),   # one triple cluster, equal partners
+        ([3.0, 3.0, 3.0], [2.0, 2.0, 2.0 + 1e-9]),  # a spread of 1e-9
+    ])
+    def test_cluster_basis_matters_only_under_unequal_upstream(self, values, upstream):
+        # Q diag(values) Q^T has a cluster of equal eigenvalues; another
+        # orthonormal basis of its eigenspace leaves the gradient as it
+        # is under equal upstream values on the cluster (the projector
+        # times that value), and moves it under unequal ones, where each
+        # basis gives another valid subgradient. The move is at most the
+        # upstream spread on the cluster, the spectral norm of
+        # R D R^T - D for D that diagonal. So qare needs no special case
         q, _ = np.linalg.qr(np.random.default_rng(6).normal(size=(3, 3)))
-        dec = simgeom.sym_eigen(q @ np.diag([6.0, 3.0, 3.0]) @ q.T)
-        c, s = np.cos(0.7), np.sin(0.7)
+        dec = simgeom.sym_eigen(q @ np.diag(values) @ q.T)
+        cluster = np.flatnonzero(np.isclose(dec.values, 3.0))
+        r, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(cluster.size,) * 2))
         turned = dec.vectors.copy()
-        turned[:, 1:] = dec.vectors[:, 1:] @ np.array([[c, -s], [s, c]])
+        turned[:, cluster] = dec.vectors[:, cluster] @ r
         rotated = simgeom.EigenDecomposition(dec.values, turned)
-
-        def moved(upstream):
-            return np.abs(simgeom.eigenvalue_gradient(rotated, upstream)
-                          - simgeom.eigenvalue_gradient(dec, upstream)).max()
-
-        assert moved([1.0, 2.0, 2.0]) <= 1e-12
-        assert moved([1.0, 2.0, -1.0]) > 0.1
+        moved = np.abs(simgeom.eigenvalue_gradient(rotated, upstream)
+                       - simgeom.eigenvalue_gradient(dec, upstream)).max()
+        spread = np.ptp(np.asarray(upstream)[cluster])
+        if spread == 0.0:
+            assert moved <= 1e-12
+        else:
+            assert spread / 100.0 < moved <= spread + 1e-12
 
 
 class TestEigDot:
