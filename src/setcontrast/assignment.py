@@ -9,11 +9,15 @@ that column's dual by its gap to the second cheapest, and may displace
 the column's owner back into the queue. Ties can pass a column round
 forever, so the pass stops after a fixed ``4 n`` steps. Each row still
 free then grows a Dijkstra tree to the nearest free column, with lazy
-dual updates as in Crouse 2016. On the n = 32 solves of training with
-the one-to-one margin loss, column reduction leaves about 11 of the 32
-rows free, and the reduction pass about 0.6 on average. Both warm start
-phases keep the matching in Python int lists while they run and write it
-to arrays once: at these sizes numpy scalar indexing, not arithmetic, is
+dual updates as in Crouse 2016. In the benchmark's ``lap`` workload at
+seed 1 (720 training solves at n = 32, one-to-one margin loss), column
+reduction leaves 11.3 of the 32 rows free on average; the reduction pass
+takes 63.2 steps and leaves 0.35, and 128 of the 720 solves stop at the
+4 n cap. In its ``qare`` workload at seed 1, both n = 128 evaluation
+solves stop at the 512-step cap and leave 30 and 27 rows to the Dijkstra
+phase. The matching is kept in one form, Python int lists, from the
+column reduction to the returned permutation, which becomes an intp
+array once: at these sizes numpy scalar indexing, not arithmetic, is
 what a step would otherwise cost.
 
 Tie-break contract: among equally optimal assignments both the solver
@@ -82,8 +86,9 @@ def _check_sense(sense: str) -> str:
 
 
 def _as_indices(values) -> Array:
-    """``values``, an integer array or a sequence of ints, flattened to
-    intp. ContractError on input that numpy does not read as integers
+    """``values``, a one-dimensional integer array or sequence of ints,
+    as intp. ContractError on any other shape, a scalar or a ragged
+    sequence included; on input that numpy does not read as integers
     (floats, integral or not, and Python ints beyond int64, which it
     reads as floats or objects), on a boolean, which a cast would read
     as 0 or 1, and on a uint64 above the intp maximum, which a cast
@@ -97,7 +102,12 @@ def _as_indices(values) -> Array:
             isinstance(v, (bool, np.bool_))
             for v in np.asarray(values, dtype=object).reshape(-1)):
         raise ContractError(f"indices must be integers, got {values!r}")
-    raw = np.asarray(values).reshape(-1)
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        raw = None
+    if raw is None or raw.ndim != 1:
+        raise ContractError(f"indices must be one-dimensional, got {values!r}")
     if raw.dtype.kind not in "iu" and raw.size:
         raise ContractError(f"indices must be integers, got {values!r}")
     if not np.can_cast(raw.dtype, np.intp) and raw.size and (
@@ -122,14 +132,32 @@ def lap_cost(s: Array, perm: Array) -> float:
     return float(s[np.arange(n), perm].sum())
 
 
-def _column_reduction(a: Array):
-    """The first warm start phase: (v, col4row, row4col) with v the
-    column minima and each column matched to its first argmin row while
-    that row is free; -1 marks an unmatched row or column.
+def _warm_start(a: Array):
+    """The warm start of Jonker & Volgenant (1987): (v, col4row,
+    row4col), the column duals and the matching as Python int lists, -1
+    marking an unmatched row or column.
 
-    The columns are visited in ascending order, so a row that is the
-    first argmin of several columns takes the first of them. The matching
-    is built in Python int lists and written to arrays once."""
+    Column reduction sets v to the column minima and matches each column,
+    in ascending order, to its first argmin row while that row is free,
+    so a row that is the first argmin of several columns takes the first
+    of them. One augmenting row reduction pass then takes the free rows
+    from a queue, in ascending order at first. Each step finds the row's
+    smallest and second smallest reduced costs ``a[i] - v``, at columns
+    j1 and j2 (first indices on ties). On a strict gap the row lowers
+    v[j1] by the gap and takes j1; the row it displaces goes to the front
+    of the queue, since it lost its column by a margin. On a tie the row
+    takes j1 if it is free and j2 otherwise; the row it displaces goes to
+    the back. Either way the row's smallest reduced cost is at its new
+    column, and v only falls, which raises the reduced costs of every
+    other row, so each matched row keeps u[i] = a[i, col] - v[col] as a
+    feasible dual. Ties can pass a column round forever (a constant
+    matrix does), so the pass stops after ``_ARR_STEPS_PER_ROW * n``
+    steps with the queue's rows still free.
+
+    The two reduced costs are read as Python floats with ``item``: a
+    step's bookkeeping is plain Python, and its numpy work is the row,
+    two argmins and the dual update.
+    """
     n = a.shape[0]
     v = a.min(axis=0)
     col4row = [-1] * n
@@ -138,43 +166,10 @@ def _column_reduction(a: Array):
         if col4row[i] < 0:
             col4row[i] = j
             row4col[j] = i
-    return v, np.array(col4row, dtype=np.intp), np.array(row4col, dtype=np.intp)
-
-
-def _augmenting_row_reduction(a: Array, v: Array, col4row: Array,
-                              row4col: Array) -> int:
-    """One augmenting row reduction pass (Jonker & Volgenant 1987) over
-    the free rows, in place on ``v`` and the matching. Returns the number
-    of steps taken.
-
-    Each step takes the row at the front of a queue of free rows, in
-    ascending order at first, and finds its smallest and second smallest
-    reduced costs ``a[i] - v``, at columns j1 and j2 (first indices on
-    ties). On a strict gap the row lowers v[j1] by the gap and takes j1;
-    the row it displaces goes to the front of the queue, since it lost
-    its column by a margin. On a tie the row takes j1 if it is free and
-    j2 otherwise; the row it displaces goes to the back. Either way the
-    row's smallest reduced cost is at its new column, and v only falls,
-    which raises the reduced costs of every other row, so each matched
-    row keeps u[i] = a[i, col] - v[col] as a feasible dual. Ties can
-    pass a column round forever (a constant matrix does), so the pass
-    stops after ``_ARR_STEPS_PER_ROW * n`` steps with the queue's rows
-    still free.
-
-    The matching is read into Python int lists at the start and written
-    back to ``col4row`` and ``row4col`` once at the end, and the two
-    reduced costs are read as Python floats with ``item``: a step's
-    bookkeeping is plain Python, and its numpy work is the row, two
-    argmins and the dual update.
-    """
-    n = a.shape[0]
-    c4r = col4row.tolist()
-    r4c = row4col.tolist()
-    queue = collections.deque(i for i, j in enumerate(c4r) if j < 0)
-    limit = _ARR_STEPS_PER_ROW * n
-    steps = 0
-    while queue and steps < limit:
-        steps += 1
+    queue = collections.deque(i for i, j in enumerate(col4row) if j < 0)
+    for _ in range(_ARR_STEPS_PER_ROW * n):
+        if not queue:
+            break
         i = queue.popleft()
         r = a[i] - v
         j1 = int(r.argmin())
@@ -183,51 +178,49 @@ def _augmenting_row_reduction(a: Array, v: Array, col4row: Array,
         j2 = int(r.argmin())
         usubmin = r.item(j2)
         gap = umin < usubmin
+        j = j1 if gap or row4col[j1] < 0 else j2
         if gap:
             v[j1] -= usubmin - umin
-            j = j1
-        else:
-            j = j1 if r4c[j1] < 0 else j2
-        displaced = r4c[j]
-        c4r[i] = j
-        r4c[j] = i
+        displaced = row4col[j]
+        col4row[i] = j
+        row4col[j] = i
         if displaced >= 0:
-            c4r[displaced] = -1
+            col4row[displaced] = -1
             if gap:
                 queue.appendleft(displaced)
             else:
                 queue.append(displaced)
-    col4row[:] = c4r
-    row4col[:] = r4c
-    return steps
+    return v, col4row, row4col
 
 
 def _hungarian(a: Array):
-    """Shortest augmenting paths with a column-reduction and augmenting
+    """Shortest augmenting paths with the column-reduction and augmenting
     row reduction warm start (Jonker & Volgenant 1987; Crouse 2016, "On
     implementing 2D rectangular assignment algorithms"), minimization.
     Returns (perm, row_duals, col_duals) with a - u - v >= 0 everywhere
     and = 0 on matched edges.
 
-    Three phases. Column reduction sets v to the column minima and gives
-    each column its first argmin row while that row is free. One
-    augmenting row reduction pass (``_augmenting_row_reduction``, at
-    most ``_ARR_STEPS_PER_ROW * n`` steps) then matches most of the rows
-    left free, lowering v; each matched row takes u[i] = a[i, col] -
-    v[col] and each free row u[i] = 0. Each row still free then grows
-    one Dijkstra tree over reduced costs to the nearest free column; the
-    duals are updated lazily, once per path, from the final distances of
-    the scanned columns.
+    ``_warm_start`` gives v and a partial matching; each matched row
+    takes u[i] = a[i, col] - v[col] and each free row u[i] = 0. Each row
+    still free then grows one Dijkstra tree over reduced costs to the
+    nearest free column, a column j with row4col[j] < 0; the duals are
+    updated lazily, once per path, from the final distances of the
+    scanned columns. The matching stays in the warm start's int lists
+    throughout, the duals, distances and predecessors are read as Python
+    scalars with ``item``, and the permutation becomes an intp array
+    once, on return. The numpy work of a scan is the row's reduced
+    costs, the distance update and two argmins; of a path, the dual
+    update over its scanned columns.
     """
     n = a.shape[0]
-    v, col4row, row4col = _column_reduction(a)
-    _augmenting_row_reduction(a, v, col4row, row4col)
+    v, col4row, row4col = _warm_start(a)
+    warm = np.array(col4row, dtype=np.intp)
+    rows = np.flatnonzero(warm >= 0)
     u = np.zeros(n)
-    matched = np.flatnonzero(col4row >= 0)
-    u[matched] = a[matched, col4row[matched]] - v[col4row[matched]]
-    free = row4col < 0
-    for cur in np.flatnonzero(col4row < 0):
-        free_cols = np.flatnonzero(free)
+    u[rows] = a[rows, warm[rows]] - v[warm[rows]]
+    # each path ends at one of these
+    free_cols = np.array([j for j, i in enumerate(row4col) if i < 0], dtype=np.intp)
+    for cur in [i for i, j in enumerate(col4row) if j < 0]:
         key = np.full(n, np.inf)  # tentative distance of unscanned columns
         shortest = np.empty(n)    # final distance of scanned columns
         path = np.empty(n, dtype=np.intp)
@@ -236,37 +229,37 @@ def _hungarian(a: Array):
         i, minval = cur, 0.0
         while True:
             r = a[i] - w
-            r += minval - u[i]
+            r += minval - u.item(i)
             better = r < key
             np.minimum(key, r, out=key)
             path[better] = i
             j = int(key.argmin())
-            minval = key[j]
+            minval = key.item(j)
             # among equal distances prefer a free column: the path ends
-            k = free_cols[key[free_cols].argmin()]
-            if key[k] <= minval:
-                j = int(k)
+            k = int(free_cols[key[free_cols].argmin()])
+            if key.item(k) <= minval:
+                j = k
             shortest[j] = minval
             key[j] = np.inf
             w[j] = -np.inf
-            if free[j]:
+            if row4col[j] < 0:
                 break
             scanned.append(j)
             i = row4col[j]
         # lazy dual update over the scanned matched columns and their rows
         seen = np.array(scanned, dtype=np.intp)
+        owners = np.array([row4col[j] for j in scanned], dtype=np.intp)
         delta = minval - shortest[seen]
         u[cur] += minval
-        u[row4col[seen]] += delta
+        u[owners] += delta
         v[seen] -= delta
-        free[j] = False
-        while True:
-            i = path[j]
+        free_cols = free_cols[free_cols != j]
+        # flip the path back to cur, whose old column -1 ends the walk
+        while j >= 0:
+            i = path.item(j)
             row4col[j] = i
             col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return col4row, u, v
+    return np.array(col4row, dtype=np.intp), u, v
 
 
 def _is_acyclic(n: int, src, dst) -> bool:
@@ -289,7 +282,8 @@ def _is_acyclic(n: int, src, dst) -> bool:
     return removed == n
 
 
-def _lex_refine(a: Array, perm: Array, u: Array, v: Array) -> Array:
+def _lex_refine(a: Array, perm: Array, u: Array, v: Array,
+                scale: float) -> Array:
     """Among optimal assignments pick the lexicographically smallest.
 
     Works on the tight graph (zero reduced cost edges, plus the solver's
@@ -305,10 +299,11 @@ def _lex_refine(a: Array, perm: Array, u: Array, v: Array) -> Array:
     an edge row i -> row k when i can take k's column off the matching,
     so the test is Kahn's topological sort of that digraph, read from
     the tight entries of ``a[:, perm]``. The full tight matrix is built
-    only when a cycle exists and the pass runs.
+    only when a cycle exists and the pass runs. A reduced cost counts as
+    tight up to a tolerance relative to ``scale``, the largest |a|.
     """
     n = a.shape[0]
-    tol = 1e-9 * max(1.0, float(np.abs(a).max()))
+    tol = 1e-9 * max(1.0, scale)
     # g[i, k]: row i can take row k's column, the same bits as the
     # tight matrix's column perm[k]; the matching itself is no edge
     g = (a[:, perm] - u[:, None] - v[perm]) <= tol
@@ -352,12 +347,32 @@ def _lex_refine(a: Array, perm: Array, u: Array, v: Array) -> Array:
 
 
 def solve_lap(s, sense: str = "min") -> Assignment:
-    """Optimal linear assignment of a square cost/score matrix."""
+    """Optimal linear assignment of a square cost/score matrix.
+
+    EvaluationError, before any arithmetic, when 8 n max|a| overflows.
+    With M = max|a|, every value the solver forms lies within 8M and
+    every ``lap_cost`` within nM. v starts at the column minima and only
+    falls, and a column's v falls only while or as the column is
+    matched, so a free column keeps v >= -M. While a row is free a column
+    is too, and each matched row's dual, its smallest reduced cost
+    a[i, col] - v[col], is at most 2M there; so u lies in [-2M, 2M], v
+    in [-3M, M] and the reduced costs a - v in [0, 4M]. A reduction step
+    lowers v by at most 4M; when it matches the last free row it leaves
+    u <= 4M and v >= -5M. An augmenting path is no longer than its row's
+    reduced cost at a free column, 2M, so each tentative distance
+    (a[i] - v) + (minval - u[i]) lies in [-2M, 8M], and the refinement's
+    reduced costs (a - u) - v in [-6M, 8M]. Past the bound a reduced
+    cost can overflow, and the matching is then wrong or the solve
+    fails."""
     a = _check_square(s, "solve_lap")
     _check_sense(sense)
+    scale = float(np.abs(a).max())
+    if scale > np.finfo(np.float64).max / (8 * len(a)):
+        raise EvaluationError(f"solve_lap: entries up to {scale:.6g} in magnitude "
+                              "overflow the duals; 8 n max|a| must be finite")
     work = a if sense == "min" else -a
     perm, u, v = _hungarian(work)
-    perm = _lex_refine(work, perm, u, v)
+    perm = _lex_refine(work, perm, u, v, scale)
     return Assignment(perm=tuple(perm.tolist()), cost=lap_cost(a, perm))
 
 

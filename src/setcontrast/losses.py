@@ -69,9 +69,10 @@ class GroundTruthAlignment:
     """Row-to-column alignment; perm[i] is the positive column of row i.
 
     ``perm`` is a permutation of the integers 0..n-1, with n its length,
-    given as a sequence of ints or an integer array. It is checked once,
-    on construction: a float entry, integral or not, or a boolean raises
-    ContractError, and so does any ``perm`` that is not a permutation.
+    given as a one-dimensional sequence of ints or integer array. It is
+    checked once, on construction: any other shape, a float entry,
+    integral or not, or a boolean raises ContractError, and so does any
+    ``perm`` that is not a permutation.
     ``perm`` is stored as a tuple of ints, whatever sequence it was given
     as, so alignments built from a list, a tuple or an array compare,
     hash and print alike. ``indices`` keeps the entries as a read-only

@@ -170,12 +170,16 @@ def assert_certificate(a, perm, u, v):
 
 
 def warm_start(a):
-    """The solver's two warm start phases on a: (rows free after the
-    column reduction, reduction steps, the matching after it, v)."""
-    v, col4row, row4col = assignment._column_reduction(a)
-    free_before = int((col4row < 0).sum())
-    steps = assignment._augmenting_row_reduction(a, v, col4row, row4col)
-    return free_before, steps, col4row, v
+    """The solver's warm start on a, checked bit for bit against the
+    array reference: (rows free after the column reduction, reduction
+    steps, the matching after it, v). The solver counts neither, so the
+    two counts are the reference's."""
+    v, col4row, row4col = assignment._warm_start(a)
+    want_v, want_col4row, want_row4col, free_before, steps = reference_warm_start(a)
+    assert v.dtype == want_v.dtype and v.tobytes() == want_v.tobytes()
+    assert col4row == want_col4row.tolist()
+    assert row4col == want_row4col.tolist()
+    return free_before, steps, np.array(col4row, dtype=np.intp), v
 
 
 def assert_agrees_with_oracle(a):
@@ -297,6 +301,68 @@ def reference_row_reduction(a, v, col4row, row4col):
     return steps
 
 
+def reference_warm_start(a):
+    """The warm start over numpy arrays: (v, col4row, row4col) after both
+    phases, the rows free after the column reduction, and the number of
+    reduction steps."""
+    v, col4row, row4col = reference_column_reduction(a)
+    free_before = int((col4row < 0).sum())
+    steps = reference_row_reduction(a, v, col4row, row4col)
+    return v, col4row, row4col, free_before, steps
+
+
+def reference_hungarian(a):
+    """The solver over numpy arrays: the array warm start, then the
+    Dijkstra phase with a boolean array of free columns, reading the
+    duals, distances and predecessors as numpy scalars. Returns
+    (perm, u, v) as _hungarian does."""
+    n = a.shape[0]
+    v, col4row, row4col, _, _ = reference_warm_start(a)
+    u = np.zeros(n)
+    matched = np.flatnonzero(col4row >= 0)
+    u[matched] = a[matched, col4row[matched]] - v[col4row[matched]]
+    free = row4col < 0
+    for cur in np.flatnonzero(col4row < 0):
+        free_cols = np.flatnonzero(free)
+        key = np.full(n, np.inf)
+        shortest = np.empty(n)
+        path = np.empty(n, dtype=np.intp)
+        w = v.copy()
+        scanned = []
+        i, minval = cur, 0.0
+        while True:
+            r = a[i] - w
+            r += minval - u[i]
+            better = r < key
+            np.minimum(key, r, out=key)
+            path[better] = i
+            j = int(key.argmin())
+            minval = key[j]
+            k = free_cols[key[free_cols].argmin()]
+            if key[k] <= minval:
+                j = int(k)
+            shortest[j] = minval
+            key[j] = np.inf
+            w[j] = -np.inf
+            if free[j]:
+                break
+            scanned.append(j)
+            i = row4col[j]
+        seen = np.array(scanned, dtype=np.intp)
+        delta = minval - shortest[seen]
+        u[cur] += minval
+        u[row4col[seen]] += delta
+        v[seen] -= delta
+        free[j] = False
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row, u, v
+
+
 def warm_start_families(rng):
     """(name, matrix) pairs: Gaussian and integer-tied inputs for n = 1..40,
     and the near-tie families of tools/lap_near_ties.py."""
@@ -315,29 +381,40 @@ def warm_start_families(rng):
 class TestWarmStartBookkeeping:
     def test_phases_match_the_array_reference_bit_for_bit(self):
         rng = np.random.default_rng(41)
-        for name, a in warm_start_families(rng):
+        for _, a in warm_start_families(rng):
             for x in (a, -a):
-                got = assignment._column_reduction(x)
-                want = reference_column_reduction(x)
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
-                got_steps = assignment._augmenting_row_reduction(x, *got)
-                want_steps = reference_row_reduction(x, *want)
-                assert got_steps == want_steps, name
-                for g, w in zip(got, want):
-                    assert g.tobytes() == w.tobytes(), name
+                warm_start(x)
 
     def test_column_reduction_gives_a_row_its_first_argmin_column(self):
         # row 0 is the argmin of columns 1, 2 and 3 (column 1 ties with
-        # row 3, whose index is larger); row 2 is the argmin of column 0
+        # row 3, whose index is larger); row 2 is the argmin of column 0.
+        # The solver runs the reduction pass straight after, so its
+        # column reduction is read through the reference it must equal
         a = np.array([[5.0, 0.0, 0.0, 1.0],
                       [6.0, 3.0, 4.0, 2.0],
                       [1.0, 4.0, 5.0, 3.0],
                       [7.0, 0.0, 2.0, 2.0]])
-        v, col4row, row4col = assignment._column_reduction(a)
+        v, col4row, row4col = reference_column_reduction(a)
         np.testing.assert_array_equal(v, [1.0, 0.0, 0.0, 1.0])
         np.testing.assert_array_equal(col4row, [1, -1, 0, -1])
         np.testing.assert_array_equal(row4col, [2, 0, -1, -1])
+        warm_start(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 32, 64, 128])
+    def test_solver_matches_the_array_reference_bit_for_bit(self, n):
+        # the matching kept in int lists and the duals read with item
+        # give the bits of the array form: perm, u and v
+        rng = np.random.default_rng(50 + n)
+        families = {"generic": rng.normal(size=(n, n)),
+                    **{f"tie {k}": a for k, a in tie_families(rng, n).items()},
+                    **{f"certificate {k}": a
+                       for k, a in certificate_families(rng, n).items()}}
+        for name, a in families.items():
+            for x in (a, -a):
+                got = assignment._hungarian(x)
+                want = reference_hungarian(x)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
 def refine_exit(a, sense):
@@ -346,8 +423,9 @@ def refine_exit(a, sense):
     back the matching array itself."""
     work = a if sense == "min" else -a
     perm, u, v = assignment._hungarian(work)
-    out = assignment._lex_refine(work, perm, u, v)
-    tol = 1e-9 * max(1.0, float(np.abs(work).max()))
+    scale = float(np.abs(work).max())
+    out = assignment._lex_refine(work, perm, u, v, scale)
+    tol = 1e-9 * max(1.0, scale)
     extra = int(((work - u[:, None] - v[None, :]) <= tol).sum()) - len(perm)
     return extra, out is not perm
 
@@ -628,6 +706,36 @@ class TestFailurePaths:
         with pytest.raises(EvaluationError,
                            match=f"^{solve}: matrix contains NaN or Inf"):
             getattr(assignment, solve)(s, "min")
+
+    @pytest.mark.parametrize("s, sense", [
+        ([[-1e308, 1e308, 1.5e308], [1.5e308, -1e308, -1.5e308],
+          [1.5e308, 1e308, 1e308]], "min"),
+        ([[-1.5e308, -1e308, -1.5e308], [0.0, 1.5e308, 1e308],
+          [1e308, 1e308, -1e308]], "max"),
+    ], ids=["index-error", "wrong-optimum"])
+    def test_entries_past_the_magnitude_bound_raise_evaluation_error(self, s, sense):
+        # past the bound the reduced costs overflow: the first matrix read
+        # an unset predecessor, the second returned cost 5e307 where the
+        # oracle finds 1e308
+        with pytest.raises(EvaluationError,
+                           match=r"^solve_lap: entries up to 1\.5e\+308 "):
+            assignment.solve_lap(s, sense)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_entries_at_the_magnitude_bound_solve_exactly(self, n):
+        # the largest entry sits on the bound, max / (8 n): no overflow
+        # warning, and the oracle's permutation and cost bits
+        rng = np.random.default_rng(70 + n)
+        bound = np.finfo(np.float64).max / (8 * n)
+        for x in (rng.normal(size=(n, n)), rng.integers(-2, 3, size=(n, n))):
+            a = x / np.abs(x).max() * bound
+            for sense in ("min", "max"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    fast = assignment.solve_lap(a, sense)
+                slow = assignment.brute_force_lap(a, sense)
+                assert fast.perm == slow.perm
+                assert fast.cost == slow.cost
 
     @pytest.mark.parametrize("solve", ["solve_lap", "brute_force_lap"])
     def test_unknown_sense_raises_contract_error(self, solve):

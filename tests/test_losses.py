@@ -1022,9 +1022,13 @@ class TestGroundTruthAlignment:
         ([0, 2 ** 70], "integers"),
         ([0, -1], "permutation of 0..1"),
         ([1.0, 0.0], "integers"),
+        (0, "one-dimensional"),
+        (np.int64(0), "one-dimensional"),
+        ([[0, 1]], "one-dimensional"),
+        ([[1], 0], "one-dimensional"),
     ], ids=["true", "numpy-true", "true-first", "numpy-true-second", "fraction",
             "nan", "above-intp", "below-intp", "far-above-intp", "negative",
-            "integral-float"])
+            "integral-float", "int", "numpy-int", "nested", "ragged"])
     @pytest.mark.parametrize("wrap", [list, tuple], ids=["list", "tuple"])
     def test_every_bad_entry_is_rejected(self, bad, match, wrap):
         # numpy reads a Python int outside int64 as a float or an object
