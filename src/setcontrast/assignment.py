@@ -29,14 +29,20 @@ edges off the matching decides; otherwise one iterative pass of
 alternating-cycle rotations refines the matching.
 
 Both oracles enumerate all n! permutations and take n <= 8. The LAP
-oracle ranks permutations by their ``lap_cost`` bits. It scores all of
-them by prefix sums shared along the lexicographic order, one row per
-level, and re-ranks by ``lap_cost`` the few whose running sum lies
-within a rounding bound of the smallest (see ``brute_force_lap``). The
+oracle ranks permutations by their ``lap_cost`` bits. It splits the rows
+in two halves at h = n // 2 and scores every permutation as the sum of
+two running sums: of rows 0..h-1 along its length-h prefix, and of the
+other rows along its arrangement of the columns that the prefix leaves.
+Rounded addition is monotone, so the smallest score is the smallest
+over prefixes of the prefix's sum plus its best completion, found
+without forming the n! scores. The completions of every prefix within a
+rounding bound of it are then re-ranked by ``lap_cost``; one scalar test
+on the row maxima first rules out overflow, and where it fails every
+permutation is ranked by ``lap_cost`` (see ``brute_force_lap``). The
 QAP oracle scores permutations in lexicographic order, in blocks of at
 most 7! rows. The table of all permutations of n is cached as a
 read-only uint8 array (8! rows, 322 KB at n = 8), and the LAP oracle's
-prefix levels as read-only intp arrays read off it; both are built on
+half tables as read-only intp arrays (64 KB at n = 8); both are built on
 first use.
 """
 
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -62,6 +69,7 @@ _ARR_STEPS_PER_ROW = 4
 # brute_force_qap near 2.6 MB at n = 8
 _BLOCK_ROWS = math.factorial(7)
 _INTP = np.iinfo(np.intp)
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass(frozen=True)
@@ -401,34 +409,67 @@ def _perm_blocks(n: int):
         yield table[start:start + _BLOCK_ROWS]
 
 
-@functools.lru_cache(maxsize=None)
-def _lex_levels(m: int) -> Tuple[Array, ...]:
-    """The prefix levels of ``_lex_table(m)``: level k holds the column
-    that row k takes in each length-(k + 1) prefix, in lexicographic
-    order, as read-only intp. Each such prefix spans (m - k - 1)!
+def _lex_levels(m: int, depth: int) -> Tuple[Array, ...]:
+    """The first ``depth`` prefix levels of ``_lex_table(m)``: level k
+    holds the column that row k takes in each length-(k + 1) prefix, in
+    lexicographic order, as intp. Each such prefix spans (m - k - 1)!
     consecutive rows of the table, so level k is every (m - k - 1)!-th
     entry of column k."""
     table = _lex_table(m)
-    levels = []
-    for k in range(m):
-        level = table[::math.factorial(m - k - 1), k].astype(np.intp)
+    return tuple(table[::math.factorial(m - k - 1), k].astype(np.intp)
+                 for k in range(depth))
+
+
+@functools.lru_cache(maxsize=None)
+def _split_tables(n: int) -> Tuple[Tuple[Array, ...], Tuple[Array, ...], Array]:
+    """``brute_force_lap``'s tables for the rows of an n x n matrix split
+    at h = n // 2, read-only intp arrays built on first use:
+
+    - the prefix levels: the first h levels of ``_lex_table(n)``, whose
+      last has one entry per length-h prefix p, n! / m! of them, where
+      m = n - h;
+    - the suffix levels: row s of level k holds the column that row h + k
+      takes in each length-(k + 1) prefix of the arrangements of the s-th
+      m-subset of range(n), subsets in ``itertools.combinations`` order and
+      arrangements in lexicographic order; it is the subset read at level
+      k of ``_lex_table(m)``, since reading through a sorted subset keeps
+      lexicographic order;
+    - comp: comp[p], the index of the subset of columns that prefix p
+      leaves free.
+
+    The rows of ``_lex_table(n)`` that share a length-h prefix are
+    consecutive and ordered by their suffixes, so row p m! + c is prefix
+    p completed by arrangement c of subset comp[p]. At n = 8 the tables
+    hold 1680 prefixes and 70 subsets of 24 arrangements, about 64 KB."""
+    h, m = n // 2, n - n // 2
+    prefix = _lex_levels(n, h)
+    subsets = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
+    suffix = tuple(subsets[:, level] for level in _lex_levels(m, m))
+    # a set of columns as a bit mask; a prefix frees the columns it skips
+    index = np.empty(1 << n, dtype=np.intp)
+    index[(1 << subsets).sum(axis=1)] = np.arange(len(subsets))
+    used = _lex_table(n)[::math.factorial(m), :h].astype(np.intp)
+    comp = index[(1 << n) - 1 - (1 << used).sum(axis=1)]
+    for level in (*prefix, *suffix, comp):
         level.setflags(write=False)
-        levels.append(level)
-    return tuple(levels)
+    return prefix, suffix, comp
 
 
 def _running_sums(costs: Array, tail: Array, levels: Tuple[Array, ...]) -> Array:
-    """The running sums of every completion of a prefix whose cost is
-    ``costs``, shape (1,): row k of ``tail`` adds its entry at each
-    completion's column of level k, in lexicographic order, one level at
-    a time. Each level adds the running sums into its fresh gather of
-    the row, in place; the sum of two doubles does not depend on the
-    order of its operands, so this gives the bits of
-    ``(costs[:, None] + row[level]).ravel()``."""
+    """The running sums of every completion of each prefix whose cost is
+    in ``costs``, along its last axis: row k of ``tail`` adds its entry
+    at each completion's column of level k, in lexicographic order, one
+    level at a time. Level k has the shape of ``costs`` after k levels,
+    times the completions of each running sum on the last axis. Each
+    level adds the running sums into its fresh gather of the row, in
+    place; the sum of two doubles does not depend on the order of its
+    operands, so this gives the bits of ``(costs[..., None] +
+    row[level].reshape(*costs.shape, -1)).reshape(*costs.shape[:-1],
+    -1)``."""
     for row, level in zip(tail, levels):
-        step = row[level].reshape(costs.size, -1)
-        step += costs[:, None]
-        costs = step.ravel()
+        step = row[level].reshape(*costs.shape, -1)
+        step += costs[..., None]
+        costs = step.reshape(*costs.shape[:-1], -1)
     return costs
 
 
@@ -436,48 +477,79 @@ def brute_force_lap(s, sense: str = "min") -> Assignment:
     """Exhaustive LAP oracle (N <= 8), ranked by ``lap_cost`` with the
     same tie-break as solve_lap: the lexicographically first optimum.
 
-    Permutations are scored by shared prefix sums in lexicographic
-    order. The costs of all n! permutations build up one row per level,
-    ``costs = (costs[:, None] + row[level]).ravel()`` added in place in
-    the gather (``_running_sums``), since the completions of one prefix
-    form a contiguous run.
+    Permutations are scored by meeting in the middle (Horowitz & Sahni
+    1974), with the rows split at h = n // 2 and m = n - h. heads[p] is
+    the running sum of rows 0..h-1 along the p-th length-h prefix in
+    lexicographic order, and tails[s, c] that of rows h..n-1 along the
+    c-th arrangement of the s-th m-subset of columns (``_split_tables``,
+    ``_running_sums``). Permutation p m! + c of ``_lex_table(n)`` is
+    prefix p completed by arrangement c of its free columns comp[p], and
+    its split sum is fl(heads[p] + tails[comp[p], c]). Rounded addition
+    is monotone, so the smallest split sum among the completions of p is
+    lows[p] = fl(heads[p] + min_c tails[comp[p], c]), and the smallest of
+    all, c*, is the least of the lows: no n!-long array is formed.
 
-    These running sums add the entries one row at a time, while
-    ``lap_cost`` uses numpy's pairwise sum, so the two can differ in the
-    last bits. Any summation order of the n terms x_i of one permutation
-    lies within gamma_{n-1} * sum_i |x_i| of the exact sum, where
-    gamma_k = k u / (1 - k u) and u is the unit roundoff, so two orders
-    differ by at most D = 2 gamma_{n-1} R with R = sum_i max_j |a_ij|.
-    If q has the smallest running sum c and p is any ``lap_cost``
-    optimum, then run(p) <= lap(p) + D <= lap(q) + D <= c + 2 D. So
-    every permutation whose running sum lies within 2 D of c is
-    re-ranked by its ``lap_cost`` bits, and the first exact optimum in
-    lexicographic order is kept; the window uses gamma_n, whose spare
-    4 u R covers the rounding of R and of c + 2 D. The max sense
-    minimizes the negated matrix, whose sums are the exact negations of
-    the original ones.
+    A split sum adds the entries of a permutation along a binary tree,
+    while ``lap_cost`` uses numpy's pairwise sum, so the two can differ
+    in the last bits. Any summation order of the n terms x_i of one
+    permutation lies within gamma_{n-1} * sum_i |x_i| of the exact sum,
+    where gamma_k = k u / (1 - k u) and u is the unit roundoff, so two
+    orders differ by at most D = 2 gamma_{n-1} R with R = sum_i max_j
+    |a_ij|. If q has the smallest split sum c* and p is any ``lap_cost``
+    optimum, then split(p) <= lap(p) + D <= lap(q) + D <= c* + 2 D, and
+    the lows of p's prefix is at most split(p). So every completion of
+    every prefix whose lows lies within 2 D of c* is re-ranked by its
+    ``lap_cost`` bits, in lexicographic order, and the first exact
+    optimum is kept; the window uses gamma_n, whose spare 4 u R covers
+    the rounding of R and of c* + 2 D. The max sense minimizes the
+    negated matrix, whose sums are the exact negations of the original
+    ones.
 
-    The bound assumes no sum overflows. When R or a running sum does, as
-    for entries near the largest double, the window is infinite and every
-    permutation is re-ranked, which is exhaustive ranking by ``lap_cost``
-    outright."""
+    The bound assumes that no sum overflows, which one scalar test
+    settles before any sum is formed. Let R' be R summed in floats: its
+    terms are non-negative, so R <= R' / (1 - u)^(n-1). While no addition
+    has overflowed, a computed sum of k terms of one permutation, in any
+    order, is at most (1 + u)^(k-1) times the sum of their magnitudes, by
+    induction over the additions; so every exact sum that an addition
+    rounds is at most (1 + u)^(n-2) R < (1 + 2 n u) R' in magnitude. If
+    fl(R' (1 + 4 gamma_n)) is finite, then R' (1 + 4 gamma_n) lies below
+    the overflow threshold, and so does (1 + 2 n u) R', which the
+    rounding of the factor and of the product cannot lift above it. So
+    no addition overflows, and no split sum, ``lap_cost`` or re-ranked
+    sum is infinite or NaN; a limit c* + window that still rounds to
+    +inf admits every prefix. Otherwise, as for entries near the largest
+    double, every permutation is re-ranked by ``lap_cost`` outright, and
+    EvaluationError is raised when one of those sums is not finite, since
+    the ranking is then meaningless. R is summed as Python floats, which
+    overflow to inf without a numpy warning."""
     a = _check_square(s, "brute_force_lap")
     _check_sense(sense)
     n = a.shape[0]
     if n > BRUTE_FORCE_LAP_MAX:
         raise SizeGuardError(f"brute_force_lap: N={n} exceeds {BRUTE_FORCE_LAP_MAX}")
     work = a if sense == "min" else -a
-    u = np.finfo(np.float64).eps / 2
-    gamma = n * u / (1 - n * u)
-    # R and the running sums can overflow where no lap_cost does; an
-    # infinite window or running sum re-ranks every permutation
-    with np.errstate(over="ignore"):
-        window = 4 * gamma * float(np.abs(a).max(axis=1).sum())
-        costs = _running_sums(np.zeros(1), work, _lex_levels(n))
-        limit = costs.min() + window if np.isfinite(costs).all() else np.inf
-    perms = _lex_table(n)[np.flatnonzero(costs <= limit)]
-    # row sums along the last axis are lap_cost's sums, bit for bit
-    exact = work[np.arange(n), perms].sum(axis=1)
+    gamma = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+    r = sum(np.abs(a).max(axis=1).tolist())
+    rows = np.arange(n)
+    table = _lex_table(n)
+    if math.isfinite(r * (1 + 4 * gamma)):
+        prefix, suffix, comp = _split_tables(n)
+        h = n // 2
+        # from 0, so that n = 1 has one empty prefix
+        heads = _running_sums(np.zeros(1), work[:h], prefix)
+        tails = _running_sums(work[h][suffix[0]], work[h + 1:], suffix[1:])
+        lows = heads + tails.min(axis=1)[comp]
+        limit = lows.min().item() + 4 * gamma * r
+        perms = table.reshape(len(comp), -1, n)[lows <= limit].reshape(-1, n)
+        # row sums along the last axis are lap_cost's sums, bit for bit
+        exact = work[rows, perms].sum(axis=1)
+    else:
+        perms = table
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = work[rows, perms].sum(axis=1)
+        if not np.isfinite(exact).all():
+            raise EvaluationError("brute_force_lap: lap_cost overflows, so the "
+                                  "permutations cannot be ranked")
     best = perms[int(np.argmin(exact))]
     return Assignment(perm=tuple(best.tolist()), cost=lap_cost(a, best))
 

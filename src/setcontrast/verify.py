@@ -13,12 +13,13 @@ boolean mask table: each row's affine projection, its feasibility and
 its distance to z. It never sorts z or takes a cumulative-sum
 threshold, so it stays independent of the closed form in ``losses``.
 The brute-force LAP and QAP oracles in ``assignment`` score every
-permutation: the LAP oracle by prefix sums shared along the
-lexicographic order, each level added in place into its gather of the
-row and re-ranked by ``lap_cost`` near the optimum, and the QAP oracle
-in blocks read from a cached table. The simplex grid that checks the
-sparsemax oracle reads each coordinate from a table of the running sums
-of 1/steps, indexed by the coordinate's count. The ``gradients``,
+permutation: the LAP oracle as the sum of a running sum over the first
+half of the rows, shared by every permutation with that prefix, and one
+over the other half, shared by every permutation that leaves the same
+columns to it, re-ranked by ``lap_cost`` near the optimum; the QAP
+oracle in blocks read from a cached table. The simplex grid that checks
+the sparsemax oracle reads each coordinate from a table of the running
+sums of 1/steps, indexed by the coordinate's count. The ``gradients``,
 ``fig1b`` and ``upper_bound`` suites call ``qare`` on point sets as
 drawn, not on unit rows: ``qare`` reads the rows it is given. Every
 pairwise loss is a batch mean, so the identity suites compare N times it

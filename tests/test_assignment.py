@@ -522,10 +522,64 @@ class TestAcyclicityTest:
 
 
 def reference_running_sums(costs, tail, levels):
-    """brute_force_lap's level loop with a fresh sum per level."""
+    """The level loop of ``assignment._running_sums`` with a fresh sum
+    per level."""
     for row, level in zip(tail, levels):
-        costs = (costs[:, None] + row[level].reshape(costs.size, -1)).ravel()
+        step = row[level].reshape(*costs.shape, -1)
+        costs = (costs[..., None] + step).reshape(*costs.shape[:-1], -1)
     return costs
+
+
+def reference_brute_force_lap(s, sense):
+    """The running-sum oracle that the split oracle replaced: all n!
+    running sums of the rows in order along the lexicographic table, and a
+    re-rank by lap_cost of those within the rounding window of the
+    smallest, or of the whole table when R or a running sum overflows."""
+    a = np.asarray(s, dtype=np.float64)
+    n = a.shape[0]
+    work = a if sense == "min" else -a
+    table = assignment._lex_table(n)
+    levels = assignment._lex_levels(n, n)
+    u = np.finfo(np.float64).eps / 2
+    gamma = n * u / (1 - n * u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        window = 4 * gamma * float(np.abs(a).max(axis=1).sum())
+        costs = reference_running_sums(np.zeros(1), work, levels)
+        limit = costs.min() + window if np.isfinite(costs).all() else np.inf
+        perms = table[np.flatnonzero(costs <= limit)]
+        exact = work[np.arange(n), perms].sum(axis=1)
+        best = perms[int(np.argmin(exact))]
+        return assignment.Assignment(perm=tuple(best.tolist()),
+                                     cost=assignment.lap_cost(a, best))
+
+
+def every_lap_cost_is_finite(s):
+    n = s.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = s[np.arange(n), assignment._lex_table(n)].sum(axis=1)
+    return bool(np.isfinite(costs).all())
+
+
+def oracle_families(rng, n):
+    """(name, matrix) pairs for the split oracle: Gaussian at several
+    scales, {0,1,2} ties, 1e-13 near-ties, mixed_magnitude, and two
+    overflow families. "halves" puts rows 0..n//2-1 near +-0.6 max and
+    the rest near -+0.6 max, so the prefix rows' sums overflow to one
+    infinity and the other rows' to the other, which added give NaN;
+    "big" draws every entry up to 1e308."""
+    big = 0.6 * np.finfo(np.float64).max
+    for scale in (0.1, 1.0, 1e300):
+        yield f"gaussian {scale:g}", rng.normal(size=(n, n)) * scale
+    yield "{0,1,2}", rng.integers(0, 3, size=(n, n)).astype(float)
+    yield "near-tie", (rng.integers(0, 3, size=(n, n))
+                       + 1e-13 * rng.integers(-1, 2, size=(n, n)))
+    yield "mixed", mixed_magnitude(rng, n)
+    for sign in (1.0, -1.0):
+        x = rng.integers(0, 3, size=(n, n)) * 2.0 ** 960
+        x[:n // 2] += sign * big
+        x[n // 2:] -= sign * big
+        yield "halves", x
+    yield "big", rng.uniform(-1.0, 1.0, size=(n, n)) * 1e308
 
 
 class TestBruteForce:
@@ -599,10 +653,39 @@ class TestBruteForce:
                 assert got.perm == perm
                 assert got.cost == cost
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lap_matches_the_running_sum_oracle_bit_for_bit(self, n):
+        # the split sums pick the running-sum oracle's permutation and cost
+        # bits on every family, with no warning. Where some lap_cost of
+        # the table is not finite the ranking means nothing, and the
+        # oracle raises instead
+        rng = np.random.default_rng(80 + n)
+        raised = 0
+        for _ in range(3):
+            for name, s in oracle_families(rng, n):
+                for sense in ("min", "max"):
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            got = assignment.brute_force_lap(s, sense)
+                    except EvaluationError:
+                        assert not every_lap_cost_is_finite(s), name
+                        raised += 1
+                        continue
+                    assert every_lap_cost_is_finite(s), name
+                    want = reference_brute_force_lap(s, sense)
+                    assert got.perm == want.perm, name
+                    assert (np.float64(got.cost).tobytes()
+                            == np.float64(want.cost).tobytes()), name
+        assert raised > 0 or n < 4
+
     def test_lap_holds_bounded_memory(self):
-        # with the 8! table warmed, a call holds the 8! running sums and the
-        # gather of its window: 0.6 MiB. Re-ranking the whole table would
-        # gather all 8! rows, 3.1 MiB, so the bound sits between the two
+        # with the tables warmed, an n = 8 call holds its 1680 prefix sums,
+        # 70 x 24 suffix sums and their gathers: about 53 KiB. The bound is
+        # glibc's default mmap threshold, 128 KiB, so no array of a call
+        # maps and returns fresh pages. The n! running sums of the row-order
+        # oracle held 631 KiB, and re-ranking the whole table would gather
+        # all 8! rows, 3.1 MiB
         s = np.random.default_rng(25).normal(size=(8, 8))
         assignment.brute_force_lap(s, "min")
         tracemalloc.start()
@@ -611,7 +694,7 @@ class TestBruteForce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+        assert peak < 128 * 2 ** 10
 
     def test_lap_overflowing_sums_rank_by_lap_cost(self):
         # R = sum_i max_j |a_ij| overflows in both; at n = 8 every running
@@ -634,10 +717,15 @@ class TestBruteForce:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_running_sums_match_the_level_loop_bit_for_bit(self, n):
         # Gaussian and integer-tied entries, and entries up to 1e308 whose
-        # running sums overflow to +-inf part way; each from the zero
-        # start that brute_force_lap uses, and from a nonzero one
+        # running sums overflow to +-inf part way; along all n rows of the
+        # lexicographic table from a zero and a nonzero start, and along
+        # brute_force_lap's suffix levels, one run of sums per subset,
+        # from the suffix's first row and from a nonzero start per subset
         rng = np.random.default_rng(60 + n)
-        levels = assignment._lex_levels(n)
+        starts = np.random.default_rng(160 + n)
+        levels = assignment._lex_levels(n, n)
+        _, suffix, _ = assignment._split_tables(n)
+        subsets = len(suffix[0])
         overflowed = 0
         for family in ("normal", "ties", "1e308"):
             for _ in range(4):
@@ -647,26 +735,51 @@ class TestBruteForce:
                     a = rng.integers(0, 3, size=(n, n)).astype(float)
                 else:
                     a = rng.uniform(-1.0, 1.0, size=(n, n)) * 1e308
-                for start in (np.zeros(1), a[:1, 0].copy()):
+                h = n // 2
+                runs = [(np.zeros(1), a, levels),
+                        (a[:1, 0].copy(), a, levels),
+                        (a[h][suffix[0]], a[h + 1:], suffix[1:]),
+                        (starts.normal(size=(subsets, 1)), a[h:], suffix)]
+                for start, tail, lv in runs:
                     with np.errstate(over="ignore"):
-                        got = assignment._running_sums(start, a, levels)
-                        want = reference_running_sums(start, a, levels)
-                    assert got.shape == (math.factorial(n),)
+                        got = assignment._running_sums(start, tail, lv)
+                        want = reference_running_sums(start, tail, lv)
+                    assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                     overflowed += int(np.isinf(got).any())
+        assert got.shape == (subsets, math.factorial(n - n // 2))
         assert overflowed > 0 or n == 1
 
-    def test_lex_levels_are_cached_read_only_table_columns(self):
-        for m in range(1, 9):
-            levels = assignment._lex_levels(m)
-            assert levels is assignment._lex_levels(m)
-            assert all(lv.dtype == np.intp and not lv.flags.writeable
-                       for lv in levels)
+    def test_split_tables_are_cached_read_only_and_address_the_table(self):
+        for n in range(1, 9):
+            tables = assignment._split_tables(n)
+            assert tables is assignment._split_tables(n)
+            prefix, suffix, comp = tables
+            h, m = n // 2, n - n // 2
+            assert len(prefix) == h and len(suffix) == m
+            assert all(t.dtype == np.intp and not t.flags.writeable
+                       for t in (*prefix, *suffix, comp))
+            table = assignment._lex_table(n)
             # level k repeats once per completion of its prefix
-            columns = [np.repeat(lv, math.factorial(m - k - 1))
-                       for k, lv in enumerate(levels)]
-            assert np.array_equal(np.column_stack(columns),
-                                  assignment._lex_table(m))
+            for k, lv in enumerate(prefix):
+                assert np.array_equal(
+                    np.repeat(lv, math.factorial(n - k - 1)), table[:, k])
+            # row p m! + c is prefix p followed by arrangement c of the
+            # subset comp[p]
+            tails = np.stack([np.repeat(lv, math.factorial(m - k - 1), axis=1)
+                              for k, lv in enumerate(suffix)], axis=2)
+            assert np.array_equal(tails[comp].reshape(-1, m), table[:, h:])
+
+    def test_lex_levels_are_table_columns(self):
+        for m in range(1, 9):
+            for depth in (0, m // 2, m):
+                levels = assignment._lex_levels(m, depth)
+                assert len(levels) == depth
+                for k, lv in enumerate(levels):
+                    assert lv.dtype == np.intp
+                    assert np.array_equal(
+                        np.repeat(lv, math.factorial(m - k - 1)),
+                        assignment._lex_table(m)[:, k])
 
     def test_lex_table_is_read_only_itertools_order(self):
         for m in range(9):
@@ -736,6 +849,24 @@ class TestFailurePaths:
                 slow = assignment.brute_force_lap(a, sense)
                 assert fast.perm == slow.perm
                 assert fast.cost == slow.cost
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_lap_oracle_raises_where_lap_cost_overflows(self, sense):
+        # every lap_cost sums four entries near 0.6 max and four near
+        # -0.6 max pairwise, +inf + -inf: no ranking exists. The oracle
+        # raises without a numpy warning, as solve_lap raises on its
+        # magnitude bound
+        big = 0.6 * np.finfo(np.float64).max
+        s = np.full((8, 8), big)
+        s[4:] = -big
+        s[0, 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="^brute_force_lap: "
+                                                      "lap_cost overflows"):
+                assignment.brute_force_lap(s, sense)
+        with pytest.raises(EvaluationError, match="^solve_lap: entries up to "):
+            assignment.solve_lap(s, sense)
 
     @pytest.mark.parametrize("solve", ["solve_lap", "brute_force_lap"])
     def test_unknown_sense_raises_contract_error(self, solve):
