@@ -8,10 +8,19 @@ suites and returns one result per suite; the CLI prints them as
 PASS/FAIL lines.
 
 The enumeration oracles are array programs that stay exhaustive. The
-sparsemax oracle scores every nonempty support at once from a cached
-boolean mask table: each row's affine projection, its feasibility and
-its distance to z. It never sorts z or takes a cumulative-sum
-threshold, so it stays independent of the closed form in ``losses``.
+sparsemax oracle takes a stack of same-size vectors and scores every
+nonempty support of each at once from a cached boolean mask table: each
+support's affine projection, its feasibility and its distance to the
+vector. It never sorts or takes a cumulative-sum threshold, so it stays
+independent of the closed form in ``losses``. The ``hinge_identity``,
+``smoothing_identity`` and ``sparsemax`` suites draw and call the
+library one instance at a time, and score their own references on
+chunks of at most 32 same-size instances, each chunk as soon as it
+fills; the oracle's chunks stop where its temporaries would pass 4,096
+floats. Each reference reduces along the same axis of the same length
+as for one instance, so every error has the bits it would have alone.
+Every suite keeps its worst error with ``_worst``, which keeps a NaN
+that Python's ``max`` would drop, so a NaN error fails its suite.
 The brute-force LAP and QAP oracles in ``assignment`` score every
 permutation: the LAP oracle as the sum of a running sum over the first
 half of the rows, shared by every permutation with that prefix, and one
@@ -33,8 +42,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -54,6 +65,35 @@ class SuiteResult:
     passed: bool
     max_err: float
     detail: str
+
+
+def _worst(*errs: float) -> float:
+    """The largest of errs, or NaN if any of them is NaN: Python's ``max``
+    keeps its running value against a NaN, so a suite would pass one."""
+    return math.nan if any(e != e for e in errs) else float(max(errs))
+
+
+# instances of one size scored as one stack, and the stack elements the
+# sparsemax oracle's (rows, 2^k - 1, k) temporaries may hold (32 KiB)
+_CHUNK = 32
+_ORACLE_ELEMENTS = 4096
+
+
+def _chunks(draws: Iterable[Tuple[int, tuple]],
+            cap: Callable[[int], int] = lambda size: _CHUNK,
+            ) -> Iterator[Tuple[int, Tuple[Array, ...]]]:
+    """Group a stream of (size, record) pairs into chunks of at most
+    cap(size) records of one size, each field stacked into one array. A
+    chunk is yielded as soon as it fills, so at most one partial chunk
+    per size is held; the partial ones follow once the stream ends."""
+    pending: Dict[int, list] = {}
+    for size, record in draws:
+        group = pending.setdefault(size, [])
+        group.append(record)
+        if len(group) == cap(size):
+            yield size, tuple(map(np.array, zip(*pending.pop(size))))
+    for size, group in pending.items():
+        yield size, tuple(map(np.array, zip(*group)))
 
 
 def _random_symmetric(rng, n: int) -> Array:
@@ -78,32 +118,43 @@ def suite_sandwich() -> SuiteResult:
             hi = simgeom.eig_dot(la, lb, "max")
             vals = np.einsum("ij,pij->p", s_a,
                              s_b[perms[:, :, None], perms[:, None, :]])
-            worst = max(worst, float(np.max(lo - vals)),
-                        float(np.max(vals - hi)))
+            worst = _worst(worst, float(np.max(lo - vals)),
+                           float(np.max(vals - hi)))
             pairs += 1
     return SuiteResult("sandwich", worst <= 1e-9, worst,
                        f"{pairs} pairs, all permutations")
+
+
+def _positives(s: Array, perm: Array) -> Array:
+    """Entry (c, i, perm[c, i]) of a stack of matrices, shape (chunk, n)."""
+    return np.take_along_axis(s, perm[..., None], axis=2)[..., 0]
 
 
 def suite_hinge_identity() -> SuiteResult:
     """N times the batch-mean batch-hard structured loss equals the
     classic per-row hinge sum max(0, s_pos + m - hardest_negative). The
     reference reads each row's hardest negative as a minimum over the
-    row with its positive masked to +inf."""
+    row with its positive masked to +inf, on a chunk of same-size
+    instances at once."""
     rng = np.random.default_rng(102)
-    worst = 0.0
     margins = (0.0, 0.3, 0.5)
-    for k in range(1000):
-        n = int(rng.integers(2, 9))
-        m = margins[k % 3]
-        s = rng.normal(size=(n, n))
-        perm = rng.permutation(n)
-        gt = losses.GroundTruthAlignment(perm)
-        got = n * losses.batch_hard_lap_loss(s, gt, margin=m).item()
-        pos = s[np.arange(n), perm] + m
-        neg = np.where(np.arange(n) == perm[:, None], np.inf, s).min(axis=1)
-        ref = np.maximum(0.0, pos - neg).sum()
-        worst = max(worst, abs(got - ref))
+
+    def draws():
+        for k in range(1000):
+            n = int(rng.integers(2, 9))
+            m = margins[k % 3]
+            s = rng.normal(size=(n, n))
+            perm = rng.permutation(n)
+            gt = losses.GroundTruthAlignment(perm)
+            got = n * losses.batch_hard_lap_loss(s, gt, margin=m).item()
+            yield n, (s, perm, m, got)
+
+    worst = 0.0
+    for n, (s, perm, m, got) in _chunks(draws()):
+        pos = _positives(s, perm) + m[:, None]
+        neg = np.where(np.arange(n) == perm[..., None], np.inf, s).min(axis=2)
+        ref = np.maximum(0.0, pos - neg).sum(axis=1)
+        worst = _worst(worst, float(np.max(np.abs(got - ref))))
     return SuiteResult("hinge_identity", worst <= 1e-12, worst,
                        f"1000 instances, margins {margins}")
 
@@ -118,28 +169,37 @@ def suite_smoothing_identity() -> SuiteResult:
     the sparsemax smoothed max of k entries lies in [max - 1/2,
     max - 1/(2k)]. Both ends are checked within the suite's 1e-10, a
     rounding slack: where a row's support is one column the lower end
-    holds with equality, and the sums round a few ulps below it."""
+    holds with equality, and the sums round a few ulps below it. Both
+    references are scored on a chunk of same-size instances at once."""
     rng = np.random.default_rng(103)
+    temps = (0.05, 0.5, 1.0)
+
+    def draws():
+        for k in range(1000):
+            n = int(rng.integers(2, 9))
+            tau = temps[k % 3]
+            s = rng.normal(size=(n, n))
+            perm = rng.permutation(n)
+            gt = losses.GroundTruthAlignment(perm)
+            got = n * losses.smoothed_batch_hard_loss(s, gt, temperature=tau).item()
+            bracketed = k % 4 == 0
+            sparse = n * losses.sparseclr_loss(s, gt).item() if bracketed else 0.0
+            yield n, (s, perm, tau, got, bracketed, sparse)
+
     worst = 0.0
     outside = 0.0
-    temps = (0.05, 0.5, 1.0)
-    for k in range(1000):
-        n = int(rng.integers(2, 9))
-        tau = temps[k % 3]
-        s = rng.normal(size=(n, n))
-        perm = rng.permutation(n)
-        gt = losses.GroundTruthAlignment(perm)
-        got = n * losses.smoothed_batch_hard_loss(s, gt, temperature=tau).item()
-        lse = np.logaddexp.reduce(-s / tau, axis=1)
-        pos = s[np.arange(n), perm]
-        ref = (pos / tau + lse).sum() * tau
-        worst = max(worst, abs(got - ref))
-        if k % 4 == 0:
-            sparse = n * losses.sparseclr_loss(s, gt).item()
-            hard = pos.sum() - s.min(axis=1).sum()
-            outside = max(outside, hard - n / 2 - sparse, sparse - (hard - 0.5))
-    return SuiteResult("smoothing_identity", max(worst, outside) <= 1e-10,
-                       max(worst, outside),
+    for n, (s, perm, tau, got, bracketed, sparse) in _chunks(draws()):
+        lse = np.logaddexp.reduce(-s / tau[:, None, None], axis=2)
+        pos = _positives(s, perm)
+        ref = (pos / tau[:, None] + lse).sum(axis=1) * tau
+        worst = _worst(worst, float(np.max(np.abs(got - ref))))
+        if bracketed.any():
+            hard = (pos.sum(axis=1) - s.min(axis=2).sum(axis=1))[bracketed]
+            sparse = sparse[bracketed]
+            outside = _worst(outside, float(np.max(hard - n / 2 - sparse)),
+                             float(np.max(sparse - (hard - 0.5))))
+    err = _worst(worst, outside)
+    return SuiteResult("smoothing_identity", err <= 1e-10, err,
                        f"1000 instances, temperatures {temps}, "
                        f"250 sparseclr brackets, excess {outside:.3e}")
 
@@ -167,7 +227,7 @@ def suite_upper_bound() -> SuiteResult:
         lhs = losses.structured_qap_loss_exact(s, s_a, s_b, gt)
         lap = n * losses.structured_lap_loss(s, gt, margin=0.0).item()
         la, lb = (d.values for d in simgeom.sym_eigen_pair(s_a, s_b))
-        worst = max(worst, lhs - (lap - simgeom.eig_dot(la, lb, "min")))
+        worst = _worst(worst, lhs - (lap - simgeom.eig_dot(la, lb, "min")))
     for _ in range(60):
         n, e = int(rng.integers(2, 7)), int(rng.integers(1, 5))
         za, zb = rng.normal(size=(n, e)), rng.normal(size=(n, e))
@@ -176,10 +236,16 @@ def suite_upper_bound() -> SuiteResult:
         qap = assignment.brute_force_qap(s, 1.0 + za @ za.T, 1.0 + zb @ zb.T, "max")
         lhs = qap.cost - assignment.lap_cost(s, gt.indices)
         lap = n * losses.structured_lap_loss(-s, gt, margin=0.0).item()
-        worst = max(worst, lhs - (lap + losses.qare(za, zb).item()))
-    return SuiteResult("upper_bound", worst <= 1e-9, max(worst, 0.0),
+        worst = _worst(worst, lhs - (lap + losses.qare(za, zb).item()))
+    return SuiteResult("upper_bound", worst <= 1e-9, _worst(worst, 0.0),
                        "200 triples, 60 set pairs, "
                        f"worst slack violation {worst:.3e}")
+
+
+# the scales of the lap_exact and sparsemax draws, read by a drawn index:
+# the values and generator state of rng.choice over them, at a fifth of
+# its cost
+_SCALES = (0.1, 1.0, 10.0)
 
 
 def suite_lap_exact() -> SuiteResult:
@@ -189,11 +255,11 @@ def suite_lap_exact() -> SuiteResult:
     count = 0
     for _ in range(500):
         n = int(rng.integers(1, 9))
-        s = rng.normal(size=(n, n)) * float(rng.choice([0.1, 1.0, 10.0]))
+        s = rng.normal(size=(n, n)) * _SCALES[int(rng.integers(0, 3))]
         for sense in ("min", "max"):
             fast = assignment.solve_lap(s, sense)
             slow = assignment.brute_force_lap(s, sense)
-            worst = max(worst, abs(fast.cost - slow.cost))
+            worst = _worst(worst, abs(fast.cost - slow.cost))
         count += 1
     return SuiteResult("lap_exact", worst == 0.0, worst,
                        f"{count} matrices, both senses, exact cost match")
@@ -210,24 +276,34 @@ def _support_masks(k: int) -> Array:
 
 
 def _projection_oracle(z: Array) -> Array:
-    """Simplex projection by support enumeration: project z affinely onto
-    every nonempty support at once, drop the infeasible candidates (a
-    negative coordinate on the support) and keep the one nearest z.
+    """Simplex projection of each row of a stack z (m, k) by support
+    enumeration: project the row affinely onto every nonempty support at
+    once, drop the infeasible candidates (a negative coordinate on the
+    support) and keep the one nearest the row. Returns (m, k).
 
     Ties go to the first support in mask order, as a loop over masks
     keeping only strict improvements would choose. Each support's sum
-    runs over its coordinates in index order. Nothing here sorts z or
-    reads a threshold off sorted cumulative sums, so the oracle shares no
-    step with ``losses.sparsemax``."""
-    masks = _support_masks(z.size)
-    total = np.cumsum(np.where(masks, z, 0.0), axis=1)[:, -1]
+    runs over its coordinates in index order, and every reduction runs
+    along one row's k coordinates, so a row's projection has the same
+    bits in any stack. Nothing here sorts z or reads a threshold off
+    sorted cumulative sums, so the oracle shares no step with
+    ``losses.sparsemax``. The temporaries hold m (2^k - 1) k floats."""
+    masks = _support_masks(z.shape[1])
+    z = z[:, None, :]
+    total = np.cumsum(np.where(masks, z, 0.0), axis=2)[..., -1]
     tau = (total - 1.0) / masks.sum(axis=1)
-    cand = z - tau[:, None]
-    feasible = np.where(masks, cand, np.inf).min(axis=1) >= 0.0
+    cand = z - tau[..., None]
+    feasible = np.where(masks, cand, np.inf).min(axis=2) >= 0.0
     p = np.where(masks, cand, 0.0)
-    d = ((z - p) ** 2).sum(axis=1)
+    d = ((z - p) ** 2).sum(axis=2)
     d[~feasible] = np.inf
-    return p[np.argmin(d)]
+    return p[np.arange(len(p)), np.argmin(d, axis=1)]
+
+
+def _oracle_rows(k: int) -> int:
+    """Rows of a stack of k-vectors the oracle scores at once: at most
+    a chunk, and within ``_ORACLE_ELEMENTS`` per temporary."""
+    return max(1, min(_CHUNK, _ORACLE_ELEMENTS // ((2 ** k - 1) * k)))
 
 
 def _simplex_grid(k: int, steps: int) -> Array:
@@ -248,35 +324,37 @@ def _simplex_grid(k: int, steps: int) -> Array:
 def suite_sparsemax() -> SuiteResult:
     """Sparsemax against a support-enumeration projection oracle, the
     oracle itself against a simplex grid search, and the threshold
-    identity p_j = max(0, z_j - T(z))."""
+    identity p_j = max(0, z_j - T(z)). The oracle and the identity score
+    chunks of same-size vectors at once."""
     rng = np.random.default_rng(106)
-    worst = 0.0
     # grid search validates the oracle on small dimensions
     for k, steps in ((2, 100), (3, 60)):
         grid = _simplex_grid(k, steps)
-        for _ in range(10):
-            z = rng.normal(size=k)
-            p = _projection_oracle(z)
-            if abs(p.sum() - 1.0) > 1e-12 or p.min() < -1e-12:
+        zs = np.array([rng.normal(size=k) for _ in range(10)])
+        for z, p in zip(zs, _projection_oracle(zs)):
+            if not (abs(p.sum() - 1.0) <= 1e-12 and p.min() >= -1e-12):
                 return SuiteResult("sparsemax", False, 1.0,
                                    "oracle left the simplex")
             d_oracle = float(((z - p) ** 2).sum())
             d_grid = float(((z[None, :] - grid) ** 2).sum(axis=1).min())
-            if d_oracle > d_grid + 1e-12:
+            if not d_oracle <= d_grid + 1e-12:
                 return SuiteResult("sparsemax", False, d_oracle - d_grid,
                                    "oracle beaten by grid search")
+
+    def draws():
+        for _ in range(1000):
+            k = int(rng.integers(1, 9))
+            z = rng.normal(size=k) * _SCALES[int(rng.integers(0, 3))]
+            yield k, (z, losses.sparsemax(z), losses.sparsemax_threshold(z))
+
+    worst = 0.0
     worst_thresh = 0.0
-    for _ in range(1000):
-        k = int(rng.integers(1, 9))
-        z = rng.normal(size=k) * float(rng.choice([0.1, 1.0, 10.0]))
-        p = losses.sparsemax(z)
-        q = _projection_oracle(z)
-        worst = max(worst, float(np.max(np.abs(p - q))))
-        t = losses.sparsemax_threshold(z)
-        ident = np.maximum(z - t, 0.0)
-        worst_thresh = max(worst_thresh, float(np.max(np.abs(p - ident))))
+    for _, (z, p, t) in _chunks(draws(), _oracle_rows):
+        worst = _worst(worst, float(np.max(np.abs(p - _projection_oracle(z)))))
+        ident = np.maximum(z - t[:, None], 0.0)
+        worst_thresh = _worst(worst_thresh, float(np.max(np.abs(p - ident))))
     passed = worst <= 1e-10 and worst_thresh <= 1e-12
-    return SuiteResult("sparsemax", passed, max(worst, worst_thresh),
+    return SuiteResult("sparsemax", passed, _worst(worst, worst_thresh),
                        f"1000 vectors, threshold identity err {worst_thresh:.3e}")
 
 
@@ -378,7 +456,7 @@ def suite_gradients() -> SuiteResult:
                 def f_b(x):
                     return losses.two_view_loss(za, x, gt, cfg)[0]
 
-            worst = max(worst, T.gradcheck(f_a, za), T.gradcheck(f_b, zb))
+            worst = _worst(worst, T.gradcheck(f_a, za), T.gradcheck(f_b, zb))
             checks += 2
     return SuiteResult("gradients", worst <= 1e-4, worst,
                        f"{checks} checks over {len(_GRAD_CASES)} losses")
