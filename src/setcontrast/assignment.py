@@ -228,10 +228,12 @@ def _hungarian(a: Array):
     u[rows] = a[rows, warm[rows]] - v[warm[rows]]
     # each path ends at one of these
     free_cols = np.array([j for j, i in enumerate(row4col) if i < 0], dtype=np.intp)
+    # final distance and predecessor row of each column, shared by every
+    # path: a path reads only the entries it has written itself
+    shortest = np.empty(n)
+    path = np.empty(n, dtype=np.intp)
     for cur in [i for i, j in enumerate(col4row) if j < 0]:
         key = np.full(n, np.inf)  # tentative distance of unscanned columns
-        shortest = np.empty(n)    # final distance of scanned columns
-        path = np.empty(n, dtype=np.intp)
         w = v.copy()              # -inf on scanned columns: r reads +inf
         scanned = []
         i, minval = cur, 0.0

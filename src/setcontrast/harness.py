@@ -11,12 +11,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import assignment, simgeom
-from . import tensor as T
 from .errors import (
     ConfigError,
     ContractError,
@@ -25,7 +24,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .losses import GroundTruthAlignment, LossConfig, objective
+from .losses import GroundTruthAlignment, LossConfig, two_view_loss
 
 Array = np.ndarray
 
@@ -135,13 +134,13 @@ class MLPEncoder:
     """Two-layer MLP with relu and a row-l2-normalized output.
 
     The encoder is the one place in the program that normalizes rows.
-    Cosine S (``simgeom.cross_distances``) and ``losses.qare`` take the
+    Cosine S (``losses.two_view_loss``) and ``losses.qare`` take the
     rows they are given, so their cosine similarities and spectra of
     1 + S_A rely on the unit rows that the encoder returns.
 
-    ``apply`` maps arrays to the output and its pullback, which training
-    chains with no tape; ``forward`` wraps it as one tape node, for
-    evaluation, library callers and the tests' tape reference.
+    ``forward`` maps an input batch to the output and its pullback,
+    which training chains with the objective's; ``embed`` is its output
+    alone.
 
     The encoder owns its parameter layout. ``flat`` is one float64
     buffer holding w1, b1, w2 and b2 back to back in that order, and
@@ -189,18 +188,25 @@ class MLPEncoder:
         """The parameter that holds flat position ``index``."""
         return self._layout[bisect.bisect_right(self._bounds, index) - 1][0]
 
-    def apply(self, x: Array, flat: Array):
-        """normalize(relu(x w1 + b1) w2 + b2) of a 2-D float64 batch ``x``
-        under ``flat``, a 1-D parameter vector in this layout, and its
-        pullback: g, the gradient on the output, to the flat gradient, in
-        layout order. The pullback writes the four gradient blocks
-        straight into one flat array, with the products and sums of the
-        concatenating form, so its bits are that form's.
+    def forward(self, x, flat: Optional[Array] = None):
+        """normalize(relu(x w1 + b1) w2 + b2) of a batch ``x`` under
+        ``flat``, a parameter vector in this layout (``self.flat`` when
+        None), and its pullback: g, the gradient on the output, to the
+        flat gradient, in layout order. The pullback writes the four
+        gradient blocks straight into one flat array, with the products
+        and sums of the concatenating form, so its bits are that form's.
 
-        ``x`` and ``flat`` are read as they are, with no copy and no
-        finiteness check, and the pullback reads ``flat`` again: call it
-        before ``flat`` changes. ShapeError when the width of ``x`` is not
-        the input width; a zero output row raises DegenerateInputError."""
+        ``x`` and ``flat`` are read by ``simgeom._matrix``, with no copy
+        when they are C-ordered float64 already (EvaluationError on NaN
+        or Inf, ShapeError above 2-D), and the pullback reads them again:
+        call it before they change. ShapeError when the width of ``x`` is
+        not the input width or ``flat`` is not of the layout's size; a
+        zero output row raises DegenerateInputError."""
+        x = simgeom._matrix(x, "encoder")
+        flat = simgeom._matrix(self.flat if flat is None else flat,
+                               "encoder").reshape(-1)
+        if flat.size != self._bounds[-1]:
+            raise ShapeError(f"encoder: {flat.size} parameters != {self._bounds[-1]}")
         (_, s_w1, sh_w1), (_, s_b1, _), (_, s_w2, sh_w2), (_, s_b2, _) = self._layout
         w1, b1 = flat[s_w1].reshape(sh_w1), flat[s_b1]
         w2, b2 = flat[s_w2].reshape(sh_w2), flat[s_b2]
@@ -231,27 +237,8 @@ class MLPEncoder:
 
         return z, pullback
 
-    def forward(self, x: Union[Array, T.Tensor],
-                w: Optional[T.Tensor] = None) -> T.Tensor:
-        """``apply`` as one tape node over the whole flat parameter vector
-        ``w`` (a leaf of ``flat``), constant evaluation of ``flat`` when
-        ``w`` is None; one code path for both. The gradient comes back
-        flat, in layout order.
-
-        ``x`` is a constant input, read by ``T.as_tensor``: a raw array
-        is copied and checked for finite values (EvaluationError on NaN or
-        Inf), and a Tensor, which holds finite data already, is used as it
-        is; a tracked one raises ContractError."""
-        w = T.as_tensor(self.flat if w is None else w)
-        w_shape = w.shape  # the VJP holds arrays and shapes, never w
-        x = T.as_tensor(x)
-        if x.tracked:
-            raise ContractError("encoder: the input must be an untracked constant")
-        z, pullback = self.apply(x.data, w.data.reshape(-1))
-        return T.custom_op((w,), z, lambda g: (pullback(g).reshape(w_shape),))
-
-    def embed(self, x: Array) -> Array:
-        return self.forward(np.asarray(x, dtype=np.float64)).data
+    def embed(self, x) -> Array:
+        return self.forward(x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +331,12 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
 
     Batches are index sets applied to both views, so the in-batch ground
     truth stays the identity; the partial last batch is dropped, so every
-    batch has ``batch_size`` rows. Each step builds no tape: it is a
-    direct chain of three closed-form pullbacks, ``encoder.apply`` on each
-    view and ``losses.objective``, whose gradient on the encoder's
-    ``flat`` buffer is pull_b(g_b) + pull_a(g_a), the sum a tape would
-    form; Adam updates that buffer in place. Aborts with NumericError on
-    a non-finite loss or gradient (naming the parameter), or on a
+    batch has ``batch_size`` rows. Each step is a chain of three
+    closed-form pullbacks, ``encoder.forward`` on each view and
+    ``losses.two_view_loss``, whose gradient on the encoder's ``flat``
+    buffer is pull_b(g_b) + pull_a(g_a); Adam updates that buffer in
+    place. Aborts with NumericError on a non-finite loss or gradient
+    (naming the parameter), on a non-finite embedding, or on a
     degenerate (zero) embedding. ``evaluate_matching`` and
     ``linear_probe`` run once, after training, on one embedding of each
     view.
@@ -361,8 +348,8 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     once, before the first step, without a copy (a NaN or Inf anywhere
     in a view raises NumericError, in a dropped row too, and one in a
     parameter names it); each batch, a fresh copy from fancy indexing,
-    then goes to ``apply`` unchecked and uncopied. After the first step
-    only Adam writes the parameters, from a gradient checked finite.
+    then goes to ``forward`` uncopied. After the first step only Adam
+    writes the parameters, from a gradient checked finite.
     """
     n = dataset.view_a.shape[0]
     if config.batch_size > n:
@@ -401,10 +388,9 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
         for step in range(steps_per_epoch):
             idx = order[step * config.batch_size:(step + 1) * config.batch_size]
             try:
-                za, pull_a = encoder.apply(view_a[idx], flat)
-                zb, pull_b = encoder.apply(view_b[idx], flat)
-                terms, pull = objective(za, zb, gt, config.loss)
-                value = terms["total"]
+                za, pull_a = encoder.forward(view_a[idx])
+                zb, pull_b = encoder.forward(view_b[idx])
+                value, pull = two_view_loss(za, zb, gt, config.loss)
             except (EvaluationError, DegenerateInputError) as e:
                 kind = ("degenerate embedding" if isinstance(e, DegenerateInputError)
                         else "non-finite value")
@@ -448,9 +434,10 @@ def evaluate_matching(za: Array, zb: Array) -> float:
     """LAP matching accuracy between two embedded views under Euclidean
     distances: the fraction of rows i whose optimal partner is row i of
     the other view, as the views' rows are one item each. Each view is
-    read as a Tensor reads it: copied, and checked for NaN or Inf
+    read by ``simgeom._matrix``, which checks it for NaN or Inf
     (EvaluationError)."""
-    s, _ = simgeom._similarity(T.as_tensor(za).data, T.as_tensor(zb).data,
+    s, _ = simgeom._similarity(simgeom._matrix(za, "evaluate_matching"),
+                               simgeom._matrix(zb, "evaluate_matching"),
                                "euclidean", "evaluate_matching")
     return assignment.matching_accuracy(s, np.arange(s.shape[0]))
 
@@ -543,7 +530,7 @@ def fig1b_points() -> Tuple[Array, Array, Array]:
 
 
 def fig1b_instance() -> Tuple[tuple, tuple]:
-    """Two (S, S_A, S_B) tuples of Tensors of ``fig1b_points`` sharing the
+    """Two (S, S_A, S_B) tuples of arrays of ``fig1b_points`` sharing the
     inter-set matrix of view A and near view B (hence identical LAP
     optima), the first with near view B's intra-set matrix and the second
     with far view B's: the exact QAP optima and the qare values both
@@ -551,4 +538,4 @@ def fig1b_instance() -> Tuple[tuple, tuple]:
     alone cannot see intra-set structure."""
     view_a, near, far = fig1b_points()
     s, s_a, s_b = simgeom.pairwise_distances(view_a, near)
-    return (s, s_a, s_b), (s, s_a, simgeom.cross_distances(far, far))
+    return (s, s_a, s_b), (s, s_a, simgeom.pairwise_distances(view_a, far)[2])

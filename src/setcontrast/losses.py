@@ -1,17 +1,21 @@
 """Contrastive losses framed as (relaxations of) structured assignment
 prediction, plus the spectral set regularizer ``qare``.
 
+Every differentiable function here takes arrays and returns its value,
+a float, and its pullback: for a scalar c, the gradients of c times the
+value on its array inputs. The inputs are read by ``simgeom._matrix``:
+a C-ordered float64 array as it is, anything else converted once; NaN
+or Inf raises EvaluationError and more than two dimensions ShapeError.
+A pullback may read its inputs again, so call it before changing them.
+
 Pairwise losses consume a square inter-set matrix S with distance
 semantics: smaller means more alike, and the ground-truth column of each
 row, given by a permutation, is the positive. Cosine-similarity callers
-negate S first (see ``objective``). All losses return scalar Tensors
-and differentiate end-to-end through the tape.
+negate S first (see ``two_view_loss``).
 
 Each pairwise loss is the batch mean over the N rows of S: a sum over
-rows divided by N, as training uses it. It is one tape node on S over
-an array-level function that returns the value and its pullback. Its
-value is computed in numpy and its VJP in closed form, times the
-upstream gradient over N:
+rows divided by N, as training uses it. Its value is computed in numpy
+and its pullback in closed form, c times the gradient over N:
 
 - ``infonce_loss``: (Y - softmax(-S/tau)) / tau, row-wise;
 - ``smoothed_batch_hard_loss``: Y - softmax(-S/tau);
@@ -27,32 +31,32 @@ the batch-hard and NT-logistic gradients go to the first minimising
 column.
 
 ``qare(z_a, z_b)`` reads the two embedding sets in one form, whatever
-the mode of S: one node over the rows as given, whose spectra it takes
-from the (E+1)-column factor P = [1, Z] of 1 + Z Z^T, which is 1 + S_A
-on the encoder's unit rows. Its VJP pulls the partner spectrum back
+the mode of S: the rows as given, whose spectra it takes from the
+(E+1)-column factor P = [1, Z] of 1 + Z Z^T, which is 1 + S_A on the
+encoder's unit rows. Its pullback takes the partner spectrum back
 through ``simgeom.eigenvalue_gradient``, which at a cluster of equal
 eigenvalues gives one valid subgradient (Lewis 1996; see ``simgeom``).
 
-``objective(z_a, z_b, gt, cfg)`` is the training objective on two
-embedding arrays, S, the pairwise loss and beta * qare / N^2, built from
-the same array-level functions that those nodes wrap. It returns its
-terms and its pullback, with no tape: ``harness.train`` chains it
-directly, and ``two_view_loss`` is one tape node over it.
+``two_view_loss(z_a, z_b, gt, cfg)`` is the training objective on two
+embedding arrays: S, the configured pairwise loss and beta * qare / N^2,
+each through its public function. ``harness.train`` chains its pullback
+with the encoder's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from . import assignment, simgeom
-from . import tensor as T
 from .errors import ContractError, EvaluationError, ShapeError
 
 Array = np.ndarray
+# a value and its pullback, as every differentiable function returns them
+ValueAndPullback = Tuple[float, Callable]
 
 MARGIN_DEFAULT = 0.5
 TEMPERATURE_DEFAULT = 0.05
@@ -119,11 +123,12 @@ def _dense_truth(s: Array, gt, name: str) -> Array:
     return y
 
 
-def _batch_mean(s: Array, gt, name: str, parts, args: tuple):
-    """The pairwise loss ``name`` on an S array: with
+def _batch_mean(s, gt, name: str, parts, args: tuple) -> ValueAndPullback:
+    """The pairwise loss ``name`` of S: with
     ``parts(s, y, *args) -> (total, grad)``, the batch mean total / N, N
     the rows of S, and its pullback c -> grad(c / N), the gradient on S
-    of c times the mean."""
+    of c times the mean. S is read by ``simgeom._matrix``."""
+    s = simgeom._matrix(s, name)
     y = _dense_truth(s, gt, name)
     total, grad = parts(s, y, *args)
     scale = 1.0 / s.shape[0]
@@ -131,14 +136,7 @@ def _batch_mean(s: Array, gt, name: str, parts, args: tuple):
     def pullback(c):
         return grad(c * scale)
 
-    return total * scale, pullback
-
-
-def _loss_node(s, gt, name: str, parts, args: tuple) -> T.Tensor:
-    """``_batch_mean`` as one tape node on S."""
-    s = T.as_tensor(s)
-    value, pullback = _batch_mean(s.data, gt, name, parts, args)
-    return T.custom_op((s,), value, lambda g: (pullback(g.item()),))
+    return float(total * scale), pullback
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +186,19 @@ def _margined(s: Array, y: Array, margin: float) -> Array:
     return s if margin == 0.0 else s + margin * y
 
 
-def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> T.Tensor:
+def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> ValueAndPullback:
     """Margin-augmented structured loss with exact one-to-one mining:
     [tr(S_m Y_gt^T) - min_Y tr(S_m Y^T)] / N over permutations,
     S_m = S + m Y_gt.
 
-    The minimum is differentiated by the envelope rule, so the VJP is
-    (Y_gt - Y*) / N, with Y* the solver's (lexicographically first)
+    The minimum is differentiated by the envelope rule, so the gradient
+    is (Y_gt - Y*) / N, with Y* the solver's (lexicographically first)
     optimum.
 
     The loss is never negative. The two traces are summed in different
     orders, so where the ground truth is itself optimal their difference
     can round to just below 0; such a value reads 0."""
-    return _loss_node(s, gt, "structured_lap_loss", _structured_lap, (margin,))
+    return _batch_mean(s, gt, "structured_lap_loss", _structured_lap, (margin,))
 
 
 def _structured_lap(s: Array, y: Array, margin: float):
@@ -213,19 +211,19 @@ def _structured_lap(s: Array, y: Array, margin: float):
     return max(0.0, (sm * y).sum() - best.cost), grad
 
 
-def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> T.Tensor:
+def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> ValueAndPullback:
     """Row-independent relaxation of the structured loss:
     [tr(S_m Y_gt^T) - sum_i min_j [S_m]_ij] / N. Equals the hinged
     triplet sum max(0, s_pos + m - hardest negative) over the rows,
     divided by N.
 
-    VJP: Y_gt minus the one-hot of each row's minimum of S_m, over N; a
+    Gradient: Y_gt minus the one-hot of each row's minimum of S_m, over N; a
     tied minimum routes the gradient to its first column.
 
     The loss is never negative. Where every row's positive is its
     minimum the two sums add the same terms in different orders, so
     their difference can round to just below 0; such a value reads 0."""
-    return _loss_node(s, gt, "batch_hard_lap_loss", _batch_hard_lap, (margin,))
+    return _batch_mean(s, gt, "batch_hard_lap_loss", _batch_hard_lap, (margin,))
 
 
 def _batch_hard_lap(s: Array, y: Array, margin: float):
@@ -258,13 +256,13 @@ def _softmax_of_neg(s: Array, temperature: float):
     return e, r, np.log(r) + m
 
 
-def smoothed_batch_hard_loss(s, gt,
-                             temperature: float = TEMPERATURE_DEFAULT) -> T.Tensor:
+def smoothed_batch_hard_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT
+                             ) -> ValueAndPullback:
     """Log-sum-exp smoothing of the batch-hard row minima:
     [tr(S Y_gt^T) + tau * sum_i log sum_j exp(-S_ij / tau)] / N.
 
-    VJP: (Y_gt - softmax(-S / tau)) / N row-wise."""
-    return _loss_node(s, gt, "smoothed_batch_hard_loss", _smoothed, (temperature,))
+    Gradient: (Y_gt - softmax(-S / tau)) / N row-wise."""
+    return _batch_mean(s, gt, "smoothed_batch_hard_loss", _smoothed, (temperature,))
 
 
 def _smoothed(s: Array, y: Array, temperature: float):
@@ -276,14 +274,14 @@ def _smoothed(s: Array, y: Array, temperature: float):
     return (s * y).sum() + lse.sum() * temperature, grad
 
 
-def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> T.Tensor:
+def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> ValueAndPullback:
     """Distance-form InfoNCE; the positive column stays inside the
     row-wise log-sum-exp: sum_i [s_pos_i / tau + log sum_j exp(-S_ij / tau)]
     / N. This equals the smoothed batch-hard loss divided by tau (exact
     identity).
 
-    VJP: (Y_gt - softmax(-S / tau)) / (tau N) row-wise."""
-    return _loss_node(s, gt, "infonce_loss", _infonce, (temperature,))
+    Gradient: (Y_gt - softmax(-S / tau)) / (tau N) row-wise."""
+    return _batch_mean(s, gt, "infonce_loss", _infonce, (temperature,))
 
 
 def _infonce(s: Array, y: Array, temperature: float):
@@ -301,16 +299,17 @@ def _sigmoid(x: Array) -> Array:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> T.Tensor:
+def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT
+                     ) -> ValueAndPullback:
     """Logistic pair loss with the batch-hard negative:
     sum_i [softplus(s_pos/tau) + softplus(-s_neg*/tau)] / N where s_neg*
     is the row minimum over non-positive columns.
 
-    VJP, over N: sigmoid(s_pos/tau)/tau on each positive and
+    Gradient, over N: sigmoid(s_pos/tau)/tau on each positive and
     -sigmoid(-s_neg*/tau)/tau on each row's hardest negative; a tied
     minimum routes the gradient to its first column. softplus is
     log(1 + exp(x)) without overflow."""
-    return _loss_node(s, gt, "nt_logistic_loss", _nt_logistic, (temperature,))
+    return _batch_mean(s, gt, "nt_logistic_loss", _nt_logistic, (temperature,))
 
 
 def _nt_logistic(s: Array, y: Array, temperature: float):
@@ -342,7 +341,7 @@ def _sparse_support(h: Array):
     return p, np.cumsum(0.5 * rows)[-1]
 
 
-def sparseclr_loss(s, gt) -> T.Tensor:
+def sparseclr_loss(s, gt) -> ValueAndPullback:
     """Sparsemax-smoothed batch-hard loss at margin 0: each row's
     -min_j h_ij is replaced by the sparsemax smoothed max of -h_i,
     max_{p in simplex} <p, -h_i> - 0.5 |p|^2 (Martins & Astudillo 2016),
@@ -355,9 +354,9 @@ def sparseclr_loss(s, gt) -> T.Tensor:
     batch-hard loss at margin 0. The value does not carry the +1/2 of
     Martins' sparsemax loss; it would move no gradient.
 
-    VJP: (Y_gt - sparsemax(-h_i)) / N row-wise.
+    Gradient: (Y_gt - sparsemax(-h_i)) / N row-wise.
     """
-    return _loss_node(s, gt, "sparseclr_loss", _sparseclr, ())
+    return _batch_mean(s, gt, "sparseclr_loss", _sparseclr, ())
 
 
 def _sparseclr(s: Array, y: Array):
@@ -372,7 +371,7 @@ def _sparseclr(s: Array, y: Array):
 # ---------------------------------------------------------------------------
 # spectral set regularizer and combinations
 
-def qare(z_a, z_b) -> T.Tensor:
+def qare(z_a, z_b) -> ValueAndPullback:
     """Spectral alignment of two embedding sets of one shape (n, E): the
     maximal pairing (descending against descending) of the spectra of
     1 + Z_A Z_A^T = P_A P_A^T and 1 + Z_B Z_B^T, with P = [1, Z] built
@@ -382,12 +381,12 @@ def qare(z_a, z_b) -> T.Tensor:
 
     Those spectra are the min(n, E+1) leading eigenvalues of the
     (E+1) x (E+1) matrices G = P^T P; the rest of either spectrum is
-    exactly 0 and pairs with zeros, so S_A is never built. One node over
-    the two Z; as d lambda_i / dP = 2 P v_i v_i^T, each VJP is 2 P M
-    without M's first column, M the ``eigenvalue_gradient`` of g times the
-    partner values. Both G go to one ``simgeom.sym_eigen_pair`` call.
-    Where either spectrum has a cluster of equal eigenvalues this VJP is
-    one valid subgradient of the value (see ``simgeom``).
+    exactly 0 and pairs with zeros, so S_A is never built. As
+    d lambda_i / dP = 2 P v_i v_i^T, the pullback of c gives each Z
+    2 P M without M's first column, M the ``eigenvalue_gradient`` of c
+    times the partner values. Both G go to one ``simgeom.sym_eigen_pair``
+    call. Where either spectrum has a cluster of equal eigenvalues this
+    gradient is one valid subgradient of the value (see ``simgeom``).
 
     The value bounds the quadratic term of the similarity-form QAP
     max_Y [tr(S Y^T) + tr((1+S_A) Y (1+S_B) Y^T)] over permutations Y
@@ -397,13 +396,7 @@ def qare(z_a, z_b) -> T.Tensor:
     scale of the rows. On unit rows 1 + S_A has trace 2n, so lowering
     qare flattens the spectra, which spreads each set's points.
     """
-    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
-    value, pullback = _qare(za.data, zb.data)
-    return T.custom_op((za, zb), value, lambda g: pullback(g.item()))
-
-
-def _qare(za: Array, zb: Array):
-    """``qare`` of two arrays: its value and its pullback c -> (g_a, g_b)."""
+    za, zb = simgeom._matrix(z_a, "qare"), simgeom._matrix(z_b, "qare")
     if za.shape != zb.shape:
         raise ShapeError(f"qare: shapes differ, {za.shape} vs {zb.shape}")
     factors = [np.hstack((np.ones((z.shape[0], 1)), z)) for z in (za, zb)]
@@ -416,7 +409,7 @@ def _qare(za: Array, zb: Array):
                      for p, d, partner in zip(factors, (dec_a, dec_b),
                                               (dec_b.values, dec_a.values)))
 
-    return (dec_a.values * dec_b.values).sum(), pullback
+    return float((dec_a.values * dec_b.values).sum()), pullback
 
 
 def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
@@ -474,79 +467,60 @@ class LossConfig:
             raise ContractError(f"unknown similarity mode {self.mode!r}")
 
 
-def _configured(cfg: LossConfig):
-    """(name, parts, args) of the configured pairwise loss, as
-    ``_batch_mean`` reads them."""
+def _pairwise_loss(s: Array, gt, cfg: LossConfig) -> ValueAndPullback:
+    """The configured pairwise loss of S, through its public function."""
     if cfg.kind == "margin":
         if cfg.mining == "one-to-one":
-            return "structured_lap_loss", _structured_lap, (cfg.margin,)
-        return "batch_hard_lap_loss", _batch_hard_lap, (cfg.margin,)
+            return structured_lap_loss(s, gt, cfg.margin)
+        return batch_hard_lap_loss(s, gt, cfg.margin)
     if cfg.kind == "smoothed":
-        return "smoothed_batch_hard_loss", _smoothed, (cfg.temperature,)
+        return smoothed_batch_hard_loss(s, gt, cfg.temperature)
     if cfg.kind == "infonce":
-        return "infonce_loss", _infonce, (cfg.temperature,)
+        return infonce_loss(s, gt, cfg.temperature)
     if cfg.kind == "nt_logistic":
-        return "nt_logistic_loss", _nt_logistic, (cfg.temperature,)
+        return nt_logistic_loss(s, gt, cfg.temperature)
     # the last of LOSS_KINDS: LossConfig rejects any other kind on construction
-    return "sparseclr_loss", _sparseclr, ()
+    return sparseclr_loss(s, gt)
 
 
-def objective(z_a: Array, z_b: Array, gt, cfg: LossConfig):
-    """The training objective on two embedding batches, 2-D float64
-    arrays of one batch size: the batch-mean pairwise loss plus
-    beta * qare / N^2. Returns ``(terms, pullback)``:
+def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> ValueAndPullback:
+    """The training objective on two embedding batches of one batch size:
+    the batch-mean pairwise loss plus beta * qare / N^2. Returns the
+    total and its pullback c -> (g_a, g_b), the gradients on the two
+    batches of c times the total.
 
-    - ``terms``, the floats "pairwise", "qare" (0.0 at beta 0, where
-      nothing of qare is built) and "total", the objective's value;
-    - ``pullback(c)``, the gradients (g_a, g_b) on the two batches of c
-      times the total.
+    S is the matrix of ``cfg.mode`` that ``simgeom._similarity`` builds.
+    Cosine mode feeds the pairwise loss the negated inner products, so
+    distance semantics hold on one code path; qare reads the two sets
+    themselves, in one form for both modes. Neither normalizes the rows:
+    both read the encoder's unit rows as given. The pairwise term is
+    unscaled, as Adam ignores a constant gradient scale (but for eps), so
+    beta is the one weight. At beta 0 nothing of qare is built.
 
-    S is the matrix ``simgeom.cross_distances`` builds in ``cfg.mode``.
-    Cosine mode feeds the pairwise loss the negated inner products, so distance
-    semantics hold on one code path; qare reads the two sets themselves,
-    in one form for both modes. Neither normalizes the rows: both read
-    the encoder's unit rows as given. The pairwise term is unscaled, as
-    Adam ignores a constant gradient scale (but for eps), so beta is the
-    one weight.
-
-    S, the pairwise loss and qare are the array-level functions that
-    their public nodes wrap, and no adjoint sums more than two terms, so
-    the terms and the gradients are those of the nodes composed on a
-    tape, bit for bit. ``harness.train`` calls it once a step, with no
-    tape; ``two_view_loss`` is one node over it.
+    The pairwise loss and qare are called through their public names,
+    and no adjoint sums more than two terms, so a tape that composes the
+    parts as nodes gives this total and these gradients, bit for bit.
+    ``harness.train`` calls it once a step.
     """
-    if z_a.shape[0] != z_b.shape[0]:
+    za = simgeom._matrix(z_a, "two_view_loss")
+    zb = simgeom._matrix(z_b, "two_view_loss")
+    if za.shape[0] != zb.shape[0]:
         raise ShapeError("two_view_loss: batch sizes differ")
-    s, pull_s = simgeom._similarity(z_a, z_b, cfg.mode, "cross_distances")
+    s, pull_s = simgeom._similarity(za, zb, cfg.mode, "two_view_loss")
     cosine = cfg.mode == "cosine"
-    pairwise, pull_pairwise = _batch_mean(s * -1.0 if cosine else s, gt,
-                                          *_configured(cfg))
-    pairwise = float(pairwise)
+    pairwise, pull_pairwise = _pairwise_loss(s * -1.0 if cosine else s, gt, cfg)
 
     def pull_pair(c):
         g = pull_pairwise(c)
         return pull_s(g * -1.0 if cosine else g)
 
     if cfg.beta == 0.0:
-        return {"pairwise": pairwise, "qare": 0.0, "total": pairwise}, pull_pair
-    q, pull_q = _qare(z_a, z_b)
-    q = float(q)
-    w = float(cfg.beta) / (z_a.shape[0] * z_a.shape[0])
+        return pairwise, pull_pair
+    q, pull_q = qare(za, zb)
+    w = float(cfg.beta) / (za.shape[0] * za.shape[0])
 
     def pullback(c):
         (ga, gb), (qa, qb) = pull_pair(c), pull_q(c * w)
         return qa + ga, qb + gb
 
-    terms = {"pairwise": pairwise, "qare": q, "total": pairwise + q * w}
-    return terms, pullback
-
-
-def two_view_loss(z_a, z_b, gt, cfg: LossConfig) -> Tuple[T.Tensor, Dict[str, float]]:
-    """``objective`` as one tape node over the two embedding batches: the
-    total as a scalar Tensor, and the terms. The node's VJP is the
-    objective's pullback, so a tape composition of this node and the
-    encoder's runs the pullbacks that training chains directly.
-    """
-    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
-    terms, pullback = objective(za.data, zb.data, gt, cfg)
-    return T.custom_op((za, zb), terms["total"], lambda g: pullback(g.item())), terms
+    return pairwise + q * w, pullback

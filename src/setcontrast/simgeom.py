@@ -5,13 +5,19 @@ products.
 
 Every similarity matrix of the program is built here, by one
 array-level function (``_similarity``) that returns the matrix and its
-pullback: ``losses.objective`` and ``harness`` call it on arrays, and
-``cross_distances`` and ``pairwise_distances`` wrap it as tape nodes.
+pullback: ``losses.two_view_loss`` builds S with it, ``harness`` its
+evaluation and center-gap distances, and ``pairwise_distances`` the
+(S, S_A, S_B) triple of two sets.
 Euclidean mode gives distances, in explicit form for small sets and in
 Gram form above 1024 elements (``_distances``). Cosine mode takes the
 inner products of the rows as given and normalizes nothing: the encoder
 is the one place that makes rows unit, so on its embeddings these are
 the cosine similarities.
+
+Each differentiable public function of the package takes arrays and
+returns its value and its pullback, the map from an upstream gradient
+on the value to the gradients on its inputs; ``eigvals`` is this
+module's. Each checks the arrays it is given with ``_matrix``.
 
 Eigenvalues come from LAPACK through ``np.linalg.eigh``. The two
 matrices that ``losses.qare`` decomposes (the (E+1) x (E+1) Gram
@@ -37,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ContractError, EvaluationError, ShapeError
 
 Array = np.ndarray
@@ -47,6 +52,23 @@ Array = np.ndarray
 class EigenDecomposition:
     values: Array   # (n,), sorted descending
     vectors: Array  # (n, n), columns matched to values
+
+
+def _matrix(x, name: str) -> Array:
+    """``x`` as a 2-D C-ordered float64 array, the form every
+    differentiable public function reads its inputs in: a scalar as
+    (1, 1), a vector as (1, n). A C-ordered float64 array is read as it
+    is, with no copy; another is converted once, since BLAS rounds
+    differently with another layout. More than two dimensions raise
+    ShapeError, and NaN or Inf EvaluationError, each naming ``name``."""
+    a = np.ascontiguousarray(x, dtype=np.float64)
+    if a.ndim != 2:
+        if a.ndim > 2:
+            raise ShapeError(f"{name}: expected a 1-D or 2-D array, got ndim={a.ndim}")
+        a = a.reshape(1, -1)
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+        raise EvaluationError(f"{name}: input contains NaN or Inf")
+    return a
 
 
 def _square_matrix(m) -> Array:
@@ -145,16 +167,16 @@ def eigenvalue_gradient(decomp: EigenDecomposition, upstream) -> Array:
     return (g + g.T) / 2.0
 
 
-def eigvals(m) -> T.Tensor:
-    """Differentiable sorted-descending eigenvalues, shape (n, 1), whose
-    VJP is ``eigenvalue_gradient`` of the upstream column."""
-    mt = T.as_tensor(m)
-    dec = sym_eigen(mt.data)
+def eigvals(m):
+    """Differentiable sorted-descending eigenvalues of a symmetric matrix
+    (checked as ``sym_eigen`` checks it): the values, shape (n,), and
+    their pullback, ``eigenvalue_gradient`` of an upstream vector."""
+    dec = sym_eigen(m)
 
-    def vjp(g):
-        return (eigenvalue_gradient(dec, g[:, 0]),)
+    def pullback(g):
+        return eigenvalue_gradient(dec, g)
 
-    return T.custom_op((mt,), dec.values.reshape(-1, 1), vjp)
+    return dec.values, pullback
 
 
 def eig_dot(values_a, values_b, sense: str) -> float:
@@ -260,9 +282,8 @@ def _similarity(za: Array, zb: Array, mode: str, name: str):
     (N, M) matrix and its pullback g -> (g_a, g_b): ``_distances`` in
     "euclidean" mode, the inner products of the rows as given in "cosine"
     mode. ShapeError, naming ``name``, when the feature dims differ.
-    ``losses.objective`` builds S with it, ``harness`` its evaluation and
-    center-gap distances, and each similarity node of this module wraps
-    it."""
+    ``losses.two_view_loss`` builds S with it, ``harness`` its evaluation
+    and center-gap distances, and ``pairwise_distances`` its triple."""
     if za.shape[1] != zb.shape[1]:
         raise ShapeError(f"{name}: feature dims differ, {za.shape} vs {zb.shape}")
     if mode == "euclidean":
@@ -273,26 +294,17 @@ def _similarity(za: Array, zb: Array, mode: str, name: str):
 
 
 def pairwise_distances(z_a, z_b, mode: str = "euclidean") -> tuple:
-    """The (S, S_A, S_B) triple of two embedding sets, as a plain tuple of
-    three ``cross_distances``: S of the two sets, and S_A and S_B of each
-    set against itself, so one array is on both sides.
+    """The (S, S_A, S_B) triple of two embedding sets, as three arrays: S
+    of the two sets, and S_A and S_B of each set against itself, so one
+    array is on both sides. The sets are read by ``_matrix``.
 
     Euclidean mode stores unsquared distances (explicit differences for
     small sets, the Gram form above 1024 elements; see ``_distances``),
     with zero diagonals on S_A and S_B; cosine mode stores the inner
     products of the rows as given, which are cosine similarities, with
     unit diagonals on S_A and S_B, only for unit rows such as the
-    encoder's. Each matrix is one node, so the tape stays alive when the
-    embeddings are tracked.
+    encoder's.
     """
-    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
-    return tuple(cross_distances(x, y, mode) for x, y in ((za, zb), (za, za), (zb, zb)))
-
-
-def cross_distances(z_a, z_b, mode: str = "euclidean") -> T.Tensor:
-    """The matrix of ``mode`` between two embedding sets, S of
-    ``pairwise_distances``, as one node: distances in euclidean mode, in
-    cosine mode the inner products of the rows as given."""
-    za, zb = T.as_tensor(z_a), T.as_tensor(z_b)
-    return T.custom_op((za, zb),
-                       *_similarity(za.data, zb.data, mode, "cross_distances"))
+    za, zb = (_matrix(z, "pairwise_distances") for z in (z_a, z_b))
+    return tuple(_similarity(x, y, mode, "pairwise_distances")[0]
+                 for x, y in ((za, zb), (za, za), (zb, zb)))

@@ -1,4 +1,5 @@
-"""Dense float64 tensors with a reverse-mode differentiation tape.
+"""Dense float64 tensors with a reverse-mode differentiation tape, and
+``gradcheck``.
 
 Everything is 2-D: scalars are stored as (1, 1), vectors as (1, n) or
 (n, 1). A Tape records primitive applications in execution order;
@@ -13,20 +14,18 @@ never a tracked Tensor. So no tape is part of a reference cycle, and a
 step's whole graph (its activations and the arrays its VJPs keep) is
 freed by reference counting when its last Tensor goes.
 
-This module is the tape alone and builds no matrix. Every node is a
-``custom_op`` over an array-level function that returns the value and
-its pullback. That function lives in the module that owns its math, and
-documents its subgradient conventions there: the pairwise losses,
-``qare`` and the two-view objective in ``losses``, the similarity
-matrices and ``eigvals`` in ``simgeom``, and the encoder, the one place
-rows are normalized, in ``harness``. Training builds no tape:
-``harness.train`` chains those pullbacks directly (the two encoder
-views and the objective). The tape composes them for library callers
-and ``gradcheck``, and is the tests' reference for that chain.
+No function of the package builds a tape. Every differentiable function
+takes arrays and returns its value and its pullback, in the module that
+owns its math: the pairwise losses, ``qare`` and ``two_view_loss`` in
+``losses``, ``eigvals`` in ``simgeom`` and ``MLPEncoder.forward`` in
+``harness``; ``harness.train`` chains those pullbacks directly. A
+``custom_op`` node over such a function puts it on a tape, which
+composes them for library callers.
 
-``gradcheck`` checks a tape gradient against central differences along
-two random unit directions, drawn from a generator seeded by the bytes
-of the point, so its result depends on the function and the point alone.
+``gradcheck`` checks the pullback of such a function, f: array ->
+(value, pullback), against central differences along two random unit
+directions, drawn from a generator seeded by the bytes of the point, so
+its result depends on the function and the point alone.
 """
 
 from __future__ import annotations
@@ -53,6 +52,17 @@ def _as_2d(arr: Array) -> Array:
     return arr
 
 
+def _finite_copy(data) -> Array:
+    """A C-ordered float64 copy of data, of its own shape; ShapeError
+    above 2-D, EvaluationError on NaN or Inf."""
+    arr = np.array(data, dtype=np.float64, order="C")
+    if arr.ndim > 2:
+        raise ShapeError(f"tensors are 1-D or 2-D, got ndim={arr.ndim}")
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        raise EvaluationError("tensor data contains NaN or Inf")
+    return arr
+
+
 class _Node:
     """A tracked Tensor's handle: its tape and the index of its record."""
 
@@ -71,9 +81,7 @@ class Tensor:
     __slots__ = ("data", "node")
 
     def __init__(self, data):
-        arr = _as_2d(np.array(data, dtype=np.float64, order="C"))
-        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
-            raise EvaluationError("tensor data contains NaN or Inf")
+        arr = _as_2d(_finite_copy(data))
         arr.flags.writeable = False
         self.data = arr
         self.node = None
@@ -224,15 +232,19 @@ def custom_op(operands: Iterable, value: Array, vjp: Callable) -> Tensor:
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
 
-def _scalar_eval(f, x: Array) -> float:
-    """f at ``x``, a fresh finite 2-D C-ordered float64 array that no one
-    else holds, frozen here, as a float; EvaluationError if the value is
-    not finite."""
-    y = f(Tensor._raw(x, None))
-    val = y.item() if isinstance(y, Tensor) else float(y)
-    if not math.isfinite(val):
+def _evaluate(f, x: Array):
+    """f at ``x``, a fresh finite C-ordered float64 array that no one else
+    holds, frozen here: its value as a float and its pullback.
+    ContractError unless f returns a scalar and a pullback;
+    EvaluationError if the value is not finite."""
+    x.flags.writeable = False
+    out = f(x)
+    if not (isinstance(out, tuple) and len(out) == 2 and np.ndim(out[0]) == 0):
+        raise ContractError("gradcheck: f must return a scalar value and its pullback")
+    value = float(out[0])
+    if not math.isfinite(value):
         raise EvaluationError("gradcheck: function value is not finite")
-    return val
+    return value, out[1]
 
 
 _GRADCHECK_STEP = 1e-6
@@ -257,28 +269,30 @@ def gradcheck(f, x) -> float:
     (f(x + hv) - f(x - hv)) / 2h| / max(1, |<g, v>|), with a fixed step
     h = 1e-6. The directions are drawn from a generator seeded by the
     bytes of x (``_directions``), so the result depends on f and x alone.
-    A wrong VJP shows along almost every v, since any error e in g enters
-    as <e, v>. ``f`` maps one Tensor to a scalar; each point it sees is a
-    fresh frozen C-ordered array. A value or an analytic gradient that is
-    not finite raises EvaluationError."""
-    base = as_tensor(x).data
-    tape = Tape()
-    xt = tape.leaf(base)
-    y = f(xt)
-    if not isinstance(y, Tensor) or y.shape != (1, 1):
-        raise ContractError("gradcheck: f must return a scalar Tensor")
-    if not math.isfinite(y.item()):
-        raise EvaluationError("gradcheck: function value is not finite")
-    analytic = tape.backward(y)[xt].data
+    A wrong pullback shows along almost every v, since any error e in g
+    enters as <e, v>.
+
+    ``f`` maps one array to its value, a scalar, and its pullback; g is
+    the pullback of 1.0, an array of the point's shape (ContractError
+    otherwise). ``x`` is read as a float64 copy of its own shape
+    (ShapeError above 2-D, EvaluationError on NaN or Inf), and each point
+    f sees is a fresh frozen C-ordered array. A value or an analytic
+    gradient that is not finite raises EvaluationError."""
+    base = _finite_copy(x)
+    _, pullback = _evaluate(f, base)
+    analytic = np.ascontiguousarray(pullback(1.0), dtype=np.float64)
+    if analytic.shape != base.shape:
+        raise ContractError(f"gradcheck: gradient shape {analytic.shape} "
+                            f"!= point shape {base.shape}")
     if not np.isfinite(analytic).all():
         raise EvaluationError("gradcheck: gradient is not finite")
     worst = 0.0
-    # base is finite (the leaf checked it), and so is a finite double
-    # moved by the step, so each point is wrapped without another check
+    # base is finite, and so is a finite double moved by the step, so
+    # each point goes to f without another check
     for v in _directions(base):
         slope = float(np.vdot(analytic, v))
         step = _GRADCHECK_STEP * v
-        num = (_scalar_eval(f, base + step)
-               - _scalar_eval(f, base - step)) / (2.0 * _GRADCHECK_STEP)
+        num = (_evaluate(f, base + step)[0]
+               - _evaluate(f, base - step)[0]) / (2.0 * _GRADCHECK_STEP)
         worst = max(worst, abs(slope - num) / max(1.0, abs(slope)))
     return worst

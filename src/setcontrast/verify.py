@@ -146,7 +146,7 @@ def suite_hinge_identity() -> SuiteResult:
             s = rng.normal(size=(n, n))
             perm = rng.permutation(n)
             gt = losses.GroundTruthAlignment(perm)
-            got = n * losses.batch_hard_lap_loss(s, gt, margin=m).item()
+            got = n * losses.batch_hard_lap_loss(s, gt, margin=m)[0]
             yield n, (s, perm, m, got)
 
     worst = 0.0
@@ -181,9 +181,9 @@ def suite_smoothing_identity() -> SuiteResult:
             s = rng.normal(size=(n, n))
             perm = rng.permutation(n)
             gt = losses.GroundTruthAlignment(perm)
-            got = n * losses.smoothed_batch_hard_loss(s, gt, temperature=tau).item()
+            got = n * losses.smoothed_batch_hard_loss(s, gt, temperature=tau)[0]
             bracketed = k % 4 == 0
-            sparse = n * losses.sparseclr_loss(s, gt).item() if bracketed else 0.0
+            sparse = n * losses.sparseclr_loss(s, gt)[0] if bracketed else 0.0
             yield n, (s, perm, tau, got, bracketed, sparse)
 
     worst = 0.0
@@ -225,7 +225,7 @@ def suite_upper_bound() -> SuiteResult:
         s_b = _random_symmetric(rng, n)
         gt = losses.GroundTruthAlignment(rng.permutation(n))
         lhs = losses.structured_qap_loss_exact(s, s_a, s_b, gt)
-        lap = n * losses.structured_lap_loss(s, gt, margin=0.0).item()
+        lap = n * losses.structured_lap_loss(s, gt, margin=0.0)[0]
         la, lb = (d.values for d in simgeom.sym_eigen_pair(s_a, s_b))
         worst = _worst(worst, lhs - (lap - simgeom.eig_dot(la, lb, "min")))
     for _ in range(60):
@@ -235,8 +235,8 @@ def suite_upper_bound() -> SuiteResult:
         gt = losses.GroundTruthAlignment(rng.permutation(n))
         qap = assignment.brute_force_qap(s, 1.0 + za @ za.T, 1.0 + zb @ zb.T, "max")
         lhs = qap.cost - assignment.lap_cost(s, gt.indices)
-        lap = n * losses.structured_lap_loss(-s, gt, margin=0.0).item()
-        worst = _worst(worst, lhs - (lap + losses.qare(za, zb).item()))
+        lap = n * losses.structured_lap_loss(-s, gt, margin=0.0)[0]
+        worst = _worst(worst, lhs - (lap + losses.qare(za, zb)[0]))
     return SuiteResult("upper_bound", worst <= 1e-9, _worst(worst, 0.0),
                        "200 triples, 60 set pairs, "
                        f"worst slack violation {worst:.3e}")
@@ -308,16 +308,17 @@ def _oracle_rows(k: int) -> int:
 
 def _simplex_grid(k: int, steps: int) -> Array:
     """All points of the simplex with coordinates in units of 1/steps, one
-    per multiset of ``steps`` coordinates in
-    ``itertools.combinations_with_replacement`` order, each coordinate
-    the sum of 1/steps added once per time it is drawn. Those sums are
-    the running sums of 1/steps, so each coordinate is read from a table
-    of them by its count."""
+    per multiset of ``steps`` coordinates, in the lexicographic order of
+    their counts over the first k - 1 coordinates. Each coordinate is
+    read by its count from a table of the running sums of 1/steps, so it
+    is the sum of 1/steps added once per unit of its count."""
     sums = [0.0]
     for _ in range(steps):
         sums.append(sums[-1] + 1.0 / steps)
-    counts = [[comp.count(j) for j in range(k)]
-              for comp in itertools.combinations_with_replacement(range(k), steps)]
+    shape = (steps + 1,) * (k - 1)
+    lead = np.indices(shape).reshape(k - 1, math.prod(shape)).T
+    lead = lead[lead.sum(axis=1) <= steps]
+    counts = np.hstack((lead, steps - lead.sum(axis=1, keepdims=True)))
     return np.array(sums)[counts]
 
 
@@ -374,7 +375,7 @@ def _generic_point(rng, kind: str, mode: str) -> Tuple[Array, Array, "losses.Gro
         za = rng.normal(size=(n, d))
         zb = rng.normal(size=(n, d))
         perm = rng.permutation(n)
-        s = simgeom.cross_distances(za, zb, mode).data
+        s, _ = simgeom._similarity(za, zb, mode, "_generic_point")
         s_pair = s if mode == "euclidean" else -s
         if mode == "euclidean" and s.min() < 5e-2:
             continue
@@ -429,6 +430,17 @@ _GRAD_CASES: Tuple[Tuple[str, "losses.LossConfig"], ...] = tuple(
 )
 
 
+def _partial(loss, side: int, other: Array):
+    """``loss(a, b)``, a value and its pullback c -> (g_a, g_b), as a
+    function of one side: x -> its value and c -> the gradient on that
+    side, the other side held at ``other``."""
+    def f(x):
+        value, pullback = loss(*((x, other) if side == 0 else (other, x)))
+        return value, lambda c: pullback(c)[side]
+
+    return f
+
+
 def suite_gradients() -> SuiteResult:
     """Directional finite-difference check (``tensor.gradcheck``) of every
     loss on each of its two inputs at 20 generic random points per case:
@@ -440,23 +452,13 @@ def suite_gradients() -> SuiteResult:
     for label, cfg in _GRAD_CASES:
         for _ in range(20):
             za, zb, gt = _generic_point(rng, label, cfg.mode)
-            # wrapped once, so the 4 forwards of each check reuse them
-            za, zb = T.Tensor(za), T.Tensor(zb)
-
             if label == "qare":
-                def f_a(x):
-                    return losses.qare(x, zb)
-
-                def f_b(x):
-                    return losses.qare(za, x)
+                loss = losses.qare
             else:
-                def f_a(x):
-                    return losses.two_view_loss(x, zb, gt, cfg)[0]
-
-                def f_b(x):
-                    return losses.two_view_loss(za, x, gt, cfg)[0]
-
-            worst = _worst(worst, T.gradcheck(f_a, za), T.gradcheck(f_b, zb))
+                def loss(a, b):
+                    return losses.two_view_loss(a, b, gt, cfg)
+            worst = _worst(worst, T.gradcheck(_partial(loss, 0, zb), za),
+                           T.gradcheck(_partial(loss, 1, za), zb))
             checks += 2
     return SuiteResult("gradients", worst <= 1e-4, worst,
                        f"{checks} checks over {len(_GRAD_CASES)} losses")
@@ -466,7 +468,7 @@ def suite_fig1b() -> SuiteResult:
     """Shared inter-set matrix gives identical assignment optima while
     the quadratic costs and the spectral surrogate both separate the
     two intra-set geometries."""
-    near, far = ([m.data for m in t] for t in harness.fig1b_instance())
+    near, far = harness.fig1b_instance()
     lap_near = assignment.solve_lap(near[0], "min").cost
     lap_far = assignment.solve_lap(far[0], "min").cost
     lap_gap = abs(lap_near - lap_far)
@@ -474,8 +476,8 @@ def suite_fig1b() -> SuiteResult:
     qap_far = assignment.brute_force_qap(*far, "min").cost
     qap_gap = abs(qap_near - qap_far)
     view_a, near_b, far_b = harness.fig1b_points()
-    q_near = losses.qare(view_a, near_b).item()
-    q_far = losses.qare(view_a, far_b).item()
+    q_near = losses.qare(view_a, near_b)[0]
+    q_far = losses.qare(view_a, far_b)[0]
     q_gap = abs(q_near - q_far)
     passed = lap_gap <= 1e-12 and qap_gap > 0.1 and q_gap > 1e-6
     return SuiteResult("fig1b", passed, lap_gap,

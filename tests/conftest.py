@@ -29,6 +29,36 @@ def scaled(x, s: float) -> T.Tensor:
     return T.custom_op((x,), x.data * s, lambda g: (g * s,))
 
 
+def node(fn, *operands) -> T.Tensor:
+    """fn, an array function of the package that returns (value,
+    pullback), as one tape node over its operands, which it reads as
+    arrays. The pullback of a scalar value takes the upstream as a float;
+    its result is one gradient per operand, a bare array for a single
+    operand. Its VJP holds the pullback, which holds arrays only."""
+    ops = [T.as_tensor(t) for t in operands]
+    value, pullback = fn(*(t.data for t in ops))
+    scalar = np.ndim(value) == 0
+
+    def vjp(g):
+        out = pullback(g.item() if scalar else g)
+        return out if isinstance(out, tuple) else (out,)
+
+    return T.custom_op(ops, value, vjp)
+
+
+def taped(expr):
+    """The tape expression ``expr`` (a Tensor to a scalar Tensor) as an
+    array function x -> (value, pullback), for ``gradcheck``: each call
+    records x on a fresh tape, whose backward is the pullback."""
+    def f(x):
+        tape = T.Tape()
+        leaf = tape.leaf(x)
+        y = expr(leaf)
+        return y.item(), lambda c: c * tape.backward(y)[leaf].data
+
+    return f
+
+
 @contextlib.contextmanager
 def gc_disabled():
     """No cycle collection inside the block, so only reference counting

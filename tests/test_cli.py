@@ -284,11 +284,11 @@ class TestTrainCommand:
     @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
     def test_non_finite_gradient_maps_to_exit_3_at_its_step(
             self, tmp_path, monkeypatch, capsys, name):
-        real_apply = harness.MLPEncoder.apply
+        real_forward = harness.MLPEncoder.forward
         calls = []
 
-        def poisoned(self, x, flat):
-            z, pullback = real_apply(self, x, flat)
+        def poisoned(self, x, flat=None):
+            z, pullback = real_forward(self, x, flat)
             calls.append(None)
             if len(calls) != 5:  # seed 0, epoch 1, step 0, view a: two views a step,
                 return z, pullback  # two steps an epoch
@@ -300,7 +300,7 @@ class TestTrainCommand:
 
             return z, poisoned_pullback
 
-        monkeypatch.setattr(harness.MLPEncoder, "apply", poisoned)
+        monkeypatch.setattr(harness.MLPEncoder, "forward", poisoned)
         cfgp = write_config(tmp_path, TINY)
         assert cli.main(["train", "--config", cfgp,
                          "--out", str(tmp_path / "x")]) == 3

@@ -13,7 +13,7 @@ from setcontrast.errors import (
     ShapeError,
 )
 
-from conftest import gc_disabled, weighted_sum
+from conftest import gc_disabled, node
 
 TINY = harness.SyntheticSpec(num_classes=2, samples_per_class=4,
                              ambient_dim=8, noise_sigma=0.2, seed=5)
@@ -110,6 +110,31 @@ def reference_encoder_vjp(enc, x, up):
     return z, np.concatenate([q.ravel() for q in parts])
 
 
+def step_function(enc, xa, xb, gt, loss):
+    """One training step as a function of the flat parameters: w -> the
+    objective on the two encoded batches and its pullback onto w, the
+    chain ``train`` runs."""
+    def step(w):
+        (za, pull_a), (zb, pull_b) = enc.forward(xa, w), enc.forward(xb, w)
+        value, pull = losses.two_view_loss(za, zb, gt, loss)
+
+        def pullback(c):
+            g_a, g_b = pull(c)
+            return pull_b(g_b) + pull_a(g_a)
+
+        return value, pullback
+
+    return step
+
+
+def encoded(enc, x, w):
+    """``enc.forward`` of x under the flat leaf w, as one tape node over
+    w. Its VJP holds w's shape, never w."""
+    shape = w.shape
+    z, pullback = enc.forward(x, w.data)
+    return T.custom_op((w,), z, lambda g: (pullback(g).reshape(shape),))
+
+
 class TestEncoder:
     def test_embeddings_are_row_normalized(self):
         rng = np.random.default_rng(0)
@@ -128,10 +153,9 @@ class TestEncoder:
     def test_zero_output_row_is_rejected_by_the_encoder(self):
         enc = harness.MLPEncoder(3, 4, 2, np.random.default_rng(0))
         enc.params["w2"][...] = 0.0
-        tape = T.Tape()
         with pytest.raises(DegenerateInputError,
                            match="^encoder: zero output row has no direction$"):
-            enc.forward(np.ones((2, 3)), tape.leaf(enc.flat))
+            enc.forward(np.ones((2, 3)))
 
     def test_seeded_construction_is_deterministic(self):
         cfg = tiny_train_config()
@@ -149,9 +173,8 @@ class TestEncoder:
         rng = np.random.default_rng(2)
         enc = harness.MLPEncoder(8, 16, 4, rng)
         x = rng.normal(size=(6, 8))
-        out = enc.forward(x)
-        z = out.data if isinstance(out, T.Tensor) else out
-        np.testing.assert_allclose(z, enc.embed(x), atol=1e-12)
+        z, _ = enc.forward(x)
+        np.testing.assert_array_equal(z, enc.embed(x))
 
     def test_relu_subgradient_zero_at_kink(self):
         # the second hidden unit sits exactly at 0, so its weights get nothing
@@ -160,11 +183,8 @@ class TestEncoder:
         enc.params["b1"][...] = 0.0
         enc.params["w2"][...] = np.eye(2)
         enc.params["b2"][...] = [[0.0, 1.0]]
-        tape = T.Tape()
-        w = tape.leaf(enc.flat)
-        z = enc.forward(np.array([[1.0, 0.0]]), w)
-        grads = tape.backward(weighted_sum(z, [[1.0, -1.0]]))
-        g = enc.views(grads[w].data.reshape(-1))
+        _, pullback = enc.forward(np.array([[1.0, 0.0]]))
+        g = enc.views(pullback(np.array([[1.0, -1.0]])))
         np.testing.assert_array_equal(g["b1"][0, 1], 0.0)
         np.testing.assert_array_equal(g["w1"][:, 1], 0.0)
         assert g["b1"][0, 0] != 0.0
@@ -178,15 +198,14 @@ class TestEncoder:
         x = rng.normal(size=(6, 5))
         pre = x @ enc.params["w1"] + enc.params["b1"]
         assert np.abs(pre).min() > 1e-3
-        up = T.Tensor(rng.normal(size=(6, 3)))
+        up = rng.normal(size=(6, 3))
 
         def f(p):
             # the flat vector with p in the named slice, its adjoint that slice
             buf = enc.flat.copy()
-            enc.views(buf)[name][...] = p.data
-            w = T.custom_op((p,), buf.reshape(1, -1),
-                            lambda g: (enc.views(g.reshape(-1))[name],))
-            return weighted_sum(enc.forward(x, w), up)
+            enc.views(buf)[name][...] = p
+            z, pullback = enc.forward(x, buf)
+            return (z * up).sum(), lambda c: enc.views(pullback(c * up))[name]
 
         assert T.gradcheck(f, enc.params[name]) < 1e-7
 
@@ -214,21 +233,30 @@ class TestEncoder:
         enc = harness.MLPEncoder(3, 4, 2, np.random.default_rng(0))
         x = np.ones((2, 3))
         x[1, 2] = bad
-        with pytest.raises(EvaluationError, match="^tensor data contains NaN or Inf$"):
+        with pytest.raises(EvaluationError, match="^encoder: input contains NaN or Inf$"):
             enc.forward(x)
-        with pytest.raises(EvaluationError, match="^tensor data contains NaN or Inf$"):
+        with pytest.raises(EvaluationError, match="^encoder: input contains NaN or Inf$"):
             enc.embed(x)
+        flat = enc.flat.copy()
+        flat[3] = bad
+        with pytest.raises(EvaluationError, match="^encoder: input contains NaN or Inf$"):
+            enc.forward(np.ones((2, 3)), flat)
 
-    def test_forward_takes_a_constant_tensor_as_it_is(self):
+    def test_forward_reads_any_layout_to_the_same_bits(self):
+        # a Fortran-ordered, a float32 and a nested-list input, and the
+        # parameters given explicitly as a row, give the default's bytes
         rng = np.random.default_rng(3)
         enc = harness.MLPEncoder(5, 6, 3, rng)
-        x = rng.normal(size=(4, 5))
-        want = enc.forward(x).data
-        np.testing.assert_array_equal(enc.forward(T.Tensor(x)).data, want)
-        tape = T.Tape()
-        with pytest.raises(ContractError,
-                           match="^encoder: the input must be an untracked constant$"):
-            enc.forward(tape.leaf(x), tape.leaf(enc.flat))
+        x = np.round(rng.normal(size=(4, 5)), 2).astype(np.float32).astype(np.float64)
+        want = enc.forward(x)[0].tobytes()
+        for other in (np.asfortranarray(x), x.astype(np.float32), x.tolist()):
+            assert enc.forward(other)[0].tobytes() == want
+        assert enc.forward(x, enc.flat.reshape(1, -1))[0].tobytes() == want
+        with pytest.raises(ShapeError, match=f"^encoder: 10 parameters != {enc.flat.size}$"):
+            enc.forward(x, np.zeros(10))
+        with pytest.raises(ShapeError,
+                           match="^encoder: expected a 1-D or 2-D array, got ndim=3$"):
+            enc.forward(x[None])
 
     @pytest.mark.parametrize("seed,integer", [(0, False), (1, False), (2, False),
                                               (3, True), (4, True)])
@@ -248,13 +276,11 @@ class TestEncoder:
         pre = x @ enc.params["w1"] + enc.params["b1"]
         assert integer == bool((pre == 0.0).any())
         up = rng.normal(size=(9, 3))
-        tape = T.Tape()
-        w = tape.leaf(enc.flat)
-        z = enc.forward(x, w)
-        got = tape.backward(weighted_sum(z, up))[w].data
+        z, pullback = enc.forward(x)
+        got = pullback(up)
         want_z, want = reference_encoder_vjp(enc, x, up)
-        assert z.data.tobytes() == want_z.tobytes()
-        assert got.shape == (1, enc.flat.size)
+        assert z.tobytes() == want_z.tobytes()
+        assert got.shape == enc.flat.shape
         assert got.tobytes() == want.tobytes()
 
 
@@ -432,7 +458,7 @@ class TestTraining:
         poisoned[5, 3] = bad
         ds = dataclasses.replace(ds, **{view: poisoned})
         applies = []
-        monkeypatch.setattr(harness.MLPEncoder, "apply",
+        monkeypatch.setattr(harness.MLPEncoder, "forward",
                             lambda *a: applies.append(a))
         cfg = tiny_train_config()
         with pytest.raises(NumericError, match=(
@@ -464,7 +490,7 @@ class TestTraining:
         value = np.resize(value, (rows,) + value.shape[1:])
         ds = dataclasses.replace(ds, **{field: value})
         applies = []
-        monkeypatch.setattr(harness.MLPEncoder, "apply",
+        monkeypatch.setattr(harness.MLPEncoder, "forward",
                             lambda *a: applies.append(a))
         cfg = tiny_train_config()
         with pytest.raises(ShapeError, match=(
@@ -490,27 +516,45 @@ class TestTraining:
     @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
     @pytest.mark.parametrize("kind,mining", PAIRWISE_KINDS)
     def test_train_builds_no_tape(self, monkeypatch, kind, mining, mode, beta):
-        # a step is a chain of array-level pullbacks: no Tape, and no
-        # custom_op node but the two evaluation embeds after training,
-        # however many steps run
-        tapes, nodes = [], []
-        real_init, real_op = T.Tape.__init__, T.custom_op
+        # a step is a chain of array-level pullbacks, and evaluation reads
+        # arrays: a run passes with no Tape and no custom_op node to make
+        def no_tape(*args):
+            raise AssertionError("training built a tape")
 
-        def counting_init(self):
-            tapes.append(None)
-            real_init(self)
-
-        def counting_op(*args):
-            nodes.append(None)
-            return real_op(*args)
-
-        monkeypatch.setattr(T.Tape, "__init__", counting_init)
-        monkeypatch.setattr(T, "custom_op", counting_op)
+        monkeypatch.setattr(T.Tape, "__init__", no_tape)
+        monkeypatch.setattr(T, "custom_op", no_tape)
         ds = harness.gen_two_view_dataset(TINY)
         cfg = tiny_train_config(loss=losses.LossConfig(
             name="t", kind=kind, mining=mining, beta=beta, mode=mode))
+        _, report = harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
+        assert len(report.epoch_losses) == cfg.epochs
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_a_step_calls_the_objective_once_and_the_encoder_twice(self, monkeypatch,
+                                                                  beta):
+        # one step (a batch of all 8 items), one embedding per view, then
+        # the linear probe's own Adam steps
+        events = []
+
+        def recorded(name, real):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(harness.MLPEncoder, "forward",
+                            recorded("forward", harness.MLPEncoder.forward))
+        monkeypatch.setattr(harness, "two_view_loss",
+                            recorded("two_view_loss", harness.two_view_loss))
+        monkeypatch.setattr(harness, "adam_step",
+                            recorded("adam_step", harness.adam_step))
+        ds = harness.gen_two_view_dataset(TINY)
+        cfg = tiny_train_config(epochs=1, batch_size=8, loss=losses.LossConfig(
+            name="t", kind="infonce", beta=beta))
         harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        assert tapes == [] and len(nodes) == 2
+        assert events[:6] == ["forward", "forward", "two_view_loss", "adam_step",
+                              "forward", "forward"]
+        assert set(events[6:]) == {"adam_step"}
 
     @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
     def test_beta_one_step_gradcheck_over_flat_parameters(self, mode):
@@ -527,11 +571,7 @@ class TestTraining:
             shifted = 1.0 + z @ z.T
             assert simgeom.min_eigengap(simgeom.sym_eigen(shifted).values) > 1e-3
 
-        def step(w):
-            return losses.two_view_loss(enc.forward(xa, w), enc.forward(xb, w),
-                                        gt, cfg.loss)[0]
-
-        assert T.gradcheck(step, enc.flat) < 1e-6
+        assert T.gradcheck(step_function(enc, xa, xb, gt, cfg.loss), enc.flat) < 1e-6
 
     @pytest.mark.parametrize("kwargs,message", [
         (dict(batch_size=1), "batch_size must be >= 2"),
@@ -571,27 +611,25 @@ class TestTraining:
                 r"\(loss='t', seed=0\)$")):
             harness.train(ds, enc, cfg)
 
-    @pytest.mark.parametrize("beta,message", [
-        (0.0, r"non-finite loss nan at epoch 0 step 1 \(loss='t', seed=0\)"),
-        (1.0, r"non-finite value at epoch 0 step 1 \(loss='t', seed=0\): "
-              r"sym_eigen: matrix contains NaN or Inf"),
-    ])
-    def test_overflowing_update_raises_numeric_error_at_the_next_step(self, beta,
-                                                                       message):
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_overflowing_update_raises_numeric_error_at_the_next_step(self, beta):
         # the first update leaves finite parameters of about 1e300, whose
-        # products overflow in the next step's embedding
+        # products overflow in the next step's embedding to NaN rows, which
+        # the objective rejects at any beta
         ds = harness.gen_two_view_dataset(TINY)
         cfg = tiny_train_config(learning_rate=1e300, loss=losses.LossConfig(
             name="t", kind="infonce", beta=beta))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                NumericError, match=f"^{message}$"):
+                NumericError, match=(r"^non-finite value at epoch 0 step 1 "
+                                     r"\(loss='t', seed=0\): two_view_loss: "
+                                     r"input contains NaN or Inf$")):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
 
     def test_nonfinite_loss_raises_numeric_error(self, monkeypatch):
         def nan_objective(za, zb, gt, cfg):
-            return {"total": np.nan}, None
+            return np.nan, None
 
-        monkeypatch.setattr(harness, "objective", nan_objective)
+        monkeypatch.setattr(harness, "two_view_loss", nan_objective)
         ds = harness.gen_two_view_dataset(TINY)
         cfg = tiny_train_config()
         with pytest.raises(NumericError, match=(
@@ -636,31 +674,26 @@ class TestTrainingScaleGradients:
         xa, xb = ds.view_a[idx], ds.view_b[idx]
         gt = losses.GroundTruthAlignment.identity(cfg.batch_size)
 
-        def step(w):
-            return losses.two_view_loss(enc.forward(xa, w), enc.forward(xb, w),
-                                        gt, cfg.loss)[0]
-
-        tape = T.Tape()
-        w = tape.leaf(enc.flat)
-        g = tape.backward(step(w))[w].data.reshape(-1)
+        step = step_function(enc, xa, xb, gt, cfg.loss)
         flat = enc.flat.copy()
+        g = step(flat)[1](1.0)
         worst = 0.0
         for _ in range(self.DIRECTIONS):
             d = rng.normal(size=flat.size)
             d /= np.linalg.norm(d)
-            err = min(abs((step(flat + h * d).item() - step(flat - h * d).item())
+            err = min(abs((step(flat + h * d)[0] - step(flat - h * d)[0])
                           / (2.0 * h) - g @ d) for h in self.STEPS)
             worst = max(worst, err / np.linalg.norm(g))
         assert worst < 1e-6
 
 
 class TestTapeFreeStep:
-    """A training step chains the pullbacks of ``apply`` on each view and
-    of ``losses.objective`` with no tape. Its value and flat gradient are
-    those of the tape composition of the same step, two ``forward``
-    nodes, one ``two_view_loss`` node and ``Tape.backward``, bit for
-    bit: each adjoint the tape sums has at most two terms, so the order
-    of the sum moves no bit."""
+    """A training step chains the pullbacks of ``forward`` on each view
+    and of ``losses.two_view_loss`` with no tape. Its value and flat
+    gradient are those of the tape composition of the same step, two
+    ``custom_op`` nodes over ``forward`` and one over ``two_view_loss``,
+    and ``Tape.backward``, bit for bit: each adjoint the tape sums has at
+    most two terms, so the order of the sum moves no bit."""
 
     @staticmethod
     def _run(name, loss):
@@ -704,28 +737,28 @@ class TestTapeFreeStep:
             name="t", kind=kind, mining=mining, beta=beta, mode=mode))
         flat = enc.flat.copy()
         batches, grads = [], []
-        real_apply, real_adam = harness.MLPEncoder.apply, harness.adam_step
+        real_forward, real_adam = harness.MLPEncoder.forward, harness.adam_step
 
-        def seen_apply(self, x, w):
-            batches.append(x.copy())
-            return real_apply(self, x, w)
+        def seen_forward(self, x, flat=None):
+            batches.append(np.array(x))
+            return real_forward(self, x, flat)
 
         def seen_adam(state, grad, lr):
             grads.append(grad.copy())
             real_adam(state, grad, lr)
 
-        monkeypatch.setattr(harness.MLPEncoder, "apply", seen_apply)
+        monkeypatch.setattr(harness.MLPEncoder, "forward", seen_forward)
         monkeypatch.setattr(harness, "adam_step", seen_adam)
         _, report = harness.train(ds, enc, cfg)
         monkeypatch.undo()
 
-        # one step an epoch: the first two applies are its views, the first
-        # Adam update its gradient, the one epoch loss its value
+        # one step an epoch: the first two forwards are its views, the
+        # first Adam update its gradient, the one epoch loss its value
         tape = T.Tape()
         w = tape.leaf(flat)
-        za, zb = (enc.forward(x, w) for x in batches[:2])
-        loss, _ = losses.two_view_loss(
-            za, zb, losses.GroundTruthAlignment.identity(cfg.batch_size), cfg.loss)
+        za, zb = (encoded(enc, x, w) for x in batches[:2])
+        gt = losses.GroundTruthAlignment.identity(cfg.batch_size)
+        loss = node(lambda a, b: losses.two_view_loss(a, b, gt, cfg.loss), za, zb)
         grad = tape.backward(loss)[w].data.reshape(-1)
         assert report.epoch_losses == [loss.item()]
         assert grads[0].tobytes() == grad.tobytes()
@@ -890,7 +923,7 @@ class TestEvaluation:
 
         monkeypatch.setattr(assignment, "matching_accuracy", capture)
         harness.evaluate_matching(enc.embed(ds.view_a), enc.embed(ds.view_b))
-        whole = simgeom.cross_distances(enc.embed(ds.view_a), enc.embed(ds.view_b)).data
+        whole = simgeom.pairwise_distances(enc.embed(ds.view_a), enc.embed(ds.view_b))[0]
         assert len(seen) == 1
         assert seen[0].shape == whole.shape == (spec.num_items, spec.num_items)
         assert seen[0].tobytes() == whole.tobytes()
@@ -899,7 +932,8 @@ class TestEvaluation:
 class TestTapeLifetime:
     """A tape's records hold arrays only, so reference counting alone
     frees a step's graph once its last Tensor goes: nothing waits for
-    the cycle collector."""
+    the cycle collector. The step is composed on the tape as in
+    ``TestTapeFreeStep``."""
 
     @pytest.mark.parametrize("kind,mining,beta,mode", [
         *((kind, mining, 0.0, "euclidean") for kind, mining in PAIRWISE_KINDS),
@@ -917,34 +951,34 @@ class TestTapeLifetime:
         with gc_disabled():
             tape = T.Tape()
             w = tape.leaf(enc.flat)
-            za = enc.forward(ds.view_a[:4], w)
-            zb = enc.forward(ds.view_b[:4], w)
-            value, terms = losses.two_view_loss(za, zb, gt, loss)
+            za = encoded(enc, ds.view_a[:4], w)
+            zb = encoded(enc, ds.view_b[:4], w)
+            value = node(lambda a, b: losses.two_view_loss(a, b, gt, loss), za, zb)
             grad = tape.backward(value)[w]
             # the flat leaf, two encoder views and the objective
             assert len(tape) == 4 and np.isfinite(grad.data).all()
             alive = weakref.ref(tape)
-            del tape, w, za, zb, value, terms, grad
+            del tape, w, za, zb, value, grad
             assert alive() is None
 
 
 class TestFig1bInstance:
     def test_shared_inter_set_matrix(self):
         (s_near, _, _), (s_far, _, _) = harness.fig1b_instance()
-        np.testing.assert_array_equal(s_near.data, s_far.data)
+        np.testing.assert_array_equal(s_near, s_far)
         assert s_near.shape == (4, 4)
 
     def test_intra_matrices_are_distance_like(self):
         for _, s_a, s_b in harness.fig1b_instance():
-            for m in (s_a.data, s_b.data):
+            for m in (s_a, s_b):
                 np.testing.assert_allclose(m, m.T, atol=1e-15)
                 np.testing.assert_allclose(np.diag(m), 0.0, atol=1e-15)
                 assert m.min() >= 0.0
 
     def test_quadratic_side_separates_the_geometries(self):
         view_a, near, far = harness.fig1b_points()
-        q_near = losses.qare(view_a, near).item()
-        q_far = losses.qare(view_a, far).item()
+        q_near = losses.qare(view_a, near)[0]
+        q_far = losses.qare(view_a, far)[0]
         assert abs(q_near - q_far) > 1e-6
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -7,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from setcontrast import assignment, losses, simgeom, tensor as T
 from setcontrast.errors import ContractError, EvaluationError, ShapeError
-
-from conftest import scaled
 
 random_square = st.tuples(
     st.integers(2, 8), st.integers(0, 2 ** 31 - 1)
@@ -26,23 +25,23 @@ def random_gt(rng, n):
 class TestStructuredLapLoss:
     def test_known_2x2_instance(self):
         s = np.array([[0.8, 1.0], [1.0, 0.8]])
-        val = losses.structured_lap_loss(s, identity(2), margin=0.5).item()
+        val = losses.structured_lap_loss(s, identity(2), margin=0.5)[0]
         assert val == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_when_gt_undercuts_by_more_than_margin(self):
         s = np.array([[0.0, 5.0], [5.0, 0.0]])
-        assert losses.structured_lap_loss(s, identity(2), margin=0.5).item() == 0.0
+        assert losses.structured_lap_loss(s, identity(2), margin=0.5)[0] == 0.0
 
     def test_zero_on_exact_tie_without_margin(self):
         s = np.full((3, 3), 2.0)
-        assert losses.structured_lap_loss(s, identity(3), margin=0.0).item() == 0.0
+        assert losses.structured_lap_loss(s, identity(3), margin=0.0)[0] == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(random_square)
     def test_nonnegative_and_zero_iff_gt_optimal(self, s):
         n = s.shape[0]
         gt = identity(n)
-        val = losses.structured_lap_loss(s, gt, margin=0.5).item()
+        val = losses.structured_lap_loss(s, gt, margin=0.5)[0]
         assert val >= 0.0
         sm = s + 0.5 * np.eye(n)
         opt = assignment.solve_lap(sm, "min").cost
@@ -61,15 +60,13 @@ class TestStructuredLapLoss:
         best = assignment.solve_lap(sm, "min")
         assert best.perm == (0, 1, 2, 3)
         assert (sm * np.eye(4)).sum() - best.cost < 0.0
-        assert losses.structured_lap_loss(s, identity(4), margin=0.5).item() == 0.0
+        assert losses.structured_lap_loss(s, identity(4), margin=0.5)[0] == 0.0
 
     def test_envelope_gradient_is_gt_minus_argmin(self):
         rng = np.random.default_rng(20)
         s = rng.normal(size=(4, 4))
-        tape = T.Tape()
-        leaf = tape.leaf(s)
-        val = losses.structured_lap_loss(leaf, identity(4), margin=0.5)
-        g = tape.backward(val)[leaf].data
+        _, pullback = losses.structured_lap_loss(s, identity(4), margin=0.5)
+        g = pullback(1.0)
         sm = s + 0.5 * np.eye(4)
         star = assignment.solve_lap(sm, "min").perm
         y_star = np.zeros((4, 4))
@@ -80,12 +77,12 @@ class TestStructuredLapLoss:
 class TestBatchHardLapLoss:
     def test_known_2x2_instance(self):
         s = np.array([[0.8, 1.0], [1.0, 0.8]])
-        val = losses.batch_hard_lap_loss(s, identity(2), margin=0.5).item()
+        val = losses.batch_hard_lap_loss(s, identity(2), margin=0.5)[0]
         assert val == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_when_hinges_inactive(self):
         s = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
-        assert losses.batch_hard_lap_loss(s, identity(3), margin=0.5).item() == 0.0
+        assert losses.batch_hard_lap_loss(s, identity(3), margin=0.5)[0] == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(random_square, st.sampled_from([0.0, 0.3, 0.5]))
@@ -93,7 +90,7 @@ class TestBatchHardLapLoss:
         n = s.shape[0]
         rng = np.random.default_rng(int(abs(s[0, 0]) * 1e6) % (2 ** 31))
         gt = random_gt(rng, n)
-        got = n * losses.batch_hard_lap_loss(s, gt, margin=m).item()
+        got = n * losses.batch_hard_lap_loss(s, gt, margin=m)[0]
         want = 0.0
         for i in range(n):
             j = gt.perm[i]
@@ -112,10 +109,8 @@ class TestBatchHardLapLoss:
                          [-1.0, 1.0, 0.0, 0.0],
                          [-1.0, 0.0, 1.0, 0.0],
                          [0.0, -1.0, 0.0, 1.0]])
-        tape = T.Tape()
-        leaf = tape.leaf(s)
-        val = losses.batch_hard_lap_loss(leaf, identity(4), margin=0.5)
-        np.testing.assert_array_equal(tape.backward(val)[leaf].data, 0.25 * want)
+        _, pullback = losses.batch_hard_lap_loss(s, identity(4), margin=0.5)
+        np.testing.assert_array_equal(pullback(1.0), 0.25 * want)
 
     def test_never_negative_when_every_positive_is_its_row_minimum(self):
         # positives 3 below a Gaussian matrix at margin 0: most hinges are
@@ -126,7 +121,7 @@ class TestBatchHardLapLoss:
             n = int(rng.integers(2, 9))
             s = rng.normal(size=(n, n))
             s[np.arange(n), np.arange(n)] -= 3.0
-            val = losses.batch_hard_lap_loss(s, identity(n), margin=0.0).item()
+            val = losses.batch_hard_lap_loss(s, identity(n), margin=0.0)[0]
             assert val >= 0.0
             hinge = sum(max(0.0, s[i, i] - np.delete(s[i], i).min()) for i in range(n))
             assert n * val == pytest.approx(hinge, abs=1e-12)
@@ -140,8 +135,8 @@ class TestBatchHardLapLoss:
             n = int(rng.integers(2, 7))
             s = rng.normal(size=(n, n))
             gt = random_gt(rng, n)
-            relaxed = losses.batch_hard_lap_loss(s, gt, margin=0.5).item()
-            exact = losses.structured_lap_loss(s, gt, margin=0.5).item()
+            relaxed = losses.batch_hard_lap_loss(s, gt, margin=0.5)[0]
+            exact = losses.structured_lap_loss(s, gt, margin=0.5)[0]
             assert relaxed >= exact - 1e-12
 
 
@@ -150,15 +145,15 @@ class TestSmoothedBatchHard:
         for n, tau in ((2, 0.05), (5, 0.5), (7, 1.0)):
             s = np.full((n, n), 1.3)
             val = losses.smoothed_batch_hard_loss(
-                s, identity(n), temperature=tau).item()
+                s, identity(n), temperature=tau)[0]
             assert val == pytest.approx(tau * np.log(n), rel=1e-12)
 
     def test_small_temperature_approaches_hard_loss(self):
         rng = np.random.default_rng(22)
         s = rng.normal(size=(5, 5))
         gt = identity(5)
-        smooth = losses.smoothed_batch_hard_loss(s, gt, temperature=1e-3).item()
-        hard = losses.batch_hard_lap_loss(s, gt, margin=0.0).item()
+        smooth = losses.smoothed_batch_hard_loss(s, gt, temperature=1e-3)[0]
+        hard = losses.batch_hard_lap_loss(s, gt, margin=0.0)[0]
         assert abs(smooth - hard) < 1e-2
 
     @settings(max_examples=60, deadline=None)
@@ -166,22 +161,22 @@ class TestSmoothedBatchHard:
     def test_equals_temperature_times_sum_form(self, s, tau):
         n = s.shape[0]
         gt = identity(n)
-        smooth = losses.smoothed_batch_hard_loss(s, gt, temperature=tau).item()
-        rows = losses.infonce_loss(s, gt, temperature=tau).item()
+        smooth = losses.smoothed_batch_hard_loss(s, gt, temperature=tau)[0]
+        rows = losses.infonce_loss(s, gt, temperature=tau)[0]
         assert n * abs(smooth - tau * rows) <= 1e-10
 
 
 class TestInfoNCE:
     def test_constant_matrix_gives_log_n(self):
         s = np.full((4, 4), 0.7)
-        val = losses.infonce_loss(s, identity(4), temperature=0.05).item()
+        val = losses.infonce_loss(s, identity(4), temperature=0.05)[0]
         assert val == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_dominated_softmax_bound(self):
         n, tau = 5, 0.1
         s = np.full((n, n), 10.0 * tau)
         np.fill_diagonal(s, 0.0)
-        val = losses.infonce_loss(s, identity(n), temperature=tau).item()
+        val = losses.infonce_loss(s, identity(n), temperature=tau)[0]
         bound = np.log(1.0 + (n - 1) * np.exp(-10.0))
         assert val == pytest.approx(bound, rel=1e-12)
         assert val <= bound * (1.0 + 1e-12)
@@ -194,7 +189,7 @@ class TestInfoNCE:
         tau = 0.05
         rows = [s[i, gt.perm[i]] / tau + np.log(np.exp(-s[i] / tau).sum())
                 for i in range(6)]
-        mean = losses.infonce_loss(s, gt, temperature=tau).item()
+        mean = losses.infonce_loss(s, gt, temperature=tau)[0]
         assert mean == pytest.approx(sum(rows) / 6.0, rel=1e-12)
 
     def test_gradient_is_gt_minus_softmax(self):
@@ -202,9 +197,7 @@ class TestInfoNCE:
         s = rng.normal(size=(5, 5))
         gt = random_gt(rng, 5)
         tau = 0.5
-        tape = T.Tape()
-        leaf = tape.leaf(s)
-        g = tape.backward(losses.infonce_loss(leaf, gt, temperature=tau))[leaf].data
+        g = losses.infonce_loss(s, gt, temperature=tau)[1](1.0)
         z = -s / tau
         soft = np.exp(z - z.max(axis=1, keepdims=True))
         soft /= soft.sum(axis=1, keepdims=True)
@@ -215,32 +208,32 @@ class TestInfoNCE:
     def test_is_strictly_positive_at_generic_points(self):
         rng = np.random.default_rng(24)
         s = rng.normal(size=(5, 5))
-        assert losses.infonce_loss(s, identity(5)).item() > 0.0
+        assert losses.infonce_loss(s, identity(5))[0] > 0.0
 
 
 class TestNTLogistic:
     def test_zero_positive_and_far_negative(self):
         s = np.array([[0.0, 100.0], [100.0, 0.0]])
-        val = losses.nt_logistic_loss(s, identity(2), temperature=1.0).item()
+        val = losses.nt_logistic_loss(s, identity(2), temperature=1.0)[0]
         assert val == pytest.approx(np.log(2.0), abs=1e-10)
 
     def test_uniform_2x2_matches_hand_formula(self):
         c = 0.9
         s = np.full((2, 2), c)
-        val = losses.nt_logistic_loss(s, identity(2), temperature=1.0).item()
+        val = losses.nt_logistic_loss(s, identity(2), temperature=1.0)[0]
         want = np.log1p(np.exp(c)) + np.log1p(np.exp(-c))
         assert val == pytest.approx(want, rel=1e-12)
 
     def test_large_temperature_limit(self):
         rng = np.random.default_rng(25)
         s = rng.normal(size=(4, 4))
-        val = losses.nt_logistic_loss(s, identity(4), temperature=1e9).item()
+        val = losses.nt_logistic_loss(s, identity(4), temperature=1e9)[0]
         assert val == pytest.approx(2.0 * np.log(2.0), rel=1e-6)
 
     def test_picks_hardest_negative(self):
         # row i is [0.5, 3.0, 1.0, 2.0] shifted by i: positive 0.5, hardest 1.0
         s = np.array([np.roll([0.5, 3.0, 1.0, 2.0], i) for i in range(4)])
-        val = losses.nt_logistic_loss(s, identity(4), temperature=1.0).item()
+        val = losses.nt_logistic_loss(s, identity(4), temperature=1.0)[0]
         want = np.log1p(np.exp(0.5)) + np.log1p(np.exp(-1.0))
         assert val == pytest.approx(want, rel=1e-12)
 
@@ -262,10 +255,7 @@ class TestNTLogistic:
         want[2, 1], want[3, 2] = sig(0.9 / tau) / tau, sig(0.3 / tau) / tau
         want[0, 1], want[1, 0] = -sig(-0.2 / tau) / tau, -sig(-0.3 / tau) / tau
         want[2, 2], want[3, 0] = -sig(-0.4 / tau) / tau, -sig(-0.2 / tau) / tau
-        tape = T.Tape()
-        leaf = tape.leaf(s)
-        val = losses.nt_logistic_loss(leaf, gt, temperature=tau)
-        g = tape.backward(val)[leaf].data
+        g = losses.nt_logistic_loss(s, gt, temperature=tau)[1](1.0)
         np.testing.assert_allclose(g, 0.25 * want, rtol=1e-12, atol=0.0)
 
     def test_stable_at_extreme_inputs(self):
@@ -275,15 +265,14 @@ class TestNTLogistic:
         for row, value, grad in (([-800.0, 800.0], 0.0, [0.0, 0.0]),
                                  ([0.0, 0.0], 2.0 * np.log(2.0), [0.5, -0.5]),
                                  ([800.0, -800.0], 1600.0, [1.0, -1.0])):
-            tape = T.Tape()
-            leaf = tape.leaf(np.array([row, row[::-1]]))
-            val = losses.nt_logistic_loss(leaf, gt, temperature=1.0)
-            g = tape.backward(val)[leaf].data
-            assert np.isfinite(val.item()) and np.isfinite(g).all()
-            assert val.item() == pytest.approx(value, abs=1e-12)
+            val, pullback = losses.nt_logistic_loss(np.array([row, row[::-1]]), gt,
+                                                    temperature=1.0)
+            g = pullback(1.0)
+            assert np.isfinite(val) and np.isfinite(g).all()
+            assert val == pytest.approx(value, abs=1e-12)
             np.testing.assert_allclose(g, np.array([grad, grad[::-1]]) / 2, atol=1e-12)
         assert losses.nt_logistic_loss(np.array([[-800.0, 800.0], [800.0, -800.0]]),
-                                       gt, temperature=1.0).item() == 0.0
+                                       gt, temperature=1.0)[0] == 0.0
 
     def test_needs_at_least_one_negative(self):
         with pytest.raises(ContractError):
@@ -351,6 +340,16 @@ class TestOperandChecks:
             FUSED[kind](s, gt)
 
 
+def _weighted(fn, w):
+    """fn, an array function of one input, times w: its pullback of c is
+    fn's pullback of w c."""
+    def f(x):
+        value, pullback = fn(x)
+        return w * value, lambda c: pullback(w * c)
+
+    return f
+
+
 class TestFusedLossGradients:
     @pytest.mark.parametrize("kind", sorted(FUSED))
     def test_gradcheck_at_tie_free_points(self, kind):
@@ -361,11 +360,13 @@ class TestFusedLossGradients:
 
     @pytest.mark.parametrize("kind", sorted(FUSED))
     def test_gradcheck_under_an_upstream_weight(self, kind):
-        # the VJP scales by the upstream gradient, here 2.5, not only by 1/N
+        # the pullback scales by the upstream gradient, here 2.5, not only
+        # by 1/N
         rng = np.random.default_rng(10 + sorted(FUSED).index(kind))
         for n in (2, 5):
             s, gt = _generic(rng, kind, n)
-            assert T.gradcheck(lambda x: scaled(FUSED[kind](x, gt), 2.5), s) < 1e-6
+            f = _weighted(lambda x: FUSED[kind](x, gt), 2.5)
+            assert T.gradcheck(f, s) < 1e-6
 
 
 class TestSparsemax:
@@ -482,11 +483,23 @@ class TestArgumentChecks:
             loss(np.zeros(shape), ())
 
     @pytest.mark.parametrize("loss, shape", EMPTY_S, ids=_empty_s_id)
-    def test_empty_s_on_the_tape(self, loss, shape):
-        # a tape leaf is checked as an array is, before the 1/N scale
-        leaf = T.Tape().leaf(np.zeros(shape))
+    def test_empty_s_of_another_dtype(self, loss, shape):
+        # an S the conversion copies is checked as an array is, before
+        # the 1/N scale
         with pytest.raises(ShapeError, match=r"^\w+: S has no rows$"):
-            loss(leaf, ())
+            loss(np.zeros(shape, dtype=np.int64), ())
+
+    @pytest.mark.parametrize("loss", [loss for loss, _ in EMPTY_S],
+                             ids=lambda loss: loss.__name__)
+    def test_nonfinite_or_3d_s(self, loss):
+        s = np.eye(2)
+        s[0, 1] = np.nan
+        with pytest.raises(EvaluationError,
+                           match=rf"^{loss.__name__}: input contains NaN or Inf$"):
+            loss(s, (0, 1))
+        with pytest.raises(ShapeError, match=(rf"^{loss.__name__}: expected a 1-D "
+                                              r"or 2-D array, got ndim=3$")):
+            loss(np.ones((2, 2, 2)), (0, 1))
 
     @pytest.mark.parametrize("call", [
         lambda s, gt: losses.structured_lap_loss(s, gt, margin=np.nan),
@@ -514,16 +527,13 @@ class TestSparseCLR:
         # one column: the smoothed max of -s is -s - 1/2, so s - s - 1/2
         for s_val in (0.3, 1.7):
             s = np.array([[s_val]])
-            got = losses.sparseclr_loss(s, identity(1)).item()
+            got = losses.sparseclr_loss(s, identity(1))[0]
             assert got == pytest.approx(-0.5, rel=1e-12)
 
     def test_gradient_is_gt_minus_rowwise_sparsemax(self):
         rng = np.random.default_rng(26)
         s = np.abs(rng.normal(size=(4, 4))) + 0.1
-        tape = T.Tape()
-        leaf = tape.leaf(s)
-        val = losses.sparseclr_loss(leaf, identity(4))
-        g = tape.backward(val)[leaf].data
+        g = losses.sparseclr_loss(s, identity(4))[1](1.0)
         want = np.eye(4)
         for i in range(4):
             want[i] -= losses.sparsemax(-s[i])
@@ -539,8 +549,8 @@ class TestSparseCLR:
         s = s * scale
         n = s.shape[0]
         gt = random_gt(np.random.default_rng(seed), n)
-        got = n * losses.sparseclr_loss(s, gt).item()
-        hard = n * losses.batch_hard_lap_loss(s, gt, margin=0.0).item()
+        got = n * losses.sparseclr_loss(s, gt)[0]
+        hard = n * losses.batch_hard_lap_loss(s, gt, margin=0.0)[0]
         assert hard - n / 2 - 1e-10 <= got <= hard - 0.5 + 1e-10
 
     def test_dominant_negative_zeroes_other_gradients(self):
@@ -549,10 +559,7 @@ class TestSparseCLR:
         rng = np.random.default_rng(31)
         s = np.abs(rng.normal(size=(4, 4))) + 3.0
         s[0] = [5.0, 0.01, 6.0, 7.0]
-        tape = T.Tape()
-        leaf = tape.leaf(s)
-        val = losses.sparseclr_loss(leaf, identity(4))
-        g = tape.backward(val)[leaf].data
+        g = losses.sparseclr_loss(s, identity(4))[1](1.0)
         assert losses.sparsemax(-s[0])[1] == 1.0
         assert g[0, 2] == 0.0
         assert g[0, 3] == 0.0
@@ -566,8 +573,8 @@ class TestSparseCLR:
 class TestQare:
     def test_cosine_known_instance(self):
         # orthogonal rows: 1 + S = [[2, 1], [1, 2]], spectrum (3, 1)
-        i2 = T.Tensor(np.eye(2))
-        assert losses.qare(i2, i2).item() == pytest.approx(10.0)
+        i2 = np.eye(2)
+        assert losses.qare(i2, i2)[0] == pytest.approx(10.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
@@ -575,8 +582,8 @@ class TestQare:
         rng = np.random.default_rng(seed)
         z_a, z_b = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
         p = rng.permutation(n)
-        base = losses.qare(z_a, z_b).item()
-        moved = losses.qare(z_a[p], z_b[p]).item()
+        base = losses.qare(z_a, z_b)[0]
+        moved = losses.qare(z_a[p], z_b[p])[0]
         assert moved == pytest.approx(base, rel=1e-12, abs=1e-9)
 
     def test_reads_the_rows_as_given(self):
@@ -588,8 +595,8 @@ class TestQare:
         z_a *= rng.uniform(0.1, 10.0, size=(6, 1))
         z_b *= 0.01
         l_a, l_b = (np.linalg.eigvalsh(1.0 + z @ z.T)[::-1] for z in (z_a, z_b))
-        assert losses.qare(z_a, z_b).item() == pytest.approx(l_a @ l_b, rel=1e-12)
-        s = simgeom.cross_distances(z_a, z_b, "cosine").data
+        assert losses.qare(z_a, z_b)[0] == pytest.approx(l_a @ l_b, rel=1e-12)
+        s = simgeom.pairwise_distances(z_a, z_b, "cosine")[0]
         want = z_a @ z_b.T
         np.testing.assert_allclose(s, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
@@ -601,8 +608,8 @@ class TestQare:
         z_a /= np.linalg.norm(z_a, axis=1, keepdims=True)
         z_b /= np.linalg.norm(z_b, axis=1, keepdims=True)
         _, s_a, s_b = simgeom.pairwise_distances(z_a, z_b, "cosine")
-        l_a, l_b = (np.linalg.eigvalsh(1.0 + m.data)[::-1] for m in (s_a, s_b))
-        assert losses.qare(z_a, z_b).item() == pytest.approx(l_a @ l_b, rel=1e-12)
+        l_a, l_b = (np.linalg.eigvalsh(1.0 + m)[::-1] for m in (s_a, s_b))
+        assert losses.qare(z_a, z_b)[0] == pytest.approx(l_a @ l_b, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 4), st.sampled_from([0.1, 1.0, 5.0]),
@@ -617,8 +624,8 @@ class TestQare:
         gt = random_gt(rng, n)
         qap = assignment.brute_force_qap(s, 1.0 + z_a @ z_a.T, 1.0 + z_b @ z_b.T, "max")
         excess = qap.cost - assignment.lap_cost(s, gt.indices)
-        bound = (n * losses.structured_lap_loss(-s, gt, margin=0.0).item()
-                 + losses.qare(z_a, z_b).item())
+        bound = (n * losses.structured_lap_loss(-s, gt, margin=0.0)[0]
+                 + losses.qare(z_a, z_b)[0])
         assert excess <= bound + 1e-9 * max(1.0, abs(bound))
 
     @staticmethod
@@ -634,12 +641,9 @@ class TestQare:
         def run():
             out = []
             for z_a, z_b in self._point_pairs():
-                tape = T.Tape()
-                leaf_a, leaf_b = tape.leaf(z_a), tape.leaf(z_b)
-                q = losses.qare(leaf_a, leaf_b)
-                grads = tape.backward(q)
-                out.append((q.data.tobytes(), grads[leaf_a].data.tobytes(),
-                            grads[leaf_b].data.tobytes()))
+                q, pullback = losses.qare(z_a, z_b)
+                g_a, g_b = pullback(1.0)
+                out.append((np.float64(q).tobytes(), g_a.tobytes(), g_b.tobytes()))
             return out
 
         stacked = run()
@@ -655,28 +659,19 @@ class TestQare:
         # these are the spectra of 1 + S_A and 1 + S_B
         rng = np.random.default_rng(100 * n + e)
         z_a, z_b = rng.normal(size=(n, e)), rng.normal(size=(n, e))
-        tape = T.Tape()
-        leaves = tape.leaf(z_a), tape.leaf(z_b)
-        full = [simgeom.sym_eigen(1.0 + z.data @ z.data.T) for z in leaves]
-
-        def vjp(g):
-            return tuple(2.0 * simgeom.eigenvalue_gradient(d, g.item() * p.values) @ z.data
-                         for d, p, z in zip(full, full[::-1], leaves))
-
-        ref = T.custom_op(leaves, full[0].values @ full[1].values, vjp)
-        want = tape.backward(ref)
+        full = [simgeom.sym_eigen(1.0 + z @ z.T) for z in (z_a, z_b)]
+        ref = full[0].values @ full[1].values
+        want = [2.0 * simgeom.eigenvalue_gradient(d, p.values) @ z
+                for d, p, z in zip(full, full[::-1], (z_a, z_b))]
 
         read = []
         real = simgeom.eigenvalue_gradient
         monkeypatch.setattr(simgeom, "eigenvalue_gradient",
                             lambda d, up: read.append(d.values) or real(d, up))
-        tape = T.Tape()
-        leaves_q = tape.leaf(z_a), tape.leaf(z_b)
-        q = losses.qare(*leaves_q)
-        got = tape.backward(q)
-        assert q.item() == pytest.approx(ref.item(), rel=1e-12)
-        for lw, lg in zip(leaves, leaves_q):
-            w, g = want[lw].data, got[lg].data
+        q, pullback = losses.qare(z_a, z_b)
+        got = pullback(1.0)
+        assert q == pytest.approx(ref, rel=1e-12)
+        for w, g in zip(want, got):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
         # min(n, E+1) eigenvalues each, none within rounding of 0, where
         # the full form's other n - E - 1 are rounding noise
@@ -685,6 +680,17 @@ class TestQare:
         for v, d in zip(read, full):
             assert v.min() > 1e-6 * v.max()
             assert np.abs(d.values[k:]).max(initial=0.0) < 1e-12 * v.max()
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nonfinite_or_3d_sets_rejected(self, side):
+        pair = [np.ones((3, 2)), np.ones((3, 2))]
+        pair[side][2, 1] = np.inf
+        with pytest.raises(EvaluationError, match="^qare: input contains NaN or Inf$"):
+            losses.qare(*pair)
+        pair[side] = np.ones((3, 2, 1))
+        with pytest.raises(ShapeError,
+                           match="^qare: expected a 1-D or 2-D array, got ndim=3$"):
+            losses.qare(*pair)
 
     def test_size_mismatch_rejected(self):
         for shape in ((2, 2), (3, 3)):
@@ -704,18 +710,16 @@ class TestQare:
         hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         pair = [np.random.default_rng(14).normal(size=(6, 2))] * 2
         pair[side] = hexagon
-        tape = T.Tape()
-        leaves = [tape.leaf(z) for z in pair]
-        q = losses.qare(*leaves)
-        grad = tape.backward(q)[leaves[side]].data
+        q, pullback = losses.qare(*pair)
+        grad = pullback(1.0)[side]
         rng = np.random.default_rng(3)
         for scale in (1e-4, 1e-2, 1.0):
             for _ in range(20):
                 step = scale * rng.normal(size=hexagon.shape)
                 moved = list(pair)
                 moved[side] = hexagon + step
-                gap = losses.qare(*moved).item() - q.item() - (grad * step).sum()
-                assert gap >= -1e-9 * q.item()
+                gap = losses.qare(*moved)[0] - q - (grad * step).sum()
+                assert gap >= -1e-9 * q
 
 
 class TestStructuredQapExact:
@@ -725,7 +729,7 @@ class TestStructuredQapExact:
         zero = np.zeros((4, 4))
         gt = identity(4)
         got = losses.structured_qap_loss_exact(s, zero, zero, gt)
-        want = 4 * losses.structured_lap_loss(s, gt, margin=0.0).item()
+        want = 4 * losses.structured_lap_loss(s, gt, margin=0.0)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -739,7 +743,7 @@ class TestStructuredQapExact:
         s_b = (s_b + s_b.T) / 2
         gt = random_gt(rng, n)
         lhs = losses.structured_qap_loss_exact(s, s_a, s_b, gt)
-        lap = n * losses.structured_lap_loss(s, gt, margin=0.0).item()
+        lap = n * losses.structured_lap_loss(s, gt, margin=0.0)[0]
         la = simgeom.sym_eigen(s_a).values
         lb = simgeom.sym_eigen(s_b).values
         assert lhs <= lap - simgeom.eig_dot(la, lb, "min") + 1e-9
@@ -762,17 +766,11 @@ class TestPairwiseLoss:
         ("sparseclr", "batch-hard"): lambda s, gt, c: losses.sparseclr_loss(s, gt),
     }
 
-    @staticmethod
-    def _bytes(fn, za, zb):
-        tape = T.Tape()
-        leaf = tape.leaf(za)
-        value = fn(leaf, zb)
-        return value.data.tobytes(), tape.backward(value)[leaf].data.tobytes()
-
     @pytest.mark.parametrize("kind,mining", sorted(VARIANTS))
     def test_matches_the_direct_call_bit_for_bit(self, kind, mining):
         # the objective's pairwise term at beta 0, against the direct call
-        # on the euclidean S of the same two sets
+        # on the euclidean S of the same two sets, chained with the
+        # pullback of S: the value and the gradient on z_a
         cfg = losses.LossConfig(name="x", kind=kind, mining=mining,
                                 margin=0.3, temperature=0.7)
         rng = np.random.default_rng(33)
@@ -780,16 +778,17 @@ class TestPairwiseLoss:
         gt = random_gt(rng, 6)
 
         def configured(c):
-            return lambda x, y: losses.two_view_loss(x, y, gt, c)[0]
+            value, pullback = losses.two_view_loss(za, zb, gt, c)
+            return np.float64(value).tobytes(), pullback(1.0)[0].tobytes()
 
-        got = self._bytes(configured(cfg), za, zb)
-        want = self._bytes(lambda x, y: self.VARIANTS[kind, mining](
-            simgeom.cross_distances(x, y), gt, cfg), za, zb)
-        assert got == want
+        got = configured(cfg)
+        s, pull_s = simgeom._similarity(za, zb, "euclidean", "test")
+        value, pullback = self.VARIANTS[kind, mining](s, gt, cfg)
+        assert got == (np.float64(value).tobytes(), pull_s(pullback(1.0))[0].tobytes())
         # the fields reach the loss: the default margin and temperature differ
         default = losses.LossConfig(name="x", kind=kind, mining=mining)
         if kind != "sparseclr":
-            assert self._bytes(configured(default), za, zb)[0] != got[0]
+            assert configured(default)[0] != got[0]
 
     def test_covers_every_kind_and_mining(self):
         assert {k for k, _ in self.VARIANTS} == set(losses.LOSS_KINDS)
@@ -802,12 +801,10 @@ class TestTwoViewLoss:
         za, zb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         gt = identity(5)
         cfg = losses.LossConfig(name="x", kind="infonce", beta=0.0)
-        total, parts = losses.two_view_loss(za, zb, gt, cfg)
-        s = simgeom.cross_distances(za, zb, "euclidean")
-        bare = losses.infonce_loss(s, gt, temperature=cfg.temperature).item()
-        assert total.item() == bare
-        assert parts["qare"] == 0.0
-        assert parts["total"] == parts["pairwise"]
+        total, _ = losses.two_view_loss(za, zb, gt, cfg)
+        s = simgeom.pairwise_distances(za, zb, "euclidean")[0]
+        bare = losses.infonce_loss(s, gt, temperature=cfg.temperature)[0]
+        assert total == bare
 
     def test_cosine_mode_feeds_negated_similarity(self):
         rng = np.random.default_rng(29)
@@ -815,10 +812,9 @@ class TestTwoViewLoss:
         gt = identity(4)
         cfg = losses.LossConfig(name="x", kind="infonce", beta=0.0, mode="cosine")
         total, _ = losses.two_view_loss(za, zb, gt, cfg)
-        s = simgeom.cross_distances(za, zb, "cosine")
-        bare = losses.infonce_loss(scaled(s, -1.0), gt,
-                                   temperature=cfg.temperature).item()
-        assert total.item() == bare
+        s = simgeom.pairwise_distances(za, zb, "cosine")[0]
+        bare = losses.infonce_loss(-s, gt, temperature=cfg.temperature)[0]
+        assert total == bare
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_only_s_is_a_distance_matrix(self, monkeypatch, beta):
@@ -833,31 +829,36 @@ class TestTwoViewLoss:
 
         monkeypatch.setattr(simgeom, "_distances", counting)
         rng = np.random.default_rng(31)
-        tape = T.Tape()
-        za, zb = (tape.leaf(rng.normal(size=(5, 3))) for _ in range(2))
+        za, zb = (rng.normal(size=(5, 3)) for _ in range(2))
         cfg = losses.LossConfig(name="x", kind="infonce", beta=beta)
-        total, _ = losses.two_view_loss(za, zb, identity(5), cfg)
-        tape.backward(total)
+        _, pullback = losses.two_view_loss(za, zb, identity(5), cfg)
+        pullback(1.0)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
-    def test_is_one_tape_node(self, beta, mode):
+    def test_builds_no_tape(self, monkeypatch, beta, mode):
+        def no_tape(*args):
+            raise AssertionError("two_view_loss built a tape node")
+
+        monkeypatch.setattr(T.Tape, "__init__", no_tape)
+        monkeypatch.setattr(T, "custom_op", no_tape)
         rng = np.random.default_rng(32)
-        tape = T.Tape()
-        za, zb = (tape.leaf(rng.normal(size=(5, 3))) for _ in range(2))
+        za, zb = (rng.normal(size=(5, 3)) for _ in range(2))
         cfg = losses.LossConfig(name="x", kind="infonce", beta=beta, mode=mode)
-        losses.two_view_loss(za, zb, identity(5), cfg)
-        assert len(tape) == 3  # the two leaves and the objective
+        total, pullback = losses.two_view_loss(za, zb, identity(5), cfg)
+        g_a, g_b = pullback(1.0)
+        assert type(total) is float
+        assert g_a.shape == g_b.shape == (5, 3)
 
     def test_total_adds_beta_times_qare_over_the_squared_batch(self):
         rng = np.random.default_rng(33)
         za, zb = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
         cfg = losses.LossConfig(name="x", kind="infonce", beta=3.0)
-        total, parts = losses.two_view_loss(za, zb, identity(3), cfg)
-        assert parts["qare"] == losses.qare(za, zb).item()
-        want = parts["pairwise"] + parts["qare"] * (3.0 / 9)
-        assert total.item() == parts["total"] == want
+        total, _ = losses.two_view_loss(za, zb, identity(3), cfg)
+        pairwise = losses.two_view_loss(za, zb, identity(3),
+                                        dataclasses.replace(cfg, beta=0.0))[0]
+        assert total == pairwise + losses.qare(za, zb)[0] * (3.0 / 9)
 
     def test_dispatch_covers_every_kind(self):
         rng = np.random.default_rng(30)
@@ -866,14 +867,30 @@ class TestTwoViewLoss:
         for kind in losses.LOSS_KINDS:
             mining = "one-to-one" if kind == "margin" else "batch-hard"
             cfg = losses.LossConfig(name="x", kind=kind, mining=mining, beta=1.0)
-            total, parts = losses.two_view_loss(za, zb, gt, cfg)
-            assert np.isfinite(total.item())
-            assert parts["qare"] != 0.0
+            total, _ = losses.two_view_loss(za, zb, gt, cfg)
+            assert np.isfinite(total)
+            assert total != losses.two_view_loss(
+                za, zb, gt, dataclasses.replace(cfg, beta=0.0))[0]
 
     def test_batch_size_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             losses.two_view_loss(np.ones((3, 2)), np.ones((4, 2)),
                                  identity(3), losses.LossConfig(name="x"))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nonfinite_or_3d_embeddings_rejected(self, side):
+        cfg = losses.LossConfig(name="x")
+        for bad in (np.nan, np.inf):
+            pair = [np.ones((3, 2)), np.ones((3, 2))]
+            pair[side][1, 0] = bad
+            with pytest.raises(EvaluationError,
+                               match="^two_view_loss: input contains NaN or Inf$"):
+                losses.two_view_loss(*pair, identity(3), cfg)
+        pair = [np.ones((3, 2)), np.ones((3, 2))]
+        pair[side] = np.ones((3, 2, 1))
+        with pytest.raises(ShapeError, match="^two_view_loss: expected a 1-D or "
+                                             "2-D array, got ndim=3$"):
+            losses.two_view_loss(*pair, identity(3), cfg)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
@@ -885,8 +902,8 @@ class TestTwoViewLoss:
         for kind in losses.LOSS_KINDS:
             mining = "one-to-one" if kind == "margin" else "batch-hard"
             cfg = losses.LossConfig(name="x", kind=kind, mining=mining, beta=1.0)
-            base = losses.two_view_loss(za, zb, gt, cfg)[0].item()
-            moved = losses.two_view_loss(za[p], zb[p], gt, cfg)[0].item()
+            base = losses.two_view_loss(za, zb, gt, cfg)[0]
+            moved = losses.two_view_loss(za[p], zb[p], gt, cfg)[0]
             assert moved == pytest.approx(base, abs=1e-12)
 
 
@@ -1096,12 +1113,12 @@ class TestGroundTruthAlignment:
         s = np.array([[0.2, 1.0], [0.4, 0.3]])
         gt = losses.GroundTruthAlignment((1, 0))
         for raw in ((1, 0), np.array([1, 0])):
-            assert (losses.infonce_loss(s, raw).item()
-                    == losses.infonce_loss(s, gt).item())
+            assert (losses.infonce_loss(s, raw)[0]
+                    == losses.infonce_loss(s, gt)[0])
 
 
 class TestTiedOptimum:
     def test_structured_lap_zero_when_gt_tied_at_margin_zero(self):
         s = np.full((3, 3), 1.4)
         gt = losses.GroundTruthAlignment((0, 1, 2))
-        assert losses.structured_lap_loss(s, gt, margin=0.0).item() == 0.0
+        assert losses.structured_lap_loss(s, gt, margin=0.0)[0] == 0.0

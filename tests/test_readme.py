@@ -22,7 +22,7 @@ def test_python_examples_run_in_order(capsys):
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
-    assert np.isfinite(namespace["total"].item())
+    assert np.isfinite(namespace["total"])
     assert capsys.readouterr().out
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from setcontrast import simgeom, tensor as T
 from setcontrast.errors import ContractError, EvaluationError, ShapeError
 
-from conftest import weighted_sum
+from conftest import node, weighted_sum
 
 
 def _symmetric_matrix(n, seed, low_rank):
@@ -40,11 +40,17 @@ def _nudged(asymmetry):
     return np.array([[0.0, 10.0], [10.0 + asymmetry, 0.0]])
 
 
+def _distances(a, b):
+    """The euclidean map of ``_similarity``: the matrix and its pullback."""
+    return simgeom._similarity(np.asarray(a, dtype=np.float64),
+                               np.asarray(b, dtype=np.float64), "euclidean", "test")
+
+
 def _shifted_cosine(z):
     """1 + S_A of one set: its rows made unit, as the encoder makes them,
-    and their inner products from cosine ``cross_distances``."""
+    and their inner products from cosine ``pairwise_distances``."""
     x = z / np.linalg.norm(z, axis=1, keepdims=True)
-    return simgeom.cross_distances(x, x, "cosine").data + 1.0
+    return simgeom.pairwise_distances(x, x.copy(), "cosine")[0] + 1.0
 
 
 def _pair_family():
@@ -59,9 +65,8 @@ def _pair_family():
         yield tuple(t + t.T for t in ties)
     yield _shifted_cosine(rng.normal(size=(32, 16))), _shifted_cosine(rng.normal(size=(32, 16)))
     angles = np.arange(6) * (np.pi / 3.0)
-    hexagon = T.Tensor(np.stack([np.cos(angles), np.sin(angles)], axis=1))
-    generic = T.Tensor(rng.normal(size=(6, 2)))
-    yield simgeom.cross_distances(hexagon, hexagon).data, simgeom.cross_distances(generic, generic).data
+    hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    yield simgeom.pairwise_distances(hexagon, rng.normal(size=(6, 2)))[1:]
 
 
 class TestSymEigen:
@@ -143,7 +148,7 @@ class TestSymEigen:
             yield (m + m.T) / 2.0
         for n, e in ((4, 3), (32, 16)):  # explicit and Gram-form distances
             z = rng.normal(size=(n, e))
-            yield simgeom.cross_distances(z, z).data
+            yield _distances(z, z.copy())[0]
             yield _shifted_cosine(z)
 
     def test_exact_symmetry_gives_the_symmetrized_bits(self, monkeypatch):
@@ -277,10 +282,17 @@ class TestEigenvalueGradient:
         m = rng.normal(size=(4, 4))
         m = (m + m.T) / 2
 
+        w = np.array([1.0, -2.0, 0.5, 3.0])
+
         def f(x):
             # symmetric part, so that a one-entry perturbation stays symmetric
-            sym = T.custom_op((x,), (x.data + x.data.T) / 2, lambda g: ((g + g.T) / 2,))
-            return weighted_sum(simgeom.eigvals(sym), [[1.0], [-2.0], [0.5], [3.0]])
+            values, pullback = simgeom.eigvals((x + x.T) / 2)
+
+            def pull(c):
+                g = pullback(c * w)
+                return (g + g.T) / 2
+
+            return values @ w, pull
 
         assert T.gradcheck(f, m) < 1e-6
 
@@ -381,25 +393,25 @@ class TestMinEigengap:
 
 class TestDistances:
     """The euclidean map of ``_similarity``: explicit differences up to
-    1024 elements, the Gram form above, read through ``cross_distances``."""
+    1024 elements, the Gram form above."""
 
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
-        np.testing.assert_allclose(simgeom.cross_distances(T.Tensor(a), T.Tensor(b)).data,
+        np.testing.assert_allclose(_distances(a, b)[0],
                                    np.linalg.norm(a[:, None] - b[None], axis=2))
 
     def test_values(self):
         a = np.array([[0.0, 0.0], [3.0, 4.0]])
         b = np.array([[0.0, 0.0]])
-        d = simgeom.cross_distances(T.Tensor(a), T.Tensor(b)).data
+        d, _ = _distances(a, b)
         np.testing.assert_allclose(d, [[0.0], [5.0]])
 
     def test_feature_dims_must_agree(self):
-        with pytest.raises(ShapeError, match=(r"^cross_distances: feature dims differ, "
+        with pytest.raises(ShapeError, match=(r"^test: feature dims differ, "
                                               r"\(2, 3\) vs \(1, 2\)$")):
-            simgeom.cross_distances(np.ones((2, 3)), np.ones((1, 2)))
+            _distances(np.ones((2, 3)), np.ones((1, 2)))
 
     @pytest.mark.parametrize("n,m,e", [(1, 1, 1), (4, 4, 3), (4, 4, 2),
                                        (8, 8, 16), (16, 16, 4), (1, 1024, 1)])
@@ -410,7 +422,7 @@ class TestDistances:
         a, b = rng.normal(size=(n, e)), rng.normal(size=(m, e))
         diff = a[:, None, :] - b[None, :, :]
         explicit = np.sqrt((diff * diff).sum(axis=2))
-        assert simgeom.cross_distances(a, b).data.tobytes() == explicit.tobytes()
+        assert _distances(a, b)[0].tobytes() == explicit.tobytes()
 
     @pytest.mark.parametrize("n,m,e", [(8, 8, 16), (16, 16, 4), (8, 9, 16),
                                        (32, 32, 16), (128, 128, 16), (3, 200, 2)])
@@ -421,7 +433,7 @@ class TestDistances:
         a, b = rng.normal(size=(n, e)), rng.normal(size=(m, e))
         a[0] = b[0]  # one exact zero distance
         b[1] = a[1] + 1e-3  # and a near one
-        d = simgeom.cross_distances(a, b).data
+        d, _ = _distances(a, b)
         diff = a[:, None, :] - b[None, :, :]
         explicit = (diff * diff).sum(axis=2)
         norms = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
@@ -433,28 +445,23 @@ class TestDistances:
     def test_self_distances_are_symmetric_with_a_zero_diagonal(self, n, e):
         x = np.random.default_rng(e).normal(size=(n, e))
         x /= np.linalg.norm(x, axis=1, keepdims=True)  # as training sees them
-        d = simgeom.cross_distances(x, x).data
+        d, _ = _distances(x, x)
         assert n * n * e > simgeom._EXPLICIT_MAX_ELEMENTS
         assert np.array_equal(np.diag(d), np.zeros(n))
         assert np.array_equal(d, d.T)
         assert d[~np.eye(n, dtype=bool)].min() > 0.0
 
     def test_zero_distance_has_zero_gradient(self):
-        tape = T.Tape()
-        a = tape.leaf(np.array([[1.0, 2.0]]))
-        d = simgeom.cross_distances(a, T.Tensor(np.array([[1.0, 2.0]])))
-        grads = tape.backward(weighted_sum(d))
-        np.testing.assert_allclose(grads[a].data, 0.0)
+        a = np.array([[1.0, 2.0]])
+        d, pullback = _distances(a, a.copy())
+        np.testing.assert_allclose(pullback(np.ones(d.shape))[0], 0.0)
         # 32x16 equal rows take the Gram form, whose rounding rule makes
         # every distance, and so every gradient, exactly 0
         rows = np.tile(np.random.default_rng(5).normal(size=(1, 16)), (32, 1))
-        tape = T.Tape()
-        a = tape.leaf(rows)
-        d = simgeom.cross_distances(a, T.Tensor(rows))
-        assert d.data.size * 16 > simgeom._EXPLICIT_MAX_ELEMENTS
-        assert np.array_equal(d.data, np.zeros((32, 32)))
-        grads = tape.backward(weighted_sum(d))
-        assert np.array_equal(grads[a].data, np.zeros((32, 16)))
+        d, pullback = _distances(rows, rows.copy())
+        assert d.size * 16 > simgeom._EXPLICIT_MAX_ELEMENTS
+        assert np.array_equal(d, np.zeros((32, 32)))
+        assert np.array_equal(pullback(np.ones(d.shape))[0], np.zeros((32, 16)))
 
     def test_gram_form_gradient(self):
         # 32x16 against a fixed other set: Gram form, no zero distances
@@ -463,9 +470,10 @@ class TestDistances:
                    rng.normal(size=(32, 32)))
 
         def f(x):
-            return weighted_sum(simgeom.cross_distances(x, T.Tensor(b)), w)
+            d, pullback = _distances(x, b)
+            return (d * w).sum(), lambda c: pullback(c * w)[0]
 
-        assert simgeom.cross_distances(a, b).data.min() > 1.0
+        assert _distances(a, b)[0].min() > 1.0
         assert T.gradcheck(f, a) < 1e-6
 
 
@@ -475,11 +483,11 @@ class TestPairwiseDistances:
         za, zb = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
         s, s_a, s_b = simgeom.pairwise_distances(za, zb, "euclidean")
         want = np.linalg.norm(za[:, None, :] - zb[None, :, :], axis=2)
-        np.testing.assert_allclose(s.data, want, atol=1e-12)
+        np.testing.assert_allclose(s, want, atol=1e-12)
         assert s.shape == (4, 5)
         assert s_a.shape == (4, 4)
         assert s_b.shape == (5, 5)
-        np.testing.assert_allclose(np.diag(s_a.data), 0.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(s_a), 0.0, atol=1e-12)
 
     def test_cosine_takes_the_rows_as_given(self):
         # the encoder makes rows unit; cosine mode only multiplies them
@@ -487,14 +495,14 @@ class TestPairwiseDistances:
         za, zb = rng.normal(size=(4, 3)) * 10.0, rng.normal(size=(5, 3)) * 0.1
         triple = simgeom.pairwise_distances(za, zb, "cosine")
         for got, want in zip(triple, (za @ zb.T, za @ za.T, zb @ zb.T)):
-            np.testing.assert_allclose(got.data, want, rtol=0.0,
+            np.testing.assert_allclose(got, want, rtol=0.0,
                                        atol=1e-12 * np.abs(want).max())
         na = za / np.linalg.norm(za, axis=1, keepdims=True)
         nb = zb / np.linalg.norm(zb, axis=1, keepdims=True)
         s, s_a, s_b = simgeom.pairwise_distances(na, nb, "cosine")
-        assert np.abs(s.data).max() <= 1.0 + 1e-12
-        np.testing.assert_allclose(np.diag(s_a.data), 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.diag(s_b.data), 1.0, atol=1e-12)
+        assert np.abs(s).max() <= 1.0 + 1e-12
+        np.testing.assert_allclose(np.diag(s_a), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(s_b), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("side", ["z_a", "z_b"])
     def test_cosine_zero_row_gives_zero_similarities(self, side):
@@ -502,34 +510,36 @@ class TestPairwiseDistances:
         z = {"z_a": np.ones((3, 2)), "z_b": np.ones((3, 2))}
         z[side][1] = 0.0
         s, s_a, s_b = simgeom.pairwise_distances(z["z_a"], z["z_b"], "cosine")
-        s = s.data if side == "z_a" else s.data.T
-        intra = s_a.data if side == "z_a" else s_b.data
+        s = s if side == "z_a" else s.T
+        intra = s_a if side == "z_a" else s_b
         np.testing.assert_array_equal(s[1], 0.0)
         np.testing.assert_array_equal(intra[1], 0.0)
         np.testing.assert_array_equal(intra[:, 1], 0.0)
         assert np.count_nonzero(s) == 6
 
     def test_intra_matrices_are_each_sets_own_map(self):
-        # S_A and S_B are the map of one set Tensor on both sides, bit for
-        # bit (one symmetric product in the Gram form); euclidean S_B is
-        # cross_distances(z_b, z_b), as fig1b_instance reads the far view
+        # S_A and S_B are the map of one set array on both sides, bit for
+        # bit (one symmetric product in the Gram form), whatever the other
+        # set; fig1b_instance reads the far view's S_B so
         rng = np.random.default_rng(13)
         for n, e in ((4, 3), (32, 16)):  # explicit and Gram-form distances
-            za, zb = T.Tensor(rng.normal(size=(n, e))), T.Tensor(rng.normal(size=(n + 1, e)))
+            za, zb = rng.normal(size=(n, e)), rng.normal(size=(n + 1, e))
             for mode in ("euclidean", "cosine"):
                 _, s_a, s_b = simgeom.pairwise_distances(za, zb, mode)
-                assert (simgeom.cross_distances(za, za, mode).data.tobytes()
-                        == s_a.data.tobytes())
-                assert (simgeom.cross_distances(zb, zb, mode).data.tobytes()
-                        == s_b.data.tobytes())
+                assert (simgeom._similarity(za, za, mode, "test")[0].tobytes()
+                        == s_a.tobytes())
+                assert (simgeom._similarity(zb, zb, mode, "test")[0].tobytes()
+                        == s_b.tobytes())
+                assert (simgeom.pairwise_distances(zb[:n], zb, mode)[2].tobytes()
+                        == s_b.tobytes())
 
     def test_intra_matrices_are_symmetric(self):
         rng = np.random.default_rng(10)
         za, zb = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
         for mode in ("euclidean", "cosine"):
             _, s_a, s_b = simgeom.pairwise_distances(za, zb, mode)
-            np.testing.assert_allclose(s_a.data, s_a.data.T, atol=1e-12)
-            np.testing.assert_allclose(s_b.data, s_b.data.T, atol=1e-12)
+            np.testing.assert_allclose(s_a, s_a.T, atol=1e-12)
+            np.testing.assert_allclose(s_b, s_b.T, atol=1e-12)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ContractError):
@@ -537,33 +547,38 @@ class TestPairwiseDistances:
 
     def test_feature_dim_mismatch_rejected(self):
         for mode in ("euclidean", "cosine"):
-            with pytest.raises(ShapeError, match="^cross_distances: feature dims differ"):
+            with pytest.raises(ShapeError,
+                               match="^pairwise_distances: feature dims differ"):
                 simgeom.pairwise_distances(np.ones((2, 3)), np.ones((2, 4)), mode)
 
     @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
     def test_each_matrix_gradcheck(self, mode):
+        # the pullback of the map of each pair the triple reads: S on
+        # either side, and S_A, one set on both sides, which gets the sum
         rng = np.random.default_rng(12)
         za, zb = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        for field, sides in ((0, ("z_a", "z_b")), (1, ("z_a",)), (2, ("z_b",))):
-            for side in sides:
-                def f(x):
-                    z = {"z_a": za, "z_b": zb, side: x}
-                    m = simgeom.pairwise_distances(z["z_a"], z["z_b"], mode)[field]
-                    return weighted_sum(m, np.sin(np.arange(m.data.size)).reshape(m.shape))
+        cases = ((lambda x: (x, zb), lambda g_a, g_b: g_a, za),
+                 (lambda x: (za, x), lambda g_a, g_b: g_b, zb),
+                 (lambda x: (x, x), lambda g_a, g_b: g_a + g_b, za))
+        for pair, pick, point in cases:
+            def f(x):
+                d, pullback = simgeom._similarity(*pair(x), mode, "test")
+                w = np.sin(np.arange(d.size)).reshape(d.shape)
+                return (d * w).sum(), lambda c: pick(*pullback(c * w))
 
-                assert T.gradcheck(f, za if side == "z_a" else zb) < 1e-7
+            assert T.gradcheck(f, point) < 1e-7
 
-    def test_cross_distances_is_the_triples_s(self):
-        rng = np.random.default_rng(11)
-        za, zb = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        for mode in ("euclidean", "cosine"):
-            s, _, _ = simgeom.pairwise_distances(za, zb, mode)
-            assert np.array_equal(simgeom.cross_distances(za, zb, mode).data, s.data)
-        with pytest.raises(ContractError):
-            simgeom.cross_distances(za, zb, "manhattan")
-        for mode in ("euclidean", "cosine"):
-            with pytest.raises(ShapeError, match="^cross_distances: feature dims differ"):
-                simgeom.cross_distances(np.ones((2, 3)), np.ones((2, 4)), mode)
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nonfinite_or_3d_sets_rejected(self, side):
+        pair = [np.ones((2, 3)), np.ones((2, 3))]
+        pair[side][0, 2] = np.nan
+        with pytest.raises(EvaluationError,
+                           match="^pairwise_distances: input contains NaN or Inf$"):
+            simgeom.pairwise_distances(*pair)
+        pair[side] = np.ones((2, 3, 1))
+        with pytest.raises(ShapeError, match=("^pairwise_distances: expected a 1-D "
+                                              "or 2-D array, got ndim=3$")):
+            simgeom.pairwise_distances(*pair)
 
 
 class TestClosedFormSpectra:
@@ -588,17 +603,23 @@ class TestClosedFormSpectra:
 
 class TestEigenvalueVjp:
     def test_diagonal_case_selects_leading_eigvector_outer(self):
+        # the pullback of eigvals, as one node on a tape
         tape = T.Tape()
         x = tape.leaf(np.diag([2.0, 1.0]))
-        vals = simgeom.eigvals(x)
-        picked = weighted_sum(vals, [[1.0], [0.0]])
-        grads = tape.backward(picked)
+        vals = node(simgeom.eigvals, x)
+        np.testing.assert_array_equal(vals.data, [[2.0, 1.0]])
+        grads = tape.backward(weighted_sum(vals, [[1.0, 0.0]]))
         np.testing.assert_allclose(grads[x].data,
                                    [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
     def test_zero_upstream_gives_zero_matrix(self):
-        tape = T.Tape()
-        x = tape.leaf(np.array([[2.0, 0.3], [0.3, 1.0]]))
-        vals = simgeom.eigvals(x)
-        grads = tape.backward(weighted_sum(vals, 0.0))
-        np.testing.assert_array_equal(grads[x].data, np.zeros((2, 2)))
+        _, pullback = simgeom.eigvals(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        np.testing.assert_array_equal(pullback(np.zeros(2)), np.zeros((2, 2)))
+
+    def test_values_are_sym_eigens(self):
+        m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.5], [0.0, 0.5, -1.0]])
+        values, _ = simgeom.eigvals(m)
+        assert values.shape == (3,)
+        assert values.tobytes() == simgeom.sym_eigen(m).values.tobytes()
+        with pytest.raises(EvaluationError, match="^sym_eigen: matrix contains NaN or Inf$"):
+            simgeom.eigvals(np.full((2, 2), np.nan))

@@ -13,7 +13,7 @@ from setcontrast.errors import (
     ShapeError,
 )
 
-from conftest import gc_disabled, scaled, weighted_sum
+from conftest import gc_disabled, node, scaled, taped, weighted_sum
 
 
 def small_arrays(rows=(1, 4), cols=(1, 4)):
@@ -164,7 +164,7 @@ class TestTapeSemantics:
             return T.custom_op([x], val, vjp)
 
         x0 = np.random.default_rng(2).normal(size=(3, 3))
-        err = T.gradcheck(lambda x: weighted_sum(cube(x)), x0)
+        err = T.gradcheck(taped(lambda x: weighted_sum(cube(x))), x0)
         assert err < 1e-6
 
     def test_custom_op_value_is_2d(self):
@@ -205,7 +205,7 @@ def _hexagon_qare(tape):
     angles = np.arange(6) * (np.pi / 3.0)
     hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     generic = np.random.default_rng(14).normal(size=(6, 2))
-    return losses.qare(tape.leaf(hexagon), tape.leaf(generic))
+    return node(losses.qare, tape.leaf(hexagon), tape.leaf(generic))
 
 
 class TestBenchmarkBackwardProbe:
@@ -228,78 +228,87 @@ class TestBenchmarkBackwardProbe:
             "nodes": len(tape), "degenerate": False}
 
 
+def _distance_sum(x, y):
+    """The sum of the euclidean distances between the rows of x and y,
+    and its pullback onto x."""
+    d, pullback = simgeom._similarity(x, y, "euclidean", "test")
+    return d.sum(), lambda c: pullback(np.full(d.shape, c))[0]
+
+
 class TestGradcheck:
     def test_detects_wrong_gradient(self):
         def bad(x):
-            x = T.as_tensor(x)
+            # claims d(sum x)/dx == 0.5
+            return x.sum(), lambda c: np.full(x.shape, 0.5 * c)
 
-            def vjp(g):
-                return (0.5 * g,)  # claims d(sum x)/dx == 0.5
-
-            return T.custom_op([x], x.data.copy(), vjp)
-
-        x0 = np.ones((2, 2))
-        err = T.gradcheck(lambda x: weighted_sum(bad(x)), x0)
+        err = T.gradcheck(bad, np.ones((2, 2)))
         assert err > 0.1
 
-    @pytest.mark.parametrize("f", [lambda x: scaled(x, 2.0), lambda x: 1.0],
-                             ids=["matrix", "float"])
-    def test_f_must_return_a_scalar_tensor(self, f):
-        with pytest.raises(ContractError,
-                           match="^gradcheck: f must return a scalar Tensor$"):
+    @pytest.mark.parametrize("f", [
+        lambda x: (2.0 * x, lambda c: 2.0 * c),
+        lambda x: 1.0,
+        lambda x: weighted_sum(x),
+    ], ids=["matrix", "float", "tensor"])
+    def test_f_must_return_a_scalar_and_a_pullback(self, f):
+        with pytest.raises(ContractError, match=(
+                "^gradcheck: f must return a scalar value and its pullback$")):
             T.gradcheck(f, np.ones((2, 2)))
 
-    def test_leaves_no_tape_alive(self, monkeypatch):
-        tapes = []
+    def test_gradient_must_have_the_point_shape(self):
+        with pytest.raises(ContractError, match=(
+                r"^gradcheck: gradient shape \(4,\) != point shape \(2, 2\)$")):
+            T.gradcheck(lambda x: (x.sum(), lambda c: np.full(4, c)), np.ones((2, 2)))
 
-        class Recorded(T.Tape):
-            def __init__(self):
-                super().__init__()
-                tapes.append(weakref.ref(self))
+    def test_builds_no_tape(self, monkeypatch):
+        def no_tape(self):
+            raise AssertionError("gradcheck built a tape")
 
         def f(x):
-            return weighted_sum(simgeom.cross_distances(scaled(x, 2.0), scaled(x, -0.5)))
+            # x reaches both sides of the distances, scaled
+            d, pullback = simgeom._similarity(2.0 * x, -0.5 * x, "euclidean", "test")
 
-        monkeypatch.setattr(T, "Tape", Recorded)
+            def pull(c):
+                g_a, g_b = pullback(np.full(d.shape, c))
+                return 2.0 * g_a - 0.5 * g_b
+
+            return d.sum(), pull
+
+        monkeypatch.setattr(T.Tape, "__init__", no_tape)
         x0 = np.random.default_rng(0).normal(size=(3, 2))
-        with gc_disabled():
-            err = T.gradcheck(f, x0)
-            assert len(tapes) == 1
-            assert tapes[0]() is None
-        assert err < 1e-6
+        assert T.gradcheck(f, x0) < 1e-6
 
     def test_each_point_is_a_frozen_copy(self):
         # every point f sees is its own read-only C-ordered array: the
-        # leaf, then x + h v and x - h v for each of K unit directions v
+        # point, then x + h v and x - h v for each of K unit directions v
         seen = []
+        w = np.arange(1.0, 7.0).reshape(2, 3)
 
         def f(x):
             seen.append(x)
-            return weighted_sum(x, np.arange(1.0, 7.0).reshape(2, 3))
+            return (x * w).sum(), lambda c: c * w
 
         x0 = np.asfortranarray(np.arange(6.0).reshape(2, 3))
         T.gradcheck(f, x0)
         k = T._GRADCHECK_DIRECTIONS
         assert k == 2 and len(seen) == 1 + 2 * k
-        assert seen[0].data.tobytes() == np.array(x0, order="C").tobytes()
+        assert seen[0].tobytes() == np.array(x0, order="C").tobytes()
         directions = []
         for plus, minus in zip(seen[1::2], seen[2::2]):
-            v = (plus.data - minus.data) / 2e-6
+            v = (plus - minus) / 2e-6
             assert abs(np.linalg.norm(v) - 1.0) < 1e-8
-            np.testing.assert_allclose((plus.data + minus.data) / 2.0, x0,
+            np.testing.assert_allclose((plus + minus) / 2.0, x0,
                                        rtol=0.0, atol=1e-15)
             directions.append(v / np.linalg.norm(v))
         assert abs(float(np.vdot(*directions))) < 1.0 - 1e-3
-        for t in seen[1:]:
-            assert t.data.flags.c_contiguous and not t.data.flags.writeable
-            assert t.node is None
-        assert len({id(t.data) for t in seen}) == len(seen)
+        for x in seen:
+            assert x.flags.c_contiguous and not x.flags.writeable
+        assert len({id(x) for x in seen}) == len(seen)
 
     def test_result_depends_on_f_and_x_alone(self):
         # the same point gives the same float bit for bit, and two points
         # of one shape are checked along different directions
         def f(x):
-            return weighted_sum(simgeom.cross_distances(x, np.ones((1, 3))))
+            return _distance_sum(x, np.ones((1, 3)))
 
         rng = np.random.default_rng(5)
         x1, x2 = rng.normal(size=(2, 4, 3))
@@ -308,7 +317,7 @@ class TestGradcheck:
         seen = []
 
         def recorded(x):
-            seen.append(x.data)
+            seen.append(x)
             return f(x)
 
         T.gradcheck(recorded, x1)
@@ -321,18 +330,17 @@ class TestGradcheck:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_output_rejected(self):
         def log(x):
-            return T.custom_op([x], np.log(x.data), lambda g: (g / x.data,))
+            return np.log(x).sum(), lambda c: c / x
 
         with pytest.raises(EvaluationError):
-            T.gradcheck(lambda x: weighted_sum(log(x)),
-                        np.array([[-1.0, 1.0]]))
+            T.gradcheck(log, np.array([[-1.0, 1.0]]))
 
     def test_nonfinite_value_off_the_point_rejected(self):
         # finite at x = 0, so the analytic pass succeeds; +inf one step
         # to the right, where the first central difference evaluates f
         def cliff(x):
-            value = np.inf if x.data.max() > 0.0 else x.data.sum()
-            return T.custom_op([x], value, lambda g: (np.full(x.shape, g.item()),))
+            value = np.inf if x.max() > 0.0 else x.sum()
+            return value, lambda c: np.full(x.shape, c)
 
         with pytest.raises(EvaluationError,
                            match="^gradcheck: function value is not finite$"):
@@ -340,14 +348,22 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_gradient_rejected(self, bad):
-        # a finite value whose VJP is not finite: the error <g, v> - num
+        # a finite value whose pullback is not finite: the error <g, v> - num
         # is NaN or inf, and max(worst, nan) would report 0
         def broken(x):
-            return T.custom_op([x], x.data.sum(), lambda g: (np.full(x.shape, bad),))
+            return x.sum(), lambda c: np.full(x.shape, bad)
 
         with pytest.raises(EvaluationError,
                            match="^gradcheck: gradient is not finite$"):
             T.gradcheck(broken, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("x, error", [
+        (np.zeros((2, 2, 2)), ShapeError),
+        (np.array([[1.0, np.nan]]), EvaluationError),
+    ], ids=["3-d", "nan"])
+    def test_point_must_be_finite_and_at_most_2d(self, x, error):
+        with pytest.raises(error):
+            T.gradcheck(lambda p: (p.sum(), lambda c: np.full(p.shape, c)), x)
 
     @settings(max_examples=25, deadline=None)
     @given(small_arrays())
@@ -357,19 +373,22 @@ class TestGradcheck:
         def f(x):
             return weighted_sum(scaled(x, 0.7), x)
 
-        assert T.gradcheck(f, a) < 1e-5
+        assert T.gradcheck(taped(f), a) < 1e-5
 
     @settings(max_examples=25, deadline=None)
     @given(small_arrays(rows=(2, 5), cols=(2, 4)))
     def test_scale_then_distance_gradient(self, a):
         # x reaches both operands of the distance, one of them scaled
+        def distances(x, y):
+            return simgeom._similarity(x, y, "euclidean", "test")
+
         def f(x):
-            return weighted_sum(simgeom.cross_distances(scaled(x, 0.5), x))
+            return weighted_sum(node(distances, scaled(x, 0.5), x))
 
         cross = np.linalg.norm(0.5 * a[:, None, :] - a[None, :, :], axis=2)
         if cross.min() < 1e-2:
             return  # too close to the distance kink to difference safely
-        assert T.gradcheck(f, a) < 1e-5
+        assert T.gradcheck(taped(f), a) < 1e-5
 
 
 class TestClosedFormGradients:
@@ -394,9 +413,9 @@ class TestClosedFormGradients:
         x = tape.leaf(a)
         grads = tape.backward(trace_ab(x))
         np.testing.assert_allclose(grads[x].data, b.T, atol=1e-12)
-        assert T.gradcheck(trace_ab, a) < 1e-8
+        assert T.gradcheck(taped(trace_ab), a) < 1e-8
 
     def test_squared_norm_gradcheck_is_exact(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(4, 2))
-        assert T.gradcheck(lambda t: weighted_sum(t, t), x) < 1e-8
+        assert T.gradcheck(taped(lambda t: weighted_sum(t, t)), x) < 1e-8
