@@ -138,9 +138,11 @@ class MLPEncoder:
     rows they are given, so their cosine similarities and spectra of
     1 + S_A rely on the unit rows that the encoder returns.
 
-    ``forward`` maps an input batch to the output and its pullback,
-    which training chains with the objective's; ``embed`` is its output
-    alone.
+    ``forward`` maps an input batch, or a stack of batches, to the
+    output and its pullback, which training chains with the objective's;
+    ``embed`` is its output alone. Training embeds both views of a batch
+    with one call on their (2, B, D) stack, which gives each view the
+    bits of a call of its own.
 
     The encoder owns its parameter layout. ``flat`` is one float64
     buffer holding w1, b1, w2 and b2 back to back in that order, and
@@ -189,20 +191,35 @@ class MLPEncoder:
         return self._layout[bisect.bisect_right(self._bounds, index) - 1][0]
 
     def forward(self, x, flat: Optional[Array] = None):
-        """normalize(relu(x w1 + b1) w2 + b2) of a batch ``x`` under
-        ``flat``, a parameter vector in this layout (``self.flat`` when
-        None), and its pullback: g, the gradient on the output, to the
-        flat gradient, in layout order. The pullback writes the four
-        gradient blocks straight into one flat array, with the products
-        and sums of the concatenating form, so its bits are that form's.
+        """normalize(relu(x w1 + b1) w2 + b2) of ``x`` under ``flat``, a
+        parameter vector in this layout (``self.flat`` when None), and its
+        pullback: g, the gradient on the output, to the flat gradient, in
+        layout order. ``x`` is a row (1-D), a batch (B, D) or a stack
+        (K, B, D) of batches, whose output is (K, B, E) and whose pullback
+        takes g of that shape and sums the stack's flat gradients in stack
+        order. Each slice of a stack gets the bits of a call of its own:
+        numpy's ``matmul`` runs one GEMM per slice, the other operations
+        act per element or per row, and a sum of two terms is the same in
+        either order, so one call on a stack of two views gives the bits
+        of a call per view, and of pull_b(g_b) + pull_a(g_a). The pullback
+        writes each slice's four gradient blocks straight into one flat
+        row, with the products and sums of the concatenating form, so a
+        batch's bits are that form's, and then sums the rows of a stack.
 
-        ``x`` and ``flat`` are read by ``simgeom._matrix``, with no copy
-        when they are C-ordered float64 already (EvaluationError on NaN
-        or Inf, ShapeError above 2-D), and the pullback reads them again:
-        call it before they change. ShapeError when the width of ``x`` is
-        not the input width or ``flat`` is not of the layout's size; a
-        zero output row raises DegenerateInputError."""
-        x = simgeom._matrix(x, "encoder")
+        ``x`` and ``flat`` are read with no copy when they are C-ordered
+        float64 already (EvaluationError on NaN or Inf; ShapeError when
+        ``x`` is above 3-D or ``flat`` above 2-D), and the pullback reads
+        them again: call it before they change. ShapeError when the width
+        of ``x`` is not the input width or ``flat`` is not of the layout's
+        size; a zero output row raises DegenerateInputError."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim > 3:
+            raise ShapeError("encoder: expected a 1-D, 2-D or 3-D array, "
+                             f"got ndim={x.ndim}")
+        if x.ndim < 3:
+            x = simgeom._matrix(x, "encoder")
+        elif not np.logical_and.reduce(np.isfinite(x), axis=None):
+            raise EvaluationError("encoder: input contains NaN or Inf")
         flat = simgeom._matrix(self.flat if flat is None else flat,
                                "encoder").reshape(-1)
         if flat.size != self._bounds[-1]:
@@ -210,30 +227,34 @@ class MLPEncoder:
         (_, s_w1, sh_w1), (_, s_b1, _), (_, s_w2, sh_w2), (_, s_b2, _) = self._layout
         w1, b1 = flat[s_w1].reshape(sh_w1), flat[s_b1]
         w2, b2 = flat[s_w2].reshape(sh_w2), flat[s_b2]
-        if x.shape[1] != sh_w1[0]:
-            raise ShapeError(f"encoder: input width {x.shape[1]} != {sh_w1[0]}")
+        if x.shape[-1] != sh_w1[0]:
+            raise ShapeError(f"encoder: input width {x.shape[-1]} != {sh_w1[0]}")
         h = x @ w1
         h += b1
         np.maximum(h, 0.0, out=h)  # h > 0 exactly where the pre-activation is
         out = h @ w2
         out += b2
-        norms = np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
+        norms = np.sqrt(np.add.reduce(out * out, axis=-1, keepdims=True))
         if not norms.all():
             raise DegenerateInputError("encoder: zero output row has no direction")
         z = out
         z /= norms
+        stack = x.shape[:-2]  # the stack axes, none for a batch
 
         def pullback(g):
-            g_out = g - np.add.reduce(g * z, axis=1, keepdims=True) * z
+            g_out = g - np.add.reduce(g * z, axis=-1, keepdims=True) * z
             g_out /= norms
             g_pre = g_out @ w2.T
             g_pre *= h > 0.0  # zero subgradient at the kink
-            grad = np.empty(flat.size)
-            np.matmul(x.T, g_pre, out=grad[s_w1].reshape(sh_w1))
-            np.add.reduce(g_pre, axis=0, out=grad[s_b1])
-            np.matmul(h.T, g_out, out=grad[s_w2].reshape(sh_w2))
-            np.add.reduce(g_out, axis=0, out=grad[s_b2])
-            return grad
+            # one flat row per slice, then their sum over the stack
+            rows = np.empty(stack + flat.shape)
+            np.matmul(x.swapaxes(-1, -2), g_pre,
+                      out=rows[..., s_w1].reshape(stack + sh_w1))
+            np.add.reduce(g_pre, axis=-2, out=rows[..., s_b1])
+            np.matmul(h.swapaxes(-1, -2), g_out,
+                      out=rows[..., s_w2].reshape(stack + sh_w2))
+            np.add.reduce(g_out, axis=-2, out=rows[..., s_b2])
+            return np.add.reduce(rows, axis=tuple(range(len(stack))))
 
         return z, pullback
 
@@ -331,25 +352,27 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
 
     Batches are index sets applied to both views, so the in-batch ground
     truth stays the identity; the partial last batch is dropped, so every
-    batch has ``batch_size`` rows. Each step is a chain of three
-    closed-form pullbacks, ``encoder.forward`` on each view and
-    ``losses.two_view_loss``, whose gradient on the encoder's ``flat``
-    buffer is pull_b(g_b) + pull_a(g_a); Adam updates that buffer in
-    place. Aborts with NumericError on a non-finite loss or gradient
-    (naming the parameter), on a non-finite embedding, or on a
-    degenerate (zero) embedding. ``evaluate_matching`` and
-    ``linear_probe`` run once, after training, on one embedding of each
-    view.
+    batch has ``batch_size`` rows. The two views are stacked once, as
+    one (2, N, D) array, and each step is a chain of two closed-form
+    pullbacks: one ``encoder.forward`` call on the batch's (2, B, D)
+    stack, whose two slices go to ``losses.two_view_loss``, and whose
+    pullback takes that loss's two gradients as one stack and returns
+    pull_b(g_b) + pull_a(g_a) bit for bit (see ``MLPEncoder.forward``);
+    Adam updates the encoder's ``flat`` buffer in place. Aborts with
+    NumericError on a non-finite loss or gradient (naming the
+    parameter), on a non-finite embedding, or on a degenerate (zero)
+    embedding. ``evaluate_matching`` and ``linear_probe`` run once, after
+    training, on one ``forward`` call on the whole stack.
 
-    A batch pairs row i of both views, so the two views and the labels
-    must have the same number of rows, and the labels one dimension;
-    otherwise ShapeError names their shapes before the first step. Each
-    view and the encoder's parameters are checked for finite values
-    once, before the first step, without a copy (a NaN or Inf anywhere
-    in a view raises NumericError, in a dropped row too, and one in a
-    parameter names it); each batch, a fresh copy from fancy indexing,
-    then goes to ``forward`` uncopied. After the first step only Adam
-    writes the parameters, from a gradient checked finite.
+    A batch pairs row i of both views, so the two views must have the
+    same shape, the labels one dimension and as many rows; otherwise
+    ShapeError names their shapes before the first step. Each view and
+    the encoder's parameters are checked for finite values once, before
+    the first step (a NaN or Inf anywhere in a view raises NumericError,
+    in a dropped row too, and one in a parameter names it); each batch's
+    stack, a fresh copy from fancy indexing, then goes to ``forward``
+    uncopied. After the first step only Adam writes the parameters, from
+    a gradient checked finite.
     """
     n = dataset.view_a.shape[0]
     if config.batch_size > n:
@@ -365,12 +388,12 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
                 f"(loss={config.loss.name!r}, seed={config.seed}): NaN or Inf"
             )
         views.append(view)
-    view_a, view_b = views
     labels = np.asarray(dataset.labels)
-    if view_b.shape[0] != n or labels.shape != (n,):
+    if views[1].shape != views[0].shape or labels.shape != (n,):
         raise ShapeError("train: the views and labels disagree: "
-                         f"view_a {view_a.shape}, view_b {view_b.shape}, "
+                         f"view_a {views[0].shape}, view_b {views[1].shape}, "
                          f"labels {labels.shape}")
+    both = np.stack(views)
     flat = encoder.flat
     finite = np.isfinite(flat)
     if not finite.all():
@@ -388,9 +411,8 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
         for step in range(steps_per_epoch):
             idx = order[step * config.batch_size:(step + 1) * config.batch_size]
             try:
-                za, pull_a = encoder.forward(view_a[idx])
-                zb, pull_b = encoder.forward(view_b[idx])
-                value, pull = two_view_loss(za, zb, gt, config.loss)
+                z, pull_z = encoder.forward(both[:, idx])
+                value, pull = two_view_loss(z[0], z[1], gt, config.loss)
             except (EvaluationError, DegenerateInputError) as e:
                 kind = ("degenerate embedding" if isinstance(e, DegenerateInputError)
                         else "non-finite value")
@@ -403,8 +425,7 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
                     f"non-finite loss {value} at epoch {epoch} step {step} "
                     f"(loss={config.loss.name!r}, seed={config.seed})"
                 )
-            g_a, g_b = pull(1.0)
-            grad = pull_b(g_b) + pull_a(g_a)
+            grad = pull_z(np.stack(pull(1.0)))
             finite = np.isfinite(grad)
             if not finite.all():
                 raise NumericError(
@@ -416,13 +437,12 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
             adam_step(state, grad, lr=config.learning_rate)
             batch_losses.append(value)
         epoch_losses.append(float(np.mean(batch_losses)))
-    za = encoder.embed(dataset.view_a)
-    zb = encoder.embed(dataset.view_b)
+    z = encoder.forward(both)[0]
     report = RunReport(
         epoch_losses=epoch_losses,
-        matching_accuracy=evaluate_matching(za, zb),
+        matching_accuracy=evaluate_matching(z[0], z[1]),
         probe_accuracy=linear_probe(
-            np.vstack([za, zb]),
+            z.reshape(-1, z.shape[-1]),
             np.concatenate([dataset.labels, dataset.labels]),
             seed=config.seed,
         ),

@@ -290,8 +290,8 @@ class TestTrainCommand:
         def poisoned(self, x, flat=None):
             z, pullback = real_forward(self, x, flat)
             calls.append(None)
-            if len(calls) != 5:  # seed 0, epoch 1, step 0, view a: two views a step,
-                return z, pullback  # two steps an epoch
+            if len(calls) != 3:  # seed 0, epoch 1, step 0: one call a step,
+                return z, pullback  # on both views, two steps an epoch
 
             def poisoned_pullback(g):
                 grad = pullback(g)

@@ -113,16 +113,13 @@ def reference_encoder_vjp(enc, x, up):
 def step_function(enc, xa, xb, gt, loss):
     """One training step as a function of the flat parameters: w -> the
     objective on the two encoded batches and its pullback onto w, the
-    chain ``train`` runs."""
+    chain ``train`` runs: one encoder call on the stack of both batches."""
+    both = np.stack([xa, xb])
+
     def step(w):
-        (za, pull_a), (zb, pull_b) = enc.forward(xa, w), enc.forward(xb, w)
-        value, pull = losses.two_view_loss(za, zb, gt, loss)
-
-        def pullback(c):
-            g_a, g_b = pull(c)
-            return pull_b(g_b) + pull_a(g_a)
-
-        return value, pullback
+        z, pull_z = enc.forward(both, w)
+        value, pull = losses.two_view_loss(z[0], z[1], gt, loss)
+        return value, lambda c: pull_z(np.stack(pull(c)))
 
     return step
 
@@ -252,11 +249,55 @@ class TestEncoder:
         for other in (np.asfortranarray(x), x.astype(np.float32), x.tolist()):
             assert enc.forward(other)[0].tobytes() == want
         assert enc.forward(x, enc.flat.reshape(1, -1))[0].tobytes() == want
+        assert enc.forward(x[None])[0].tobytes() == want
         with pytest.raises(ShapeError, match=f"^encoder: 10 parameters != {enc.flat.size}$"):
             enc.forward(x, np.zeros(10))
         with pytest.raises(ShapeError,
-                           match="^encoder: expected a 1-D or 2-D array, got ndim=3$"):
-            enc.forward(x[None])
+                           match="^encoder: expected a 1-D, 2-D or 3-D array, got ndim=4$"):
+            enc.forward(x[None, None])
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 32])
+    @pytest.mark.parametrize("widths,integer", [
+        ((5, 6, 3), False), ((5, 6, 3), True), ((32, 32, 4), False),
+        ((32, 64, 16), False), ((32, 64, 16), True),
+    ], ids=["5-6-3", "5-6-3-kink", "32-32-4", "32-64-16", "32-64-16-kink"])
+    def test_stack_gives_the_bits_of_a_call_per_slice(self, widths, integer, batch):
+        # one call on the (2, B, D) stack that training makes against a
+        # call per view: the z bytes, and the flat gradient's against
+        # pull_b(g_b) + pull_a(g_a), the sum training formed from two calls.
+        # Integer inputs and weights put pre-activations on the relu kink.
+        rng = np.random.default_rng(sum(widths) + batch)
+        enc = harness.MLPEncoder(*widths, rng)
+        if integer:
+            for p in enc.params.values():
+                p[...] = rng.integers(-2, 3, size=p.shape)
+            enc.params["b1"][0, 0] = 0.0
+            enc.params["b2"][...] = 7.0  # no zero output row
+            x = rng.integers(-2, 3, size=(2, batch, widths[0])).astype(np.float64)
+            x[:, 0] = 0.0  # so each slice has a kink in its first row
+        else:
+            enc.params["b1"][...] = rng.normal(size=(1, widths[1])) * 0.1
+            enc.params["b2"][...] = rng.normal(size=(1, widths[2])) * 0.1
+            x = rng.normal(size=(2, batch, widths[0]))
+        pre = x @ enc.params["w1"] + enc.params["b1"]
+        assert integer == bool((pre == 0.0).any())
+        up = rng.normal(size=(2, batch, widths[2]))
+        z, pullback = enc.forward(x)
+        (za, pull_a), (zb, pull_b) = enc.forward(x[0]), enc.forward(x[1])
+        assert z.shape == (2, batch, widths[2])
+        assert z.tobytes() == za.tobytes() + zb.tobytes()
+        grad = pullback(up)
+        assert grad.shape == enc.flat.shape
+        assert grad.tobytes() == (pull_b(up[1]) + pull_a(up[0])).tobytes()
+
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_stack_is_checked_for_finite_values_in_every_slice(self, where):
+        # the rank check above 3-D is in test_forward_reads_any_layout_...
+        enc = harness.MLPEncoder(3, 4, 2, np.random.default_rng(0))
+        x = np.ones((2, 2, 3))
+        x[where, 1, 2] = np.nan
+        with pytest.raises(EvaluationError, match="^encoder: input contains NaN or Inf$"):
+            enc.forward(x)
 
     @pytest.mark.parametrize("seed,integer", [(0, False), (1, False), (2, False),
                                               (3, True), (4, True)])
@@ -475,19 +516,20 @@ class TestTraining:
         with pytest.raises(ShapeError, match="^train: view_b must be 2-D, got ndim=3$"):
             harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
 
-    @pytest.mark.parametrize("field,rows,shapes", [
-        ("view_b", 6, r"view_a \(8, 8\), view_b \(6, 8\), labels \(8,\)"),
-        ("view_b", 10, r"view_a \(8, 8\), view_b \(10, 8\), labels \(8,\)"),
-        ("labels", 6, r"view_a \(8, 8\), view_b \(8, 8\), labels \(6,\)"),
-    ], ids=["short-view-b", "long-view-b", "short-labels"])
+    @pytest.mark.parametrize("field,shape,shapes", [
+        ("view_b", (6, 8), r"view_a \(8, 8\), view_b \(6, 8\), labels \(8,\)"),
+        ("view_b", (10, 8), r"view_a \(8, 8\), view_b \(10, 8\), labels \(8,\)"),
+        ("labels", (6,), r"view_a \(8, 8\), view_b \(8, 8\), labels \(6,\)"),
+        ("view_b", (8, 7), r"view_a \(8, 8\), view_b \(8, 7\), labels \(8,\)"),
+    ], ids=["short-view-b", "long-view-b", "short-labels", "narrow-view-b"])
     def test_disagreeing_rows_raise_before_the_first_step(self, monkeypatch,
-                                                          field, rows, shapes):
+                                                          field, shape, shapes):
         # a short view_b once failed at the first batch, a long one after
-        # training in matching_accuracy, short labels in linear_probe
+        # training in matching_accuracy, short labels in linear_probe; the
+        # views are stacked, so a narrow view_b is caught here too
         import dataclasses
         ds = harness.gen_two_view_dataset(TINY)
-        value = getattr(ds, field)
-        value = np.resize(value, (rows,) + value.shape[1:])
+        value = np.resize(getattr(ds, field), shape)
         ds = dataclasses.replace(ds, **{field: value})
         applies = []
         monkeypatch.setattr(harness.MLPEncoder, "forward",
@@ -530,10 +572,10 @@ class TestTraining:
         assert len(report.epoch_losses) == cfg.epochs
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
-    def test_a_step_calls_the_objective_once_and_the_encoder_twice(self, monkeypatch,
-                                                                  beta):
-        # one step (a batch of all 8 items), one embedding per view, then
-        # the linear probe's own Adam steps
+    def test_a_step_calls_the_objective_once_and_the_encoder_once(self, monkeypatch,
+                                                                 beta):
+        # one step (a batch of all 8 items), one embedding of both views,
+        # then the linear probe's own Adam steps
         events = []
 
         def recorded(name, real):
@@ -552,9 +594,8 @@ class TestTraining:
         cfg = tiny_train_config(epochs=1, batch_size=8, loss=losses.LossConfig(
             name="t", kind="infonce", beta=beta))
         harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        assert events[:6] == ["forward", "forward", "two_view_loss", "adam_step",
-                              "forward", "forward"]
-        assert set(events[6:]) == {"adam_step"}
+        assert events[:4] == ["forward", "two_view_loss", "adam_step", "forward"]
+        assert set(events[4:]) == {"adam_step"}
 
     @pytest.mark.parametrize("mode", ["euclidean", "cosine"])
     def test_beta_one_step_gradcheck_over_flat_parameters(self, mode):
@@ -688,12 +729,13 @@ class TestTrainingScaleGradients:
 
 
 class TestTapeFreeStep:
-    """A training step chains the pullbacks of ``forward`` on each view
-    and of ``losses.two_view_loss`` with no tape. Its value and flat
-    gradient are those of the tape composition of the same step, two
-    ``custom_op`` nodes over ``forward`` and one over ``two_view_loss``,
-    and ``Tape.backward``, bit for bit: each adjoint the tape sums has at
-    most two terms, so the order of the sum moves no bit."""
+    """A training step chains the pullbacks of one ``forward`` call on the
+    stack of both views and of ``losses.two_view_loss`` with no tape. Its
+    value and flat gradient are those of the tape composition of the same
+    step, two ``custom_op`` nodes over ``forward``, one per view, and one
+    over ``two_view_loss``, and ``Tape.backward``, bit for bit: each
+    adjoint the tape sums has at most two terms, so the order of the sum
+    moves no bit."""
 
     @staticmethod
     def _run(name, loss):
@@ -752,11 +794,12 @@ class TestTapeFreeStep:
         _, report = harness.train(ds, enc, cfg)
         monkeypatch.undo()
 
-        # one step an epoch: the first two forwards are its views, the
-        # first Adam update its gradient, the one epoch loss its value
+        # one step an epoch: the first forward is the stack of its views,
+        # the first Adam update its gradient, the one epoch loss its value
         tape = T.Tape()
         w = tape.leaf(flat)
-        za, zb = (encoded(enc, x, w) for x in batches[:2])
+        assert batches[0].shape == (2, cfg.batch_size, ds.view_a.shape[1])
+        za, zb = (encoded(enc, x, w) for x in batches[0])
         gt = losses.GroundTruthAlignment.identity(cfg.batch_size)
         loss = node(lambda a, b: losses.two_view_loss(a, b, gt, cfg.loss), za, zb)
         grad = tape.backward(loss)[w].data.reshape(-1)
@@ -844,30 +887,35 @@ class TestEvaluation:
 
     def test_train_embeds_each_view_once(self, monkeypatch):
         # the matching accuracy and the probe share one embedding per view,
-        # and train reaches the accuracy through the public binding
+        # both from one encoder call on the stack of the two views, and
+        # train reaches the accuracy through the public binding
         ds = harness.gen_two_view_dataset(TINY)
         cfg = tiny_train_config()
-        real_embed = harness.MLPEncoder.embed
+        real_embed, real_forward = harness.MLPEncoder.embed, harness.MLPEncoder.forward
         real_matching = harness.evaluate_matching
         seen, matched = [], []
 
-        def counted(self, x):
-            z = real_embed(self, x)
+        def counted(self, x, flat=None):
+            z, pullback = real_forward(self, x, flat)
             seen.append((x, z))
-            return z
+            return z, pullback
 
         def recorded(za, zb):
             matched.append((za, zb, real_matching(za, zb)))
             return matched[-1][2]
 
-        monkeypatch.setattr(harness.MLPEncoder, "embed", counted)
+        monkeypatch.setattr(harness.MLPEncoder, "forward", counted)
         monkeypatch.setattr(harness, "evaluate_matching", recorded)
         enc, report = harness.train(ds, harness.make_encoder(TINY, cfg), cfg)
-        assert len(seen) == 2
-        assert seen[0][0] is ds.view_a and seen[1][0] is ds.view_b
+        # one call a step, then one on both views
+        steps = cfg.epochs * (TINY.num_items // cfg.batch_size)
+        assert len(seen) == steps + 1
+        x, z = seen[-1]
+        assert x.tobytes() == np.stack([ds.view_a, ds.view_b]).tobytes()
         assert len(matched) == 1
         za, zb, acc = matched[0]
-        assert za is seen[0][1] and zb is seen[1][1]
+        assert za.base is z and zb.base is z
+        assert za.tobytes() == z[0].tobytes() and zb.tobytes() == z[1].tobytes()
         assert report.matching_accuracy == acc
         za, zb = real_embed(enc, ds.view_a), real_embed(enc, ds.view_b)
         assert report.matching_accuracy == real_matching(za, zb)
