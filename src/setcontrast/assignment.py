@@ -18,7 +18,10 @@ solves stop at the 512-step cap and leave 30 and 27 rows to the Dijkstra
 phase. The matching is kept in one form, Python int lists, from the
 column reduction to the returned permutation, which becomes an intp
 array once: at these sizes numpy scalar indexing, not arithmetic, is
-what a step would otherwise cost.
+what a step would otherwise cost. A warm start that leaves no row free
+returns at once, without the Dijkstra phase's set-up: that holds in
+82 % of the ``lap`` workload's solves and in nearly all Gaussian solves
+at n <= 8.
 
 Tie-break contract: among equally optimal assignments both the solver
 and the oracles return the lexicographically smallest permutation, so
@@ -29,21 +32,25 @@ edges off the matching decides; otherwise one iterative pass of
 alternating-cycle rotations refines the matching.
 
 Both oracles enumerate all n! permutations and take n <= 8. The LAP
-oracle ranks permutations by their ``lap_cost`` bits. It splits the rows
-in two halves at h = n // 2 and scores every permutation as the sum of
-two running sums: of rows 0..h-1 along its length-h prefix, and of the
-other rows along its arrangement of the columns that the prefix leaves.
-Rounded addition is monotone, so the smallest score is the smallest
-over prefixes of the prefix's sum plus its best completion, found
-without forming the n! scores. The completions of every prefix within a
-rounding bound of it are then re-ranked by ``lap_cost``; one scalar test
-on the row maxima first rules out overflow, and where it fails every
-permutation is ranked by ``lap_cost`` (see ``brute_force_lap``). The
-QAP oracle scores permutations in lexicographic order, in blocks of at
-most 7! rows. The table of all permutations of n is cached as a
-read-only uint8 array (8! rows, 322 KB at n = 8), and the LAP oracle's
-half tables as read-only intp arrays (64 KB at n = 8); both are built on
-first use.
+oracle ranks permutations by their ``lap_cost`` bits. Up to n = 5, 120
+permutations, it ranks every one outright. From n = 6 on it splits the
+rows in two halves at h = n // 2 and scores every permutation as the
+sum of two running sums: of rows 0..h-1 along its length-h prefix, and
+of the other rows along its arrangement of the columns that the prefix
+leaves. Rounded addition is monotone, so the smallest score is the
+smallest over prefixes of the prefix's sum plus its best completion,
+found without forming the n! scores. The completions of every prefix
+within a rounding bound of it are then re-ranked by ``lap_cost``; one
+scalar test on the row maxima first rules out overflow, and where it
+fails every permutation is ranked by ``lap_cost`` (see
+``brute_force_lap``). The QAP oracle scores permutations in
+lexicographic order, in blocks of at most 7! rows, each block as one
+gather of S_B's flat entries at every permutation's pairs and one
+matrix-vector product with S_A's. The table of all permutations of n is
+cached as a read-only uint8 array (8! rows, 322 KB at n = 8), the QAP
+oracle's pair index as a read-only intp array up to n = 7 (1.98 MB at
+n = 7), and the LAP oracle's half tables as read-only intp arrays (64 KB
+at n = 8); all are built on first use.
 """
 
 from __future__ import annotations
@@ -65,9 +72,14 @@ BRUTE_FORCE_LAP_MAX = 8
 BRUTE_FORCE_QAP_MAX = 8
 # augmenting row reduction steps per row before the Dijkstra phase takes over
 _ARR_STEPS_PER_ROW = 4
-# blocks of at most 7! = 5040 rows keep the (M, n, n) gather of
-# brute_force_qap near 2.6 MB at n = 8
+# blocks of at most 7! = 5040 rows keep brute_force_qap's (M, n^2) pair
+# index and gather near 2.6 MB each at n = 8
 _BLOCK_ROWS = math.factorial(7)
+# brute_force_lap meets in the middle from n = 6 on; up to 5! = 120
+# permutations, ranking each by its lap_cost outright costs less than the
+# split tables and the rounding window
+_SPLIT_MIN_N = 6
+_FLOAT_MAX = np.finfo(np.float64).max
 _INTP = np.iinfo(np.intp)
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -82,7 +94,7 @@ def _check_square(s, name: str) -> Array:
     a = np.asarray(s, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ShapeError(f"{name}: expected a nonempty square matrix, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise EvaluationError(f"{name}: matrix contains NaN or Inf")
     return a
 
@@ -218,11 +230,15 @@ def _hungarian(a: Array):
     scalars with ``item``, and the permutation becomes an intp array
     once, on return. The numpy work of a scan is the row's reduced
     costs, the distance update and two argmins; of a path, the dual
-    update over its scanned columns.
+    update over its scanned columns. When the warm start leaves no row
+    free there is no path to grow, and the warm start's matching and
+    duals are returned before the Dijkstra phase builds its arrays.
     """
     n = a.shape[0]
     v, col4row, row4col = _warm_start(a)
     warm = np.array(col4row, dtype=np.intp)
+    if -1 not in col4row:  # no row left free: no path to grow
+        return warm, a[np.arange(n), warm] - v[warm], v
     rows = np.flatnonzero(warm >= 0)
     u = np.zeros(n)
     u[rows] = a[rows, warm[rows]] - v[warm[rows]]
@@ -377,7 +393,7 @@ def solve_lap(s, sense: str = "min") -> Assignment:
     a = _check_square(s, "solve_lap")
     _check_sense(sense)
     scale = float(np.abs(a).max())
-    if scale > np.finfo(np.float64).max / (8 * len(a)):
+    if scale > _FLOAT_MAX / (8 * len(a)):
         raise EvaluationError(f"solve_lap: entries up to {scale:.6g} in magnitude "
                               "overflow the duals; 8 n max|a| must be finite")
     work = a if sense == "min" else -a
@@ -402,13 +418,35 @@ def _lex_table(m: int) -> Array:
     return table
 
 
+def _pair_index(block: Array, n: int) -> Array:
+    """The flat index p_i n + p_j of each pair (i, j) of each permutation
+    p, a row of ``block``, in an n x n matrix: an (M, n^2) intp array."""
+    b = block.astype(np.intp)
+    return (b[:, :, None] * n + b[:, None, :]).reshape(len(b), n * n)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_table(n: int) -> Array:
+    """``_pair_index`` of the whole table of range(n), n <= 7, where it is
+    one block: read-only, 207 KB at n = 6 and 1.98 MB at n = 7."""
+    pairs = _pair_index(_lex_table(n), n)
+    pairs.setflags(write=False)
+    return pairs
+
+
 def _perm_blocks(n: int):
     """All permutations of range(n) for the QAP oracle, n <= 8, in
-    lexicographic order, as read-only views of at most 7! consecutive
-    rows of the cached uint8 table."""
+    lexicographic order, as (block, pairs): read-only views of at most 7!
+    consecutive rows of the cached uint8 table and their pair index. A
+    table of one block takes its cached pair index; the eight blocks of
+    n = 8 build theirs as they go, since a cached one would hold 20.6 MB."""
     table = _lex_table(n)
     for start in range(0, len(table), _BLOCK_ROWS):
-        yield table[start:start + _BLOCK_ROWS]
+        block = table[start:start + _BLOCK_ROWS]
+        if len(block) == len(table):
+            yield block, _pair_table(n)
+        else:
+            yield block, _pair_index(block, n)
 
 
 def _lex_levels(m: int, depth: int) -> Tuple[Array, ...]:
@@ -479,11 +517,14 @@ def brute_force_lap(s, sense: str = "min") -> Assignment:
     """Exhaustive LAP oracle (N <= 8), ranked by ``lap_cost`` with the
     same tie-break as solve_lap: the lexicographically first optimum.
 
-    Permutations are scored by meeting in the middle (Horowitz & Sahni
-    1974), with the rows split at h = n // 2 and m = n - h. heads[p] is
-    the running sum of rows 0..h-1 along the p-th length-h prefix in
-    lexicographic order, and tails[s, c] that of rows h..n-1 along the
-    c-th arrangement of the s-th m-subset of columns (``_split_tables``,
+    Below n = 6 (``_SPLIT_MIN_N``), at most 5! = 120 permutations, every
+    permutation of the table is ranked by ``lap_cost`` outright: that
+    costs less than the split tables and the rounding window. From n = 6
+    on, permutations are scored by meeting in the middle (Horowitz &
+    Sahni 1974), with the rows split at h = n // 2 and m = n - h.
+    heads[p] is the running sum of rows 0..h-1 along the p-th length-h
+    prefix in lexicographic order, and tails[s, c] that of rows h..n-1
+    along the c-th arrangement of the s-th m-subset of columns (``_split_tables``,
     ``_running_sums``). Permutation p m! + c of ``_lex_table(n)`` is
     prefix p completed by arrangement c of its free columns comp[p], and
     its split sum is fl(heads[p] + tails[comp[p], c]). Rounded addition
@@ -519,11 +560,11 @@ def brute_force_lap(s, sense: str = "min") -> Assignment:
     rounding of the factor and of the product cannot lift above it. So
     no addition overflows, and no split sum, ``lap_cost`` or re-ranked
     sum is infinite or NaN; a limit c* + window that still rounds to
-    +inf admits every prefix. Otherwise, as for entries near the largest
-    double, every permutation is re-ranked by ``lap_cost`` outright, and
-    EvaluationError is raised when one of those sums is not finite, since
-    the ranking is then meaningless. R is summed as Python floats, which
-    overflow to inf without a numpy warning."""
+    +inf admits every prefix. Otherwise, as for entries near the largest double, every
+    permutation is re-ranked by ``lap_cost`` outright, with numpy's
+    overflow warnings off, and EvaluationError is raised when one of those
+    sums is not finite, since the ranking is then meaningless. R is summed
+    as Python floats, which overflow to inf without a numpy warning."""
     a = _check_square(s, "brute_force_lap")
     _check_sense(sense)
     n = a.shape[0]
@@ -533,20 +574,20 @@ def brute_force_lap(s, sense: str = "min") -> Assignment:
     gamma = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
     r = sum(np.abs(a).max(axis=1).tolist())
     rows = np.arange(n)
-    table = _lex_table(n)
-    if math.isfinite(r * (1 + 4 * gamma)):
+    perms = _lex_table(n)
+    bounded = math.isfinite(r * (1 + 4 * gamma))
+    if bounded and n >= _SPLIT_MIN_N:
         prefix, suffix, comp = _split_tables(n)
         h = n // 2
-        # from 0, so that n = 1 has one empty prefix
         heads = _running_sums(np.zeros(1), work[:h], prefix)
         tails = _running_sums(work[h][suffix[0]], work[h + 1:], suffix[1:])
         lows = heads + tails.min(axis=1)[comp]
         limit = lows.min().item() + 4 * gamma * r
-        perms = table.reshape(len(comp), -1, n)[lows <= limit].reshape(-1, n)
+        perms = perms.reshape(len(comp), -1, n)[lows <= limit].reshape(-1, n)
+    if bounded:
         # row sums along the last axis are lap_cost's sums, bit for bit
         exact = work[rows, perms].sum(axis=1)
     else:
-        perms = table
         with np.errstate(over="ignore", invalid="ignore"):
             exact = work[rows, perms].sum(axis=1)
         if not np.isfinite(exact).all():
@@ -565,13 +606,26 @@ def qap_objective(s, s_a, s_b, perm) -> float:
     n = a.shape[0]
     if fa.shape[0] != n or fb.shape[0] != n:
         raise ShapeError("qap_objective: S, S_A, S_B must share the same size")
-    p = _check_perm(perm, n)
-    quad = float(np.einsum("ij,ij->", fa, fb[np.ix_(p, p)]))
-    return lap_cost(a, p) + quad
+    return _qap_cost(a, fa, fb, _check_perm(perm, n))
+
+
+def _qap_cost(a: Array, fa: Array, fb: Array, p: Array) -> float:
+    """``qap_objective`` of checked matrices and a checked permutation."""
+    return lap_cost(a, p) + float(np.einsum("ij,ij->", fa, fb[np.ix_(p, p)]))
 
 
 def brute_force_qap(s, s_a, s_b, sense: str = "min") -> Assignment:
-    """Exhaustive QAP oracle (N <= 8), lexicographic tie-break."""
+    """Exhaustive QAP oracle (N <= 8), lexicographic tie-break.
+
+    Each block of ``_perm_blocks`` scores its permutations p as the
+    linear term, each row's sum of S[i, p(i)], plus S_B's flat entries
+    gathered at the pair index p(i) n + p(j), an (M, n^2) array, times
+    S_A's flat entries: one matrix-vector product, the reshape and dot
+    that ``np.tensordot`` of the (M, n, n) gather with S_A would form, so
+    the costs keep those bits. The first best cost of a block, and the
+    first best block, win. The returned cost is ``qap_objective``'s
+    arithmetic on the permutation, which the table makes valid, so it is
+    not checked again."""
     a = _check_square(s, "brute_force_qap")
     fa = _check_square(s_a, "brute_force_qap: s_a")
     fb = _check_square(s_b, "brute_force_qap: s_b")
@@ -582,22 +636,19 @@ def brute_force_qap(s, s_a, s_b, sense: str = "min") -> Assignment:
     if n > BRUTE_FORCE_QAP_MAX:
         raise SizeGuardError(f"brute_force_qap: N={n} exceeds {BRUTE_FORCE_QAP_MAX}")
     rows = np.arange(n)
+    flat_a, flat_b = fa.reshape(-1), fb.reshape(-1)
     best_cost = None
     best_perm = None
-    for block in _perm_blocks(n):
+    for block, pairs in _perm_blocks(n):
         linear = a[rows[None, :], block].sum(axis=1)
-        gathered = fb[block[:, :, None], block[:, None, :]]  # (M, n, n)
-        quad = np.tensordot(gathered, fa, axes=([1, 2], [0, 1]))
-        costs = linear + quad
+        costs = linear + flat_b[pairs] @ flat_a
         k = int(np.argmin(costs)) if sense == "min" else int(np.argmax(costs))
         c = costs[k]
         if best_cost is None or (c < best_cost if sense == "min" else c > best_cost):
             best_cost = c
             best_perm = block[k].copy()
-    return Assignment(
-        perm=tuple(int(j) for j in best_perm),
-        cost=qap_objective(a, fa, fb, best_perm),
-    )
+    return Assignment(perm=tuple(best_perm.tolist()),
+                      cost=_qap_cost(a, fa, fb, best_perm))
 
 
 def matching_accuracy(s, gt_perm) -> float:

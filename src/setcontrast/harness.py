@@ -254,6 +254,8 @@ class MLPEncoder:
             np.matmul(h.swapaxes(-1, -2), g_out,
                       out=rows[..., s_w2].reshape(stack + sh_w2))
             np.add.reduce(g_out, axis=-2, out=rows[..., s_b2])
+            if not stack:  # a batch's one row is its gradient
+                return rows
             return np.add.reduce(rows, axis=tuple(range(len(stack))))
 
         return z, pullback

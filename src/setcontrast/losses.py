@@ -415,10 +415,17 @@ def qare(z_a, z_b) -> ValueAndPullback:
 def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
     """Reference-only exact QAP structured loss (enumerates, N <= 8), in
     sum form, not divided by N as the pairwise losses are:
-    tr(S Y_gt^T) - min_Y [tr(S Y^T) + tr(S_A Y S_B^T Y^T)]."""
+    tr(S Y_gt^T) - min_Y [tr(S Y^T) + tr(S_A Y S_B^T Y^T)]. A
+    GroundTruthAlignment, checked on construction, must be as long as S
+    has rows; any other ``gt`` must be a permutation of S's rows
+    (ContractError otherwise)."""
     a = np.asarray(s, dtype=np.float64)
-    perm = gt.perm if isinstance(gt, GroundTruthAlignment) else gt
-    idx = assignment._check_perm(perm, a.shape[0])
+    if isinstance(gt, GroundTruthAlignment):
+        idx = gt.indices
+        if idx.shape[0] != a.shape[0]:
+            raise ContractError(f"alignment length {idx.shape[0]} != rows {a.shape[0]}")
+    else:
+        idx = assignment._check_perm(gt, a.shape[0])
     opt = assignment.brute_force_qap(s, s_a, s_b, "min")
     return assignment.lap_cost(a, idx) - opt.cost
 

@@ -22,17 +22,19 @@ as for one instance, so every error has the bits it would have alone.
 Every suite keeps its worst error with ``_worst``, which keeps a NaN
 that Python's ``max`` would drop, so a NaN error fails its suite.
 The brute-force LAP and QAP oracles in ``assignment`` score every
-permutation: the LAP oracle as the sum of a running sum over the first
-half of the rows, shared by every permutation with that prefix, and one
-over the other half, shared by every permutation that leaves the same
-columns to it, re-ranked by ``lap_cost`` near the optimum; the QAP
-oracle in blocks read from a cached table. The simplex grid that checks
-the sparsemax oracle reads each coordinate from a table of the running
-sums of 1/steps, indexed by the coordinate's count. The ``gradients``,
-``fig1b`` and ``upper_bound`` suites call ``qare`` on point sets as
-drawn, not on unit rows: ``qare`` reads the rows it is given. Every
-pairwise loss is a batch mean, so the identity suites compare N times it
-with their sum-form references. ``tensor.gradcheck`` seeds its
+permutation. The LAP oracle ranks all of them by ``lap_cost`` up to
+n = 5; from n = 6 on it scores each as the sum of a running sum over the
+first half of the rows, shared by every permutation with that prefix,
+and one over the other half, shared by every permutation that leaves the
+same columns to it, re-ranked by ``lap_cost`` near the optimum. The QAP
+oracle scores each block of a cached table with one gather of S_B at
+every permutation's pairs and one matrix-vector product. The simplex
+grid that checks the sparsemax oracle reads each coordinate from a table
+of the running sums of 1/steps, indexed by the coordinate's count. The
+``gradients``, ``fig1b`` and ``upper_bound`` suites call ``qare`` on
+point sets as drawn, not on unit rows: ``qare`` reads the rows it is
+given. Every pairwise loss is a batch mean, so the identity suites
+compare N times it with their sum-form references. ``tensor.gradcheck`` seeds its
 directions from the point it checks, so the ``gradients`` line is the
 same on every run; ``tools/grad_mutations.py`` checks that those
 directions catch each wrong pullback a per-coordinate check catches.

@@ -403,18 +403,30 @@ class TestWarmStartBookkeeping:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 32, 64, 128])
     def test_solver_matches_the_array_reference_bit_for_bit(self, n):
         # the matching kept in int lists and the duals read with item
-        # give the bits of the array form: perm, u and v
+        # give the bits of the array form: perm, u and v. The families
+        # reach both of the solver's exits: straight after a warm start
+        # that matches every row, and after the Dijkstra phase. At n <= 2
+        # the warm start always matches every row: the one row free after
+        # the column reduction takes the free column, or displaces the
+        # other row, whose reduced cost there is 0
         rng = np.random.default_rng(50 + n)
-        families = {"generic": rng.normal(size=(n, n)),
+        # every column's minimum in a row of its own: the column
+        # reduction matches every row
+        planted = rng.normal(size=(n, n))
+        planted[rng.permutation(n), np.arange(n)] = planted.min() - 1.0 - rng.random(n)
+        families = {"generic": rng.normal(size=(n, n)), "planted": planted,
                     **{f"tie {k}": a for k, a in tie_families(rng, n).items()},
                     **{f"certificate {k}": a
                        for k, a in certificate_families(rng, n).items()}}
+        complete = set()
         for name, a in families.items():
             for x in (a, -a):
+                complete.add(bool((reference_warm_start(x)[1] >= 0).all()))
                 got = assignment._hungarian(x)
                 want = reference_hungarian(x)
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+        assert complete == ({True} if n <= 2 else {True, False})
 
 
 def refine_exit(a, sense):
@@ -582,6 +594,30 @@ def oracle_families(rng, n):
     yield "big", rng.uniform(-1.0, 1.0, size=(n, n)) * 1e308
 
 
+def reference_brute_force_qap(s, s_a, s_b, sense):
+    """The QAP oracle with its former gather: per block of the table, the
+    (M, n, n) entries of S_B at each permutation's pairs from two
+    broadcast uint8 index arrays, contracted with S_A by tensordot, and
+    the returned cost from qap_objective."""
+    a, fa, fb = (np.asarray(x, dtype=np.float64) for x in (s, s_a, s_b))
+    n = a.shape[0]
+    rows = np.arange(n)
+    table = assignment._lex_table(n)
+    best_cost = best_perm = None
+    for start in range(0, len(table), 5040):
+        block = table[start:start + 5040]
+        linear = a[rows[None, :], block].sum(axis=1)
+        gathered = fb[block[:, :, None], block[:, None, :]]
+        costs = linear + np.tensordot(gathered, fa, axes=([1, 2], [0, 1]))
+        k = int(np.argmin(costs)) if sense == "min" else int(np.argmax(costs))
+        if best_cost is None or (costs[k] < best_cost if sense == "min"
+                                 else costs[k] > best_cost):
+            best_cost, best_perm = costs[k], block[k].copy()
+    return assignment.Assignment(
+        perm=tuple(int(j) for j in best_perm),
+        cost=assignment.qap_objective(a, fa, fb, best_perm))
+
+
 class TestBruteForce:
     def test_lap_matches_reference_enumeration(self):
         rng = np.random.default_rng(13)
@@ -624,6 +660,54 @@ class TestBruteForce:
             for sense in ("min", "max"):
                 got = assignment.brute_force_lap(s, sense)
                 assert got.perm == enumerate_best(s, sense)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_qap_matches_the_tensordot_oracle_bit_for_bit(self, n):
+        # the flat pair gather and one matrix-vector product per block give
+        # the former gather's permutation and cost bits, over Gaussian
+        # input, integer ties and 1e-13 near-ties, in both senses
+        rng = np.random.default_rng(90 + n)
+
+        def draw(family):
+            if family == "gaussian":
+                return rng.normal(size=(n, n))
+            ties = rng.integers(0, 3, size=(n, n)).astype(float)
+            if family == "near-tie":
+                ties += 1e-13 * rng.integers(-1, 2, size=(n, n))
+            return ties
+
+        for family in ("gaussian", "{0,1,2}", "near-tie"):
+            for _ in range(2 if n == 8 else 4):
+                s, s_a, s_b = draw(family), draw(family), draw(family)
+                for sense in ("min", "max"):
+                    got = assignment.brute_force_qap(s, s_a, s_b, sense)
+                    want = reference_brute_force_qap(s, s_a, s_b, sense)
+                    assert got.perm == want.perm, family
+                    assert (np.float64(got.cost).tobytes()
+                            == np.float64(want.cost).tobytes()), family
+
+    def test_lap_splits_the_rows_from_n_6_on(self, monkeypatch):
+        # up to 5! = 120 permutations every one is ranked by lap_cost
+        # outright; from n = 6 on the oracle meets in the middle
+        split_tables = assignment._split_tables
+        sizes = []
+
+        def only_from_6(n):
+            if n < 6:
+                raise AssertionError(f"split tables at n = {n}")
+            sizes.append(n)
+            return split_tables(n)
+
+        monkeypatch.setattr(assignment, "_split_tables", only_from_6)
+        rng = np.random.default_rng(27)
+        for n in range(1, 9):
+            s = rng.normal(size=(n, n))
+            for sense in ("min", "max"):
+                got = assignment.brute_force_lap(s, sense)
+                want = reference_brute_force_lap(s, sense)
+                assert got.perm == want.perm
+                assert got.cost == want.cost
+        assert sizes == [6, 6, 7, 7, 8, 8]
 
     def test_qap_ties_across_table_blocks(self):
         # integer inputs make the costs exact and leave many tied optima
@@ -791,14 +875,24 @@ class TestBruteForce:
 
     def test_perm_blocks_concatenate_to_itertools_order(self):
         for n in range(1, 9):
-            blocks = list(assignment._perm_blocks(n))
+            blocks, pairs = zip(*assignment._perm_blocks(n))
             want = np.array(list(itertools.permutations(range(n))))
             assert np.array_equal(np.concatenate(blocks), want)
             assert all(len(b) <= 5040 for b in blocks)
             table = assignment._lex_table(n)
-            for b in blocks:
+            for b, p in zip(blocks, pairs):
                 assert b.base is table
                 assert not b.flags.writeable
+                # p[r, i n + j] addresses S_B[b[r, i], b[r, j]] in the flat S_B
+                assert p.dtype == np.intp and p.shape == (len(b), n * n)
+                assert np.array_equal(p, (b[:, :, None].astype(np.intp) * n
+                                          + b[:, None, :]).reshape(len(b), -1))
+            # one block: the pair index is cached and read-only
+            if n <= 7:
+                assert pairs[0] is assignment._pair_table(n)
+                assert not pairs[0].flags.writeable
+            else:
+                assert len(blocks) == 8
 
     def test_qap_reduces_to_lap_when_quadratic_term_vanishes(self):
         rng = np.random.default_rng(15)

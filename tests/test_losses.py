@@ -732,6 +732,20 @@ class TestStructuredQapExact:
         want = 4 * losses.structured_lap_loss(s, gt, margin=0.0)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_alignment_must_be_as_long_as_s(self):
+        # an alignment reads its checked indices, a raw sequence is checked
+        # as a permutation; either raises on a length other than S's rows,
+        # and on a matching length both give the same loss bits
+        rng = np.random.default_rng(28)
+        s, s_a, s_b = rng.normal(size=(3, 4, 4))
+        for short in (losses.GroundTruthAlignment((1, 0, 2)), (1, 0, 2)):
+            with pytest.raises(ContractError):
+                losses.structured_qap_loss_exact(s, s_a, s_b, short)
+        perm = (2, 0, 3, 1)
+        got = losses.structured_qap_loss_exact(
+            s, s_a, s_b, losses.GroundTruthAlignment(perm))
+        assert got == losses.structured_qap_loss_exact(s, s_a, s_b, perm)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
     def test_spectral_upper_bound_holds(self, n, seed):
