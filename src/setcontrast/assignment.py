@@ -439,7 +439,9 @@ def _perm_blocks(n: int):
     lexicographic order, as (block, pairs): read-only views of at most 7!
     consecutive rows of the cached uint8 table and their pair index. A
     table of one block takes its cached pair index; the eight blocks of
-    n = 8 build theirs as they go, since a cached one would hold 20.6 MB."""
+    n = 8 build theirs as they go, since a cached one would hold 20.6 MB.
+    An index built on every call would cost more than the gather it
+    feeds: at n = 6 a call would then take about 2.5 times as long."""
     table = _lex_table(n)
     for start in range(0, len(table), _BLOCK_ROWS):
         block = table[start:start + _BLOCK_ROWS]
@@ -524,10 +526,11 @@ def brute_force_lap(s, sense: str = "min") -> Assignment:
     Sahni 1974), with the rows split at h = n // 2 and m = n - h.
     heads[p] is the running sum of rows 0..h-1 along the p-th length-h
     prefix in lexicographic order, and tails[s, c] that of rows h..n-1
-    along the c-th arrangement of the s-th m-subset of columns (``_split_tables``,
-    ``_running_sums``). Permutation p m! + c of ``_lex_table(n)`` is
-    prefix p completed by arrangement c of its free columns comp[p], and
-    its split sum is fl(heads[p] + tails[comp[p], c]). Rounded addition
+    along the c-th arrangement of the s-th m-subset of columns
+    (``_split_tables``, ``_running_sums``). Permutation p m! + c of
+    ``_lex_table(n)`` is prefix p completed by arrangement c of its
+    free columns comp[p], and its split sum is
+    fl(heads[p] + tails[comp[p], c]). Rounded addition
     is monotone, so the smallest split sum among the completions of p is
     lows[p] = fl(heads[p] + min_c tails[comp[p], c]), and the smallest of
     all, c*, is the least of the lows: no n!-long array is formed.
@@ -560,11 +563,12 @@ def brute_force_lap(s, sense: str = "min") -> Assignment:
     rounding of the factor and of the product cannot lift above it. So
     no addition overflows, and no split sum, ``lap_cost`` or re-ranked
     sum is infinite or NaN; a limit c* + window that still rounds to
-    +inf admits every prefix. Otherwise, as for entries near the largest double, every
-    permutation is re-ranked by ``lap_cost`` outright, with numpy's
-    overflow warnings off, and EvaluationError is raised when one of those
-    sums is not finite, since the ranking is then meaningless. R is summed
-    as Python floats, which overflow to inf without a numpy warning."""
+    +inf admits every prefix. Otherwise, as for entries near the
+    largest double, every permutation is re-ranked by ``lap_cost``
+    outright, with numpy's overflow warnings off, and EvaluationError is
+    raised when one of those sums is not finite, since the ranking is
+    then meaningless. R is summed as Python floats, which overflow to
+    inf without a numpy warning."""
     a = _check_square(s, "brute_force_lap")
     _check_sense(sense)
     n = a.shape[0]

@@ -103,21 +103,28 @@ class GroundTruthAlignment:
         return cls(tuple(range(n)))
 
 
-def _dense_truth(s: Array, gt, name: str) -> Array:
-    """The dense ground-truth Y of the alignment ``gt``, checked against
-    the S array of the pairwise loss ``name``. A raw tuple or array is
-    wrapped in a GroundTruthAlignment first. S must be square, with rows,
-    and the alignment as long as S."""
-    n, k = s.shape
-    if n == 0:
-        raise ShapeError(f"{name}: S has no rows")
-    if n != k:
-        raise ShapeError(f"{name}: expected square S, got {s.shape}")
+def _alignment_indices(gt, n: int) -> Array:
+    """The read-only indices of the alignment ``gt`` of n rows. A raw
+    tuple or array is wrapped in a GroundTruthAlignment first; an
+    alignment of any other length raises ContractError."""
     if not isinstance(gt, GroundTruthAlignment):
         gt = GroundTruthAlignment(gt)
     idx = gt.indices
     if idx.shape[0] != n:
         raise ContractError(f"alignment length {idx.shape[0]} != rows {n}")
+    return idx
+
+
+def _dense_truth(s: Array, gt, name: str) -> Array:
+    """The dense ground-truth Y of the alignment ``gt``, checked against
+    the S array of the pairwise loss ``name``. S must be square, with
+    rows, and the alignment as long as S (``_alignment_indices``)."""
+    n, k = s.shape
+    if n == 0:
+        raise ShapeError(f"{name}: S has no rows")
+    if n != k:
+        raise ShapeError(f"{name}: expected square S, got {s.shape}")
+    idx = _alignment_indices(gt, n)
     y = np.zeros(s.shape)
     y[np.arange(n), idx] = 1.0
     return y
@@ -415,17 +422,11 @@ def qare(z_a, z_b) -> ValueAndPullback:
 def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
     """Reference-only exact QAP structured loss (enumerates, N <= 8), in
     sum form, not divided by N as the pairwise losses are:
-    tr(S Y_gt^T) - min_Y [tr(S Y^T) + tr(S_A Y S_B^T Y^T)]. A
-    GroundTruthAlignment, checked on construction, must be as long as S
-    has rows; any other ``gt`` must be a permutation of S's rows
-    (ContractError otherwise)."""
+    tr(S Y_gt^T) - min_Y [tr(S Y^T) + tr(S_A Y S_B^T Y^T)]. The
+    alignment ``gt`` must be as long as S has rows
+    (``_alignment_indices``)."""
     a = np.asarray(s, dtype=np.float64)
-    if isinstance(gt, GroundTruthAlignment):
-        idx = gt.indices
-        if idx.shape[0] != a.shape[0]:
-            raise ContractError(f"alignment length {idx.shape[0]} != rows {a.shape[0]}")
-    else:
-        idx = assignment._check_perm(gt, a.shape[0])
+    idx = _alignment_indices(gt, a.shape[0])
     opt = assignment.brute_force_qap(s, s_a, s_b, "min")
     return assignment.lap_cost(a, idx) - opt.cost
 

@@ -34,10 +34,11 @@ of the running sums of 1/steps, indexed by the coordinate's count. The
 ``gradients``, ``fig1b`` and ``upper_bound`` suites call ``qare`` on
 point sets as drawn, not on unit rows: ``qare`` reads the rows it is
 given. Every pairwise loss is a batch mean, so the identity suites
-compare N times it with their sum-form references. ``tensor.gradcheck`` seeds its
-directions from the point it checks, so the ``gradients`` line is the
-same on every run; ``tools/grad_mutations.py`` checks that those
-directions catch each wrong pullback a per-coordinate check catches.
+compare N times it with their sum-form references.
+``tensor.gradcheck`` seeds its directions from the point it checks, so
+the ``gradients`` line is the same on every run;
+``tools/grad_mutations.py`` checks that those directions catch each
+wrong pullback a per-coordinate check catches.
 """
 
 from __future__ import annotations

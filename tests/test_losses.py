@@ -733,9 +733,9 @@ class TestStructuredQapExact:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_alignment_must_be_as_long_as_s(self):
-        # an alignment reads its checked indices, a raw sequence is checked
-        # as a permutation; either raises on a length other than S's rows,
-        # and on a matching length both give the same loss bits
+        # a raw sequence is read as an alignment; either form raises on a
+        # length other than S's rows, and on a matching length both give
+        # the same loss bits
         rng = np.random.default_rng(28)
         s, s_a, s_b = rng.normal(size=(3, 4, 4))
         for short in (losses.GroundTruthAlignment((1, 0, 2)), (1, 0, 2)):
