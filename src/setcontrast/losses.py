@@ -45,6 +45,7 @@ with the encoder's.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
@@ -80,7 +81,9 @@ class GroundTruthAlignment:
     ``perm`` is stored as a tuple of ints, whatever sequence it was given
     as, so alignments built from a list, a tuple or an array compare,
     hash and print alike. ``indices`` keeps the entries as a read-only
-    intp array; it takes no part in equality or hashing."""
+    intp array, and ``dense`` the n x n one-hot ground truth Y, built on
+    first use and read-only; neither takes part in equality, hashing or
+    repr."""
 
     perm: Tuple[int, ...]
     indices: Array = field(init=False, repr=False, compare=False)
@@ -102,32 +105,40 @@ class GroundTruthAlignment:
     def identity(cls, n: int) -> "GroundTruthAlignment":
         return cls(tuple(range(n)))
 
+    @functools.cached_property
+    def dense(self) -> Array:
+        """Y, with Y[i, perm[i]] = 1 and 0 elsewhere: built once, on first
+        use, and read-only, so every loss call on this alignment shares
+        it and none can write it."""
+        n = len(self.perm)
+        y = np.zeros((n, n))
+        y[np.arange(n), self.indices] = 1.0
+        y.setflags(write=False)
+        return y
 
-def _alignment_indices(gt, n: int) -> Array:
-    """The read-only indices of the alignment ``gt`` of n rows. A raw
-    tuple or array is wrapped in a GroundTruthAlignment first; an
-    alignment of any other length raises ContractError."""
+
+def _alignment(gt, n: int) -> GroundTruthAlignment:
+    """The alignment ``gt`` of n rows. A raw tuple or array is wrapped in
+    a GroundTruthAlignment first; an alignment of any other length raises
+    ContractError."""
     if not isinstance(gt, GroundTruthAlignment):
         gt = GroundTruthAlignment(gt)
-    idx = gt.indices
-    if idx.shape[0] != n:
-        raise ContractError(f"alignment length {idx.shape[0]} != rows {n}")
-    return idx
+    if len(gt.perm) != n:
+        raise ContractError(f"alignment length {len(gt.perm)} != rows {n}")
+    return gt
 
 
 def _dense_truth(s: Array, gt, name: str) -> Array:
-    """The dense ground-truth Y of the alignment ``gt``, checked against
-    the S array of the pairwise loss ``name``. S must be square, with
-    rows, and the alignment as long as S (``_alignment_indices``)."""
+    """The dense ground-truth Y of the alignment ``gt``, its read-only
+    ``dense`` matrix, checked against the S array of the pairwise loss
+    ``name``. S must be square, with rows, and the alignment as long as
+    S (``_alignment``). No loss writes Y."""
     n, k = s.shape
     if n == 0:
         raise ShapeError(f"{name}: S has no rows")
     if n != k:
         raise ShapeError(f"{name}: expected square S, got {s.shape}")
-    idx = _alignment_indices(gt, n)
-    y = np.zeros(s.shape)
-    y[np.arange(n), idx] = 1.0
-    return y
+    return _alignment(gt, n).dense
 
 
 def _batch_mean(s, gt, name: str, parts, args: tuple) -> ValueAndPullback:
@@ -215,7 +226,7 @@ def _structured_lap(s: Array, y: Array, margin: float):
     def grad(c):
         return c * y - c * np.eye(len(y))[list(best.perm)]
 
-    return max(0.0, (sm * y).sum() - best.cost), grad
+    return max(0.0, np.add.reduce(sm * y, axis=None) - best.cost), grad
 
 
 def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> ValueAndPullback:
@@ -242,7 +253,9 @@ def _batch_hard_lap(s: Array, y: Array, margin: float):
         g[np.arange(len(hardest)), hardest] -= c
         return g
 
-    return max(0.0, (sm * y).sum() - sm.min(axis=1).sum()), grad
+    total = (np.add.reduce(sm * y, axis=None)
+             - np.add.reduce(np.minimum.reduce(sm, axis=1)))
+    return max(0.0, total), grad
 
 
 def _check_temperature(temperature: float) -> None:
@@ -278,7 +291,8 @@ def _smoothed(s: Array, y: Array, temperature: float):
     def grad(c):
         return (c * temperature) / r * e * (-1.0 / temperature) + c * y
 
-    return (s * y).sum() + lse.sum() * temperature, grad
+    return (np.add.reduce(s * y, axis=None)
+            + np.add.reduce(lse, axis=None) * temperature), grad
 
 
 def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> ValueAndPullback:
@@ -298,7 +312,7 @@ def _infonce(s: Array, y: Array, temperature: float):
     def grad(c):
         return c / r * e * (-1.0 / temperature) + (c * (1.0 / temperature)) * y
 
-    return (pos * (1.0 / temperature) + lse).sum(), grad
+    return np.add.reduce(pos * (1.0 / temperature) + lse, axis=None), grad
 
 
 def _sigmoid(x: Array) -> Array:
@@ -324,17 +338,18 @@ def _nt_logistic(s: Array, y: Array, temperature: float):
     if n < 2:
         raise ContractError("nt_logistic_loss needs at least one negative column")
     _check_temperature(temperature)
-    pos = (s * y).sum(axis=1, keepdims=True) * (1.0 / temperature)
+    pos = np.add.reduce(s * y, axis=1, keepdims=True) * (1.0 / temperature)
     lifted = s + (float(np.ptp(s)) + 1.0) * y  # positives out of the minima
     hardest = np.argmin(lifted, axis=1)
-    neg = lifted.min(axis=1, keepdims=True) * (-1.0 / temperature)
+    neg = np.minimum.reduce(lifted, axis=1, keepdims=True) * (-1.0 / temperature)
 
     def grad(c):
         g = c * _sigmoid(pos) * (1.0 / temperature) * y
         g[np.arange(n), hardest] += (c * _sigmoid(neg) * (-1.0 / temperature))[:, 0]
         return g
 
-    return (np.logaddexp(0.0, pos) + np.logaddexp(0.0, neg)).sum(), grad
+    return np.add.reduce(np.logaddexp(0.0, pos) + np.logaddexp(0.0, neg),
+                         axis=None), grad
 
 
 def _sparse_support(h: Array):
@@ -372,7 +387,7 @@ def _sparseclr(s: Array, y: Array):
     def grad(c):
         return c * y - c * p
 
-    return (s * y).sum() + support_term, grad
+    return np.add.reduce(s * y, axis=None) + support_term, grad
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +421,10 @@ def qare(z_a, z_b) -> ValueAndPullback:
     za, zb = simgeom._matrix(z_a, "qare"), simgeom._matrix(z_b, "qare")
     if za.shape != zb.shape:
         raise ShapeError(f"qare: shapes differ, {za.shape} vs {zb.shape}")
-    factors = [np.hstack((np.ones((z.shape[0], 1)), z)) for z in (za, zb)]
+    factors = [np.empty((za.shape[0], za.shape[1] + 1)) for _ in range(2)]
+    for p, z in zip(factors, (za, zb)):
+        p[:, 0] = 1.0
+        p[:, 1:] = z
     k = min(factors[0].shape)
     dec_a, dec_b = (simgeom.EigenDecomposition(d.values[:k], d.vectors[:, :k])
                     for d in simgeom.sym_eigen_pair(*(p.T @ p for p in factors)))
@@ -416,7 +434,7 @@ def qare(z_a, z_b) -> ValueAndPullback:
                      for p, d, partner in zip(factors, (dec_a, dec_b),
                                               (dec_b.values, dec_a.values)))
 
-    return float((dec_a.values * dec_b.values).sum()), pullback
+    return float(np.add.reduce(dec_a.values * dec_b.values)), pullback
 
 
 def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
@@ -424,9 +442,9 @@ def structured_qap_loss_exact(s, s_a, s_b, gt) -> float:
     sum form, not divided by N as the pairwise losses are:
     tr(S Y_gt^T) - min_Y [tr(S Y^T) + tr(S_A Y S_B^T Y^T)]. The
     alignment ``gt`` must be as long as S has rows
-    (``_alignment_indices``)."""
+    (``_alignment``)."""
     a = np.asarray(s, dtype=np.float64)
-    idx = _alignment_indices(gt, a.shape[0])
+    idx = _alignment(gt, a.shape[0]).indices
     opt = assignment.brute_force_qap(s, s_a, s_b, "min")
     return assignment.lap_cost(a, idx) - opt.cost
 

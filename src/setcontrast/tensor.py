@@ -22,10 +22,12 @@ owns its math: the pairwise losses, ``qare`` and ``two_view_loss`` in
 ``custom_op`` node over such a function puts it on a tape, which
 composes them for library callers.
 
-``gradcheck`` checks the pullback of such a function, f: array ->
-(value, pullback), against central differences along two random unit
-directions, drawn from a generator seeded by the bytes of the point, so
-its result depends on the function and the point alone.
+``gradcheck`` checks the pullback of such a function of one or more
+arrays, f: arrays -> (value, pullback), against central differences
+along two random unit directions per input, drawn from a generator
+seeded by the bytes of that input, so its result depends on the
+function and the point alone. One evaluation and one pullback call at
+the base serve every input.
 """
 
 from __future__ import annotations
@@ -232,13 +234,14 @@ def custom_op(operands: Iterable, value: Array, vjp: Callable) -> Tensor:
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
 
-def _evaluate(f, x: Array):
-    """f at ``x``, a fresh finite C-ordered float64 array that no one else
-    holds, frozen here: its value as a float and its pullback.
+def _evaluate(f, points: tuple):
+    """f at ``points``, finite C-ordered float64 arrays that only
+    ``gradcheck`` holds, frozen here: its value as a float and its pullback.
     ContractError unless f returns a scalar and a pullback;
     EvaluationError if the value is not finite."""
-    x.flags.writeable = False
-    out = f(x)
+    for x in points:
+        x.flags.writeable = False
+    out = f(*points)
     if not (isinstance(out, tuple) and len(out) == 2 and np.ndim(out[0]) == 0):
         raise ContractError("gradcheck: f must return a scalar value and its pullback")
     value = float(out[0])
@@ -263,36 +266,64 @@ def _directions(base: Array) -> Array:
     return v.reshape((_GRADCHECK_DIRECTIONS,) + base.shape)
 
 
-def gradcheck(f, x) -> float:
-    """Worst error of the analytic gradient g of ``f`` at ``x`` along
-    ``_GRADCHECK_DIRECTIONS`` (2) random unit directions v: |<g, v> -
-    (f(x + hv) - f(x - hv)) / 2h| / max(1, |<g, v>|), with a fixed step
-    h = 1e-6. The directions are drawn from a generator seeded by the
-    bytes of x (``_directions``), so the result depends on f and x alone.
-    A wrong pullback shows along almost every v, since any error e in g
-    enters as <e, v>.
+def _analytic(pullback, bases: tuple) -> list:
+    """The pullback of 1.0 as one finite C-ordered float64 gradient per
+    input, each of its input's shape. The pullback gives a tuple of
+    them, or a single array when there is one input; ContractError on
+    any other count or shape, EvaluationError on NaN or Inf."""
+    grads = pullback(1.0)
+    if len(bases) == 1:
+        grads = (grads,)
+    elif not (isinstance(grads, tuple) and len(grads) == len(bases)):
+        raise ContractError(f"gradcheck: the pullback must give a tuple of "
+                            f"{len(bases)} gradients")
+    out = []
+    for g, base in zip(grads, bases):
+        g = np.ascontiguousarray(g, dtype=np.float64)
+        if g.shape != base.shape:
+            raise ContractError(f"gradcheck: gradient shape {g.shape} "
+                                f"!= point shape {base.shape}")
+        if not np.isfinite(g).all():
+            raise EvaluationError("gradcheck: gradient is not finite")
+        out.append(g)
+    return out
 
-    ``f`` maps one array to its value, a scalar, and its pullback; g is
-    the pullback of 1.0, an array of the point's shape (ContractError
-    otherwise). ``x`` is read as a float64 copy of its own shape
-    (ShapeError above 2-D, EvaluationError on NaN or Inf), and each point
-    f sees is a fresh frozen C-ordered array. A value or an analytic
+
+def gradcheck(f, x, *xs) -> float:
+    """Worst error of the analytic gradient g_k of ``f`` on each of its
+    inputs x_k, at the point (x, *xs), along ``_GRADCHECK_DIRECTIONS`` (2)
+    random unit directions v per input: |<g_k, v> - (f(x_k + hv) -
+    f(x_k - hv)) / 2h| / max(1, |<g_k, v>|), with a fixed step h = 1e-6
+    and every other input held at its base. Each input's directions are
+    drawn from a generator seeded by its bytes (``_directions``), so the
+    result depends on f and the point alone, and each input gets the
+    directions, differences and error that a check of f as a function
+    of that input alone would give. A wrong pullback shows along almost
+    every v, since any error e in g_k enters as <e, v>.
+
+    ``f`` maps one array per input to its value, a scalar, and its
+    pullback. The pullback of 1.0 gives one gradient of each input's
+    shape: a tuple of them, or a single array when there is one input
+    (ContractError otherwise). f runs once at the base and twice per
+    direction of each input, 1 + 4k times for k inputs. Each input is
+    read as a float64 copy of its own shape (ShapeError above 2-D,
+    EvaluationError on NaN or Inf) and frozen. The input that moves
+    reaches f as a fresh frozen C-ordered array at every point; the
+    others reach it as their frozen bases. A value or an analytic
     gradient that is not finite raises EvaluationError."""
-    base = _finite_copy(x)
-    _, pullback = _evaluate(f, base)
-    analytic = np.ascontiguousarray(pullback(1.0), dtype=np.float64)
-    if analytic.shape != base.shape:
-        raise ContractError(f"gradcheck: gradient shape {analytic.shape} "
-                            f"!= point shape {base.shape}")
-    if not np.isfinite(analytic).all():
-        raise EvaluationError("gradcheck: gradient is not finite")
+    bases = tuple(_finite_copy(a) for a in (x,) + xs)
+    _, pullback = _evaluate(f, bases)
     worst = 0.0
-    # base is finite, and so is a finite double moved by the step, so
-    # each point goes to f without another check
-    for v in _directions(base):
-        slope = float(np.vdot(analytic, v))
-        step = _GRADCHECK_STEP * v
-        num = (_evaluate(f, base + step)[0]
-               - _evaluate(f, base - step)[0]) / (2.0 * _GRADCHECK_STEP)
-        worst = max(worst, abs(slope - num) / max(1.0, abs(slope)))
+    # every base is finite, and so is a finite double moved by the step,
+    # so each point goes to f without another check
+    for k, (base, analytic) in enumerate(zip(bases, _analytic(pullback, bases))):
+        def at(moved):
+            return bases[:k] + (moved,) + bases[k + 1:]
+
+        for v in _directions(base):
+            slope = float(np.vdot(analytic, v))
+            step = _GRADCHECK_STEP * v
+            num = (_evaluate(f, at(base + step))[0]
+                   - _evaluate(f, at(base - step))[0]) / (2.0 * _GRADCHECK_STEP)
+            worst = max(worst, abs(slope - num) / max(1.0, abs(slope)))
     return worst

@@ -993,6 +993,35 @@ class TestGroundTruthAlignment:
         assert np.array_equal(gt.indices, [2, 0, 1])
         assert not gt.indices.flags.writeable
 
+    def test_dense_matrix_is_a_read_only_one_hot_built_once(self):
+        gt = losses.GroundTruthAlignment((2, 0, 1))
+        y = gt.dense
+        assert y.dtype == np.float64 and y.flags.c_contiguous
+        assert not y.flags.writeable
+        assert y.tobytes() == np.eye(3)[[2, 0, 1]].tobytes()
+        with pytest.raises(ValueError):
+            y[0, 0] = 1.0
+        s = np.arange(9.0).reshape(3, 3)
+        for loss in FUSED.values():
+            loss(s, gt)[1](1.0)
+        assert gt.dense is y and losses._dense_truth(s, gt, "test") is y
+        assert y.tobytes() == np.eye(3)[[2, 0, 1]].tobytes()
+        # equality, hashing and repr still read perm alone
+        fresh = losses.GroundTruthAlignment((2, 0, 1))
+        assert fresh == gt and hash(fresh) == hash(gt)
+        assert repr(gt) == repr(fresh) == "GroundTruthAlignment(perm=(2, 0, 1))"
+
+    @pytest.mark.parametrize("wrap", [list, tuple, np.array],
+                             ids=["list", "tuple", "array"])
+    def test_dense_truth_of_a_raw_sequence(self, wrap):
+        s = np.ones((3, 3))
+        y = losses._dense_truth(s, wrap([1, 2, 0]), "test")
+        assert not y.flags.writeable
+        assert y.tobytes() == losses.GroundTruthAlignment((1, 2, 0)).dense.tobytes()
+        with pytest.raises(ContractError,
+                           match=r"^alignment length 2 != rows 3$"):
+            losses._dense_truth(s, wrap([1, 0]), "test")
+
     def test_equality_and_hash_follow_perm_only(self):
         a = losses.GroundTruthAlignment((1, 0))
         b = losses.GroundTruthAlignment((1, 0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setcontrast import losses, simgeom, tensor as T
+from setcontrast import losses, simgeom, tensor as T, verify
 from setcontrast.errors import (
     ContractError,
     EvaluationError,
@@ -389,6 +389,130 @@ class TestGradcheck:
         if cross.min() < 1e-2:
             return  # too close to the distance kink to difference safely
         assert T.gradcheck(taped(f), a) < 1e-5
+
+
+def _partial(loss, side, other):
+    """The reference: ``loss(a, b)`` as a function of one side, the other
+    side held at ``other``, as the gradients suite checked each input with
+    a gradcheck call of its own before one call checked both."""
+    def f(x):
+        value, pullback = loss(*((x, other) if side == 0 else (other, x)))
+        return value, lambda c: pullback(c)[side]
+
+    return f
+
+
+def _per_input_worst(loss, a, b):
+    return max(T.gradcheck(_partial(loss, 0, b), a),
+               T.gradcheck(_partial(loss, 1, a), b))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _weighted_inputs(k, seen=None):
+    """A function of k arrays of shape (2, 3), sum_j <x_j, w_j>, whose
+    pullback gives a tuple of k gradients, a single array for k = 1.
+    Every call appends its inputs to ``seen``."""
+    ws = [np.arange(6.0).reshape(2, 3) + j for j in range(k)]
+
+    def f(*xs):
+        if seen is not None:
+            seen.append(xs)
+        value = sum(float((x * w).sum()) for x, w in zip(xs, ws))
+        if k == 1:
+            return value, lambda c: c * ws[0]
+        return value, lambda c: tuple(c * w for w in ws)
+
+    return f
+
+
+class TestGradcheckInputs:
+    """One gradcheck call checks every input of f from one base
+    evaluation, and gives each input the error its own check gives."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_two_inputs_match_the_per_input_checks_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        za, zb = rng.normal(size=(2, 5, 3))
+        cfg = losses.LossConfig(kind="infonce", beta=1.0, temperature=0.5)
+        gt = losses.GroundTruthAlignment(rng.permutation(5))
+
+        def objective(a, b):
+            return losses.two_view_loss(a, b, gt, cfg)
+
+        def distances(a, b):
+            d, pullback = simgeom._similarity(a, b, "euclidean", "test")
+            return d.sum(), lambda c: pullback(np.full(d.shape, c))
+
+        for loss in (objective, losses.qare, distances):
+            got = T.gradcheck(loss, za, zb)
+            assert _bits(got) == _bits(_per_input_worst(loss, za, zb))
+
+    def test_every_gradients_case_matches_the_per_input_checks(self):
+        rng = np.random.default_rng(107)
+        for label, cfg in verify._GRAD_CASES:
+            for _ in range(2):
+                za, zb, gt = verify._generic_point(rng, label, cfg.mode)
+                if label == "qare":
+                    loss = losses.qare
+                else:
+                    def loss(a, b):
+                        return losses.two_view_loss(a, b, gt, cfg)
+                got = T.gradcheck(loss, za, zb)
+                assert _bits(got) == _bits(_per_input_worst(loss, za, zb)), label
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_f_runs_once_at_the_base_and_four_times_per_input(self, k):
+        seen = []
+        xs = [np.full((2, 3), float(j)) for j in range(k)]
+        assert T.gradcheck(_weighted_inputs(k, seen), *xs) < 1e-8
+        assert T._GRADCHECK_DIRECTIONS == 2 and len(seen) == 1 + 4 * k
+        base = seen[0]
+        assert all(not x.flags.writeable for x in base)
+        # input j moves alone on calls 1 + 4j .. 4 + 4j; the others are
+        # handed their frozen bases
+        for j in range(k):
+            for point in seen[1 + 4 * j:5 + 4 * j]:
+                for i, x in enumerate(point):
+                    if i == j:
+                        assert x is not base[i] and not x.flags.writeable
+                        assert not np.array_equal(x, base[i])
+                    else:
+                        assert x is base[i]
+
+    @pytest.mark.parametrize("grads", [
+        lambda c: np.ones((2, 3)),
+        lambda c: (np.ones((2, 3)),),
+        lambda c: (np.ones((2, 3)),) * 3,
+        lambda c: [np.ones((2, 3))] * 2,
+    ], ids=["one-array", "one-tuple", "three", "list"])
+    def test_the_pullback_must_give_one_gradient_per_input(self, grads):
+        def f(a, b):
+            return float(a.sum() + b.sum()), grads
+
+        with pytest.raises(ContractError, match=(
+                "^gradcheck: the pullback must give a tuple of 2 gradients$")):
+            T.gradcheck(f, np.ones((2, 3)), np.ones((2, 3)))
+
+    def test_each_gradient_must_have_its_input_shape(self):
+        def f(a, b):
+            return float(a.sum() + b.sum()), lambda c: (np.ones((2, 3)), np.ones(3))
+
+        with pytest.raises(ContractError, match=(
+                r"^gradcheck: gradient shape \(3,\) != point shape \(1, 3\)$")):
+            T.gradcheck(f, np.ones((2, 3)), np.ones((1, 3)))
+
+    def test_a_wrong_gradient_on_either_input_shows(self):
+        def crossed(a, b):
+            # the gradients of <a, w> + 2 <b, w>, handed back crossed
+            w = np.arange(6.0).reshape(2, 3)
+            value = float((a * w).sum() + 2.0 * (b * w).sum())
+            return value, lambda c: (2.0 * c * w, c * w)
+
+        ones = np.ones((2, 3))
+        assert T.gradcheck(crossed, ones, ones) > 0.1
 
 
 class TestClosedFormGradients:

@@ -128,6 +128,15 @@ def _transposed_pullback(real):
     return wrapped
 
 
+def _crossed_pullback(real):
+    # ``losses.two_view_loss`` with its pullback giving (g_b, g_a)
+    def wrapped(*args):
+        value, pullback = real(*args)
+        return value, lambda c: pullback(c)[::-1]
+
+    return wrapped
+
+
 def _halved_pullback(real):
     # ``losses.qare`` with its pullback halved
     def wrapped(za, zb):
@@ -144,8 +153,9 @@ class TestGradientSuite:
         (simgeom, "_inner_products", _transposed_pullback(simgeom._inner_products)),
         (simgeom, "_distances", _transposed_pullback(simgeom._distances)),
         (losses, "qare", _halved_pullback(losses.qare)),
+        (losses, "two_view_loss", _crossed_pullback(losses.two_view_loss)),
     ], ids=["cosine-reads-g-transposed", "euclidean-reads-g-transposed",
-            "qare-halved"])
+            "qare-halved", "two-view-gradients-crossed"])
     def test_fails_on_a_wrong_pullback(self, monkeypatch, module, name, wrapped):
         monkeypatch.setattr(module, name, wrapped)
         result = verify.suite_gradients()
@@ -161,6 +171,26 @@ class TestGradientSuite:
         monkeypatch.setattr(T, "custom_op", no_tape)
         result = verify.suite_gradients()
         assert result.passed and result.max_err < 1e-4
+
+    def test_one_base_evaluation_serves_both_inputs_of_a_point(self, monkeypatch):
+        # 300 points, each evaluated once at its base and four times per
+        # input: 9 calls a point, where a check per input made 10
+        calls = {"two_view_loss": 0, "qare": 0}
+
+        def counted(name):
+            real = getattr(losses, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(losses, name, counted(name))
+        assert verify.suite_gradients().passed
+        # qare also runs inside the two combined cases' objective
+        assert calls == {"two_view_loss": 2520, "qare": 540}
 
     def test_reports_the_same_line_twice_in_one_process(self):
         first, again = (verify.format_result(verify.run(["gradients"])[0])
@@ -180,11 +210,64 @@ class _FlatRng:
         return np.arange(n)
 
 
+def reference_generic_point(rng, kind, mode):
+    """``verify._generic_point`` with its structured-LAP and sparseclr
+    tests as Python loops: a sum per permutation of the 24, and a
+    threshold call per row."""
+    n = 4
+    positives = np.arange(n) == np.arange(n)[:, None]
+    for _ in range(500):
+        za = rng.normal(size=(n, 3))
+        zb = rng.normal(size=(n, 3))
+        perm = rng.permutation(n)
+        s, _ = simgeom._similarity(za, zb, mode, "_generic_point")
+        s_pair = s if mode == "euclidean" else -s
+        if mode == "euclidean" and s.min() < 5e-2:
+            continue
+        pos = positives[perm]
+        sm = s_pair + losses.MARGIN_DEFAULT * pos
+        ok = True
+        if kind in ("batch-hard", "smoothed"):
+            row = np.sort(sm, axis=1)
+            ok = bool(np.all(row[:, 1] - row[:, 0] >= 1e-3))
+        elif kind == "structured-lap":
+            costs = sorted(sum(sm[i, p[i]] for i in range(n))
+                           for p in itertools.permutations(range(n)))
+            ok = costs[1] - costs[0] >= 1e-3
+        elif kind == "nt-logistic":
+            neg = np.sort(np.where(pos, np.inf, s_pair), axis=1)
+            ok = bool(np.all(neg[:, 1] - neg[:, 0] >= 1e-3))
+        elif kind == "sparseclr":
+            ok = all(np.abs(z - losses.sparsemax_threshold(z)).min() >= 1e-3
+                     for z in -s_pair)
+        elif kind in ("qare", "combined"):
+            shifted = (1.0 + z @ z.T for z in (za, zb))
+            ok = min(simgeom.min_eigengap(d.values)
+                     for d in simgeom.sym_eigen_pair(*shifted)) >= 1e-3
+        if ok:
+            return za, zb, losses.GroundTruthAlignment(perm)
+    raise ConfigError(f"could not sample a generic point for {kind}/{mode}")
+
+
 class TestGenericPoint:
     def test_sampling_failure_is_a_config_error(self):
         with pytest.raises(ConfigError, match=(
                 "^could not sample a generic point for batch-hard/euclidean$")):
             verify._generic_point(_FlatRng(), "batch-hard", "euclidean")
+
+    @pytest.mark.parametrize("seed", [107, 5, 2024])
+    def test_draws_the_points_of_the_loop_form(self, seed):
+        # the gradients suite's 300 draws, in its order, from one generator
+        # each: the same points, alignments and generator state
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for label, cfg in verify._GRAD_CASES:
+            for _ in range(20):
+                za, zb, gt = verify._generic_point(rng, label, cfg.mode)
+                ref_a, ref_b, ref_gt = reference_generic_point(ref_rng, label, cfg.mode)
+                assert za.tobytes() == ref_a.tobytes(), label
+                assert zb.tobytes() == ref_b.tobytes(), label
+                assert gt == ref_gt, label
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # The three suites in their per-instance form: each instance's reference

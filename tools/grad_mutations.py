@@ -14,7 +14,7 @@ differ on any row or either differs from the row's expected verdict.
 
 The package is imported from ``ROOT/src`` (default: this checkout), so
 the same table can be run against another checkout. It needs numpy and
-the package only, and takes about 10 s.
+the package only, and takes about 12 s.
 """
 
 from __future__ import annotations
@@ -31,30 +31,38 @@ import numpy as np
 STEP = 1e-6  # the package's difference step
 
 
-def per_coordinate_gradcheck(errors, f, x) -> float:
-    """The reference: max over coordinates of |analytic - central
-    difference| / max(1, |analytic|), moving one coordinate at a time by
-    STEP. ``f`` maps an array to its value and its pullback, as for
-    ``gradcheck``, and the analytic gradient is the pullback of 1.0.
-    ``errors`` is the package's ``errors`` module: an analytic gradient or
-    a function value that is not finite raises its EvaluationError, as
-    ``gradcheck`` does, since either would read as error 0."""
-    base = np.array(x, dtype=np.float64)
-    _, pullback = f(base)
-    analytic = np.asarray(pullback(1.0), dtype=np.float64).reshape(-1)
-    if not np.isfinite(analytic).all():
-        raise errors.EvaluationError("gradcheck: gradient is not finite")
+def per_coordinate_gradcheck(errors, f, *xs) -> float:
+    """The reference: max over the coordinates of every input of
+    |analytic - central difference| / max(1, |analytic|), moving one
+    coordinate of one input at a time by STEP while the other inputs stay
+    at their base. ``f`` maps one array per input to its value and its
+    pullback, as for ``gradcheck``: one evaluation at the base, whose
+    pullback of 1.0 gives the analytic gradients, a tuple of them or a
+    single array for one input. ``errors`` is the package's ``errors``
+    module: an analytic gradient or a function value that is not finite
+    raises its EvaluationError, as ``gradcheck`` does, since either would
+    read as error 0."""
+    bases = [np.array(x, dtype=np.float64) for x in xs]
+    _, pullback = f(*bases)
+    grads = pullback(1.0)
+    if len(bases) == 1:
+        grads = (grads,)
     worst = 0.0
-    for i, grad in enumerate(analytic):
-        values = []
-        for step in (STEP, -STEP):
-            point = np.array(base)
-            point.flat[i] += step
-            values.append(float(f(point)[0]))
-        if not np.isfinite(values).all():
-            raise errors.EvaluationError("gradcheck: function value is not finite")
-        num = (values[0] - values[1]) / (2.0 * STEP)
-        worst = max(worst, abs(grad - num) / max(1.0, abs(grad)))
+    for k, (base, grad) in enumerate(zip(bases, grads)):
+        analytic = np.asarray(grad, dtype=np.float64).reshape(-1)
+        if not np.isfinite(analytic).all():
+            raise errors.EvaluationError("gradcheck: gradient is not finite")
+        for i, g in enumerate(analytic):
+            values = []
+            for step in (STEP, -STEP):
+                point = list(bases)
+                point[k] = np.array(base)
+                point[k].flat[i] += step
+                values.append(float(f(*point)[0]))
+            if not np.isfinite(values).all():
+                raise errors.EvaluationError("gradcheck: function value is not finite")
+            num = (values[0] - values[1]) / (2.0 * STEP)
+            worst = max(worst, abs(g - num) / max(1.0, abs(g)))
     return worst
 
 
@@ -103,6 +111,14 @@ def _batch_mean_scaled(real, factor):
     return wrapped
 
 
+def _gradients_crossed(real):
+    """The objective whose pullback gives (g_b, g_a) for (g_a, g_b)."""
+    def wrapped(*args):
+        value, pullback = real(*args)
+        return value, lambda c: pullback(c)[::-1]
+    return wrapped
+
+
 def mutations(simgeom, losses):
     """(label, module, attribute, wrapper or None, expected pass) rows."""
     return [
@@ -121,6 +137,8 @@ def mutations(simgeom, losses):
          lambda real: _batch_mean_scaled(real, 1.001), False),
         ("batch-mean pullback x 1.00001", losses, "_batch_mean",
          lambda real: _batch_mean_scaled(real, 1.00001), True),
+        ("two-view gradients crossed", losses, "two_view_loss",
+         _gradients_crossed, False),
     ]
 
 
@@ -139,8 +157,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.checkout / "src"))
     from setcontrast import errors, losses, simgeom, tensor as T, verify
 
-    def reference(f, x):
-        return per_coordinate_gradcheck(errors, f, x)
+    def reference(f, *xs):
+        return per_coordinate_gradcheck(errors, f, *xs)
 
     print("| mutation | expected | per coordinate | directional | agree |")
     print("|---|---|---|---|---|")
