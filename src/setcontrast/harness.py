@@ -360,7 +360,9 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     stack, whose two slices go to ``losses.two_view_loss``, and whose
     pullback takes that loss's two gradients as one stack and returns
     pull_b(g_b) + pull_a(g_a) bit for bit (see ``MLPEncoder.forward``);
-    Adam updates the encoder's ``flat`` buffer in place. Aborts with
+    Adam updates the encoder's ``flat`` buffer in place. The two
+    gradients go into one (2, B, E) buffer per run, read by the pullback
+    when it is called, with the bits and layout of their stack. Aborts with
     NumericError on a non-finite loss or gradient (naming the
     parameter), on a non-finite embedding, or on a degenerate (zero)
     embedding. ``evaluate_matching`` and ``linear_probe`` run once, after
@@ -405,6 +407,7 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     state = AdamState(flat)
     gt = GroundTruthAlignment.identity(config.batch_size)
+    g = np.empty((2, config.batch_size, encoder.embed_dim))
     epoch_losses: List[float] = []
     steps_per_epoch = n // config.batch_size
     for epoch in range(config.epochs):
@@ -427,7 +430,8 @@ def train(dataset: TwoViewDataset, encoder: MLPEncoder,
                     f"non-finite loss {value} at epoch {epoch} step {step} "
                     f"(loss={config.loss.name!r}, seed={config.seed})"
                 )
-            grad = pull_z(np.stack(pull(1.0)))
+            g[0], g[1] = pull(1.0)
+            grad = pull_z(g)
             finite = np.isfinite(grad)
             if not finite.all():
                 raise NumericError(
@@ -476,14 +480,20 @@ def linear_probe(embeddings, labels, seed: int = 0) -> float:
     held-out accuracy. NaN or Inf embeddings raise EvaluationError, and
     a negative seed ContractError.
 
-    A step adds the bias and takes ``exp`` in place and writes its
-    gradient into one buffer reused across steps; each in-place form
-    does the operations of the expression it replaces, so the bits are
-    the same."""
+    Labels must be 1-D (ShapeError otherwise).
+
+    Each epoch gathers its rows and one-hot targets once. A step works in
+    scratch arrays of its size, takes each row's max by one reduction
+    over a class-major copy (a max is one of its operands, the first on
+    a tie), and subtracts the targets as an array (p >= 0, and p - 0.0
+    is p): the bits of a row-wise max and of subtracting 1 at each
+    row's class."""
     if seed < 0:
         raise ContractError(f"linear_probe: seed must be >= 0, got {seed}")
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
+    if y.ndim != 1:
+        raise ShapeError(f"linear_probe: labels must be 1-D, got shape {y.shape}")
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ShapeError("linear_probe: embeddings and labels disagree")
     if not np.isfinite(x).all():
@@ -505,28 +515,33 @@ def linear_probe(embeddings, labels, seed: int = 0) -> float:
     if test_idx.size == 0:
         raise ContractError("linear_probe: split left no held-out samples")
 
-    yt = codes[train_idx]
-    xt = x[train_idx]
+    nt = train_idx.size
+    onehot = np.zeros((y.size, classes.size))
+    onehot[np.arange(y.size), codes] = 1.0
     k = x.shape[1] * classes.size
     state = AdamState(np.zeros(k + classes.size))
     w, b = state.flat[:k].reshape(x.shape[1], classes.size), state.flat[k:]
     grad = np.empty_like(state.flat)
     grad_w, grad_b = grad[:k].reshape(w.shape), grad[k:]
-    rows = np.arange(min(xt.shape[0], _PROBE_BATCH))
+    # the logits and their class-major copy, per minibatch size
+    scratch = {m: (np.empty((m, classes.size)), np.empty((classes.size, m)))
+               for m in {min(nt, _PROBE_BATCH), nt % _PROBE_BATCH} - {0}}
     for _ in range(_PROBE_EPOCHS):
-        order = rng.permutation(xt.shape[0])
-        for start in range(0, xt.shape[0], _PROBE_BATCH):
-            sel = order[start:start + _PROBE_BATCH]
-            xb, yb, r = xt[sel], yt[sel], rows[:sel.size]
-            logits = xb @ w
+        order = train_idx[rng.permutation(nt)]
+        xe, te = x[order], onehot[order]
+        for lo in range(0, nt, _PROBE_BATCH):
+            xb = xe[lo:lo + _PROBE_BATCH]
+            m = xb.shape[0]
+            logits, by_class = scratch[m]
+            np.matmul(xb, w, out=logits)
             logits += b
-            # the max by argmax and a gather: the same bits, in a third of
-            # the time of a reduction along the short class axis
-            logits -= logits[r, logits.argmax(axis=1)][:, None]
+            # class-major: one long inner loop per class, not a short one per row
+            np.copyto(by_class, logits.T)
+            logits -= np.maximum.reduce(by_class, axis=0)[:, None]
             p = np.exp(logits, out=logits)
             p /= np.add.reduce(p, axis=1, keepdims=True)
-            p[r, yb] -= 1.0
-            p /= sel.size
+            p -= te[lo:lo + m]
+            p /= m
             np.matmul(xb.T, p, out=grad_w)
             np.add.reduce(p, axis=0, out=grad_b)
             adam_step(state, grad, lr=_PROBE_LR)

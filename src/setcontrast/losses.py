@@ -128,27 +128,32 @@ def _alignment(gt, n: int) -> GroundTruthAlignment:
     return gt
 
 
-def _dense_truth(s: Array, gt, name: str) -> Array:
-    """The dense ground-truth Y of the alignment ``gt``, its read-only
-    ``dense`` matrix, checked against the S array of the pairwise loss
-    ``name``. S must be square, with rows, and the alignment as long as
-    S (``_alignment``). No loss writes Y."""
+def _truth(s: Array, gt, name: str) -> GroundTruthAlignment:
+    """The alignment ``gt``, checked against the S array of the pairwise
+    loss ``name``: S square, with rows, and as long as ``gt``."""
     n, k = s.shape
     if n == 0:
         raise ShapeError(f"{name}: S has no rows")
     if n != k:
         raise ShapeError(f"{name}: expected square S, got {s.shape}")
-    return _alignment(gt, n).dense
+    return _alignment(gt, n)
+
+
+def _dense_truth(s: Array, gt, name: str) -> Array:
+    """The read-only dense Y of ``gt``, checked by ``_truth``."""
+    return _truth(s, gt, name).dense
 
 
 def _batch_mean(s, gt, name: str, parts, args: tuple) -> ValueAndPullback:
     """The pairwise loss ``name`` of S: with
-    ``parts(s, y, *args) -> (total, grad)``, the batch mean total / N, N
-    the rows of S, and its pullback c -> grad(c / N), the gradient on S
-    of c times the mean. S is read by ``simgeom._matrix``."""
+    ``parts(s, y, idx, *args) -> (total, grad)``, the batch mean
+    total / N, N the rows of S, and its pullback c -> grad(c / N), the
+    gradient on S of c times the mean. S is read by ``simgeom._matrix``
+    and the alignment once, by ``_truth``; each part gets its dense Y and
+    its ``indices``, idx, to read the positives S[i, idx[i]] by index."""
     s = simgeom._matrix(s, name)
-    y = _dense_truth(s, gt, name)
-    total, grad = parts(s, y, *args)
+    truth = _truth(s, gt, name)
+    total, grad = parts(s, truth.dense, truth.indices, *args)
     scale = 1.0 / s.shape[0]
 
     def pullback(c):
@@ -211,7 +216,8 @@ def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> ValueAndPullba
 
     The minimum is differentiated by the envelope rule, so the gradient
     is (Y_gt - Y*) / N, with Y* the solver's (lexicographically first)
-    optimum.
+    optimum, whose entries the pullback reads by index: for c >= 0, as
+    every caller passes, that gives the bits of the product with Y*.
 
     The loss is never negative. The two traces are summed in different
     orders, so where the ground truth is itself optimal their difference
@@ -219,12 +225,14 @@ def structured_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> ValueAndPullba
     return _batch_mean(s, gt, "structured_lap_loss", _structured_lap, (margin,))
 
 
-def _structured_lap(s: Array, y: Array, margin: float):
+def _structured_lap(s: Array, y: Array, idx: Array, margin: float):
     sm = _margined(s, y, margin)
     best = assignment.solve_lap(sm, "min")
 
     def grad(c):
-        return c * y - c * np.eye(len(y))[list(best.perm)]
+        g = c * y
+        g[np.arange(len(idx)), best.perm] -= c
+        return g
 
     return max(0.0, np.add.reduce(sm * y, axis=None) - best.cost), grad
 
@@ -244,7 +252,7 @@ def batch_hard_lap_loss(s, gt, margin: float = MARGIN_DEFAULT) -> ValueAndPullba
     return _batch_mean(s, gt, "batch_hard_lap_loss", _batch_hard_lap, (margin,))
 
 
-def _batch_hard_lap(s: Array, y: Array, margin: float):
+def _batch_hard_lap(s: Array, y: Array, idx: Array, margin: float):
     sm = _margined(s, y, margin)
     hardest = np.argmin(sm, axis=1)
 
@@ -285,7 +293,7 @@ def smoothed_batch_hard_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT
     return _batch_mean(s, gt, "smoothed_batch_hard_loss", _smoothed, (temperature,))
 
 
-def _smoothed(s: Array, y: Array, temperature: float):
+def _smoothed(s: Array, y: Array, idx: Array, temperature: float):
     e, r, lse = _softmax_of_neg(s, temperature)
 
     def grad(c):
@@ -301,13 +309,16 @@ def infonce_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT) -> ValueAndPul
     / N. This equals the smoothed batch-hard loss divided by tau (exact
     identity).
 
-    Gradient: (Y_gt - softmax(-S / tau)) / (tau N) row-wise."""
+    Gradient: (Y_gt - softmax(-S / tau)) / (tau N) row-wise.
+
+    The positives are read by index, which is the row sum of S * Y but
+    for the sign of a zero positive, and no result shows that sign."""
     return _batch_mean(s, gt, "infonce_loss", _infonce, (temperature,))
 
 
-def _infonce(s: Array, y: Array, temperature: float):
+def _infonce(s: Array, y: Array, idx: Array, temperature: float):
     e, r, lse = _softmax_of_neg(s, temperature)
-    pos = np.add.reduce(s * y, axis=1, keepdims=True)  # (N, 1) gathered positives
+    pos = s[np.arange(len(idx)), idx][:, None]  # (N, 1) positives
 
     def grad(c):
         return c / r * e * (-1.0 / temperature) + (c * (1.0 / temperature)) * y
@@ -329,16 +340,17 @@ def nt_logistic_loss(s, gt, temperature: float = TEMPERATURE_DEFAULT
     Gradient, over N: sigmoid(s_pos/tau)/tau on each positive and
     -sigmoid(-s_neg*/tau)/tau on each row's hardest negative; a tied
     minimum routes the gradient to its first column. softplus is
-    log(1 + exp(x)) without overflow."""
+    log(1 + exp(x)) without overflow. The positives are read by index,
+    as in ``infonce_loss``."""
     return _batch_mean(s, gt, "nt_logistic_loss", _nt_logistic, (temperature,))
 
 
-def _nt_logistic(s: Array, y: Array, temperature: float):
+def _nt_logistic(s: Array, y: Array, idx: Array, temperature: float):
     n = s.shape[0]
     if n < 2:
         raise ContractError("nt_logistic_loss needs at least one negative column")
     _check_temperature(temperature)
-    pos = np.add.reduce(s * y, axis=1, keepdims=True) * (1.0 / temperature)
+    pos = s[np.arange(n), idx][:, None] * (1.0 / temperature)
     lifted = s + (float(np.ptp(s)) + 1.0) * y  # positives out of the minima
     hardest = np.argmin(lifted, axis=1)
     neg = np.minimum.reduce(lifted, axis=1, keepdims=True) * (-1.0 / temperature)
@@ -381,7 +393,7 @@ def sparseclr_loss(s, gt) -> ValueAndPullback:
     return _batch_mean(s, gt, "sparseclr_loss", _sparseclr, ())
 
 
-def _sparseclr(s: Array, y: Array):
+def _sparseclr(s: Array, y: Array, idx: Array):
     p, support_term = _sparse_support(s)
 
     def grad(c):

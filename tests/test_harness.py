@@ -807,6 +807,53 @@ class TestTapeFreeStep:
         assert grads[0].tobytes() == grad.tobytes()
 
 
+def reference_train(dataset, encoder, config):
+    """train's loop, stacking the objective's two gradients with
+    ``np.stack`` at every step; trains ``encoder`` in place and returns
+    the epoch losses."""
+    both = np.stack([dataset.view_a, dataset.view_b])
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
+    state = harness.AdamState(encoder.flat)
+    batch = config.batch_size
+    gt = losses.GroundTruthAlignment.identity(batch)
+    epoch_losses = []
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(both.shape[1])
+        values = []
+        for step in range(both.shape[1] // batch):
+            z, pull_z = encoder.forward(both[:, order[step * batch:(step + 1) * batch]])
+            value, pull = losses.two_view_loss(z[0], z[1], gt, config.loss)
+            harness.adam_step(state, pull_z(np.stack(pull(1.0))),
+                              lr=config.learning_rate)
+            values.append(value)
+        epoch_losses.append(float(np.mean(values)))
+    return epoch_losses
+
+
+class TestGradientBuffer:
+    """``train`` writes the objective's two gradients into one buffer per
+    run; its parameters and epoch losses are those of stacking the two
+    at every step, bit for bit."""
+
+    SPEC = harness.SyntheticSpec(num_classes=4, samples_per_class=10, ambient_dim=8)
+
+    @pytest.mark.parametrize("kind,mining,beta,mode", [
+        *((kind, mining, 0.0, "euclidean") for kind, mining in PAIRWISE_KINDS),
+        ("infonce", "batch-hard", 1.0, "euclidean"),
+        ("infonce", "batch-hard", 1.0, "cosine"),
+    ])
+    def test_train_keeps_the_stacked_bits(self, kind, mining, beta, mode):
+        cfg = harness.TrainConfig(epochs=3, batch_size=8, hidden_dim=16, embed_dim=4,
+                                  loss=losses.LossConfig(name="t", kind=kind,
+                                                         mining=mining, beta=beta,
+                                                         mode=mode))
+        ds = harness.gen_two_view_dataset(self.SPEC)
+        enc, report = harness.train(ds, harness.make_encoder(self.SPEC, cfg), cfg)
+        ref = harness.make_encoder(self.SPEC, cfg)
+        assert report.epoch_losses == reference_train(ds, ref, cfg)
+        assert enc.flat.tobytes() == ref.flat.tobytes()
+
+
 def reference_probe(x, y, seed):
     """linear_probe's split and training loop with each row's max taken
     by a reduction; returns the trained flat weights and the accuracy."""
@@ -864,6 +911,34 @@ class TestEvaluation:
         assert len(states) == 200 and all(s is states[0] for s in states)
         assert states[0].flat.tobytes() == flat.tobytes()
         assert acc == ref_acc and 0.2 < acc < 1.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("num_classes", [2, 3, 5, 8, 16])
+    def test_linear_probe_keeps_the_reference_bits(self, monkeypatch, num_classes,
+                                                   seed):
+        # 1-40 items per class, one class of a single item (all of it
+        # trains), widths 3-16: the training sides run from 8 rows to 322,
+        # below 128 and above it, not a multiple of it
+        rng = np.random.default_rng([num_classes, seed])
+        counts = rng.integers(2, 41, size=num_classes)
+        counts[seed % num_classes] = 1
+        y = rng.permutation(np.repeat(np.arange(num_classes), counts))
+        width = 3 + (13 * seed + num_classes) % 14
+        z = rng.normal(size=(y.size, width)) + rng.normal(size=(num_classes, width))[y]
+        states = []
+        real = harness.adam_step
+
+        def spy(state, grad, lr):
+            states.append(state)
+            real(state, grad, lr)
+
+        monkeypatch.setattr(harness, "adam_step", spy)
+        acc = harness.linear_probe(z, y, seed=seed)
+        monkeypatch.setattr(harness, "adam_step", real)
+        flat, ref_acc = reference_probe(z, y, seed=seed)
+        assert states[0].flat.tobytes() == flat.tobytes()
+        assert acc == ref_acc
+
     def test_linear_probe_separates_blobs(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(40, 2)) * 0.1 + np.array([3.0, 0.0])
@@ -927,6 +1002,17 @@ class TestEvaluation:
         with pytest.raises(ShapeError,
                            match="^linear_probe: embeddings and labels disagree$"):
             harness.linear_probe(np.zeros((6, 2)), np.array([0, 1] * 2))
+
+    def test_linear_probe_rejects_labels_that_are_not_one_dimensional(self):
+        # a column of labels would broadcast against the rows and give a
+        # wrong accuracy with no error
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(256, 16))
+        y = np.repeat(np.arange(8), 32)
+        harness.linear_probe(z, y)
+        with pytest.raises(ShapeError, match=(
+                r"^linear_probe: labels must be 1-D, got shape \(256, 1\)$")):
+            harness.linear_probe(z, y[:, None])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_linear_probe_rejects_nonfinite_embeddings(self, bad):

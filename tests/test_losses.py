@@ -280,6 +280,81 @@ class TestNTLogistic:
                                     losses.GroundTruthAlignment((0,)))
 
 
+class TestReadsByIndex:
+    """``infonce_loss`` and ``nt_logistic_loss`` read their positives, and
+    ``structured_lap_loss``'s pullback Y*, by index. Their values and
+    pullbacks are those of the forms that read them through products
+    with one-hot matrices, kept here as references, bit for bit."""
+
+    @staticmethod
+    def _reference(kind, s, gt, arg):
+        n = s.shape[0]
+        y = np.zeros((n, n))
+        y[np.arange(n), gt.perm] = 1.0
+        if kind == "infonce":
+            e, r, lse = losses._softmax_of_neg(s, arg)
+            pos = np.add.reduce(s * y, axis=1, keepdims=True)
+            total = np.add.reduce(pos * (1.0 / arg) + lse, axis=None)
+
+            def grad(c):
+                return c / r * e * (-1.0 / arg) + (c * (1.0 / arg)) * y
+        elif kind == "nt_logistic":
+            pos = np.add.reduce(s * y, axis=1, keepdims=True) * (1.0 / arg)
+            lifted = s + (float(np.ptp(s)) + 1.0) * y
+            hardest = np.argmin(lifted, axis=1)
+            neg = np.minimum.reduce(lifted, axis=1, keepdims=True) * (-1.0 / arg)
+            total = np.add.reduce(np.logaddexp(0.0, pos) + np.logaddexp(0.0, neg),
+                                  axis=None)
+
+            def grad(c):
+                g = c * losses._sigmoid(pos) * (1.0 / arg) * y
+                g[np.arange(n), hardest] += (c * losses._sigmoid(neg)
+                                             * (-1.0 / arg))[:, 0]
+                return g
+        else:
+            sm = s + arg * y if arg else s
+            best = assignment.solve_lap(sm, "min")
+            total = max(0.0, np.add.reduce(sm * y, axis=None) - best.cost)
+
+            def grad(c):
+                return c * y - c * np.eye(n)[list(best.perm)]
+        return float(total * (1.0 / n)), lambda c: grad(c * (1.0 / n))
+
+    @staticmethod
+    def _cosine(rng, n):
+        """Negated inner products of integer rows, as cosine mode feeds a
+        loss: row 0's positive is an exact -0.0, and two columns are
+        equal, so every row's minimum may tie."""
+        a = rng.integers(-1, 2, size=(n, 3)).astype(float)
+        b = rng.integers(-1, 2, size=(n, 3)).astype(float)
+        perm = rng.permutation(n)
+        a[0], b[perm[0]] = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+        b[perm[-1]] = b[perm[1]]
+        s = (a @ b.T) * -1.0
+        assert s[0, perm[0]] == 0.0 and np.signbit(s[0, perm[0]])
+        return s, losses.GroundTruthAlignment(tuple(int(j) for j in perm))
+
+    @pytest.mark.parametrize("case", ["normal", "cosine"])
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    @pytest.mark.parametrize("kind,arg", [("infonce", 0.05), ("infonce", 0.5),
+                                          ("nt_logistic", 0.05), ("nt_logistic", 0.5),
+                                          ("structured", 0.5), ("structured", 0.0)])
+    def test_value_and_pullback_keep_the_product_bits(self, kind, arg, n, case):
+        loss = {"infonce": losses.infonce_loss, "nt_logistic": losses.nt_logistic_loss,
+                "structured": losses.structured_lap_loss}[kind]
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            if case == "cosine":
+                s, gt = self._cosine(rng, n)
+            else:
+                s, gt = rng.normal(size=(n, n)), random_gt(rng, n)
+            value, pullback = loss(s, gt, arg)
+            ref_value, ref_pullback = self._reference(kind, s, gt, arg)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            for c in (1.0, 0.25, 1.0 / 3.0, 0.0):
+                assert pullback(c).tobytes() == ref_pullback(c).tobytes()
+
+
 def _row_min_gap(m):
     part = np.sort(m, axis=1)
     return float((part[:, 1] - part[:, 0]).min())

@@ -98,9 +98,9 @@ def _pairing_reversed(real):
 
 def _truth_transposed(real):
     """The infonce parts whose gradient is built with Y^T for Y."""
-    def wrapped(s, y, temperature):
-        total, _ = real(s, y, temperature)
-        return total, real(s, y.T, temperature)[1]
+    def wrapped(s, y, idx, temperature):
+        total, _ = real(s, y, idx, temperature)
+        return total, real(s, y.T, idx, temperature)[1]
     return wrapped
 
 
